@@ -45,6 +45,7 @@ __all__ = [
     "multiply_monomials",
     "multiply",
     "leading_data",
+    "reversed_poly",
     "weighted_degree",
     "exp_add",
     "exp_sub",
@@ -252,6 +253,17 @@ class MonomialOrder:
         sig = [i for i in self._significance if i != self.n - 1]
         return (self.degree(body), tuple(body[i] for i in sig), exp[-1])
 
+    def opposite(self) -> "MonomialOrder":
+        """The order on reversed exponent vectors: ``key(e)`` equals
+        ``opposite().key(e[::-1])``.  Rees orders (grlexz) have none."""
+        if self.kind == "grlexz":
+            raise ValueError("a grlexz order has no opposite")
+        n = self.n
+        degree = self.degree and DegreeFunction(self.degree.weights[::-1])
+        return MonomialOrder(
+            self.kind, n, [n - 1 - p for p in self.priority], degree
+        )
+
     def compare(self, a: ExpVec, b: ExpVec) -> int:
         ka, kb = self.key(a), self.key(b)
         if ka < kb:
@@ -294,7 +306,10 @@ def compare_monomials(order: MonomialOrder, a: ExpVec, b: ExpVec) -> str:
 
 
 class Relation:
-    """a_j * a_i = lam * a_i a_j + tail, for generator indices i < j."""
+    """a_j * a_i = lam * a_i a_j + tail, for generator indices i < j.
+
+    ``tail`` is a :class:`Poly` of the algebra the relation belongs to.
+    """
 
     __slots__ = ("j", "i", "lam", "tail")
 
@@ -451,8 +466,9 @@ class SolvableAlgebra:
     """K<a_1,...,a_n> with a solvable-type relation table.
 
     Construct through :func:`build_algebra` for textual relations, or
-    directly with Relation records.  The product cache memoizes PBW
-    normal forms of monomial pairs; its size is capped by the
+    directly with ``(j, i, lam, tail_terms)`` records, the tail given
+    as (ExpVec, Scalar) pairs.  The product cache memoizes PBW normal
+    forms of monomial pairs; its size is capped by the
     SOLVPOLY_CACHE_LIMIT environment variable.
     """
 
@@ -461,7 +477,7 @@ class SolvableAlgebra:
         field: FieldSpec,
         names: Sequence[str],
         order: MonomialOrder,
-        relations: Iterable[Relation] = (),
+        relations: Iterable[tuple] = (),
         degree_function: Optional[DegreeFunction] = None,
     ):
         names = tuple(names)
@@ -480,12 +496,13 @@ class SolvableAlgebra:
         self.n = len(names)
         self.relations = {}
         self.product_cache = {}
+        self._opposite: Optional[SolvableAlgebra] = None
         try:
             self._cache_limit = int(os.environ.get(_CACHE_ENV, "1000000"))
         except ValueError:
             self._cache_limit = 1000000
-        for rel in relations:
-            self._install_relation(rel)
+        for j, i, lam, tail in relations:
+            self._install_relation(j, i, lam, tail)
         # default all unspecified pairs to commuting
         one = field.one
         for j in range(self.n):
@@ -494,17 +511,17 @@ class SolvableAlgebra:
                     self.relations[(j, i)] = Relation(j, i, one, self.zero())
         self._validate_relations()
 
-    def _install_relation(self, rel: Relation) -> None:
-        if not (0 <= rel.i < rel.j < self.n):
+    def _install_relation(self, j: int, i: int, lam: Scalar, tail) -> None:
+        if not (0 <= i < j < self.n):
             raise MalformedRelation(
-                "relation indices (%d,%d) out of range" % (rel.j, rel.i)
+                "relation indices (%d,%d) out of range" % (j, i)
             )
-        if (rel.j, rel.i) in self.relations:
+        if (j, i) in self.relations:
             raise MalformedRelation(
                 "duplicate relation for pair (%s,%s)"
-                % (self.names[rel.j], self.names[rel.i])
+                % (self.names[j], self.names[i])
             )
-        self.relations[(rel.j, rel.i)] = rel
+        self.relations[(j, i)] = Relation(j, i, lam, Poly(self, tail))
 
     def _validate_relations(self) -> None:
         for (j, i), rel in self.relations.items():
@@ -513,7 +530,7 @@ class SolvableAlgebra:
                     "relation %s*%s has zero leading scalar"
                     % (self.names[j], self.names[i])
                 )
-            if rel.tail and not rel.tail.is_zero():
+            if not rel.tail.is_zero():
                 lead = exp_add(unit_exp(self.n, i), unit_exp(self.n, j))
                 if self.order.compare(rel.tail.lm(), lead) >= 0:
                     raise TailOrderViolation(
@@ -551,6 +568,31 @@ class SolvableAlgebra:
     def relation(self, j: int, i: int) -> Relation:
         return self.relations[(j, i)]
 
+    def opposite(self) -> "SolvableAlgebra":
+        """The opposite algebra, on the generators in reverse order.
+
+        Reversing exponent vectors (:func:`reversed_poly`) maps each PBW
+        monomial of this algebra onto one of the opposite algebra and
+        turns f*g into phi(g)*phi(f), so right-sided computations run as
+        left-sided ones there.  The relation (j, i, lam, f) becomes
+        (n-1-i, n-1-j, lam, phi(f)).  Built on first use and kept.
+        """
+        if self._opposite is None:
+            n = self.n
+            d = self.degree_function
+            self._opposite = SolvableAlgebra(
+                self.field,
+                self.names[::-1],
+                self.order.opposite(),
+                [
+                    (n - 1 - r.i, n - 1 - r.j, r.lam,
+                     [(e[::-1], c) for e, c in r.tail.terms])
+                    for r in self.relations.values()
+                ],
+                d and DegreeFunction(d.weights[::-1]),
+            )
+        return self._opposite
+
     # -- the rewriting product ----------------------------------------------------
 
     def mono_mul(self, a: ExpVec, b: ExpVec) -> Poly:
@@ -587,28 +629,12 @@ class SolvableAlgebra:
         swapped = self._mono_times_poly(unit_exp(self.n, i), t).scale(rel.lam)
         if rel.tail.is_zero():
             return swapped
-        return swapped + self._poly_times_mono(rel.tail, rest)
+        return swapped + self.multiply(rel.tail, self.monomial(rest))
 
     def _mono_times_poly(self, a: ExpVec, f: Poly) -> Poly:
         acc = {}
         for exp, c in f.terms:
             for e2, c2 in self.mono_mul(a, exp).terms:
-                prod = c * c2
-                cur = acc.get(e2)
-                if cur is None:
-                    acc[e2] = prod
-                else:
-                    s = cur + prod
-                    if s.is_zero():
-                        del acc[e2]
-                    else:
-                        acc[e2] = s
-        return Poly(self, acc.items())
-
-    def _poly_times_mono(self, f: Poly, b: ExpVec) -> Poly:
-        acc = {}
-        for exp, c in f.terms:
-            for e2, c2 in self.mono_mul(exp, b).terms:
                 prod = c * c2
                 cur = acc.get(e2)
                 if cur is None:
@@ -853,7 +879,6 @@ def build_algebra(
     names = tuple(names)
     n = len(names)
     name_index = {nm: i for i, nm in enumerate(names)}
-    shell = SolvableAlgebra(field, names, order, (), degree_function)
 
     parsed = {}
     for eq in relations:
@@ -892,8 +917,7 @@ def build_algebra(
                 "relation %r needs a nonzero multiple of %s*%s"
                 % (eq, names[i], names[j])
             )
-        tail = Poly(shell, rhs.items())
-        parsed[(j, i)] = Relation(j, i, lam, tail)
+        parsed[(j, i)] = (j, i, lam, rhs.items())
 
     return SolvableAlgebra(
         field, names, order, parsed.values(), degree_function
@@ -919,6 +943,12 @@ def leading_data(A: SolvableAlgebra, f: Poly):
         raise ZeroPolynomial("zero polynomial has no leading data")
     exp, c = f.terms[0]
     return exp, c, (exp, c)
+
+
+def reversed_poly(f: Poly, target: SolvableAlgebra) -> Poly:
+    """phi(f): the terms of f with reversed exponent vectors, in
+    ``target`` -- ``A.opposite()`` to go over, ``A`` to come back."""
+    return Poly(target, [(e[::-1], c) for e, c in f.terms])
 
 
 def weighted_degree(d: DegreeFunction, f: Poly) -> int:

@@ -192,7 +192,10 @@ def _field_from(doc: Any) -> FieldSpec:
         p = doc.get("characteristic")
         _expect(isinstance(p, int) and p > 1,
                 "'field.characteristic' must be a prime integer")
-        return FieldSpec("PrimeField", characteristic=p)
+        try:
+            return FieldSpec("PrimeField", characteristic=p)
+        except ValueError as exc:
+            raise SchemaError("bad field: %s" % exc)
     raise SchemaError("unknown field kind %r" % (kind,))
 
 
@@ -480,9 +483,13 @@ def cmd_verify_presentation(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]
             "violations": [str(exc)],
             "overlaps_checked": 0,
         }
+
+    def pair(ji: Tuple[int, int]) -> str:
+        return "%s*%s" % (pf.names[ji[0]], pf.names[ji[1]])
+
     violations = [
-        "overlap of relations %d and %d at shift %d leaves %s"
-        % (a, b, shift, free_ops.free_poly_str(res, pf.names))
+        "overlap of relations %s and %s at shift %d leaves %s"
+        % (pair(a), pair(b), shift, free_ops.free_poly_str(res, pf.names))
         for (a, b, shift, res) in rep.failures
     ]
     payload: Dict[str, Any] = {
@@ -490,8 +497,7 @@ def cmd_verify_presentation(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]
         "violations": violations,
         "overlaps_checked": rep.overlaps_checked,
         "lambdas": {
-            "%s*%s" % (pf.names[j], pf.names[i]): str(lam)
-            for (j, i), lam in sorted(rep.lambdas.items())
+            pair(ji): str(lam) for ji, lam in sorted(rep.lambdas.items())
         },
     }
     if args.max_steps is not None:
@@ -506,7 +512,14 @@ def cmd_verify_presentation(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]
 
 def _run_gb(pf: ProblemFile, reduce_flag: bool,
             truncate: Optional[int]) -> "groebner.GroebnerBasis":
-    G = groebner.buchberger(pf.generators, pf.mod_order, truncate=truncate)
+    if pf.generators:
+        G = groebner.buchberger(pf.generators, pf.mod_order,
+                                truncate=truncate)
+    else:
+        # no generators: the zero submodule, whose basis is empty
+        G = groebner.GroebnerBasis(pf.module, pf.mod_order, [], [], [],
+                                   None if truncate is not None else [],
+                                   truncation_degree=truncate)
     if reduce_flag:
         G = groebner.reduce_basis(G)
     return G
@@ -540,6 +553,10 @@ def cmd_member(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
 
 
 def cmd_syz(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
+    if not pf.generators:
+        # the empty tuple has only the empty syzygy, in rank 0
+        return EXIT_OK, {"rank": 0, "shifts": [], "syzygies": [],
+                         "annihilates": True}
     syz = syzres.syzygy_of_generators(pf.generators, pf.mod_order)
     payload = {
         "rank": syz.module.rank,
@@ -574,7 +591,9 @@ def cmd_graded_check(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
 
 
 def cmd_min_gens(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
-    kept, G = graded_ops.min_homogeneous_gens(pf.generators, pf.mod_order)
+    # with no generators, the zero vector stands in: it is never kept
+    gens = pf.generators or [pf.module.zero()]
+    kept, G = graded_ops.min_homogeneous_gens(gens, pf.mod_order)
     payload = {
         "generators": [_vect_out(v) for v in kept],
         "count": len(kept),

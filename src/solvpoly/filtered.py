@@ -13,7 +13,7 @@ rewrites, so Groebner computations transfer back and forth exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .coeff import SolvpolyError
 from .algebra import (
@@ -21,7 +21,6 @@ from .algebra import (
     ExpVec,
     MonomialOrder,
     Poly,
-    Relation,
     SolvableAlgebra,
     exp_divides,
 )
@@ -39,8 +38,9 @@ from .groebner import (
     NonGradedOrder,
     buchberger,
     degree_driven_completion,
+    echelon_leads,
 )
-from .graded import check_graded
+from .graded import QuotientMinimization, check_graded, prune_unit_pivots
 from .syzres import PresentationMatrix, Resolution, syzygy_of_generators
 
 __all__ = [
@@ -211,12 +211,11 @@ def rees(ctx: FiltrationContext) -> ReesAlgebra:
 def _build_associated_graded(ctx: FiltrationContext) -> AssociatedGraded:
     A = ctx.algebra
     d = ctx.degree
-    shell = SolvableAlgebra(A.field, A.names, A.order, (), A.degree_function)
     rels = []
     for (j, i), rel in sorted(A.relations.items()):
         q = d.weights[i] + d.weights[j]
         top = [(exp, c) for exp, c in rel.tail.terms if d(exp) == q]
-        rels.append(Relation(j, i, rel.lam, Poly(shell, top)))
+        rels.append((j, i, rel.lam, top))
     G = SolvableAlgebra(A.field, A.names, A.order, rels, A.degree_function)
     ok, violations = check_graded(G)
     if not ok:
@@ -239,15 +238,11 @@ def _build_rees(ctx: FiltrationContext) -> ReesAlgebra:
         "grlexz", n + 1, priority=tuple(A.order.priority) + (n,), degree=d
     )
     extended = DegreeFunction(tuple(d.weights) + (1,))
-    shell = SolvableAlgebra(A.field, names, order, (), extended)
     rels = []
     for (j, i), rel in sorted(A.relations.items()):
         q = d.weights[i] + d.weights[j]
-        tail = Poly(
-            shell,
-            [(exp + (q - d(exp),), c) for exp, c in rel.tail.terms],
-        )
-        rels.append(Relation(j, i, rel.lam, tail))
+        tail = [(exp + (q - d(exp),), c) for exp, c in rel.tail.terms]
+        rels.append((j, i, rel.lam, tail))
     # the homogenizing generator commutes with everything (constructor
     # default for the unlisted pairs)
     R = SolvableAlgebra(A.field, names, order, rels, extended)
@@ -557,40 +552,6 @@ def _filtered_quotient_dims(
     return dims
 
 
-def _row_subtract(row, pivot, c):
-    out = dict(row)
-    for m, v in pivot.items():
-        cur = out.get(m)
-        if cur is None:
-            out[m] = -(c * v)
-        else:
-            s = cur - c * v
-            if s.is_zero():
-                del out[m]
-            else:
-                out[m] = s
-    return out
-
-
-def _span_rank(rows, order: ModOrder) -> int:
-    """Rank of a list of sparse module-coefficient rows, by exact
-    elimination on leading monomials."""
-    pivots: Dict[ModMonomial, dict] = {}
-    rank = 0
-    for data in rows:
-        row = dict(data)
-        while row:
-            m = max(row, key=order.key)
-            piv = pivots.get(m)
-            if piv is None:
-                inv = row[m].inverse()
-                pivots[m] = {k: v * inv for k, v in row.items()}
-                rank += 1
-                break
-            row = _row_subtract(row, piv, row[m])
-    return rank
-
-
 def _standard_property_holds(
     G: GroebnerBasis, order: ModOrder, cap: int = 20000
 ) -> Optional[bool]:
@@ -628,7 +589,7 @@ def _standard_property_holds(
                 rows.append(g.lmul(A.monomial(alpha)).data)
             if len(rows) > cap:
                 return None
-        if _span_rank(rows, order) != led:
+        if len(echelon_leads(rows, order)) != led:
             return False
     return True
 
@@ -672,7 +633,7 @@ def standard_basis(
 # ---------------------------------------------------------------------------
 
 
-class MinimalFBasis:
+class MinimalFBasis(QuotientMinimization):
     """Result of eliminating unit pivots from a filtered presentation.
 
     ``kept`` lists the surviving components of the original free
@@ -684,38 +645,11 @@ class MinimalFBasis:
     window was too large to enumerate.
     """
 
-    def __init__(
-        self,
-        module: FreeModule,
-        kept: List[int],
-        new_module: Optional[FreeModule],
-        gens: List[Vect],
-        eliminations: List[Tuple[int, Vect]],
-        certified: Optional[bool] = None,
-    ):
-        self.module = module
-        self.kept = kept
-        self.new_module = new_module
-        self.gens = gens
-        self.eliminations = eliminations
-        self.certified = certified
+    certified: Optional[bool] = None
 
     def __iter__(self):
         yield self.kept
         yield self.gens
-
-    def __repr__(self):
-        return "MinimalFBasis(kept=%r, %d gens)" % (
-            self.kept,
-            len(self.gens),
-        )
-
-
-def _coords_fil_degree(L: FreeModule, coords: Dict[int, Poly]) -> int:
-    d = L.algebra.degree_function
-    return max(
-        d(exp) + L.shifts[c] for c, f in coords.items() for exp, _x in f.terms
-    )
 
 
 def minimal_F_basis(
@@ -750,81 +684,7 @@ def minimal_F_basis(
                 "not generate its submodule's leading terms"
             )
 
-    work: List[Dict[int, Poly]] = []
-    for v in gens:
-        work.append(
-            {
-                c: v.component(c)
-                for c in range(L.rank)
-                if not v.component(c).is_zero()
-            }
-        )
-    alive = list(range(L.rank))
-    eliminations: List[Tuple[int, Vect]] = []
-    A = L.algebra
-
-    def find_pivot() -> Optional[Tuple[int, int]]:
-        for j, coords in enumerate(work):
-            qj = _coords_fil_degree(L, coords)
-            for i in sorted(coords):
-                f = coords[i]
-                if (
-                    len(f.terms) == 1
-                    and all(x == 0 for x in f.terms[0][0])
-                    and L.shifts[i] == qj
-                ):
-                    return i, j
-        return None
-
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
-        i, j = hit
-        pivot = work[j]
-        inv = pivot[i].coeff(tuple([0] * A.n)).inverse()
-        eliminations.append(
-            (i, L.from_polys([pivot.get(c, A.zero()) for c in range(L.rank)]))
-        )
-        new_work: List[Dict[int, Poly]] = []
-        for l, coords in enumerate(work):
-            if l == j:
-                continue
-            f_il = coords.get(i)
-            if f_il is None:
-                new_work.append(coords)
-                continue
-            factor = f_il.scale(inv)
-            out: Dict[int, Poly] = {}
-            for c in set(coords) | set(pivot):
-                if c == i:
-                    continue
-                cur = coords.get(c, A.zero())
-                sub = pivot.get(c)
-                if sub is not None:
-                    cur = cur - A.multiply(factor, sub)
-                if not cur.is_zero():
-                    out[c] = cur
-            if out:
-                new_work.append(out)
-        work = new_work
-        alive.remove(i)
-
-    if not alive:
-        result = MinimalFBasis(L, [], None, [], eliminations)
-    else:
-        new_module = FreeModule(
-            A, len(alive), shifts=[L.shifts[c] for c in alive]
-        )
-        reindex = {c: pos for pos, c in enumerate(alive)}
-        new_gens: List[Vect] = []
-        for coords in work:
-            polys = [A.zero()] * len(alive)
-            for c, f in coords.items():
-                polys[reindex[c]] = f
-            new_gens.append(new_module.from_polys(polys))
-        result = MinimalFBasis(L, alive, new_module, new_gens, eliminations)
-
+    result = MinimalFBasis(L, *prune_unit_pivots(L, gens))
     if certify:
         result.certified = _certify_strict_iso(ctx, L, gens, result)
     return result

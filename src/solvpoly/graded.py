@@ -223,11 +223,8 @@ def min_homogeneous_gens(
     """
     _require_graded_setup(inputs, order)
     module = inputs[0].module
-    nonzero = [v for v in inputs if not v.is_zero()]
-    if not nonzero:
-        raise ValueError("all generators are zero")
     n0 = max(
-        max(order.degree_of(m) for m in v.data) for v in nonzero
+        (order.degree_of(m) for v in inputs for m in v.data), default=None
     )
     basis, vrows, kept = degree_driven_completion(
         inputs, order, cap=None, early_stop=n0 if early_stop else None
@@ -249,16 +246,17 @@ class QuotientMinimization:
     """Result of eliminating unit-coefficient relations from L/N.
 
     ``kept`` are the surviving components of the original module,
-    ``new_module`` is the pruned free module, ``gens`` the transformed
-    generators inside it, and ``eliminations`` records, per dropped
-    component, the relation (in original coordinates) that defined it.
+    ``new_module`` is the pruned free module (None when the quotient is
+    zero), ``gens`` the transformed generators inside it, and
+    ``eliminations`` records, per dropped component, the relation (in
+    original coordinates) that defined it.
     """
 
     def __init__(
         self,
         module: FreeModule,
         kept: List[int],
-        new_module: FreeModule,
+        new_module: Optional[FreeModule],
         gens: List[Vect],
         eliminations: List[Tuple[int, Vect]],
     ):
@@ -269,7 +267,8 @@ class QuotientMinimization:
         self.eliminations = eliminations
 
     def __repr__(self):
-        return "QuotientMinimization(kept=%r, %d gens)" % (
+        return "%s(kept=%r, %d gens)" % (
+            type(self).__name__,
             self.kept,
             len(self.gens),
         )
@@ -282,8 +281,8 @@ def min_gens_quotient(
 
     While some generator has a unit (nonzero scalar) coordinate, use
     it to eliminate that basis vector from all other generators and
-    drop both; the surviving basis vectors map onto a minimal
-    generating set of the quotient.
+    drop both (:func:`prune_unit_pivots`); the surviving basis vectors
+    map onto a minimal generating set of the quotient.
     """
     A = L.algebra
     ctx = GradedContext(A)
@@ -293,8 +292,28 @@ def min_gens_quotient(
             raise InhomogeneousInput(
                 "generator is not homogeneous: %s" % (v,)
             )
+    return QuotientMinimization(L, *prune_unit_pivots(L, inputs))
+
+
+def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
+    List[int], Optional[FreeModule], List[Vect], List[Tuple[int, Vect]]
+]:
+    """Eliminate basis vectors of L through unit pivots of the gens.
+
+    A pivot is a coordinate that is a nonzero scalar and whose component
+    shift equals the shifted degree of its generator (on homogeneous
+    input every unit coordinate qualifies).  While one exists, the first
+    in generator order, then component order, eliminates its basis
+    vector from every other generator, and both are dropped.  Returns
+    ``(kept, new_module, gens, eliminations)``: the surviving components
+    of L, the pruned free module (None when nothing survives), the
+    transformed generators inside it, and per dropped component the
+    pivot generator in original coordinates.
+    """
+    A = L.algebra
+    d = A.degree_function
     work: List[Dict[int, Poly]] = []
-    for v in inputs:
+    for v in gens:
         if not v.is_zero():
             work.append(
                 {c: v.component(c) for c in range(L.rank) if not v.component(c).is_zero()}
@@ -302,18 +321,25 @@ def min_gens_quotient(
     alive = list(range(L.rank))
     eliminations: List[Tuple[int, Vect]] = []
 
-    def find_unit() -> Optional[Tuple[int, int]]:
+    def find_pivot() -> Optional[Tuple[int, int]]:
         for j, coords in enumerate(work):
+            qj = max(
+                d(exp) + L.shifts[c]
+                for c, f in coords.items()
+                for exp, _x in f.terms
+            )
             for i in sorted(coords):
                 f = coords[i]
-                if len(f.terms) == 1 and all(
-                    x == 0 for x in f.terms[0][0]
+                if (
+                    len(f.terms) == 1
+                    and all(x == 0 for x in f.terms[0][0])
+                    and L.shifts[i] == qj
                 ):
                     return i, j
         return None
 
     while True:
-        hit = find_unit()
+        hit = find_pivot()
         if hit is None:
             break
         i, j = hit
@@ -348,18 +374,18 @@ def min_gens_quotient(
 
     if not alive:
         # every basis vector was eliminated: the quotient is zero
-        return QuotientMinimization(L, [], None, [], eliminations)
+        return [], None, [], eliminations
     new_module = FreeModule(
         A, len(alive), shifts=[L.shifts[c] for c in alive]
     )
     reindex = {c: pos for pos, c in enumerate(alive)}
-    gens: List[Vect] = []
+    new_gens: List[Vect] = []
     for coords in work:
         polys = [A.zero()] * len(alive)
         for c, f in coords.items():
             polys[reindex[c]] = f
-        gens.append(new_module.from_polys(polys))
-    return QuotientMinimization(L, alive, new_module, gens, eliminations)
+        new_gens.append(new_module.from_polys(polys))
+    return alive, new_module, new_gens, eliminations
 
 
 # ---------------------------------------------------------------------------

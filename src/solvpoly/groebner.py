@@ -10,13 +10,15 @@ combination of the inputs, ``U`` writes every input in the basis.
 
 A degree-driven variant of the same loop (used for truncated bases of
 graded submodules and for minimal homogeneous generating sets) is
-exposed through :func:`degree_driven_completion`.
+exposed through :func:`degree_driven_completion`.  Right Groebner
+bases (:func:`right_buchberger`) are left bases over the opposite
+algebra ``A.opposite()``, mapped back by reversing exponent vectors.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import Scalar, SolvpolyError
 from .algebra import (
@@ -25,16 +27,19 @@ from .algebra import (
     ZeroPolynomial,
     exp_max,
     exp_sub,
+    reversed_poly,
 )
 from .modfree import (
     FreeModule,
     IncompatibleModules,
+    ModMonomial,
     ModOrder,
     NotAGroebnerBasis,
     Vect,
     left_divide_module,
     mono_divides,
-    right_divide_module,
+    opposite_order,
+    reversed_vect,
 )
 
 __all__ = [
@@ -48,6 +53,7 @@ __all__ = [
     "reduce_basis",
     "is_member",
     "staircase_oracle",
+    "echelon_leads",
     "degree_driven_completion",
 ]
 
@@ -258,8 +264,6 @@ class _Engine:
             if mi[1] != mt[1]:
                 continue
             deg = self.order.degree_of((exp_max(mi[0], mt[0]), mt[1]))
-            if deg <= 0:
-                continue
             if self.pair_cap is not None and deg > self.pair_cap:
                 continue
             heapq.heappush(self.heap, (deg, self._pair_counter, i, t))
@@ -526,103 +530,38 @@ def is_member(xi: Vect, G: GroebnerBasis) -> Tuple[bool, Vect]:
 
 
 # ---------------------------------------------------------------------------
-# right-sided mirror
+# right-sided bases through the opposite algebra
 # ---------------------------------------------------------------------------
-
-
-def _right_spair_data(xi: Vect, zeta: Vect, order: ModOrder):
-    A = xi.module.algebra
-    mi, mj = xi.lm(order), zeta.lm(order)
-    if mi[1] != mj[1]:
-        return None
-    gamma = exp_max(mi[0], mj[0])
-    left_mult = exp_sub(gamma, mi[0])
-    right_mult = exp_sub(gamma, mj[0])
-    pi = xi.rmul(A.monomial(left_mult))
-    pj = zeta.rmul(A.monomial(right_mult))
-    ci = pi.data[(gamma, mi[1])].inverse()
-    cj = pj.data[(gamma, mj[1])].inverse()
-    return pi.scale(ci) - pj.scale(cj), ci, left_mult, cj, right_mult
 
 
 def right_buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
     """Right Groebner basis with right-sided transition tracking.
 
     ``elements[k] = sum_j inputs[j] * V[k][j]`` and
-    ``inputs[j] = sum_k elements[k] * U[j][k]``.
+    ``inputs[j] = sum_k elements[k] * U[j][k]``.  Computed as the left
+    basis of the reversed inputs over ``A.opposite()``, mapped back.
     """
     inputs = list(inputs)
     if not inputs:
         raise ValueError("right_buchberger needs at least one generator")
     module = _common_module(inputs)
     A = module.algebra
-    basis: List[Vect] = []
-    vrows: List[List[Poly]] = []
-    heap: List[Tuple[int, int, int, int]] = []
-    counter = 0
+    op = FreeModule(A.opposite(), module.rank, module.shifts)
+    G = buchberger(
+        [reversed_vect(v, op) for v in inputs], opposite_order(order)
+    )
 
-    def append(v: Vect, row: List[Poly]) -> None:
-        nonlocal counter
-        lc = v.lc(order)
-        if not lc.is_one():
-            inv = lc.inverse()
-            v = v.scale(inv)
-            row = [p.scale(inv) for p in row]
-        basis.append(v)
-        vrows.append(row)
-        t = len(basis) - 1
-        mt = basis[t].lm(order)
-        for i in range(t):
-            mi = basis[i].lm(order)
-            if mi[1] != mt[1]:
-                continue
-            deg = order.degree_of((exp_max(mi[0], mt[0]), mt[1]))
-            heapq.heappush(heap, (deg, counter, i, t))
-            counter += 1
+    def back(rows: List[List[Poly]]) -> List[List[Poly]]:
+        return [[reversed_poly(f, A) for f in row] for row in rows]
 
-    zero_row = [A.zero() for _ in inputs]
-    for j, xi in enumerate(inputs):
-        if xi.is_zero():
-            continue
-        row = list(zero_row)
-        row[j] = A.one()
-        append(xi, row)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        data = _right_spair_data(basis[i], basis[j], order)
-        if data is None:
-            continue
-        S, ci, expi, cj, expj = data
-        if S.is_zero():
-            continue
-        quotients, eta = right_divide_module(S, basis, order)
-        if eta.is_zero():
-            continue
-        row = [
-            A.multiply(p, A.monomial(expi, ci))
-            - A.multiply(q, A.monomial(expj, cj))
-            for p, q in zip(vrows[i], vrows[j])
-        ]
-        for k, q in enumerate(quotients):
-            if q.is_zero():
-                continue
-            row = [p - A.multiply(s, q) for p, s in zip(row, vrows[k])]
-        append(eta, row)
-
-    U: List[List[Poly]] = []
-    for xi in inputs:
-        if xi.is_zero():
-            U.append([A.zero() for _ in basis])
-            continue
-        quotients, rem = right_divide_module(xi, basis, order)
-        if not rem.is_zero():
-            raise NotAGroebnerBasis(
-                "input does not right-reduce to zero against the basis"
-            )
-        U.append(quotients)
     return GroebnerBasis(
-        module, order, basis, inputs, vrows, U, side="right"
+        module,
+        order,
+        [reversed_vect(g, module) for g in G.elements],
+        inputs,
+        back(G.V),
+        back(G.U),
+        side="right",
     )
 
 
@@ -664,47 +603,47 @@ def staircase_oracle(
             if sum(x * w for x, w in zip(e, weights)) <= budget
         ]
 
-    rows: List[Dict[Tuple[ExpVec, int], Scalar]] = []
+    rows: List[Dict[ModMonomial, Scalar]] = []
     for xi in inputs:
         base_deg = max(order.degree_of(m) for m in xi.data)
         budget = degree_bound - base_deg
         if budget < 0:
             continue
         for exp in exps_up_to(budget):
-            prod = xi.lmul(A.monomial(exp))
-            keep = {
-                m: c
-                for m, c in prod.data.items()
-                if order.degree_of(m) <= degree_bound
-            }
-            if len(keep) != len(prod.data):
-                # cannot happen for homogeneous inputs; guard anyway
-                keep = dict(prod.data)
-            if keep:
-                rows.append(keep)
+            rows.append(xi.lmul(A.monomial(exp)).data)
+    by_comp: List[List[ExpVec]] = [[] for _ in range(module.rank)]
+    for exp, comp in echelon_leads(rows, order):
+        by_comp[comp].append(exp)
+    return Staircase(module.rank, by_comp)
 
-    pivots: Dict[Tuple[ExpVec, int], Dict] = {}
-    for row in rows:
-        row = dict(row)
+
+def echelon_leads(
+    rows: Iterable[Dict[ModMonomial, Scalar]], order: ModOrder
+) -> List[ModMonomial]:
+    """Leading monomials of the span of sparse rows, by exact row
+    echelon reduction: each row is reduced by the pivots found so far
+    until its leading monomial is new (a new pivot) or it vanishes.
+    Their number is the dimension of the span.
+    """
+    pivots: Dict[ModMonomial, Dict[ModMonomial, Scalar]] = {}
+    for data in rows:
+        row = dict(data)
         while row:
             lead = max(row, key=order.key)
-            if lead not in pivots:
-                pivots[lead] = row
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = row[lead].inverse()
+                pivots[lead] = {m: c * inv for m, c in row.items()}
                 break
-            piv = pivots[lead]
-            c = row[lead] / piv[lead]
+            c = row[lead]
             for m, pc in piv.items():
                 cur = row.get(m)
-                delta = pc * c
                 if cur is None:
-                    row[m] = -delta
+                    row[m] = -(c * pc)
                 else:
-                    s = cur - delta
+                    s = cur - c * pc
                     if s.is_zero():
                         del row[m]
                     else:
                         row[m] = s
-    by_comp: List[List[ExpVec]] = [[] for _ in range(module.rank)]
-    for exp, comp in pivots:
-        by_comp[comp].append(exp)
-    return Staircase(module.rank, by_comp)
+    return list(pivots)

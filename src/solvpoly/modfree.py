@@ -6,6 +6,10 @@ from module monomials ``(exponent, component)`` to scalars.  Monomial
 orders on L come in TOP ("term over position"), POT ("position over
 term"), graded variants of both, and Schreyer orders induced by a
 list of module elements.
+
+Division is left-sided.  Right division runs it over the opposite
+algebra ``A.opposite()``: reversing exponent vectors turns right
+multiples into left multiples there, and TOP/POT orders carry over.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .algebra import (
     exp_add,
     exp_divides,
     exp_sub,
+    reversed_poly,
     zero_exp,
 )
 
@@ -38,6 +43,8 @@ __all__ = [
     "module_compare",
     "left_divide_module",
     "right_divide_module",
+    "reversed_vect",
+    "opposite_order",
     "normal_monomials",
 ]
 
@@ -275,23 +282,9 @@ class Vect:
     def rmul(self, f: Poly) -> "Vect":
         """Right multiplication by a ring element (right-module view)."""
         A = self.module.algebra
-        acc: Dict[ModMonomial, Scalar] = {}
-        for (exp, comp), c in self.data.items():
-            for ea, ca in f.terms:
-                s = c * ca
-                for e2, c2 in A.mono_mul(exp, ea).terms:
-                    key = (e2, comp)
-                    add = s * c2
-                    cur = acc.get(key)
-                    if cur is None:
-                        acc[key] = add
-                    else:
-                        tot = cur + add
-                        if tot.is_zero():
-                            del acc[key]
-                        else:
-                            acc[key] = tot
-        return Vect(self.module, acc)
+        return self.module.from_polys(
+            [A.multiply(p, f) for p in self.to_polys()]
+        )
 
     # -- comparison / display -------------------------------------------------------
 
@@ -483,41 +476,42 @@ def left_divide_module(
 def right_divide_module(
     xi: Vect, divisors: Sequence[Vect], order: ModOrder
 ) -> Tuple[List[Poly], Vect]:
-    """Right-sided mirror of :func:`left_divide_module`.
+    """Right-sided counterpart of :func:`left_divide_module`.
 
     Returns (quotients, remainder) with
     ``xi = sum_i divisors[i] * quotients[i] + remainder`` where the
-    quotients multiply from the right.
+    quotients multiply from the right.  Runs as left division of the
+    reversed elements over ``A.opposite()`` (see :func:`reversed_vect`).
     """
-    if not divisors:
-        raise EmptyDivisorList("no divisors given")
-    if any(d.is_zero() for d in divisors):
-        raise ZeroPolynomial("zero divisor in division")
     module = xi.module
     A = module.algebra
-    lms = [d.lm(order) for d in divisors]
-    quotients = [A.zero() for _ in divisors]
-    remainder = module.zero()
-    work = xi
-    while not work.is_zero():
-        wm = work.lm(order)
-        wc = work.data[wm]
-        hit = -1
-        for i, dm in enumerate(lms):
-            if mono_divides(dm, wm):
-                hit = i
-                break
-        if hit < 0:
-            t = Vect(module, {wm: wc})
-            remainder = remainder + t
-            work = work - t
-            continue
-        alpha = exp_sub(wm[0], lms[hit][0])
-        prod = divisors[hit].rmul(A.monomial(alpha))
-        c = wc / prod.data[wm]
-        quotients[hit] = quotients[hit] + A.monomial(alpha, c)
-        work = work - prod.scale(c)
-    return quotients, remainder
+    op = FreeModule(A.opposite(), module.rank, module.shifts)
+    quotients, rem = left_divide_module(
+        reversed_vect(xi, op),
+        [reversed_vect(d, op) for d in divisors],
+        opposite_order(order),
+    )
+    return [reversed_poly(q, A) for q in quotients], reversed_vect(rem, module)
+
+
+def reversed_vect(v: Vect, target: FreeModule) -> Vect:
+    """Every coordinate mapped by :func:`reversed_poly` into ``target``;
+    a right multiple v*f goes to the left multiple phi(f)*phi(v)."""
+    return Vect(
+        target, {(e[::-1], comp): c for (e, comp), c in v.data.items()}
+    )
+
+
+def opposite_order(order: ModOrder) -> ModOrder:
+    """A TOP or POT order on reversed module monomials."""
+    return ModOrder(
+        order.kind,
+        order.base.opposite(),
+        order.rank,
+        component_priority=order.component_priority,
+        graded=order.graded,
+        shifts=order.shifts,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -470,10 +470,6 @@ def is_projective(
     return True, V
 
 
-def _right_inverse_matrix(A: SolvableAlgebra, V: List[List[Poly]]) -> PresentationMatrix:
-    return PresentationMatrix(A, V)
-
-
 def projective_dimension(R: Resolution) -> int:
     """Least resolution length over the shortening procedure.
 
@@ -493,10 +489,9 @@ def projective_dimension(R: Resolution) -> int:
             return len(ms)
         if len(ms) == 1:
             return 0
-        inv = _right_inverse_matrix(A, V)
         prev = ms[-2]
         psi_entries = [
-            list(inv.entries[r]) + list(prev.entries[r])
+            V[r] + prev.entries[r]
             for r in range(prev.rows)
         ]
         psi = PresentationMatrix(A, psi_entries)

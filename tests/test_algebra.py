@@ -6,11 +6,13 @@ from solvpoly.algebra import (
     DegreeFunction,
     MalformedRelation,
     MonomialOrder,
+    Poly,
     TailOrderViolation,
     UnknownGenerator,
     ZeroLambda,
     build_algebra,
     exp_add,
+    reversed_poly,
 )
 from solvpoly.coeff import FieldSpec
 
@@ -68,6 +70,17 @@ def test_order_transitive_on_samples(order, rng):
         exps = [random_exp(rng, order.n) for _ in range(3)]
         exps.sort(key=order.key)
         assert order.compare(exps[0], exps[2]) <= 0
+
+
+def test_opposite_order_compares_reversed_exponents(order, rng):
+    if order.kind == "grlexz":
+        with pytest.raises(ValueError):
+            order.opposite()
+        return
+    op = order.opposite()
+    for _ in range(60):
+        a, b = random_exp(rng, order.n), random_exp(rng, order.n)
+        assert order.compare(a, b) == op.compare(a[::-1], b[::-1])
 
 
 def test_grlex_compares_weighted_degree_first():
@@ -153,6 +166,28 @@ def test_leading_monomial_is_multiplicative(name, request, rng):
         fg = A.multiply(f, g)
         assert not fg.is_zero()
         assert fg.lm() == exp_add(f.lm(), g.lm())
+
+
+FIXTURES = ["comm2", "weyl1", "qplane", "ex12", "ex14", "qheis"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_opposite_reverses_products(name, request, rng):
+    """phi(f*g) = phi(g)*phi(f) in A^op, and (A^op)^op multiplies like A."""
+    A = request.getfixturevalue(name)
+    op = A.opposite()
+    assert op is A.opposite()
+    assert op.names == A.names[::-1]
+    twice = op.opposite()
+    for _ in range(12):
+        f = random_poly(A, rng, max_degree=3, max_terms=3)
+        g = random_poly(A, rng, max_degree=3, max_terms=3)
+        fg = A.multiply(f, g)
+        assert reversed_poly(fg, op) == op.multiply(
+            reversed_poly(g, op), reversed_poly(f, op))
+        assert reversed_poly(reversed_poly(fg, op), A) == fg
+        got = twice.multiply(Poly(twice, f.terms), Poly(twice, g.terms))
+        assert got.terms == fg.terms
 
 
 def test_distributive_and_scalar_laws(weyl1, rng):

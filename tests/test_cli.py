@@ -6,12 +6,22 @@ the canonical JSON output mode.
 """
 
 import json
+import os
+import re
 
 import pytest
 
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import UnknownGenerator
-from solvpoly.cli import ParseError, SchemaError, main, parse_problem
+from solvpoly.cli import (
+    _COMMANDS,
+    ParseError,
+    SchemaError,
+    main,
+    parse_problem,
+)
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -93,10 +103,22 @@ def test_non_object_document_is_a_schema_error(tmp_path):
     base_doc(module={"rank": 1, "order": "sideways"}),
     base_doc(module={"rank": 2}, submodule_generators=["x"]),
     base_doc(options=[]),
+    base_doc(field={"kind": "PrimeField", "characteristic": 4}),
 ])
 def test_schema_rejections(doc):
     with pytest.raises(SchemaError):
         parse_problem(doc)
+
+
+def test_readme_example_problem_parses(capsys, tmp_path):
+    text = open(README).read()
+    block = re.search(r"### Problem files\s+```json\n(.*?)```", text, re.S)
+    doc = json.loads(block.group(1))
+    pf = parse_problem(doc)
+    assert pf.morder_spec == ("top", False, None)
+    code, payload = run_json(capsys, "gb", problem_file(tmp_path, doc))
+    assert code == 0
+    assert "1" in payload["basis"]
 
 
 def test_algebra_construction_is_lazy():
@@ -198,6 +220,38 @@ def test_schema_error_exits_two(capsys, tmp_path):
     assert "surprise" in err
 
 
+def test_non_prime_characteristic_exits_two(capsys, tmp_path):
+    doc = base_doc(field={"kind": "PrimeField", "characteristic": 4})
+    code, out, err = run(capsys, "gb", problem_file(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_keeps_the_contract_on_ex14(capsys, command):
+    # ex14 has no submodule generators and an ungraded relation table.
+    code, out, err = run(capsys, "--json", command, corpus.path("ex14"))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if out:
+        json.loads(out)
+    else:
+        assert code != 0 and err.count("\n") == 1
+
+
+def test_no_generators_give_empty_answers(capsys, tmp_path):
+    for argv in (["gb"], ["gb", "--reduce"]):
+        code, payload = run_json(capsys, *argv, corpus.path("ex14"))
+        assert code == 0
+        assert (payload["basis"], payload["V"], payload["U"]) == ([], [], [])
+    code, payload = run_json(capsys, "syz", corpus.path("ex14"))
+    assert (code, payload["rank"], payload["syzygies"]) == (0, 0, [])
+    path = problem_file(tmp_path, base_doc(submodule_generators=[]))
+    code, payload = run_json(capsys, "min-gens", path)
+    assert (code, payload["count"], payload["generators"]) == (0, 0, [])
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "gb", str(tmp_path / "absent.json"))
     assert code == 2
@@ -250,6 +304,19 @@ def test_verify_presentation_reports_lambdas(capsys):
     assert payload["overlaps_checked"] == 1
     assert payload["lambdas"]["X3*X1"] == "5"
     assert payload["lambdas"]["X1*X2"] == "1"
+
+
+def test_verify_presentation_rejects_a_non_associative_table(capsys,
+                                                            tmp_path):
+    # (z*y)*x - z*(y*x) = 1, so the overlap of z*y and y*x survives.
+    doc = base_doc(generators=["x", "y", "z"],
+                   relations=["y*x = x*y + 1", "z*x = x*z", "z*y = y*z + y"])
+    code, payload = run_json(capsys, "verify-presentation",
+                             problem_file(tmp_path, doc))
+    assert code == 1
+    assert payload["verdict"] == "NotCertified"
+    assert payload["violations"] == [
+        "overlap of relations z*y and y*x at shift 1 leaves -1"]
 
 
 def test_verify_presentation_max_steps_block(capsys):

@@ -4,7 +4,11 @@ from solvpoly.algebra import MonomialOrder, build_algebra
 from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, ModOrder
 from solvpoly.groebner import buchberger, is_member
-from solvpoly.graded import minimal_graded_resolution, scalar_entry_positions
+from solvpoly.graded import (
+    min_gens_quotient,
+    minimal_graded_resolution,
+    scalar_entry_positions,
+)
 from solvpoly.filtered import (
     DegreeTooSmall,
     FiltrationContext,
@@ -240,6 +244,20 @@ def test_minimal_F_basis_respects_fil_degrees(wctx, weyl1):
     G = standard_basis(wctx, U, certify=False)
     res = minimal_F_basis(wctx, L, G.elements, assume_standard=True)
     assert res.kept == [0, 1]
+
+
+def test_unit_pivot_rules_agree_on_homogeneous_input(comm2):
+    # Every unit of a homogeneous generator sits at its own degree, so
+    # the graded and the filtered pruning make the same eliminations.
+    L = FreeModule(comm2, 3, (1, 0, 2))
+    U = [L.parse(["1", "x", "0"]), L.parse(["x", "x^2", "1"]),
+         L.parse(["y", "x*y", "0"])]
+    graded = min_gens_quotient(L, U)
+    filtered = minimal_F_basis(FiltrationContext(comm2), L, U,
+                               certify=False, assume_standard=True)
+    assert graded.kept == filtered.kept == [1]
+    assert graded.gens == filtered.gens
+    assert graded.eliminations == filtered.eliminations
 
 
 def test_minimal_F_basis_rejects_non_bases(wctx, weyl1):

@@ -128,6 +128,13 @@ def test_min_homogeneous_gens_is_minimal_and_spanning(ex12, rng):
             assert not is_member(kept[i], sub)[0]
 
 
+def test_min_homogeneous_gens_of_zero_vectors_is_empty(qplane):
+    L = FreeModule(qplane, 1)
+    kept, G = min_homogeneous_gens([L.zero(), L.zero()], gtop(qplane))
+    assert kept == []
+    assert G.elements == []
+
+
 def test_min_gens_quotient_eliminates_units(comm2):
     L = FreeModule(comm2, 2, (1, 0))
     # e0 = x e1 modulo the relation, so one slot survives

@@ -258,3 +258,22 @@ def test_right_certificates(qplane, rng):
         for j, f in enumerate(G.V[k]):
             acc = acc + gens[j].rmul(f)
         assert acc == g
+    for j, u in enumerate(gens):
+        acc = L.zero()
+        for k, f in enumerate(G.U[j]):
+            acc = acc + G.elements[k].rmul(f)
+        assert acc == u
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_inputs_with_equal_constant_leads(weyl1, side):
+    # Both inputs lead with e1 in degree 0; their S-vector e0 must be
+    # added, or e1 does not reduce to zero.
+    L = FreeModule(weyl1, 2)
+    order = top(weyl1, 2)
+    gens = [L.parse(["1", "1"]), L.parse(["0", "1"])]
+    complete = buchberger if side == "left" else right_buchberger
+    G = complete(gens, order)
+    assert L.basis(0) in G.elements
+    if side == "left":
+        assert_certificates(G, gens)
