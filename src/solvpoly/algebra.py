@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import (
     BadScalarLiteral,
@@ -51,6 +51,7 @@ __all__ = [
     "exp_sub",
     "exp_max",
     "exp_divides",
+    "exps_within",
 ]
 
 ExpVec = Tuple[int, ...]
@@ -130,6 +131,16 @@ def exp_divides(a: ExpVec, b: ExpVec) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def exps_within(weights: Sequence[int], budget: int) -> List[ExpVec]:
+    """Exponent vectors of weighted degree at most ``budget`` under the
+    positive ``weights``, in lexicographic order (first slot slowest)."""
+    out = [((), budget)]
+    for w in weights:
+        out = [(pre + (v,), left - v * w)
+               for pre, left in out for v in range(left // w + 1)]
+    return [exp for exp, _ in out]
+
+
 def zero_exp(n: int) -> ExpVec:
     return (0,) * n
 
@@ -190,7 +201,7 @@ class MonomialOrder:
     dominates lex ties.
     """
 
-    __slots__ = ("kind", "priority", "degree", "_significance")
+    __slots__ = ("kind", "priority", "degree", "_significance", "_keys")
 
     KINDS = ("lex", "grlex", "grlexz")
 
@@ -223,6 +234,7 @@ class MonomialOrder:
         object.__setattr__(self, "priority", prio)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_significance", tuple(reversed(prio)))
+        object.__setattr__(self, "_keys", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialOrder is immutable")
@@ -237,21 +249,30 @@ class MonomialOrder:
         return self.kind == "grlex"
 
     def key(self, exp: ExpVec):
-        """A sort key: exp a < exp b in the order iff key(a) < key(b)."""
+        """A flat int tuple: exp a < exp b in the order iff key(a) < key(b).
+
+        Memoised per order object, so the memo grows with the distinct
+        monomials seen and is freed with the order."""
+        k = self._keys.get(exp)
+        if k is None:
+            k = self._keys[exp] = self._key(exp)
+        return k
+
+    def _key(self, exp: ExpVec):
         if len(exp) != self.n:
             raise LengthMismatch(
                 "exponent length %d under an order on %d generators"
                 % (len(exp), self.n)
             )
+        sig = tuple(exp[i] for i in self._significance)
         if self.kind == "lex":
-            return tuple(exp[i] for i in self._significance)
+            return sig
         if self.kind == "grlex":
-            return (self.degree(exp), tuple(exp[i] for i in self._significance))
+            return (self.degree(exp),) + sig
         # grlexz: the last exponent slot belongs to the homogenizing
         # generator; the leading block is compared by grlex first.
-        body = exp[:-1]
-        sig = [i for i in self._significance if i != self.n - 1]
-        return (self.degree(body), tuple(body[i] for i in sig), exp[-1])
+        body = tuple(exp[i] for i in self._significance if i != self.n - 1)
+        return (self.degree(exp[:-1]),) + body + (exp[-1],)
 
     def opposite(self) -> "MonomialOrder":
         """The order on reversed exponent vectors: ``key(e)`` equals
@@ -296,7 +317,7 @@ def compare_monomials(order: MonomialOrder, a: ExpVec, b: ExpVec) -> str:
     """Compare two exponent vectors; returns 'Less', 'Equal' or 'Greater'."""
     if len(a) != len(b):
         raise LengthMismatch("exponent lengths %d and %d" % (len(a), len(b)))
-    c = order.compare(a, b)
+    c = order.compare(tuple(a), tuple(b))
     return "Less" if c < 0 else ("Greater" if c > 0 else "Equal")
 
 

@@ -638,10 +638,11 @@ def cmd_rees(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
 def cmd_filtered_resolve(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
     module = pf.module
     if args.shifts is not None:
-        wanted = tuple(int(s) for s in args.shifts.split(","))
-        if len(wanted) != module.rank:
-            raise SchemaError("--shifts must list %d values" % module.rank)
-        module = FreeModule(pf.algebra, module.rank, wanted)
+        try:
+            wanted = [int(s) for s in args.shifts.split(",")]
+            module = FreeModule(pf.algebra, module.rank, wanted)
+        except (ValueError, SolvpolyError) as exc:
+            raise SchemaError("--shifts: %s" % exc)
         gens = [module.from_polys(v.to_polys()) for v in pf.generators]
     else:
         gens = pf.generators

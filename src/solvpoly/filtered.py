@@ -23,6 +23,7 @@ from .algebra import (
     Poly,
     SolvableAlgebra,
     exp_divides,
+    exps_within,
 )
 from .modfree import (
     FreeModule,
@@ -381,13 +382,13 @@ class ReesModOrder(ModOrder):
             shifts=shifts,
         )
 
-    def key(self, mono: ModMonomial):
+    def _key(self, mono: ModMonomial):
         exp, comp = mono
-        body_degree, body_sig, z = self.base.key(exp)
+        body_degree, *body_sig, z = self.base.key(exp)
         return (
             body_degree + self.shifts[comp],
             body_degree,
-            body_sig,
+            *body_sig,
             self._comp_rank[comp],
             z,
         )
@@ -512,14 +513,7 @@ def _monomials_within(
         total += box
         if total > cap:
             return None
-        stack: List[tuple] = [()]
-        for w in weights:
-            stack = [
-                pre + (v,) for pre in stack for v in range(budget // w + 1)
-            ]
-        for exp in stack:
-            if sum(e * w for e, w in zip(exp, weights)) <= budget:
-                out.append((exp, comp))
+        out.extend((exp, comp) for exp in exps_within(weights, budget))
     return out
 
 
@@ -576,16 +570,7 @@ def _standard_property_holds(
             budget = q - qg
             if budget < 0:
                 continue
-            stack: List[tuple] = [()]
-            for w in weights:
-                stack = [
-                    pre + (v,)
-                    for pre in stack
-                    for v in range(budget // w + 1)
-                ]
-            for alpha in stack:
-                if sum(e * w for e, w in zip(alpha, weights)) > budget:
-                    continue
+            for alpha in exps_within(weights, budget):
                 rows.append(g.lmul(A.monomial(alpha)).data)
             if len(rows) > cap:
                 return None

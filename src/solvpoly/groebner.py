@@ -27,6 +27,7 @@ from .algebra import (
     ZeroPolynomial,
     exp_max,
     exp_sub,
+    exps_within,
     reversed_poly,
 )
 from .modfree import (
@@ -250,12 +251,6 @@ class _Engine:
         if make_pairs:
             self.make_pairs(t)
         return t
-
-    def pair_degree(self, i: int, j: int) -> int:
-        mi = self.basis[i].lm(self.order)
-        mj = self.basis[j].lm(self.order)
-        gamma = exp_max(mi[0], mj[0])
-        return self.order.degree_of((gamma, mi[1]))
 
     def make_pairs(self, t: int) -> None:
         mt = self.basis[t].lm(self.order)
@@ -589,27 +584,13 @@ def staircase_oracle(
     d = A.degree_function
     weights = d.weights
 
-    def exps_up_to(budget: int):
-        out = [()]
-        for w in weights:
-            out = [
-                pre + (v,)
-                for pre in out
-                for v in range(budget // w + 1)
-            ]
-        return [
-            e
-            for e in out
-            if sum(x * w for x, w in zip(e, weights)) <= budget
-        ]
-
     rows: List[Dict[ModMonomial, Scalar]] = []
     for xi in inputs:
         base_deg = max(order.degree_of(m) for m in xi.data)
         budget = degree_bound - base_deg
         if budget < 0:
             continue
-        for exp in exps_up_to(budget):
+        for exp in exps_within(weights, budget):
             rows.append(xi.lmul(A.monomial(exp)).data)
     by_comp: List[List[ExpVec]] = [[] for _ in range(module.rank)]
     for exp, comp in echelon_leads(rows, order):

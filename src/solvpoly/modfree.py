@@ -7,13 +7,19 @@ orders on L come in TOP ("term over position"), POT ("position over
 term"), graded variants of both, and Schreyer orders induced by a
 list of module elements.
 
-Division is left-sided.  Right division runs it over the opposite
-algebra ``A.opposite()``: reversing exponent vectors turns right
-multiples into left multiples there, and TOP/POT orders carry over.
+Division is left-sided and reduces in place: one mutable dict of the
+terms left, a sorted list of their order keys, and each multiple of a
+divisor subtracted term by term.  Order keys are memoised per order
+object (:meth:`ModOrder.key`, :meth:`MonomialOrder.key`), so memory
+grows with the distinct monomials seen and is freed with the order.
+Right division runs over the opposite algebra ``A.opposite()``:
+reversing exponent vectors turns right multiples into left multiples
+there, and TOP/POT orders carry over.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import Scalar, SolvpolyError
@@ -26,7 +32,7 @@ from .algebra import (
     ZeroPolynomial,
     exp_add,
     exp_divides,
-    exp_sub,
+    exps_within,
     reversed_poly,
     zero_exp,
 )
@@ -217,9 +223,6 @@ class Vect:
         m = self.lm(order)
         return Vect(self.module, {m: self.data[m]})
 
-    def terms_descending(self, order: "ModOrder"):
-        return sorted(self.data.items(), key=lambda t: order.key(t[0]), reverse=True)
-
     # -- arithmetic --------------------------------------------------------------
 
     def _check(self, other: "Vect") -> None:
@@ -315,6 +318,9 @@ class ModOrder:
 
     With ``graded=True`` (top/pot only) the shifted weighted degree
     d(a^alpha) + b_i is compared before everything else.
+
+    Immutable once built, so the memoised keys (see :meth:`key`) stay
+    valid; subclasses define their order in :meth:`_key`.
     """
 
     KINDS = ("top", "pot", "schreyer")
@@ -367,6 +373,14 @@ class ModOrder:
                 g if isinstance(g, tuple) else g.lm(schreyer_target)
                 for g in schreyer_images
             ]
+        # one memo per component, keyed by exponent vector
+        self._keys: List[Dict[ExpVec, tuple]] = [{} for _ in range(rank)]
+        self._frozen = True
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_frozen", False):
+            raise AttributeError("ModOrder is immutable")
+        object.__setattr__(self, name, value)
 
     def degree_of(self, mono: ModMonomial) -> int:
         """Shifted weighted degree of a module monomial."""
@@ -379,18 +393,26 @@ class ModOrder:
         return sum(exp) + self.shifts[comp]
 
     def key(self, mono: ModMonomial):
+        """A flat int tuple, memoised like :meth:`MonomialOrder.key`."""
+        exp, comp = mono
+        memo = self._keys[comp]
+        k = memo.get(exp)
+        if k is None:
+            k = memo[exp] = self._key(mono)
+        return k
+
+    def _key(self, mono: ModMonomial):
         exp, comp = mono
         if self.kind == "schreyer":
             delta, target_comp = self.schreyer_lms[comp]
-            image = (exp_add(exp, delta), target_comp)
-            return (
-                self.schreyer_target.key(image),
-                self._comp_rank[comp],
-            )
-        if self.kind == "top":
-            body = (self.base.key(exp), self._comp_rank[comp])
+            body = self.schreyer_target.key((exp_add(exp, delta), target_comp))
+            rank_last = True
         else:
-            body = (self._comp_rank[comp], self.base.key(exp))
+            body = self.base.key(exp)
+            rank_last = self.kind == "top"
+        if self.rank > 1:  # one component adds nothing to compare
+            r = (self._comp_rank[comp],)
+            body = body + r if rank_last else r + body
         if self.graded:
             return (self.degree_of(mono),) + body
         return body
@@ -417,7 +439,7 @@ def module_compare(order: ModOrder, m1: ModMonomial, m2: ModMonomial) -> str:
             raise IncompatibleModules("component %d out of range" % comp)
     if len(m1[0]) != len(m2[0]):
         raise IncompatibleModules("exponent lengths differ")
-    c = order.compare(m1, m2)
+    c = order.compare((tuple(m1[0]), m1[1]), (tuple(m2[0]), m2[1]))
     return "Less" if c < 0 else ("Greater" if c > 0 else "Equal")
 
 
@@ -440,6 +462,11 @@ def left_divide_module(
     ``xi = sum_i quotients[i] * divisors[i] + remainder``; no monomial
     of the remainder is left-divisible by any divisor's leading
     monomial.  Ties go to the least divisor index.
+
+    ``pending`` holds the (key, monomial) pairs of ``work`` in
+    ascending order; a pair whose term has since cancelled is skipped.
+    ``order`` must restrict to the algebra's order on each component,
+    so that a^alpha * g leads with a^alpha times the lead of g.
     """
     if not divisors:
         raise EmptyDivisorList("no divisors given")
@@ -447,30 +474,49 @@ def left_divide_module(
         raise ZeroPolynomial("zero divisor in division")
     module = xi.module
     A = module.algebra
-    lms = [d.lm(order) for d in divisors]
-    lcs = [d.data[m] for d, m in zip(divisors, lms)]
-    quotients = [A.zero() for _ in divisors]
-    remainder = module.zero()
-    work = xi
-    while not work.is_zero():
-        wm = work.lm(order)
-        wc = work.data[wm]
-        hit = -1
-        for i, dm in enumerate(lms):
-            if mono_divides(dm, wm):
-                hit = i
-                break
-        if hit < 0:
-            t = Vect(module, {wm: wc})
-            remainder = remainder + t
-            work = work - t
+    mono_mul = A.mono_mul
+    key = order.key
+    # the divisors led in each component, least index first
+    by_comp: List[list] = [[] for _ in range(module.rank)]
+    for i, d in enumerate(divisors):
+        lexp, lcomp = lm = d.lm(order)
+        by_comp[lcomp].append((i, lexp, d.data[lm], list(d.data.items())))
+    quotients: List[Dict[ExpVec, Scalar]] = [{} for _ in divisors]
+    remainder: Dict[ModMonomial, Scalar] = {}
+    work = dict(xi.data)
+    pending = sorted((key(m), m) for m in work)
+    while pending:
+        wm = pending.pop()[1]
+        wc = work.get(wm)
+        if wc is None:
             continue
-        alpha = exp_sub(wm[0], lms[hit][0])
-        prod = divisors[hit].lmul(A.monomial(alpha))
-        c = wc / prod.data[wm]
-        quotients[hit] = quotients[hit] + A.monomial(alpha, c)
-        work = work - prod.scale(c)
-    return quotients, remainder
+        wexp, wcomp = wm
+        for i, lexp, lc, terms in by_comp[wcomp]:
+            if all(x <= y for x, y in zip(lexp, wexp)):
+                break
+        else:
+            remainder[wm] = work.pop(wm)
+            continue
+        alpha = tuple(y - x for x, y in zip(lexp, wexp))
+        c = wc / (lc * mono_mul(alpha, lexp).terms[0][1])
+        cur = quotients[i].get(alpha)
+        quotients[i][alpha] = c if cur is None else cur + c
+        neg_c = -c
+        for (e, comp), ce in terms:
+            s = neg_c * ce
+            for e2, c2 in mono_mul(alpha, e).terms:
+                m = (e2, comp)
+                cur = work.get(m)
+                if cur is None:
+                    work[m] = s * c2
+                    insort(pending, (key(m), m))
+                else:
+                    cur = cur + s * c2
+                    if cur.is_zero():
+                        del work[m]
+                    else:
+                        work[m] = cur
+    return [Poly(A, q.items()) for q in quotients], Vect(module, remainder)
 
 
 def right_divide_module(
@@ -601,21 +647,8 @@ def normal_monomials(G, bound: Optional[int] = None):
         budget = bound - module.shifts[comp]
         if budget < 0:
             continue
-        stack = [()]
-        for j in range(n):
-            stack = [
-                pre + (v,)
-                for pre in stack
-                for v in range(
-                    budget // weights[j] + 1
-                    if weights[j] > 0
-                    else budget + 1
-                )
-            ]
-        for exp in stack:
-            if sum(e * w for e, w in zip(exp, weights)) <= budget and is_normal(
-                exp, comp
-            ):
+        for exp in exps_within(weights, budget):
+            if is_normal(exp, comp):
                 out.append((exp, comp))
     out.sort(key=order.key)
     return out

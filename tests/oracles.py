@@ -4,15 +4,16 @@ Everything here deliberately avoids the library's completion
 machinery: the rank-one Weyl algebra acts on honest polynomials in
 one variable, degree slices are enumerated by brute force, and kernel
 dimensions come from exact row reduction over the coefficient field.
-Tests pit library answers against these.
+Tests pit library answers against these.  The reference division
+runs term by term over whole immutable Vect and Poly values.
 """
 
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from solvpoly.algebra import Poly, SolvableAlgebra
-from solvpoly.modfree import FreeModule, Vect
+from solvpoly.modfree import FreeModule, ModOrder, Vect, mono_divides
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +203,40 @@ def euler_characteristic_ok(ranks: Sequence[int],
         if total != quotient_slice_dim(L0, gens, q):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference left division over whole Vect and Poly values
+# ---------------------------------------------------------------------------
+
+def reference_left_divide(xi: Vect, divisors: Sequence[Vect],
+                          order: ModOrder,
+                          steps: Optional[List[frozenset]] = None
+                          ) -> Tuple[List[Poly], Vect]:
+    """Term-by-term left division: take the leading term of what is
+    left, cancel it with the least-index divisor whose leading monomial
+    divides it, or move it to the remainder.  ``steps``, when given,
+    receives the monomials left after every step."""
+    module = xi.module
+    A = module.algebra
+    lms = [d.lm(order) for d in divisors]
+    quotients = [A.zero() for _ in divisors]
+    remainder = module.zero()
+    work = xi
+    while not work.is_zero():
+        wm = work.lm(order)
+        hit = next((i for i, dm in enumerate(lms) if mono_divides(dm, wm)),
+                   None)
+        if hit is None:
+            t = Vect(module, {wm: work.data[wm]})
+            remainder = remainder + t
+            work = work - t
+            continue
+        alpha = tuple(w - d for w, d in zip(wm[0], lms[hit][0]))
+        prod = divisors[hit].lmul(A.monomial(alpha))
+        c = work.data[wm] / prod.data[wm]
+        quotients[hit] = quotients[hit] + A.monomial(alpha, c)
+        work = work - prod.scale(c)
+        if steps is not None:
+            steps.append(frozenset(work.data))
+    return quotients, remainder

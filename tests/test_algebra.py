@@ -72,6 +72,15 @@ def test_order_transitive_on_samples(order, rng):
         assert order.compare(exps[0], exps[2]) <= 0
 
 
+def test_memoised_keys_match_fresh_ones(order, rng):
+    fresh = MonomialOrder(order.kind, order.n, order.priority, order.degree)
+    exps = [random_exp(rng, order.n) for _ in range(100)]
+    keys = [order.key(e) for e in exps]
+    for e, k in zip(exps, keys):
+        assert order.key(e) is k
+        assert k == fresh._key(e) == fresh.key(e)
+
+
 def test_opposite_order_compares_reversed_exponents(order, rng):
     if order.kind == "grlexz":
         with pytest.raises(ValueError):

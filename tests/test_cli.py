@@ -424,6 +424,20 @@ def test_filtered_resolve_shifts_override(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("shifts,message", [
+    ("a", "invalid literal for int() with base 10: 'a'"),
+    ("0,x", "invalid literal for int() with base 10: 'x'"),
+    ("-1", "shifts must be natural numbers"),
+    ("0,1", "2 shifts for rank 1"),
+])
+def test_filtered_resolve_bad_shifts(capsys, shifts, message):
+    code, out, err = run(capsys, "filtered-resolve", "--shifts", shifts,
+                         corpus.path("comm2"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --shifts: %s\n" % message
+
+
 def test_transfer_check_accepts_a_basis(capsys, tmp_path):
     # {a2, a3} is the reduced basis of the ex12 submodule, so the
     # verdicts hold on all three sides.

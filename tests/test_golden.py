@@ -2,8 +2,11 @@
 
 ``golden/fixtures.json`` maps "<fixture> <subcommand> [flags]" to the
 stdout that invocation printed, captured for every bundled fixture and
-subcommand pair that exits 0.  A refactor that keeps behaviour keeps
-every byte.
+subcommand pair that exits 0.  ``golden/corpus.json`` maps
+"<problem> <subcommand> [flags]" to the exit code and stdout of every
+``gb-modp`` and ``resolve`` operation of the benchmark corpus
+(``perfbench/corpus``).  A refactor that keeps behaviour keeps every
+byte.
 """
 
 import json
@@ -14,10 +17,17 @@ import pytest
 from solvpoly import fixtures as corpus
 from solvpoly.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fixtures.json")
+HERE = os.path.dirname(__file__)
+BENCH_CORPUS = os.path.join(HERE, os.pardir, "perfbench", "corpus")
 
-with open(GOLDEN) as fh:
-    EXPECTED = json.load(fh)
+
+def _load(name):
+    with open(os.path.join(HERE, "golden", name)) as fh:
+        return json.load(fh)
+
+
+EXPECTED = _load("fixtures.json")
+EXPECTED_CORPUS = _load("corpus.json")
 
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))
@@ -26,3 +36,12 @@ def test_json_output_matches_golden(capsys, case):
     code = main(["--json"] + argv + [corpus.path(name)])
     assert code == 0
     assert capsys.readouterr().out == EXPECTED[case]
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED_CORPUS))
+def test_benchmark_corpus_output_matches_golden(capsys, case):
+    name, *argv = case.split(" ")
+    path = os.path.join(BENCH_CORPUS, name + ".json")
+    code = main(["--json"] + argv + [path])
+    assert code == EXPECTED_CORPUS[case]["exit"]
+    assert capsys.readouterr().out == EXPECTED_CORPUS[case]["stdout"]
