@@ -14,6 +14,7 @@ memoized monomial-product cache.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -32,6 +33,7 @@ __all__ = [
     "ZeroPolynomial",
     "ZeroLambda",
     "TailOrderViolation",
+    "NonAssociative",
     "MalformedRelation",
     "UnknownGenerator",
     "ExprSyntaxError",
@@ -41,10 +43,8 @@ __all__ = [
     "Poly",
     "SolvableAlgebra",
     "build_algebra",
+    "check_associative",
     "compare_monomials",
-    "multiply_monomials",
-    "multiply",
-    "leading_data",
     "reversed_poly",
     "weighted_degree",
     "exp_add",
@@ -77,6 +77,10 @@ class ZeroLambda(SolvpolyError):
 
 class TailOrderViolation(SolvpolyError):
     """A relation tail is not strictly below a_i*a_j in the order."""
+
+
+class NonAssociative(SolvpolyError):
+    """Products of three generators depend on how they are grouped."""
 
 
 class MalformedRelation(SolvpolyError):
@@ -895,7 +899,8 @@ def build_algebra(
     after i in the declared generator sequence; the right-hand side
     must contain the monomial gen_i*gen_j with a nonzero scalar, and
     everything else must sit strictly below it in the order.
-    Unspecified pairs commute.
+    Unspecified pairs commute.  The table is not checked for
+    associativity here; see :func:`check_associative`.
     """
     names = tuple(names)
     n = len(names)
@@ -945,25 +950,27 @@ def build_algebra(
     )
 
 
-# ---------------------------------------------------------------------------
-# free functions mirroring the contract
-# ---------------------------------------------------------------------------
+def check_associative(A: SolvableAlgebra) -> None:
+    """Refuse a relation table whose products do not associate.
 
-
-def multiply_monomials(A: SolvableAlgebra, a: ExpVec, b: ExpVec) -> Poly:
-    return A.mono_mul(a, b)
-
-
-def multiply(A: SolvableAlgebra, f: Poly, g: Poly) -> Poly:
-    return A.multiply(f, g)
-
-
-def leading_data(A: SolvableAlgebra, f: Poly):
-    """(LM, LC, LT) of a nonzero polynomial."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial has no leading data")
-    exp, c = f.terms[0]
-    return exp, c, (exp, c)
+    For every generator triple i < j < k, ``(a_k a_j) a_i`` must equal
+    ``a_k (a_j a_i)``: these are the nondegeneracy conditions under
+    which the ordered monomials form a basis (Levandovskyy and
+    Schoenemann, "Plural", ISSAC 2003).  Raises NonAssociative naming
+    the first triple that fails.
+    """
+    gens = [A.gen(i) for i in range(A.n)]
+    for i, j, k in itertools.combinations(range(A.n), 3):
+        xi, xj, xk = gens[i], gens[j], gens[k]
+        diff = A.multiply(A.multiply(xk, xj), xi) - A.multiply(
+            xk, A.multiply(xj, xi)
+        )
+        if not diff.is_zero():
+            a, b, c = A.names[k], A.names[j], A.names[i]
+            raise NonAssociative(
+                "(%s*%s)*%s - %s*(%s*%s) = %s"
+                % (a, b, c, a, b, c, A.poly_str(diff))
+            )
 
 
 def reversed_poly(f: Poly, target: SolvableAlgebra) -> Poly:

@@ -26,12 +26,14 @@ from .algebra import (
     ExprSyntaxError,
     MalformedRelation,
     MonomialOrder,
+    NonAssociative,
     Poly,
     SolvableAlgebra,
     TailOrderViolation,
     UnknownGenerator,
     ZeroLambda,
     build_algebra,
+    check_associative,
 )
 from .modfree import FreeModule, ModOrder, Vect
 from . import filtered as filtered_ops
@@ -79,7 +81,7 @@ _INPUT_ERRORS = (
 
 # Presentations that fail solvability conditions are a mathematical
 # "no", not a malformed input.
-_NEGATIVE_ERRORS = (ZeroLambda, TailOrderViolation)
+_NEGATIVE_ERRORS = (ZeroLambda, TailOrderViolation, NonAssociative)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +520,6 @@ def _run_gb(pf: ProblemFile, reduce_flag: bool,
     else:
         # no generators: the zero submodule, whose basis is empty
         G = groebner.GroebnerBasis(pf.module, pf.mod_order, [], [], [],
-                                   None if truncate is not None else [],
                                    truncation_degree=truncate)
     if reduce_flag:
         G = groebner.reduce_basis(G)
@@ -761,6 +762,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = _COMMANDS[args.command]
     try:
         pf = parse_problem(args.problem)
+        if args.command != "verify-presentation":
+            # every other command computes in the algebra, which is
+            # meaningless unless its products associate
+            check_associative(pf.algebra)
         code, payload = handler(pf, args)
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)

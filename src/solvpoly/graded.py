@@ -18,17 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coeff import SolvpolyError
 from .algebra import DegreeFunction, Poly, SolvableAlgebra
-from .modfree import FreeModule, ModOrder, Vect, left_divide_module
-from .groebner import (
-    GroebnerBasis,
-    degree_driven_completion,
-)
-from .syzres import (
-    PresentationMatrix,
-    Resolution,
-    schreyer_order_for,
-    _spair_rows,
-)
+from .modfree import FreeModule, ModOrder, Vect
+from .groebner import GroebnerBasis, buchberger, degree_driven_completion
+from .syzres import PresentationMatrix, Resolution, _lift_syzygies
 
 __all__ = [
     "NotGraded",
@@ -178,35 +170,7 @@ def truncated_gb(
     empty basis.
     """
     _require_graded_setup(inputs, order)
-    module = inputs[0].module
-    basis, vrows, _ = degree_driven_completion(inputs, order, cap=n0)
-    return GroebnerBasis(
-        module,
-        order,
-        basis,
-        list(inputs),
-        vrows,
-        None,
-        truncation_degree=n0,
-    )
-
-
-def _division_matrix(
-    inputs: Sequence[Vect], basis: Sequence[Vect], order: ModOrder
-) -> List[List[Poly]]:
-    A = inputs[0].module.algebra
-    out: List[List[Poly]] = []
-    for xi in inputs:
-        if xi.is_zero():
-            out.append([A.zero() for _ in basis])
-            continue
-        quotients, rem = left_divide_module(xi, list(basis), order)
-        if not rem.is_zero():
-            raise InhomogeneousInput(
-                "input does not reduce to zero against the computed basis"
-            )
-        out.append(quotients)
-    return out
+    return buchberger(inputs, order, truncate=n0)
 
 
 def min_homogeneous_gens(
@@ -218,26 +182,23 @@ def min_homogeneous_gens(
     degree first; an input is kept exactly when it fails to reduce to
     zero at its turn.  With ``early_stop`` (default) the completion
     stops after the maximal input degree, which still certifies
-    minimality and leaves a basis truncated at that degree; without
-    it the returned basis is a full Groebner basis.
+    minimality and leaves a basis truncated at that degree, so its
+    ``U`` is None; without it the returned basis is a full Groebner
+    basis.
     """
     _require_graded_setup(inputs, order)
-    module = inputs[0].module
     n0 = max(
         (order.degree_of(m) for v in inputs for m in v.data), default=None
     )
     basis, vrows, kept = degree_driven_completion(
         inputs, order, cap=None, early_stop=n0 if early_stop else None
     )
-    u_min = [inputs[j] for j in kept]
-    U = _division_matrix(inputs, basis, order) if basis else None
-    return u_min, GroebnerBasis(
-        module,
+    return [inputs[j] for j in kept], GroebnerBasis(
+        inputs[0].module,
         order,
         basis,
         list(inputs),
         vrows,
-        U,
         truncation_degree=n0 if early_stop else None,
     )
 
@@ -408,49 +369,18 @@ def _syzygy_generators_tracked(
 ) -> Tuple[List[Vect], List[Vect], FreeModule]:
     """Minimal generators step: returns (U_min, syzygy generators of
     U_min, the syzygy coordinate module with matching shifts)."""
-    A = U[0].module.algebra
-    basis, vrows, kept = degree_driven_completion(
-        U, order, cap=None, early_stop=None
-    )
+    basis, vrows, kept = degree_driven_completion(U, order)
     u_min = [U[j] for j in kept]
-    t = len(basis)
-    s1 = len(u_min)
-    umat = _division_matrix(u_min, basis, order)
-    vres = [[vrows[k][j] for j in kept] for k in range(t)]
-    shifts = [vect_degree_if_homogeneous(x) for x in u_min]
-    syz_module = FreeModule(A, max(s1, 1), shifts=shifts or None)
-    syz_of_basis = FreeModule(
-        A,
-        max(t, 1),
-        shifts=[order.degree_of(g.lm(order)) for g in basis] or None,
+    # inputs that were not kept reduced to zero, so their V columns are zero
+    G = GroebnerBasis(
+        U[0].module, order, basis, u_min,
+        [[row[j] for j in kept] for row in vrows],
     )
-    rows = _spair_rows(basis, order, syz_of_basis)
-    out: List[Vect] = []
-    for s in rows:
-        coords = [A.zero()] * s1
-        for k, h in enumerate(s.to_polys()):
-            if h.is_zero():
-                continue
-            for j in range(s1):
-                if not vres[k][j].is_zero():
-                    coords[j] = coords[j] + A.multiply(h, vres[k][j])
-        vec = syz_module.from_polys(coords)
-        if not vec.is_zero():
-            out.append(vec)
-    for i in range(s1):
-        coords = []
-        for j in range(s1):
-            acc = A.zero()
-            for k in range(t):
-                if not umat[i][k].is_zero() and not vres[k][j].is_zero():
-                    acc = acc + A.multiply(umat[i][k], vres[k][j])
-            if i == j:
-                acc = acc - A.one()
-            coords.append(acc)
-        vec = syz_module.from_polys(coords)
-        if not vec.is_zero():
-            out.append(vec)
-    return u_min, out, syz_module
+    shifts = [vect_degree_if_homogeneous(x) for x in u_min]
+    syz_module = FreeModule(
+        U[0].module.algebra, max(len(u_min), 1), shifts=shifts or None
+    )
+    return u_min, _lift_syzygies(G, syz_module), syz_module
 
 
 def minimal_graded_resolution(

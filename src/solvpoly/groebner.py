@@ -4,9 +4,11 @@ The completion loop is the noncommutative Buchberger procedure for
 solvable algebras: only pairs whose leading monomials share a module
 component produce S-vectors, pair selection is by minimal shifted
 degree of the pair's join monomial (ties by creation index), and each
-nonzero remainder joins the basis monic.  Transition matrices are
-tracked throughout: ``V`` writes every basis element as a left
-combination of the inputs, ``U`` writes every input in the basis.
+nonzero remainder joins the basis monic.  The transition matrix
+``V``, which writes every basis element as a left combination of the
+inputs, is tracked throughout the loop.  ``U``, which writes every
+input in the basis, is derived on demand: :attr:`GroebnerBasis.U`
+divides the inputs by the basis on first read.
 
 A degree-driven variant of the same loop (used for truncated bases of
 graded submodules and for minimal homogeneous generating sets) is
@@ -18,6 +20,7 @@ algebra ``A.opposite()``, mapped back by reversing exponent vectors.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import Scalar, SolvpolyError
@@ -41,6 +44,7 @@ from .modfree import (
     mono_divides,
     opposite_order,
     reversed_vect,
+    right_divide_module,
 )
 
 __all__ = [
@@ -118,8 +122,8 @@ class GroebnerBasis:
     ``elements[k] = sum_j V[k][j] * inputs[j]`` and
     ``inputs[j] = sum_k U[j][k] * elements[k]`` for left bases; for
     right bases the coefficients multiply from the right instead.
-    ``U`` is None for truncated bases (inputs of degree beyond the cap
-    need not reduce to zero).
+    ``V`` is given by whoever builds the basis; ``U`` is derived from
+    the elements on first read (see :attr:`U`).
     """
 
     def __init__(
@@ -129,7 +133,6 @@ class GroebnerBasis:
         elements: List[Vect],
         inputs: List[Vect],
         V: List[List[Poly]],
-        U: Optional[List[List[Poly]]],
         side: str = "left",
         is_minimal: bool = False,
         is_reduced: bool = False,
@@ -140,13 +143,38 @@ class GroebnerBasis:
         self.elements = elements
         self.inputs = inputs
         self.V = V
-        self.U = U
         self.side = side
         self.flags = {
             "is_minimal": is_minimal,
             "is_reduced": is_reduced,
             "truncation_degree": truncation_degree,
         }
+
+    @cached_property
+    def U(self) -> Optional[List[List[Poly]]]:
+        """Row j holds the quotients of ``inputs[j]`` divided by the
+        elements (a zero row for a zero input), computed on first read.
+        None for truncated bases: inputs of degree beyond the cap need
+        not reduce to zero.  Raises NotAGroebnerBasis when an input
+        leaves a nonzero remainder.
+        """
+        if self.flags["truncation_degree"] is not None:
+            return None
+        right = self.side == "right"
+        divide = right_divide_module if right else left_divide_module
+        A = self.module.algebra
+        U: List[List[Poly]] = []
+        for xi in self.inputs:
+            if xi.is_zero():
+                U.append([A.zero() for _ in self.elements])
+                continue
+            quotients, rem = divide(xi, self.elements, self.order)
+            if not rem.is_zero():
+                raise NotAGroebnerBasis(
+                    "input does not reduce to zero against the computed basis"
+                )
+            U.append(quotients)
+        return U
 
     def __len__(self):
         return len(self.elements)
@@ -294,20 +322,6 @@ class _Engine:
             _, _, i, j = heapq.heappop(self.heap)
             self.step_pair(i, j)
 
-    def compute_U(self, inputs: Sequence[Vect]) -> List[List[Poly]]:
-        U: List[List[Poly]] = []
-        for xi in inputs:
-            if xi.is_zero():
-                U.append([self.A.zero() for _ in self.basis])
-                continue
-            quotients, rem = self.reduce(xi)
-            if not rem.is_zero():
-                raise NotAGroebnerBasis(
-                    "input does not reduce to zero against the computed basis"
-                )
-            U.append(quotients)
-        return U
-
 
 def _common_module(inputs: Sequence[Vect]) -> FreeModule:
     module = inputs[0].module
@@ -336,23 +350,16 @@ def buchberger(
         basis, vrows, _ = degree_driven_completion(
             inputs, order, cap=truncate
         )
-        return GroebnerBasis(
-            module,
-            order,
-            basis,
-            inputs,
-            vrows,
-            None,
-            truncation_degree=truncate,
-        )
-    eng = _Engine(module, order, len(inputs))
-    for j, xi in enumerate(inputs):
-        if xi.is_zero():
-            continue
-        eng.append(xi, eng.unit_row(j))
-    eng.run_pairs()
-    U = eng.compute_U(inputs)
-    return GroebnerBasis(module, order, eng.basis, inputs, eng.vrows, U)
+    else:
+        eng = _Engine(module, order, len(inputs))
+        for j, xi in enumerate(inputs):
+            if not xi.is_zero():
+                eng.append(xi, eng.unit_row(j))
+        eng.run_pairs()
+        basis, vrows = eng.basis, eng.vrows
+    return GroebnerBasis(
+        module, order, basis, inputs, vrows, truncation_degree=truncate
+    )
 
 
 def degree_driven_completion(
@@ -425,36 +432,34 @@ def degree_driven_completion(
 # ---------------------------------------------------------------------------
 
 
+def _minimal_indices(elements: Sequence[Vect], order: ModOrder) -> List[int]:
+    """Indices of the elements whose leading monomials form the minimal
+    antichain, ascending by leading monomial (ties by index): an element
+    is kept unless the leading monomial of one kept before it divides
+    its own.
+    """
+    lms = [g.lm(order) for g in elements]
+    idxs = sorted(range(len(elements)), key=lambda i: (order.key(lms[i]), i))
+    kept: List[int] = []
+    for i in idxs:
+        if not any(mono_divides(lms[k], lms[i]) for k in kept):
+            kept.append(i)
+    return kept
+
+
 def minimalize(G: GroebnerBasis) -> GroebnerBasis:
     """Keep only elements whose leading monomials form an antichain.
 
     The result is sorted ascending by leading monomial, which makes
     the element order canonical for a given submodule.
     """
-    order = G.order
-    lms = [g.lm(order) for g in G.elements]
-    idxs = sorted(range(len(G.elements)), key=lambda i: (order.key(lms[i]), i))
-    kept: List[int] = []
-    for i in idxs:
-        if any(mono_divides(lms[k], lms[i]) for k in kept):
-            continue
-        kept.append(i)
-    elements = [G.elements[i] for i in kept]
-    V = [G.V[i] for i in kept]
-    U = None
-    if G.flags["truncation_degree"] is None:
-        eng = _Engine(G.module, order, len(G.inputs))
-        for v, row in zip(elements, V):
-            eng.basis.append(v)
-            eng.vrows.append(row)
-        U = eng.compute_U(G.inputs)
+    kept = _minimal_indices(G.elements, G.order)
     return GroebnerBasis(
         G.module,
-        order,
-        elements,
+        G.order,
+        [G.elements[i] for i in kept],
         G.inputs,
-        V,
-        U,
+        [G.V[i] for i in kept],
         side=G.side,
         is_minimal=True,
         truncation_degree=G.flags["truncation_degree"],
@@ -493,20 +498,12 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
             row = [p.scale(inv) for p in row]
         elements[i] = rem
         V[i] = row
-    U = None
-    if G0.flags["truncation_degree"] is None:
-        eng = _Engine(module, order, len(G0.inputs))
-        for v, row in zip(elements, V):
-            eng.basis.append(v)
-            eng.vrows.append(row)
-        U = eng.compute_U(G0.inputs)
     return GroebnerBasis(
         module,
         order,
         elements,
         G0.inputs,
         V,
-        U,
         side=G0.side,
         is_minimal=True,
         is_reduced=True,
@@ -534,7 +531,8 @@ def right_buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
 
     ``elements[k] = sum_j inputs[j] * V[k][j]`` and
     ``inputs[j] = sum_k elements[k] * U[j][k]``.  Computed as the left
-    basis of the reversed inputs over ``A.opposite()``, mapped back.
+    basis of the reversed inputs over ``A.opposite()``, mapped back;
+    ``U`` comes from right division on first read.
     """
     inputs = list(inputs)
     if not inputs:
@@ -545,17 +543,12 @@ def right_buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
     G = buchberger(
         [reversed_vect(v, op) for v in inputs], opposite_order(order)
     )
-
-    def back(rows: List[List[Poly]]) -> List[List[Poly]]:
-        return [[reversed_poly(f, A) for f in row] for row in rows]
-
     return GroebnerBasis(
         module,
         order,
         [reversed_vect(g, module) for g in G.elements],
         inputs,
-        back(G.V),
-        back(G.U),
+        [[reversed_poly(f, A) for f in row] for row in G.V],
         side="right",
     )
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Poly, SolvableAlgebra, exp_sub, zero_exp
+from .algebra import Poly, SolvableAlgebra
 from .modfree import (
     FreeModule,
     ModOrder,
@@ -34,6 +34,7 @@ from .modfree import (
 )
 from .groebner import (
     GroebnerBasis,
+    _minimal_indices,
     _spair_data,
     buchberger,
     minimalize,
@@ -258,58 +259,50 @@ def syzygy_of_gb(G: GroebnerBasis) -> SyzygyGenerators:
     )
 
 
+def _lift_syzygies(G: GroebnerBasis, out_module: FreeModule) -> List[Vect]:
+    """Generators of the syzygies of ``G.inputs`` inside ``out_module``.
+
+    The Schreyer generators of the basis pushed through the
+    basis-to-input matrix V, then the rows of UV - E; zero rows are
+    dropped.  An empty basis gives zero coordinates, so UV - E = -E.
+    """
+    A = out_module.algebra
+    m = len(G.inputs)
+    V = PresentationMatrix(A, G.V)
+    rows = [V.apply(s.to_polys()) for s in syzygy_of_gb(G).elements]
+    if G.elements:
+        UV = PresentationMatrix(A, G.U).compose_with(V).entries
+    else:
+        UV = [[A.zero()] * m for _ in range(m)]
+    for i, row in enumerate(UV):
+        row[i] = row[i] - A.one()
+    lifted = [out_module.from_polys(coords) for coords in rows + UV]
+    return [v for v in lifted if not v.is_zero()]
+
+
 def syzygy_of_generators(U_in: Sequence[Vect], order: ModOrder) -> SyzygyGenerators:
     """Syzygy generators of an arbitrary generating tuple.
 
-    Runs the tracked Buchberger completion, takes the Schreyer
-    generators of the computed basis, pushes them through the
-    basis-to-input matrix V, and adjoins the rows of UV - E.
+    Runs the tracked Buchberger completion and lifts the Schreyer
+    generators of the computed basis (:func:`_lift_syzygies`).
     """
-    U_in = [v for v in U_in]
+    U_in = list(U_in)
     if not U_in:
         raise ValueError("syzygy_of_generators needs at least one element")
     G = buchberger(U_in, order)
-    A = G.module.algebra
-    m = len(U_in)
-    syz = syzygy_of_gb(G)
     out_module = FreeModule(
-        A,
-        m,
+        G.module.algebra,
+        len(U_in),
         shifts=[
             0 if v.is_zero() else order.degree_of(v.lm(order)) for v in U_in
         ],
     )
-    out: List[Vect] = []
-    for s in syz.elements:
-        coords = [A.zero()] * m
-        for k, h in enumerate(s.to_polys()):
-            if h.is_zero():
-                continue
-            for j in range(m):
-                vkj = G.V[k][j]
-                if not vkj.is_zero():
-                    coords[j] = coords[j] + A.multiply(h, vkj)
-        row = out_module.from_polys(coords)
-        if not row.is_zero():
-            out.append(row)
-    t = len(G.elements)
-    for i in range(m):
-        coords = [A.zero()] * m
-        for j in range(m):
-            acc = A.zero()
-            for k in range(t):
-                uik = G.U[i][k]
-                vkj = G.V[k][j]
-                if not uik.is_zero() and not vkj.is_zero():
-                    acc = acc + A.multiply(uik, vkj)
-            if i == j:
-                acc = acc - A.one()
-            coords[j] = acc
-        row = out_module.from_polys(coords)
-        if not row.is_zero():
-            out.append(row)
     return SyzygyGenerators(
-        out, "OfOriginalGenerators", list(U_in), out_module, None
+        _lift_syzygies(G, out_module),
+        "OfOriginalGenerators",
+        U_in,
+        out_module,
+        None,
     )
 
 
@@ -399,19 +392,8 @@ def free_resolution(
         rows = _spair_rows(elements, cur_order, nxt_module)
         if not rows:
             break
-        syz_gb = GroebnerBasis(
-            nxt_module,
-            nxt_order,
-            rows,
-            rows,
-            [
-                [A.one() if a == b else A.zero() for b in range(len(rows))]
-                for a in range(len(rows))
-            ],
-            None,
-        )
         elements = _ascending_exponent_sort(
-            minimalize(syz_gb).elements, nxt_order
+            [rows[i] for i in _minimal_indices(rows, nxt_order)], nxt_order
         )
         cur_module, cur_order = nxt_module, nxt_order
     else:

@@ -6,11 +6,13 @@ from solvpoly.algebra import (
     DegreeFunction,
     MalformedRelation,
     MonomialOrder,
+    NonAssociative,
     Poly,
     TailOrderViolation,
     UnknownGenerator,
     ZeroLambda,
     build_algebra,
+    check_associative,
     exp_add,
     reversed_poly,
 )
@@ -260,6 +262,21 @@ def test_build_algebra_rejects_malformed():
                       ["y*x = x*y", "y*x = 2*x*y"])
     with pytest.raises(UnknownGenerator):
         build_algebra(Q, ("x", "y"), _grlex(2), ["z*x = x*z"])
+
+
+def test_check_associative_refuses_a_non_associative_table():
+    # (z*y)*x = x*y*z + x*y + z + 1 but z*(y*x) = x*y*z + x*y + z
+    A = build_algebra(Q, ("x", "y", "z"), _grlex(3),
+                      ["y*x = x*y + 1", "z*x = x*z", "z*y = y*z + y"])
+    with pytest.raises(NonAssociative, match=r"\(z\*y\)\*x - z\*\(y\*x\) = 1"):
+        check_associative(A)
+
+
+def test_check_associative_accepts_the_fixtures(comm2, weyl1, qplane, ex12,
+                                                ex14, qheis):
+    for A in (comm2, weyl1, qplane, ex12, ex14, qheis):
+        check_associative(A)
+        check_associative(A.opposite())
 
 
 def test_unspecified_pairs_commute():

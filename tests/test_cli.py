@@ -319,6 +319,19 @@ def test_verify_presentation_rejects_a_non_associative_table(capsys,
         "overlap of relations z*y and y*x at shift 1 leaves -1"]
 
 
+@pytest.mark.parametrize("command", ["gb", "syz", "resolve", "graded-check"])
+def test_computing_commands_refuse_a_non_associative_table(capsys, tmp_path,
+                                                           command):
+    doc = base_doc(generators=["x", "y", "z"],
+                   relations=["y*x = x*y + 1", "z*x = x*z", "z*y = y*z + y"],
+                   submodule_generators=["x", "z"])
+    code, out, err = run(capsys, "--json", command,
+                         problem_file(tmp_path, doc))
+    assert code == 1
+    assert out == ""
+    assert err == "not solvable type: (z*y)*x - z*(y*x) = 1\n"
+
+
 def test_verify_presentation_max_steps_block(capsys):
     code, payload = run_json(capsys, "verify-presentation", "--max-steps",
                              "10", corpus.path("ex14"))

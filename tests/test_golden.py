@@ -5,7 +5,10 @@ stdout that invocation printed, captured for every bundled fixture and
 subcommand pair that exits 0.  ``golden/corpus.json`` maps
 "<problem> <subcommand> [flags]" to the exit code and stdout of every
 ``gb-modp`` and ``resolve`` operation of the benchmark corpus
-(``perfbench/corpus``).  A refactor that keeps behaviour keeps every
+(``perfbench/corpus``) and of its cheap ``gb-q`` operations (all but
+case #44).  ``golden/edge.json`` holds small problems whose generator
+lists are all zero or mix zeros in, with the exit code and stdout of
+each subcommand on them.  A refactor that keeps behaviour keeps every
 byte.
 """
 
@@ -28,6 +31,7 @@ def _load(name):
 
 EXPECTED = _load("fixtures.json")
 EXPECTED_CORPUS = _load("corpus.json")
+EDGE = _load("edge.json")
 
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))
@@ -45,3 +49,13 @@ def test_benchmark_corpus_output_matches_golden(capsys, case):
     code = main(["--json"] + argv + [path])
     assert code == EXPECTED_CORPUS[case]["exit"]
     assert capsys.readouterr().out == EXPECTED_CORPUS[case]["stdout"]
+
+
+@pytest.mark.parametrize("case", sorted(EDGE["cases"]))
+def test_edge_output_matches_golden(capsys, tmp_path, case):
+    name, *argv = case.split(" ")
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(EDGE["problems"][name]))
+    code = main(["--json"] + argv + [str(path)])
+    assert code == EDGE["cases"][case]["exit"]
+    assert capsys.readouterr().out == EDGE["cases"][case]["stdout"]

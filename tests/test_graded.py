@@ -128,6 +128,18 @@ def test_min_homogeneous_gens_is_minimal_and_spanning(ex12, rng):
             assert not is_member(kept[i], sub)[0]
 
 
+def test_min_homogeneous_gens_basis_is_truncated_without_U(qplane):
+    L = FreeModule(qplane, 1)
+    order = gtop(qplane)
+    gens = [L.parse(["x"]), L.parse(["y^2"]), L.parse(["x*y"])]
+    kept, G = min_homogeneous_gens(gens, order)
+    assert G.flags["truncation_degree"] == 2
+    assert G.U is None
+    _, full = min_homogeneous_gens(gens, order, early_stop=False)
+    assert full.flags["truncation_degree"] is None
+    assert len(full.U) == len(gens)
+
+
 def test_min_homogeneous_gens_of_zero_vectors_is_empty(qplane):
     L = FreeModule(qplane, 1)
     kept, G = min_homogeneous_gens([L.zero(), L.zero()], gtop(qplane))

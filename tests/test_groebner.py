@@ -265,6 +265,44 @@ def test_right_certificates(qplane, rng):
         assert acc == u
 
 
+def test_U_is_derived_on_first_read(qplane, monkeypatch):
+    import solvpoly.groebner as groebner
+
+    dividends = []
+    divide = groebner.left_divide_module
+
+    def counting(xi, divisors, order):
+        dividends.append(xi)
+        return divide(xi, divisors, order)
+
+    monkeypatch.setattr(groebner, "left_divide_module", counting)
+    L = FreeModule(qplane, 1)
+    order = top(qplane)
+    # non-monic leads, so no basis element is one of the input objects
+    gens = [L.parse(["2*x^2 + y"]), L.zero(), L.parse(["3*x*y - x"]),
+            L.parse(["-y^2"])]
+    G = reduce_basis(buchberger(gens, order))
+    assert not any(d is g for d in dividends for g in gens)
+    assert "U" not in vars(G)
+    before = len(dividends)
+    U = G.U
+    # one division per nonzero input, each of that input, and only once
+    assert [id(d) for d in dividends[before:]] == [
+        id(g) for g in gens if not g.is_zero()]
+    assert U[1] == [qplane.zero()] * len(G.elements)
+    assert G.U is U and len(dividends) == before + 3
+    assert_certificates(G, gens)
+
+
+def test_U_is_none_for_truncated_bases(qplane):
+    L = FreeModule(qplane, 1)
+    order = ModOrder("top", qplane.order, 1, graded=True, shifts=[0])
+    G = buchberger([L.parse(["x"]), L.parse(["y^3"])], order, truncate=2)
+    assert G.flags["truncation_degree"] == 2
+    assert G.U is None
+    assert minimalize(G).U is None
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_inputs_with_equal_constant_leads(weyl1, side):
     # Both inputs lead with e1 in degree 0; their S-vector e0 must be
