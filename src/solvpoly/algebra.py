@@ -738,7 +738,7 @@ class SolvableAlgebra:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>-?[0-9]+(?:/[1-9][0-9]*)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<num>[0-9]+(?:/[1-9][0-9]*)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^]))"
 )
 
@@ -777,12 +777,17 @@ def _parse_expression(text: str, names: Sequence[str], field: FieldSpec):
     def peek():
         return tokens[pos] if pos < len(tokens) else None
 
-    sign = 1
-    tok = peek()
-    if tok and tok[0] == "op" and tok[1] in "+-":
-        sign = -1 if tok[1] == "-" else 1
-        pos += 1
+    def take_sign() -> int:
+        """Consume an optional '+' or '-'; the sign it gives."""
+        nonlocal pos
+        tok = peek()
+        if tok and tok[0] == "op" and tok[1] in "+-":
+            pos += 1
+            return -1 if tok[1] == "-" else 1
+        return 1
 
+    # one optional leading sign, and one after each binary '+'/'-'
+    sign = take_sign()
     while True:
         coeff = field.one if sign > 0 else -field.one
         factors = []
@@ -839,8 +844,7 @@ def _parse_expression(text: str, names: Sequence[str], field: FieldSpec):
         if tok is None:
             break
         if tok[0] == "op" and tok[1] in "+-":
-            sign = -1 if tok[1] == "-" else 1
-            pos += 1
+            sign = take_sign() * take_sign()
         else:
             raise ExprSyntaxError(
                 "expected '+' or '-' between terms", column=tok[2] + 1

@@ -10,6 +10,18 @@ inputs, is tracked throughout the loop.  ``U``, which writes every
 input in the basis, is derived on demand: :attr:`GroebnerBasis.U`
 divides the inputs by the basis on first read.
 
+A popped pair (i, j) is skipped by Buchberger's chain criterion when
+some other element k leads in the same component, lm(k) divides
+lcm(i, j), and the pairs (i, k) and (j, k) have both been handled
+(popped, whether reduced or skipped; a pair never pushed, such as one
+above a truncation degree, does not count).  Then S(i, j) is a
+combination of shifts of S(i, k) and S(k, j) plus terms below the lcm,
+which holds in solvable algebras because a^a a^b leads with a^(a+b)
+(Kandri-Rody--Weispfenning, JSC 9, 1990).  Buchberger's product
+criterion is not used: it rests on commuting leading terms, and in a
+solvable algebra the S-vector of two elements with coprime leading
+monomials need not reduce to zero.
+
 A degree-driven variant of the same loop (used for truncated bases of
 graded submodules and for minimal homogeneous generating sets) is
 exposed through :func:`degree_driven_completion`.  Right Groebner
@@ -21,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .coeff import Scalar, SolvpolyError
 from .algebra import (
@@ -242,8 +254,10 @@ class _Engine:
         self.A = module.algebra
         self.m = n_inputs
         self.basis: List[Vect] = []
+        self.lms: List[ModMonomial] = []
         self.vrows: List[List[Poly]] = []
         self.heap: List[Tuple[int, int, int, int]] = []
+        self.handled: Set[Tuple[int, int]] = set()
         self._pair_counter = 0
         self.pair_cap: Optional[int] = None
 
@@ -274,6 +288,7 @@ class _Engine:
             v = v.scale(inv)
             row = self.row_scale(row, inv)
         self.basis.append(v)
+        self.lms.append(v.lm(self.order))
         self.vrows.append(row)
         t = len(self.basis) - 1
         if make_pairs:
@@ -281,9 +296,9 @@ class _Engine:
         return t
 
     def make_pairs(self, t: int) -> None:
-        mt = self.basis[t].lm(self.order)
+        mt = self.lms[t]
         for i in range(t):
-            mi = self.basis[i].lm(self.order)
+            mi = self.lms[i]
             if mi[1] != mt[1]:
                 continue
             deg = self.order.degree_of((exp_max(mi[0], mt[0]), mt[1]))
@@ -297,8 +312,31 @@ class _Engine:
             return [], v
         return left_divide_module(v, self.basis, self.order)
 
+    def chain_prunes(self, i: int, j: int) -> bool:
+        """Buchberger's chain criterion (module docstring) for the popped
+        pair (i, j), i < j."""
+        (ei, comp), (ej, _) = self.lms[i], self.lms[j]
+        lcm = (exp_max(ei, ej), comp)
+        handled = self.handled
+        for k, mk in enumerate(self.lms):
+            if (
+                k != i
+                and k != j
+                and mono_divides(mk, lcm)
+                and ((i, k) if i < k else (k, i)) in handled
+                and ((j, k) if j < k else (k, j)) in handled
+            ):
+                return True
+        return False
+
     def step_pair(self, i: int, j: int) -> Optional[int]:
-        """Process pair (i, j); returns the new element index, if any."""
+        """Process the popped pair (i, j), i < j; returns the new element
+        index, if any.  The pair is handled from here on, pruned or not.
+        """
+        pruned = self.chain_prunes(i, j)
+        self.handled.add((i, j))
+        if pruned:
+            return None
         data = _spair_data(self.basis[i], self.basis[j], self.order)
         if data is None:
             return None
@@ -432,14 +470,12 @@ def degree_driven_completion(
 # ---------------------------------------------------------------------------
 
 
-def _minimal_indices(elements: Sequence[Vect], order: ModOrder) -> List[int]:
-    """Indices of the elements whose leading monomials form the minimal
-    antichain, ascending by leading monomial (ties by index): an element
-    is kept unless the leading monomial of one kept before it divides
-    its own.
+def _minimal_indices(lms: Sequence[ModMonomial], order: ModOrder) -> List[int]:
+    """Indices of the leading monomials that form the minimal antichain,
+    ascending by monomial (ties by index): a monomial is kept unless one
+    kept before it divides it.
     """
-    lms = [g.lm(order) for g in elements]
-    idxs = sorted(range(len(elements)), key=lambda i: (order.key(lms[i]), i))
+    idxs = sorted(range(len(lms)), key=lambda i: (order.key(lms[i]), i))
     kept: List[int] = []
     for i in idxs:
         if not any(mono_divides(lms[k], lms[i]) for k in kept):
@@ -453,7 +489,7 @@ def minimalize(G: GroebnerBasis) -> GroebnerBasis:
     The result is sorted ascending by leading monomial, which makes
     the element order canonical for a given submodule.
     """
-    kept = _minimal_indices(G.elements, G.order)
+    kept = _minimal_indices(G.leading_monomials(), G.order)
     return GroebnerBasis(
         G.module,
         G.order,

@@ -71,9 +71,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Poly, SolvableAlgebra
+from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub
 from .modfree import (
     FreeModule,
+    ModMonomial,
     ModOrder,
     NotAGroebnerBasis,
     Vect,
@@ -101,9 +102,6 @@ class PresentationMatrix:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
-
-    def to_strings(self) -> List[List[str]]:
-        return [[str(p) for p in row] for row in self.entries]
 
     def __repr__(self):
         return "PresentationMatrix(%dx%d)" % (self.rows, self.cols)
@@ -212,34 +210,61 @@ def schreyer_order_for(G: Sequence[Vect], order: ModOrder) -> ModOrder:
     )
 
 
+def _component_pairs(lms: Sequence[ModMonomial]) -> List[Tuple[int, int]]:
+    """The pairs (i < j) whose leading monomials share a component."""
+    t = len(lms)
+    return [
+        (i, j)
+        for i in range(t)
+        for j in range(i + 1, t)
+        if lms[i][1] == lms[j][1]
+    ]
+
+
+def _schreyer_lead(
+    lms: Sequence[ModMonomial], i: int, j: int, syz_order: ModOrder
+) -> ModMonomial:
+    """Leading monomial of the Schreyer row of pair (i, j), known before
+    any division: the larger of (gamma - alpha_i, i) and
+    (gamma - alpha_j, j).  Both map to gamma; every quotient term maps
+    below it.
+    """
+    gamma = exp_max(lms[i][0], lms[j][0])
+    return max(
+        (exp_sub(gamma, lms[i][0]), i),
+        (exp_sub(gamma, lms[j][0]), j),
+        key=syz_order.key,
+    )
+
+
 def _spair_rows(
-    elements: Sequence[Vect], order: ModOrder, syz_module: FreeModule
+    elements: Sequence[Vect],
+    order: ModOrder,
+    syz_module: FreeModule,
+    pairs: Sequence[Tuple[int, int]],
 ) -> List[Vect]:
-    """One syzygy row per same-leading-component pair (i < j)."""
+    """The syzygy row of each same-component pair (i < j) in ``pairs``;
+    none is zero, as its lead (:func:`_schreyer_lead`) cannot cancel."""
     A = syz_module.algebra
     rows: List[Vect] = []
     t = len(elements)
-    for i in range(t):
-        for j in range(i + 1, t):
-            data = _spair_data(elements[i], elements[j], order)
-            if data is None:
-                continue
-            S, ci, expi, cj, expj, _, _ = data
-            if S.is_zero():
-                quotients: List[Poly] = [A.zero()] * t
-            else:
-                quotients, rem = left_divide_module(S, list(elements), order)
-                if not rem.is_zero():
-                    raise NotAGroebnerBasis(
-                        "an S-vector does not reduce to zero; the input "
-                        "is not a left Groebner basis"
-                    )
-            coords = list(quotients) + [A.zero()] * (t - len(quotients))
-            coords[i] = coords[i] - A.monomial(expi, ci)
-            coords[j] = coords[j] + A.monomial(expj, cj)
-            row = syz_module.from_polys(coords)
-            if not row.is_zero():
-                rows.append(row)
+    for i, j in pairs:
+        S, ci, expi, cj, expj, _, _ = _spair_data(
+            elements[i], elements[j], order
+        )
+        if S.is_zero():
+            quotients: List[Poly] = [A.zero()] * t
+        else:
+            quotients, rem = left_divide_module(S, list(elements), order)
+            if not rem.is_zero():
+                raise NotAGroebnerBasis(
+                    "an S-vector does not reduce to zero; the input "
+                    "is not a left Groebner basis"
+                )
+        coords = list(quotients)
+        coords[i] = coords[i] - A.monomial(expi, ci)
+        coords[j] = coords[j] + A.monomial(expj, cj)
+        rows.append(syz_module.from_polys(coords))
     return rows
 
 
@@ -253,7 +278,8 @@ def syzygy_of_gb(G: GroebnerBasis) -> SyzygyGenerators:
     shifts = [G.order.degree_of(g.lm(G.order)) for g in G.elements]
     syz_module = FreeModule(G.module.algebra, max(t, 1), shifts=shifts or None)
     order = schreyer_order_for(G.elements, G.order) if t else None
-    rows = _spair_rows(G.elements, G.order, syz_module) if t else []
+    pairs = _component_pairs(G.leading_monomials())
+    rows = _spair_rows(G.elements, G.order, syz_module, pairs)
     return SyzygyGenerators(
         rows, "SchreyerOfGB", list(G.elements), syz_module, order
     )
@@ -330,6 +356,11 @@ def free_resolution(
     basis and replaces the basis by its Schreyer syzygies; the chain
     stops when no relations remain.  When the submodule is all of L0,
     the zero module is reported as a rank-0 chain.
+
+    The Schreyer rows are selected lead first: the lead of each pair's
+    row is known before any division (:func:`_schreyer_lead`), the
+    minimal antichain of these leads is chosen as :func:`minimalize`
+    chooses it, and only the kept pairs are divided.
     """
     A = L0.algebra
     if order is None:
@@ -356,11 +387,12 @@ def free_resolution(
     elements = _ascending_exponent_sort(G.elements, cur_order)
     n = A.n
     for _ in range(n + 2):
-        if all(all(x == 0 for x in g.lm(cur_order)[0]) for g in elements):
+        lms = [g.lm(cur_order) for g in elements]
+        if all(all(x == 0 for x in exp) for exp, _ in lms):
             # distinct pure basis-vector leads: the kernel one step up
             # is free on the leftover components, so splice instead of
             # appending another stage (this is what keeps length <= n)
-            pivot = {g.lm(cur_order)[1] for g in elements}
+            pivot = {comp for _, comp in lms}
             nonpivot = [c for c in range(cur_module.rank) if c not in pivot]
             F = FreeModule(
                 A,
@@ -383,17 +415,19 @@ def free_resolution(
                 provenance[-1] = "free split-off"
             break
         t = len(elements)
-        shifts = [cur_order.degree_of(g.lm(cur_order)) for g in elements]
+        shifts = [cur_order.degree_of(m) for m in lms]
         nxt_module = FreeModule(A, t, shifts=shifts)
         maps.append(PresentationMatrix.from_vects(elements, cur_module))
         modules.append(nxt_module)
         provenance.append("minimal left Groebner basis")
         nxt_order = schreyer_order_for(elements, cur_order)
-        rows = _spair_rows(elements, cur_order, nxt_module)
-        if not rows:
+        pairs = _component_pairs(lms)
+        if not pairs:
             break
+        leads = [_schreyer_lead(lms, i, j, nxt_order) for i, j in pairs]
+        kept = [pairs[k] for k in _minimal_indices(leads, nxt_order)]
         elements = _ascending_exponent_sort(
-            [rows[i] for i in _minimal_indices(rows, nxt_order)], nxt_order
+            _spair_rows(elements, cur_order, nxt_module, kept), nxt_order
         )
         cur_module, cur_order = nxt_module, nxt_order
     else:

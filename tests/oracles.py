@@ -240,3 +240,49 @@ def reference_left_divide(xi: Vect, divisors: Sequence[Vect],
         if steps is not None:
             steps.append(frozenset(work.data))
     return quotients, remainder
+
+
+# ---------------------------------------------------------------------------
+# reference completion: the plain pair loop
+# ---------------------------------------------------------------------------
+
+def reference_buchberger(inputs: Sequence[Vect], order: ModOrder,
+                         truncate: Optional[int] = None) -> List[Vect]:
+    """Left Groebner basis by the plain pair loop, with no criterion.
+
+    Every nonzero input joins the basis monic, and every pair of basis
+    elements leading in the same component is reduced, first in first
+    out, by :func:`reference_left_divide`; a nonzero remainder joins
+    the basis monic and makes new pairs.  With ``truncate`` (a graded
+    order and homogeneous inputs) the inputs and pairs of degree above
+    it are dropped.
+    """
+    basis: List[Vect] = []
+    pairs: List[Tuple[int, int]] = []
+
+    def add(v: Vect) -> None:
+        pairs.extend((i, len(basis)) for i in range(len(basis)))
+        basis.append(v.scale(v.lc(order).inverse()))
+
+    for v in inputs:
+        if v.is_zero():
+            continue
+        if truncate is None or max(map(order.degree_of, v.data)) <= truncate:
+            add(v)
+    while pairs:
+        i, j = pairs.pop(0)
+        (ei, ci), (ej, cj) = basis[i].lm(order), basis[j].lm(order)
+        if ci != cj:
+            continue
+        gamma = tuple(max(a, b) for a, b in zip(ei, ej))
+        if truncate is not None and order.degree_of((gamma, ci)) > truncate:
+            continue
+        A = basis[i].module.algebra
+        monic = []
+        for g, e in ((basis[i], ei), (basis[j], ej)):
+            p = g.lmul(A.monomial(tuple(c - d for c, d in zip(gamma, e))))
+            monic.append(p.scale(p.data[(gamma, ci)].inverse()))
+        _, rem = reference_left_divide(monic[0] - monic[1], basis, order)
+        if not rem.is_zero():
+            add(rem)
+    return basis

@@ -4,6 +4,7 @@ import pytest
 
 from solvpoly.algebra import (
     DegreeFunction,
+    ExprSyntaxError,
     MalformedRelation,
     MonomialOrder,
     NonAssociative,
@@ -232,6 +233,30 @@ def test_parse_rejects_unknown_names(comm2):
 def test_parse_handles_signs_and_powers(comm2):
     f = comm2.parse("-x^2 + 3/2*y - 1")
     assert comm2.poly_str(f) == "-x^2 + 3/2*y - 1"
+
+
+@pytest.mark.parametrize("text, spaced", [
+    ("x-2", "x - 2"),
+    ("x^2-3/2", "x^2 - 3/2"),
+    ("-2/3*x^2 + 2*y", "-2/3*x^2 + 2*y"),
+    ("x + -2", "x - 2"),
+    ("x - -2", "x + 2"),
+    ("x*y-1", "x*y - 1"),
+])
+def test_parse_binary_minus_before_a_numeral(comm2, text, spaced):
+    assert comm2.parse(text) == comm2.parse(spaced)
+
+
+@pytest.mark.parametrize("text", ["2*-3", "x^-2", "--x", "x - "])
+def test_parse_rejects_misplaced_signs(comm2, text):
+    with pytest.raises(ExprSyntaxError):
+        comm2.parse(text)
+
+
+def test_relation_with_binary_minus_before_a_numeral():
+    A = build_algebra(Q, ("x", "y"), _grlex(2), ["y*x = x*y-1"])
+    x, y = A.parse("x"), A.parse("y")
+    assert A.multiply(y, x) == A.parse("x*y - 1")
 
 
 # ---------------------------------------------------------------------------

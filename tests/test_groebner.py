@@ -1,5 +1,9 @@
+import os
+
 import pytest
 
+import solvpoly.groebner as groebner
+from solvpoly.cli import parse_problem
 from solvpoly.modfree import FreeModule, ModOrder, left_divide_module
 from solvpoly.groebner import (
     GroebnerBasis,
@@ -13,7 +17,11 @@ from solvpoly.groebner import (
     staircase_oracle,
 )
 
-from conftest import random_poly, random_vect
+import oracles
+from conftest import random_poly, random_scalar, random_vect
+
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
 
 
 def top(A, rank=1):
@@ -315,3 +323,79 @@ def test_inputs_with_equal_constant_leads(weyl1, side):
     assert L.basis(0) in G.elements
     if side == "left":
         assert_certificates(G, gens)
+
+
+# ---------------------------------------------------------------------------
+# the chain criterion
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, most", [
+    ("c44-p", 34),    # 144 pairs
+    ("sl2-5-p", 37),  # 153 pairs
+    ("gkz-p", 52),    # 153 pairs
+])
+def test_chain_criterion_prunes_pairs(name, most, monkeypatch):
+    calls = []
+    spair = groebner._spair_data
+
+    def counting(xi, zeta, order):
+        calls.append((xi, zeta))
+        return spair(xi, zeta, order)
+
+    monkeypatch.setattr(groebner, "_spair_data", counting)
+    pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
+    G = buchberger(pf.generators, pf.mod_order)
+    assert len(calls) <= most
+    assert_self_certified(G)
+
+
+def _reduced_elements(basis, order):
+    """The reduced basis of a basis given without transition data."""
+    G = GroebnerBasis(basis[0].module, order, basis, [],
+                      [[] for _ in basis])
+    return reduce_basis(G).elements
+
+
+def _random_homogeneous(L, rnd, degree):
+    """A homogeneous element of the given shifted degree, at most two
+    terms per component."""
+    A = L.algebra
+    weights = oracles.algebra_weights(A)
+    polys = []
+    for shift in L.shifts:
+        exps = oracles.exponents_of_degree(weights, degree - shift)
+        polys.append(A.from_terms(
+            (e, random_scalar(A.field, rnd, nonzero=True))
+            for e in rnd.sample(exps, min(2, len(exps)))))
+    return L.from_polys(polys)
+
+
+@pytest.mark.parametrize("kind", ["top", "pot"])
+@pytest.mark.parametrize("name", ["comm2", "weyl1", "qplane", "ex12",
+                                  "ex14", "qheis"])
+def test_criteria_keep_the_reduced_basis(name, kind, request, rng):
+    """Differential: the pruned engine and the criterion-free pair loop
+    reach the same reduced basis."""
+    A = request.getfixturevalue(name)
+    L = FreeModule(A, 2)
+    order = ModOrder(kind, A.order, 2)
+    for trial in range(6):
+        gens = [random_vect(L, rng, max_degree=2, max_terms=3, nonzero=True)
+                for _ in range(rng.randint(2, 4))]
+        got = reduce_basis(buchberger(gens, order)).elements
+        want = oracles.reference_buchberger(gens, order)
+        assert got == _reduced_elements(want, order)
+
+
+@pytest.mark.parametrize("kind", ["top", "pot"])
+@pytest.mark.parametrize("name", ["comm2", "qplane", "ex12"])
+def test_criteria_keep_the_reduced_truncated_basis(name, kind, request, rng):
+    A = request.getfixturevalue(name)
+    L = FreeModule(A, 2, shifts=(0, 1))
+    order = ModOrder(kind, A.order, 2, graded=True, shifts=(0, 1))
+    for trial in range(6):
+        gens = [_random_homogeneous(L, rng, rng.randint(1, 3))
+                for _ in range(rng.randint(2, 4))]
+        got = reduce_basis(buchberger(gens, order, truncate=4)).elements
+        want = oracles.reference_buchberger(gens, order, truncate=4)
+        assert got == _reduced_elements(want, order)

@@ -1,5 +1,9 @@
+import os
+
 import pytest
 
+import solvpoly.syzres as syzres
+from solvpoly.cli import parse_problem
 from solvpoly.modfree import FreeModule, ModOrder
 from solvpoly.groebner import buchberger
 from solvpoly.syzres import (
@@ -129,6 +133,45 @@ def test_resolution_of_the_full_module_is_zero(weyl1):
     R = free_resolution(L, [L.basis(0), L.basis(1)])
     assert R.zero_module
     assert R.ranks() == [0]
+
+
+@pytest.mark.parametrize("name", ["comm2", "weyl1", "qplane", "ex12",
+                                  "qheis"])
+def test_schreyer_leads_are_known_before_division(name, request, rng):
+    """The lead of each Schreyer row, computed without dividing, is the
+    lead of the divided row."""
+    A = request.getfixturevalue(name)
+    rows = 0
+    for trial in range(4):
+        L = FreeModule(A, 2)
+        order = ModOrder(rng.choice(["top", "pot"]), A.order, 2)
+        gens = [random_vect(L, rng, max_degree=1, max_terms=2, nonzero=True)
+                for _ in range(3)]
+        G = buchberger(gens, order)
+        syz = syzygy_of_gb(G)
+        lms = G.leading_monomials()
+        assert [s.lm(syz.order) for s in syz.elements] == [
+            syzres._schreyer_lead(lms, i, j, syz.order)
+            for i, j in syzres._component_pairs(lms)]
+        rows += len(syz.elements)
+    assert rows
+
+
+def test_resolution_divides_only_the_kept_schreyer_rows(monkeypatch):
+    calls = []
+    spair = syzres._spair_data
+
+    def counting(xi, zeta, order):
+        calls.append((xi, zeta))
+        return spair(xi, zeta, order)
+
+    monkeypatch.setattr(syzres, "_spair_data", counting)
+    pf = parse_problem(os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "perfbench", "corpus", "skew-4-2.json"))
+    R = free_resolution(pf.module, pf.generators, order=pf.mod_order)
+    # 64 same-component pairs across the stages; 39 rows survive
+    assert len(calls) <= 39
+    assert R.composition_is_zero()
 
 
 def test_resolution_first_map_presents_the_generators(qplane):
