@@ -19,12 +19,7 @@ import os
 import re
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .coeff import (
-    BadScalarLiteral,
-    FieldSpec,
-    Scalar,
-    SolvpolyError,
-)
+from .coeff import BadScalarLiteral, FieldSpec, SolvpolyError, _add_scaled
 
 __all__ = [
     "ExpVec",
@@ -333,12 +328,13 @@ def compare_monomials(order: MonomialOrder, a: ExpVec, b: ExpVec) -> str:
 class Relation:
     """a_j * a_i = lam * a_i a_j + tail, for generator indices i < j.
 
-    ``tail`` is a :class:`Poly` of the algebra the relation belongs to.
+    ``lam`` is a nonzero field payload (see :mod:`solvpoly.coeff`) and
+    ``tail`` a :class:`Poly` of the algebra the relation belongs to.
     """
 
     __slots__ = ("j", "i", "lam", "tail")
 
-    def __init__(self, j: int, i: int, lam: Scalar, tail: "Poly"):
+    def __init__(self, j: int, i: int, lam, tail: "Poly"):
         if not i < j:
             raise MalformedRelation("relation indices need i < j")
         object.__setattr__(self, "j", j)
@@ -353,26 +349,17 @@ class Relation:
 class Poly:
     """An immutable element of a solvable polynomial algebra.
 
-    Terms are held sorted descending in the algebra's order, so the
-    leading term is ``terms[0]``.
+    Terms are (ExpVec, payload) pairs, the payloads raw field values
+    (see :mod:`solvpoly.coeff`), held sorted descending in the
+    algebra's order, so the leading term is ``terms[0]``.
     """
 
     __slots__ = ("algebra", "terms", "_data")
 
     def __init__(self, algebra: "SolvableAlgebra", terms):
-        # terms: iterable of (ExpVec, Scalar); zeros dropped, sorted here.
-        data = {}
-        for exp, c in terms:
-            if c.is_zero():
-                continue
-            if exp in data:
-                c2 = data[exp] + c
-                if c2.is_zero():
-                    del data[exp]
-                else:
-                    data[exp] = c2
-            else:
-                data[exp] = c
+        # terms: iterable of (ExpVec, payload); merged, zeros dropped,
+        # sorted here.
+        data = _add_scaled({}, terms, 1, algebra.field.characteristic)
         key = algebra.order.key
         ordered = tuple(
             sorted(data.items(), key=lambda t: key(t[0]), reverse=True)
@@ -392,16 +379,16 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def coeff(self, exp: ExpVec) -> Scalar:
-        c = self._data.get(exp)
-        return c if c is not None else self.algebra.field.zero
+    def coeff(self, exp: ExpVec):
+        """The payload at ``exp``; 0 when the monomial is absent."""
+        return self._data.get(exp, 0)
 
     def lm(self) -> ExpVec:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
         return self.terms[0][0]
 
-    def lc(self) -> Scalar:
+    def lc(self):
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.terms[0][1]
@@ -419,10 +406,9 @@ class Poly:
         if not self.terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         c = self.lc()
-        if c.is_one():
+        if c == 1:
             return self
-        inv = c.inverse()
-        return Poly(self.algebra, [(e, x * inv) for e, x in self.terms])
+        return self.scale(self.algebra.field.inverse(c))
 
     def degree(self) -> int:
         """Weighted degree under the algebra's degree function."""
@@ -434,31 +420,28 @@ class Poly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        if other.algebra is not self.algebra:
-            raise SolvpolyError("polynomials from different algebras")
-        merged = dict(self._data)
-        for exp, c in other.terms:
-            cur = merged.get(exp)
-            if cur is None:
-                merged[exp] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del merged[exp]
-                else:
-                    merged[exp] = s
-        return Poly(self.algebra, merged.items())
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combined(other, -1)
+
+    def _combined(self, other: "Poly", s) -> "Poly":
+        """self + s * other."""
+        A = self.algebra
+        if other.algebra is not A:
+            raise SolvpolyError("polynomials from different algebras")
+        acc = _add_scaled(dict(self._data), other.terms, s,
+                          A.field.characteristic)
+        return Poly(A, acc.items())
 
     def __neg__(self) -> "Poly":
-        return Poly(self.algebra, [(e, -c) for e, c in self.terms])
+        return self.scale(-1)
 
-    def scale(self, c: Scalar) -> "Poly":
-        if c.is_zero():
-            return self.algebra.zero()
-        return Poly(self.algebra, [(e, x * c) for e, x in self.terms])
+    def scale(self, c) -> "Poly":
+        """c * self for a payload c (or -1)."""
+        A = self.algebra
+        acc = _add_scaled({}, self.terms, c, A.field.characteristic)
+        return Poly(A, acc.items())
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self.algebra.multiply(self, other)
@@ -491,10 +474,10 @@ class SolvableAlgebra:
     """K<a_1,...,a_n> with a solvable-type relation table.
 
     Construct through :func:`build_algebra` for textual relations, or
-    directly with ``(j, i, lam, tail_terms)`` records, the tail given
-    as (ExpVec, Scalar) pairs.  The product cache memoizes PBW normal
-    forms of monomial pairs; its size is capped by the
-    SOLVPOLY_CACHE_LIMIT environment variable.
+    directly with ``(j, i, lam, tail_terms)`` records, ``lam`` and the
+    tail's (ExpVec, payload) pairs holding field payloads.  The product
+    cache memoizes PBW normal forms of monomial pairs; its size is
+    capped by the SOLVPOLY_CACHE_LIMIT environment variable.
     """
 
     def __init__(
@@ -529,14 +512,14 @@ class SolvableAlgebra:
         for j, i, lam, tail in relations:
             self._install_relation(j, i, lam, tail)
         # default all unspecified pairs to commuting
-        one = field.one
+        one = field.one.value
         for j in range(self.n):
             for i in range(j):
                 if (j, i) not in self.relations:
                     self.relations[(j, i)] = Relation(j, i, one, self.zero())
         self._validate_relations()
 
-    def _install_relation(self, j: int, i: int, lam: Scalar, tail) -> None:
+    def _install_relation(self, j: int, i: int, lam, tail) -> None:
         if not (0 <= i < j < self.n):
             raise MalformedRelation(
                 "relation indices (%d,%d) out of range" % (j, i)
@@ -550,7 +533,7 @@ class SolvableAlgebra:
 
     def _validate_relations(self) -> None:
         for (j, i), rel in self.relations.items():
-            if rel.lam.is_zero():
+            if not rel.lam:
                 raise ZeroLambda(
                     "relation %s*%s has zero leading scalar"
                     % (self.names[j], self.names[i])
@@ -574,17 +557,18 @@ class SolvableAlgebra:
         return Poly(self, [])
 
     def one(self) -> Poly:
-        return Poly(self, [(zero_exp(self.n), self.field.one)])
+        return self.scalar_poly(self.field.one.value)
 
-    def monomial(self, exp: ExpVec, coeff: Optional[Scalar] = None) -> Poly:
+    def monomial(self, exp: ExpVec, coeff=None) -> Poly:
+        """coeff * a^exp, the payload ``coeff`` defaulting to one."""
         if coeff is None:
-            coeff = self.field.one
+            coeff = self.field.one.value
         return Poly(self, [(tuple(exp), coeff)])
 
     def gen(self, i: int, power: int = 1) -> Poly:
         return self.monomial(unit_exp(self.n, i, power))
 
-    def scalar_poly(self, c: Scalar) -> Poly:
+    def scalar_poly(self, c) -> Poly:
         return Poly(self, [(zero_exp(self.n), c)])
 
     def from_terms(self, terms) -> Poly:
@@ -657,40 +641,21 @@ class SolvableAlgebra:
         return swapped + self.multiply(rel.tail, self.monomial(rest))
 
     def _mono_times_poly(self, a: ExpVec, f: Poly) -> Poly:
+        p = self.field.characteristic
         acc = {}
         for exp, c in f.terms:
-            for e2, c2 in self.mono_mul(a, exp).terms:
-                prod = c * c2
-                cur = acc.get(e2)
-                if cur is None:
-                    acc[e2] = prod
-                else:
-                    s = cur + prod
-                    if s.is_zero():
-                        del acc[e2]
-                    else:
-                        acc[e2] = s
+            _add_scaled(acc, self.mono_mul(a, exp).terms, c, p)
         return Poly(self, acc.items())
 
     def multiply(self, f: Poly, g: Poly) -> Poly:
         """Product of two elements, normalized onto the PBW basis."""
         if f.algebra is not self or g.algebra is not self:
             raise SolvpolyError("operands built over a different algebra")
+        p = self.field.characteristic
         acc = {}
         for ea, ca in f.terms:
             for eb, cb in g.terms:
-                c = ca * cb
-                for exp, cm in self.mono_mul(ea, eb).terms:
-                    prod = c * cm
-                    cur = acc.get(exp)
-                    if cur is None:
-                        acc[exp] = prod
-                    else:
-                        s = cur + prod
-                        if s.is_zero():
-                            del acc[exp]
-                        else:
-                            acc[exp] = s
+                _add_scaled(acc, self.mono_mul(ea, eb).terms, ca * cb, p)
         return Poly(self, acc.items())
 
     # -- parsing and printing -------------------------------------------------------
@@ -700,7 +665,7 @@ class SolvableAlgebra:
         terms = _parse_expression(text, self.names, self.field)
         result = self.zero()
         for coeff, factors in terms:
-            part = self.scalar_poly(coeff)
+            part = self.scalar_poly(coeff.value)
             for gi, power in factors:
                 part = self.multiply(part, self.gen(gi, power))
             result = result + part
@@ -766,7 +731,7 @@ def _tokenize(text: str):
 
 
 def _parse_expression(text: str, names: Sequence[str], field: FieldSpec):
-    """Parse into a list of (coefficient, [(gen index, power), ...])."""
+    """Parse into a list of (Scalar, [(gen index, power), ...])."""
     name_index = {nm: i for i, nm in enumerate(names)}
     tokens = _tokenize(text)
     if not tokens:
@@ -858,9 +823,9 @@ def _parse_normal_form(
     """Parse an expression whose terms must already be PBW-ordered.
 
     Used for relation right-hand sides, where no product rewriting is
-    available yet.  Returns a dict ExpVec -> Scalar.
+    available yet.  Returns a dict ExpVec -> nonzero payload.
     """
-    data = {}
+    terms = []
     for coeff, factors in _parse_expression(text, names, field):
         exp = [0] * n
         last = -1
@@ -872,17 +837,8 @@ def _parse_normal_form(
                 )
             last = gi
             exp[gi] += power
-        key = tuple(exp)
-        cur = data.get(key)
-        if cur is None:
-            data[key] = coeff
-        else:
-            s = cur + coeff
-            if s.is_zero():
-                del data[key]
-            else:
-                data[key] = s
-    return data
+        terms.append((tuple(exp), coeff.value))
+    return _add_scaled({}, terms, 1, field.characteristic)
 
 
 _REL_LHS_RE = re.compile(
@@ -941,8 +897,8 @@ def build_algebra(
                 "bad right-hand side in %r: %s" % (eq, exc)
             )
         lead = exp_add(unit_exp(n, i), unit_exp(n, j))
-        lam = rhs.pop(lead, field.zero)
-        if lam.is_zero():
+        lam = rhs.pop(lead, 0)
+        if not lam:
             raise ZeroLambda(
                 "relation %r needs a nonzero multiple of %s*%s"
                 % (eq, names[i], names[j])

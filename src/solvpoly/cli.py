@@ -88,6 +88,10 @@ _NEGATIVE_ERRORS = (ZeroLambda, TailOrderViolation, NonAssociative)
 # problem files
 # ---------------------------------------------------------------------------
 
+# Every free module allocates per component, so a rank from a problem
+# file is bounded before anything is built.
+MAX_RANK = 10000
+
 _TOP_KEYS = {
     "field",
     "generators",
@@ -290,8 +294,8 @@ def parse_problem(source: Any) -> ProblemFile:
     _expect(set(module_doc) <= {"rank", "shifts", "order"},
             "'module' has unexpected keys")
     rank = module_doc.get("rank", 1)
-    _expect(isinstance(rank, int) and rank >= 1,
-            "'module.rank' must be a positive integer")
+    _expect(isinstance(rank, int) and 1 <= rank <= MAX_RANK,
+            "'module.rank' must be an integer from 1 to %d" % MAX_RANK)
     shifts: Optional[Tuple[int, ...]] = None
     if module_doc.get("shifts") is not None:
         shifts = _int_list(module_doc["shifts"], "'module.shifts'",
@@ -439,13 +443,10 @@ def _free_relations(pf: ProblemFile) -> List[free_ops.FreePoly]:
                 "left side of %r must be a product of two generators"
                 % (eq,))
         j, i = name_index[parts[0]], name_index[parts[1]]
-        data: Dict[free_ops.Word, Any] = {free_ops.Word((j, i)): pf.field.one}
+        lead = free_ops.FreePoly(pf.field, n, {(j, i): pf.field.one.value})
         rhs = shell.parse(rhs_text)
-        for exp, c in rhs.terms:
-            w = _exp_to_word(exp)
-            cur = data.get(w)
-            data[w] = (-c) if cur is None else cur - c
-        out.append(free_ops.FreePoly(pf.field, n, data))
+        out.append(lead - free_ops.FreePoly(
+            pf.field, n, [(_exp_to_word(exp), c) for exp, c in rhs.terms]))
     return out
 
 

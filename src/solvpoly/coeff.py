@@ -1,9 +1,16 @@
 """Exact coefficient arithmetic over the rationals or a prime field.
 
-Every other module works with :class:`Scalar` values produced by a
-:class:`FieldSpec`.  Scalars are immutable, always kept in canonical
-form (reduced fraction with positive denominator, or residue in
-``[0, p)``), and refuse to mix with scalars of a different field.
+Coefficients are stored as raw payloads: a ``fractions.Fraction`` over
+Q, or a canonical residue ``int`` in ``[0, p)`` over GF(p).  Inside
+polynomials, module vectors and free-algebra elements every merge,
+cancel and scale step runs through one sparse-term kernel,
+:func:`_add_scaled`; :meth:`FieldSpec.inverse` gives the one payload
+operation it cannot write with operators.
+
+:class:`Scalar` is the field-checked value of the parse edge: literals
+are read and multiplied as Scalars, which are immutable, kept in
+canonical form, and refuse to mix with scalars of a different field.
+The containers store their ``value``.
 """
 
 from __future__ import annotations
@@ -135,6 +142,53 @@ class FieldSpec:
     @property
     def one(self) -> "Scalar":
         return self.scalar(1)
+
+    def inverse(self, c):
+        """The inverse of a nonzero payload of this field."""
+        if not c:
+            raise DivisionByZero("zero scalar has no inverse")
+        if self.characteristic:
+            return pow(c, -1, self.characteristic)
+        return Fraction(1) / c
+
+
+def _add_scaled(acc: dict, items, s, p: int) -> dict:
+    """The sparse-term kernel: ``acc += s * items`` in place; returns acc.
+
+    ``items`` yields (monomial, payload) pairs; zero payloads are skipped
+    and a monomial whose sum cancels leaves ``acc``.  Over GF(p)
+    (``p > 0``) ``s`` may be any integer representative: it and every
+    sum and product are reduced mod p.  With ``s == 1`` a new monomial
+    keeps the payload object itself, and over Q ``s == -1`` negates with
+    ``-c``: every Fraction product normalises by a gcd, which copying
+    skips.
+    """
+    if p:
+        s %= p
+    if not s:
+        return acc
+    copy = s == 1
+    neg = s == -1
+    get = acc.get
+    for m, c in items:
+        if not copy:
+            c = -c if neg else c * s
+            if p:
+                c %= p
+        elif not c:
+            continue
+        cur = get(m)
+        if cur is None:
+            acc[m] = c
+            continue
+        cur += c
+        if p:
+            cur %= p
+        if cur:
+            acc[m] = cur
+        else:
+            del acc[m]
+    return acc
 
 
 class Scalar:

@@ -517,33 +517,27 @@ def _monomials_within(
     return out
 
 
-def _filtered_quotient_dims(
+def _normal_degrees(
     module: FreeModule,
     lms: Sequence[ModMonomial],
-    qs: Sequence[int],
+    top: int,
     cap: int = 20000,
 ) -> Optional[List[int]]:
-    """dim_K F_q(L/N) for each q, with N read off its leading
-    monomials (valid because the order is graded)."""
-    if not qs:
-        return []
-    monos = _monomials_within(module, max(qs), cap)
+    """Sorted shifted degrees of the monomials of degree <= top that no
+    leading monomial of N divides, or None past the cap.  Two quotients
+    have the same dim_K F_q for every q <= top exactly when these lists
+    agree (valid because the order is graded)."""
+    monos = _monomials_within(module, top, cap)
     if monos is None:
         return None
     by_comp: List[List[ExpVec]] = [[] for _ in range(module.rank)]
     for exp, comp in lms:
         by_comp[comp].append(exp)
-    dims = []
-    for q in qs:
-        count = 0
-        for exp, comp in monos:
-            if module.mono_degree((exp, comp)) > q:
-                continue
-            if any(exp_divides(s, exp) for s in by_comp[comp]):
-                continue
-            count += 1
-        dims.append(count)
-    return dims
+    return sorted(
+        module.mono_degree((exp, comp))
+        for exp, comp in monos
+        if not any(exp_divides(s, exp) for s in by_comp[comp])
+    )
 
 
 def _standard_property_holds(
@@ -571,7 +565,7 @@ def _standard_property_holds(
             if budget < 0:
                 continue
             for alpha in exps_within(weights, budget):
-                rows.append(g.lmul(A.monomial(alpha)).data)
+                rows.append(g.lmul(A.monomial(alpha)))
             if len(rows) > cap:
                 return None
         if len(echelon_leads(rows, order)) != led:
@@ -682,17 +676,17 @@ def _certify_strict_iso(
     result: MinimalFBasis,
 ) -> Optional[bool]:
     """Compare dim_K F_q(L/N) with dim_K F_q(L'/N') on a window."""
-    qmax = max(list(L.shifts) + [0])
+    top = max(list(L.shifts) + [0])
     if gens:
-        qmax = max(qmax, max(fil_degree(ctx, v) for v in gens))
-    qs = list(range(qmax + 2))
+        top = max(top, max(fil_degree(ctx, v) for v in gens))
+    top += 1
     order = _e_gr_order(L)
     lms = [g.lm(order) for g in gens]
-    left = _filtered_quotient_dims(L, lms, qs)
+    left = _normal_degrees(L, lms, top)
     if left is None:
         return None
     if result.new_module is None:
-        right = [0] * len(qs)
+        right = []
     else:
         new_gens = [v for v in result.gens if not v.is_zero()]
         new_order = _e_gr_order(result.new_module)
@@ -701,13 +695,13 @@ def _certify_strict_iso(
             new_lms = [g.lm(new_order) for g in completed.elements]
         else:
             new_lms = []
-        right = _filtered_quotient_dims(result.new_module, new_lms, qs)
+        right = _normal_degrees(result.new_module, new_lms, top)
         if right is None:
             return None
     if left != right:
         raise SolvpolyError(
             "internal: unit-pivot pruning changed filtration dimensions "
-            "%r -> %r over window %r" % (left, right, qs)
+            "below degree %d: normal degrees %r -> %r" % (top, left, right)
         )
     return True
 

@@ -305,7 +305,7 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
             break
         i, j = hit
         pivot = work[j]
-        inv = pivot[i].coeff(tuple([0] * A.n)).inverse()
+        inv = A.field.inverse(pivot[i].coeff(tuple([0] * A.n)))
         eliminations.append(
             (i, L.from_polys([pivot.get(c, A.zero()) for c in range(L.rank)]))
         )

@@ -35,7 +35,7 @@ import heapq
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .coeff import Scalar, SolvpolyError
+from .coeff import SolvpolyError, _add_scaled
 from .algebra import (
     ExpVec,
     Poly,
@@ -213,21 +213,22 @@ def _spair_data(xi: Vect, zeta: Vect, order: ModOrder):
     """(S, c_i, gamma-alpha, c_j, gamma-beta, gamma, comp) or None.
 
     S = c_i * a^(gamma-alpha) xi  -  c_j * a^(gamma-beta) zeta, the
-    scalars normalizing both products to leading coefficient one.
+    scalars normalizing both products to leading coefficient one,
+    accumulated term by term into one dict.  a^alpha * xi leads with
+    lc(xi) times the lead coefficient of ``mono_mul(alpha, lm(xi))``,
+    since the order restricts to the algebra's order on each component.
     """
     A = xi.module.algebra
     mi, mj = xi.lm(order), zeta.lm(order)
     if mi[1] != mj[1]:
         return None
     gamma = exp_max(mi[0], mj[0])
-    left_mult = exp_sub(gamma, mi[0])
-    right_mult = exp_sub(gamma, mj[0])
-    pi = xi.lmul(A.monomial(left_mult))
-    pj = zeta.lmul(A.monomial(right_mult))
-    ci = pi.data[(gamma, mi[1])].inverse()
-    cj = pj.data[(gamma, mj[1])].inverse()
-    S = pi.scale(ci) - pj.scale(cj)
-    return S, ci, left_mult, cj, right_mult, gamma, mi[1]
+    ai, aj = exp_sub(gamma, mi[0]), exp_sub(gamma, mj[0])
+    ci = A.field.inverse(xi.data[mi] * A.mono_mul(ai, mi[0]).terms[0][1])
+    cj = A.field.inverse(zeta.data[mj] * A.mono_mul(aj, mj[0]).terms[0][1])
+    acc = xi._add_lmul({}, A.monomial(ai, ci))
+    zeta._add_lmul(acc, -A.monomial(aj, cj))
+    return Vect(xi.module, acc), ci, ai, cj, aj, gamma, mi[1]
 
 
 def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
@@ -269,9 +270,6 @@ class _Engine:
         row[j] = self.A.one()
         return row
 
-    def row_scale(self, row: List[Poly], c: Scalar) -> List[Poly]:
-        return [p.scale(c) for p in row]
-
     def row_sub_mul(
         self, row: List[Poly], f: Poly, other: List[Poly]
     ) -> List[Poly]:
@@ -283,10 +281,10 @@ class _Engine:
 
     def append(self, v: Vect, row: List[Poly], make_pairs: bool = True) -> int:
         lc = v.lc(self.order)
-        if not lc.is_one():
-            inv = lc.inverse()
+        if lc != 1:
+            inv = self.A.field.inverse(lc)
             v = v.scale(inv)
-            row = self.row_scale(row, inv)
+            row = [p.scale(inv) for p in row]
         self.basis.append(v)
         self.lms.append(v.lm(self.order))
         self.vrows.append(row)
@@ -347,7 +345,7 @@ class _Engine:
         if eta.is_zero():
             return None
         row = self.row_sub_mul(
-            self.zero_row(), self.A.monomial(expi, -ci), self.vrows[i]
+            self.zero_row(), -self.A.monomial(expi, ci), self.vrows[i]
         )
         row = self.row_sub_mul(row, self.A.monomial(expj, cj), self.vrows[j])
         for k, q in enumerate(quotients):
@@ -528,8 +526,8 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
                 for p, s in zip(row, V[src])
             ]
         lc = rem.lc(order)
-        if not lc.is_one():
-            inv = lc.inverse()
+        if lc != 1:
+            inv = A.field.inverse(lc)
             rem = rem.scale(inv)
             row = [p.scale(inv) for p in row]
         elements[i] = rem
@@ -613,47 +611,37 @@ def staircase_oracle(
     d = A.degree_function
     weights = d.weights
 
-    rows: List[Dict[ModMonomial, Scalar]] = []
+    rows: List[Vect] = []
     for xi in inputs:
         base_deg = max(order.degree_of(m) for m in xi.data)
         budget = degree_bound - base_deg
         if budget < 0:
             continue
         for exp in exps_within(weights, budget):
-            rows.append(xi.lmul(A.monomial(exp)).data)
+            rows.append(xi.lmul(A.monomial(exp)))
     by_comp: List[List[ExpVec]] = [[] for _ in range(module.rank)]
     for exp, comp in echelon_leads(rows, order):
         by_comp[comp].append(exp)
     return Staircase(module.rank, by_comp)
 
 
-def echelon_leads(
-    rows: Iterable[Dict[ModMonomial, Scalar]], order: ModOrder
-) -> List[ModMonomial]:
-    """Leading monomials of the span of sparse rows, by exact row
-    echelon reduction: each row is reduced by the pivots found so far
-    until its leading monomial is new (a new pivot) or it vanishes.
+def echelon_leads(rows: Iterable[Vect], order: ModOrder) -> List[ModMonomial]:
+    """Leading monomials of the span of the vectors ``rows``, by exact
+    row echelon reduction: each row is reduced by the pivots found so
+    far until its leading monomial is new (a new pivot) or it vanishes.
     Their number is the dimension of the span.
     """
-    pivots: Dict[ModMonomial, Dict[ModMonomial, Scalar]] = {}
-    for data in rows:
-        row = dict(data)
+    pivots: Dict[ModMonomial, Dict[ModMonomial, object]] = {}
+    for v in rows:
+        field = v.module.algebra.field
+        p = field.characteristic
+        row = dict(v.data)
         while row:
             lead = max(row, key=order.key)
             piv = pivots.get(lead)
             if piv is None:
-                inv = row[lead].inverse()
-                pivots[lead] = {m: c * inv for m, c in row.items()}
+                inv = field.inverse(row[lead])
+                pivots[lead] = _add_scaled({}, row.items(), inv, p)
                 break
-            c = row[lead]
-            for m, pc in piv.items():
-                cur = row.get(m)
-                if cur is None:
-                    row[m] = -(c * pc)
-                else:
-                    s = cur - c * pc
-                    if s.is_zero():
-                        del row[m]
-                    else:
-                        row[m] = s
+            _add_scaled(row, piv.items(), -row[lead], p)
     return list(pivots)

@@ -2,7 +2,8 @@
 
 A free module L = A e_1 + ... + A e_s carries optional degree shifts
 b_i on its basis vectors.  Elements (:class:`Vect`) are sparse maps
-from module monomials ``(exponent, component)`` to scalars.  Monomial
+from module monomials ``(exponent, component)`` to field payloads
+(see :mod:`solvpoly.coeff`).  Monomial
 orders on L come in TOP ("term over position"), POT ("position over
 term"), graded variants of both, and Schreyer orders induced by a
 list of module elements.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coeff import Scalar, SolvpolyError
+from .coeff import SolvpolyError, _add_scaled
 from .algebra import (
     ExpVec,
     LengthMismatch,
@@ -127,7 +128,7 @@ class FreeModule:
         if not 0 <= i < self.rank:
             raise IndexError("component %d out of range" % i)
         return Vect(
-            self, {(zero_exp(self.algebra.n), i): self.algebra.field.one}
+            self, {(zero_exp(self.algebra.n), i): self.algebra.field.one.value}
         )
 
     def from_polys(self, polys: Sequence[Poly]) -> "Vect":
@@ -166,24 +167,14 @@ class Vect:
     __slots__ = ("module", "data")
 
     def __init__(self, module: FreeModule, data):
-        clean: Dict[ModMonomial, Scalar] = {}
+        # data: a dict or pairs (module monomial, payload); merged, zeros
+        # dropped.
         items = data.items() if isinstance(data, dict) else data
-        for mono, c in items:
-            if c.is_zero():
-                continue
-            exp, comp = mono
+        p = module.algebra.field.characteristic
+        clean: Dict[ModMonomial, object] = _add_scaled({}, items, 1, p)
+        for _, comp in clean:
             if not 0 <= comp < module.rank:
                 raise IncompatibleModules("component %d out of range" % comp)
-            key = (tuple(exp), comp)
-            cur = clean.get(key)
-            if cur is None:
-                clean[key] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = s
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "data", clean)
 
@@ -198,9 +189,9 @@ class Vect:
     def __bool__(self):
         return bool(self.data)
 
-    def coeff(self, mono: ModMonomial) -> Scalar:
-        c = self.data.get(mono)
-        return c if c is not None else self.module.algebra.field.zero
+    def coeff(self, mono: ModMonomial):
+        """The payload at ``mono``; 0 when the monomial is absent."""
+        return self.data.get(mono, 0)
 
     def component(self, comp: int) -> Poly:
         return Poly(
@@ -216,7 +207,7 @@ class Vect:
             raise ZeroPolynomial("zero vector has no leading monomial")
         return max(self.data, key=order.key)
 
-    def lc(self, order: "ModOrder") -> Scalar:
+    def lc(self, order: "ModOrder"):
         return self.data[self.lm(order)]
 
     def lt(self, order: "ModOrder") -> "Vect":
@@ -230,57 +221,45 @@ class Vect:
             raise IncompatibleModules("vectors from different modules")
 
     def __add__(self, other: "Vect") -> "Vect":
-        self._check(other)
-        merged = dict(self.data)
-        for mono, c in other.data.items():
-            cur = merged.get(mono)
-            if cur is None:
-                merged[mono] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del merged[mono]
-                else:
-                    merged[mono] = s
-        return Vect(self.module, merged)
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Vect") -> "Vect":
-        return self + (-other)
+        return self._combined(other, -1)
+
+    def _combined(self, other: "Vect", s) -> "Vect":
+        """self + s * other."""
+        self._check(other)
+        p = self.module.algebra.field.characteristic
+        acc = _add_scaled(dict(self.data), other.data.items(), s, p)
+        return Vect(self.module, acc)
 
     def __neg__(self) -> "Vect":
-        return Vect(self.module, {m: -c for m, c in self.data.items()})
+        return self.scale(-1)
 
-    def scale(self, c: Scalar) -> "Vect":
-        if c.is_zero():
-            return self.module.zero()
-        return Vect(self.module, {m: x * c for m, x in self.data.items()})
+    def scale(self, c) -> "Vect":
+        """c * self for a payload c (or -1)."""
+        p = self.module.algebra.field.characteristic
+        return Vect(self.module, _add_scaled({}, self.data.items(), c, p))
 
     def monic(self, order: "ModOrder") -> "Vect":
         c = self.lc(order)
-        if c.is_one():
+        if c == 1:
             return self
-        return self.scale(c.inverse())
+        return self.scale(self.module.algebra.field.inverse(c))
 
     def lmul(self, f: Poly) -> "Vect":
         """Left multiplication by a ring element."""
+        return Vect(self.module, self._add_lmul({}, f))
+
+    def _add_lmul(self, acc: Dict[ModMonomial, object], f: Poly):
+        """acc += f * self in place; returns acc."""
         A = self.module.algebra
-        acc: Dict[ModMonomial, Scalar] = {}
+        p = A.field.characteristic
         for (exp, comp), c in self.data.items():
             for ea, ca in f.terms:
-                s = ca * c
-                for e2, c2 in A.mono_mul(ea, exp).terms:
-                    key = (e2, comp)
-                    add = s * c2
-                    cur = acc.get(key)
-                    if cur is None:
-                        acc[key] = add
-                    else:
-                        tot = cur + add
-                        if tot.is_zero():
-                            del acc[key]
-                        else:
-                            acc[key] = tot
-        return Vect(self.module, acc)
+                terms = A.mono_mul(ea, exp).terms
+                _add_scaled(acc, (((e, comp), x) for e, x in terms), ca * c, p)
+        return acc
 
     def rmul(self, f: Poly) -> "Vect":
         """Right multiplication by a ring element (right-module view)."""
@@ -474,6 +453,8 @@ def left_divide_module(
         raise ZeroPolynomial("zero divisor in division")
     module = xi.module
     A = module.algebra
+    p = A.field.characteristic
+    inverse = A.field.inverse
     mono_mul = A.mono_mul
     key = order.key
     # the divisors led in each component, least index first
@@ -481,8 +462,8 @@ def left_divide_module(
     for i, d in enumerate(divisors):
         lexp, lcomp = lm = d.lm(order)
         by_comp[lcomp].append((i, lexp, d.data[lm], list(d.data.items())))
-    quotients: List[Dict[ExpVec, Scalar]] = [{} for _ in divisors]
-    remainder: Dict[ModMonomial, Scalar] = {}
+    quotients: List[Dict[ExpVec, object]] = [{} for _ in divisors]
+    remainder: Dict[ModMonomial, object] = {}
     work = dict(xi.data)
     pending = sorted((key(m), m) for m in work)
     while pending:
@@ -498,24 +479,29 @@ def left_divide_module(
             remainder[wm] = work.pop(wm)
             continue
         alpha = tuple(y - x for x, y in zip(lexp, wexp))
-        c = wc / (lc * mono_mul(alpha, lexp).terms[0][1])
-        cur = quotients[i].get(alpha)
-        quotients[i][alpha] = c if cur is None else cur + c
+        c = wc * inverse(lc * mono_mul(alpha, lexp).terms[0][1])
         neg_c = -c
+        if p:
+            c %= p
+        _add_scaled(quotients[i], ((alpha, c),), 1, p)
         for (e, comp), ce in terms:
             s = neg_c * ce
+            if p:
+                s %= p
             for e2, c2 in mono_mul(alpha, e).terms:
                 m = (e2, comp)
                 cur = work.get(m)
                 if cur is None:
-                    work[m] = s * c2
+                    work[m] = s * c2 % p if p else s * c2
                     insort(pending, (key(m), m))
                 else:
-                    cur = cur + s * c2
-                    if cur.is_zero():
-                        del work[m]
-                    else:
+                    cur += s * c2
+                    if p:
+                        cur %= p
+                    if cur:
                         work[m] = cur
+                    else:
+                        del work[m]
     return [Poly(A, q.items()) for q in quotients], Vect(module, remainder)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeff import FieldSpec, Scalar, SolvpolyError
+from .coeff import FieldSpec, MixedFields, SolvpolyError, _add_scaled
 from .algebra import DegreeFunction
 
 __all__ = [
@@ -162,30 +162,22 @@ class FreePoly:
     """An element of the free algebra on n generators.
 
     Carries its field and letter count; terms map letter tuples to
-    nonzero scalars.  Unlike ring elements, a free polynomial has no
-    ambient order, so the leading data is order-parameterized.
+    nonzero field payloads (see :mod:`solvpoly.coeff`).  Unlike ring
+    elements, a free polynomial has no ambient order, so the leading
+    data is order-parameterized.
     """
 
     __slots__ = ("field", "n", "data")
 
     def __init__(self, field: FieldSpec, n: int, terms=()):
-        clean: Dict[Letters, Scalar] = {}
         items = terms.items() if isinstance(terms, dict) else terms
+        pairs = []
         for w, c in items:
             letters = tuple(w.letters) if isinstance(w, Word) else tuple(w)
             if any(not 0 <= l < n for l in letters):
                 raise ValueError("letter out of range in %r" % (letters,))
-            if c.is_zero():
-                continue
-            cur = clean.get(letters)
-            if cur is None:
-                clean[letters] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del clean[letters]
-                else:
-                    clean[letters] = s
+            pairs.append((letters, c))
+        clean = _add_scaled({}, pairs, 1, field.characteristic)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "data", clean)
@@ -200,20 +192,20 @@ class FreePoly:
         return bool(self.data)
 
     @property
-    def terms(self) -> List[Tuple[Letters, Scalar]]:
+    def terms(self) -> List[Tuple[Letters, object]]:
         return sorted(self.data.items())
 
-    def coeff(self, w) -> Scalar:
+    def coeff(self, w):
+        """The payload at word ``w``; 0 when it is absent."""
         letters = tuple(w.letters) if isinstance(w, Word) else tuple(w)
-        c = self.data.get(letters)
-        return c if c is not None else self.field.zero
+        return self.data.get(letters, 0)
 
     def lm(self, order: WordOrder) -> Word:
         if not self.data:
             raise SolvpolyError("the zero element has no leading monomial")
         return Word(max(self.data, key=order.key))
 
-    def lc(self, order: WordOrder) -> Scalar:
+    def lc(self, order: WordOrder):
         return self.data[self.lm(order).letters]
 
     def lt(self, order: WordOrder) -> "FreePoly":
@@ -223,32 +215,37 @@ class FreePoly:
     def monic(self, order: WordOrder) -> "FreePoly":
         if not self.data:
             return self
-        return self.scale(self.lc(order).inverse())
+        return self.scale(self.field.inverse(self.lc(order)))
 
-    def scale(self, c: Scalar) -> "FreePoly":
+    def scale(self, c) -> "FreePoly":
+        """c * self for a payload c (or -1)."""
         return FreePoly(
-            self.field, self.n, [(w, x * c) for w, x in self.data.items()]
+            self.field,
+            self.n,
+            _add_scaled({}, self.data.items(), c, self.field.characteristic),
         )
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
-        out = dict(self.data)
-        for w, c in other.data.items():
-            cur = out.get(w)
-            if cur is None:
-                out[w] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[w]
-                else:
-                    out[w] = s
-        return FreePoly(self.field, self.n, out)
+        return self._combined(other, 1)
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + other.scale(self.field.scalar(-1))
+        return self._combined(other, -1)
+
+    def _combined(self, other: "FreePoly", s) -> "FreePoly":
+        """self + s * other; both must share the field and letter count."""
+        if other.field != self.field or other.n != self.n:
+            raise MixedFields(
+                "cannot combine free polynomials over %r on %d letters "
+                "with ones over %r on %d"
+                % (self.field, self.n, other.field, other.n)
+            )
+        out = _add_scaled(
+            dict(self.data), other.data.items(), s, self.field.characteristic
+        )
+        return FreePoly(self.field, self.n, out)
 
     def __neg__(self) -> "FreePoly":
-        return self.scale(self.field.scalar(-1))
+        return self.scale(-1)
 
     def sandwich(self, u: Word, v: Word) -> "FreePoly":
         """The product u * self * v for words u, v."""
@@ -281,7 +278,7 @@ class FreePoly:
 
 def free_divide(
     f: FreePoly, G: Sequence[FreePoly], order: WordOrder
-) -> Tuple[List[Tuple[Scalar, Word, int, Word]], FreePoly]:
+) -> Tuple[List[Tuple[object, Word, int, Word]], FreePoly]:
     """Two-sided division of f by the list G.
 
     Returns a rewrite trace and the remainder: ``f`` equals the sum of
@@ -295,8 +292,10 @@ def free_divide(
         raise SolvpolyError("division by a zero element")
     lead = [g.lm(order).letters for g in G]
     lc = [g.lc(order) for g in G]
-    trace: List[Tuple[Scalar, Word, int, Word]] = []
-    rem: Dict[Letters, Scalar] = {}
+    field = f.field
+    p = field.characteristic
+    trace: List[Tuple[object, Word, int, Word]] = []
+    rem: Dict[Letters, object] = {}
     h = f
     while not h.is_zero():
         w = h.lm(order).letters
@@ -312,7 +311,9 @@ def free_divide(
             h = h - h.lt(order)
             continue
         j, k = hit
-        lam = c * lc[j].inverse()
+        lam = c * field.inverse(lc[j])
+        if p:
+            lam %= p
         U = Word(w[:k])
         V = Word(w[k + len(lead[j]) :])
         trace.append((lam, U, j, V))
@@ -369,8 +370,8 @@ def overlap_elements(
     w1 = f.lm(order).letters
     w2 = g.lm(order).letters
     p, q = len(w1), len(w2)
-    inv_f = f.lc(order).inverse()
-    inv_g = g.lc(order).inverse()
+    inv_f = f.field.inverse(f.lc(order))
+    inv_g = g.field.inverse(g.lc(order))
     out: List[OverlapElement] = []
     for k in range(max(0, p - q), p):
         if k == 0 and p == q and f == g:
@@ -408,7 +409,7 @@ class CertReport:
         verdict: str,
         overlaps_checked: int,
         failures: List[tuple],
-        lambdas: Dict[Tuple[int, int], Scalar],
+        lambdas: Dict[Tuple[int, int], object],
     ):
         self.verdict = verdict
         self.overlaps_checked = overlaps_checked
@@ -462,7 +463,7 @@ def verify_presentation(
             % (len(relations), n, expected)
         )
     monic: Dict[Tuple[int, int], FreePoly] = {}
-    lambdas: Dict[Tuple[int, int], Scalar] = {}
+    lambdas: Dict[Tuple[int, int], object] = {}
     seen_pairs = set()
     for g in relations:
         if g.is_zero():
@@ -481,8 +482,8 @@ def verify_presentation(
             )
         seen_pairs.add(unordered)
         gm = g.monic(order)
-        lam = -gm.coeff((i, j))
-        if lam.is_zero():
+        lam = (-gm).coeff((i, j))
+        if not lam:
             raise ShapeViolation(
                 "relation with leading word X_%d*X_%d has zero "
                 "coefficient on the swapped word" % (j + 1, i + 1)
@@ -615,7 +616,7 @@ def free_poly_str(f: FreePoly, names: Sequence[str]) -> str:
         body = word_str(w, names)
         if body == "1":
             parts.append(str(c))
-        elif c == f.field.one:
+        elif c == 1:
             parts.append(body)
         else:
             parts.append("%s*%s" % (c, body))

@@ -48,7 +48,7 @@ def random_scalar(field: FieldSpec, rnd: random.Random, nonzero=False):
         if num == 0 and nonzero:
             continue
         den = rnd.randint(1, 3)
-        return field.scalar(num, den)
+        return field.scalar(num, den).value
 
 
 def random_poly(A, rnd: random.Random, max_degree=3, max_terms=3,

@@ -43,7 +43,7 @@ def weyl_act(f: Poly, p: Sequence[Fraction]) -> List[Fraction]:
         for _ in range(a):
             q = mult_t(q)
         for k, v in enumerate(q):
-            acc[k] = acc.get(k, Fraction(0)) + Fraction(c.value) * v
+            acc[k] = acc.get(k, Fraction(0)) + Fraction(c) * v
     top = max((k for k, v in acc.items() if v != 0), default=-1)
     return [acc.get(k, Fraction(0)) for k in range(top + 1)]
 
@@ -125,7 +125,8 @@ def echelon_rank(rows: Iterable[Dict]) -> int:
 
 
 def vect_row(v: Vect) -> Dict:
-    return {(comp, exp): c for (exp, comp), c in v.data.items()}
+    field = v.module.algebra.field
+    return {(comp, exp): field.scalar(c) for (exp, comp), c in v.data.items()}
 
 
 def span_slice_rank(gens: Sequence[Vect], q: int) -> int:
@@ -234,7 +235,8 @@ def reference_left_divide(xi: Vect, divisors: Sequence[Vect],
             continue
         alpha = tuple(w - d for w, d in zip(wm[0], lms[hit][0]))
         prod = divisors[hit].lmul(A.monomial(alpha))
-        c = work.data[wm] / prod.data[wm]
+        field = A.field
+        c = (field.scalar(work.data[wm]) / field.scalar(prod.data[wm])).value
         quotients[hit] = quotients[hit] + A.monomial(alpha, c)
         work = work - prod.scale(c)
         if steps is not None:
@@ -262,7 +264,8 @@ def reference_buchberger(inputs: Sequence[Vect], order: ModOrder,
 
     def add(v: Vect) -> None:
         pairs.extend((i, len(basis)) for i in range(len(basis)))
-        basis.append(v.scale(v.lc(order).inverse()))
+        field = v.module.algebra.field
+        basis.append(v.scale(field.scalar(v.lc(order)).inverse().value))
 
     for v in inputs:
         if v.is_zero():
@@ -281,7 +284,8 @@ def reference_buchberger(inputs: Sequence[Vect], order: ModOrder,
         monic = []
         for g, e in ((basis[i], ei), (basis[j], ej)):
             p = g.lmul(A.monomial(tuple(c - d for c, d in zip(gamma, e))))
-            monic.append(p.scale(p.data[(gamma, ci)].inverse()))
+            monic.append(
+                p.scale(A.field.scalar(p.data[(gamma, ci)]).inverse().value))
         _, rem = reference_left_divide(monic[0] - monic[1], basis, order)
         if not rem.is_zero():
             add(rem)

@@ -211,7 +211,7 @@ def test_distributive_and_scalar_laws(weyl1, rng):
             weyl1.multiply(f, g) + weyl1.multiply(f, h))
         assert weyl1.multiply(f + g, h) == (
             weyl1.multiply(f, h) + weyl1.multiply(g, h))
-        c = weyl1.field.scalar(3, 2)
+        c = weyl1.field.scalar(3, 2).value
         assert weyl1.multiply(f.scale(c), g) == weyl1.multiply(f, g).scale(c)
 
 

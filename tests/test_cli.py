@@ -7,7 +7,9 @@ the canonical JSON output mode.
 
 import json
 import os
+import random
 import re
+import signal
 
 import pytest
 
@@ -99,6 +101,7 @@ def test_non_object_document_is_a_schema_error(tmp_path):
     base_doc(order={"kind": "grlex", "priority": [0, 0]}),
     base_doc(relations="y*x = x*y"),
     base_doc(module={"rank": 0}),
+    base_doc(module={"rank": 2 ** 31}, submodule_generators=[]),
     base_doc(module={"rank": 1, "shifts": [1, 2]}),
     base_doc(module={"rank": 1, "order": "sideways"}),
     base_doc(module={"rank": 2}, submodule_generators=["x"]),
@@ -306,6 +309,15 @@ def test_verify_presentation_reports_lambdas(capsys):
     assert payload["lambdas"]["X1*X2"] == "1"
 
 
+def test_verify_presentation_lambdas_are_residues_mod_p(capsys, tmp_path):
+    doc = base_doc(field={"kind": "PrimeField", "characteristic": 5},
+                   relations=["y*x = -x*y + 3"])
+    code, payload = run_json(capsys, "verify-presentation",
+                             problem_file(tmp_path, doc))
+    assert code == 0
+    assert payload["lambdas"] == {"y*x": "4"}
+
+
 def test_verify_presentation_rejects_a_non_associative_table(capsys,
                                                             tmp_path):
     # (z*y)*x - z*(y*x) = 1, so the overlap of z*y and y*x survives.
@@ -437,6 +449,17 @@ def test_filtered_resolve_shifts_override(capsys, tmp_path):
     assert code == 2
 
 
+def test_filtered_resolve_far_shift_is_quick(capsys, tmp_path):
+    # the certification window is read off the monomials, not walked
+    # degree by degree up to the shift
+    doc = json.loads(open(corpus.path("comm2")).read())
+    doc["module"] = {"rank": 1, "shifts": [2 ** 31]}
+    code, payload = run_json(capsys, "filtered-resolve",
+                             problem_file(tmp_path, doc))
+    assert code == 0
+    assert payload["shifts"][0] == [2 ** 31]
+
+
 @pytest.mark.parametrize("shifts,message", [
     ("a", "invalid literal for int() with base 10: 'a'"),
     ("0,x", "invalid literal for int() with base 10: 'x'"),
@@ -480,3 +503,106 @@ def test_oracle_staircase_degree_flag(capsys):
     assert payload["staircase"]
     _, default = run_json(capsys, "oracle-staircase", corpus.path("comm2"))
     assert default["degree_bound"] == 6
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing of the contract
+
+FUZZ_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "perfbench", "corpus")
+FUZZ_SOURCES = [corpus.path(name) for name in corpus.all_names()] + [
+    os.path.join(FUZZ_CORPUS, name + ".json")
+    for name in ("skew-4-2", "sl2-3-p", "weyl-3", "nonassoc")]
+FUZZ_VALUES = [-1, 0, 1, 2, 7, 2 ** 31, 1.5, "", "x", "1/0", "0", None,
+               True, [], {}, ["x"], {"kind": "PrimeField"}]
+FUZZ_CHARS = "xyzXabefh0123456789*^+-/= ()."
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every node of a JSON document, itself last."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _nodes(value, path + (k,))
+    yield path, doc
+
+
+def _mutate(rnd, text):
+    """One random edit of a problem file: of its JSON text, of one
+    string in it, of one node replaced by a value, or one key removed."""
+    kind = rnd.randrange(4)
+    if kind == 0:
+        k = rnd.randrange(len(text))
+        return text[:k] + rnd.choice(["", "}", "\"", "0"]) + text[k + 1:]
+    doc = json.loads(text)
+    nodes = list(_nodes(doc))
+    if kind == 1:
+        path, value = rnd.choice(
+            [(p, v) for p, v in nodes if isinstance(v, str)])
+        k = rnd.randrange(len(value) + 1)
+        value = value[:k] + rnd.choice(FUZZ_CHARS) + value[k + 1:]
+    elif kind == 2:
+        path, value = rnd.choice(nodes)[0], rnd.choice(FUZZ_VALUES)
+    else:
+        holder = rnd.choice(
+            [v for _, v in nodes if isinstance(v, dict) and v])
+        del holder[rnd.choice(sorted(holder))]
+        return json.dumps(doc)
+    if not path:
+        return json.dumps(value)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return json.dumps(doc)
+
+
+class _Abandoned(BaseException):
+    """Raised by the timer into a fuzz case that outruns its budget."""
+
+
+def _abandon(signum, frame):
+    raise _Abandoned()
+
+
+def test_mutated_problem_files_keep_the_contract(capsys, tmp_path):
+    """Exit code 0, 1 or 2, no traceback, and one line of stderr on a
+    rejected input, for seeded random edits of the bundled problem
+    files run through random subcommands.
+
+    An edit can turn e^3 into e^36, and the library has no computation
+    budget yet, so a case still running after one second is abandoned;
+    at most one case in twenty may be."""
+    rnd = random.Random(5)
+    texts = [open(path).read() for path in FUZZ_SOURCES]
+    commands = sorted(_COMMANDS)
+    path = tmp_path / "fuzz.json"
+    trials, abandoned = 400, 0
+    previous = signal.signal(signal.SIGALRM, _abandon)
+    try:
+        for trial in range(trials):
+            text = _mutate(rnd, rnd.choice(texts))
+            path.write_text(text)
+            command = rnd.choice(commands)
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                code, out, err = run(capsys, "--json", command, str(path))
+            except _Abandoned:
+                capsys.readouterr()
+                abandoned += 1
+                continue
+            except Exception as exc:  # a traceback for the user
+                pytest.fail("%s on %r raised %r" % (command, text, exc))
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert code in (0, 1, 2), (command, text)
+            if code == 2:
+                assert err.startswith("error:") and err.count("\n") == 1, (
+                    command, text, err)
+            if out:
+                json.loads(out)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert abandoned <= trials // 20

@@ -174,8 +174,8 @@ def test_reduced_basis_is_canonical(qplane, rng):
         gens = [random_vect(L, rng, max_degree=3, nonzero=True)
                 for _ in range(3)]
         G1 = reduce_basis(buchberger(gens, order))
-        scrambled = [g.scale(qplane.field.scalar(rng.choice([2, -1, 3]), 1))
-                     for g in reversed(gens)]
+        unit = qplane.field.scalar(rng.choice([2, -1, 3]), 1).value
+        scrambled = [g.scale(unit) for g in reversed(gens)]
         G2 = reduce_basis(buchberger(scrambled, order))
         assert [g.data for g in G1.elements] == [g.data for g in G2.elements]
         assert G1.flags["is_reduced"] and G2.flags["is_reduced"]
@@ -190,7 +190,7 @@ def test_reduced_tails_are_normal(weyl1, rng):
     G = reduce_basis(buchberger(gens, order))
     lms = [g.lm(order) for g in G.elements]
     for g in G.elements:
-        assert g.lc(order).is_one()
+        assert g.lc(order) == 1
         for mono in g.data:
             if mono == g.lm(order):
                 continue

@@ -53,7 +53,7 @@ def test_vect_componentwise_algebra(weyl1, rng):
 def test_vect_rejects_bad_components(weyl1):
     L = FreeModule(weyl1, 2)
     with pytest.raises(IncompatibleModules):
-        Vect(L, {((0, 0), 5): weyl1.field.one})
+        Vect(L, {((0, 0), 5): weyl1.field.one.value})
     with pytest.raises(IncompatibleModules):
         L.from_polys([weyl1.one()])
 

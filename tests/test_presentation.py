@@ -3,7 +3,7 @@ import random
 import pytest
 
 from solvpoly.algebra import DegreeFunction, MonomialOrder, build_algebra
-from solvpoly.coeff import FieldSpec
+from solvpoly.coeff import FieldSpec, MixedFields
 from solvpoly.presentation import (
     FreePoly,
     OverlapFailure,
@@ -43,11 +43,11 @@ def random_free_poly(rnd, n, max_terms=3, max_len=4):
     data = {}
     for _ in range(rnd.randint(1, max_terms)):
         w = random_word(rnd, n, max_len)
-        c = Q.scalar(rnd.randint(-3, 3), rnd.randint(1, 2))
-        if not c.is_zero():
-            data[w] = data.get(w, Q.zero) + c
+        c = Q.scalar(rnd.randint(-3, 3), rnd.randint(1, 2)).value
+        if c:
+            data[w] = data.get(w, 0) + c
     f = FreePoly(Q, n, data)
-    return f if not f.is_zero() else FreePoly(Q, n, {Word(()): Q.one})
+    return f if not f.is_zero() else FreePoly(Q, n, {Word(()): Q.one.value})
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +111,26 @@ def test_free_divide_reconstructs(rng):
                 assert not word_divides(g.lm(order).letters, w)
 
 
+def test_mixed_fields_and_letter_counts_are_refused():
+    F5 = FieldSpec("PrimeField", 5)
+    f = FreePoly(Q, 2, {Word((0, 1)): Q.one.value})
+    for other in (FreePoly(F5, 2, {Word((0, 1)): 1}),
+                  FreePoly(Q, 3, {Word((0, 1)): Q.one.value})):
+        with pytest.raises(MixedFields):
+            f + other
+        with pytest.raises(MixedFields):
+            f - other
+    # over GF(5) a negated payload is reduced again
+    assert (-FreePoly(F5, 2, {Word((0,)): 2})).coeff((0,)) == 3
+
+
 def test_free_divide_prefers_leftmost_occurrence():
     order = wo(2, priority=(1, 0))
     # rule X1 X2 -> X2 X1 applied to X1 X2 X1 rewrites in one step
-    g = FreePoly(Q, 2, {Word((0, 1)): Q.one, Word((1, 0)): -Q.one})
-    h = FreePoly(Q, 2, {Word((0, 1, 0)): Q.one})
+    g = FreePoly(Q, 2, {Word((0, 1)): Q.one.value, Word((1, 0)): -Q.one.value})
+    h = FreePoly(Q, 2, {Word((0, 1, 0)): Q.one.value})
     trace, rem = free_divide(h, [g], order)
-    assert rem == FreePoly(Q, 2, {Word((1, 0, 0)): Q.one})
+    assert rem == FreePoly(Q, 2, {Word((1, 0, 0)): Q.one.value})
     assert trace[0][1].letters == ()  # left cofactor of the first step
 
 
@@ -169,15 +182,16 @@ def test_overlap_values_cancel_leading_words(rng):
 
 def test_self_overlaps_of_a_power():
     order = wo(3, weights=(2, 1, 4), priority=(1, 0, 2))
-    f = FreePoly(Q, 3, {Word((2, 2, 2, 2)): Q.one, Word(()): Q.one})
+    one = Q.one.value
+    f = FreePoly(Q, 3, {Word((2, 2, 2, 2)): one, Word(()): one})
     shifts = sorted(o.shift for o in overlap_elements(f, f, order))
     assert shifts == [1, 2, 3]
 
 
 def test_interior_inclusion_is_not_an_overlap():
     order = wo(2)
-    f = FreePoly(Q, 2, {Word((0, 1, 1, 0)): Q.one})
-    g = FreePoly(Q, 2, {Word((1, 1)): Q.one})
+    f = FreePoly(Q, 2, {Word((0, 1, 1, 0)): Q.one.value})
+    g = FreePoly(Q, 2, {Word((1, 1)): Q.one.value})
     assert overlap_elements(f, g, order) == []
 
 
@@ -187,15 +201,16 @@ def test_interior_inclusion_is_not_an_overlap():
 
 def ex14_relations(lam=5, mu=2):
     """Three rewriting rules with weights (2, 1, 4), one true overlap."""
-    one = Q.one
+    one = Q.one.value
 
     def fp(data):
         return FreePoly(Q, 3, data)
 
     g1 = fp({Word((0, 1)): one, Word((1, 0)): -one})
-    g2 = fp({Word((2, 0)): one, Word((0, 2)): -Q.scalar(lam),
-             Word((2, 1, 1)): -Q.scalar(mu), Word((1,) * 6): -Q.scalar(3),
-             Word((1, 1)): -one, Word(()): -Q.scalar(7)})
+    g2 = fp({Word((2, 0)): one, Word((0, 2)): -Q.scalar(lam).value,
+             Word((2, 1, 1)): -Q.scalar(mu).value,
+             Word((1,) * 6): -Q.scalar(3).value,
+             Word((1, 1)): -one, Word(()): -Q.scalar(7).value})
     g3 = fp({Word((2, 1)): one, Word((1, 2)): -one})
     return [g1, g2, g3]
 
@@ -225,16 +240,16 @@ def test_wrong_relation_count_is_a_shape_violation():
 
 def test_square_leading_word_is_a_shape_violation():
     order = wo(2)
-    g = FreePoly(Q, 2, {Word((1, 1)): Q.one, Word((0, 0)): -Q.one})
+    g = FreePoly(Q, 2, {Word((1, 1)): Q.one.value, Word((0, 0)): -Q.one.value})
     with pytest.raises(ShapeViolation):
         verify_presentation([g], order)
 
 
 def test_nonconfluent_presentation_is_rejected():
     order = wo(3)
-    one = Q.one
+    one = Q.one.value
     # zx = xz + y^2 breaks the zyx diamond against the other two rules
-    g1 = FreePoly(Q, 3, {Word((1, 0)): one, Word((0, 1)): -Q.scalar(2)})
+    g1 = FreePoly(Q, 3, {Word((1, 0)): one, Word((0, 1)): -Q.scalar(2).value})
     g2 = FreePoly(Q, 3, {Word((2, 0)): one, Word((0, 2)): -one,
                          Word((1, 1)): -one})
     g3 = FreePoly(Q, 3, {Word((2, 1)): one, Word((1, 2)): -one})
@@ -248,8 +263,8 @@ def test_nonconfluent_presentation_is_rejected():
 
 def test_weyl_presentation_certifies():
     order = wo(2)
-    g = FreePoly(Q, 2, {Word((1, 0)): Q.one, Word((0, 1)): -Q.one,
-                        Word(()): -Q.one})
+    g = FreePoly(Q, 2, {Word((1, 0)): Q.one.value, Word((0, 1)): -Q.one.value,
+                        Word(()): -Q.one.value})
     rep = verify_presentation([g], order)
     assert rep.certified
     assert rep.overlaps_checked == 0
@@ -269,10 +284,10 @@ def test_certified_presentations_build_associative_algebras(rng):
                 lam = rng.choice([1, 2, 3, -1, Q.scalar(1, 2).value])
                 tail_c = rng.choice([0, 0, 1, -2])
                 lams[(j, i)] = lam
-                data = {Word((j, i)): Q.one,
-                        Word((i, j)): -Q.scalar(lam)}
+                data = {Word((j, i)): Q.one.value,
+                        Word((i, j)): -Q.scalar(lam).value}
                 if tail_c:
-                    data[Word(())] = Q.scalar(-tail_c)
+                    data[Word(())] = Q.scalar(-tail_c).value
                 rels.append(FreePoly(Q, n, data))
                 eq = "%s*%s = %s*%s*%s" % (names[j], names[i], lam,
                                            names[i], names[j])
@@ -302,8 +317,8 @@ def test_certified_presentations_build_associative_algebras(rng):
 
 def test_completion_of_complete_system_is_unchanged():
     order = wo(2)
-    g = FreePoly(Q, 2, {Word((1, 0)): Q.one, Word((0, 1)): -Q.one,
-                        Word(()): -Q.one})
+    g = FreePoly(Q, 2, {Word((1, 0)): Q.one.value, Word((0, 1)): -Q.one.value,
+                        Word(()): -Q.one.value})
     basis, complete = bounded_completion([g], order, max_new=8)
     assert complete
     assert len(basis) == 1
@@ -311,8 +326,8 @@ def test_completion_of_complete_system_is_unchanged():
 
 def test_completion_respects_budget():
     order = wo(3)
-    one = Q.one
-    g1 = FreePoly(Q, 3, {Word((1, 0)): one, Word((0, 1)): -Q.scalar(2)})
+    one = Q.one.value
+    g1 = FreePoly(Q, 3, {Word((1, 0)): one, Word((0, 1)): -Q.scalar(2).value})
     g2 = FreePoly(Q, 3, {Word((2, 0)): one, Word((0, 2)): -one,
                          Word((1, 1)): -one})
     g3 = FreePoly(Q, 3, {Word((2, 1)): one, Word((1, 2)): -one})
@@ -338,6 +353,8 @@ def test_word_and_poly_rendering():
     names = ("x", "y")
     assert word_str(Word(()), names) == "1"
     assert word_str(Word((0, 0, 1, 0)), names) == "x^2*y*x"
-    f = FreePoly(Q, 2, {Word((1, 0)): Q.one, Word(()): -Q.scalar(1, 2)})
+    f = FreePoly(Q, 2, {Word((1, 0)): Q.one.value,
+                        Word(()): -Q.scalar(1, 2).value})
     text = free_poly_str(f, names)
     assert "y*x" in text and "1/2" in text
+    assert text == "-1/2 + y*x"
