@@ -359,11 +359,25 @@ class Poly:
     def __init__(self, algebra: "SolvableAlgebra", terms):
         # terms: iterable of (ExpVec, payload); merged, zeros dropped,
         # sorted here.
-        data = _add_scaled({}, terms, 1, algebra.field.characteristic)
-        key = algebra.order.key
-        ordered = tuple(
-            sorted(data.items(), key=lambda t: key(t[0]), reverse=True)
-        )
+        self._fill(algebra, _add_scaled({}, terms, 1,
+                                        algebra.field.characteristic))
+
+    @classmethod
+    def _of(cls, algebra: "SolvableAlgebra", data: dict) -> "Poly":
+        """The polynomial of a dict the kernel already cleaned (no zero
+        payloads, canonical residues); it takes ownership of ``data``."""
+        f = object.__new__(cls)
+        f._fill(algebra, data)
+        return f
+
+    def _fill(self, algebra: "SolvableAlgebra", data: dict) -> None:
+        if len(data) < 2:
+            ordered = tuple(data.items())
+        else:
+            key = algebra.order.key
+            ordered = tuple(
+                sorted(data.items(), key=lambda t: key(t[0]), reverse=True)
+            )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", ordered)
         object.__setattr__(self, "_data", data)
@@ -432,7 +446,7 @@ class Poly:
             raise SolvpolyError("polynomials from different algebras")
         acc = _add_scaled(dict(self._data), other.terms, s,
                           A.field.characteristic)
-        return Poly(A, acc.items())
+        return Poly._of(A, acc)
 
     def __neg__(self) -> "Poly":
         return self.scale(-1)
@@ -440,8 +454,8 @@ class Poly:
     def scale(self, c) -> "Poly":
         """c * self for a payload c (or -1)."""
         A = self.algebra
-        acc = _add_scaled({}, self.terms, c, A.field.characteristic)
-        return Poly(A, acc.items())
+        return Poly._of(A, _add_scaled({}, self.terms, c,
+                                       A.field.characteristic))
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self.algebra.multiply(self, other)
@@ -502,6 +516,8 @@ class SolvableAlgebra:
             order.degree if order.kind == "grlex" else None
         )
         self.n = len(names)
+        self._units = tuple(unit_exp(self.n, k) for k in range(self.n))
+        self._one = field.one.value
         self.relations = {}
         self.product_cache = {}
         self._opposite: Optional[SolvableAlgebra] = None
@@ -605,47 +621,109 @@ class SolvableAlgebra:
     # -- the rewriting product ----------------------------------------------------
 
     def mono_mul(self, a: ExpVec, b: ExpVec) -> Poly:
-        """PBW normal form of a^a * a^b."""
+        """PBW normal form of a^a * a^b.
+
+        With l the least generator of a, a^a = a_l a^s, so the product
+        is a_l times a^s a^b.  The suffixes s are walked down to one
+        whose product is cached (or to 1), then back up, each product
+        built from the one below it: the depth of the call stack does
+        not grow with the exponents.
+        """
         a = tuple(a)
         b = tuple(b)
-        cached = self.product_cache.get((a, b))
-        if cached is not None:
-            return cached
-        if not any(a):
-            out = self.monomial(exp_add(a, b))
-        elif not any(b):
-            out = self.monomial(exp_add(a, b))
-        else:
-            k = max(idx for idx, v in enumerate(a) if v)
-            ek = unit_exp(self.n, k)
-            if a == ek:
-                out = self._gen_times_mono(k, b)
-            else:
-                t = self.mono_mul(ek, b)
-                out = self._mono_times_poly(exp_sub(a, ek), t)
-        if len(self.product_cache) < self._cache_limit:
-            self.product_cache[(a, b)] = out
+        out = self.product_cache.get((a, b))
+        if out is not None:
+            return out
+        if not any(a) or not any(b):
+            out = self._mono(exp_add(a, b))
+            self._remember(a, b, out)
+            return out
+        chain = []
+        s = a
+        while out is None and any(s):
+            l = next(idx for idx, v in enumerate(s) if v)
+            chain.append((l, s))
+            s = exp_sub(s, self._units[l])
+            out = self.product_cache.get((s, b))
+        if out is None:
+            out = self._mono(b)
+        for l, s in reversed(chain):
+            out = Poly._of(self, self._add_gen_times({}, l, out, 1))
+            self._remember(s, b, out)
         return out
 
-    def _gen_times_mono(self, k: int, b: ExpVec) -> Poly:
-        """Normal form of a_k * a^b with b nonzero."""
-        i = min(idx for idx, v in enumerate(b) if v)
-        if k <= i:
-            return self.monomial(exp_add(unit_exp(self.n, k), b))
-        rel = self.relations[(k, i)]
-        rest = exp_sub(b, unit_exp(self.n, i))
-        t = self.mono_mul(unit_exp(self.n, k), rest)
-        swapped = self._mono_times_poly(unit_exp(self.n, i), t).scale(rel.lam)
-        if rel.tail.is_zero():
-            return swapped
-        return swapped + self.multiply(rel.tail, self.monomial(rest))
+    def _mono(self, exp: ExpVec) -> Poly:
+        return Poly._of(self, {exp: self._one})
 
-    def _mono_times_poly(self, a: ExpVec, f: Poly) -> Poly:
+    def _remember(self, a: ExpVec, b: ExpVec, out: Poly) -> None:
+        if len(self.product_cache) < self._cache_limit:
+            self.product_cache[(a, b)] = out
+
+    def _add_gen_times(self, acc: dict, k: int, f: Poly, s) -> dict:
+        """acc += s * a_k * f in place; returns acc."""
         p = self.field.characteristic
-        acc = {}
+        ek = self._units[k]
         for exp, c in f.terms:
-            _add_scaled(acc, self.mono_mul(a, exp).terms, c, p)
-        return Poly(self, acc.items())
+            if not any(exp[:k]):
+                # a_k a^exp is already ordered
+                _add_scaled(acc, ((exp_add(ek, exp), c),), s, p)
+                continue
+            t = self.product_cache.get((ek, exp))
+            if t is None:
+                t = self._gen_times_mono(k, exp)
+                self._remember(ek, exp, t)
+            _add_scaled(acc, t.terms, c if s == 1 else c * s, p)
+        return acc
+
+    def _gen_times_mono(self, k: int, b: ExpVec) -> Poly:
+        """Normal form of a_k * a^b, for b with a generator below k.
+
+        The generators of b from k on are split off first:
+        a_k a^b = (a_k a^low) a^high.  Then, with i the least generator
+        of low, a^low = a_i a^r and the relation
+        a_k a_i = lam a_i a_k + tail give a_k a^low =
+        lam a_i (a_k a^r) + tail a^r.  The suffixes r are walked down to
+        one that a_k precedes (or whose product is cached), then back
+        up, as in :meth:`mono_mul`.
+        """
+        p = self.field.characteristic
+        ek = self._units[k]
+        if any(b[k:]):
+            low = b[:k] + (0,) * (self.n - k)
+            high = (0,) * k + b[k:]
+            t = self.product_cache.get((ek, low))
+            if t is None:
+                t = self._gen_times_mono(k, low)
+                self._remember(ek, low, t)
+            m = next(idx for idx, v in enumerate(high) if v)
+            acc = {}
+            for e, c in t.terms:
+                if not any(e[m + 1:]):
+                    # a^e a^high is already ordered
+                    _add_scaled(acc, ((exp_add(e, high), c),), 1, p)
+                else:
+                    _add_scaled(acc, self.mono_mul(e, high).terms, c, p)
+            return Poly._of(self, acc)
+        chain = []
+        s = b
+        out = None
+        while out is None:
+            i = next((idx for idx, v in enumerate(s) if v), self.n)
+            if k <= i:
+                out = self._mono(exp_add(ek, s))
+                break
+            rest = exp_sub(s, self._units[i])
+            chain.append((i, s, rest))
+            s = rest
+            out = self.product_cache.get((ek, s))
+        for i, s, rest in reversed(chain):
+            rel = self.relations[(k, i)]
+            acc = self._add_gen_times({}, i, out, rel.lam)
+            for te, tc in rel.tail.terms:
+                _add_scaled(acc, self.mono_mul(te, rest).terms, tc, p)
+            out = Poly._of(self, acc)
+            self._remember(ek, s, out)
+        return out
 
     def multiply(self, f: Poly, g: Poly) -> Poly:
         """Product of two elements, normalized onto the PBW basis."""
@@ -656,7 +734,7 @@ class SolvableAlgebra:
         for ea, ca in f.terms:
             for eb, cb in g.terms:
                 _add_scaled(acc, self.mono_mul(ea, eb).terms, ca * cb, p)
-        return Poly(self, acc.items())
+        return Poly._of(self, acc)
 
     # -- parsing and printing -------------------------------------------------------
 

@@ -737,7 +737,7 @@ def minimal_standard_basis(
     bound = max(
         gorder.degree_of(m) for v in graded_U for m in v.data
     )
-    _basis, _vrows, kept = degree_driven_completion(
+    _, _, kept = degree_driven_completion(
         graded_U, gorder, cap=None, early_stop=bound
     )
     return [U[j] for j in kept]

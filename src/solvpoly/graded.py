@@ -190,7 +190,7 @@ def min_homogeneous_gens(
     n0 = max(
         (order.degree_of(m) for v in inputs for m in v.data), default=None
     )
-    basis, vrows, kept = degree_driven_completion(
+    basis, V, kept = degree_driven_completion(
         inputs, order, cap=None, early_stop=n0 if early_stop else None
     )
     return [inputs[j] for j in kept], GroebnerBasis(
@@ -198,7 +198,7 @@ def min_homogeneous_gens(
         order,
         basis,
         list(inputs),
-        vrows,
+        V,
         truncation_degree=n0 if early_stop else None,
     )
 
@@ -369,13 +369,11 @@ def _syzygy_generators_tracked(
 ) -> Tuple[List[Vect], List[Vect], FreeModule]:
     """Minimal generators step: returns (U_min, syzygy generators of
     U_min, the syzygy coordinate module with matching shifts)."""
-    basis, vrows, kept = degree_driven_completion(U, order)
+    basis, (trace, steps), kept = degree_driven_completion(U, order)
     u_min = [U[j] for j in kept]
-    # inputs that were not kept reduced to zero, so their V columns are zero
-    G = GroebnerBasis(
-        U[0].module, order, basis, u_min,
-        [[row[j] for j in kept] for row in vrows],
-    )
+    # inputs that were not kept reduced to zero, so no step copies them
+    trace.select_inputs(kept)
+    G = GroebnerBasis(U[0].module, order, basis, u_min, (trace, steps))
     shifts = [vect_degree_if_homogeneous(x) for x in u_min]
     syz_module = FreeModule(
         U[0].module.algebra, max(len(u_min), 1), shifts=shifts or None

@@ -4,10 +4,13 @@ The completion loop is the noncommutative Buchberger procedure for
 solvable algebras: only pairs whose leading monomials share a module
 component produce S-vectors, pair selection is by minimal shifted
 degree of the pair's join monomial (ties by creation index), and each
-nonzero remainder joins the basis monic.  The transition matrix
-``V``, which writes every basis element as a left combination of the
-inputs, is tracked throughout the loop.  ``U``, which writes every
-input in the basis, is derived on demand: :attr:`GroebnerBasis.U`
+nonzero remainder joins the basis monic.  Both transition matrices
+are derived on demand.  The loop records how each element arose (its
+trace: the input it copies, or the pair multipliers and division
+quotients that made it, and its normalising inverse), and
+:attr:`GroebnerBasis.V`, which writes every basis element as a left
+combination of the inputs, is built from those traces on first read.
+:attr:`GroebnerBasis.U`, which writes every input in the basis,
 divides the inputs by the basis on first read.
 
 A popped pair (i, j) is skipped by Buchberger's chain criterion when
@@ -33,17 +36,21 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .coeff import SolvpolyError, _add_scaled
 from .algebra import (
     ExpVec,
     Poly,
+    SolvableAlgebra,
     ZeroPolynomial,
     exp_max,
     exp_sub,
     exps_within,
     reversed_poly,
+    zero_exp,
 )
 from .modfree import (
     FreeModule,
@@ -128,14 +135,96 @@ class Staircase:
         return "Staircase(%r)" % (self.by_component,)
 
 
+class _Trace:
+    """The V rows of a family of elements, kept as the steps that derive
+    them.
+
+    Step k stands for the row ``inv * (e_unit + sum sign * f * row(src))``
+    over ``m`` inputs: ``unit`` is an input index or None, each term
+    pairs a sign and a left multiplier f with an earlier step src, and
+    ``inv`` is the normalising inverse (None for one).  :meth:`rows`
+    evaluates the steps asked for and those they depend on, in
+    ascending order, each row one dict accumulated through the kernel;
+    an evaluated step is dropped and its row kept.
+    """
+
+    def __init__(self, A: SolvableAlgebra, m: int):
+        self.A = A
+        self.m = m
+        self.steps: List[Optional[tuple]] = []
+        self.done: Dict[int, Vect] = {}
+        self.module = FreeModule(A, max(m, 1))
+
+    def add(self, unit: Optional[int], terms: list, inv=None) -> int:
+        self.steps.append((unit, terms, inv))
+        return len(self.steps) - 1
+
+    def given(self, rows: Sequence[Sequence[Poly]]) -> List[int]:
+        """Steps for rows already known."""
+        ids = []
+        for row in rows:
+            ids.append(len(self.steps))
+            self.steps.append(None)
+            self.done[ids[-1]] = Vect._of(self.module, {
+                (e, j): c for j, f in enumerate(row) for e, c in f.terms
+            })
+        return ids
+
+    def select_inputs(self, kept: Sequence[int]) -> None:
+        """Renumber the inputs to their positions in ``kept``; an input
+        left out must be the unit of no step."""
+        pos = {j: t for t, j in enumerate(kept)}
+        self.steps = [
+            (pos[st[0]],) + st[1:] if st and st[0] is not None else st
+            for st in self.steps
+        ]
+        self.m = len(kept)
+        self.module = FreeModule(self.A, max(self.m, 1))
+
+    def rows(self, ids: Sequence[int]) -> List[List[Poly]]:
+        """The rows of the steps ``ids``, evaluating what they need."""
+        A, done = self.A, self.done
+        need: Set[int] = set()
+        stack = list(ids)
+        while stack:
+            k = stack.pop()
+            if k in done or k in need:
+                continue
+            need.add(k)
+            stack.extend(src for _, _, src in self.steps[k][1])
+        unit_exp = zero_exp(A.n)
+        for k in sorted(need):
+            unit, terms, inv = self.steps[k]
+            acc: Dict[ModMonomial, object] = {}
+            if unit is not None:
+                acc[(unit_exp, unit)] = A.field.one.value
+            for sign, f, src in terms:
+                done[src]._add_lmul(acc, f if sign == 1 else -f)
+            if inv is not None:
+                # scaled once at the end: a multiplier scaled first would
+                # swell every product of the sum over Q
+                acc = _add_scaled({}, acc.items(), inv, A.field.characteristic)
+            done[k] = Vect._of(self.module, acc)
+            self.steps[k] = None
+        out = []
+        for k in ids:
+            cols: List[Dict[ExpVec, object]] = [{} for _ in range(self.m)]
+            for (e, j), c in done[k].data.items():
+                cols[j][e] = c
+            out.append([Poly._of(A, col) for col in cols])
+        return out
+
+
 class GroebnerBasis:
     """A computed left (or right) Groebner basis with transition data.
 
     ``elements[k] = sum_j V[k][j] * inputs[j]`` and
     ``inputs[j] = sum_k U[j][k] * elements[k]`` for left bases; for
     right bases the coefficients multiply from the right instead.
-    ``V`` is given by whoever builds the basis; ``U`` is derived from
-    the elements on first read (see :attr:`U`).
+    Both are derived on first read: ``V`` from the trace of the
+    completion (see :attr:`V`), ``U`` from the elements (see :attr:`U`).
+    The ``V`` argument is the rows themselves or a ``(trace, steps)``
+    pair, step ``steps[k]`` of the trace deriving row k.
     """
 
     def __init__(
@@ -144,7 +233,7 @@ class GroebnerBasis:
         order: ModOrder,
         elements: List[Vect],
         inputs: List[Vect],
-        V: List[List[Poly]],
+        V: Union[List[List[Poly]], Tuple[_Trace, List[int]]],
         side: str = "left",
         is_minimal: bool = False,
         is_reduced: bool = False,
@@ -154,13 +243,38 @@ class GroebnerBasis:
         self.order = order
         self.elements = elements
         self.inputs = inputs
-        self.V = V
+        self._trace: Optional[_Trace] = None
+        if isinstance(V, tuple):
+            self._trace, self._steps = V
+        else:
+            self.V = V
         self.side = side
         self.flags = {
             "is_minimal": is_minimal,
             "is_reduced": is_reduced,
             "truncation_degree": truncation_degree,
         }
+
+    @cached_property
+    def V(self) -> List[List[Poly]]:
+        """Row k writes ``elements[k]`` in the inputs, built on first
+        read from the steps of the trace that row k and the rows it
+        derives from need; the trace is dropped then.  A right basis is
+        traced over ``A.opposite()`` and its rows are mapped back."""
+        rows = self._trace.rows(self._steps)
+        A = self.module.algebra
+        if self._trace.A is not A:
+            rows = [[reversed_poly(f, A) for f in row] for row in rows]
+        self._trace = self._steps = None
+        return rows
+
+    def _lazy_V(self) -> Tuple[_Trace, List[int]]:
+        """A ``(trace, steps)`` pair for V; rows already built are given
+        to a fresh trace."""
+        if self._trace is None:
+            trace = _Trace(self.module.algebra, len(self.inputs))
+            return trace, trace.given(self.V)
+        return self._trace, self._steps
 
     @cached_property
     def U(self) -> Optional[List[List[Poly]]]:
@@ -228,7 +342,7 @@ def _spair_data(xi: Vect, zeta: Vect, order: ModOrder):
     cj = A.field.inverse(zeta.data[mj] * A.mono_mul(aj, mj[0]).terms[0][1])
     acc = xi._add_lmul({}, A.monomial(ai, ci))
     zeta._add_lmul(acc, -A.monomial(aj, cj))
-    return Vect(xi.module, acc), ci, ai, cj, aj, gamma, mi[1]
+    return Vect._of(xi.module, acc), ci, ai, cj, aj, gamma, mi[1]
 
 
 def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
@@ -253,45 +367,31 @@ class _Engine:
         self.module = module
         self.order = order
         self.A = module.algebra
-        self.m = n_inputs
         self.basis: List[Vect] = []
         self.lms: List[ModMonomial] = []
-        self.vrows: List[List[Poly]] = []
+        self.trace = _Trace(self.A, n_inputs)
         self.heap: List[Tuple[int, int, int, int]] = []
         self.handled: Set[Tuple[int, int]] = set()
         self._pair_counter = 0
         self.pair_cap: Optional[int] = None
 
-    def zero_row(self) -> List[Poly]:
-        return [self.A.zero() for _ in range(self.m)]
-
-    def unit_row(self, j: int) -> List[Poly]:
-        row = self.zero_row()
-        row[j] = self.A.one()
-        return row
-
-    def row_sub_mul(
-        self, row: List[Poly], f: Poly, other: List[Poly]
-    ) -> List[Poly]:
-        """row - f * other, entrywise left multiplication."""
-        return [
-            p - self.A.multiply(f, q) if not q.is_zero() else p
-            for p, q in zip(row, other)
-        ]
-
-    def append(self, v: Vect, row: List[Poly], make_pairs: bool = True) -> int:
+    def append(self, v: Vect, unit: Optional[int], terms: list) -> int:
+        """Add v monic, traced as ``unit`` plus ``terms`` (see
+        :class:`_Trace`, whose step t is element t); pairs it with the
+        earlier elements."""
         lc = v.lc(self.order)
+        inv = None
         if lc != 1:
             inv = self.A.field.inverse(lc)
             v = v.scale(inv)
-            row = [p.scale(inv) for p in row]
         self.basis.append(v)
         self.lms.append(v.lm(self.order))
-        self.vrows.append(row)
-        t = len(self.basis) - 1
-        if make_pairs:
-            self.make_pairs(t)
+        t = self.trace.add(unit, terms, inv)
+        self.make_pairs(t)
         return t
+
+    def lazy_V(self) -> Tuple[_Trace, List[int]]:
+        return self.trace, list(range(len(self.basis)))
 
     def make_pairs(self, t: int) -> None:
         mt = self.lms[t]
@@ -344,19 +444,23 @@ class _Engine:
         quotients, eta = self.reduce(S)
         if eta.is_zero():
             return None
-        row = self.row_sub_mul(
-            self.zero_row(), -self.A.monomial(expi, ci), self.vrows[i]
+        terms = [
+            (1, self.A.monomial(expi, ci), i),
+            (-1, self.A.monomial(expj, cj), j),
+        ]
+        return self.append(
+            eta, None, terms + _minus(quotients, range(len(quotients)))
         )
-        row = self.row_sub_mul(row, self.A.monomial(expj, cj), self.vrows[j])
-        for k, q in enumerate(quotients):
-            if not q.is_zero():
-                row = self.row_sub_mul(row, q, self.vrows[k])
-        return self.append(eta, row)
 
     def run_pairs(self) -> None:
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
             self.step_pair(i, j)
+
+
+def _minus(quotients: Sequence[Poly], srcs: Sequence[int]) -> list:
+    """Trace terms subtracting ``quotients[k]`` times step ``srcs[k]``."""
+    return [(-1, q, srcs[k]) for k, q in enumerate(quotients) if q]
 
 
 def _common_module(inputs: Sequence[Vect]) -> FreeModule:
@@ -383,18 +487,16 @@ def buchberger(
         raise ValueError("buchberger needs at least one generator")
     module = _common_module(inputs)
     if truncate is not None:
-        basis, vrows, _ = degree_driven_completion(
-            inputs, order, cap=truncate
-        )
+        basis, V, _ = degree_driven_completion(inputs, order, cap=truncate)
     else:
         eng = _Engine(module, order, len(inputs))
         for j, xi in enumerate(inputs):
             if not xi.is_zero():
-                eng.append(xi, eng.unit_row(j))
+                eng.append(xi, j, [])
         eng.run_pairs()
-        basis, vrows = eng.basis, eng.vrows
+        basis, V = eng.basis, eng.lazy_V()
     return GroebnerBasis(
-        module, order, basis, inputs, vrows, truncation_degree=truncate
+        module, order, basis, inputs, V, truncation_degree=truncate
     )
 
 
@@ -415,7 +517,8 @@ def degree_driven_completion(
     ``cap`` drops every pair and input above the given degree,
     yielding a truncated basis; ``early_stop`` finishes the given
     degree and then abandons the remaining (strictly higher) pairs.
-    Returns ``(basis, vrows, kept_input_indices)``.
+    Returns ``(basis, V, kept_input_indices)``, V the ``(trace, steps)``
+    argument of :class:`GroebnerBasis`.
     """
     inputs = list(inputs)
     if not inputs:
@@ -455,12 +558,8 @@ def degree_driven_completion(
             if eta.is_zero():
                 continue
             kept.append(j)
-            row = eng.unit_row(j)
-            for k, q in enumerate(quotients):
-                if not q.is_zero():
-                    row = eng.row_sub_mul(row, q, eng.vrows[k])
-            eng.append(eta, row)
-    return eng.basis, eng.vrows, kept
+            eng.append(eta, j, _minus(quotients, range(len(quotients))))
+    return eng.basis, eng.lazy_V(), kept
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +587,13 @@ def minimalize(G: GroebnerBasis) -> GroebnerBasis:
     the element order canonical for a given submodule.
     """
     kept = _minimal_indices(G.leading_monomials(), G.order)
+    trace, steps = G._lazy_V()
     return GroebnerBasis(
         G.module,
         G.order,
         [G.elements[i] for i in kept],
         G.inputs,
-        [G.V[i] for i in kept],
+        (trace, [steps[i] for i in kept]),
         side=G.side,
         is_minimal=True,
         truncation_degree=G.flags["truncation_degree"],
@@ -507,7 +607,8 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
     order = G0.order
     module = G0.module
     elements = list(G0.elements)
-    V = [list(row) for row in G0.V]
+    trace, steps = G0._lazy_V()
+    steps = list(steps)
     A = module.algebra
     for i in range(len(elements)):
         others = elements[:i] + elements[i + 1 :]
@@ -516,28 +617,23 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
         quotients, rem = left_divide_module(elements[i], others, order)
         if rem == elements[i]:
             continue
-        row = V[i]
-        for k, q in enumerate(quotients):
-            if q.is_zero():
-                continue
-            src = k if k < i else k + 1
-            row = [
-                p - A.multiply(q, s) if not s.is_zero() else p
-                for p, s in zip(row, V[src])
-            ]
+        # row i - sum q_k * row k, over the rows as they stand now
+        terms = [(1, A.one(), steps[i])] + _minus(
+            quotients, steps[:i] + steps[i + 1 :]
+        )
         lc = rem.lc(order)
+        inv = None
         if lc != 1:
             inv = A.field.inverse(lc)
             rem = rem.scale(inv)
-            row = [p.scale(inv) for p in row]
         elements[i] = rem
-        V[i] = row
+        steps[i] = trace.add(None, terms, inv)
     return GroebnerBasis(
         module,
         order,
         elements,
         G0.inputs,
-        V,
+        (trace, steps),
         side=G0.side,
         is_minimal=True,
         is_reduced=True,
@@ -582,7 +678,7 @@ def right_buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
         order,
         [reversed_vect(g, module) for g in G.elements],
         inputs,
-        [[reversed_poly(f, A) for f in row] for row in G.V],
+        G._lazy_V(),
         side="right",
     )
 

@@ -178,6 +178,15 @@ class Vect:
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "data", clean)
 
+    @classmethod
+    def _of(cls, module: FreeModule, data: Dict[ModMonomial, object]) -> "Vect":
+        """The vector of a dict the kernel already cleaned, on components
+        of ``module``; it takes ownership of ``data``."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "module", module)
+        object.__setattr__(v, "data", data)
+        return v
+
     def __setattr__(self, name, value):
         raise AttributeError("Vect is immutable")
 
@@ -231,7 +240,7 @@ class Vect:
         self._check(other)
         p = self.module.algebra.field.characteristic
         acc = _add_scaled(dict(self.data), other.data.items(), s, p)
-        return Vect(self.module, acc)
+        return Vect._of(self.module, acc)
 
     def __neg__(self) -> "Vect":
         return self.scale(-1)
@@ -239,7 +248,7 @@ class Vect:
     def scale(self, c) -> "Vect":
         """c * self for a payload c (or -1)."""
         p = self.module.algebra.field.characteristic
-        return Vect(self.module, _add_scaled({}, self.data.items(), c, p))
+        return Vect._of(self.module, _add_scaled({}, self.data.items(), c, p))
 
     def monic(self, order: "ModOrder") -> "Vect":
         c = self.lc(order)
@@ -249,7 +258,7 @@ class Vect:
 
     def lmul(self, f: Poly) -> "Vect":
         """Left multiplication by a ring element."""
-        return Vect(self.module, self._add_lmul({}, f))
+        return Vect._of(self.module, self._add_lmul({}, f))
 
     def _add_lmul(self, acc: Dict[ModMonomial, object], f: Poly):
         """acc += f * self in place; returns acc."""
@@ -502,7 +511,7 @@ def left_divide_module(
                         work[m] = cur
                     else:
                         del work[m]
-    return [Poly(A, q.items()) for q in quotients], Vect(module, remainder)
+    return [Poly._of(A, q) for q in quotients], Vect._of(module, remainder)
 
 
 def right_divide_module(

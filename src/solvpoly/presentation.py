@@ -16,6 +16,7 @@ mathematically meaningful and multiplication is associative.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import FieldSpec, MixedFields, SolvpolyError, _add_scaled
@@ -130,6 +131,7 @@ class WordOrder:
         self.degree = degree
         self.letter_priority = prio
         self._rank = {letter: pos for pos, letter in enumerate(prio)}
+        self._keys: Dict[Letters, tuple] = {}
 
     @property
     def n(self) -> int:
@@ -140,7 +142,14 @@ class WordOrder:
         return sum(w[l] for l in letters)
 
     def key(self, word: Letters):
-        return (self.word_degree(word), tuple(self._rank[l] for l in word))
+        """Memoised per order object, as ``MonomialOrder.key`` is."""
+        k = self._keys.get(word)
+        if k is None:
+            rank = self._rank
+            k = self._keys[word] = (
+                self.word_degree(word), tuple(rank[l] for l in word)
+            )
+        return k
 
     def compare(self, a: Letters, b: Letters) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -182,6 +191,16 @@ class FreePoly:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "data", clean)
 
+    @classmethod
+    def _of(cls, field: FieldSpec, n: int, data: dict) -> "FreePoly":
+        """The element of a dict the kernel already cleaned, on letters
+        below n; it takes ownership of ``data``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", field)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "data", data)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("FreePoly is immutable")
 
@@ -208,10 +227,6 @@ class FreePoly:
     def lc(self, order: WordOrder):
         return self.data[self.lm(order).letters]
 
-    def lt(self, order: WordOrder) -> "FreePoly":
-        w = self.lm(order).letters
-        return FreePoly(self.field, self.n, [(w, self.data[w])])
-
     def monic(self, order: WordOrder) -> "FreePoly":
         if not self.data:
             return self
@@ -219,7 +234,7 @@ class FreePoly:
 
     def scale(self, c) -> "FreePoly":
         """c * self for a payload c (or -1)."""
-        return FreePoly(
+        return FreePoly._of(
             self.field,
             self.n,
             _add_scaled({}, self.data.items(), c, self.field.characteristic),
@@ -242,7 +257,7 @@ class FreePoly:
         out = _add_scaled(
             dict(self.data), other.data.items(), s, self.field.characteristic
         )
-        return FreePoly(self.field, self.n, out)
+        return FreePoly._of(self.field, self.n, out)
 
     def __neg__(self) -> "FreePoly":
         return self.scale(-1)
@@ -291,15 +306,21 @@ def free_divide(
     if any(g.is_zero() for g in G):
         raise SolvpolyError("division by a zero element")
     lead = [g.lm(order).letters for g in G]
-    lc = [g.lc(order) for g in G]
+    lc = [g.data[w] for g, w in zip(G, lead)]
     field = f.field
     p = field.characteristic
+    key = order.key
     trace: List[Tuple[object, Word, int, Word]] = []
     rem: Dict[Letters, object] = {}
-    h = f
-    while not h.is_zero():
-        w = h.lm(order).letters
-        c = h.data[w]
+    # reduced in place; ``pending`` holds the (key, word) pairs of
+    # ``work`` ascending, a pair whose term has cancelled is skipped
+    work = dict(f.data)
+    pending = sorted((key(w), w) for w in work)
+    while pending:
+        w = pending.pop()[1]
+        c = work.get(w)
+        if c is None:
+            continue
         hit = None
         for j, u in enumerate(lead):
             pos = occurrences(u, w)
@@ -307,18 +328,20 @@ def free_divide(
                 hit = (j, pos[0])
                 break
         if hit is None:
-            rem[w] = c
-            h = h - h.lt(order)
+            rem[w] = work.pop(w)
             continue
         j, k = hit
         lam = c * field.inverse(lc[j])
         if p:
             lam %= p
-        U = Word(w[:k])
-        V = Word(w[k + len(lead[j]) :])
-        trace.append((lam, U, j, V))
-        h = h - G[j].sandwich(U, V).scale(lam)
-    return trace, FreePoly(f.field, f.n, rem)
+        U, V = w[:k], w[k + len(lead[j]) :]
+        trace.append((lam, Word(U), j, Word(V)))
+        terms = [(U + gw + V, gc) for gw, gc in G[j].data.items()]
+        for m, _ in terms:
+            if m not in work:
+                insort(pending, (key(m), m))
+        _add_scaled(work, terms, -lam, p)
+    return trace, FreePoly._of(field, f.n, rem)
 
 
 # ---------------------------------------------------------------------------

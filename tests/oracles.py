@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's completion
 machinery: the rank-one Weyl algebra acts on honest polynomials in
 one variable, degree slices are enumerated by brute force, and kernel
-dimensions come from exact row reduction over the coefficient field.
+dimensions come from exact row reduction over the coefficient field,
+and products are rewritten word by word from the relation table.
 Tests pit library answers against these.  The reference division
 runs term by term over whole immutable Vect and Poly values.
 """
@@ -50,6 +51,50 @@ def weyl_act(f: Poly, p: Sequence[Fraction]) -> List[Fraction]:
 
 def t_power(k: int) -> List[Fraction]:
     return [Fraction(0)] * k + [Fraction(1)]
+
+
+# ---------------------------------------------------------------------------
+# products by rewriting words with the relation table
+# ---------------------------------------------------------------------------
+
+def _word(exp: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(i for i, k in enumerate(exp) for _ in range(k))
+
+
+def reference_product(f: Poly, g: Poly) -> Poly:
+    """f * g by rewriting words letter by letter: the first descent
+    a_j a_i (j > i) of a word becomes lam a_i a_j + tail, until every
+    word is ordered.  Shares nothing with the library's monomial
+    product or its cache; coefficients are field-checked Scalars."""
+    A = f.algebra
+    field = A.field
+    todo: Dict[Tuple[int, ...], object] = {}
+    done: Dict[Tuple[int, ...], object] = {}
+
+    def add(bucket, w, c):
+        s = bucket.get(w)
+        bucket[w] = c if s is None else s + c
+
+    for ea, ca in f.terms:
+        for eb, cb in g.terms:
+            add(todo, _word(ea) + _word(eb), field.scalar(ca) * field.scalar(cb))
+    while todo:
+        w, c = todo.popitem()
+        if c.is_zero():
+            continue
+        k = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+        if k is None:
+            add(done, w, c)
+            continue
+        rel = A.relations[(w[k], w[k + 1])]
+        add(todo, w[:k] + (w[k + 1], w[k]) + w[k + 2:],
+            c * field.scalar(rel.lam))
+        for te, tc in rel.tail.terms:
+            add(todo, w[:k] + _word(te) + w[k + 2:], c * field.scalar(tc))
+    return A.from_terms(
+        (tuple(w.count(i) for i in range(A.n)), c.value)
+        for w, c in done.items() if not c.is_zero()
+    )
 
 
 # ---------------------------------------------------------------------------

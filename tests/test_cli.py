@@ -495,6 +495,27 @@ def test_transfer_check_rejects_a_non_basis(capsys):
     assert payload["agree"] is True
 
 
+def test_large_exponents_keep_the_product_stack_flat(capsys, tmp_path):
+    # y^400 * x^400 in the Weyl algebra takes 400 rewriting steps in each
+    # factor; the depth of the product must not grow with them
+    doc = json.loads(open(corpus.path("weyl1")).read())
+    doc["submodule_generators"] = ["y^400*x^400"]
+    code, payload = run_json(capsys, "gb", problem_file(tmp_path, doc))
+    assert code == 0
+    terms = payload["basis"][0].split(" + ")
+    assert terms[:2] == ["x^400*y^400", "160000*x^399*y^399"]
+
+
+def test_transfer_check_with_large_degrees(capsys, tmp_path):
+    # the Rees homogeniser of degree-1000 generators gets exponent 2000
+    doc = json.loads(open(corpus.path("ex12")).read())
+    doc["degrees"] = [1000, 1000, 1000]
+    code, payload = run_json(capsys, "transfer-check",
+                             problem_file(tmp_path, doc))
+    assert code == 1
+    assert payload["agree"] is True
+
+
 def test_oracle_staircase_degree_flag(capsys):
     code, payload = run_json(capsys, "oracle-staircase", "--oracle-degree",
                              "4", corpus.path("comm2"))

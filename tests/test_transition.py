@@ -1,0 +1,204 @@
+"""The transition matrix V: derived from the completion's trace on first
+read, and only where something reads it.
+
+``elements = V * inputs`` is checked with the word-rewriting product of
+``tests/oracles.py``, which shares nothing with the library's monomial
+product.
+"""
+
+import contextlib
+import io
+import os
+import random
+
+import pytest
+
+import solvpoly.filtered as filtered
+import solvpoly.groebner as groebner
+import solvpoly.syzres as syzres
+from solvpoly import fixtures
+from solvpoly.cli import main
+from solvpoly.groebner import (
+    buchberger,
+    minimalize,
+    reduce_basis,
+    right_buchberger,
+)
+from solvpoly.modfree import FreeModule, ModOrder
+
+import oracles
+from conftest import random_poly, random_vect
+
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
+FIXTURES = ["comm2", "weyl1", "qplane", "ex12", "ex14", "qheis"]
+
+
+def combination(G, right=False):
+    """sum_j V[k][j] * inputs[j] (inputs[j] * V[k][j] for right bases)
+    for every k, by the reference product."""
+    out = []
+    for row in G.V:
+        polys = [G.module.algebra.zero() for _ in range(G.module.rank)]
+        for f, xi in zip(row, G.inputs):
+            for c, g in enumerate(xi.to_polys()):
+                pair = (g, f) if right else (f, g)
+                polys[c] = polys[c] + oracles.reference_product(*pair)
+        out.append(G.module.from_polys(polys))
+    return out
+
+
+def assert_V(G, right=False):
+    assert len(G.V) == len(G.elements)
+    assert all(len(row) == len(G.inputs) for row in G.V)
+    assert combination(G, right) == G.elements
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_products_agree_with_word_rewriting(name):
+    A = fixtures.load(name).algebra
+    rnd = random.Random(8)
+    for _ in range(20):
+        f = random_poly(A, rnd, max_degree=4)
+        g = random_poly(A, rnd, max_degree=4)
+        assert A.multiply(f, g) == oracles.reference_product(f, g)
+
+
+@pytest.mark.parametrize("kind", ["top", "pot"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_V_writes_every_basis_in_the_inputs(name, kind):
+    """Seeded random rank-2 submodules: V of buchberger, minimalize and
+    reduce_basis, with the basis's own V read before or after the
+    derived ones, and right_buchberger with right-sided products."""
+    A = fixtures.load(name).algebra
+    L = FreeModule(A, 2)
+    order = ModOrder(kind, A.order, 2)
+    rnd = random.Random(len(name) * 31 + len(kind))
+    for trial in range(3):
+        gens = [random_vect(L, rnd, max_degree=2, max_terms=2, nonzero=True)
+                for _ in range(rnd.randint(2, 3))]
+        G = buchberger(gens, order)
+        derived = [minimalize(G), reduce_basis(G)]
+        if trial % 2:
+            assert_V(G)
+            derived.append(reduce_basis(G))
+        for D in derived:
+            assert_V(D)
+        assert_V(G)
+        if trial == 0:
+            R = right_buchberger(gens, order)
+            assert_V(R, right=True)
+            assert_V(minimalize(R), right=True)
+
+
+def _random_homogeneous(L, rnd, degree):
+    A = L.algebra
+    weights = oracles.algebra_weights(A)
+    polys = []
+    for shift in L.shifts:
+        exps = oracles.exponents_of_degree(weights, degree - shift)
+        polys.append(A.from_terms(
+            (e, A.field.scalar(rnd.choice([-2, -1, 1, 3])).value)
+            for e in rnd.sample(exps, min(2, len(exps)))))
+    return L.from_polys(polys)
+
+
+@pytest.mark.parametrize("kind", ["top", "pot"])
+@pytest.mark.parametrize("name", ["comm2", "qplane", "ex12"])
+def test_V_of_truncated_bases(name, kind):
+    A = fixtures.load(name).algebra
+    L = FreeModule(A, 2, shifts=(0, 1))
+    order = ModOrder(kind, A.order, 2, graded=True, shifts=(0, 1))
+    rnd = random.Random(len(name) + 7 * len(kind))
+    for _ in range(3):
+        gens = [_random_homogeneous(L, rnd, rnd.randint(1, 3))
+                for _ in range(rnd.randint(2, 3))]
+        G = buchberger(gens, order, truncate=4)
+        R = reduce_basis(G)
+        assert_V(R)
+        assert_V(G)
+
+
+def test_V_is_built_once():
+    pf = fixtures.load("ex12")
+    G = buchberger(pf.generators, pf.mod_order)
+    first = G.V
+    assert G.V is first
+    R = reduce_basis(G)
+    assert R.V is R.V
+
+
+def _calls_building_V(monkeypatch, argv_list, readers):
+    """Run each argv through ``main`` and record, per run, the V row
+    builds made outside the functions named in ``readers``."""
+    inside = []
+    stray = []
+    rows = groebner._Trace.rows
+
+    def counting(self, ids):
+        if not inside:
+            stray.append(len(ids))
+        return rows(self, ids)
+
+    monkeypatch.setattr(groebner._Trace, "rows", counting)
+    for module, name in readers:
+        fn = getattr(module, name)
+
+        def wrapped(*args, _fn=fn, **kwargs):
+            inside.append(1)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, wrapped)
+    out = {}
+    for argv in argv_list:
+        del stray[:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1)
+        out[" ".join(argv[1:])] = len(stray)
+    return out
+
+
+# problem files with an ``options.element`` for member, and problem
+# files quick to resolve
+MEMBER_FILES = [fixtures.path("ex12")] + [
+    os.path.join(BENCH_CORPUS, n + ".json")
+    for n in ("c44-p-member", "gkz-p-member", "gkz-p-nonmember",
+              "sl2-4-p-member", "sl2-4-p-nonmember")
+]
+RESOLVE_FILES = [fixtures.path(n) for n in FIXTURES] + [
+    os.path.join(BENCH_CORPUS, n + ".json")
+    for n in ("c44-p-member", "sl2-3-p", "sl2-4-p-member", "skew-4-2")
+]
+
+
+@pytest.mark.parametrize("command,files,readers", [
+    ("member", MEMBER_FILES, []),
+    ("resolve", RESOLVE_FILES, []),
+    # pdim reads the right-inverse rows of a projective tail only
+    ("pdim", RESOLVE_FILES, [(syzres, "is_projective")]),
+    # the filtered resolution lifts each stage's syzygies through V;
+    # its minimal standard bases build none
+    ("filtered-resolve", RESOLVE_FILES,
+     [(filtered, "syzygy_of_generators")]),
+])
+def test_commands_build_V_only_where_it_is_read(monkeypatch, command, files,
+                                                readers):
+    argv = [["--json", command, path] for path in files]
+    built = _calls_building_V(monkeypatch, argv, readers)
+    assert built == {key: 0 for key in built}
+
+
+def test_reading_commands_do_build_V(monkeypatch):
+    """The counter sees the builds of the commands that read V, and of
+    the readers exempted above."""
+    ex12 = fixtures.path("ex12")
+    c44 = os.path.join(BENCH_CORPUS, "c44-p-member.json")
+    built = _calls_building_V(monkeypatch, [
+        ["--json", "gb", ex12], ["--json", "syz", ex12],
+        ["--json", "pdim", c44], ["--json", "filtered-resolve", ex12],
+    ], [])
+    assert all(n > 0 for n in built.values())
