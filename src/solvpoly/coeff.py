@@ -5,7 +5,12 @@ Q, or a canonical residue ``int`` in ``[0, p)`` over GF(p).  Inside
 polynomials, module vectors and free-algebra elements every merge,
 cancel and scale step runs through one sparse-term kernel,
 :func:`_add_scaled`; :meth:`FieldSpec.inverse` gives the one payload
-operation it cannot write with operators.
+operation it cannot write with operators.  Beside the kernel,
+:func:`_to_ints` and :func:`_from_ints` convert payloads to integer
+numerators over one positive denominator and back: sums of many
+products (the rows of a transition matrix, a syzygy's evaluation) run
+on plain ints, with no gcd per term over Q and no reduction per term
+over GF(p) (see :class:`solvpoly.modfree._IntSum`).
 
 :class:`Scalar` is the field-checked value of the parse edge: literals
 are read and multiplied as Scalars, which are immutable, kept in
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 __all__ = [
@@ -189,6 +195,29 @@ def _add_scaled(acc: dict, items, s, p: int) -> dict:
         else:
             del acc[m]
     return acc
+
+
+def _to_ints(items) -> tuple:
+    """``(nums, den)``: the (monomial, payload) pairs ``items`` as a dict
+    of integer numerators over their least common denominator, den > 0.
+    Over GF(p) the residues are the numerators and den is 1."""
+    items = list(items)
+    den = 1
+    for _, c in items:
+        if den % c.denominator:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return {m: c.numerator for m, c in items}, 1
+    return {m: c.numerator * (den // c.denominator) for m, c in items}, den
+
+
+def _from_ints(nums: dict, den: int, p: int) -> dict:
+    """The canonical payloads of the numerators ``nums`` over ``den``,
+    zeros dropped: one Fraction per term over Q, the residues mod p over
+    GF(p) (where den is 1)."""
+    if p:
+        return {m: n % p for m, n in nums.items() if n % p}
+    return {m: Fraction(n, den) for m, n in nums.items() if n}
 
 
 class Scalar:

@@ -9,7 +9,10 @@ are derived on demand.  The loop records how each element arose (its
 trace: the input it copies, or the pair multipliers and division
 quotients that made it, and its normalising inverse), and
 :attr:`GroebnerBasis.V`, which writes every basis element as a left
-combination of the inputs, is built from those traces on first read.
+combination of the inputs, is built from those traces on first read,
+each row summed on plain ints (integer numerators over one denominator
+over Q, one reduction per row over GF(p)).
+:meth:`GroebnerBasis.V_rows` builds only some rows.
 :attr:`GroebnerBasis.U`, which writes every input in the basis,
 divides the inputs by the basis on first read.
 
@@ -40,7 +43,7 @@ from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .coeff import SolvpolyError, _add_scaled
+from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
 from .algebra import (
     ExpVec,
     Poly,
@@ -59,6 +62,7 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
+    _IntSum,
     left_divide_module,
     mono_divides,
     opposite_order,
@@ -144,16 +148,18 @@ class _Trace:
     pairs a sign and a left multiplier f with an earlier step src, and
     ``inv`` is the normalising inverse (None for one).  :meth:`rows`
     evaluates the steps asked for and those they depend on, in
-    ascending order, each row one dict accumulated through the kernel;
-    an evaluated step is dropped and its row kept.
+    ascending order, each row summed on plain ints (integer numerators
+    over one denominator, see :class:`solvpoly.modfree._IntSum`) and
+    scaled by its inverse once at the end; an evaluated step is dropped
+    and its row kept in that form for the steps that use it.  Only the
+    rows returned become payloads.
     """
 
     def __init__(self, A: SolvableAlgebra, m: int):
         self.A = A
         self.m = m
         self.steps: List[Optional[tuple]] = []
-        self.done: Dict[int, Vect] = {}
-        self.module = FreeModule(A, max(m, 1))
+        self.done: Dict[int, Tuple[Dict[ModMonomial, int], int]] = {}
 
     def add(self, unit: Optional[int], terms: list, inv=None) -> int:
         self.steps.append((unit, terms, inv))
@@ -165,9 +171,9 @@ class _Trace:
         for row in rows:
             ids.append(len(self.steps))
             self.steps.append(None)
-            self.done[ids[-1]] = Vect._of(self.module, {
-                (e, j): c for j, f in enumerate(row) for e, c in f.terms
-            })
+            self.done[ids[-1]] = _to_ints(
+                ((e, j), c) for j, f in enumerate(row) for e, c in f.terms
+            )
         return ids
 
     def select_inputs(self, kept: Sequence[int]) -> None:
@@ -179,7 +185,6 @@ class _Trace:
             for st in self.steps
         ]
         self.m = len(kept)
-        self.module = FreeModule(self.A, max(self.m, 1))
 
     def rows(self, ids: Sequence[int]) -> List[List[Poly]]:
         """The rows of the steps ``ids``, evaluating what they need."""
@@ -193,23 +198,19 @@ class _Trace:
             need.add(k)
             stack.extend(src for _, _, src in self.steps[k][1])
         unit_exp = zero_exp(A.n)
+        acc = _IntSum(A)
         for k in sorted(need):
             unit, terms, inv = self.steps[k]
-            acc: Dict[ModMonomial, object] = {}
-            if unit is not None:
-                acc[(unit_exp, unit)] = A.field.one.value
+            acc.start(None if unit is None else {(unit_exp, unit): 1})
             for sign, f, src in terms:
-                done[src]._add_lmul(acc, f if sign == 1 else -f)
-            if inv is not None:
-                # scaled once at the end: a multiplier scaled first would
-                # swell every product of the sum over Q
-                acc = _add_scaled({}, acc.items(), inv, A.field.characteristic)
-            done[k] = Vect._of(self.module, acc)
+                acc.add_lmul(sign, f, done[src])
+            done[k] = acc.finish(1 if inv is None else inv)
             self.steps[k] = None
+        p = A.field.characteristic
         out = []
         for k in ids:
             cols: List[Dict[ExpVec, object]] = [{} for _ in range(self.m)]
-            for (e, j), c in done[k].data.items():
+            for (e, j), c in _from_ints(*done[k], p).items():
                 cols[j][e] = c
             out.append([Poly._of(A, col) for col in cols])
         return out
@@ -222,7 +223,8 @@ class GroebnerBasis:
     ``inputs[j] = sum_k U[j][k] * elements[k]`` for left bases; for
     right bases the coefficients multiply from the right instead.
     Both are derived on first read: ``V`` from the trace of the
-    completion (see :attr:`V`), ``U`` from the elements (see :attr:`U`).
+    completion (see :attr:`V` and :meth:`V_rows`), ``U`` from the
+    elements (see :attr:`U`).
     The ``V`` argument is the rows themselves or a ``(trace, steps)``
     pair, step ``steps[k]`` of the trace deriving row k.
     """
@@ -259,13 +261,21 @@ class GroebnerBasis:
     def V(self) -> List[List[Poly]]:
         """Row k writes ``elements[k]`` in the inputs, built on first
         read from the steps of the trace that row k and the rows it
-        derives from need; the trace is dropped then.  A right basis is
-        traced over ``A.opposite()`` and its rows are mapped back."""
-        rows = self._trace.rows(self._steps)
+        derives from need; the trace is dropped then."""
+        rows = self.V_rows(range(len(self.elements)))
+        self._trace = self._steps = None
+        return rows
+
+    def V_rows(self, ks: Iterable[int]) -> List[List[Poly]]:
+        """Rows ``ks`` of V, evaluating only the trace steps they need;
+        the trace is kept for the other rows.  A right basis is traced
+        over ``A.opposite()`` and its rows are mapped back."""
+        if self._trace is None:
+            return [self.V[k] for k in ks]
+        rows = self._trace.rows([self._steps[k] for k in ks])
         A = self.module.algebra
         if self._trace.A is not A:
             rows = [[reversed_poly(f, A) for f in row] for row in rows]
-        self._trace = self._steps = None
         return rows
 
     def _lazy_V(self) -> Tuple[_Trace, List[int]]:

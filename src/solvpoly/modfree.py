@@ -16,14 +16,19 @@ grows with the distinct monomials seen and is freed with the order.
 Right division runs over the opposite algebra ``A.opposite()``:
 reversing exponent vectors turns right multiples into left multiples
 there, and TOP/POT orders carry over.
+
+Long left combinations of vectors whose payloads are not needed term by
+term (the rows of a transition matrix, a syzygy evaluated on its
+targets) are summed by :class:`_IntSum` on plain ints.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coeff import SolvpolyError, _add_scaled
+from .coeff import SolvpolyError, _add_scaled, _to_ints
 from .algebra import (
     ExpVec,
     LengthMismatch,
@@ -203,13 +208,18 @@ class Vect:
         return self.data.get(mono, 0)
 
     def component(self, comp: int) -> Poly:
-        return Poly(
+        return Poly._of(
             self.module.algebra,
-            [(exp, c) for (exp, cc), c in self.data.items() if cc == comp],
+            {exp: c for (exp, cc), c in self.data.items() if cc == comp},
         )
 
     def to_polys(self) -> List[Poly]:
-        return [self.component(i) for i in range(self.module.rank)]
+        """The coordinates, split from the data in one pass."""
+        cols: List[Dict[ExpVec, object]] = [{} for _ in range(self.module.rank)]
+        for (exp, comp), c in self.data.items():
+            cols[comp][exp] = c
+        A = self.module.algebra
+        return [Poly._of(A, col) for col in cols]
 
     def lm(self, order: "ModOrder") -> ModMonomial:
         if not self.data:
@@ -292,6 +302,90 @@ class Vect:
 
     def __repr__(self):
         return "Vect(%s)" % (self,)
+
+
+class _IntSum:
+    """A left combination ``sum sign * f * v`` of module vectors, summed
+    on plain ints.
+
+    The sum is held as integer numerators over one positive denominator,
+    and so is each vector ``v``, given as ``(nums, den)`` (see
+    :func:`solvpoly.coeff._to_ints`).  A term is added over the least
+    common multiple of the running denominator and its own (f's times
+    v's, times that of a monomial product's coefficient where it has
+    one, as lambda = 1/2 gives); the numerators are rescaled only when
+    that multiple grows.  Over GF(p) the denominator stays 1 and nothing
+    is reduced mod p before :meth:`finish`.
+    """
+
+    def __init__(self, A: SolvableAlgebra):
+        self.A = A
+        self.p = A.field.characteristic
+        self.start()
+
+    def start(self, nums: Optional[Dict[ModMonomial, int]] = None) -> None:
+        """Begin a new sum at ``nums`` over 1 (zero when None)."""
+        self.nums = {} if nums is None else nums
+        self.den = 1
+
+    def _rescale(self, den: int) -> None:
+        """Raise the denominator to a multiple of ``den``."""
+        new = lcm(self.den, den)
+        r = new // self.den
+        nums = self.nums
+        for m in nums:
+            nums[m] *= r
+        self.den = new
+
+    def add_lmul(self, sign: int, f: Poly, v: Tuple[dict, int]) -> None:
+        """Add ``sign * f * v``; ``sign`` is 1 or -1."""
+        fnums, fden = _to_ints(f.terms)
+        vnums, vden = v
+        fv = fden * vden
+        if self.den % fv:
+            self._rescale(fv)
+        acc = self.nums
+        get = acc.get
+        mono_mul = self.A.mono_mul
+        scale = sign * (self.den // fv)
+        for ea, fa in fnums.items():
+            fs = fa * scale
+            for (exp, comp), c in vnums.items():
+                s = fs * c
+                for e, x in mono_mul(ea, exp).terms:
+                    xd = x.denominator
+                    if xd == 1:
+                        n = s * x.numerator
+                    else:
+                        if self.den % (fv * xd):
+                            self._rescale(fv * xd)
+                            scale = sign * (self.den // fv)
+                            fs = fa * scale
+                            s = fs * c
+                        n = s // xd * x.numerator
+                    m = (e, comp)
+                    acc[m] = get(m, 0) + n
+
+    def finish(self, s=1) -> Tuple[Dict[ModMonomial, int], int]:
+        """The sum times the payload ``s`` as ``(nums, den)``, zeros
+        dropped: over GF(p) the residues over 1, over Q with the content
+        (the gcd of the numerators and den) divided out."""
+        nums, p = self.nums, self.p
+        if p:
+            out = {}
+            for m, n in nums.items():
+                n = n * s % p
+                if n:
+                    out[m] = n
+            return out, 1
+        a, den = s.numerator, self.den * s.denominator
+        out = {m: n * a for m, n in nums.items() if n}
+        g = den
+        for n in out.values():
+            g = gcd(g, n)
+            if g == 1:
+                return out, den
+        return {m: n // g for m, n in out.items()}, den // g
 
 
 class ModOrder:

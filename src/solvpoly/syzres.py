@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from .coeff import _to_ints
 from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub
 from .modfree import (
     FreeModule,
@@ -30,6 +31,7 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
+    _IntSum,
     left_divide_module,
     right_divide_module,
 )
@@ -176,13 +178,14 @@ class SyzygyGenerators:
         """Every generator evaluates to exactly zero on the targets."""
         if not self.targets:
             return all(s.is_zero() for s in self.elements)
-        ambient = self.targets[0].module
+        acc = _IntSum(self.targets[0].module.algebra)
+        targets = [_to_ints(v.data.items()) for v in self.targets]
         for s in self.elements:
-            acc = ambient.zero()
+            acc.start()
             for k, h in enumerate(s.to_polys()):
-                if not h.is_zero():
-                    acc = acc + self.targets[k].lmul(h)
-            if not acc.is_zero():
+                if h:
+                    acc.add_lmul(1, h, targets[k])
+            if acc.finish()[0]:
                 return False
         return True
 
@@ -470,17 +473,23 @@ def is_projective(
     if not columns:
         return False, None
     rgb = right_buchberger(columns, order)
-    V = [[A.zero() for _ in range(t)] for _ in range(s)]
+    all_quotients = []
     for k in range(t):
-        eps = module.basis(k)
-        quotients, rem = right_divide_module(eps, rgb.elements, order)
+        quotients, rem = right_divide_module(module.basis(k), rgb.elements,
+                                             order)
         if not rem.is_zero():
             return False, None
+        all_quotients.append(quotients)
+    # only the rows of V that a nonzero quotient reads are built
+    used = sorted({g for qs in all_quotients for g, q in enumerate(qs) if q})
+    rows = dict(zip(used, rgb.V_rows(used)))
+    V = [[A.zero() for _ in range(t)] for _ in range(s)]
+    for k, quotients in enumerate(all_quotients):
         for g_idx, q in enumerate(quotients):
             if q.is_zero():
                 continue
             for c_idx, j in enumerate(col_index):
-                vrow = rgb.V[g_idx][c_idx]
+                vrow = rows[g_idx][c_idx]
                 if not vrow.is_zero():
                     V[j][k] = V[j][k] + A.multiply(vrow, q)
     return True, V

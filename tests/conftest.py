@@ -3,6 +3,7 @@ import random
 import pytest
 
 from solvpoly import fixtures as corpus
+from solvpoly.algebra import build_algebra
 from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, Vect
 
@@ -40,6 +41,14 @@ def ex14():
 @pytest.fixture(scope="session")
 def qheis():
     return corpus.load("qheis").algebra
+
+
+def over(field: FieldSpec, name: str):
+    """The fixture algebra ``name`` built over ``field`` from its
+    relation strings."""
+    pf = corpus.load(name)
+    return build_algebra(field, pf.names, pf.order, pf.relations,
+                         degree_function=pf.degree_function)
 
 
 def random_scalar(field: FieldSpec, rnd: random.Random, nonzero=False):

@@ -11,24 +11,15 @@ from fractions import Fraction
 import pytest
 
 from solvpoly import fixtures as corpus
-from solvpoly.algebra import build_algebra
 from solvpoly.coeff import DivisionByZero, FieldSpec
 from solvpoly.groebner import buchberger, reduce_basis
 from solvpoly.modfree import FreeModule, ModOrder, Vect, left_divide_module
 
-from conftest import random_poly, random_scalar, random_vect
+from conftest import over, random_poly, random_scalar, random_vect
 
 P = 32003
 GF = FieldSpec("PrimeField", P)
 NAMES = ("comm2", "weyl1", "qplane", "ex12", "ex14", "qheis")
-
-
-def over(field, name):
-    """The fixture algebra ``name`` built over ``field`` from its
-    relation strings."""
-    pf = corpus.load(name)
-    return build_algebra(field, pf.names, pf.order, pf.relations,
-                         degree_function=pf.degree_function)
 
 
 def assert_payloads(field, pairs):

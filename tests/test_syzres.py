@@ -4,10 +4,12 @@ import pytest
 
 import solvpoly.syzres as syzres
 from solvpoly.cli import parse_problem
-from solvpoly.modfree import FreeModule, ModOrder
+from solvpoly.coeff import FieldSpec
+from solvpoly.modfree import FreeModule, ModOrder, Vect
 from solvpoly.groebner import buchberger
 from solvpoly.syzres import (
     PresentationMatrix,
+    SyzygyGenerators,
     free_resolution,
     is_projective,
     projective_dimension,
@@ -17,7 +19,7 @@ from solvpoly.syzres import (
 )
 
 import oracles
-from conftest import random_vect
+from conftest import over, random_vect
 
 
 def top(A, rank=1, graded=False, shifts=None):
@@ -50,6 +52,26 @@ def test_syzygies_annihilate(name, request, rng):
         assert syz.annihilates()
         for s in syz.elements:
             assert evaluate(s, gens).is_zero()
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", ["weyl1", "qheis"])
+def test_a_changed_syzygy_does_not_annihilate(name, p, rng):
+    """Adding 1 to one coefficient of a syzygy adds a nonzero multiple of
+    one target (the algebra has no zero divisors)."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    L = FreeModule(A, 2)
+    gens = [random_vect(L, rng, max_degree=2, max_terms=2, nonzero=True)
+            for _ in range(3)]
+    syz = syzygy_of_generators(gens, top(A, 2))
+    assert syz.elements and syz.annihilates()
+    for k, s in enumerate(syz.elements):
+        for m in s.data:
+            changed = s + Vect(s.module, {m: A.field.one.value})
+            elements = syz.elements[:k] + [changed] + syz.elements[k + 1:]
+            bad = SyzygyGenerators(elements, syz.origin, syz.targets,
+                                   syz.module, syz.order)
+            assert not bad.annihilates()
 
 
 def test_schreyer_syzygies_annihilate_the_basis(weyl1, rng):

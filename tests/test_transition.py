@@ -3,7 +3,8 @@ read, and only where something reads it.
 
 ``elements = V * inputs`` is checked with the word-rewriting product of
 ``tests/oracles.py``, which shares nothing with the library's monomial
-product.
+product, over Q and over prime fields.  The rows are summed on plain
+ints, so reading V runs no payload arithmetic.
 """
 
 import contextlib
@@ -13,21 +14,25 @@ import random
 
 import pytest
 
+import solvpoly.coeff as coeff
 import solvpoly.filtered as filtered
 import solvpoly.groebner as groebner
+import solvpoly.modfree as modfree
 import solvpoly.syzres as syzres
 from solvpoly import fixtures
-from solvpoly.cli import main
+from solvpoly.cli import main, parse_problem
+from solvpoly.coeff import FieldSpec
 from solvpoly.groebner import (
     buchberger,
     minimalize,
     reduce_basis,
     right_buchberger,
 )
-from solvpoly.modfree import FreeModule, ModOrder
+from solvpoly.modfree import FreeModule, ModOrder, Vect
+from solvpoly.syzres import PresentationMatrix, is_projective
 
 import oracles
-from conftest import random_poly, random_vect
+from conftest import over, random_poly, random_vect
 
 BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
                             "perfbench", "corpus")
@@ -89,6 +94,82 @@ def test_V_writes_every_basis_in_the_inputs(name, kind):
             R = right_buchberger(gens, order)
             assert_V(R, right=True)
             assert_V(minimalize(R), right=True)
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_V_over_prime_fields(name, p):
+    """A row's sums are reduced mod p once, at its end; over GF(7) they
+    wrap many times before that."""
+    A = over(FieldSpec("PrimeField", p), name)
+    L = FreeModule(A, 2)
+    order = ModOrder("top", A.order, 2)
+    rnd = random.Random(p + len(name))
+    for trial in range(3):
+        gens = [random_vect(L, rnd, max_degree=2, max_terms=2, nonzero=True)
+                for _ in range(rnd.randint(2, 3))]
+        G = buchberger(gens, order)
+        assert_V(reduce_basis(G))
+        assert_V(G)
+        if trial == 0:
+            assert_V(right_buchberger(gens, order), right=True)
+
+
+def test_V_rows_run_no_payload_arithmetic(monkeypatch):
+    """Reading V over Q calls neither the kernel nor ``Vect._add_lmul``;
+    on qheis (lambda = 1/2) monomial products carry denominators."""
+    sl2 = parse_problem(os.path.join(BENCH_CORPUS, "sl2-4-q.json"))
+    A = fixtures.load("qheis").algebra
+    L = FreeModule(A, 2)
+    order = ModOrder("top", A.order, 2)
+    rnd = random.Random(9)
+    gens = [random_vect(L, rnd, max_degree=2, max_terms=2, nonzero=True)
+            for _ in range(3)]
+    bases = [reduce_basis(buchberger(sl2.generators, sl2.mod_order)),
+             reduce_basis(buchberger(gens, order))]
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (coeff, modfree, groebner):
+        monkeypatch.setattr(module, "_add_scaled",
+                            counted(module._add_scaled))
+    monkeypatch.setattr(Vect, "_add_lmul", counted(Vect._add_lmul))
+    for G in bases:
+        assert G.V
+    monkeypatch.undo()
+    assert calls == []
+    assert_V(bases[1])
+
+
+def test_is_projective_builds_only_the_rows_it_reads(monkeypatch):
+    """(x^2, y^2, x, y) is right invertible in the Weyl algebra; the
+    right division of 1 uses three of the five basis elements."""
+    A = fixtures.load("weyl1").algebra
+    Q = PresentationMatrix(A, [[A.parse(s) for s in ("x^2", "y^2", "x",
+                                                      "y")]])
+    bases, evaluated = [], []
+    right = syzres.right_buchberger
+    finish = modfree._IntSum.finish
+
+    def recording(*args, **kwargs):
+        bases.append(right(*args, **kwargs))
+        return bases[-1]
+
+    def counting(self, *args):
+        evaluated.append(1)
+        return finish(self, *args)
+
+    monkeypatch.setattr(syzres, "right_buchberger", recording)
+    monkeypatch.setattr(modfree._IntSum, "finish", counting)
+    flag, V = is_projective(Q)
+    assert flag
+    assert Q.compose_with(PresentationMatrix(A, V)).entries == [[A.one()]]
+    assert 0 < len(evaluated) < len(bases[0].elements)
 
 
 def _random_homogeneous(L, rnd, degree):
