@@ -41,7 +41,12 @@ from .groebner import (
     degree_driven_completion,
     echelon_leads,
 )
-from .graded import QuotientMinimization, check_graded, prune_unit_pivots
+from .graded import (
+    QuotientMinimization,
+    _graded_order,
+    check_graded,
+    prune_unit_pivots,
+)
 from .syzres import PresentationMatrix, Resolution, syzygy_of_generators
 
 __all__ = [
@@ -342,17 +347,6 @@ def z_zero_image(ctx: FiltrationContext, h: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def _e_gr_order(module: FreeModule) -> ModOrder:
-    """The shifted-degree-first TOP order on a filtered free module."""
-    return ModOrder(
-        "top",
-        module.algebra.order,
-        module.rank,
-        graded=True,
-        shifts=module.shifts,
-    )
-
-
 class ReesModOrder(ModOrder):
     """Module order on a Rees free module.
 
@@ -462,14 +456,14 @@ def transfer_check(
         raise IncompatibleModules(
             "generators live over a different algebra than the context"
         )
-    order = _e_gr_order(module)
+    order = _graded_order(module)
     completed = buchberger(gens, order)
     lms = [g.lm(order) for g in gens]
     in_algebra = _covered(lms, completed.elements, order)
 
     graded_gens = [sigma(ctx, g) for g in gens]
     graded_full = [sigma(ctx, h) for h in completed.elements]
-    gorder = _e_gr_order(graded_gens[0].module)
+    gorder = _graded_order(graded_gens[0].module)
     graded_completed = buchberger(graded_gens, gorder)
     glms = [g.lm(gorder) for g in graded_gens]
     in_graded = _covered(
@@ -592,7 +586,7 @@ def standard_basis(
         raise IncompatibleModules(
             "generators live over a different algebra than the context"
         )
-    order = _e_gr_order(module)
+    order = _graded_order(module)
     G = buchberger(gens, order)
     G.flags["standard_basis"] = True
     G.flags["standard_basis_certified"] = False
@@ -653,7 +647,7 @@ def minimal_F_basis(
             "module lives over a different algebra than the context"
         )
     gens = [v for v in U if not v.is_zero()]
-    order = _e_gr_order(L)
+    order = _graded_order(L)
     if gens and not assume_standard:
         completed = buchberger(gens, order)
         lms = [g.lm(order) for g in gens]
@@ -680,7 +674,7 @@ def _certify_strict_iso(
     if gens:
         top = max(top, max(fil_degree(ctx, v) for v in gens))
     top += 1
-    order = _e_gr_order(L)
+    order = _graded_order(L)
     lms = [g.lm(order) for g in gens]
     left = _normal_degrees(L, lms, top)
     if left is None:
@@ -689,7 +683,7 @@ def _certify_strict_iso(
         right = []
     else:
         new_gens = [v for v in result.gens if not v.is_zero()]
-        new_order = _e_gr_order(result.new_module)
+        new_order = _graded_order(result.new_module)
         if new_gens:
             completed = buchberger(new_gens, new_order)
             new_lms = [g.lm(new_order) for g in completed.elements]
@@ -729,11 +723,11 @@ def minimal_standard_basis(
         raise IncompatibleModules(
             "generators live over a different algebra than the context"
         )
-    order = _e_gr_order(module)
+    order = _graded_order(module)
     completed = buchberger(gens, order)
     U = completed.elements
     graded_U = [sigma(ctx, u) for u in U]
-    gorder = _e_gr_order(graded_U[0].module)
+    gorder = _graded_order(graded_U[0].module)
     bound = max(
         gorder.degree_of(m) for v in graded_U for m in v.data
     )
@@ -768,7 +762,7 @@ def minimal_filtered_resolution(
     provenance = ["minimal F-basis of the quotient"]
     if not gens:
         return Resolution([L0], [], "Filtered", provenance, list(N_gens))
-    order0 = _e_gr_order(L0)
+    order0 = _graded_order(L0)
     completed = buchberger(gens, order0)
     pruned = minimal_F_basis(
         ctx, L0, completed.elements, assume_standard=True
@@ -785,7 +779,7 @@ def minimal_filtered_resolution(
         return Resolution(modules, maps, "Filtered", provenance, list(N_gens))
     for _ in range(A.n + 2):
         W = minimal_standard_basis(ctx, U)
-        order = _e_gr_order(cur_module)
+        order = _graded_order(cur_module)
         maps.append(PresentationMatrix.from_vects(W, cur_module))
         provenance.append("minimal standard basis of the kernel")
         syz = syzygy_of_generators(W, order)

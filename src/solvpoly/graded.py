@@ -14,10 +14,11 @@ boundary matrix is free of scalar entries.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coeff import SolvpolyError
-from .algebra import DegreeFunction, Poly, SolvableAlgebra
+from .algebra import DegreeFunction, Poly, SolvableAlgebra, zero_exp
 from .modfree import FreeModule, ModOrder, Vect
 from .groebner import GroebnerBasis, buchberger, degree_driven_completion
 from .syzres import PresentationMatrix, Resolution, _lift_syzygies
@@ -139,6 +140,15 @@ def graded_view(x: Union[Poly, Vect]) -> GradedElementView:
     return GradedElementView(x, deg)
 
 
+def _require_homogeneous(inputs: Sequence[Vect]) -> None:
+    """Refuse the first nonzero input that is not homogeneous."""
+    for v in inputs:
+        if v and vect_degree_if_homogeneous(v) is None:
+            raise InhomogeneousInput(
+                "generator is not homogeneous: %s" % (v,)
+            )
+
+
 def _require_graded_setup(
     inputs: Sequence[Vect], order: ModOrder
 ) -> GradedContext:
@@ -149,13 +159,7 @@ def _require_graded_setup(
     ctx.require()
     if order.base.degree is None:
         raise NotGraded("the module order carries no degree function")
-    for v in inputs:
-        if v.is_zero():
-            continue
-        if vect_degree_if_homogeneous(v) is None:
-            raise InhomogeneousInput(
-                "generator is not homogeneous: %s" % (v,)
-            )
+    _require_homogeneous(inputs)
     return ctx
 
 
@@ -245,14 +249,8 @@ def min_gens_quotient(
     drop both (:func:`prune_unit_pivots`); the surviving basis vectors
     map onto a minimal generating set of the quotient.
     """
-    A = L.algebra
-    ctx = GradedContext(A)
-    ctx.require()
-    for v in inputs:
-        if not v.is_zero() and vect_degree_if_homogeneous(v) is None:
-            raise InhomogeneousInput(
-                "generator is not homogeneous: %s" % (v,)
-            )
+    GradedContext(L.algebra).require()
+    _require_homogeneous(inputs)
     return QuotientMinimization(L, *prune_unit_pivots(L, inputs))
 
 
@@ -270,30 +268,26 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
     of L, the pruned free module (None when nothing survives), the
     transformed generators inside it, and per dropped component the
     pivot generator in original coordinates.
+
+    The rows stay vectors of L: eliminating with the pivot at component
+    i subtracts ``(f * c^-1) * pivot`` from each other row, f its entry
+    and c the pivot's at i, which cancels component i exactly.  At the
+    end the rows move onto the pruned module by renumbering components.
     """
     A = L.algebra
-    d = A.degree_function
-    work: List[Dict[int, Poly]] = []
-    for v in gens:
-        if not v.is_zero():
-            work.append(
-                {c: v.component(c) for c in range(L.rank) if not v.component(c).is_zero()}
-            )
+    unit = zero_exp(A.n)
+    work = [v for v in gens if v]
     alive = list(range(L.rank))
     eliminations: List[Tuple[int, Vect]] = []
 
     def find_pivot() -> Optional[Tuple[int, int]]:
-        for j, coords in enumerate(work):
-            qj = max(
-                d(exp) + L.shifts[c]
-                for c, f in coords.items()
-                for exp, _x in f.terms
-            )
-            for i in sorted(coords):
-                f = coords[i]
+        for j, v in enumerate(work):
+            qj = max(L.mono_degree(m) for m in v.data)
+            count = Counter(c for _, c in v.data)
+            for i in sorted(count):
                 if (
-                    len(f.terms) == 1
-                    and all(x == 0 for x in f.terms[0][0])
+                    count[i] == 1
+                    and (unit, i) in v.data
                     and L.shifts[i] == qj
                 ):
                     return i, j
@@ -304,33 +298,14 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
         if hit is None:
             break
         i, j = hit
-        pivot = work[j]
-        inv = A.field.inverse(pivot[i].coeff(tuple([0] * A.n)))
-        eliminations.append(
-            (i, L.from_polys([pivot.get(c, A.zero()) for c in range(L.rank)]))
-        )
-        new_work: List[Dict[int, Poly]] = []
-        for l, coords in enumerate(work):
-            if l == j:
-                continue
-            f_il = coords.get(i)
-            if f_il is None:
-                new_work.append(coords)
-                continue
-            factor = f_il.scale(inv)
-            out: Dict[int, Poly] = {}
-            for c in set(coords) | set(pivot):
-                if c == i:
-                    continue
-                cur = coords.get(c, A.zero())
-                sub = pivot.get(c)
-                if sub is not None:
-                    cur = cur - A.multiply(factor, sub)
-                if not cur.is_zero():
-                    out[c] = cur
-            if out:
-                new_work.append(out)
-        work = new_work
+        pivot = work.pop(j)
+        inv = A.field.inverse(pivot.data[(unit, i)])
+        eliminations.append((i, pivot))
+        work = [
+            w
+            for w in (v - pivot.lmul(v.component(i).scale(inv)) for v in work)
+            if w
+        ]
         alive.remove(i)
 
     if not alive:
@@ -340,12 +315,12 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
         A, len(alive), shifts=[L.shifts[c] for c in alive]
     )
     reindex = {c: pos for pos, c in enumerate(alive)}
-    new_gens: List[Vect] = []
-    for coords in work:
-        polys = [A.zero()] * len(alive)
-        for c, f in coords.items():
-            polys[reindex[c]] = f
-        new_gens.append(new_module.from_polys(polys))
+    new_gens = [
+        Vect._of(
+            new_module, {(e, reindex[c]): x for (e, c), x in v.data.items()}
+        )
+        for v in work
+    ]
     return alive, new_module, new_gens, eliminations
 
 
@@ -355,6 +330,8 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
 
 
 def _graded_order(module: FreeModule) -> ModOrder:
+    """The shifted-degree-first TOP order on a graded or filtered free
+    module."""
     return ModOrder(
         "top",
         module.algebra.order,
@@ -392,14 +369,9 @@ def minimal_graded_resolution(
     propagate as the degrees of the chosen generators.
     """
     A = L0.algebra
-    ctx = GradedContext(A)
-    ctx.require()
+    GradedContext(A).require()
     gens = [v for v in N_gens if not v.is_zero()]
-    for v in gens:
-        if vect_degree_if_homogeneous(v) is None:
-            raise InhomogeneousInput(
-                "generator is not homogeneous: %s" % (v,)
-            )
+    _require_homogeneous(gens)
     provenance = ["minimal homogeneous generators of the quotient"]
     if not gens:
         return Resolution([L0], [], "Graded", provenance, list(N_gens))

@@ -43,7 +43,7 @@ from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
+from .coeff import SolvpolyError, _add_scaled
 from .algebra import (
     ExpVec,
     Poly,
@@ -63,6 +63,8 @@ from .modfree import (
     NotAGroebnerBasis,
     Vect,
     _IntSum,
+    _row_from_ints,
+    _row_to_ints,
     left_divide_module,
     mono_divides,
     opposite_order,
@@ -110,16 +112,6 @@ class Staircase:
             mins.append(keep)
         self.rank = rank
         self.by_component = mins
-
-    def restrict(self, bound: int, degree_of) -> "Staircase":
-        """Keep only steps of shifted degree <= bound."""
-        return Staircase(
-            self.rank,
-            [
-                [e for e in exps if degree_of((e, comp)) <= bound]
-                for comp, exps in enumerate(self.by_component)
-            ],
-        )
 
     def monomials(self) -> List[Tuple[ExpVec, int]]:
         return [
@@ -171,9 +163,7 @@ class _Trace:
         for row in rows:
             ids.append(len(self.steps))
             self.steps.append(None)
-            self.done[ids[-1]] = _to_ints(
-                ((e, j), c) for j, f in enumerate(row) for e, c in f.terms
-            )
+            self.done[ids[-1]] = _row_to_ints(row)
         return ids
 
     def select_inputs(self, kept: Sequence[int]) -> None:
@@ -206,14 +196,7 @@ class _Trace:
                 acc.add_lmul(sign, f, done[src])
             done[k] = acc.finish(1 if inv is None else inv)
             self.steps[k] = None
-        p = A.field.characteristic
-        out = []
-        for k in ids:
-            cols: List[Dict[ExpVec, object]] = [{} for _ in range(self.m)]
-            for (e, j), c in _from_ints(*done[k], p).items():
-                cols[j][e] = c
-            out.append([Poly._of(A, col) for col in cols])
-        return out
+        return [_row_from_ints(A, *done[k], self.m) for k in ids]
 
 
 class GroebnerBasis:
@@ -225,8 +208,9 @@ class GroebnerBasis:
     Both are derived on first read: ``V`` from the trace of the
     completion (see :attr:`V` and :meth:`V_rows`), ``U`` from the
     elements (see :attr:`U`).
-    The ``V`` argument is the rows themselves or a ``(trace, steps)``
-    pair, step ``steps[k]`` of the trace deriving row k.
+    V is held only as a ``(trace, steps)`` pair, step ``steps[k]`` of
+    the trace deriving row k; the ``V`` argument is such a pair or the
+    rows themselves, which become given steps of a fresh trace.
     """
 
     def __init__(
@@ -245,11 +229,10 @@ class GroebnerBasis:
         self.order = order
         self.elements = elements
         self.inputs = inputs
-        self._trace: Optional[_Trace] = None
-        if isinstance(V, tuple):
-            self._trace, self._steps = V
-        else:
-            self.V = V
+        if not isinstance(V, tuple):
+            trace = _Trace(module.algebra, len(inputs))
+            V = trace, trace.given(V)
+        self._trace, self._steps = V
         self.side = side
         self.flags = {
             "is_minimal": is_minimal,
@@ -261,30 +244,18 @@ class GroebnerBasis:
     def V(self) -> List[List[Poly]]:
         """Row k writes ``elements[k]`` in the inputs, built on first
         read from the steps of the trace that row k and the rows it
-        derives from need; the trace is dropped then."""
-        rows = self.V_rows(range(len(self.elements)))
-        self._trace = self._steps = None
-        return rows
+        derives from need."""
+        return self.V_rows(range(len(self.elements)))
 
     def V_rows(self, ks: Iterable[int]) -> List[List[Poly]]:
-        """Rows ``ks`` of V, evaluating only the trace steps they need;
-        the trace is kept for the other rows.  A right basis is traced
-        over ``A.opposite()`` and its rows are mapped back."""
-        if self._trace is None:
-            return [self.V[k] for k in ks]
+        """Rows ``ks`` of V, evaluating only the trace steps they need.
+        A right basis is traced over ``A.opposite()`` and its rows are
+        mapped back."""
         rows = self._trace.rows([self._steps[k] for k in ks])
         A = self.module.algebra
         if self._trace.A is not A:
             rows = [[reversed_poly(f, A) for f in row] for row in rows]
         return rows
-
-    def _lazy_V(self) -> Tuple[_Trace, List[int]]:
-        """A ``(trace, steps)`` pair for V; rows already built are given
-        to a fresh trace."""
-        if self._trace is None:
-            trace = _Trace(self.module.algebra, len(self.inputs))
-            return trace, trace.given(self.V)
-        return self._trace, self._steps
 
     @cached_property
     def U(self) -> Optional[List[List[Poly]]]:
@@ -597,13 +568,12 @@ def minimalize(G: GroebnerBasis) -> GroebnerBasis:
     the element order canonical for a given submodule.
     """
     kept = _minimal_indices(G.leading_monomials(), G.order)
-    trace, steps = G._lazy_V()
     return GroebnerBasis(
         G.module,
         G.order,
         [G.elements[i] for i in kept],
         G.inputs,
-        (trace, [steps[i] for i in kept]),
+        (G._trace, [G._steps[i] for i in kept]),
         side=G.side,
         is_minimal=True,
         truncation_degree=G.flags["truncation_degree"],
@@ -617,8 +587,7 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
     order = G0.order
     module = G0.module
     elements = list(G0.elements)
-    trace, steps = G0._lazy_V()
-    steps = list(steps)
+    trace, steps = G0._trace, list(G0._steps)
     A = module.algebra
     for i in range(len(elements)):
         others = elements[:i] + elements[i + 1 :]
@@ -688,7 +657,7 @@ def right_buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
         order,
         [reversed_vect(g, module) for g in G.elements],
         inputs,
-        G._lazy_V(),
+        (G._trace, G._steps),
         side="right",
     )
 

@@ -18,8 +18,10 @@ reversing exponent vectors turns right multiples into left multiples
 there, and TOP/POT orders carry over.
 
 Long left combinations of vectors whose payloads are not needed term by
-term (the rows of a transition matrix, a syzygy evaluated on its
-targets) are summed by :class:`_IntSum` on plain ints.
+term (the rows of a transition matrix, the rows of a product of
+matrices over the algebra) are summed by :class:`_IntSum` on plain
+ints; :func:`_row_to_ints` and :func:`_row_from_ints` convert a row of
+ring elements to that form and back.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from bisect import insort
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coeff import SolvpolyError, _add_scaled, _to_ints
+from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
 from .algebra import (
     ExpVec,
     LengthMismatch,
@@ -214,12 +216,14 @@ class Vect:
         )
 
     def to_polys(self) -> List[Poly]:
-        """The coordinates, split from the data in one pass."""
+        """The coordinates, split from the data in one pass; the zero
+        coordinates are one shared (immutable) zero."""
         cols: List[Dict[ExpVec, object]] = [{} for _ in range(self.module.rank)]
         for (exp, comp), c in self.data.items():
             cols[comp][exp] = c
         A = self.module.algebra
-        return [Poly._of(A, col) for col in cols]
+        zero = A.zero()
+        return [Poly._of(A, col) if col else zero for col in cols]
 
     def lm(self, order: "ModOrder") -> ModMonomial:
         if not self.data:
@@ -386,6 +390,24 @@ class _IntSum:
             if g == 1:
                 return out, den
         return {m: n // g for m, n in out.items()}, den // g
+
+
+def _row_to_ints(row: Sequence[Poly]) -> Tuple[Dict[ModMonomial, int], int]:
+    """A row of ring elements in the ``(nums, den)`` form of
+    :class:`_IntSum`, entry j on component j."""
+    return _to_ints(((e, j), c) for j, f in enumerate(row) for e, c in f.terms)
+
+
+def _row_from_ints(
+    A: SolvableAlgebra, nums: Dict[ModMonomial, int], den: int, width: int
+) -> List[Poly]:
+    """The row of ``width`` ring elements held as ``(nums, den)``, its
+    zero entries one shared zero."""
+    cols: List[Dict[ExpVec, object]] = [{} for _ in range(width)]
+    for (e, j), c in _from_ints(nums, den, A.field.characteristic).items():
+        cols[j][e] = c
+    zero = A.zero()
+    return [Poly._of(A, col) if col else zero for col in cols]
 
 
 class ModOrder:

@@ -17,13 +17,16 @@ exponents ascend lexicographically within each component.
 Matrices follow the row convention: row i of the matrix of a map is
 the coordinate vector of the image of the i-th source basis vector,
 and composition in application order is the ordinary matrix product.
+That product (:meth:`PresentationMatrix.compose_with`) is the one sum
+of ring products over rows here: it lifts syzygies through the
+transition matrices, checks that syzygies annihilate their targets and
+that a resolution's maps compose to zero.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .coeff import _to_ints
 from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub
 from .modfree import (
     FreeModule,
@@ -32,6 +35,8 @@ from .modfree import (
     NotAGroebnerBasis,
     Vect,
     _IntSum,
+    _row_from_ints,
+    _row_to_ints,
     left_divide_module,
     right_divide_module,
 )
@@ -83,24 +88,30 @@ class PresentationMatrix:
 
     def apply(self, coeffs: Sequence[Poly]) -> List[Poly]:
         """Image coordinates of the element with the given coordinates."""
-        A = self.algebra
-        out = [A.zero() for _ in range(self.cols)]
-        for i, f in enumerate(coeffs):
-            if f.is_zero():
-                continue
-            for j, q in enumerate(self.entries[i]):
-                if not q.is_zero():
-                    out[j] = out[j] + A.multiply(f, q)
-        return out
+        return PresentationMatrix(self.algebra, [coeffs]).compose_with(
+            self
+        ).entries[0]
 
     def compose_with(self, nxt: "PresentationMatrix") -> "PresentationMatrix":
-        """Matrix of (self then nxt): the ordinary product self * nxt."""
+        """Matrix of (self then nxt): the ordinary product self * nxt.
+
+        Each row of ``nxt`` is converted to integer form once, and each
+        output row is summed in one :class:`solvpoly.modfree._IntSum`
+        and converted back once.
+        """
         if self.cols != nxt.rows:
             raise ValueError("dimension mismatch in composition")
         A = self.algebra
-        return PresentationMatrix(
-            A, [nxt.apply(row) for row in self.entries]
-        )
+        rows = [_row_to_ints(row) for row in nxt.entries]
+        acc = _IntSum(A)
+        out = []
+        for row in self.entries:
+            acc.start()
+            for f, v in zip(row, rows):
+                if f:
+                    acc.add_lmul(1, f, v)
+            out.append(_row_from_ints(A, *acc.finish(), nxt.cols))
+        return PresentationMatrix(A, out)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -175,19 +186,16 @@ class SyzygyGenerators:
         self.order = order
 
     def annihilates(self) -> bool:
-        """Every generator evaluates to exactly zero on the targets."""
-        if not self.targets:
-            return all(s.is_zero() for s in self.elements)
-        acc = _IntSum(self.targets[0].module.algebra)
-        targets = [_to_ints(v.data.items()) for v in self.targets]
-        for s in self.elements:
-            acc.start()
-            for k, h in enumerate(s.to_polys()):
-                if h:
-                    acc.add_lmul(1, h, targets[k])
-            if acc.finish()[0]:
-                return False
-        return True
+        """Every generator evaluates to exactly zero on the targets: the
+        product S T is zero, S the generators and T the targets as rows.
+        """
+        if not self.elements:
+            return True
+        S = PresentationMatrix.from_vects(self.elements, self.module)
+        T = PresentationMatrix(
+            self.module.algebra, [v.to_polys() for v in self.targets]
+        )
+        return S.compose_with(T).is_zero()
 
     def __len__(self):
         return len(self.elements)
@@ -291,21 +299,23 @@ def syzygy_of_gb(G: GroebnerBasis) -> SyzygyGenerators:
 def _lift_syzygies(G: GroebnerBasis, out_module: FreeModule) -> List[Vect]:
     """Generators of the syzygies of ``G.inputs`` inside ``out_module``.
 
-    The Schreyer generators of the basis pushed through the
-    basis-to-input matrix V, then the rows of UV - E; zero rows are
-    dropped.  An empty basis gives zero coordinates, so UV - E = -E.
+    One product ``[S; U] V``: the Schreyer generators S of the basis and
+    the input-to-basis matrix U, stacked, times the basis-to-input
+    matrix V; then E is subtracted on the U rows, which gives UV - E,
+    and zero rows are dropped.  An empty basis gives UV - E = -E.
     """
     A = out_module.algebra
     m = len(G.inputs)
-    V = PresentationMatrix(A, G.V)
-    rows = [V.apply(s.to_polys()) for s in syzygy_of_gb(G).elements]
     if G.elements:
-        UV = PresentationMatrix(A, G.U).compose_with(V).entries
+        S = [s.to_polys() for s in syzygy_of_gb(G).elements]
+        rows = PresentationMatrix(A, S + G.U).compose_with(
+            PresentationMatrix(A, G.V)
+        ).entries
     else:
-        UV = [[A.zero()] * m for _ in range(m)]
-    for i, row in enumerate(UV):
+        rows = [[A.zero()] * m for _ in range(m)]
+    for i, row in enumerate(rows[len(rows) - m:]):
         row[i] = row[i] - A.one()
-    lifted = [out_module.from_polys(coords) for coords in rows + UV]
+    lifted = [out_module.from_polys(coords) for coords in rows]
     return [v for v in lifted if not v.is_zero()]
 
 

@@ -335,3 +335,96 @@ def reference_buchberger(inputs: Sequence[Vect], order: ModOrder,
         if not rem.is_zero():
             add(rem)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# matrices over the algebra
+# ---------------------------------------------------------------------------
+
+def reference_matrix_product(A: SolvableAlgebra, left: Sequence[Sequence[Poly]],
+                             right: Sequence[Sequence[Poly]],
+                             cols: int) -> List[List[Poly]]:
+    """left * right entry by entry, each product by
+    :func:`reference_product`; ``cols`` is the width of ``right``, which
+    a matrix with no rows cannot tell."""
+    out = []
+    for row in left:
+        entries = [A.zero() for _ in range(cols)]
+        for f, other in zip(row, right):
+            for j, g in enumerate(other):
+                entries[j] = entries[j] + reference_product(f, g)
+        out.append(entries)
+    return out
+
+
+def reference_prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]):
+    """Unit-pivot pruning as it ran with rows kept as ``{component:
+    Poly}`` dicts and a per-component subtract-and-multiply loop, its
+    products by :func:`reference_product`.  Same result tuple as
+    ``solvpoly.graded.prune_unit_pivots``."""
+    A = L.algebra
+    d = A.degree_function
+    work: List[Dict[int, Poly]] = []
+    for v in gens:
+        if not v.is_zero():
+            work.append({c: v.component(c) for c in range(L.rank)
+                         if not v.component(c).is_zero()})
+    alive = list(range(L.rank))
+    eliminations: List[Tuple[int, Vect]] = []
+
+    def find_pivot() -> Optional[Tuple[int, int]]:
+        for j, coords in enumerate(work):
+            qj = max(d(exp) + L.shifts[c]
+                     for c, f in coords.items() for exp, _x in f.terms)
+            for i in sorted(coords):
+                f = coords[i]
+                if (len(f.terms) == 1
+                        and all(x == 0 for x in f.terms[0][0])
+                        and L.shifts[i] == qj):
+                    return i, j
+        return None
+
+    while True:
+        hit = find_pivot()
+        if hit is None:
+            break
+        i, j = hit
+        pivot = work[j]
+        inv = A.field.inverse(pivot[i].coeff(tuple([0] * A.n)))
+        eliminations.append(
+            (i, L.from_polys([pivot.get(c, A.zero()) for c in range(L.rank)])))
+        new_work: List[Dict[int, Poly]] = []
+        for l, coords in enumerate(work):
+            if l == j:
+                continue
+            f_il = coords.get(i)
+            if f_il is None:
+                new_work.append(coords)
+                continue
+            factor = f_il.scale(inv)
+            out: Dict[int, Poly] = {}
+            for c in set(coords) | set(pivot):
+                if c == i:
+                    continue
+                cur = coords.get(c, A.zero())
+                sub = pivot.get(c)
+                if sub is not None:
+                    cur = cur - reference_product(factor, sub)
+                if not cur.is_zero():
+                    out[c] = cur
+            if out:
+                new_work.append(out)
+        work = new_work
+        alive.remove(i)
+
+    if not alive:
+        return [], None, [], eliminations
+    new_module = FreeModule(A, len(alive), shifts=[L.shifts[c] for c in alive])
+    reindex = {c: pos for pos, c in enumerate(alive)}
+    new_gens: List[Vect] = []
+    for coords in work:
+        polys = [A.zero()] * len(alive)
+        for c, f in coords.items():
+            polys[reindex[c]] = f
+        new_gens.append(new_module.from_polys(polys))
+    return alive, new_module, new_gens, eliminations

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from solvpoly.modfree import FreeModule, ModOrder
@@ -11,13 +13,14 @@ from solvpoly.graded import (
     min_homogeneous_gens,
     minimal_graded_resolution,
     poly_degree_if_homogeneous,
+    prune_unit_pivots,
     scalar_entry_positions,
     truncated_gb,
     vect_degree_if_homogeneous,
 )
 
 import oracles
-from conftest import random_vect
+from conftest import random_scalar, random_vect
 
 
 def gtop(A, rank=1, shifts=None):
@@ -164,6 +167,45 @@ def test_min_gens_quotient_keeps_nonunit_relations(comm2):
     res = min_gens_quotient(L, [rel])
     assert res.kept == [0, 1]
     assert len(res.gens) == 1 and res.gens[0] == rel
+
+
+def _homogeneous_with_units(L, rnd, degree):
+    """A homogeneous vector of the given shifted degree, at most two terms
+    per component: a component whose shift is the degree gets a nonzero
+    scalar or nothing."""
+    A = L.algebra
+    weights = oracles.algebra_weights(A)
+    polys = []
+    for shift in L.shifts:
+        exps = (oracles.exponents_of_degree(weights, degree - shift)
+                if degree >= shift else [])
+        picked = rnd.sample(exps, rnd.randint(0, min(2, len(exps))))
+        polys.append(A.from_terms(
+            (e, random_scalar(A.field, rnd, nonzero=True)) for e in picked))
+    return L.from_polys(polys)
+
+
+@pytest.mark.parametrize("name", ["comm2", "qplane", "ex12", "ex14"])
+def test_unit_pivot_pruning_matches_the_reference(name, request):
+    """prune_unit_pivots against the pruning that kept its rows as
+    component dicts, on seeded homogeneous presentations with shifts."""
+    A = request.getfixturevalue(name)
+    rnd = random.Random(len(name) * 17)
+    eliminated = 0
+    for _ in range(20):
+        shifts = [rnd.randint(0, 2) for _ in range(rnd.randint(2, 4))]
+        L = FreeModule(A, len(shifts), shifts)
+        gens = [_homogeneous_with_units(
+                    L, rnd, rnd.choice(shifts) + rnd.randint(0, 1))
+                for _ in range(rnd.randint(1, 4))]
+        kept, module, pruned, eliminations = prune_unit_pivots(L, gens)
+        want = oracles.reference_prune_unit_pivots(L, gens)
+        assert kept == want[0]
+        assert (module and module.shifts) == (want[1] and want[1].shifts)
+        assert pruned == want[2]
+        assert eliminations == want[3]
+        eliminated += len(eliminations)
+    assert eliminated >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ import solvpoly.syzres as syzres
 from solvpoly.cli import parse_problem
 from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, ModOrder, Vect
-from solvpoly.groebner import buchberger
+from solvpoly.groebner import GroebnerBasis, buchberger
 from solvpoly.syzres import (
     PresentationMatrix,
     SyzygyGenerators,
@@ -19,7 +20,9 @@ from solvpoly.syzres import (
 )
 
 import oracles
-from conftest import over, random_vect
+from conftest import over, random_poly, random_vect
+
+FIXTURES = ["comm2", "weyl1", "qplane", "ex12", "ex14", "qheis"]
 
 
 def top(A, rank=1, graded=False, shifts=None):
@@ -268,3 +271,46 @@ def test_matrix_round_trip_and_composition(weyl1, rng):
     for i in range(3):
         want = N.apply(vects[i].to_polys())
         assert C.entries[i] == want
+
+
+def _random_matrix(A, rnd, rows, cols):
+    """Entries of at most two terms, about one in three of them zero."""
+    return [[random_poly(A, rnd, max_degree=2, max_terms=2)
+             if rnd.random() < 0.67 else A.zero() for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_matrix_products_agree_with_word_rewriting(name, p):
+    """compose_with and apply against entrywise sums of the word-rewriting
+    product; qheis (lambda = 1/2) gives products with denominators.  A
+    matrix with no rows has no columns, so the zero-size shapes are
+    zero columns, zero inner size and zero rows."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    rnd = random.Random(len(name) * 31 + p)
+    shapes = [(rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 3))
+              for _ in range(4)]
+    for r, k, c in shapes + [(2, 3, 0), (2, 0, 0), (0, 0, 0)]:
+        left = _random_matrix(A, rnd, r, k)
+        right = _random_matrix(A, rnd, k, c)
+        if r > 1 and k:
+            left[1] = [A.zero()] * k
+        M, N = PresentationMatrix(A, left), PresentationMatrix(A, right)
+        want = oracles.reference_matrix_product(A, left, right, c)
+        C = M.compose_with(N)
+        assert (C.rows, C.cols) == (r, c if r else 0)
+        assert C.entries == want
+        for row, out in zip(left, want):
+            assert N.apply(row) == out
+
+
+def test_no_syzygies_annihilate(weyl1):
+    """The syzygies of one nonzero element of a domain are zero: no rows,
+    and the empty product is zero.  So are those of an empty basis."""
+    L = FreeModule(weyl1, 2)
+    order = top(weyl1, 2)
+    syz = syzygy_of_generators([L.parse(["x*y + 1", "y^2"])], order)
+    assert syz.elements == [] and syz.annihilates()
+    empty = syzygy_of_gb(GroebnerBasis(L, order, [], [], []))
+    assert empty.elements == [] and empty.annihilates()
