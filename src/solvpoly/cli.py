@@ -9,7 +9,9 @@ input always produces byte-identical output.
 
 Exit codes: 0 for success, 1 for a mathematical negative (the input
 is well formed but the certified answer is "no"), 2 for input errors
-(unreadable files, schema problems, unknown generators and the like).
+(unreadable files, schema problems, unknown generators and the like)
+and for a standard output closed before the whole report was written
+(say, by ``| head``).
 
 The environment variable ``SOLVPOLY_CACHE_LIMIT`` caps the number of
 cached monomial products per algebra.
@@ -17,6 +19,7 @@ cached monomial products per algebra.
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -781,7 +784,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolvpolyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    _emit(payload, args.json)
+    try:
+        _emit(payload, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more can reach the reader; send what is still buffered
+        # to the null device, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before the report was "
+              "written", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

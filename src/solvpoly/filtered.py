@@ -31,6 +31,7 @@ from .modfree import (
     ModMonomial,
     ModOrder,
     Vect,
+    _Divisors,
     left_divide_module,
     mono_divides,
 )
@@ -429,8 +430,9 @@ def _covered(lms, elements: Sequence[Vect], order: ModOrder) -> bool:
 def _all_reduce_to_zero(
     members: Sequence[Vect], basis: Sequence[Vect], order: ModOrder
 ) -> bool:
+    basis = _Divisors.of(basis, order)
     for xi in members:
-        _q, rem = left_divide_module(xi, list(basis), order)
+        _q, rem = left_divide_module(xi, basis, order)
         if not rem.is_zero():
             return False
     return True

@@ -62,6 +62,7 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
+    _Divisors,
     _IntSum,
     _row_from_ints,
     _row_to_ints,
@@ -348,8 +349,7 @@ class _Engine:
         self.module = module
         self.order = order
         self.A = module.algebra
-        self.basis: List[Vect] = []
-        self.lms: List[ModMonomial] = []
+        self.basis = _Divisors(order)
         self.trace = _Trace(self.A, n_inputs)
         self.heap: List[Tuple[int, int, int, int]] = []
         self.handled: Set[Tuple[int, int]] = set()
@@ -366,7 +366,6 @@ class _Engine:
             inv = self.A.field.inverse(lc)
             v = v.scale(inv)
         self.basis.append(v)
-        self.lms.append(v.lm(self.order))
         t = self.trace.add(unit, terms, inv)
         self.make_pairs(t)
         return t
@@ -375,9 +374,10 @@ class _Engine:
         return self.trace, list(range(len(self.basis)))
 
     def make_pairs(self, t: int) -> None:
-        mt = self.lms[t]
+        lms = self.basis.leads
+        mt = lms[t]
         for i in range(t):
-            mi = self.lms[i]
+            mi = lms[i]
             if mi[1] != mt[1]:
                 continue
             deg = self.order.degree_of((exp_max(mi[0], mt[0]), mt[1]))
@@ -394,10 +394,11 @@ class _Engine:
     def chain_prunes(self, i: int, j: int) -> bool:
         """Buchberger's chain criterion (module docstring) for the popped
         pair (i, j), i < j."""
-        (ei, comp), (ej, _) = self.lms[i], self.lms[j]
+        lms = self.basis.leads
+        (ei, comp), (ej, _) = lms[i], lms[j]
         lcm = (exp_max(ei, ej), comp)
         handled = self.handled
-        for k, mk in enumerate(self.lms):
+        for k, mk in enumerate(lms):
             if (
                 k != i
                 and k != j
@@ -571,7 +572,7 @@ def minimalize(G: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(
         G.module,
         G.order,
-        [G.elements[i] for i in kept],
+        _Divisors(G.order, [G.elements[i] for i in kept]),
         G.inputs,
         (G._trace, [G._steps[i] for i in kept]),
         side=G.side,
@@ -610,7 +611,7 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(
         module,
         order,
-        elements,
+        _Divisors(order, elements),
         G0.inputs,
         (trace, steps),
         side=G0.side,

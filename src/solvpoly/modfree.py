@@ -8,11 +8,20 @@ orders on L come in TOP ("term over position"), POT ("position over
 term"), graded variants of both, and Schreyer orders induced by a
 list of module elements.
 
-Division is left-sided and reduces in place: one mutable dict of the
-terms left, a sorted list of their order keys, and each multiple of a
-divisor subtracted term by term.  Order keys are memoised per order
-object (:meth:`ModOrder.key`, :meth:`MonomialOrder.key`), so memory
-grows with the distinct monomials seen and is freed with the order.
+Division is left-sided and reduces in place on plain ints, as
+fraction-free elimination does (Bareiss, Math. Comp. 22, 1968).  What
+is left of the dividend is one dict of integer numerators over one
+positive denominator, with a sorted list of the order keys of its
+monomials; each divisor is a primitive integer row, converted once per
+divisor list (:class:`_Divisors`, which the completion grows with its
+basis).  Over Q a step multiplies what is left by the least integer
+that lets it subtract an integer multiple of the divisor's row, and
+divides the content out only once the denominator has doubled in size;
+over GF(p) nothing is reduced mod p until a term is popped.  Each
+quotient and remainder term becomes a payload once.  Order keys are
+memoised per order object (:meth:`ModOrder.key`,
+:meth:`MonomialOrder.key`), so memory grows with the distinct monomials
+seen and is freed with the order.
 Right division runs over the opposite algebra ``A.opposite()``:
 reversing exponent vectors turns right multiples into left multiples
 there, and TOP/POT orders carry over.
@@ -27,6 +36,7 @@ ring elements to that form and back.
 from __future__ import annotations
 
 from bisect import insort
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -335,10 +345,7 @@ class _IntSum:
     def _rescale(self, den: int) -> None:
         """Raise the denominator to a multiple of ``den``."""
         new = lcm(self.den, den)
-        r = new // self.den
-        nums = self.nums
-        for m in nums:
-            nums[m] *= r
+        _scale(self.nums, new // self.den)
         self.den = new
 
     def add_lmul(self, sign: int, f: Poly, v: Tuple[dict, int]) -> None:
@@ -382,14 +389,31 @@ class _IntSum:
                 if n:
                     out[m] = n
             return out, 1
-        a, den = s.numerator, self.den * s.denominator
+        a = s.numerator
         out = {m: n * a for m, n in nums.items() if n}
-        g = den
-        for n in out.values():
-            g = gcd(g, n)
-            if g == 1:
-                return out, den
-        return {m: n // g for m, n in out.items()}, den // g
+        return out, _remove_content(out, self.den * s.denominator)
+
+
+# Over Q, division divides the content out of what is left of the
+# dividend once its denominator has more than twice the bits it had
+# after the last time, plus this many.
+_CONTENT_BITS = 64
+
+
+def _scale(nums: Dict[ModMonomial, int], r: int) -> None:
+    """Multiply the numerators by ``r`` in place."""
+    for m in nums:
+        nums[m] *= r
+
+
+def _remove_content(nums: Dict[ModMonomial, int], den: int) -> int:
+    """Divide the gcd of ``den`` and the numerators out of the
+    numerators in place; returns ``den`` divided by it."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        for m in nums:
+            nums[m] //= g
+    return den // g
 
 
 def _row_to_ints(row: Sequence[Poly]) -> Tuple[Dict[ModMonomial, int], int]:
@@ -557,6 +581,50 @@ def mono_divides(a: ModMonomial, b: ModMonomial) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Divisors(list):
+    """A divisor list for :func:`left_divide_module`, prepared once.
+
+    A list of nonzero vectors that also keeps, for the order it was
+    made for, each element's lead and its terms in the integer form the
+    division works on, grouped by the component the element leads in,
+    least index first: ``(index, lead exponent, lead numerator, row,
+    den, content)``, the element being ``content / den`` times the row.
+    Over Q the row is primitive; over GF(p) it holds the residues and
+    den and content are 1.  :meth:`append` extends both; the list is
+    not to be changed otherwise.
+    """
+
+    @classmethod
+    def of(cls, divisors: Sequence[Vect], order: ModOrder) -> "_Divisors":
+        """``divisors`` prepared for ``order``: itself if it already is."""
+        if isinstance(divisors, cls) and divisors.order is order:
+            return divisors
+        return cls(order, divisors)
+
+    def __init__(self, order: ModOrder, divisors: Iterable[Vect] = ()):
+        super().__init__()
+        self.order = order
+        self.leads: List[ModMonomial] = []
+        self.by_comp: List[list] = [[] for _ in range(order.rank)]
+        for d in divisors:
+            self.append(d)
+
+    def append(self, d: Vect) -> None:
+        if d.is_zero():
+            raise ZeroPolynomial("zero divisor in division")
+        lexp, lcomp = lm = d.lm(self.order)
+        nums, den = _to_ints(d.data.items())
+        p = d.module.algebra.field.characteristic
+        g = 1 if p else gcd(*nums.values())
+        if g != 1:
+            nums = {m: n // g for m, n in nums.items()}
+        self.by_comp[lcomp].append(
+            (len(self), lexp, nums[lm], list(nums.items()), den, g)
+        )
+        self.leads.append(lm)
+        super().append(d)
+
+
 def left_divide_module(
     xi: Vect, divisors: Sequence[Vect], order: ModOrder
 ) -> Tuple[List[Poly], Vect]:
@@ -565,68 +633,91 @@ def left_divide_module(
     Returns (quotients, remainder) with
     ``xi = sum_i quotients[i] * divisors[i] + remainder``; no monomial
     of the remainder is left-divisible by any divisor's leading
-    monomial.  Ties go to the least divisor index.
+    monomial.  Ties go to the least divisor index.  ``divisors`` is
+    prepared (:class:`_Divisors`) unless it already is, for ``order``.
 
-    ``pending`` holds the (key, monomial) pairs of ``work`` in
-    ascending order; a pair whose term has since cancelled is skipped.
+    What is left of xi is held as integer numerators over one positive
+    denominator (module docstring).  ``pending`` holds the (key,
+    monomial) pairs of ``work`` in ascending order, one per monomial.
     ``order`` must restrict to the algebra's order on each component,
     so that a^alpha * g leads with a^alpha times the lead of g.
     """
     if not divisors:
         raise EmptyDivisorList("no divisors given")
-    if any(d.is_zero() for d in divisors):
-        raise ZeroPolynomial("zero divisor in division")
+    divisors = _Divisors.of(divisors, order)
     module = xi.module
     A = module.algebra
     p = A.field.characteristic
-    inverse = A.field.inverse
     mono_mul = A.mono_mul
     key = order.key
-    # the divisors led in each component, least index first
-    by_comp: List[list] = [[] for _ in range(module.rank)]
-    for i, d in enumerate(divisors):
-        lexp, lcomp = lm = d.lm(order)
-        by_comp[lcomp].append((i, lexp, d.data[lm], list(d.data.items())))
+    by_comp = divisors.by_comp
     quotients: List[Dict[ExpVec, object]] = [{} for _ in divisors]
     remainder: Dict[ModMonomial, object] = {}
-    work = dict(xi.data)
+    work, den = _to_ints(xi.data.items())
+    get = work.get
     pending = sorted((key(m), m) for m in work)
+    cap = 2 * den.bit_length() + _CONTENT_BITS
     while pending:
         wm = pending.pop()[1]
-        wc = work.get(wm)
-        if wc is None:
+        a = work[wm]
+        if p:
+            a %= p
+        if not a:
+            del work[wm]
             continue
         wexp, wcomp = wm
-        for i, lexp, lc, terms in by_comp[wcomp]:
+        for i, lexp, lead, row, row_den, content in by_comp[wcomp]:
             if all(x <= y for x, y in zip(lexp, wexp)):
                 break
         else:
-            remainder[wm] = work.pop(wm)
+            del work[wm]
+            remainder[wm] = a if p else Fraction(a, den)
             continue
         alpha = tuple(y - x for x, y in zip(lexp, wexp))
-        c = wc * inverse(lc * mono_mul(alpha, lexp).terms[0][1])
-        neg_c = -c
+        mu = mono_mul(alpha, lexp).terms[0][1]
+        t = lead * mu.numerator
+        # subtract c * a^alpha * row, c = a / (den * t / mu.denominator)
         if p:
-            c %= p
-        _add_scaled(quotients[i], ((alpha, c),), 1, p)
-        for (e, comp), ce in terms:
-            s = neg_c * ce
-            if p:
-                s %= p
-            for e2, c2 in mono_mul(alpha, e).terms:
+            s = a * pow(t, -1, p) % p
+            quotients[i][alpha] = s
+        else:
+            # work * b over den * b, minus s * a^alpha * row: b is the
+            # least multiplier that keeps the numerators integral
+            a *= mu.denominator
+            g = gcd(a, t)
+            s, b = a // g, t // g
+            if b < 0:
+                s, b = -s, -b
+            quotients[i][alpha] = Fraction(s * row_den, den * b * content)
+            if b != 1:
+                _scale(work, b)
+                den *= b
+        s = -s
+        for (e, comp), ce in row:
+            sc = s * ce
+            for e2, x in mono_mul(alpha, e).terms:
+                xd = x.denominator
+                if xd == 1:
+                    n = sc * x.numerator
+                else:
+                    if sc % xd:
+                        r = xd // gcd(sc, xd)
+                        _scale(work, r)
+                        den *= r
+                        s *= r
+                        sc *= r
+                    n = sc // xd * x.numerator
                 m = (e2, comp)
-                cur = work.get(m)
+                cur = get(m)
                 if cur is None:
-                    work[m] = s * c2 % p if p else s * c2
+                    work[m] = n
                     insort(pending, (key(m), m))
                 else:
-                    cur += s * c2
-                    if p:
-                        cur %= p
-                    if cur:
-                        work[m] = cur
-                    else:
-                        del work[m]
+                    work[m] = cur + n
+        del work[wm]
+        if den.bit_length() > cap:
+            den = _remove_content(work, den)
+            cap = 2 * den.bit_length() + _CONTENT_BITS
     return [Poly._of(A, q) for q in quotients], Vect._of(module, remainder)
 
 

@@ -34,6 +34,7 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
+    _Divisors,
     _IntSum,
     _row_from_ints,
     _row_to_ints,
@@ -68,20 +69,31 @@ class PresentationMatrix:
     ``entries[i][j]`` is the e_j-coordinate of the image of the i-th
     basis vector of the source; the map sends a coordinate row
     ``(f_1..f_t)`` to ``(f)Q`` with coefficients kept on the left.
+    The column count ``cols`` is read off the rows; a matrix with no
+    rows must be given it.
     """
 
-    def __init__(self, algebra: SolvableAlgebra, entries: Sequence[Sequence[Poly]]):
+    def __init__(
+        self,
+        algebra: SolvableAlgebra,
+        entries: Sequence[Sequence[Poly]],
+        cols: Optional[int] = None,
+    ):
         self.algebra = algebra
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
+        if cols is None:
+            if not self.rows:
+                raise ValueError("a matrix with no rows needs its width")
+            cols = len(self.entries[0])
+        self.cols = cols
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
 
     @classmethod
     def from_vects(cls, vects: Sequence[Vect], module: FreeModule):
-        return cls(module.algebra, [v.to_polys() for v in vects])
+        return cls(module.algebra, [v.to_polys() for v in vects], module.rank)
 
     def row_vect(self, i: int, target: FreeModule) -> Vect:
         return target.from_polys(self.entries[i])
@@ -111,7 +123,7 @@ class PresentationMatrix:
                 if f:
                     acc.add_lmul(1, f, v)
             out.append(_row_from_ints(A, *acc.finish(), nxt.cols))
-        return PresentationMatrix(A, out)
+        return PresentationMatrix(A, out, nxt.cols)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -169,7 +181,11 @@ class Resolution:
 
 
 class SyzygyGenerators:
-    """Generators of the relations among a fixed tuple of elements."""
+    """Generators of the relations among a fixed tuple of elements.
+
+    The targets lie in ``target_module``, which defaults to the module
+    of the first target and must be given when there is none.
+    """
 
     def __init__(
         self,
@@ -178,23 +194,25 @@ class SyzygyGenerators:
         targets: List[Vect],
         module: FreeModule,
         order: Optional[ModOrder] = None,
+        target_module: Optional[FreeModule] = None,
     ):
         self.elements = elements
         self.origin = origin
         self.targets = targets
         self.module = module
         self.order = order
+        self.target_module = target_module or targets[0].module
 
     def annihilates(self) -> bool:
         """Every generator evaluates to exactly zero on the targets: the
         product S T is zero, S the generators and T the targets as rows.
         """
-        if not self.elements:
-            return True
-        S = PresentationMatrix.from_vects(self.elements, self.module)
-        T = PresentationMatrix(
-            self.module.algebra, [v.to_polys() for v in self.targets]
+        S = PresentationMatrix(
+            self.module.algebra,
+            [s.to_polys() for s in self.elements],
+            len(self.targets),
         )
+        T = PresentationMatrix.from_vects(self.targets, self.target_module)
         return S.compose_with(T).is_zero()
 
     def __len__(self):
@@ -259,6 +277,7 @@ def _spair_rows(
     A = syz_module.algebra
     rows: List[Vect] = []
     t = len(elements)
+    divisors = _Divisors.of(elements, order)
     for i, j in pairs:
         S, ci, expi, cj, expj, _, _ = _spair_data(
             elements[i], elements[j], order
@@ -266,7 +285,7 @@ def _spair_rows(
         if S.is_zero():
             quotients: List[Poly] = [A.zero()] * t
         else:
-            quotients, rem = left_divide_module(S, list(elements), order)
+            quotients, rem = left_divide_module(S, divisors, order)
             if not rem.is_zero():
                 raise NotAGroebnerBasis(
                     "an S-vector does not reduce to zero; the input "
@@ -292,7 +311,7 @@ def syzygy_of_gb(G: GroebnerBasis) -> SyzygyGenerators:
     pairs = _component_pairs(G.leading_monomials())
     rows = _spair_rows(G.elements, G.order, syz_module, pairs)
     return SyzygyGenerators(
-        rows, "SchreyerOfGB", list(G.elements), syz_module, order
+        rows, "SchreyerOfGB", list(G.elements), syz_module, order, G.module
     )
 
 
@@ -305,14 +324,11 @@ def _lift_syzygies(G: GroebnerBasis, out_module: FreeModule) -> List[Vect]:
     and zero rows are dropped.  An empty basis gives UV - E = -E.
     """
     A = out_module.algebra
-    m = len(G.inputs)
-    if G.elements:
-        S = [s.to_polys() for s in syzygy_of_gb(G).elements]
-        rows = PresentationMatrix(A, S + G.U).compose_with(
-            PresentationMatrix(A, G.V)
-        ).entries
-    else:
-        rows = [[A.zero()] * m for _ in range(m)]
+    m, t = len(G.inputs), len(G.elements)
+    S = [s.to_polys() for s in syzygy_of_gb(G).elements]
+    rows = PresentationMatrix(A, S + G.U, t).compose_with(
+        PresentationMatrix(A, G.V, m)
+    ).entries
     for i, row in enumerate(rows[len(rows) - m:]):
         row[i] = row[i] - A.one()
     lifted = [out_module.from_polys(coords) for coords in rows]
@@ -421,7 +437,7 @@ def free_resolution(
                 modules.pop()
                 maps.append(
                     PresentationMatrix(
-                        A, [prev.entries[c] for c in nonpivot]
+                        A, [prev.entries[c] for c in nonpivot], prev.cols
                     )
                 )
                 modules.append(F)
@@ -529,13 +545,15 @@ def projective_dimension(R: Resolution) -> int:
             V[r] + prev.entries[r]
             for r in range(prev.rows)
         ]
-        psi = PresentationMatrix(A, psi_entries)
+        psi = PresentationMatrix(A, psi_entries, last.rows + prev.cols)
         if len(ms) >= 3:
             below = ms[-3]
             zero_rows = [
                 [A.zero() for _ in range(below.cols)] for _ in range(last.rows)
             ]
-            ms[-3] = PresentationMatrix(A, zero_rows + below.entries)
+            ms[-3] = PresentationMatrix(
+                A, zero_rows + below.entries, below.cols
+            )
         ms = ms[:-2] + [psi]
     return 0
 

@@ -10,9 +10,12 @@ import os
 import random
 import re
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import solvpoly
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import UnknownGenerator
 from solvpoly.cli import (
@@ -524,6 +527,32 @@ def test_oracle_staircase_degree_flag(capsys):
     assert payload["staircase"]
     _, default = run_json(capsys, "oracle-staircase", corpus.path("comm2"))
     assert default["degree_bound"] == 6
+
+
+@pytest.mark.parametrize("problem", [
+    corpus.path("weyl1"),
+    os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "corpus",
+                 "c44-p.json"),
+])
+def test_closed_stdout_exits_2_with_one_line(problem):
+    """A reader gone before the report is written, as with ``| head``:
+    the short report fails at the final flush, the long one (32 kB,
+    more than the stream buffer) while it is written.  Either way one
+    line on stderr (no traceback, no "Exception ignored" at exit) and
+    exit 2, not the 1 of a certified negative."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(solvpoly.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvpoly.cli", "--json", "gb", problem],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,32 @@
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
+import solvpoly.modfree as modfree
 from solvpoly.algebra import exp_add
+from solvpoly.cli import parse_problem
+from solvpoly.coeff import FieldSpec
 from solvpoly.filtered import FiltrationContext, ReesModOrder
+from solvpoly.groebner import buchberger, s_polynomial
 from solvpoly.modfree import (
     FreeModule,
     IncompatibleModules,
     ModOrder,
     Vect,
+    _Divisors,
     left_divide_module,
     mono_divides,
     normal_monomials,
 )
 
-from conftest import random_poly, random_vect
+from conftest import over, random_poly, random_vect
 from oracles import reference_left_divide
+
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
+FIXTURES = ["comm2", "weyl1", "qplane", "ex12", "ex14", "qheis"]
 
 
 def random_mono(rnd, n, rank, max_entry=3):
@@ -198,6 +209,176 @@ def test_left_divide_least_index_wins_on_equal_leads(qplane, rng):
         assert not got[0][0].is_zero()
         assert got[0][1].is_zero() and got[0][2].is_zero()
         _same_division(got, reference_left_divide(xi, divisors, order))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_left_divide_mod_7_matches_reference(name):
+    """Over GF(7) what is left of the dividend is reduced mod 7 only
+    when a term is popped, so its ints wrap many times before that."""
+    A = over(FieldSpec("PrimeField", 7), name)
+    rnd = random.Random(len(name) * 7)
+    L = FreeModule(A, 2)
+    for kind, order in _division_orders(A, 2, rnd).items():
+        for _ in range(6):
+            xi = random_vect(L, rnd, max_degree=4, max_terms=4)
+            divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
+                        for _ in range(rnd.randint(1, 3))]
+            _same_division(left_divide_module(xi, divisors, order),
+                           reference_left_divide(xi, divisors, order))
+
+
+def _big_vect(L, rnd, bits, degree):
+    """Up to three terms per component of degree at most ``degree``,
+    each coefficient a ratio of two random ints of about ``bits`` bits.
+    """
+    A = L.algebra
+    polys = []
+    for _ in range(L.rank):
+        terms = []
+        for _ in range(rnd.randint(1, 3)):
+            exp = [0] * A.n
+            for _ in range(rnd.randint(0, degree)):
+                exp[rnd.randrange(A.n)] += 1
+            num = rnd.getrandbits(bits) + 1
+            terms.append((tuple(exp), Fraction(rnd.choice([-1, 1]) * num,
+                                               rnd.getrandbits(bits) + 1)))
+        polys.append(A.from_terms(terms))
+    return L.from_polys(polys)
+
+
+@pytest.mark.parametrize("name", ["weyl1", "qplane", "qheis"])
+def test_left_divide_big_coefficients_match_reference(name, monkeypatch):
+    """Coefficients of several hundred bits: every step multiplies the
+    numerators by a lead of that size, so the division removes the
+    content of what is left along the way, and the result still equals
+    the reference's."""
+    A = over(FieldSpec(), name)
+    L = FreeModule(A, 2)
+    order = ModOrder("top", A.order, 2)
+    rnd = random.Random(len(name))
+    removed = []
+    remove = modfree._remove_content
+
+    def counting(nums, den):
+        removed.append(den)
+        return remove(nums, den)
+
+    monkeypatch.setattr(modfree, "_remove_content", counting)
+    for _ in range(4):
+        xi = _big_vect(L, rnd, 300, 5)
+        divisors = [_big_vect(L, rnd, 300, 2) for _ in range(2)]
+        _same_division(left_divide_module(xi, divisors, order),
+                       reference_left_divide(xi, divisors, order))
+    assert removed
+
+
+def test_left_divide_products_with_denominators(qheis, monkeypatch):
+    """In qheis (z*y = 2*y*z, z*x = 1/2*x*z), z^3*y is 8*y*z^3, so
+    dividing it by 2*y*z + x needs no multiplier on what is left; but
+    z^2 times the tail x is x*z^2/4, which raises its denominator by 4
+    in the middle of the step."""
+    L = FreeModule(qheis, 1)
+    order = ModOrder("top", qheis.order, 1)
+    xi = L.parse(["z^3*y + x"])
+    divisors = [L.parse(["z*y + x"])]
+    scaled = []
+    scale = modfree._scale
+
+    def counting(nums, r):
+        scaled.append(r)
+        return scale(nums, r)
+
+    monkeypatch.setattr(modfree, "_scale", counting)
+    got = left_divide_module(xi, divisors, order)
+    assert scaled == [4]
+    assert got[1] == L.parse(["-1/4*x*z^2 + x"])
+    _same_division(got, reference_left_divide(xi, divisors, order))
+
+
+def test_left_divide_mod_p_cancelled_term_reappears(monkeypatch):
+    """Over GF(7) the monomial x*y cancels mod 7 (its int is -35, not
+    0), stays out of the steps that follow and is brought back by a
+    later one; the reference shows it leave and come back."""
+    A = over(FieldSpec("PrimeField", 7), "weyl1")
+    L = FreeModule(A, 1)
+    order = ModOrder("top", A.order, 1)
+    xi = L.parse(["6*y^4 + x*y + 5*x^2"])
+    divisors = [L.parse(["4*y + 6*x"])]
+    steps = [frozenset(xi.data)]
+    want = reference_left_divide(xi, divisors, order, steps)
+    xy = ((1, 1), 0)
+    assert [xy in left for left in steps] == [
+        True, True, False, False, False, True, False]
+    seen = []
+    to_ints = modfree._to_ints
+
+    class Watched(dict):
+        def __setitem__(self, m, n):
+            if m == xy:
+                seen.append(n)
+            dict.__setitem__(self, m, n)
+
+    monkeypatch.setattr(modfree, "_to_ints",
+                        lambda items: (Watched(to_ints(items)[0]), 1))
+    _same_division(left_divide_module(xi, divisors, order), want)
+    assert any(n and n % 7 == 0 for n in seen)
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_prepared_divisors_built_by_append(p):
+    """A prepared list grown one element at a time, as the completion
+    grows its basis, divides as the plain list does; under another
+    order it is prepared again."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), "qheis")
+    L = FreeModule(A, 2)
+    rnd = random.Random(11 + p)
+    orders = list(_division_orders(A, 2, rnd).values())
+    for order, other in zip(orders, orders[1:] + orders[:1]):
+        divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
+                    for _ in range(3)]
+        prepared = _Divisors(order)
+        for d in divisors:
+            prepared.append(d)
+        assert prepared == divisors
+        assert prepared.leads == [d.lm(order) for d in divisors]
+        for _ in range(4):
+            xi = random_vect(L, rnd, max_degree=4, max_terms=4)
+            for o in (order, other):
+                want = reference_left_divide(xi, divisors, o)
+                _same_division(left_divide_module(xi, prepared, o), want)
+                _same_division(left_divide_module(xi, divisors, o), want)
+
+
+def test_division_runs_no_payload_arithmetic(monkeypatch):
+    """Over Q, once the monomial products are cached, dividing an
+    S-vector of sl2-4-q by its basis adds, subtracts and multiplies no
+    Fraction, and makes one Fraction per quotient and remainder term."""
+    pf = parse_problem(os.path.join(BENCH_CORPUS, "sl2-4-q.json"))
+    order = pf.mod_order
+    G = buchberger(pf.generators, order)
+    basis = list(G.elements)
+    S = s_polynomial(basis[-2], basis[-1], order)
+    assert not S.is_zero()
+    left_divide_module(S, basis, order)
+    ops, made = [], []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(*args, _fn=getattr(Fraction, name), _name=name):
+            ops.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    new = Fraction.__new__
+
+    def creating(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(creating))
+    quotients, rem = left_divide_module(S, basis, order)
+    monkeypatch.undo()
+    assert ops == []
+    terms = sum(len(q.terms) for q in quotients) + len(rem.data)
+    assert terms and len(made) == terms
 
 
 def test_left_divide_zero_input(qheis):

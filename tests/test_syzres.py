@@ -285,21 +285,25 @@ def _random_matrix(A, rnd, rows, cols):
 def test_matrix_products_agree_with_word_rewriting(name, p):
     """compose_with and apply against entrywise sums of the word-rewriting
     product; qheis (lambda = 1/2) gives products with denominators.  A
-    matrix with no rows has no columns, so the zero-size shapes are
-    zero columns, zero inner size and zero rows."""
+    matrix keeps its column count when it has no rows, so every
+    zero-size shape has its product shape: an r x 0 times a 0 x c
+    matrix is a zero r x c matrix."""
     A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
     rnd = random.Random(len(name) * 31 + p)
     shapes = [(rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 3))
               for _ in range(4)]
-    for r, k, c in shapes + [(2, 3, 0), (2, 0, 0), (0, 0, 0)]:
+    zero_sizes = [(2, 3, 0), (2, 0, 0), (0, 0, 0), (2, 0, 3), (0, 3, 2),
+                  (0, 0, 2)]
+    for r, k, c in shapes + zero_sizes:
         left = _random_matrix(A, rnd, r, k)
         right = _random_matrix(A, rnd, k, c)
         if r > 1 and k:
             left[1] = [A.zero()] * k
-        M, N = PresentationMatrix(A, left), PresentationMatrix(A, right)
+        M = PresentationMatrix(A, left, k)
+        N = PresentationMatrix(A, right, c)
         want = oracles.reference_matrix_product(A, left, right, c)
         C = M.compose_with(N)
-        assert (C.rows, C.cols) == (r, c if r else 0)
+        assert (C.rows, C.cols) == (r, c)
         assert C.entries == want
         for row, out in zip(left, want):
             assert N.apply(row) == out

@@ -134,6 +134,27 @@ def test_V_over_prime_fields(name, p):
             assert_V(right_buchberger(gens, order), right=True)
 
 
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_U_writes_every_input_in_the_basis(name, p):
+    """inputs = U * elements by the reference product, for the seeded
+    TOP submodules of the V test (over GF(7) from the same seeds), for
+    buchberger and reduce_basis; U holds the division's quotients."""
+    A = over(FieldSpec("PrimeField", p), name) if p else fixtures.load(
+        name).algebra
+    L = FreeModule(A, 2)
+    order = ModOrder("top", A.order, 2)
+    rnd = random.Random(len(name) * 31 + len("top"))
+    for _ in range(2):
+        gens = [random_vect(L, rnd, max_degree=2, max_terms=2, nonzero=True)
+                for _ in range(rnd.randint(2, 3))]
+        G = buchberger(gens, order)
+        for B in (G, reduce_basis(G)):
+            rows = [g.to_polys() for g in B.elements]
+            assert oracles.reference_matrix_product(A, B.U, rows, 2) == [
+                v.to_polys() for v in gens]
+
+
 def test_V_rows_run_no_payload_arithmetic(monkeypatch):
     """Reading V over Q calls neither the kernel nor ``Vect._add_lmul``;
     on qheis (lambda = 1/2) monomial products carry denominators."""
