@@ -6,10 +6,14 @@ relation tail is homogeneous of the same weighted degree as the
 leading product.  Free modules carry degree shifts, an element is
 homogeneous when all of its monomials share the shifted degree, and
 the completion loops then run degree by degree: this gives truncated
-bases, minimal homogeneous generating sets (an input survives iff it
+bases and minimal homogeneous generating sets (an input survives iff it
 does not reduce to zero against everything of lower or equal degree
-processed before it), and minimal graded resolutions where every
-boundary matrix is free of scalar entries.
+processed before it).
+
+A minimal graded resolution (no scalar entry in any boundary matrix)
+is the Schreyer resolution under the graded order with its scalar
+entries cancelled from the top map down (La Scala--Stillman, JSC 26,
+1998; Erocal--Motsak--Schreyer--Steenpass, JSC 74, 2016).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .coeff import SolvpolyError
 from .algebra import DegreeFunction, Poly, SolvableAlgebra, zero_exp
 from .modfree import FreeModule, ModOrder, Vect
 from .groebner import GroebnerBasis, buchberger, degree_driven_completion
-from .syzres import PresentationMatrix, Resolution, _lift_syzygies
+from .syzres import PresentationMatrix, Resolution, free_resolution
 
 __all__ = [
     "NotGraded",
@@ -214,7 +218,8 @@ class QuotientMinimization:
     ``new_module`` is the pruned free module (None when the quotient is
     zero), ``gens`` the transformed generators inside it, and
     ``eliminations`` records, per dropped component, the relation (in
-    original coordinates) that defined it.
+    original coordinates) that defined it, and ``pivots`` the index of
+    that relation among the inputs.
     """
 
     def __init__(
@@ -224,12 +229,14 @@ class QuotientMinimization:
         new_module: Optional[FreeModule],
         gens: List[Vect],
         eliminations: List[Tuple[int, Vect]],
+        pivots: List[int],
     ):
         self.module = module
         self.kept = kept
         self.new_module = new_module
         self.gens = gens
         self.eliminations = eliminations
+        self.pivots = pivots
 
     def __repr__(self):
         return "%s(kept=%r, %d gens)" % (
@@ -255,7 +262,8 @@ def min_gens_quotient(
 
 
 def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
-    List[int], Optional[FreeModule], List[Vect], List[Tuple[int, Vect]]
+    List[int], Optional[FreeModule], List[Vect], List[Tuple[int, Vect]],
+    List[int],
 ]:
     """Eliminate basis vectors of L through unit pivots of the gens.
 
@@ -264,10 +272,11 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
     input every unit coordinate qualifies).  While one exists, the first
     in generator order, then component order, eliminates its basis
     vector from every other generator, and both are dropped.  Returns
-    ``(kept, new_module, gens, eliminations)``: the surviving components
-    of L, the pruned free module (None when nothing survives), the
-    transformed generators inside it, and per dropped component the
-    pivot generator in original coordinates.
+    ``(kept, new_module, gens, eliminations, pivots)``: the surviving
+    components of L, the pruned free module (None when nothing
+    survives), the transformed generators inside it (zero ones
+    dropped), per dropped component the pivot generator in original
+    coordinates, and the index in ``gens`` of each pivot generator.
 
     The rows stay vectors of L: eliminating with the pivot at component
     i subtracts ``(f * c^-1) * pivot`` from each other row, f its entry
@@ -276,12 +285,13 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
     """
     A = L.algebra
     unit = zero_exp(A.n)
-    work = [v for v in gens if v]
+    work = [(k, v) for k, v in enumerate(gens) if v]
     alive = list(range(L.rank))
     eliminations: List[Tuple[int, Vect]] = []
+    pivots: List[int] = []
 
     def find_pivot() -> Optional[Tuple[int, int]]:
-        for j, v in enumerate(work):
+        for j, (_, v) in enumerate(work):
             qj = max(L.mono_degree(m) for m in v.data)
             count = Counter(c for _, c in v.data)
             for i in sorted(count):
@@ -298,19 +308,19 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
         if hit is None:
             break
         i, j = hit
-        pivot = work.pop(j)
+        k, pivot = work.pop(j)
         inv = A.field.inverse(pivot.data[(unit, i)])
         eliminations.append((i, pivot))
+        pivots.append(k)
         work = [
-            w
-            for w in (v - pivot.lmul(v.component(i).scale(inv)) for v in work)
-            if w
+            (k, v - pivot.lmul(v.component(i).scale(inv))) for k, v in work
         ]
+        work = [(k, v) for k, v in work if v]
         alive.remove(i)
 
     if not alive:
         # every basis vector was eliminated: the quotient is zero
-        return [], None, [], eliminations
+        return [], None, [], eliminations, pivots
     new_module = FreeModule(
         A, len(alive), shifts=[L.shifts[c] for c in alive]
     )
@@ -319,9 +329,9 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
         Vect._of(
             new_module, {(e, reindex[c]): x for (e, c), x in v.data.items()}
         )
-        for v in work
+        for _, v in work
     ]
-    return alive, new_module, new_gens, eliminations
+    return alive, new_module, new_gens, eliminations, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +351,40 @@ def _graded_order(module: FreeModule) -> ModOrder:
     )
 
 
-def _syzygy_generators_tracked(
-    U: Sequence[Vect], order: ModOrder
-) -> Tuple[List[Vect], List[Vect], FreeModule]:
-    """Minimal generators step: returns (U_min, syzygy generators of
-    U_min, the syzygy coordinate module with matching shifts)."""
-    basis, (trace, steps), kept = degree_driven_completion(U, order)
-    u_min = [U[j] for j in kept]
-    # inputs that were not kept reduced to zero, so no step copies them
-    trace.select_inputs(kept)
-    G = GroebnerBasis(U[0].module, order, basis, u_min, (trace, steps))
-    shifts = [vect_degree_if_homogeneous(x) for x in u_min]
-    syz_module = FreeModule(
-        U[0].module.algebra, max(len(u_min), 1), shifts=shifts or None
-    )
-    return u_min, _lift_syzygies(G, syz_module), syz_module
+def _cancel_scalar_entries(
+    modules: List[FreeModule], maps: Sequence[PresentationMatrix]
+) -> Tuple[List[FreeModule], List[PresentationMatrix]]:
+    """Cancel the scalar entries of an exact graded chain, from the top
+    map down.
+
+    A unit u at (r, c) of map i splits off ``e_r -> u e_c + ..``:
+    :func:`prune_unit_pivots` on the rows of map i subtracts
+    ``(f * u^-1) * row r`` from each other row with entry f in column c
+    and drops row r and column c; column r of map i+1 and row c of map
+    i-1 go too.  Map i+1 is free of scalars by then, so no row of map i
+    becomes zero.  A top module left with no basis vector is trimmed.
+    """
+    A = modules[0].algebra
+    modules, rows = list(modules), [m.entries for m in maps]
+    for i in reversed(range(len(rows))):
+        vects = [modules[i].from_polys(row) for row in rows[i]]
+        alive, modules[i], left, _, pivots = prune_unit_pivots(
+            modules[i], vects
+        )
+        stay = [r for r in range(len(vects)) if r not in pivots]
+        shifts = [modules[i + 1].shifts[r] for r in stay]
+        modules[i + 1] = FreeModule(A, len(stay), shifts) if stay else None
+        rows[i] = [v.to_polys() for v in left]
+        if i + 1 < len(rows):
+            rows[i + 1] = [[row[r] for r in stay] for row in rows[i + 1]]
+        if i:
+            rows[i - 1] = [rows[i - 1][c] for c in alive]
+    while modules[-1] is None:
+        modules.pop()
+        rows.pop()
+    return modules, [
+        PresentationMatrix(A, r, modules[i].rank) for i, r in enumerate(rows)
+    ]
 
 
 def minimal_graded_resolution(
@@ -363,43 +392,22 @@ def minimal_graded_resolution(
 ) -> Resolution:
     """Minimal graded free resolution of M = L0 / <N_gens>.
 
-    First the presentation is pruned of unit-coefficient relations,
-    then each stage keeps a minimal homogeneous generating set of the
-    current kernel and passes its syzygy generators down; shifts
-    propagate as the degrees of the chosen generators.
+    The presentation is pruned of unit-coefficient relations
+    (:func:`min_gens_quotient`), its Schreyer resolution under the
+    graded order is built (:func:`solvpoly.syzres.free_resolution`),
+    and the scalar entries of that frame are cancelled
+    (:func:`_cancel_scalar_entries`).
     """
-    A = L0.algebra
-    GradedContext(A).require()
-    gens = [v for v in N_gens if not v.is_zero()]
-    _require_homogeneous(gens)
+    qm = min_gens_quotient(L0, N_gens)
     provenance = ["minimal homogeneous generators of the quotient"]
-    if not gens:
-        return Resolution([L0], [], "Graded", provenance, list(N_gens))
-    qm = min_gens_quotient(L0, gens)
     if not qm.kept:
         return Resolution(
             [], [], "Graded", provenance, list(N_gens), zero_module=True
         )
-    cur_module = qm.new_module
-    U = [v for v in qm.gens if not v.is_zero()]
-    modules = [cur_module]
-    maps: List[PresentationMatrix] = []
-    if not U:
-        return Resolution(modules, maps, "Graded", provenance, list(N_gens))
-    for _ in range(A.n + 2):
-        order = _graded_order(cur_module)
-        u_min, syz, syz_module = _syzygy_generators_tracked(U, order)
-        maps.append(PresentationMatrix.from_vects(u_min, cur_module))
-        modules.append(syz_module)
-        provenance.append("minimal homogeneous generating set")
-        if not syz:
-            break
-        U = syz
-        cur_module = syz_module
-    else:
-        raise RuntimeError(
-            "graded resolution exceeded the generator-count bound"
-        )
+    L = qm.new_module
+    frame = free_resolution(L, qm.gens, _graded_order(L))
+    modules, maps = _cancel_scalar_entries(frame.modules, frame.maps)
+    provenance += ["Schreyer frame, scalar entries cancelled"] * len(maps)
     return Resolution(modules, maps, "Graded", provenance, list(N_gens))
 
 

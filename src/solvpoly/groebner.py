@@ -167,16 +167,6 @@ class _Trace:
             self.done[ids[-1]] = _row_to_ints(row)
         return ids
 
-    def select_inputs(self, kept: Sequence[int]) -> None:
-        """Renumber the inputs to their positions in ``kept``; an input
-        left out must be the unit of no step."""
-        pos = {j: t for t, j in enumerate(kept)}
-        self.steps = [
-            (pos[st[0]],) + st[1:] if st and st[0] is not None else st
-            for st in self.steps
-        ]
-        self.m = len(kept)
-
     def rows(self, ids: Sequence[int]) -> List[List[Poly]]:
         """The rows of the steps ``ids``, evaluating what they need."""
         A, done = self.A, self.done

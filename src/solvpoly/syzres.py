@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub
+from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub, reversed_poly
 from .modfree import (
     FreeModule,
     ModMonomial,
@@ -39,7 +39,7 @@ from .modfree import (
     _row_from_ints,
     _row_to_ints,
     left_divide_module,
-    right_divide_module,
+    opposite_order,
 )
 from .groebner import (
     GroebnerBasis,
@@ -47,7 +47,6 @@ from .groebner import (
     _spair_data,
     buchberger,
     minimalize,
-    right_buchberger,
 )
 
 __all__ = [
@@ -482,42 +481,43 @@ def is_projective(
     columns of Q contains every basis vector; in that case a right
     inverse V (s x t) with Q V = E is assembled from the right
     division quotients and returned.
+
+    It all runs over ``A.opposite()``, where right multiples are left
+    ones: the reversed columns are completed once, each e_k is divided
+    by that basis, and phi(V) = quotients * V_op is one product over
+    the rows of V_op that a nonzero quotient reads.
     """
     A = Q.algebra
     t, s = Q.rows, Q.cols
     if t == 0:
         return True, []
-    module = FreeModule(A, t)
-    order = ModOrder("top", A.order, t)
+    op = A.opposite()
+    module = FreeModule(op, t)
+    order = opposite_order(ModOrder("top", A.order, t))
     columns: List[Vect] = []
     col_index: List[int] = []
     for j in range(s):
-        v = module.from_polys([Q.entries[i][j] for i in range(t)])
+        v = module.from_polys([reversed_poly(row[j], op) for row in Q.entries])
         if not v.is_zero():
             columns.append(v)
             col_index.append(j)
     if not columns:
         return False, None
-    rgb = right_buchberger(columns, order)
-    all_quotients = []
+    G = buchberger(columns, order)
+    quotients = []
     for k in range(t):
-        quotients, rem = right_divide_module(module.basis(k), rgb.elements,
-                                             order)
+        qs, rem = left_divide_module(module.basis(k), G.elements, order)
         if not rem.is_zero():
             return False, None
-        all_quotients.append(quotients)
-    # only the rows of V that a nonzero quotient reads are built
-    used = sorted({g for qs in all_quotients for g, q in enumerate(qs) if q})
-    rows = dict(zip(used, rgb.V_rows(used)))
+        quotients.append(qs)
+    used = sorted({g for qs in quotients for g, q in enumerate(qs) if q})
+    W = PresentationMatrix(
+        op, [[qs[g] for g in used] for qs in quotients], len(used)
+    ).compose_with(PresentationMatrix(op, G.V_rows(used), len(columns)))
     V = [[A.zero() for _ in range(t)] for _ in range(s)]
-    for k, quotients in enumerate(all_quotients):
-        for g_idx, q in enumerate(quotients):
-            if q.is_zero():
-                continue
-            for c_idx, j in enumerate(col_index):
-                vrow = rows[g_idx][c_idx]
-                if not vrow.is_zero():
-                    V[j][k] = V[j][k] + A.multiply(vrow, q)
+    for k, row in enumerate(W.entries):
+        for f, j in zip(row, col_index):
+            V[j][k] = reversed_poly(f, A)
     return True, V
 
 

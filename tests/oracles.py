@@ -9,6 +9,7 @@ Tests pit library answers against these.  The reference division
 runs term by term over whole immutable Vect and Poly values.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -365,12 +366,15 @@ def reference_prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]):
     A = L.algebra
     d = A.degree_function
     work: List[Dict[int, Poly]] = []
-    for v in gens:
+    origin: List[int] = []
+    for k, v in enumerate(gens):
         if not v.is_zero():
             work.append({c: v.component(c) for c in range(L.rank)
                          if not v.component(c).is_zero()})
+            origin.append(k)
     alive = list(range(L.rank))
     eliminations: List[Tuple[int, Vect]] = []
+    pivots: List[int] = []
 
     def find_pivot() -> Optional[Tuple[int, int]]:
         for j, coords in enumerate(work):
@@ -393,13 +397,16 @@ def reference_prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]):
         inv = A.field.inverse(pivot[i].coeff(tuple([0] * A.n)))
         eliminations.append(
             (i, L.from_polys([pivot.get(c, A.zero()) for c in range(L.rank)])))
+        pivots.append(origin[j])
         new_work: List[Dict[int, Poly]] = []
+        new_origin: List[int] = []
         for l, coords in enumerate(work):
             if l == j:
                 continue
             f_il = coords.get(i)
             if f_il is None:
                 new_work.append(coords)
+                new_origin.append(origin[l])
                 continue
             factor = f_il.scale(inv)
             out: Dict[int, Poly] = {}
@@ -414,11 +421,12 @@ def reference_prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]):
                     out[c] = cur
             if out:
                 new_work.append(out)
-        work = new_work
+                new_origin.append(origin[l])
+        work, origin = new_work, new_origin
         alive.remove(i)
 
     if not alive:
-        return [], None, [], eliminations
+        return [], None, [], eliminations, pivots
     new_module = FreeModule(A, len(alive), shifts=[L.shifts[c] for c in alive])
     reindex = {c: pos for pos, c in enumerate(alive)}
     new_gens: List[Vect] = []
@@ -427,4 +435,39 @@ def reference_prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]):
         for c, f in coords.items():
             polys[reindex[c]] = f
         new_gens.append(new_module.from_polys(polys))
-    return alive, new_module, new_gens, eliminations
+    return alive, new_module, new_gens, eliminations, pivots
+
+
+# ---------------------------------------------------------------------------
+# minimal graded resolutions stage by stage
+# ---------------------------------------------------------------------------
+
+def reference_graded_betti(L0: FreeModule,
+                           gens: Sequence[Vect]) -> Dict[int, Dict[int, int]]:
+    """Betti table of the minimal graded resolution of L0 / <gens>, in the
+    form of ``solvpoly.graded.betti_table``, by the per-stage route:
+    after pruning the unit relations of the presentation, every stage
+    keeps a minimal homogeneous generating set of the current kernel
+    (a full completion, ``early_stop=False``) and lifts the syzygies of
+    the kept elements (``syzygy_of_generators``).  Shares no code with
+    the cancellation of scalar entries in a Schreyer resolution."""
+    from solvpoly.graded import min_gens_quotient, min_homogeneous_gens
+    from solvpoly.syzres import syzygy_of_generators
+
+    qm = min_gens_quotient(L0, gens)
+    if not qm.kept:
+        return {}
+    module, U = qm.new_module, qm.gens
+    shift_lists = [module.shifts]
+    for _ in range(L0.algebra.n + 2):
+        if not U:
+            break
+        order = ModOrder("top", L0.algebra.order, module.rank, graded=True,
+                         shifts=module.shifts)
+        kept, _ = min_homogeneous_gens(U, order, early_stop=False)
+        syz = syzygy_of_generators(kept, order)
+        module, U = syz.module, syz.elements
+        shift_lists.append(module.shifts)
+    assert not U, "the reference resolution did not end"
+    return {pos: dict(Counter(shifts))
+            for pos, shifts in enumerate(shift_lists)}

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
+import solvpoly.graded as graded
+import solvpoly.groebner as groebner
+import solvpoly.syzres as syzres
+from solvpoly import fixtures as corpus
+from solvpoly.filtered import FiltrationContext, minimal_filtered_resolution
 from solvpoly.modfree import FreeModule, ModOrder
 from solvpoly.groebner import buchberger, is_member
+from solvpoly.syzres import free_resolution
 from solvpoly.graded import (
     InhomogeneousInput,
     betti_table,
@@ -198,12 +204,14 @@ def test_unit_pivot_pruning_matches_the_reference(name, request):
         gens = [_homogeneous_with_units(
                     L, rnd, rnd.choice(shifts) + rnd.randint(0, 1))
                 for _ in range(rnd.randint(1, 4))]
-        kept, module, pruned, eliminations = prune_unit_pivots(L, gens)
+        kept, module, pruned, eliminations, pivots = prune_unit_pivots(
+            L, gens)
         want = oracles.reference_prune_unit_pivots(L, gens)
         assert kept == want[0]
         assert (module and module.shifts) == (want[1] and want[1].shifts)
         assert pruned == want[2]
         assert eliminations == want[3]
+        assert pivots == want[4]
         eliminated += len(eliminations)
     assert eliminated >= 5
 
@@ -269,3 +277,100 @@ def test_graded_machinery_rejects_inhomogeneous_input(comm2):
     L = FreeModule(comm2, 1)
     with pytest.raises(InhomogeneousInput):
         min_homogeneous_gens([L.parse(["x + 1"])], gtop(comm2))
+
+
+# ---------------------------------------------------------------------------
+# the Schreyer frame and its cancellation against independent routes
+# ---------------------------------------------------------------------------
+
+def _composes_to_zero_by_reference(R):
+    """Consecutive maps multiply to zero under the word-rewriting product,
+    not under ``compose_with``, the product under test."""
+    A = R.modules[0].algebra
+    for upper, lower in zip(R.maps[1:], R.maps):
+        product = oracles.reference_matrix_product(
+            A, upper.entries, lower.entries, lower.cols)
+        if not all(f.is_zero() for row in product for f in row):
+            return False
+    return True
+
+
+def _seeded_graded_inputs(A, rnd, count):
+    """Homogeneous generators of submodules of rank 1 and 2, with shifts;
+    some presentations carry unit entries."""
+    for k in range(count):
+        shifts = [0] if k % 2 == 0 else [0, rnd.randint(0, 1)]
+        L = FreeModule(A, len(shifts), shifts)
+        gens = [_homogeneous_with_units(L, rnd, rnd.randint(1, 3))
+                for _ in range(rnd.randint(2, 4))]
+        gens = [g for g in gens if g]
+        if gens:
+            yield L, gens
+
+
+@pytest.mark.parametrize("name", ["comm2", "qplane"])
+def test_fixture_resolutions_compose_to_zero_by_reference(name):
+    pf = corpus.load(name)
+    for R in (free_resolution(pf.module, pf.generators, pf.mod_order),
+              minimal_graded_resolution(pf.module, pf.generators)):
+        assert R.maps and _composes_to_zero_by_reference(R)
+
+
+@pytest.mark.parametrize("name,seed,floor", [("comm2", 5, 8),
+                                             ("qplane", 5, 8),
+                                             ("ex12", 7, 30)])
+def test_cancelled_frame_matches_the_per_stage_resolution(name, seed, floor):
+    """minimal_graded_resolution (the Schreyer frame with its scalar
+    entries cancelled) against the per-stage route of
+    oracles.reference_graded_betti; the frames of these inputs are not
+    all minimal, so cancellations run, top modules included."""
+    A = corpus.load(name).algebra
+    rnd = random.Random(seed)
+    cancelled = 0
+    for L, gens in _seeded_graded_inputs(A, rnd, 30):
+        R = minimal_graded_resolution(L, gens)
+        assert betti_table(R) == oracles.reference_graded_betti(L, gens)
+        assert scalar_entry_positions(R) == []
+        assert oracles.euler_characteristic_ok(
+            R.ranks(), R.shift_lists(), L, gens, 5)
+        assert _composes_to_zero_by_reference(R)
+        qm = min_gens_quotient(L, gens)
+        if not qm.kept:
+            continue
+        L1 = qm.new_module
+        frame = free_resolution(L1, qm.gens, gtop(A, L1.rank, L1.shifts))
+        assert _composes_to_zero_by_reference(frame)
+        # each cancellation drops one basis vector from two modules
+        cancelled += (sum(frame.ranks()) - sum(R.ranks())) // 2
+    assert cancelled >= floor
+
+
+@pytest.mark.parametrize("name", ["comm2", "qplane", "ex12"])
+def test_filtered_and_graded_betti_tables_agree_on_graded_input(name):
+    A = corpus.load(name).algebra
+    ctx = FiltrationContext(A)
+    rnd = random.Random(7)
+    for L, gens in _seeded_graded_inputs(A, rnd, 12):
+        assert betti_table(minimal_filtered_resolution(ctx, L, gens)) == \
+            betti_table(minimal_graded_resolution(L, gens))
+
+
+def test_graded_resolution_runs_one_completion(monkeypatch):
+    """The presentation is completed once, by buchberger inside
+    free_resolution; no stage runs the degree-driven completion."""
+    calls = {"buchberger": 0, "degree_driven_completion": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (groebner, syzres, graded):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    pf = corpus.load("ex12")
+    L = FreeModule(pf.algebra, 1)
+    gens = [L.parse([m]) for m in ("a1^2", "a1*a2", "a2*a3")]
+    minimal_graded_resolution(L, gens)
+    assert calls == {"buchberger": 1, "degree_driven_completion": 0}
