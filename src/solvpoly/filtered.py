@@ -45,10 +45,11 @@ from .groebner import (
 from .graded import (
     QuotientMinimization,
     _graded_order,
+    _minimal_resolution,
     check_graded,
     prune_unit_pivots,
 )
-from .syzres import PresentationMatrix, Resolution, syzygy_of_generators
+from .syzres import PresentationMatrix, Resolution
 
 __all__ = [
     "NotGradedOrder",
@@ -749,52 +750,30 @@ def minimal_filtered_resolution(
 ) -> Resolution:
     """Minimal filtered free resolution of M = L0 / <N_gens>.
 
-    Stage zero prunes the presentation through unit pivots (after
-    completing the generators to a standard basis); every deeper stage
-    maps a minimal standard basis of the current kernel and passes its
-    syzygy generators down, the new basis vectors inheriting the
-    filtration degrees of the elements they map onto.
+    Stage zero completes the generators to a standard basis and prunes
+    the presentation through its unit pivots (:func:`minimal_F_basis`,
+    certified by the filtration dimensions).  The rest is the graded
+    engine: the Schreyer frame of the pruned presentation under the
+    shifted-degree-first order, each basis vector shifted by the
+    filtration degree of the row it maps to, with the units at the top
+    filtration degree cancelled from the top map down
+    (:func:`solvpoly.graded._minimal_resolution`).
     """
-    A = ctx.algebra
-    if L0.algebra is not A:
+    if L0.algebra is not ctx.algebra:
         raise IncompatibleModules(
             "module lives over a different algebra than the context"
         )
     gens = [v for v in N_gens if not v.is_zero()]
-    provenance = ["minimal F-basis of the quotient"]
     if not gens:
-        return Resolution([L0], [], "Filtered", provenance, list(N_gens))
-    order0 = _graded_order(L0)
-    completed = buchberger(gens, order0)
+        return Resolution(
+            [L0], [], "Filtered", ["minimal F-basis of the quotient"],
+            list(N_gens),
+        )
+    completed = buchberger(gens, _graded_order(L0))
     pruned = minimal_F_basis(
         ctx, L0, completed.elements, assume_standard=True
     )
-    if not pruned.kept:
-        return Resolution(
-            [], [], "Filtered", provenance, list(N_gens), zero_module=True
-        )
-    cur_module = pruned.new_module
-    U = [v for v in pruned.gens if not v.is_zero()]
-    modules = [cur_module]
-    maps: List[PresentationMatrix] = []
-    if not U:
-        return Resolution(modules, maps, "Filtered", provenance, list(N_gens))
-    for _ in range(A.n + 2):
-        W = minimal_standard_basis(ctx, U)
-        order = _graded_order(cur_module)
-        maps.append(PresentationMatrix.from_vects(W, cur_module))
-        provenance.append("minimal standard basis of the kernel")
-        syz = syzygy_of_generators(W, order)
-        modules.append(syz.module)
-        if not syz.elements:
-            break
-        U = syz.elements
-        cur_module = syz.module
-    else:
-        raise RuntimeError(
-            "filtered resolution exceeded the generator-count bound"
-        )
-    return Resolution(modules, maps, "Filtered", provenance, list(N_gens))
+    return _minimal_resolution(pruned, N_gens, "Filtered")
 
 
 def sigma_resolution(ctx: FiltrationContext, R: Resolution) -> Resolution:

@@ -354,15 +354,25 @@ def _graded_order(module: FreeModule) -> ModOrder:
 def _cancel_scalar_entries(
     modules: List[FreeModule], maps: Sequence[PresentationMatrix]
 ) -> Tuple[List[FreeModule], List[PresentationMatrix]]:
-    """Cancel the scalar entries of an exact graded chain, from the top
-    map down.
+    """Cancel the scalar entries of an exact graded or filtered chain,
+    from the top map down.
 
     A unit u at (r, c) of map i splits off ``e_r -> u e_c + ..``:
     :func:`prune_unit_pivots` on the rows of map i subtracts
     ``(f * u^-1) * row r`` from each other row with entry f in column c
     and drops row r and column c; column r of map i+1 and row c of map
-    i-1 go too.  Map i+1 is free of scalars by then, so no row of map i
+    i-1 go too.  Map i+1 is free of pivots by then, so no row of map i
     becomes zero.  A top module left with no basis vector is trimmed.
+
+    The chain is a Schreyer frame under the shifted-degree-first order,
+    so on filtered (inhomogeneous) input every leading monomial lies in
+    the top filtration degree of its element and every basis vector is
+    shifted by the degree of the row it maps to: sigma of the frame is
+    the Schreyer frame of sigma(standard basis) over gr A, and the frame
+    is strict.  A pivot is a unit whose column shift equals its row's
+    filtration degree, so each cancellation subtracts multiples of degree
+    at most that of the row it changes and stays inside the filtration;
+    units below the top filtration degree are not pivots and stay.
     """
     A = modules[0].algebra
     modules, rows = list(modules), [m.entries for m in maps]
@@ -387,6 +397,24 @@ def _cancel_scalar_entries(
     ]
 
 
+def _minimal_resolution(
+    qm: QuotientMinimization, N_gens: Sequence[Vect], flavor: str
+) -> Resolution:
+    """The Schreyer frame of a pruned presentation under the graded
+    order (:func:`solvpoly.syzres.free_resolution`) with its scalar
+    entries cancelled (:func:`_cancel_scalar_entries`)."""
+    provenance = ["minimal generators of the quotient"]
+    if not qm.kept:
+        return Resolution(
+            [], [], flavor, provenance, list(N_gens), zero_module=True
+        )
+    L = qm.new_module
+    frame = free_resolution(L, qm.gens, _graded_order(L))
+    modules, maps = _cancel_scalar_entries(frame.modules, frame.maps)
+    provenance += ["Schreyer frame, scalar entries cancelled"] * len(maps)
+    return Resolution(modules, maps, flavor, provenance, list(N_gens))
+
+
 def minimal_graded_resolution(
     L0: FreeModule, N_gens: Sequence[Vect]
 ) -> Resolution:
@@ -394,21 +422,12 @@ def minimal_graded_resolution(
 
     The presentation is pruned of unit-coefficient relations
     (:func:`min_gens_quotient`), its Schreyer resolution under the
-    graded order is built (:func:`solvpoly.syzres.free_resolution`),
-    and the scalar entries of that frame are cancelled
-    (:func:`_cancel_scalar_entries`).
+    graded order is built and the scalar entries of that frame are
+    cancelled (:func:`_minimal_resolution`).
     """
-    qm = min_gens_quotient(L0, N_gens)
-    provenance = ["minimal homogeneous generators of the quotient"]
-    if not qm.kept:
-        return Resolution(
-            [], [], "Graded", provenance, list(N_gens), zero_module=True
-        )
-    L = qm.new_module
-    frame = free_resolution(L, qm.gens, _graded_order(L))
-    modules, maps = _cancel_scalar_entries(frame.modules, frame.maps)
-    provenance += ["Schreyer frame, scalar entries cancelled"] * len(maps)
-    return Resolution(modules, maps, "Graded", provenance, list(N_gens))
+    return _minimal_resolution(
+        min_gens_quotient(L0, N_gens), N_gens, "Graded"
+    )
 
 
 def betti_table(R: Resolution) -> Dict[int, Dict[int, int]]:

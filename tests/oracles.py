@@ -358,6 +358,20 @@ def reference_matrix_product(A: SolvableAlgebra, left: Sequence[Sequence[Poly]],
     return out
 
 
+def chain_composes_to_zero(R) -> bool:
+    """Consecutive maps of a resolution multiply to zero under
+    :func:`reference_matrix_product`, not under ``compose_with``."""
+    if R.zero_module:
+        return True
+    A = R.modules[0].algebra
+    for upper, lower in zip(R.maps[1:], R.maps):
+        product = reference_matrix_product(
+            A, upper.entries, lower.entries, lower.cols)
+        if not all(f.is_zero() for row in product for f in row):
+            return False
+    return True
+
+
 def reference_prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]):
     """Unit-pivot pruning as it ran with rows kept as ``{component:
     Poly}`` dicts and a per-component subtract-and-multiply loop, its
@@ -466,6 +480,44 @@ def reference_graded_betti(L0: FreeModule,
                          shifts=module.shifts)
         kept, _ = min_homogeneous_gens(U, order, early_stop=False)
         syz = syzygy_of_generators(kept, order)
+        module, U = syz.module, syz.elements
+        shift_lists.append(module.shifts)
+    assert not U, "the reference resolution did not end"
+    return {pos: dict(Counter(shifts))
+            for pos, shifts in enumerate(shift_lists)}
+
+
+def reference_filtered_betti(ctx, L0: FreeModule,
+                             gens: Sequence[Vect]) -> Dict[int, Dict[int, int]]:
+    """Betti table of the minimal filtered resolution of L0 / <gens>, in
+    the form of ``solvpoly.graded.betti_table``, by the per-stage route:
+    the presentation completed to a standard basis and pruned
+    (``minimal_F_basis``), then at every stage a minimal standard basis
+    of the current kernel (``minimal_standard_basis``) and the lift of
+    its syzygies through V (``syzygy_of_generators``).  Shares no code
+    with the Schreyer frame or the cancellation of its scalar entries."""
+    from solvpoly.filtered import minimal_F_basis, minimal_standard_basis
+    from solvpoly.groebner import buchberger
+    from solvpoly.syzres import syzygy_of_generators
+
+    def graded_order(module):
+        return ModOrder("top", L0.algebra.order, module.rank, graded=True,
+                        shifts=module.shifts)
+
+    U = [v for v in gens if not v.is_zero()]
+    if not U:
+        return {0: dict(Counter(L0.shifts))}
+    pruned = minimal_F_basis(ctx, L0, buchberger(U, graded_order(L0)).elements,
+                             assume_standard=True)
+    if not pruned.kept:
+        return {}
+    module, U = pruned.new_module, pruned.gens
+    shift_lists = [module.shifts]
+    for _ in range(L0.algebra.n + 2):
+        if not U:
+            break
+        W = minimal_standard_basis(ctx, U)
+        syz = syzygy_of_generators(W, graded_order(module))
         module, U = syz.module, syz.elements
         shift_lists.append(module.shifts)
     assert not U, "the reference resolution did not end"

@@ -1,14 +1,24 @@
+import random
+
 import pytest
 
+import solvpoly.filtered as filtered
+import solvpoly.graded as graded
+import solvpoly.groebner as groebner
+import solvpoly.syzres as syzres
+from solvpoly import fixtures as corpus
 from solvpoly.algebra import MonomialOrder, build_algebra
 from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, ModOrder
 from solvpoly.groebner import buchberger, is_member
 from solvpoly.graded import (
+    betti_table,
     min_gens_quotient,
     minimal_graded_resolution,
+    prune_unit_pivots,
     scalar_entry_positions,
 )
+from solvpoly.syzres import free_resolution
 from solvpoly.filtered import (
     DegreeTooSmall,
     FiltrationContext,
@@ -31,6 +41,7 @@ from solvpoly.filtered import (
     z_zero_image,
 )
 
+import oracles
 from conftest import random_poly, random_vect
 
 Q = FieldSpec("Rationals")
@@ -350,3 +361,85 @@ def test_sigma_resolution_matches_direct_graded_computation(comm2):
         sorted(s) for s in direct.shift_lists()]
     assert scalar_entry_positions(transported) == []
     assert transported.composition_is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Schreyer frame against the per-stage route
+# ---------------------------------------------------------------------------
+
+def _seeded_filtered_inputs(A, rnd, count):
+    """Inhomogeneous generators of submodules of rank 1 and 2."""
+    for k in range(count):
+        shifts = [0] if k % 2 == 0 else [0, rnd.randint(0, 1)]
+        L = FreeModule(A, len(shifts), shifts)
+        gens = [random_vect(L, rnd, max_degree=2)
+                for _ in range(rnd.randint(2, 3))]
+        gens = [g for g in gens if g]
+        if gens:
+            yield L, gens
+
+
+def _gtop(module):
+    return ModOrder("top", module.algebra.order, module.rank, graded=True,
+                    shifts=module.shifts)
+
+
+@pytest.mark.parametrize("name,seed,floor", [("weyl1", 1, 3),
+                                             ("ex14", 2, 3),
+                                             ("qheis", 1, 4)])
+def test_filtered_frame_matches_the_per_stage_resolution(name, seed, floor):
+    """minimal_filtered_resolution (the Schreyer frame of the pruned
+    presentation with its top-degree units cancelled) against the
+    per-stage route of oracles.reference_filtered_betti; some frames are
+    not minimal, so cancellations run on inhomogeneous rows."""
+    A = corpus.load(name).algebra
+    ctx = FiltrationContext(A)
+    rnd = random.Random(seed)
+    cancelled = 0
+    for L, gens in _seeded_filtered_inputs(A, rnd, 12):
+        R = minimal_filtered_resolution(ctx, L, gens)
+        assert betti_table(R) == oracles.reference_filtered_betti(
+            ctx, L, gens)
+        assert oracles.chain_composes_to_zero(R)
+        assert sigma_resolution(ctx, R).composition_is_zero()
+        for module, mat in zip(R.modules, R.maps):
+            rows = [module.from_polys(row) for row in mat.entries]
+            assert prune_unit_pivots(module, rows)[4] == []
+        pruned = minimal_F_basis(
+            ctx, L, buchberger(gens, _gtop(L)).elements,
+            certify=False, assume_standard=True)
+        if pruned.kept:
+            L1 = pruned.new_module
+            frame = free_resolution(L1, pruned.gens, _gtop(L1))
+            # each cancellation drops one basis vector from two modules
+            cancelled += (sum(frame.ranks()) - sum(R.ranks())) // 2
+    assert cancelled >= floor
+
+
+def test_filtered_resolution_runs_no_stage_completion(monkeypatch):
+    """On graded input the filtered resolution has the Betti table of
+    the graded one, from the Schreyer frame alone: no minimal standard
+    basis, degree-driven completion or syzygy lift per stage.  On this
+    input the per-stage lift through V swells."""
+    calls = {"syzygy_of_generators": 0, "minimal_standard_basis": 0,
+             "degree_driven_completion": 0}
+    for name in calls:
+        for module in (groebner, syzres, graded, filtered):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    A = corpus.load("ex12").algebra
+    L = FreeModule(A, 2, (0, 1))
+    gens = [L.parse(["0", "1/3*a3"]),
+            L.parse(["-3/2*a2^2*a3 - 1/2*a1^2*a2", "-a1*a3 + 2*a1^2"]),
+            L.parse(["2/3*a3^3", "-4/3*a2*a3"]),
+            L.parse(["3/2*a2^2*a3 + 3*a1^3", "3/2*a2^2"])]
+    R = minimal_filtered_resolution(FiltrationContext(A), L, gens)
+    assert betti_table(R) == betti_table(minimal_graded_resolution(L, gens))
+    assert calls == {name: 0 for name in calls}

@@ -283,18 +283,6 @@ def test_graded_machinery_rejects_inhomogeneous_input(comm2):
 # the Schreyer frame and its cancellation against independent routes
 # ---------------------------------------------------------------------------
 
-def _composes_to_zero_by_reference(R):
-    """Consecutive maps multiply to zero under the word-rewriting product,
-    not under ``compose_with``, the product under test."""
-    A = R.modules[0].algebra
-    for upper, lower in zip(R.maps[1:], R.maps):
-        product = oracles.reference_matrix_product(
-            A, upper.entries, lower.entries, lower.cols)
-        if not all(f.is_zero() for row in product for f in row):
-            return False
-    return True
-
-
 def _seeded_graded_inputs(A, rnd, count):
     """Homogeneous generators of submodules of rank 1 and 2, with shifts;
     some presentations carry unit entries."""
@@ -313,7 +301,7 @@ def test_fixture_resolutions_compose_to_zero_by_reference(name):
     pf = corpus.load(name)
     for R in (free_resolution(pf.module, pf.generators, pf.mod_order),
               minimal_graded_resolution(pf.module, pf.generators)):
-        assert R.maps and _composes_to_zero_by_reference(R)
+        assert R.maps and oracles.chain_composes_to_zero(R)
 
 
 @pytest.mark.parametrize("name,seed,floor", [("comm2", 5, 8),
@@ -333,13 +321,13 @@ def test_cancelled_frame_matches_the_per_stage_resolution(name, seed, floor):
         assert scalar_entry_positions(R) == []
         assert oracles.euler_characteristic_ok(
             R.ranks(), R.shift_lists(), L, gens, 5)
-        assert _composes_to_zero_by_reference(R)
+        assert oracles.chain_composes_to_zero(R)
         qm = min_gens_quotient(L, gens)
         if not qm.kept:
             continue
         L1 = qm.new_module
         frame = free_resolution(L1, qm.gens, gtop(A, L1.rank, L1.shifts))
-        assert _composes_to_zero_by_reference(frame)
+        assert oracles.chain_composes_to_zero(frame)
         # each cancellation drops one basis vector from two modules
         cancelled += (sum(frame.ranks()) - sum(R.ranks())) // 2
     assert cancelled >= floor

@@ -1,8 +1,18 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
-from solvpoly.algebra import DegreeFunction, MonomialOrder, build_algebra
+from solvpoly.algebra import (
+    DegreeFunction,
+    MonomialOrder,
+    NonAssociative,
+    build_algebra,
+    check_associative,
+)
+from solvpoly.cli import main, parse_problem
 from solvpoly.coeff import FieldSpec, MixedFields
 from solvpoly.presentation import (
     FreePoly,
@@ -309,6 +319,51 @@ def test_certified_presentations_build_associative_algebras(rng):
             assert A.multiply(A.multiply(f, g), h) == A.multiply(
                 f, A.multiply(g, h))
     assert checked >= 5
+
+
+def _random_table(rnd):
+    """Relations of a 3-generator table with degree <= 1 tails, biased
+    towards associativity: lambda is mostly 1 and a tail has at most two
+    terms with coefficients +-1 (plain random tails fail about 9 times
+    in 10)."""
+    eqs = []
+    for left, right in (("y", "x"), ("z", "x"), ("z", "y")):
+        terms = ["%s*%s*%s" % (rnd.choice(["1", "1", "1", "1", "-1"]),
+                               right, left)]
+        for mono in rnd.sample(["1", "x", "y", "z"],
+                               rnd.choice([0, 0, 1, 1, 2])):
+            terms.append("%d*%s" % (rnd.choice([-1, 1]), mono))
+        eqs.append("%s*%s = %s" % (left, right, " + ".join(terms)))
+    return eqs
+
+
+def test_check_associative_agrees_with_verify_presentation(tmp_path):
+    """check_associative (products of generator triples in the algebra)
+    refuses a table exactly when verify-presentation (overlaps of the
+    free relations) exits 1 with NotCertified, on seeded random tables
+    of both kinds."""
+    rnd = random.Random(2)
+    path = tmp_path / "table.json"
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        path.write_text(json.dumps({
+            "field": {"kind": "Rationals"}, "generators": ["x", "y", "z"],
+            "order": {"kind": "grlex"}, "degrees": [1, 1, 1],
+            "module": {"rank": 1}, "relations": _random_table(rnd),
+            "submodule_generators": []}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--json", "verify-presentation", str(path)])
+        verdict = json.loads(out.getvalue())["verdict"]
+        try:
+            check_associative(parse_problem(str(path)).algebra)
+            refused = False
+        except NonAssociative:
+            refused = True
+        assert (code, verdict) == ((1, "NotCertified") if refused
+                                   else (0, "SolvableTypeCertified"))
+        seen[refused] += 1
+    assert min(seen.values()) >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import random
 import pytest
 
 import solvpoly.coeff as coeff
-import solvpoly.filtered as filtered
 import solvpoly.groebner as groebner
 import solvpoly.modfree as modfree
 import solvpoly.syzres as syzres
@@ -297,10 +296,8 @@ RESOLVE_FILES = [fixtures.path(n) for n in FIXTURES] + [
     ("resolve", RESOLVE_FILES, []),
     # pdim reads the right-inverse rows of a projective tail only
     ("pdim", RESOLVE_FILES, [(syzres, "is_projective")]),
-    # the filtered resolution lifts each stage's syzygies through V;
-    # its minimal standard bases build none
-    ("filtered-resolve", RESOLVE_FILES,
-     [(filtered, "syzygy_of_generators")]),
+    # the filtered resolution is a Schreyer frame: it reads no V row
+    ("filtered-resolve", RESOLVE_FILES, []),
 ])
 def test_commands_build_V_only_where_it_is_read(monkeypatch, command, files,
                                                 readers):
@@ -316,6 +313,6 @@ def test_reading_commands_do_build_V(monkeypatch):
     c44 = os.path.join(BENCH_CORPUS, "c44-p-member.json")
     built = _calls_building_V(monkeypatch, [
         ["--json", "gb", ex12], ["--json", "syz", ex12],
-        ["--json", "pdim", c44], ["--json", "filtered-resolve", ex12],
+        ["--json", "pdim", c44],
     ], [])
     assert all(n > 0 for n in built.values())
