@@ -518,9 +518,10 @@ def cmd_verify_presentation(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]
 
 def _run_gb(pf: ProblemFile, reduce_flag: bool,
             truncate: Optional[int]) -> "groebner.GroebnerBasis":
-    if pf.generators:
-        G = groebner.buchberger(pf.generators, pf.mod_order,
-                                truncate=truncate)
+    if pf.generators and truncate is not None:
+        G = graded_ops.truncated_gb(pf.generators, pf.mod_order, truncate)
+    elif pf.generators:
+        G = groebner.buchberger(pf.generators, pf.mod_order)
     else:
         # no generators: the zero submodule, whose basis is empty
         G = groebner.GroebnerBasis(pf.module, pf.mod_order, [], [], [],

@@ -46,6 +46,7 @@ from .graded import (
     QuotientMinimization,
     _graded_order,
     _minimal_resolution,
+    _schreyer_frame,
     check_graded,
     prune_unit_pivots,
 )
@@ -662,7 +663,14 @@ def minimal_F_basis(
 
     result = MinimalFBasis(L, *prune_unit_pivots(L, gens))
     if certify:
-        result.certified = _certify_strict_iso(ctx, L, gens, result)
+        new_lms: List[ModMonomial] = []
+        if result.gens:
+            new_order = _graded_order(result.new_module)
+            completed = buchberger(result.gens, new_order)
+            new_lms = [g.lm(new_order) for g in completed.elements]
+        result.certified = _certify_strict_iso(
+            ctx, L, gens, result.new_module, new_lms
+        )
     return result
 
 
@@ -670,9 +678,15 @@ def _certify_strict_iso(
     ctx: FiltrationContext,
     L: FreeModule,
     gens: List[Vect],
-    result: MinimalFBasis,
+    new_module: Optional[FreeModule],
+    new_lms: Sequence[ModMonomial],
 ) -> Optional[bool]:
-    """Compare dim_K F_q(L/N) with dim_K F_q(L'/N') on a window."""
+    """Compare dim_K F_q(L/N) with dim_K F_q(L'/N') on a window.
+
+    L'/N' is ``new_module`` (None for the zero module) modulo a
+    submodule whose leading monomials under the graded order are
+    generated by ``new_lms``.
+    """
     top = max(list(L.shifts) + [0])
     if gens:
         top = max(top, max(fil_degree(ctx, v) for v in gens))
@@ -682,17 +696,10 @@ def _certify_strict_iso(
     left = _normal_degrees(L, lms, top)
     if left is None:
         return None
-    if result.new_module is None:
+    if new_module is None:
         right = []
     else:
-        new_gens = [v for v in result.gens if not v.is_zero()]
-        new_order = _graded_order(result.new_module)
-        if new_gens:
-            completed = buchberger(new_gens, new_order)
-            new_lms = [g.lm(new_order) for g in completed.elements]
-        else:
-            new_lms = []
-        right = _normal_degrees(result.new_module, new_lms, top)
+        right = _normal_degrees(new_module, new_lms, top)
         if right is None:
             return None
     if left != right:
@@ -734,9 +741,7 @@ def minimal_standard_basis(
     bound = max(
         gorder.degree_of(m) for v in graded_U for m in v.data
     )
-    _, _, kept = degree_driven_completion(
-        graded_U, gorder, cap=None, early_stop=bound
-    )
+    _, _, kept = degree_driven_completion(graded_U, gorder, cap=bound)
     return [U[j] for j in kept]
 
 
@@ -751,13 +756,17 @@ def minimal_filtered_resolution(
     """Minimal filtered free resolution of M = L0 / <N_gens>.
 
     Stage zero completes the generators to a standard basis and prunes
-    the presentation through its unit pivots (:func:`minimal_F_basis`,
-    certified by the filtration dimensions).  The rest is the graded
-    engine: the Schreyer frame of the pruned presentation under the
-    shifted-degree-first order, each basis vector shifted by the
-    filtration degree of the row it maps to, with the units at the top
-    filtration degree cancelled from the top map down
-    (:func:`solvpoly.graded._minimal_resolution`).
+    the presentation through its unit pivots (:func:`minimal_F_basis`).
+    The rest is the graded engine: the Schreyer frame of the pruned
+    presentation under the shifted-degree-first order
+    (:func:`solvpoly.graded._schreyer_frame`), each basis vector
+    shifted by the filtration degree of the row it maps to, with the
+    units at the top filtration degree cancelled from the top map down
+    (:func:`solvpoly.graded._minimal_resolution`).  The pruning is
+    certified by the filtration dimensions read off the leading
+    monomials of the frame's first map, a Groebner basis of the pruned
+    relations under that order; a frame that split off a free module
+    has no relations left.
     """
     if L0.algebra is not ctx.algebra:
         raise IncompatibleModules(
@@ -765,24 +774,26 @@ def minimal_filtered_resolution(
         )
     gens = [v for v in N_gens if not v.is_zero()]
     if not gens:
-        return Resolution(
-            [L0], [], "Filtered", ["minimal F-basis of the quotient"],
-            list(N_gens),
-        )
+        return Resolution([L0], [], "Filtered")
     completed = buchberger(gens, _graded_order(L0))
     pruned = minimal_F_basis(
-        ctx, L0, completed.elements, assume_standard=True
+        ctx, L0, completed.elements, certify=False, assume_standard=True
     )
-    return _minimal_resolution(pruned, N_gens, "Filtered")
+    frame = _schreyer_frame(pruned)
+    L = None if frame.zero_module else frame.modules[0]
+    lms: List[ModMonomial] = []
+    if frame.maps:
+        order = _graded_order(L)
+        lms = [L.from_polys(row).lm(order) for row in frame.maps[0].entries]
+    _certify_strict_iso(ctx, L0, completed.elements, L, lms)
+    return _minimal_resolution(frame, "Filtered")
 
 
 def sigma_resolution(ctx: FiltrationContext, R: Resolution) -> Resolution:
     """Apply the top-degree-part map to a filtered chain, giving the
     induced chain of associated graded modules."""
     if R.zero_module:
-        return Resolution(
-            [], [], "Graded", list(R.basis_provenance), [], zero_module=True
-        )
+        return Resolution([], [], "Graded", zero_module=True)
     graded_modules = [ctx.graded_module(m) for m in R.modules]
     graded_maps = []
     for i, mat in enumerate(R.maps):
@@ -793,10 +804,4 @@ def sigma_resolution(ctx: FiltrationContext, R: Resolution) -> Resolution:
         graded_maps.append(
             PresentationMatrix.from_vects(rows, graded_modules[i])
         )
-    return Resolution(
-        graded_modules,
-        graded_maps,
-        "Graded",
-        list(R.basis_provenance),
-        [],
-    )
+    return Resolution(graded_modules, graded_maps, "Graded")

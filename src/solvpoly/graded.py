@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .coeff import SolvpolyError
 from .algebra import DegreeFunction, Poly, SolvableAlgebra, zero_exp
 from .modfree import FreeModule, ModOrder, Vect
-from .groebner import GroebnerBasis, buchberger, degree_driven_completion
+from .groebner import GroebnerBasis, degree_driven_completion
 from .syzres import PresentationMatrix, Resolution, free_resolution
 
 __all__ = [
@@ -174,11 +174,17 @@ def truncated_gb(
 
     Every homogeneous element of the submodule of degree <= n0 reduces
     to zero against the result; pairs and inputs above the bound are
-    discarded.  A bound below the minimum input degree yields an
-    empty basis.
+    discarded (:func:`solvpoly.groebner.degree_driven_completion` with
+    ``cap=n0``).  A bound below the minimum input degree yields an
+    empty basis.  The result carries ``truncation_degree=n0`` and no
+    ``U`` matrix.
     """
     _require_graded_setup(inputs, order)
-    return buchberger(inputs, order, truncate=n0)
+    basis, V, _ = degree_driven_completion(inputs, order, cap=n0)
+    return GroebnerBasis(
+        inputs[0].module, order, basis, list(inputs), V,
+        truncation_degree=n0,
+    )
 
 
 def min_homogeneous_gens(
@@ -199,7 +205,7 @@ def min_homogeneous_gens(
         (order.degree_of(m) for v in inputs for m in v.data), default=None
     )
     basis, V, kept = degree_driven_completion(
-        inputs, order, cap=None, early_stop=n0 if early_stop else None
+        inputs, order, cap=n0 if early_stop else None
     )
     return [inputs[j] for j in kept], GroebnerBasis(
         inputs[0].module,
@@ -397,22 +403,24 @@ def _cancel_scalar_entries(
     ]
 
 
-def _minimal_resolution(
-    qm: QuotientMinimization, N_gens: Sequence[Vect], flavor: str
-) -> Resolution:
-    """The Schreyer frame of a pruned presentation under the graded
-    order (:func:`solvpoly.syzres.free_resolution`) with its scalar
-    entries cancelled (:func:`_cancel_scalar_entries`)."""
-    provenance = ["minimal generators of the quotient"]
+def _schreyer_frame(qm: QuotientMinimization) -> Resolution:
+    """The Schreyer resolution of a pruned presentation under the graded
+    order (:func:`solvpoly.syzres.free_resolution`); the zero module
+    when no basis vector survived the pruning."""
     if not qm.kept:
-        return Resolution(
-            [], [], flavor, provenance, list(N_gens), zero_module=True
-        )
+        return Resolution([], [], zero_module=True)
     L = qm.new_module
-    frame = free_resolution(L, qm.gens, _graded_order(L))
-    modules, maps = _cancel_scalar_entries(frame.modules, frame.maps)
-    provenance += ["Schreyer frame, scalar entries cancelled"] * len(maps)
-    return Resolution(modules, maps, flavor, provenance, list(N_gens))
+    return free_resolution(L, qm.gens, _graded_order(L))
+
+
+def _minimal_resolution(frame: Resolution, flavor: str) -> Resolution:
+    """A Schreyer frame with its scalar entries cancelled
+    (:func:`_cancel_scalar_entries`)."""
+    if frame.zero_module:
+        return Resolution([], [], flavor, zero_module=True)
+    return Resolution(
+        *_cancel_scalar_entries(frame.modules, frame.maps), flavor
+    )
 
 
 def minimal_graded_resolution(
@@ -422,11 +430,11 @@ def minimal_graded_resolution(
 
     The presentation is pruned of unit-coefficient relations
     (:func:`min_gens_quotient`), its Schreyer resolution under the
-    graded order is built and the scalar entries of that frame are
-    cancelled (:func:`_minimal_resolution`).
+    graded order is built (:func:`_schreyer_frame`) and the scalar
+    entries of that frame are cancelled (:func:`_minimal_resolution`).
     """
     return _minimal_resolution(
-        min_gens_quotient(L0, N_gens), N_gens, "Graded"
+        _schreyer_frame(min_gens_quotient(L0, N_gens)), "Graded"
     )
 
 

@@ -443,40 +443,24 @@ def _common_module(inputs: Sequence[Vect]) -> FreeModule:
     return module
 
 
-def buchberger(
-    inputs: Sequence[Vect],
-    order: ModOrder,
-    truncate: Optional[int] = None,
-) -> GroebnerBasis:
-    """Left Groebner basis of the submodule generated by ``inputs``.
-
-    With ``truncate=N`` the degree-driven truncated variant runs
-    instead (graded orders and homogeneous inputs only) and the result
-    carries ``truncation_degree=N`` with no ``U`` matrix.
-    """
+def buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
+    """Left Groebner basis of the submodule generated by ``inputs``."""
     inputs = list(inputs)
     if not inputs:
         raise ValueError("buchberger needs at least one generator")
     module = _common_module(inputs)
-    if truncate is not None:
-        basis, V, _ = degree_driven_completion(inputs, order, cap=truncate)
-    else:
-        eng = _Engine(module, order, len(inputs))
-        for j, xi in enumerate(inputs):
-            if not xi.is_zero():
-                eng.append(xi, j, [])
-        eng.run_pairs()
-        basis, V = eng.basis, eng.lazy_V()
-    return GroebnerBasis(
-        module, order, basis, inputs, V, truncation_degree=truncate
-    )
+    eng = _Engine(module, order, len(inputs))
+    for j, xi in enumerate(inputs):
+        if not xi.is_zero():
+            eng.append(xi, j, [])
+    eng.run_pairs()
+    return GroebnerBasis(module, order, eng.basis, inputs, eng.lazy_V())
 
 
 def degree_driven_completion(
     inputs: Sequence[Vect],
     order: ModOrder,
     cap: Optional[int] = None,
-    early_stop: Optional[int] = None,
 ) -> Tuple[List[Vect], List[List[Poly]], List[int]]:
     """Degree-by-degree completion of a list of homogeneous elements.
 
@@ -487,8 +471,7 @@ def degree_driven_completion(
     against the current basis is nonzero.
 
     ``cap`` drops every pair and input above the given degree,
-    yielding a truncated basis; ``early_stop`` finishes the given
-    degree and then abandons the remaining (strictly higher) pairs.
+    yielding a truncated basis.
     Returns ``(basis, V, kept_input_indices)``, V the ``(trace, steps)``
     argument of :class:`GroebnerBasis`.
     """
@@ -518,8 +501,6 @@ def degree_driven_completion(
         if eng.heap:
             candidates.append(eng.heap[0][0])
         n = min(candidates)
-        if early_stop is not None and n > early_stop:
-            break
         while eng.heap and eng.heap[0][0] == n:
             _, _, i, j = heapq.heappop(eng.heap)
             eng.step_pair(i, j)

@@ -7,12 +7,18 @@ Groebner basis ``g_1..g_t``, each same-component pair contributes
                            + c_j a^(gamma-alpha_j) eps_j
 
 where the q_k are the division quotients of the S-vector.  Under the
-Schreyer order induced by the basis, these rows are themselves a left
-Groebner basis of the syzygy module, with leading monomial
-``a^(gamma-alpha_j) eps_j``.  Iterating with fresh Schreyer orders
-yields a free resolution whose length never exceeds the number of
-algebra generators, provided each stage is sorted so that leading
-exponents ascend lexicographically within each component.
+Schreyer order induced by the basis, these rows are a left Groebner
+basis of the syzygy module (Schreyer's theorem, for any Groebner basis,
+minimal or not), and the lead of each is known before dividing: the
+larger of ``a^(gamma-alpha_i) eps_i`` and ``a^(gamma-alpha_j) eps_j``.
+The rows whose leads form the minimal antichain of these leads
+generate the same lead module, so they are already a Groebner basis of
+the syzygy module, and only their pairs are divided
+(:func:`_schreyer_rows`, the one place rows are chosen).  Iterating
+with fresh Schreyer orders yields a free resolution whose length never
+exceeds the number of algebra generators, provided each stage is
+sorted so that leading exponents ascend lexicographically within each
+component.
 
 Matrices follow the row convention: row i of the matrix of a map is
 the coordinate vector of the image of the i-th source basis vector,
@@ -144,15 +150,11 @@ class Resolution:
         modules: List[FreeModule],
         maps: List[PresentationMatrix],
         flavor: str = "Plain",
-        basis_provenance: Optional[List[str]] = None,
-        presented_by: Optional[List[Vect]] = None,
         zero_module: bool = False,
     ):
         self.modules = modules
         self.maps = maps
         self.flavor = flavor
-        self.basis_provenance = basis_provenance or []
-        self.presented_by = presented_by or []
         self.zero_module = zero_module
 
     def length(self) -> int:
@@ -238,17 +240,6 @@ def schreyer_order_for(G: Sequence[Vect], order: ModOrder) -> ModOrder:
     )
 
 
-def _component_pairs(lms: Sequence[ModMonomial]) -> List[Tuple[int, int]]:
-    """The pairs (i < j) whose leading monomials share a component."""
-    t = len(lms)
-    return [
-        (i, j)
-        for i in range(t)
-        for j in range(i + 1, t)
-        if lms[i][1] == lms[j][1]
-    ]
-
-
 def _schreyer_lead(
     lms: Sequence[ModMonomial], i: int, j: int, syz_order: ModOrder
 ) -> ModMonomial:
@@ -265,19 +256,35 @@ def _schreyer_lead(
     )
 
 
-def _spair_rows(
+def _schreyer_rows(
     elements: Sequence[Vect],
     order: ModOrder,
     syz_module: FreeModule,
-    pairs: Sequence[Tuple[int, int]],
+    syz_order: ModOrder,
 ) -> List[Vect]:
-    """The syzygy row of each same-component pair (i < j) in ``pairs``;
-    none is zero, as its lead (:func:`_schreyer_lead`) cannot cancel."""
+    """The Schreyer rows of a left Groebner basis that generate its
+    syzygies, chosen lead first.
+
+    The lead of each same-component pair's row is known before any
+    division (:func:`_schreyer_lead`); only the pairs whose leads form
+    the minimal antichain are divided, in the order
+    :func:`solvpoly.groebner._minimal_indices` gives.  No row is zero,
+    as its lead cannot cancel.
+    """
     A = syz_module.algebra
-    rows: List[Vect] = []
     t = len(elements)
     divisors = _Divisors.of(elements, order)
-    for i, j in pairs:
+    lms = divisors.leads
+    pairs = [
+        (i, j)
+        for i in range(t)
+        for j in range(i + 1, t)
+        if lms[i][1] == lms[j][1]
+    ]
+    leads = [_schreyer_lead(lms, i, j, syz_order) for i, j in pairs]
+    rows: List[Vect] = []
+    for k in _minimal_indices(leads, syz_order):
+        i, j = pairs[k]
         S, ci, expi, cj, expj, _, _ = _spair_data(
             elements[i], elements[j], order
         )
@@ -300,15 +307,14 @@ def _spair_rows(
 def syzygy_of_gb(G: GroebnerBasis) -> SyzygyGenerators:
     """Schreyer generators of the syzygies of a left Groebner basis.
 
-    The returned elements are a left Groebner basis of the syzygy
-    module under the returned Schreyer order.
+    The returned elements (:func:`_schreyer_rows`) are a left Groebner
+    basis of the syzygy module under the returned Schreyer order.
     """
     t = len(G.elements)
     shifts = [G.order.degree_of(g.lm(G.order)) for g in G.elements]
     syz_module = FreeModule(G.module.algebra, max(t, 1), shifts=shifts or None)
     order = schreyer_order_for(G.elements, G.order) if t else None
-    pairs = _component_pairs(G.leading_monomials())
-    rows = _spair_rows(G.elements, G.order, syz_module, pairs)
+    rows = _schreyer_rows(G.elements, G.order, syz_module, order)
     return SyzygyGenerators(
         rows, "SchreyerOfGB", list(G.elements), syz_module, order, G.module
     )
@@ -380,23 +386,20 @@ def free_resolution(
 ) -> Resolution:
     """Finite free resolution of M = L0 / <N_gens>.
 
-    Each stage appends the matrix of the current minimal Groebner
-    basis and replaces the basis by its Schreyer syzygies; the chain
-    stops when no relations remain.  When the submodule is all of L0,
-    the zero module is reported as a rank-0 chain.
-
-    The Schreyer rows are selected lead first: the lead of each pair's
-    row is known before any division (:func:`_schreyer_lead`), the
-    minimal antichain of these leads is chosen as :func:`minimalize`
-    chooses it, and only the kept pairs are divided.
+    Each stage appends the matrix of the current basis and replaces
+    the basis by its Schreyer rows (:func:`_schreyer_rows`, the rows
+    :func:`syzygy_of_gb` returns), sorted by
+    :func:`_ascending_exponent_sort`; the chain stops when no relations
+    remain.  The first basis is the minimal Groebner basis of the
+    relations.  When the submodule is all of L0, the zero module is
+    reported as a rank-0 chain.
     """
     A = L0.algebra
     if order is None:
         order = ModOrder("top", A.order, L0.rank, shifts=L0.shifts)
     gens = [v for v in N_gens if not v.is_zero()]
-    provenance = ["input generators"]
     if not gens:
-        return Resolution([L0], [], "Plain", provenance, list(N_gens))
+        return Resolution([L0], [])
     G = minimalize(buchberger(gens, order))
     if all(
         is_mem
@@ -405,9 +408,7 @@ def free_resolution(
             for i in range(L0.rank)
         )
     ):
-        return Resolution(
-            [], [], "Plain", provenance, list(N_gens), zero_module=True
-        )
+        return Resolution([], [], zero_module=True)
     modules = [L0]
     maps: List[PresentationMatrix] = []
     cur_module = L0
@@ -430,7 +431,6 @@ def free_resolution(
             if not maps:
                 # M itself is free on the leftover components
                 modules = [F]
-                provenance = ["free split-off"]
             else:
                 prev = maps.pop()
                 modules.pop()
@@ -440,30 +440,26 @@ def free_resolution(
                     )
                 )
                 modules.append(F)
-                provenance[-1] = "free split-off"
             break
         t = len(elements)
         shifts = [cur_order.degree_of(m) for m in lms]
         nxt_module = FreeModule(A, t, shifts=shifts)
         maps.append(PresentationMatrix.from_vects(elements, cur_module))
         modules.append(nxt_module)
-        provenance.append("minimal left Groebner basis")
         nxt_order = schreyer_order_for(elements, cur_order)
-        pairs = _component_pairs(lms)
-        if not pairs:
-            break
-        leads = [_schreyer_lead(lms, i, j, nxt_order) for i, j in pairs]
-        kept = [pairs[k] for k in _minimal_indices(leads, nxt_order)]
         elements = _ascending_exponent_sort(
-            _spair_rows(elements, cur_order, nxt_module, kept), nxt_order
+            _schreyer_rows(elements, cur_order, nxt_module, nxt_order),
+            nxt_order,
         )
+        if not elements:
+            break
         cur_module, cur_order = nxt_module, nxt_order
     else:
         raise RuntimeError(
             "resolution exceeded the generator-count bound; this "
             "contradicts the syzygy termination argument"
         )
-    return Resolution(modules, maps, "Plain", provenance, list(N_gens))
+    return Resolution(modules, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,44 @@ def reference_buchberger(inputs: Sequence[Vect], order: ModOrder,
     return basis
 
 
+def reference_schreyer_rows(G) -> List[Vect]:
+    """One Schreyer row per pair i < j of elements of the left Groebner
+    basis ``G`` that lead in the same component, with no pair left out.
+
+    The S-vector ``m_i g_i - m_j g_j``, each multiplier
+    ``m = s a^(gamma-alpha)`` scaled so its product is monic at gamma,
+    is divided by :func:`reference_left_divide`; the row is the
+    quotients minus ``m_i e_i`` plus ``m_j e_j``, in the syzygy module
+    shifted by the degrees of the leads, as
+    :func:`solvpoly.syzres.syzygy_of_gb` shifts it.
+    """
+    order, elements = G.order, G.elements
+    A = G.module.algebra
+    lms = [g.lm(order) for g in elements]
+    module = FreeModule(A, len(elements),
+                        shifts=[order.degree_of(m) for m in lms])
+    rows = []
+    for j, (ej, cj) in enumerate(lms):
+        for i, (ei, ci) in enumerate(lms[:j]):
+            if ci != cj:
+                continue
+            gamma = tuple(max(a, b) for a, b in zip(ei, ej))
+            multipliers = []
+            for k, e in ((i, ei), (j, ej)):
+                alpha = tuple(c - d for c, d in zip(gamma, e))
+                p = elements[k].lmul(A.monomial(alpha))
+                inv = A.field.scalar(p.data[(gamma, ci)]).inverse().value
+                multipliers.append(A.monomial(alpha, inv))
+            mi, mj = multipliers
+            S = elements[i].lmul(mi) - elements[j].lmul(mj)
+            quotients, rem = reference_left_divide(S, elements, order)
+            assert rem.is_zero(), "an S-vector does not reduce to zero"
+            quotients[i] = quotients[i] - mi
+            quotients[j] = quotients[j] + mj
+            rows.append(module.from_polys(quotients))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # matrices over the algebra
 # ---------------------------------------------------------------------------

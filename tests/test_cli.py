@@ -374,6 +374,22 @@ def test_gb_truncate_flag_sets_marker(capsys):
     assert payload["truncated_at"] == 3
 
 
+@pytest.mark.parametrize("name,error", [
+    ("c44-q", "error: generator is not homogeneous: "),
+    ("sl2-3-q", "error: algebra is not graded: "),
+    ("gkz-p", "error: algebra is not graded: "),
+])
+def test_gb_truncate_refuses_ungraded_input(capsys, name, error):
+    """A truncated basis is defined for homogeneous generators over a
+    graded algebra only; anything else is an input error."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "corpus", name + ".json")
+    code, out, err = run(capsys, "--json", "gb", "--truncate", "2", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(error) and err.count("\n") == 1
+
+
 def test_syz_payload_annihilates(capsys):
     code, payload = run_json(capsys, "syz", corpus.path("comm2"))
     assert code == 0

@@ -443,3 +443,23 @@ def test_filtered_resolution_runs_no_stage_completion(monkeypatch):
     R = minimal_filtered_resolution(FiltrationContext(A), L, gens)
     assert betti_table(R) == betti_table(minimal_graded_resolution(L, gens))
     assert calls == {name: 0 for name in calls}
+
+
+def test_filtered_resolution_completes_each_presentation_once(monkeypatch):
+    """The certificate of the pruning reads the leads of the frame's
+    first map, so the generators are completed once and the pruned
+    presentation once (for the frame), not a third time."""
+    calls = []
+    original = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (groebner, syzres, filtered):
+        monkeypatch.setattr(module, "buchberger", counting)
+    pf = corpus.load("qheis")
+    R = minimal_filtered_resolution(
+        FiltrationContext(pf.algebra), pf.module, pf.generators)
+    assert R.ranks() == [1, 3, 3, 1]
+    assert len(calls) == 2

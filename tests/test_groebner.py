@@ -16,6 +16,7 @@ from solvpoly.groebner import (
     s_polynomial,
     staircase_oracle,
 )
+from solvpoly.graded import truncated_gb
 
 import oracles
 from conftest import random_poly, random_scalar, random_vect
@@ -206,7 +207,7 @@ def test_truncated_basis_agrees_below_the_bound(comm2):
     order = ModOrder("top", comm2.order, 1, graded=True, shifts=(0,))
     gens = [L.parse(["x^2 + y^2"]), L.parse(["x*y"])]
     full = buchberger(gens, order)
-    trunc = buchberger(gens, order, truncate=4)
+    trunc = truncated_gb(gens, order, 4)
     full_lms = {g.lm(order) for g in full.elements
                 if order.degree_of(g.lm(order)) <= 4}
     trunc_lms = {g.lm(order) for g in trunc.elements}
@@ -305,7 +306,7 @@ def test_U_is_derived_on_first_read(qplane, monkeypatch):
 def test_U_is_none_for_truncated_bases(qplane):
     L = FreeModule(qplane, 1)
     order = ModOrder("top", qplane.order, 1, graded=True, shifts=[0])
-    G = buchberger([L.parse(["x"]), L.parse(["y^3"])], order, truncate=2)
+    G = truncated_gb([L.parse(["x"]), L.parse(["y^3"])], order, 2)
     assert G.flags["truncation_degree"] == 2
     assert G.U is None
     assert minimalize(G).U is None
@@ -396,6 +397,6 @@ def test_criteria_keep_the_reduced_truncated_basis(name, kind, request, rng):
     for trial in range(6):
         gens = [_random_homogeneous(L, rng, rng.randint(1, 3))
                 for _ in range(rng.randint(2, 4))]
-        got = reduce_basis(buchberger(gens, order, truncate=4)).elements
+        got = reduce_basis(truncated_gb(gens, order, 4)).elements
         want = oracles.reference_buchberger(gens, order, truncate=4)
         assert got == _reduced_elements(want, order)

@@ -1,13 +1,14 @@
+import json
 import os
 import random
 
 import pytest
 
 import solvpoly.syzres as syzres
-from solvpoly.cli import parse_problem
+from solvpoly.cli import main, parse_problem
 from solvpoly.coeff import FieldSpec
-from solvpoly.modfree import FreeModule, ModOrder, Vect
-from solvpoly.groebner import GroebnerBasis, buchberger
+from solvpoly.modfree import FreeModule, ModOrder, Vect, left_divide_module
+from solvpoly.groebner import GroebnerBasis, _minimal_indices, buchberger
 from solvpoly.syzres import (
     PresentationMatrix,
     SyzygyGenerators,
@@ -175,11 +176,39 @@ def test_schreyer_leads_are_known_before_division(name, request, rng):
         G = buchberger(gens, order)
         syz = syzygy_of_gb(G)
         lms = G.leading_monomials()
+        leads = [syzres._schreyer_lead(lms, i, j, syz.order)
+                 for j in range(len(lms)) for i in range(j)
+                 if lms[i][1] == lms[j][1]]
         assert [s.lm(syz.order) for s in syz.elements] == [
-            syzres._schreyer_lead(lms, i, j, syz.order)
-            for i, j in syzres._component_pairs(lms)]
+            leads[k] for k in _minimal_indices(leads, syz.order)]
         rows += len(syz.elements)
     assert rows
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kept_schreyer_rows_generate_every_pair_row(name, p):
+    """The row of every same-component pair
+    (oracles.reference_schreyer_rows) reduces to zero against the
+    lead-minimal rows syzygy_of_gb keeps, under their Schreyer order, on
+    unminimalized bases; some pairs are left out on every fixture."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    rnd = random.Random(len(name) * 13 + p)
+    every = kept = 0
+    for _ in range(4):
+        L = FreeModule(A, 2)
+        order = ModOrder(rnd.choice(["top", "pot"]), A.order, 2)
+        gens = [random_vect(L, rnd, max_degree=1, max_terms=2, nonzero=True)
+                for _ in range(3)]
+        G = buchberger(gens, order)
+        syz = syzygy_of_gb(G)
+        reference = oracles.reference_schreyer_rows(G)
+        for row in reference:
+            assert left_divide_module(row, syz.elements, syz.order)[1] \
+                .is_zero()
+        every += len(reference)
+        kept += len(syz.elements)
+    assert kept < every
 
 
 def test_resolution_divides_only_the_kept_schreyer_rows(monkeypatch):
@@ -197,6 +226,23 @@ def test_resolution_divides_only_the_kept_schreyer_rows(monkeypatch):
     # 64 same-component pairs across the stages; 39 rows survive
     assert len(calls) <= 39
     assert R.composition_is_zero()
+
+
+def test_syz_divides_only_the_kept_schreyer_rows(monkeypatch, capsys):
+    calls = []
+    spair = syzres._spair_data
+
+    def counting(xi, zeta, order):
+        calls.append((xi, zeta))
+        return spair(xi, zeta, order)
+
+    monkeypatch.setattr(syzres, "_spair_data", counting)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "corpus", "skew-4-2.json")
+    assert main(["--json", "syz", path]) == 0
+    # 45 same-component pairs of the basis; 20 rows have minimal leads
+    assert len(calls) <= 20
+    assert json.loads(capsys.readouterr().out)["annihilates"] is True
 
 
 def test_resolution_first_map_presents_the_generators(qplane):

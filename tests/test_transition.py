@@ -28,6 +28,7 @@ from solvpoly.groebner import (
     reduce_basis,
     right_buchberger,
 )
+from solvpoly.graded import truncated_gb
 from solvpoly.modfree import FreeModule, ModOrder, Vect
 from solvpoly.syzres import PresentationMatrix, is_projective
 
@@ -229,7 +230,7 @@ def test_V_of_truncated_bases(name, kind):
     for _ in range(3):
         gens = [_random_homogeneous(L, rnd, rnd.randint(1, 3))
                 for _ in range(rnd.randint(2, 3))]
-        G = buchberger(gens, order, truncate=4)
+        G = truncated_gb(gens, order, 4)
         R = reduce_basis(G)
         assert_V(R)
         assert_V(G)
