@@ -523,7 +523,10 @@ def _run_gb(pf: ProblemFile, reduce_flag: bool,
     elif pf.generators:
         G = groebner.buchberger(pf.generators, pf.mod_order)
     else:
-        # no generators: the zero submodule, whose basis is empty
+        # no generators: the zero submodule, whose basis is empty; a
+        # truncation still needs a graded algebra and order
+        if truncate is not None:
+            graded_ops.GradedContext(pf.algebra).require(pf.mod_order)
         G = groebner.GroebnerBasis(pf.module, pf.mod_order, [], [], [],
                                    truncation_degree=truncate)
     if reduce_flag:

@@ -147,6 +147,14 @@ class FiltrationContext:
         return "FiltrationContext(%r)" % (list(self.degree.weights),)
 
 
+def _require_context_algebra(ctx: FiltrationContext, module: FreeModule):
+    """Refuse a free module over another algebra than the context's."""
+    if module.algebra is not ctx.algebra:
+        raise IncompatibleModules(
+            "module lives over a different algebra than the context"
+        )
+
+
 def fil_degree(ctx: FiltrationContext, xi: Element) -> int:
     """Filtration degree: the largest shifted weighted degree of a
     monomial occurring in a nonzero element."""
@@ -456,10 +464,7 @@ def transfer_check(
     if not gens:
         return TransferReport(True, True, True)
     module = gens[0].module
-    if module.algebra is not ctx.algebra:
-        raise IncompatibleModules(
-            "generators live over a different algebra than the context"
-        )
+    _require_context_algebra(ctx, module)
     order = _graded_order(module)
     completed = buchberger(gens, order)
     lms = [g.lm(order) for g in gens]
@@ -586,10 +591,7 @@ def standard_basis(
     if not gens:
         raise ValueError("standard_basis needs at least one nonzero element")
     module = gens[0].module
-    if module.algebra is not ctx.algebra:
-        raise IncompatibleModules(
-            "generators live over a different algebra than the context"
-        )
+    _require_context_algebra(ctx, module)
     order = _graded_order(module)
     G = buchberger(gens, order)
     G.flags["standard_basis"] = True
@@ -646,10 +648,7 @@ def minimal_F_basis(
     generates; this is certified through the Groebner property unless
     ``assume_standard`` is set.
     """
-    if L.algebra is not ctx.algebra:
-        raise IncompatibleModules(
-            "module lives over a different algebra than the context"
-        )
+    _require_context_algebra(ctx, L)
     gens = [v for v in U if not v.is_zero()]
     order = _graded_order(L)
     if gens and not assume_standard:
@@ -678,12 +677,12 @@ def _certify_strict_iso(
     ctx: FiltrationContext,
     L: FreeModule,
     gens: List[Vect],
-    new_module: Optional[FreeModule],
+    new_module: FreeModule,
     new_lms: Sequence[ModMonomial],
 ) -> Optional[bool]:
     """Compare dim_K F_q(L/N) with dim_K F_q(L'/N') on a window.
 
-    L'/N' is ``new_module`` (None for the zero module) modulo a
+    L'/N' is ``new_module`` (of rank 0 for the zero module) modulo a
     submodule whose leading monomials under the graded order are
     generated by ``new_lms``.
     """
@@ -696,12 +695,9 @@ def _certify_strict_iso(
     left = _normal_degrees(L, lms, top)
     if left is None:
         return None
-    if new_module is None:
-        right = []
-    else:
-        right = _normal_degrees(new_module, new_lms, top)
-        if right is None:
-            return None
+    right = _normal_degrees(new_module, new_lms, top)
+    if right is None:
+        return None
     if left != right:
         raise SolvpolyError(
             "internal: unit-pivot pruning changed filtration dimensions "
@@ -729,10 +725,7 @@ def minimal_standard_basis(
     if not gens:
         return []
     module = gens[0].module
-    if module.algebra is not ctx.algebra:
-        raise IncompatibleModules(
-            "generators live over a different algebra than the context"
-        )
+    _require_context_algebra(ctx, module)
     order = _graded_order(module)
     completed = buchberger(gens, order)
     U = completed.elements
@@ -768,10 +761,7 @@ def minimal_filtered_resolution(
     relations under that order; a frame that split off a free module
     has no relations left.
     """
-    if L0.algebra is not ctx.algebra:
-        raise IncompatibleModules(
-            "module lives over a different algebra than the context"
-        )
+    _require_context_algebra(ctx, L0)
     gens = [v for v in N_gens if not v.is_zero()]
     if not gens:
         return Resolution([L0], [], "Filtered")
@@ -780,7 +770,7 @@ def minimal_filtered_resolution(
         ctx, L0, completed.elements, certify=False, assume_standard=True
     )
     frame = _schreyer_frame(pruned)
-    L = None if frame.zero_module else frame.modules[0]
+    L = frame.modules[0]
     lms: List[ModMonomial] = []
     if frame.maps:
         order = _graded_order(L)
@@ -792,8 +782,6 @@ def minimal_filtered_resolution(
 def sigma_resolution(ctx: FiltrationContext, R: Resolution) -> Resolution:
     """Apply the top-degree-part map to a filtered chain, giving the
     induced chain of associated graded modules."""
-    if R.zero_module:
-        return Resolution([], [], "Graded", zero_module=True)
     graded_modules = [ctx.graded_module(m) for m in R.modules]
     graded_maps = []
     for i, mat in enumerate(R.maps):

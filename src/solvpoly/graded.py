@@ -91,11 +91,15 @@ class GradedContext:
         self.degree = degree or algebra.degree_function
         self.graded_ok, self.violations = check_graded(algebra, self.degree)
 
-    def require(self) -> None:
+    def require(self, order: Optional[ModOrder] = None) -> None:
+        """Refuse an algebra that is not graded and, when given, a module
+        order with no degree function."""
         if not self.graded_ok:
             raise NotGraded(
                 "algebra is not graded: " + "; ".join(self.violations)
             )
+        if order is not None and order.base.degree is None:
+            raise NotGraded("the module order carries no degree function")
 
 
 class GradedElementView:
@@ -153,18 +157,11 @@ def _require_homogeneous(inputs: Sequence[Vect]) -> None:
             )
 
 
-def _require_graded_setup(
-    inputs: Sequence[Vect], order: ModOrder
-) -> GradedContext:
+def _require_graded_setup(inputs: Sequence[Vect], order: ModOrder) -> None:
     if not inputs:
         raise ValueError("need at least one generator")
-    A = inputs[0].module.algebra
-    ctx = GradedContext(A)
-    ctx.require()
-    if order.base.degree is None:
-        raise NotGraded("the module order carries no degree function")
+    GradedContext(inputs[0].module.algebra).require(order)
     _require_homogeneous(inputs)
-    return ctx
 
 
 def truncated_gb(
@@ -221,8 +218,8 @@ class QuotientMinimization:
     """Result of eliminating unit-coefficient relations from L/N.
 
     ``kept`` are the surviving components of the original module,
-    ``new_module`` is the pruned free module (None when the quotient is
-    zero), ``gens`` the transformed generators inside it, and
+    ``new_module`` is the pruned free module (of rank 0 when the
+    quotient is zero), ``gens`` the transformed generators inside it, and
     ``eliminations`` records, per dropped component, the relation (in
     original coordinates) that defined it, and ``pivots`` the index of
     that relation among the inputs.
@@ -232,7 +229,7 @@ class QuotientMinimization:
         self,
         module: FreeModule,
         kept: List[int],
-        new_module: Optional[FreeModule],
+        new_module: FreeModule,
         gens: List[Vect],
         eliminations: List[Tuple[int, Vect]],
         pivots: List[int],
@@ -268,8 +265,7 @@ def min_gens_quotient(
 
 
 def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
-    List[int], Optional[FreeModule], List[Vect], List[Tuple[int, Vect]],
-    List[int],
+    List[int], FreeModule, List[Vect], List[Tuple[int, Vect]], List[int],
 ]:
     """Eliminate basis vectors of L through unit pivots of the gens.
 
@@ -279,10 +275,11 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
     in generator order, then component order, eliminates its basis
     vector from every other generator, and both are dropped.  Returns
     ``(kept, new_module, gens, eliminations, pivots)``: the surviving
-    components of L, the pruned free module (None when nothing
-    survives), the transformed generators inside it (zero ones
-    dropped), per dropped component the pivot generator in original
-    coordinates, and the index in ``gens`` of each pivot generator.
+    components of L, the pruned free module (of rank 0 when nothing
+    survives: the quotient is zero), the transformed generators inside
+    it (zero ones dropped), per dropped component the pivot generator in
+    original coordinates, and the index in ``gens`` of each pivot
+    generator.
 
     The rows stay vectors of L: eliminating with the pivot at component
     i subtracts ``(f * c^-1) * pivot`` from each other row, f its entry
@@ -324,9 +321,6 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
         work = [(k, v) for k, v in work if v]
         alive.remove(i)
 
-    if not alive:
-        # every basis vector was eliminated: the quotient is zero
-        return [], None, [], eliminations, pivots
     new_module = FreeModule(
         A, len(alive), shifts=[L.shifts[c] for c in alive]
     )
@@ -368,7 +362,8 @@ def _cancel_scalar_entries(
     ``(f * u^-1) * row r`` from each other row with entry f in column c
     and drops row r and column c; column r of map i+1 and row c of map
     i-1 go too.  Map i+1 is free of pivots by then, so no row of map i
-    becomes zero.  A top module left with no basis vector is trimmed.
+    becomes zero.  A top module left with no basis vector is trimmed;
+    the bottom one stays, of rank 0 when the quotient is zero.
 
     The chain is a Schreyer frame under the shifted-degree-first order,
     so on filtered (inhomogeneous) input every leading monomial lies in
@@ -389,13 +384,13 @@ def _cancel_scalar_entries(
         )
         stay = [r for r in range(len(vects)) if r not in pivots]
         shifts = [modules[i + 1].shifts[r] for r in stay]
-        modules[i + 1] = FreeModule(A, len(stay), shifts) if stay else None
+        modules[i + 1] = FreeModule(A, len(stay), shifts)
         rows[i] = [v.to_polys() for v in left]
         if i + 1 < len(rows):
             rows[i + 1] = [[row[r] for r in stay] for row in rows[i + 1]]
         if i:
             rows[i - 1] = [rows[i - 1][c] for c in alive]
-    while modules[-1] is None:
+    while len(modules) > 1 and not modules[-1].rank:
         modules.pop()
         rows.pop()
     return modules, [
@@ -405,10 +400,7 @@ def _cancel_scalar_entries(
 
 def _schreyer_frame(qm: QuotientMinimization) -> Resolution:
     """The Schreyer resolution of a pruned presentation under the graded
-    order (:func:`solvpoly.syzres.free_resolution`); the zero module
-    when no basis vector survived the pruning."""
-    if not qm.kept:
-        return Resolution([], [], zero_module=True)
+    order (:func:`solvpoly.syzres.free_resolution`)."""
     L = qm.new_module
     return free_resolution(L, qm.gens, _graded_order(L))
 
@@ -416,8 +408,6 @@ def _schreyer_frame(qm: QuotientMinimization) -> Resolution:
 def _minimal_resolution(frame: Resolution, flavor: str) -> Resolution:
     """A Schreyer frame with its scalar entries cancelled
     (:func:`_cancel_scalar_entries`)."""
-    if frame.zero_module:
-        return Resolution([], [], flavor, zero_module=True)
     return Resolution(
         *_cancel_scalar_entries(frame.modules, frame.maps), flavor
     )

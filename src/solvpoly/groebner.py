@@ -43,7 +43,7 @@ from typing import (
     Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .coeff import SolvpolyError, _add_scaled
+from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
 from .algebra import (
     ExpVec,
     Poly,
@@ -300,9 +300,10 @@ def _spair_data(xi: Vect, zeta: Vect, order: ModOrder):
 
     S = c_i * a^(gamma-alpha) xi  -  c_j * a^(gamma-beta) zeta, the
     scalars normalizing both products to leading coefficient one,
-    accumulated term by term into one dict.  a^alpha * xi leads with
-    lc(xi) times the lead coefficient of ``mono_mul(alpha, lm(xi))``,
-    since the order restricts to the algebra's order on each component.
+    summed in one :class:`solvpoly.modfree._IntSum` on the integer form
+    of both vectors.  a^alpha * xi leads with lc(xi) times the lead
+    coefficient of ``mono_mul(alpha, lm(xi))``, since the order
+    restricts to the algebra's order on each component.
     """
     A = xi.module.algebra
     mi, mj = xi.lm(order), zeta.lm(order)
@@ -312,9 +313,11 @@ def _spair_data(xi: Vect, zeta: Vect, order: ModOrder):
     ai, aj = exp_sub(gamma, mi[0]), exp_sub(gamma, mj[0])
     ci = A.field.inverse(xi.data[mi] * A.mono_mul(ai, mi[0]).terms[0][1])
     cj = A.field.inverse(zeta.data[mj] * A.mono_mul(aj, mj[0]).terms[0][1])
-    acc = xi._add_lmul({}, A.monomial(ai, ci))
-    zeta._add_lmul(acc, -A.monomial(aj, cj))
-    return Vect._of(xi.module, acc), ci, ai, cj, aj, gamma, mi[1]
+    acc = _IntSum(A)
+    acc.add_lmul(1, A.monomial(ai, ci), _to_ints(xi.data.items()))
+    acc.add_lmul(-1, A.monomial(aj, cj), _to_ints(zeta.data.items()))
+    S = _from_ints(*acc.finish(), A.field.characteristic)
+    return Vect._of(xi.module, S), ci, ai, cj, aj, gamma, mi[1]
 
 
 def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:

@@ -26,11 +26,12 @@ Right division runs over the opposite algebra ``A.opposite()``:
 reversing exponent vectors turns right multiples into left multiples
 there, and TOP/POT orders carry over.
 
-Long left combinations of vectors whose payloads are not needed term by
+Left combinations of vectors whose payloads are not needed term by
 term (the rows of a transition matrix, the rows of a product of
-matrices over the algebra) are summed by :class:`_IntSum` on plain
-ints; :func:`_row_to_ints` and :func:`_row_from_ints` convert a row of
-ring elements to that form and back.
+matrices over the algebra, S-vectors and left multiples) are summed by
+:class:`_IntSum` on plain ints; :func:`_row_to_ints` and
+:func:`_row_from_ints` convert a row of ring elements to that form and
+back.
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ class InfiniteMarker:
 
 
 class FreeModule:
-    """A free left module over a solvable algebra, with degree shifts."""
+    """A free left module over a solvable algebra, with degree shifts.
+
+    Rank 0 is the zero module.
+    """
 
     def __init__(
         self,
@@ -109,8 +113,8 @@ class FreeModule:
         rank: int,
         shifts: Optional[Sequence[int]] = None,
     ):
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
+        if rank < 0:
+            raise ValueError("rank must be >= 0")
         if shifts is None:
             shifts = (0,) * rank
         shifts = tuple(int(b) for b in shifts)
@@ -281,18 +285,14 @@ class Vect:
         return self.scale(self.module.algebra.field.inverse(c))
 
     def lmul(self, f: Poly) -> "Vect":
-        """Left multiplication by a ring element."""
-        return Vect._of(self.module, self._add_lmul({}, f))
-
-    def _add_lmul(self, acc: Dict[ModMonomial, object], f: Poly):
-        """acc += f * self in place; returns acc."""
+        """Left multiplication by a ring element, summed in one
+        :class:`_IntSum`."""
         A = self.module.algebra
-        p = A.field.characteristic
-        for (exp, comp), c in self.data.items():
-            for ea, ca in f.terms:
-                terms = A.mono_mul(ea, exp).terms
-                _add_scaled(acc, (((e, comp), x) for e, x in terms), ca * c, p)
-        return acc
+        acc = _IntSum(A)
+        acc.add_lmul(1, f, _to_ints(self.data.items()))
+        return Vect._of(
+            self.module, _from_ints(*acc.finish(), A.field.characteristic)
+        )
 
     def rmul(self, f: Poly) -> "Vect":
         """Right multiplication by a ring element (right-module view)."""

@@ -141,8 +141,8 @@ class Resolution:
     """A finite chain of free modules resolving M = L0 / N.
 
     ``modules`` is ascending ``[L_0, L_1, .., L_q]`` and ``maps[i]``
-    is the matrix of L_{i+1} -> L_i.  A resolution of the zero module
-    is stored with ``zero_module=True`` and empty chains.
+    is the matrix of L_{i+1} -> L_i.  The zero module is resolved by
+    the free module of rank 0 alone, with no maps.
     """
 
     def __init__(
@@ -150,24 +150,19 @@ class Resolution:
         modules: List[FreeModule],
         maps: List[PresentationMatrix],
         flavor: str = "Plain",
-        zero_module: bool = False,
     ):
         self.modules = modules
         self.maps = maps
         self.flavor = flavor
-        self.zero_module = zero_module
 
-    def length(self) -> int:
-        return len(self.maps)
+    @property
+    def zero_module(self) -> bool:
+        return self.modules[0].rank == 0
 
     def ranks(self) -> List[int]:
-        if self.zero_module:
-            return [0]
         return [m.rank for m in self.modules]
 
     def shift_lists(self) -> List[List[int]]:
-        if self.zero_module:
-            return [[]]
         return [list(m.shifts) for m in self.modules]
 
     def composition_is_zero(self) -> bool:
@@ -312,7 +307,7 @@ def syzygy_of_gb(G: GroebnerBasis) -> SyzygyGenerators:
     """
     t = len(G.elements)
     shifts = [G.order.degree_of(g.lm(G.order)) for g in G.elements]
-    syz_module = FreeModule(G.module.algebra, max(t, 1), shifts=shifts or None)
+    syz_module = FreeModule(G.module.algebra, t, shifts=shifts)
     order = schreyer_order_for(G.elements, G.order) if t else None
     rows = _schreyer_rows(G.elements, G.order, syz_module, order)
     return SyzygyGenerators(
@@ -391,8 +386,9 @@ def free_resolution(
     :func:`syzygy_of_gb` returns), sorted by
     :func:`_ascending_exponent_sort`; the chain stops when no relations
     remain.  The first basis is the minimal Groebner basis of the
-    relations.  When the submodule is all of L0, the zero module is
-    reported as a rank-0 chain.
+    relations.  When the submodule is all of L0, that basis has one
+    lead e_i per component, and the splice leaves the free module of
+    rank 0: the zero module.
     """
     A = L0.algebra
     if order is None:
@@ -401,14 +397,6 @@ def free_resolution(
     if not gens:
         return Resolution([L0], [])
     G = minimalize(buchberger(gens, order))
-    if all(
-        is_mem
-        for is_mem in (
-            left_divide_module(L0.basis(i), G.elements, order)[1].is_zero()
-            for i in range(L0.rank)
-        )
-    ):
-        return Resolution([], [], zero_module=True)
     modules = [L0]
     maps: List[PresentationMatrix] = []
     cur_module = L0
@@ -423,13 +411,11 @@ def free_resolution(
             # appending another stage (this is what keeps length <= n)
             pivot = {comp for _, comp in lms}
             nonpivot = [c for c in range(cur_module.rank) if c not in pivot]
-            F = FreeModule(
-                A,
-                max(len(nonpivot), 1),
-                shifts=[cur_module.shifts[c] for c in nonpivot] or None,
-            )
+            shifts = [cur_module.shifts[c] for c in nonpivot]
+            F = FreeModule(A, len(nonpivot), shifts=shifts)
             if not maps:
-                # M itself is free on the leftover components
+                # M itself is free on the leftover components (none when
+                # N = L0: the zero module)
                 modules = [F]
             else:
                 prev = maps.pop()
@@ -525,8 +511,6 @@ def projective_dimension(R: Resolution) -> int:
     map pairs the right inverse with the previous boundary) and
     retry; the first non-invertible tail fixes the dimension.
     """
-    if R.zero_module or not R.maps:
-        return 0
     A = R.modules[0].algebra
     ms: List[PresentationMatrix] = list(R.maps)
     while ms:
@@ -556,8 +540,6 @@ def projective_dimension(R: Resolution) -> int:
 
 def stably_free_rank(R: Resolution) -> int:
     """Alternating rank sum of a resolution of a projective module."""
-    if R.zero_module:
-        return 0
     total = 0
     for i, m in enumerate(R.modules):
         total += m.rank if i % 2 == 0 else -m.rank

@@ -399,8 +399,6 @@ def reference_matrix_product(A: SolvableAlgebra, left: Sequence[Sequence[Poly]],
 def chain_composes_to_zero(R) -> bool:
     """Consecutive maps of a resolution multiply to zero under
     :func:`reference_matrix_product`, not under ``compose_with``."""
-    if R.zero_module:
-        return True
     A = R.modules[0].algebra
     for upper, lower in zip(R.maps[1:], R.maps):
         product = reference_matrix_product(

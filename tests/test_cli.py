@@ -378,10 +378,12 @@ def test_gb_truncate_flag_sets_marker(capsys):
     ("c44-q", "error: generator is not homogeneous: "),
     ("sl2-3-q", "error: algebra is not graded: "),
     ("gkz-p", "error: algebra is not graded: "),
+    ("weyl-3", "error: algebra is not graded: "),
 ])
 def test_gb_truncate_refuses_ungraded_input(capsys, name, error):
     """A truncated basis is defined for homogeneous generators over a
-    graded algebra only; anything else is an input error."""
+    graded algebra only; anything else is an input error, also with no
+    generators (weyl-3)."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "corpus", name + ".json")
     code, out, err = run(capsys, "--json", "gb", "--truncate", "2", path)
@@ -423,6 +425,16 @@ def test_graded_resolve_betti_table(capsys):
     assert payload["flavor"] == "Graded"
     assert payload["ranks"] == [1, 2, 1]
     assert payload["betti"] == {"0": {"0": 1}, "1": {"1": 2}, "2": {"2": 1}}
+
+
+def test_graded_resolve_of_the_zero_module(capsys, tmp_path):
+    with open(corpus.path("qplane")) as fh:
+        doc = dict(json.load(fh), submodule_generators=["1"])
+    code, out, _ = run(capsys, "--json", "graded-resolve", "--betti",
+                       problem_file(tmp_path, doc))
+    assert code == 0
+    assert out == ('{"betti":{},"flavor":"Graded","length":0,"maps":[],'
+                   '"ranks":[0],"shifts":[[]],"zero_module":true}\n')
 
 
 def test_graded_resolve_rejects_filtered_algebra(capsys):

@@ -9,7 +9,7 @@ import solvpoly.syzres as syzres
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import MonomialOrder, build_algebra
 from solvpoly.coeff import FieldSpec
-from solvpoly.modfree import FreeModule, ModOrder
+from solvpoly.modfree import FreeModule, IncompatibleModules, ModOrder
 from solvpoly.groebner import buchberger, is_member
 from solvpoly.graded import (
     betti_table,
@@ -201,6 +201,21 @@ def test_module_symbols(wctx, weyl1):
 # the transfer theorem check
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("entry", [
+    lambda ctx, L, v: transfer_check(ctx, [v]),
+    lambda ctx, L, v: standard_basis(ctx, [v]),
+    lambda ctx, L, v: minimal_F_basis(ctx, L, [v], assume_standard=True),
+    lambda ctx, L, v: minimal_standard_basis(ctx, [v]),
+    lambda ctx, L, v: minimal_filtered_resolution(ctx, L, []),
+], ids=["transfer_check", "standard_basis", "minimal_F_basis",
+        "minimal_standard_basis", "minimal_filtered_resolution"])
+def test_entry_points_refuse_a_module_over_another_algebra(entry, wctx,
+                                                           comm2):
+    L = FreeModule(comm2, 1)
+    with pytest.raises(IncompatibleModules):
+        entry(wctx, L, L.parse(["x"]))
+
+
 def test_transfer_verdicts_on_the_quantum_example(ex12):
     ctx = FiltrationContext(ex12)
     L = FreeModule(ex12, 1)
@@ -328,6 +343,33 @@ def test_filtered_resolution_trivial_cases(weyl1):
     assert free.ranks() == [1] and free.maps == []
     unit = minimal_filtered_resolution(ctx, L, [L.parse(["1"])])
     assert unit.zero_module
+
+
+@pytest.mark.parametrize("name,shifts,gens", [
+    ("qplane", (0,), [["1"]]),
+    ("comm2", (0, 1), [["1", "0"], ["x", "1"]]),
+    ("weyl1", (0,), [["1"]]),
+], ids=["qplane", "comm2-rank2", "weyl1"])
+def test_zero_module_is_the_free_module_of_rank_zero(name, shifts, gens,
+                                                      request):
+    """N = L0 is resolved by the rank-0 module alone on every route; the
+    graded route needs a graded algebra, which weyl1 is not."""
+    A = request.getfixturevalue(name)
+    ctx = FiltrationContext(A)
+    L = FreeModule(A, len(shifts), shifts)
+    N = [L.parse(g) for g in gens]
+    filtered_R = minimal_filtered_resolution(ctx, L, N)
+    routes = [(free_resolution(L, N), A), (filtered_R, A),
+              (sigma_resolution(ctx, filtered_R), ctx.graded().algebra)]
+    if graded.GradedContext(A).graded_ok:
+        routes.append((minimal_graded_resolution(L, N), A))
+    for R, B in routes:
+        assert R.modules == [FreeModule(B, 0)] and R.maps == []
+        assert (R.ranks(), R.shift_lists(), R.zero_module) == ([0], [[]],
+                                                               True)
+        assert betti_table(R) == {}
+        assert syzres.projective_dimension(R) == 0
+        assert syzres.stably_free_rank(R) == 0
 
 
 def test_filtered_resolution_invariance(qheis, rng):

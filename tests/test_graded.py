@@ -208,7 +208,8 @@ def test_unit_pivot_pruning_matches_the_reference(name, request):
             L, gens)
         want = oracles.reference_prune_unit_pivots(L, gens)
         assert kept == want[0]
-        assert (module and module.shifts) == (want[1] and want[1].shifts)
+        # the reference gives None for the zero quotient, of rank 0 here
+        assert module == (want[1] or FreeModule(A, 0))
         assert pruned == want[2]
         assert eliminations == want[3]
         assert pivots == want[4]

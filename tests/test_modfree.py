@@ -45,8 +45,11 @@ def test_module_construction_and_equality(weyl1, comm2):
     assert L == FreeModule(weyl1, 2, (0, 3))
     assert L != FreeModule(weyl1, 2, (0, 0))
     assert L != FreeModule(comm2, 2, (0, 3))
+    zero = FreeModule(weyl1, 0)
+    assert (zero.rank, zero.shifts) == (0, ())
+    assert zero == FreeModule(weyl1, 0, ())
     with pytest.raises(ValueError):
-        FreeModule(weyl1, 0)
+        FreeModule(weyl1, -1)
 
 
 def test_vect_componentwise_algebra(weyl1, rng):

@@ -2,8 +2,9 @@
 
 Every sum of ring products over rows goes through one accumulator,
 ``modfree._IntSum``: the product of matrices over the algebra
-(``PresentationMatrix.compose_with``) and the transition-matrix rows
-(``_Trace.rows``) are the only places that construct one.
+(``PresentationMatrix.compose_with``), the transition-matrix rows
+(``_Trace.rows``), the S-vectors (``groebner._spair_data``) and left
+multiples (``Vect.lmul``) are the only places that construct one.
 """
 
 import ast
@@ -44,5 +45,7 @@ def _constructions(name):
 def test_one_accumulator_for_sums_of_products_over_rows():
     assert sorted(_constructions("_IntSum")) == [
         ("groebner", "_Trace.rows"),
+        ("groebner", "_spair_data"),
+        ("modfree", "Vect.lmul"),
         ("syzres", "PresentationMatrix.compose_with"),
     ]

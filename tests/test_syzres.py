@@ -154,11 +154,21 @@ def test_resolution_length_within_the_variable_count(name, request, rng):
         assert R.composition_is_zero()
 
 
-def test_resolution_of_the_full_module_is_zero(weyl1):
+def test_resolution_of_the_full_module_is_zero(weyl1, monkeypatch):
+    """The minimal basis of L0 leads with each e_i once, and the splice
+    leaves rank 0: no basis vector of L0 is divided by it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return left_divide_module(*args, **kwargs)
+
+    monkeypatch.setattr(syzres, "left_divide_module", counted)
     L = FreeModule(weyl1, 2)
     R = free_resolution(L, [L.basis(0), L.basis(1)])
     assert R.zero_module
     assert R.ranks() == [0]
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["comm2", "weyl1", "qplane", "ex12",
