@@ -18,6 +18,7 @@ cached monomial products per algebra.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -764,43 +765,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _whole_integers():
+    """Lift the interpreter's limit on int <-> str conversion (Python
+    3.10.7 on; 4300 digits by default) inside the block and restore it
+    after: exact answers are read and printed in full, while a library
+    caller keeps its own setting."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
-    try:
-        pf = parse_problem(args.problem)
-        if args.command != "verify-presentation":
-            # every other command computes in the algebra, which is
-            # meaningless unless its products associate
-            check_associative(pf.algebra)
-        code, payload = handler(pf, args)
-    except _INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except _NEGATIVE_ERRORS as exc:
-        print("not solvable type: %s" % exc, file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (graded_ops.NotGraded, graded_ops.InhomogeneousInput,
-            groebner.NonGradedOrder) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except SolvpolyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        _emit(payload, args.json)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # nothing more can reach the reader; send what is still buffered
-        # to the null device, so the flush at exit does not fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: standard output closed before the report was "
-              "written", file=sys.stderr)
-        return EXIT_INPUT
-    return code
+    with _whole_integers():
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        handler = _COMMANDS[args.command]
+        try:
+            pf = parse_problem(args.problem)
+            if args.command != "verify-presentation":
+                # every other command computes in the algebra, which is
+                # meaningless unless its products associate
+                check_associative(pf.algebra)
+            code, payload = handler(pf, args)
+        except _INPUT_ERRORS as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        except _NEGATIVE_ERRORS as exc:
+            print("not solvable type: %s" % exc, file=sys.stderr)
+            return EXIT_NEGATIVE
+        except (graded_ops.NotGraded, graded_ops.InhomogeneousInput,
+                groebner.NonGradedOrder) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        except SolvpolyError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        try:
+            _emit(payload, args.json)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # nothing more can reach the reader; send what is still buffered
+            # to the null device, so the flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: standard output closed before the report was "
+                  "written", file=sys.stderr)
+            return EXIT_INPUT
+        return code
 
 
 if __name__ == "__main__":

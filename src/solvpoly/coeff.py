@@ -241,9 +241,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def __bool__(self):
         return self.value != 0
 

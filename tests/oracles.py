@@ -65,37 +65,60 @@ def _word(exp: Sequence[int]) -> Tuple[int, ...]:
 def reference_product(f: Poly, g: Poly) -> Poly:
     """f * g by rewriting words letter by letter: the first descent
     a_j a_i (j > i) of a word becomes lam a_i a_j + tail, until every
-    word is ordered.  Shares nothing with the library's monomial
-    product or its cache; coefficients are field-checked Scalars."""
+    word is ordered.  The normal form of each word met is kept, so a
+    word reached along many rewriting paths is rewritten once.  Shares
+    nothing with the library's monomial product or its cache;
+    coefficients are field-checked Scalars."""
     A = f.algebra
     field = A.field
-    todo: Dict[Tuple[int, ...], object] = {}
-    done: Dict[Tuple[int, ...], object] = {}
+    forms: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
 
-    def add(bucket, w, c):
-        s = bucket.get(w)
-        bucket[w] = c if s is None else s + c
-
-    for ea, ca in f.terms:
-        for eb, cb in g.terms:
-            add(todo, _word(ea) + _word(eb), field.scalar(ca) * field.scalar(cb))
-    while todo:
-        w, c = todo.popitem()
-        if c.is_zero():
-            continue
+    def rewrites(w):
+        """[(word, Scalar)] one rewriting step gives w, or None when w
+        is ordered."""
         k = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
         if k is None:
-            add(done, w, c)
-            continue
+            return None
         rel = A.relations[(w[k], w[k + 1])]
-        add(todo, w[:k] + (w[k + 1], w[k]) + w[k + 2:],
-            c * field.scalar(rel.lam))
+        out = [(w[:k] + (w[k + 1], w[k]) + w[k + 2:], field.scalar(rel.lam))]
         for te, tc in rel.tail.terms:
-            add(todo, w[:k] + _word(te) + w[k + 2:], c * field.scalar(tc))
-    return A.from_terms(
-        (tuple(w.count(i) for i in range(A.n)), c.value)
-        for w, c in done.items() if not c.is_zero()
-    )
+            out.append((w[:k] + _word(te) + w[k + 2:], field.scalar(tc)))
+        return out
+
+    def normal_form(word):
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in forms:
+                stack.pop()
+                continue
+            steps = rewrites(w)
+            if steps is None:
+                forms[w] = {tuple(w.count(i) for i in range(A.n)): field.one}
+                stack.pop()
+                continue
+            missing = [v for v, _ in steps if v not in forms]
+            if missing:
+                stack.extend(missing)
+                continue
+            total: Dict[Tuple[int, ...], object] = {}
+            for v, c in steps:
+                for e, x in forms[v].items():
+                    s = total.get(e)
+                    total[e] = c * x if s is None else s + c * x
+            forms[w] = total
+            stack.pop()
+        return forms[word]
+
+    done: Dict[Tuple[int, ...], object] = {}
+    for ea, ca in f.terms:
+        for eb, cb in g.terms:
+            c = field.scalar(ca) * field.scalar(cb)
+            for e, x in normal_form(_word(ea) + _word(eb)).items():
+                s = done.get(e)
+                done[e] = c * x if s is None else s + c * x
+    return A.from_terms((e, c.value) for e, c in done.items()
+                        if not c.is_zero())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
+import math
+import os
 import random
+import time
 
 import pytest
 
+from solvpoly import fixtures as corpus
 from solvpoly.algebra import (
     DegreeFunction,
+    ExponentOverflow,
     ExprSyntaxError,
     MalformedRelation,
     MonomialOrder,
     NonAssociative,
     Poly,
+    SolvableAlgebra,
     TailOrderViolation,
     UnknownGenerator,
     ZeroLambda,
@@ -17,9 +23,11 @@ from solvpoly.algebra import (
     exp_add,
     reversed_poly,
 )
+from solvpoly.cli import parse_problem
 from solvpoly.coeff import FieldSpec
 
-from conftest import random_poly
+import oracles
+from conftest import over, random_poly
 
 Q = FieldSpec("Rationals")
 
@@ -317,3 +325,142 @@ def test_product_cache_env_cap(monkeypatch):
     # correctness must not depend on the cache size
     assert A.multiply(y, x) == A.parse("x*y + 1")
     assert A.multiply(y, A.multiply(y, x)) == A.parse("x*y^2 + 2*y")
+
+
+# ---------------------------------------------------------------------------
+# closed-form products on tables of scalar tails, and the walk elsewhere
+# ---------------------------------------------------------------------------
+
+FIELDS = [Q, FieldSpec("PrimeField", 32003), FieldSpec("PrimeField", 7)]
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
+
+
+def weyl_pairs(field):
+    """Four Weyl pairs d_k x_k = x_k d_k + c_k, as in the GKZ systems, with
+    scalars c_k other than 1 so that c^k shows."""
+    names = ("x1", "x2", "x3", "x4", "d1", "d2", "d3", "d4")
+    rels = ["d1*x1 = x1*d1 + 1", "d2*x2 = x2*d2 + 2",
+            "d3*x3 = x3*d3 - 1", "d4*x4 = x4*d4 + 1/2"]
+    return build_algebra(field, names, _grlex(8), rels)
+
+
+def fresh(name, field):
+    """A new algebra, with an empty product cache: a fixture by name, the
+    four Weyl pairs, or a file of the benchmark corpus."""
+    if name == "weyl-pairs":
+        return weyl_pairs(field)
+    if name in corpus.all_names():
+        return over(field, name)
+    pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
+    return build_algebra(field, pf.names, pf.order, pf.relations,
+                         degree_function=pf.degree_function)
+
+
+def sparse_exp(rnd, n, max_entry):
+    """An exponent vector with at most three nonzero entries, so that
+    the word rewriting of the oracle stays small."""
+    exp = [0] * n
+    for k in rnd.sample(range(n), min(n, 3)):
+        exp[k] = rnd.randint(0, max_entry)
+    return tuple(exp)
+
+
+def assert_products_match_the_oracle(A, rnd, pairs, max_entry):
+    for _ in range(pairs):
+        a = sparse_exp(rnd, A.n, max_entry)
+        b = sparse_exp(rnd, A.n, max_entry)
+        want = oracles.reference_product(A.monomial(a), A.monomial(b))
+        assert A.mono_mul(a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["comm2", "weyl1", "qplane", "ex12",
+                                  "weyl-pairs"])
+def test_closed_form_products_match_word_rewriting(name, field):
+    A = fresh(name, field)
+    assert_products_match_the_oracle(A, random.Random(16), 40, 6)
+
+
+@pytest.mark.parametrize("field", FIELDS[1:], ids=str)
+def test_closed_form_drops_the_terms_that_vanish_mod_p(field):
+    # y^9 x^9 = sum_k k! C(9, k)^2 x^(9-k) y^(9-k) in weyl1: over GF(7)
+    # the terms k >= 7 vanish with k!, and so do k = 3..6 with C(9, k)
+    A = fresh("weyl1", field)
+    got = A.mono_mul((0, 9), (9, 0))
+    assert got == oracles.reference_product(A.gen(1, 9), A.gen(0, 9))
+    p = field.characteristic
+    want = [9 - k for k in range(10)
+            if math.factorial(k) * math.comb(9, k) ** 2 % p]
+    assert [e[0] for e, _ in got.terms] == want
+    assert len(want) == (3 if p == 7 else 10)
+    assert all(0 < c < p for _, c in got.terms)
+    assert_products_match_the_oracle(A, random.Random(7), 30, 9)
+
+
+@pytest.mark.parametrize("name", ["comm2", "weyl1", "qplane", "ex12",
+                                  "weyl-pairs", "skew-5-2", "gkz-p"])
+def test_tables_of_scalar_tails_never_enter_the_walk(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the suffix walk ran")
+
+    monkeypatch.setattr(SolvableAlgebra, "_walk", refuse)
+    monkeypatch.setattr(SolvableAlgebra, "_gen_times_mono", refuse)
+    rnd = random.Random(3)
+    A = fresh(name, Q)
+    for B in (A, A.opposite()):
+        for _ in range(20):
+            f = random_poly(B, rnd, max_degree=5)
+            g = random_poly(B, rnd, max_degree=5)
+            B.multiply(f, g)
+        assert B.product_cache
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["qheis", "ex14", "sl2-3-q"])
+def test_walked_tables_match_word_rewriting(name, field):
+    A = fresh(name, field)
+    assert A._scalar_table is None
+    assert_products_match_the_oracle(A, random.Random(16), 25, 3)
+
+
+def test_weyl_power_product_is_one_pass():
+    # y^400 x^400 = sum_k k! C(400, k)^2 x^(400-k) y^(400-k)
+    A = fresh("weyl1", Q)
+    start = time.perf_counter()
+    got = A.mono_mul((0, 400), (400, 0))
+    elapsed = time.perf_counter() - start
+    want = A.from_terms(
+        ((400 - k, 400 - k), math.factorial(k) * math.comb(400, k) ** 2)
+        for k in range(401))
+    assert got == want
+    assert len(A.product_cache) <= 2
+    assert elapsed < 0.1
+
+
+def test_exp_add_refuses_an_exponent_of_2_to_the_32():
+    with pytest.raises(ExponentOverflow):
+        exp_add((2 ** 31, 0), (2 ** 31, 1))
+    assert exp_add((2 ** 31, 0), (2 ** 31 - 1, 1)) == (2 ** 32 - 1, 1)
+
+
+def test_products_refuse_overflow_before_expanding():
+    # each must raise at once rather than take 2^31 walk steps
+    half = 2 ** 31
+    A = fresh("qplane", Q)
+    with pytest.raises(ExponentOverflow):
+        A.mono_mul((half, 0), (half, 0))
+    with pytest.raises(ExponentOverflow):
+        A.mono_mul((half, 1), (half, 0))  # the closed-form route
+    sl2 = fresh("sl2-3-q", Q)
+    assert sl2._scalar_table is None
+    with pytest.raises(ExponentOverflow):
+        sl2.mono_mul((half, 0, 0), (half, 0, 0))
+    assert not A.product_cache and not sl2.product_cache
+
+
+def test_ordered_products_are_one_monomial_on_every_table():
+    sl2 = fresh("sl2-3-q", Q)
+    got = sl2.mono_mul((3, 2, 0), (0, 4, 5))
+    assert got == sl2.monomial((3, 6, 5))
+    assert list(sl2.product_cache) == [((3, 2, 0), (0, 4, 5))]

@@ -537,6 +537,53 @@ def test_large_exponents_keep_the_product_stack_flat(capsys, tmp_path):
     assert terms[:2] == ["x^400*y^400", "160000*x^399*y^399"]
 
 
+def _decimal(n):
+    """str(n) for an int of any length, written in chunks that each stay
+    under the interpreter's int -> str digit limit."""
+    chunks = []
+    while n >= 10 ** 1000:
+        n, r = divmod(n, 10 ** 1000)
+        chunks.append("%01000d" % r)
+    return str(n) + "".join(reversed(chunks))
+
+
+@pytest.mark.parametrize("command", ["gb", "resolve"])
+def test_coefficients_past_4300_digits_are_printed(capsys, tmp_path,
+                                                   command):
+    # 2500 threes times 2500 sevens: a coefficient of 5000 digits, past
+    # the 4300-digit default limit of int <-> str conversion
+    threes, sevens = "3" * 2500, "7" * 2500
+    doc = json.loads(open(corpus.path("weyl1")).read())
+    doc["submodule_generators"] = ["%s*%s*x + y" % (threes, sevens)]
+    code, out, err = run(capsys, "--json", command,
+                         problem_file(tmp_path, doc))
+    assert code == 0, err
+    json.loads(out)
+    assert "y + %s*x" % _decimal(int(threes) * int(sevens)) in out
+
+
+def test_literals_past_4300_digits_are_read(capsys, tmp_path):
+    doc = json.loads(open(corpus.path("weyl1")).read())
+    doc["submodule_generators"] = ["1%s*x + y" % ("0" * 5000)]
+    code, payload = run_json(capsys, "gb", problem_file(tmp_path, doc))
+    assert code == 0
+    assert payload["basis"] == ["y + 1%s*x" % ("0" * 5000)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int <-> str digit limit before Python 3.10.7")
+def test_main_restores_the_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, "gb", corpus.path("weyl1"))[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(capsys, "gb", "no-such-file.json")[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_transfer_check_with_large_degrees(capsys, tmp_path):
     # the Rees homogeniser of degree-1000 generators gets exponent 2000
     doc = json.loads(open(corpus.path("ex12")).read())
