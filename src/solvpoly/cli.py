@@ -480,6 +480,8 @@ def _element_from_options(pf: ProblemFile) -> Vect:
 
 
 def cmd_verify_presentation(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
+    if args.max_steps is not None and args.max_steps < 0:
+        raise SchemaError("--max-steps: must be a natural number")
     worder = _word_order(pf)
     rels = _free_relations(pf)
     try:

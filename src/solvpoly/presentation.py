@@ -291,6 +291,48 @@ class FreePoly:
 # ---------------------------------------------------------------------------
 
 
+class _FreeDivisors(list):
+    """A divisor list for :func:`free_divide`, prepared once.
+
+    A list of nonzero free polynomials that also keeps, for the order
+    it was made for, each element's leading word (``leads``) and the
+    inverse of its leading coefficient (``inverses``), the least index
+    with each leading word (``first``) and the lengths the leading
+    words take (``lengths``), so that a division step finds its divisor
+    by looking up the factors of a word.  The empty word divides
+    nothing here, as in :func:`occurrences`.  :meth:`append` extends
+    all of them; the list is not to be changed otherwise.
+    """
+
+    @classmethod
+    def of(cls, G: Sequence[FreePoly], order: WordOrder) -> "_FreeDivisors":
+        """``G`` prepared for ``order``: itself if it already is."""
+        if isinstance(G, cls) and G.order is order:
+            return G
+        return cls(order, G)
+
+    def __init__(self, order: WordOrder, G: Sequence[FreePoly]):
+        super().__init__()
+        self.order = order
+        self.leads: List[Letters] = []
+        self.inverses: List[object] = []
+        self.first: Dict[Letters, int] = {}
+        self.lengths: List[int] = []
+        for g in G:
+            self.append(g)
+
+    def append(self, g: FreePoly) -> None:
+        if g.is_zero():
+            raise SolvpolyError("division by a zero element")
+        w = g.lm(self.order).letters
+        self.first.setdefault(w, len(self))
+        if w and len(w) not in self.lengths:
+            insort(self.lengths, len(w))
+        self.leads.append(w)
+        self.inverses.append(g.field.inverse(g.data[w]))
+        super().append(g)
+
+
 def free_divide(
     f: FreePoly, G: Sequence[FreePoly], order: WordOrder
 ) -> Tuple[List[Tuple[object, Word, int, Word]], FreePoly]:
@@ -301,12 +343,11 @@ def free_divide(
     plus the remainder, every rewritten word is bounded by the leading
     word of f, and no remainder word contains any leading word of G as
     a factor.  Divisor ties go to the least index, position ties to
-    the leftmost occurrence.
+    the leftmost occurrence.  ``G`` is prepared
+    (:class:`_FreeDivisors`) unless it already is, for ``order``.
     """
-    if any(g.is_zero() for g in G):
-        raise SolvpolyError("division by a zero element")
-    lead = [g.lm(order).letters for g in G]
-    lc = [g.data[w] for g, w in zip(G, lead)]
+    G = _FreeDivisors.of(G, order)
+    first, lengths, leads, inverses = G.first, G.lengths, G.leads, G.inverses
     field = f.field
     p = field.characteristic
     key = order.key
@@ -321,20 +362,24 @@ def free_divide(
         c = work.get(w)
         if c is None:
             continue
-        hit = None
-        for j, u in enumerate(lead):
-            pos = occurrences(u, w)
-            if pos:
-                hit = (j, pos[0])
-                break
-        if hit is None:
+        # the least divisor index with a leading word in w, at its
+        # leftmost occurrence
+        j = k = None
+        size = len(w)
+        for pos in range(size):
+            for length in lengths:
+                if pos + length > size:
+                    break
+                i = first.get(w[pos : pos + length])
+                if i is not None and (j is None or i < j):
+                    j, k = i, pos
+        if j is None:
             rem[w] = work.pop(w)
             continue
-        j, k = hit
-        lam = c * field.inverse(lc[j])
+        lam = c * inverses[j]
         if p:
             lam %= p
-        U, V = w[:k], w[k + len(lead[j]) :]
+        U, V = w[:k], w[k + len(leads[j]) :]
         trace.append((lam, Word(U), j, Word(V)))
         terms = [(U + gw + V, gc) for gw, gc in G[j].data.items()]
         for m, _ in terms:
@@ -514,11 +559,17 @@ def verify_presentation(
         monic[(j, i)] = gm
         lambdas[(j, i)] = lam
     keys = sorted(monic)
-    basis = [monic[k] for k in keys]
+    basis = _FreeDivisors.of([monic[k] for k in keys], order)
+    # X_j X_i can overlap only a leading word that starts with X_i:
+    # the relations indexed by their first letter, ascending
+    starting: Dict[int, List[int]] = {}
+    for b, kb in enumerate(keys):
+        starting.setdefault(kb[0], []).append(b)
     failures: List[tuple] = []
     checked = 0
     for a, ka in enumerate(keys):
-        for b, kb in enumerate(keys):
+        for b in starting.get(ka[1], ()):
+            kb = keys[b]
             for o in overlap_elements(basis[a], basis[b], order):
                 checked += 1
                 _, r = free_divide(o.value, basis, order)
@@ -569,7 +620,9 @@ def bounded_completion(
     residual survives, or (partial basis, False) once more than
     ``max_new`` elements would be needed.
     """
-    basis = [g.monic(order) for g in _lm_reduce(list(G), order)]
+    basis = _FreeDivisors.of(
+        [g.monic(order) for g in _lm_reduce(list(G), order)], order
+    )
     if not basis:
         return [], True
     queue: List[Tuple[int, int, int, FreePoly]] = []
@@ -589,7 +642,7 @@ def bounded_completion(
         if r.is_zero():
             continue
         if added >= max_new:
-            return basis, False
+            return list(basis), False
         basis.append(r.monic(order))
         added += 1
         t = len(basis) - 1
@@ -602,7 +655,7 @@ def bounded_completion(
                     fresh.append((t, a, o.shift, o.value))
         fresh.sort(key=lambda x: x[:3])
         queue.extend(fresh)
-    return basis, True
+    return list(basis), True
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ machinery: the rank-one Weyl algebra acts on honest polynomials in
 one variable, degree slices are enumerated by brute force, and kernel
 dimensions come from exact row reduction over the coefficient field,
 and products are rewritten word by word from the relation table.
-Tests pit library answers against these.  The reference division
-runs term by term over whole immutable Vect and Poly values.
+Tests pit library answers against these.  The reference divisions
+run term by term over whole immutable Vect, Poly and FreePoly
+values, and the reference overlap check pairs every two relations.
 """
 
 from collections import Counter
@@ -16,6 +17,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from solvpoly.algebra import Poly, SolvableAlgebra
 from solvpoly.modfree import FreeModule, ModOrder, Vect, mono_divides
+from solvpoly.presentation import (
+    FreePoly,
+    Word,
+    WordOrder,
+    free_divide,
+    overlap_elements,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +319,63 @@ def reference_left_divide(xi: Vect, divisors: Sequence[Vect],
         if steps is not None:
             steps.append(frozenset(work.data))
     return quotients, remainder
+
+
+# ---------------------------------------------------------------------------
+# reference two-sided division and the all-pairs overlap check
+# ---------------------------------------------------------------------------
+
+def reference_free_divide(f: FreePoly, G: Sequence[FreePoly],
+                          order: WordOrder):
+    """Term-by-term two-sided division: take the leading word of what
+    is left, cancel it with the least-index divisor whose leading word
+    occurs in it, at its leftmost occurrence, or move it to the
+    remainder.  Returns (trace, remainder) as ``free_divide`` does."""
+    field = f.field
+    leads = [g.lm(order).letters for g in G]
+    trace = []
+    remainder = FreePoly(field, f.n)
+    work = f
+    while not work.is_zero():
+        w = work.lm(order).letters
+        hit = next(((j, k) for j, u in enumerate(leads) if u
+                    for k in range(len(w) - len(u) + 1)
+                    if w[k:k + len(u)] == u), None)
+        if hit is None:
+            t = FreePoly(field, f.n, {w: work.data[w]})
+            remainder = remainder + t
+            work = work - t
+            continue
+        j, k = hit
+        U, V = Word(w[:k]), Word(w[k + len(leads[j]):])
+        lam = (field.scalar(work.data[w])
+               / field.scalar(G[j].data[leads[j]])).value
+        trace.append((lam, U, j, V))
+        work = work - G[j].sandwich(U, V).scale(lam)
+    return trace, remainder
+
+
+def reference_overlap_check(relations: Sequence[FreePoly],
+                            order: WordOrder):
+    """The diamond-lemma check over all ordered pairs of relations.
+
+    The relations are made monic and sorted by leading word; every
+    ordered pair goes through ``overlap_elements`` and every overlap
+    element through ``free_divide`` on a plain list.  Returns (overlaps
+    checked, failures), a failure being (left leading word, right
+    leading word, shift, residual)."""
+    basis = sorted((g.monic(order) for g in relations),
+                   key=lambda g: g.lm(order).letters)
+    leads = [g.lm(order).letters for g in basis]
+    checked, failures = 0, []
+    for a, f in enumerate(basis):
+        for b, g in enumerate(basis):
+            for o in overlap_elements(f, g, order):
+                checked += 1
+                _, r = free_divide(o.value, list(basis), order)
+                if not r.is_zero():
+                    failures.append((leads[a], leads[b], o.shift, r))
+    return checked, failures
 
 
 # ---------------------------------------------------------------------------

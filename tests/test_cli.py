@@ -356,6 +356,20 @@ def test_verify_presentation_max_steps_block(capsys):
     assert comp["basis_size"] == 3
 
 
+@pytest.mark.parametrize("steps", ["-1", "-40"])
+def test_verify_presentation_refuses_a_negative_max_steps(capsys, tmp_path,
+                                                          steps):
+    # a table whose completion needs a new element, so a budget below
+    # zero cannot pass for "no budget needed"
+    doc = base_doc(generators=["x", "y", "z"],
+                   relations=["y*x = x*y + 1", "z*x = x*z", "z*y = y*z + y"])
+    code, out, err = run(capsys, "--json", "verify-presentation",
+                         "--max-steps=" + steps, problem_file(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-steps: must be a natural number\n"
+
+
 def test_gb_reduced_payload_for_ex12(capsys):
     code, payload = run_json(capsys, "gb", "--reduce", corpus.path("ex12"))
     assert code == 0

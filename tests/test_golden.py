@@ -6,7 +6,10 @@ subcommand pair that exits 0.  ``golden/corpus.json`` maps
 "<problem> <subcommand> [flags]" to the exit code and stdout of every
 ``gb-modp`` and ``resolve`` operation of the benchmark corpus
 (``perfbench/corpus``) and of its cheap ``gb-q`` operations (all but
-case #44).  ``golden/edge.json`` holds small problems whose generator
+case #44).  Both also hold ``verify-presentation --max-steps 4`` on
+every table, which runs the bounded completion as well (the
+``-member`` and ``-nonmember`` problems share their base problem's
+table).  ``golden/edge.json`` holds small problems whose generator
 lists are all zero or mix zeros in, with the exit code and stdout of
 each subcommand on them.  A refactor that keeps behaviour keeps every
 byte.

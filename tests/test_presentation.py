@@ -12,7 +12,7 @@ from solvpoly.algebra import (
     build_algebra,
     check_associative,
 )
-from solvpoly.cli import main, parse_problem
+from solvpoly.cli import _free_relations, _word_order, main, parse_problem
 from solvpoly.coeff import FieldSpec, MixedFields
 from solvpoly.presentation import (
     FreePoly,
@@ -20,6 +20,7 @@ from solvpoly.presentation import (
     ShapeViolation,
     Word,
     WordOrder,
+    _FreeDivisors,
     bounded_completion,
     free_divide,
     free_poly_str,
@@ -30,6 +31,7 @@ from solvpoly.presentation import (
     word_str,
 )
 
+import oracles
 from conftest import random_poly
 
 Q = FieldSpec("Rationals")
@@ -142,6 +144,84 @@ def test_free_divide_prefers_leftmost_occurrence():
     trace, rem = free_divide(h, [g], order)
     assert rem == FreePoly(Q, 2, {Word((1, 0, 0)): Q.one.value})
     assert trace[0][1].letters == ()  # left cofactor of the first step
+
+
+def _words(n, *words):
+    """Free polynomials that are single words with coefficient 1."""
+    return [FreePoly(Q, n, {Word(w): Q.one.value}) for w in words]
+
+
+def test_free_divide_prefers_the_least_index_over_the_leftmost_position():
+    # G[1] = X0 X1 occurs at 0, G[0] = X1 X2 only at 1; G[0] wins
+    G = _words(3, (1, 2), (0, 1))
+    (h,) = _words(3, (0, 1, 2))
+    trace, rem = free_divide(h, G, wo(3))
+    assert [(j, u.letters, v.letters) for _, u, j, v in trace] == [
+        (0, (0,), ())]
+    assert rem.is_zero()
+
+
+def test_free_divide_takes_the_least_index_of_a_repeated_leading_word():
+    order = wo(2)
+    one = Q.one.value
+    # both lead with X1 X0; only G[0] rewrites it to X0 X1
+    G = [FreePoly(Q, 2, {Word((1, 0)): one, Word((0, 1)): -one}),
+         FreePoly(Q, 2, {Word((1, 0)): Q.scalar(2).value})]
+    h = FreePoly(Q, 2, {Word((1, 0, 0)): one, Word((1, 1, 0)): one})
+    trace, rem = free_divide(h, G, order)
+    assert {j for _, _, j, _ in trace} == {0}
+    assert _FreeDivisors.of(G, order).first == {(1, 0): 0}
+    assert rem == FreePoly(Q, 2, {Word((0, 0, 1)): one,
+                                  Word((0, 1, 1)): one})
+    assert (trace, rem) == oracles.reference_free_divide(h, G, order)
+
+
+def test_free_divide_mixes_leading_words_of_different_lengths():
+    order = wo(3)
+    # X0 X1 X2 (index 0) beats X1 (index 1), which sits further right
+    G = _words(3, (0, 1, 2), (1,))
+    for word, hits in (((0, 1, 2), [(0, (), ())]),
+                       ((2, 1, 0), [(1, (2,), (0,))]),
+                       ((2, 0, 1, 2, 1), [(0, (2,), (1,))])):
+        (h,) = _words(3, word)
+        trace, rem = free_divide(h, G, order)
+        assert [(j, u.letters, v.letters) for _, u, j, v in trace] == hits
+        assert rem.is_zero()
+    # the other way round the single letter wins, at its leftmost place
+    G = _words(3, (1,), (0, 1, 2))
+    (h,) = _words(3, (0, 1, 2, 1))
+    trace, _ = free_divide(h, G, order)
+    assert [(j, u.letters, v.letters) for _, u, j, v in trace] == [
+        (0, (0,), (2, 1))]
+    assert _FreeDivisors.of(G, order).lengths == [1, 3]
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec("PrimeField", 7)])
+def test_free_divide_prepared_plain_and_reference_agree(rng, field):
+    """The same trace and remainder on a plain divisor list, on the
+    list prepared once, and from the term-by-term reference; divisors
+    of lengths 1 to 3, some sharing a leading word."""
+    order = wo(3, weights=(2, 1, 1), priority=(2, 0, 1))
+    for _ in range(60):
+        G = [random_free_poly(rng, 3, max_terms=3, max_len=3)
+             for _ in range(rng.randint(1, 4))]
+        if field is not Q:
+            G = [FreePoly(field, 3, [
+                (w, c.numerator * pow(c.denominator, -1, 7) % 7)
+                for w, c in g.data.items()]) for g in G]
+            G = [g for g in G if not g.is_zero()] or _words(3, (0,))
+        if rng.random() < 0.3:
+            G.append(G[0].scale(2))     # a repeated leading word
+        f = FreePoly(field, 3, [
+            (random_word(rng, 3, 6).letters, rng.randint(1, 5))
+            for _ in range(rng.randint(1, 4))])
+        if f.is_zero():
+            continue
+        prepared = _FreeDivisors.of(G, order)
+        assert _FreeDivisors.of(prepared, order) is prepared
+        plain = free_divide(f, G, order)
+        assert free_divide(f, prepared, order) == plain
+        assert oracles.reference_free_divide(f, G, order) == plain
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +444,67 @@ def test_check_associative_agrees_with_verify_presentation(tmp_path):
                                    else (0, "SolvableTypeCertified"))
         seen[refused] += 1
     assert min(seen.values()) >= 20
+
+
+def _table_relations(names, eqs):
+    pf = parse_problem({
+        "field": {"kind": "Rationals"}, "generators": list(names),
+        "order": {"kind": "grlex"}, "module": {"rank": 1},
+        "relations": eqs, "submodule_generators": []})
+    return _free_relations(pf), _word_order(pf)
+
+
+def _skew_and_weyl_tables(rnd):
+    """Skew tables on 4 to 6 generators and Weyl tables on 4 and 6,
+    and each again with a generator added to the tails of two of its
+    relations, which mostly breaks confluence."""
+    tables = []
+    for n in (4, 5, 6):
+        names = ["x%d" % (k + 1) for k in range(n)]
+        tables.append((names, ["%s*%s = %s*%s*%s" % (
+            names[j], names[i], rnd.choice(["2", "3", "-1", "1/2"]),
+            names[i], names[j]) for j in range(n) for i in range(j)]))
+    for m in (2, 3):
+        xs = ["x%d" % (k + 1) for k in range(m)]
+        ds = ["d%d" % (k + 1) for k in range(m)]
+        names = xs + ds
+        eqs = []
+        for j in range(len(names)):
+            for i in range(j):
+                a, b = names[j], names[i]
+                tail = " + 1" if (a[0], b[0]) == ("d", "x") and \
+                    a[1:] == b[1:] else ""
+                eqs.append("%s*%s = %s*%s%s" % (a, b, b, a, tail))
+        tables.append((names, eqs))
+    for names, eqs in list(tables):
+        broken = list(eqs)
+        for k in rnd.sample(range(len(broken)), 2):
+            broken[k] += " + %s" % rnd.choice(names)
+        tables.append((names, broken))
+    return tables
+
+
+def test_indexed_overlaps_match_the_all_pairs_check():
+    """verify_presentation, which pairs a relation only with those its
+    last letter starts, gives the verdict, overlap count and failures
+    (pairs, shift and residual, in order) of the check over all ordered
+    pairs, on the seeded 3-generator tables and on skew and Weyl tables
+    of 4 to 6 generators."""
+    rnd = random.Random(2)
+    tables = [(("x", "y", "z"), _random_table(rnd)) for _ in range(60)]
+    tables += _skew_and_weyl_tables(random.Random(3))
+    verdicts = set()
+    for names, eqs in tables:
+        rels, order = _table_relations(names, eqs)
+        rep = verify_presentation(rels, order)
+        checked, failures = oracles.reference_overlap_check(rels, order)
+        assert rep.overlaps_checked == checked
+        assert rep.failures == failures
+        assert rep.certified == (not failures)
+        verdicts.add(rep.certified)
+        if len(names) == 6:
+            assert checked == 20
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

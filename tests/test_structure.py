@@ -5,6 +5,9 @@ Every sum of ring products over rows goes through one accumulator,
 (``PresentationMatrix.compose_with``), the transition-matrix rows
 (``_Trace.rows``), the S-vectors (``groebner._spair_data``) and left
 multiples (``Vect.lmul``) are the only places that construct one.
+The two-sided divisor list, ``presentation._FreeDivisors``, is prepared
+only through its ``of`` path: by ``free_divide``, and once up front by
+the presentation check and the bounded completion, which hand it on.
 """
 
 import ast
@@ -18,7 +21,8 @@ SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(solvpoly.__file__),
 
 
 def _constructions(name):
-    """(module, enclosing class.function) of every call of ``name``."""
+    """(module, enclosing class.function) of every call of ``name``, a
+    plain name or a dotted ``Class.method``."""
     found = []
     for path in SOURCES:
         module = os.path.basename(path)[:-3]
@@ -33,7 +37,12 @@ def _constructions(name):
                     f = child.func
                     called = f.id if isinstance(f, ast.Name) else getattr(
                         f, "attr", None)
-                    if called == name:
+                    if isinstance(f, ast.Attribute) and isinstance(
+                            f.value, ast.Name):
+                        dotted = "%s.%s" % (f.value.id, f.attr)
+                    else:
+                        dotted = None
+                    if name in (called, dotted):
                         found.append((module, ".".join(scope)))
                 walk(child, inner)
 
@@ -48,4 +57,13 @@ def test_one_accumulator_for_sums_of_products_over_rows():
         ("groebner", "_spair_data"),
         ("modfree", "Vect.lmul"),
         ("syzres", "PresentationMatrix.compose_with"),
+    ]
+
+
+def test_the_free_divisor_list_is_prepared_only_through_of():
+    assert _constructions("_FreeDivisors") == []
+    assert sorted(_constructions("_FreeDivisors.of")) == [
+        ("presentation", "bounded_completion"),
+        ("presentation", "free_divide"),
+        ("presentation", "verify_presentation"),
     ]
