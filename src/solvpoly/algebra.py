@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 ExpVec = Tuple[int, ...]
+# (ExpVec, payload) pairs of a monomial product, lead first (see
+# SolvableAlgebra.mono_mul)
+Terms = Tuple[Tuple[ExpVec, object], ...]
 
 EXP_LIMIT = 2 ** 32
 
@@ -493,8 +496,11 @@ class SolvableAlgebra:
     Construct through :func:`build_algebra` for textual relations, or
     directly with ``(j, i, lam, tail_terms)`` records, ``lam`` and the
     tail's (ExpVec, payload) pairs holding field payloads.  The product
-    cache memoizes PBW normal forms of monomial pairs; its size is
-    capped by the SOLVPOLY_CACHE_LIMIT environment variable.
+    cache, ``product_cache``, maps a pair of exponent vectors (a, b) to
+    the PBW normal form of a^a * a^b as a tuple of (ExpVec, payload)
+    pairs: the lead a^(a+b) first, the other terms unsorted.  It holds
+    no :class:`Poly`; its size is capped by ``cache_limit``, read from
+    the SOLVPOLY_CACHE_LIMIT environment variable.
 
     The relation table alone picks how :meth:`mono_mul` forms a
     monomial product: closed forms when every relation is tail-free or
@@ -532,9 +538,9 @@ class SolvableAlgebra:
         self.product_cache = {}
         self._opposite: Optional[SolvableAlgebra] = None
         try:
-            self._cache_limit = int(os.environ.get(_CACHE_ENV, "1000000"))
+            self.cache_limit = int(os.environ.get(_CACHE_ENV, "1000000"))
         except ValueError:
-            self._cache_limit = 1000000
+            self.cache_limit = 1000000
         for j, i, lam, tail in relations:
             self._install_relation(j, i, lam, tail)
         # default all unspecified pairs to commuting
@@ -630,15 +636,18 @@ class SolvableAlgebra:
 
     # -- the product --------------------------------------------------------
 
-    def mono_mul(self, a: ExpVec, b: ExpVec) -> Poly:
-        """PBW normal form of a^a * a^b, memoised in ``product_cache``.
+    def mono_mul(self, a: ExpVec, b: ExpVec) -> Terms:
+        """PBW normal form of a^a * a^b as a tuple of (ExpVec, payload)
+        pairs, memoised in ``product_cache``.
 
-        The exponent sum is checked against 2^32 first: a^(a+b) is always
-        the leading monomial.  When no generator of a comes after the
-        least generator of b, the product is that monomial alone.  On a
-        table of scalar tails (:attr:`_scalar_table`) the product is one
-        pass of closed forms (:meth:`_closed_product`); on any other table
-        the suffix walk below builds it.
+        The lead a^(a+b) comes first; the other terms follow in the order
+        the product was built, not sorted (``from_terms`` makes a
+        :class:`Poly` of them).  The exponent sum is checked against 2^32
+        first.  When no generator of a comes after the least generator of
+        b, the product is that monomial alone.  On a table of scalar tails
+        (:attr:`_scalar_table`) the product is one pass of closed forms
+        (:meth:`_closed_product`); on any other table the suffix walk
+        below builds it.
 
         The walk: with l the least generator of a, a^a = a_l a^s, so the
         product is a_l times a^s a^b.  The suffixes s are walked down to
@@ -660,7 +669,7 @@ class SolvableAlgebra:
         least = next((k for k, v in enumerate(b) if v), self.n)
         if not any(a[least + 1:]):
             # a^a a^b is already ordered
-            out = self._mono(ab)
+            out = ((ab, self._one),)
         elif self._scalar_table is not None:
             out = self._closed_product(a, b, ab)
         else:
@@ -695,8 +704,8 @@ class SolvableAlgebra:
             return None
         return skews, weyls
 
-    def _closed_product(self, a: ExpVec, b: ExpVec, ab: ExpVec) -> Poly:
-        """a^a * a^b on a table of scalar tails, in one pass.
+    def _closed_product(self, a: ExpVec, b: ExpVec, ab: ExpVec) -> Terms:
+        """a^a * a^b on a table of scalar tails, in one pass, lead first.
 
         The coefficient of a^(a+b) is the product of lam_ji^(a_j b_i)
         over the skew pairs.  Each Weyl pair (j, i, c) then multiplies in
@@ -733,9 +742,9 @@ class SolvableAlgebra:
                     lowered[j] -= k
                     expanded[tuple(lowered)] = v * f % p if p else v * f
             terms = expanded
-        return Poly._of(self, terms)
+        return tuple(terms.items())
 
-    def _walk(self, a: ExpVec, b: ExpVec) -> Poly:
+    def _walk(self, a: ExpVec, b: ExpVec) -> Terms:
         """a^a * a^b by the suffix walk of :meth:`mono_mul`, remembering
         every suffix product it builds."""
         chain = []
@@ -747,24 +756,24 @@ class SolvableAlgebra:
             s = exp_sub(s, self._units[l])
             out = self.product_cache.get((s, b))
         if out is None:
-            out = self._mono(b)
+            out = ((b, self._one),)
         for l, s in reversed(chain):
-            out = Poly._of(self, self._add_gen_times({}, l, out, 1))
+            out = tuple(self._add_gen_times({}, l, out, 1).items())
             self._remember(s, b, out)
         return out
 
-    def _mono(self, exp: ExpVec) -> Poly:
-        return Poly._of(self, {exp: self._one})
-
-    def _remember(self, a: ExpVec, b: ExpVec, out: Poly) -> None:
-        if len(self.product_cache) < self._cache_limit:
+    def _remember(self, a: ExpVec, b: ExpVec, out: Terms) -> None:
+        if len(self.product_cache) < self.cache_limit:
             self.product_cache[(a, b)] = out
 
-    def _add_gen_times(self, acc: dict, k: int, f: Poly, s) -> dict:
-        """acc += s * a_k * f in place; returns acc."""
+    def _add_gen_times(self, acc: dict, k: int, terms: Terms, s) -> dict:
+        """acc += s * a_k * terms in place; returns acc.  When ``terms``
+        lead first, so does what this adds to an empty ``acc``: the
+        product of a_k and the lead is inserted first and, being the
+        greatest, never touched again."""
         p = self.field.characteristic
         ek = self._units[k]
-        for exp, c in f.terms:
+        for exp, c in terms:
             if not any(exp[:k]):
                 # a_k a^exp is already ordered
                 _add_scaled(acc, ((exp_add(ek, exp), c),), s, p)
@@ -773,11 +782,12 @@ class SolvableAlgebra:
             if t is None:
                 t = self._gen_times_mono(k, exp)
                 self._remember(ek, exp, t)
-            _add_scaled(acc, t.terms, c if s == 1 else c * s, p)
+            _add_scaled(acc, t, c if s == 1 else c * s, p)
         return acc
 
-    def _gen_times_mono(self, k: int, b: ExpVec) -> Poly:
-        """Normal form of a_k * a^b, for b with a generator below k.
+    def _gen_times_mono(self, k: int, b: ExpVec) -> Terms:
+        """Normal form of a_k * a^b, lead first, for b with a generator
+        below k.
 
         The generators of b from k on are split off first:
         a_k a^b = (a_k a^low) a^high.  Then, with i the least generator
@@ -798,20 +808,20 @@ class SolvableAlgebra:
                 self._remember(ek, low, t)
             m = next(idx for idx, v in enumerate(high) if v)
             acc = {}
-            for e, c in t.terms:
+            for e, c in t:
                 if not any(e[m + 1:]):
                     # a^e a^high is already ordered
                     _add_scaled(acc, ((exp_add(e, high), c),), 1, p)
                 else:
-                    _add_scaled(acc, self.mono_mul(e, high).terms, c, p)
-            return Poly._of(self, acc)
+                    _add_scaled(acc, self.mono_mul(e, high), c, p)
+            return tuple(acc.items())
         chain = []
         s = b
         out = None
         while out is None:
             i = next((idx for idx, v in enumerate(s) if v), self.n)
             if k <= i:
-                out = self._mono(exp_add(ek, s))
+                out = ((exp_add(ek, s), self._one),)
                 break
             rest = exp_sub(s, self._units[i])
             chain.append((i, s, rest))
@@ -821,8 +831,8 @@ class SolvableAlgebra:
             rel = self.relations[(k, i)]
             acc = self._add_gen_times({}, i, out, rel.lam)
             for te, tc in rel.tail.terms:
-                _add_scaled(acc, self.mono_mul(te, rest).terms, tc, p)
-            out = Poly._of(self, acc)
+                _add_scaled(acc, self.mono_mul(te, rest), tc, p)
+            out = tuple(acc.items())
             self._remember(ek, s, out)
         return out
 
@@ -834,7 +844,7 @@ class SolvableAlgebra:
         acc = {}
         for ea, ca in f.terms:
             for eb, cb in g.terms:
-                _add_scaled(acc, self.mono_mul(ea, eb).terms, ca * cb, p)
+                _add_scaled(acc, self.mono_mul(ea, eb), ca * cb, p)
         return Poly._of(self, acc)
 
     # -- parsing and printing -------------------------------------------------------

@@ -14,7 +14,8 @@ and for a standard output closed before the whole report was written
 (say, by ``| head``).
 
 The environment variable ``SOLVPOLY_CACHE_LIMIT`` caps the number of
-cached monomial products per algebra.
+cached monomial products per algebra, and of the monomials whose
+divisor each divisor list remembers.
 """
 
 import argparse

@@ -311,8 +311,8 @@ def _spair_data(xi: Vect, zeta: Vect, order: ModOrder):
         return None
     gamma = exp_max(mi[0], mj[0])
     ai, aj = exp_sub(gamma, mi[0]), exp_sub(gamma, mj[0])
-    ci = A.field.inverse(xi.data[mi] * A.mono_mul(ai, mi[0]).terms[0][1])
-    cj = A.field.inverse(zeta.data[mj] * A.mono_mul(aj, mj[0]).terms[0][1])
+    ci = A.field.inverse(xi.data[mi] * A.mono_mul(ai, mi[0])[0][1])
+    cj = A.field.inverse(zeta.data[mj] * A.mono_mul(aj, mj[0])[0][1])
     acc = _IntSum(A)
     acc.add_lmul(1, A.monomial(ai, ci), _to_ints(xi.data.items()))
     acc.add_lmul(-1, A.monomial(aj, cj), _to_ints(zeta.data.items()))
@@ -386,7 +386,8 @@ class _Engine:
 
     def chain_prunes(self, i: int, j: int) -> bool:
         """Buchberger's chain criterion (module docstring) for the popped
-        pair (i, j), i < j."""
+        pair (i, j), i < j.  The set lookups come before the divisibility
+        test, which costs more."""
         lms = self.basis.leads
         (ei, comp), (ej, _) = lms[i], lms[j]
         lcm = (exp_max(ei, ej), comp)
@@ -395,9 +396,9 @@ class _Engine:
             if (
                 k != i
                 and k != j
-                and mono_divides(mk, lcm)
                 and ((i, k) if i < k else (k, i)) in handled
                 and ((j, k) if j < k else (k, j)) in handled
+                and mono_divides(mk, lcm)
             ):
                 return True
         return False

@@ -363,7 +363,7 @@ class _IntSum:
             fs = fa * scale
             for (exp, comp), c in vnums.items():
                 s = fs * c
-                for e, x in mono_mul(ea, exp).terms:
+                for e, x in mono_mul(ea, exp):
                     xd = x.denominator
                     if xd == 1:
                         n = s * x.numerator
@@ -591,7 +591,11 @@ class _Divisors(list):
     den, content)``, the element being ``content / den`` times the row.
     Over Q the row is primitive; over GF(p) it holds the residues and
     den and content are 1.  :meth:`append` extends both; the list is
-    not to be changed otherwise.
+    not to be changed otherwise.  :meth:`find` remembers, per module
+    monomial, the entry that divides it, or how many entries of its
+    component it has checked in vain; it remembers at most as many
+    monomials as the algebra's ``cache_limit`` (SOLVPOLY_CACHE_LIMIT)
+    and looks up the others afresh.
     """
 
     @classmethod
@@ -606,8 +610,36 @@ class _Divisors(list):
         self.order = order
         self.leads: List[ModMonomial] = []
         self.by_comp: List[list] = [[] for _ in range(order.rank)]
+        # module monomial -> the entry that divides it, or the number of
+        # entries of its component checked in vain
+        self._found: Dict[ModMonomial, object] = {}
+        self._found_limit = 0
         for d in divisors:
             self.append(d)
+
+    def find(self, m: ModMonomial) -> Optional[tuple]:
+        """The entry of the least-index element whose lead divides ``m``,
+        or None.  An entry found stays the answer, as :meth:`append`
+        adds only greater indices; after a miss a later call checks only
+        the entries appended since."""
+        memo = self._found
+        found = memo.get(m)
+        if found is None:
+            start = 0
+        elif found.__class__ is int:
+            start = found
+        else:
+            return found
+        wexp, wcomp = m
+        entries = self.by_comp[wcomp]
+        for entry in entries[start:]:
+            if all(x <= y for x, y in zip(entry[1], wexp)):
+                break
+        else:
+            entry = None
+        if len(memo) < self._found_limit or found is not None:
+            memo[m] = len(entries) if entry is None else entry
+        return entry
 
     def append(self, d: Vect) -> None:
         if d.is_zero():
@@ -622,6 +654,7 @@ class _Divisors(list):
             (len(self), lexp, nums[lm], list(nums.items()), den, g)
         )
         self.leads.append(lm)
+        self._found_limit = d.module.algebra.cache_limit
         super().append(d)
 
 
@@ -650,8 +683,8 @@ def left_divide_module(
     p = A.field.characteristic
     mono_mul = A.mono_mul
     key = order.key
-    by_comp = divisors.by_comp
-    quotients: List[Dict[ExpVec, object]] = [{} for _ in divisors]
+    find = divisors.find
+    quotients: Dict[int, Dict[ExpVec, object]] = {}
     remainder: Dict[ModMonomial, object] = {}
     work, den = _to_ints(xi.data.items())
     get = work.get
@@ -665,21 +698,22 @@ def left_divide_module(
         if not a:
             del work[wm]
             continue
-        wexp, wcomp = wm
-        for i, lexp, lead, row, row_den, content in by_comp[wcomp]:
-            if all(x <= y for x, y in zip(lexp, wexp)):
-                break
-        else:
+        entry = find(wm)
+        if entry is None:
             del work[wm]
             remainder[wm] = a if p else Fraction(a, den)
             continue
-        alpha = tuple(y - x for x, y in zip(lexp, wexp))
-        mu = mono_mul(alpha, lexp).terms[0][1]
+        i, lexp, lead, row, row_den, content = entry
+        alpha = tuple(y - x for x, y in zip(lexp, wm[0]))
+        q = quotients.get(i)
+        if q is None:
+            q = quotients[i] = {}
+        mu = mono_mul(alpha, lexp)[0][1]
         t = lead * mu.numerator
         # subtract c * a^alpha * row, c = a / (den * t / mu.denominator)
         if p:
             s = a * pow(t, -1, p) % p
-            quotients[i][alpha] = s
+            q[alpha] = s
         else:
             # work * b over den * b, minus s * a^alpha * row: b is the
             # least multiplier that keeps the numerators integral
@@ -688,14 +722,14 @@ def left_divide_module(
             s, b = a // g, t // g
             if b < 0:
                 s, b = -s, -b
-            quotients[i][alpha] = Fraction(s * row_den, den * b * content)
+            q[alpha] = Fraction(s * row_den, den * b * content)
             if b != 1:
                 _scale(work, b)
                 den *= b
         s = -s
         for (e, comp), ce in row:
             sc = s * ce
-            for e2, x in mono_mul(alpha, e).terms:
+            for e2, x in mono_mul(alpha, e):
                 xd = x.denominator
                 if xd == 1:
                     n = sc * x.numerator
@@ -718,7 +752,12 @@ def left_divide_module(
         if den.bit_length() > cap:
             den = _remove_content(work, den)
             cap = 2 * den.bit_length() + _CONTENT_BITS
-    return [Poly._of(A, q) for q in quotients], Vect._of(module, remainder)
+    zero = A.zero()
+    return (
+        [Poly._of(A, quotients[i]) if i in quotients else zero
+         for i in range(len(divisors))],
+        Vect._of(module, remainder),
+    )
 
 
 def right_divide_module(

@@ -618,13 +618,18 @@ def bounded_completion(
     and adjoins nonzero residuals, processing ambiguities in (left
     index, right index, shift) order.  Returns (basis, True) when no
     residual survives, or (partial basis, False) once more than
-    ``max_new`` elements would be needed.
+    ``max_new`` elements would be needed.  A nonzero constant, in the
+    input or as a residual, generates the whole algebra: the basis is
+    then ``[1]``, complete.
     """
     basis = _FreeDivisors.of(
         [g.monic(order) for g in _lm_reduce(list(G), order)], order
     )
     if not basis:
         return [], True
+    for g in basis:
+        if not g.lm(order).letters:
+            return [g], True
     queue: List[Tuple[int, int, int, FreePoly]] = []
 
     def enqueue(a: int, b: int) -> None:
@@ -643,7 +648,10 @@ def bounded_completion(
             continue
         if added >= max_new:
             return list(basis), False
-        basis.append(r.monic(order))
+        r = r.monic(order)
+        if not r.lm(order).letters:
+            return [r], True
+        basis.append(r)
         added += 1
         t = len(basis) - 1
         fresh: List[Tuple[int, int, int, FreePoly]] = []

@@ -103,12 +103,6 @@ class PresentationMatrix:
     def row_vect(self, i: int, target: FreeModule) -> Vect:
         return target.from_polys(self.entries[i])
 
-    def apply(self, coeffs: Sequence[Poly]) -> List[Poly]:
-        """Image coordinates of the element with the given coordinates."""
-        return PresentationMatrix(self.algebra, [coeffs]).compose_with(
-            self
-        ).entries[0]
-
     def compose_with(self, nxt: "PresentationMatrix") -> "PresentationMatrix":
         """Matrix of (self then nxt): the ordinary product self * nxt.
 

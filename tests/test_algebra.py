@@ -2,6 +2,7 @@ import math
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -371,7 +372,7 @@ def assert_products_match_the_oracle(A, rnd, pairs, max_entry):
         a = sparse_exp(rnd, A.n, max_entry)
         b = sparse_exp(rnd, A.n, max_entry)
         want = oracles.reference_product(A.monomial(a), A.monomial(b))
-        assert A.mono_mul(a, b) == want, (a, b)
+        assert A.from_terms(A.mono_mul(a, b)) == want, (a, b)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -387,7 +388,7 @@ def test_closed_form_drops_the_terms_that_vanish_mod_p(field):
     # y^9 x^9 = sum_k k! C(9, k)^2 x^(9-k) y^(9-k) in weyl1: over GF(7)
     # the terms k >= 7 vanish with k!, and so do k = 3..6 with C(9, k)
     A = fresh("weyl1", field)
-    got = A.mono_mul((0, 9), (9, 0))
+    got = A.from_terms(A.mono_mul((0, 9), (9, 0)))
     assert got == oracles.reference_product(A.gen(1, 9), A.gen(0, 9))
     p = field.characteristic
     want = [9 - k for k in range(10)
@@ -433,7 +434,7 @@ def test_weyl_power_product_is_one_pass():
     want = A.from_terms(
         ((400 - k, 400 - k), math.factorial(k) * math.comb(400, k) ** 2)
         for k in range(401))
-    assert got == want
+    assert A.from_terms(got) == want
     assert len(A.product_cache) <= 2
     assert elapsed < 0.1
 
@@ -462,5 +463,30 @@ def test_products_refuse_overflow_before_expanding():
 def test_ordered_products_are_one_monomial_on_every_table():
     sl2 = fresh("sl2-3-q", Q)
     got = sl2.mono_mul((3, 2, 0), (0, 4, 5))
-    assert got == sl2.monomial((3, 6, 5))
+    assert got == (((3, 6, 5), Fraction(1)),)
     assert list(sl2.product_cache) == [((3, 2, 0), (0, 4, 5))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", corpus.all_names())
+def test_every_cached_product_leads_with_the_exponent_sum(name, field):
+    # mono_mul keeps its products unsorted but lead first: the first
+    # term is a^(a+b) with the lead coefficient of the sorted product,
+    # for the products asked for and for every one cached on the way
+    rnd = random.Random(18)
+    A = fresh(name, field)
+    for B in (A, A.opposite()):
+        for _ in range(20):
+            a = sparse_exp(rnd, B.n, 4)
+            b = sparse_exp(rnd, B.n, 4)
+            got = B.mono_mul(a, b)
+            want = oracles.reference_product(B.monomial(a), B.monomial(b))
+            assert got[0] == want.terms[0] == (exp_add(a, b), want.lc())
+        for _ in range(10):
+            B.multiply(random_poly(B, rnd, max_degree=4),
+                       random_poly(B, rnd, max_degree=4))
+        assert B.product_cache
+        for (a, b), got in B.product_cache.items():
+            assert isinstance(got, tuple)
+            assert got[0] == B.from_terms(got).terms[0]
+            assert got[0][0] == exp_add(a, b)

@@ -655,6 +655,9 @@ FUZZ_SOURCES = [corpus.path(name) for name in corpus.all_names()] + [
 FUZZ_VALUES = [-1, 0, 1, 2, 7, 2 ** 31, 1.5, "", "x", "1/0", "0", None,
                True, [], {}, ["x"], {"kind": "PrimeField"}]
 FUZZ_CHARS = "xyzXabefh0123456789*^+-/= ()."
+# an integer literal of 5000 digits, past the interpreter's default
+# limit of 4300 on int <-> str conversion
+FUZZ_BIG_LITERAL = "1" + "3" * 4999
 
 
 def _nodes(doc, path=()):
@@ -689,6 +692,11 @@ def _mutate(rnd, text):
             [v for _, v in nodes if isinstance(v, dict) and v])
         del holder[rnd.choice(sorted(holder))]
         return json.dumps(doc)
+    return _replaced(doc, path, value)
+
+
+def _replaced(doc, path, value):
+    """The JSON text of ``doc`` with the node at ``path`` set to ``value``."""
     if not path:
         return json.dumps(value)
     holder = doc
@@ -696,6 +704,15 @@ def _mutate(rnd, text):
         holder = holder[key]
     holder[path[-1]] = value
     return json.dumps(doc)
+
+
+def _big_literal(rnd, text):
+    """One string of a problem file multiplied by a literal of 5000
+    digits."""
+    doc = json.loads(text)
+    path, value = rnd.choice(
+        [(p, v) for p, v in _nodes(doc) if isinstance(v, str)])
+    return _replaced(doc, path, FUZZ_BIG_LITERAL + "*" + value)
 
 
 class _Abandoned(BaseException):
@@ -706,23 +723,19 @@ def _abandon(signum, frame):
     raise _Abandoned()
 
 
-def test_mutated_problem_files_keep_the_contract(capsys, tmp_path):
-    """Exit code 0, 1 or 2, no traceback, and one line of stderr on a
-    rejected input, for seeded random edits of the bundled problem
-    files run through random subcommands.
-
-    An edit can turn e^3 into e^36, and the library has no computation
-    budget yet, so a case still running after one second is abandoned;
-    at most one case in twenty may be."""
-    rnd = random.Random(5)
+def _fuzz(capsys, tmp_path, rnd, edit, trials):
+    """Run ``trials`` seeded edits of the bundled problem files through
+    random subcommands, checking the contract of each; a case still
+    running after one second is abandoned.  Returns the number
+    abandoned."""
     texts = [open(path).read() for path in FUZZ_SOURCES]
     commands = sorted(_COMMANDS)
     path = tmp_path / "fuzz.json"
-    trials, abandoned = 400, 0
+    abandoned = 0
     previous = signal.signal(signal.SIGALRM, _abandon)
     try:
         for trial in range(trials):
-            text = _mutate(rnd, rnd.choice(texts))
+            text = edit(rnd, rnd.choice(texts))
             path.write_text(text)
             command = rnd.choice(commands)
             signal.setitimer(signal.ITIMER_REAL, 1.0)
@@ -744,4 +757,27 @@ def test_mutated_problem_files_keep_the_contract(capsys, tmp_path):
                 json.loads(out)
     finally:
         signal.signal(signal.SIGALRM, previous)
+    return abandoned
+
+
+def test_mutated_problem_files_keep_the_contract(capsys, tmp_path):
+    """Exit code 0, 1 or 2, no traceback, and one line of stderr on a
+    rejected input, for seeded random edits of the bundled problem
+    files run through random subcommands.
+
+    An edit can turn e^3 into e^36, and the library has no computation
+    budget yet, so a case still running after one second is abandoned;
+    at most one case in twenty may be."""
+    trials = 400
+    abandoned = _fuzz(capsys, tmp_path, random.Random(5), _mutate, trials)
+    assert abandoned <= trials // 20
+
+
+def test_big_literals_keep_the_contract(capsys, tmp_path):
+    """The same contract when one string of a problem file is multiplied
+    by an integer literal of 5000 digits, with its own budget of one
+    abandoned case in twenty."""
+    trials = 80
+    abandoned = _fuzz(capsys, tmp_path, random.Random(6), _big_literal,
+                      trials)
     assert abandoned <= trials // 20

@@ -352,6 +352,73 @@ def test_prepared_divisors_built_by_append(p):
                 _same_division(left_divide_module(xi, divisors, o), want)
 
 
+def _least_divisor(leads, m):
+    """The least index whose lead divides ``m``, by a linear scan."""
+    return next((i for i, lm in enumerate(leads) if mono_divides(lm, m)),
+                None)
+
+
+def _check_lookups(prepared, L, rnd, rounds):
+    """Append ``rounds`` random divisors to ``prepared``, each followed
+    by lookups checked against a least-index scan of the leads; the
+    monomials come from a small pool, so most lookups repeat one made
+    before an append."""
+    pool = [random_mono(rnd, L.algebra.n, L.rank, max_entry=5)
+            for _ in range(30)]
+    for _ in range(rounds):
+        prepared.append(random_vect(L, rnd, max_degree=4, nonzero=True))
+        for m in rnd.sample(pool, 15):
+            entry = prepared.find(m)
+            want = _least_divisor(prepared.leads, m)
+            if want is None:
+                assert entry is None
+            else:
+                assert entry[0] == want
+                assert prepared.leads[want] == (entry[1], m[1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_divisor_lookup_matches_a_linear_scan(comm2, seed):
+    """find, remembered per monomial, against a least-index scan of the
+    leads, with appends between lookups."""
+    rnd = random.Random(seed)
+    L = FreeModule(comm2, 2)
+    order = ModOrder("pot" if seed % 2 else "top", comm2.order, 2)
+    _check_lookups(_Divisors(order), L, rnd, 12)
+
+
+def test_divisor_memo_stays_within_the_cache_limit(monkeypatch):
+    """find remembers at most SOLVPOLY_CACHE_LIMIT monomials, in a
+    completion as on a list built by hand, and the lookups it does not
+    remember still find the least-index divisor."""
+    monkeypatch.setenv("SOLVPOLY_CACHE_LIMIT", "5")
+    pf = parse_problem(os.path.join(BENCH_CORPUS, "sl2-4-q.json"))
+    G = buchberger(pf.generators, pf.mod_order)
+    assert 0 < len(G.elements._found) <= 5
+    A = pf.algebra
+    prepared = _Divisors(ModOrder("top", A.order, 2))
+    _check_lookups(prepared, FreeModule(A, 2), random.Random(7), 12)
+    assert len(prepared._found) == 5
+
+
+def test_divisor_lookup_after_a_miss_and_after_a_hit(comm2):
+    L = FreeModule(comm2, 2)
+    order = ModOrder("top", comm2.order, 2)
+    prepared = _Divisors(order, [L.parse(["x^2", "0"])])
+    m = ((1, 3), 0)
+    assert prepared.find(m) is None
+    # a miss: the divisor appended next is found
+    prepared.append(L.parse(["0", "y"]))  # another component
+    assert prepared.find(m) is None
+    prepared.append(L.parse(["x*y", "0"]))
+    assert prepared.find(m)[0] == 2
+    # a hit keeps its least index when a later divisor also divides
+    prepared.append(L.parse(["y", "0"]))
+    assert prepared.find(m)[0] == 2
+    assert prepared.find(((0, 1), 0))[0] == 3
+    assert prepared.find(((3, 3), 0))[0] == 0
+
+
 def test_division_runs_no_payload_arithmetic(monkeypatch):
     """Over Q, once the monomial products are cached, dividing an
     S-vector of sl2-4-q by its basis adds, subtracts and multiplies no

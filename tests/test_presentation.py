@@ -520,6 +520,29 @@ def test_completion_of_complete_system_is_unchanged():
     assert len(basis) == 1
 
 
+def test_a_constant_residual_ends_the_completion_with_one():
+    # the non-associative table: the overlap z*y*x leaves -1, so the
+    # completed system is {1}, not the relations with 1 beside them
+    order = wo(3)
+    one = Q.one.value
+    rels = [
+        FreePoly(Q, 3, {Word((1, 0)): one, Word((0, 1)): -one,
+                        Word(()): -one}),
+        FreePoly(Q, 3, {Word((2, 0)): one, Word((0, 2)): -one}),
+        FreePoly(Q, 3, {Word((2, 1)): one, Word((1, 2)): -one,
+                        Word((1,)): -one}),
+    ]
+    unit = FreePoly(Q, 3, {Word(()): one})
+    basis, complete = bounded_completion(rels, order, max_new=4)
+    assert complete and basis == [unit]
+    basis, complete = bounded_completion(rels, order, max_new=0)
+    assert not complete and len(basis) == 3
+    # a constant among the inputs is found before any overlap
+    two = FreePoly(Q, 3, {Word(()): Q.scalar(2).value})
+    basis, complete = bounded_completion(rels + [two], order, max_new=0)
+    assert complete and basis == [unit]
+
+
 def test_completion_respects_budget():
     order = wo(3)
     one = Q.one.value
