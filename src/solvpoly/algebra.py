@@ -638,7 +638,8 @@ class SolvableAlgebra:
 
     def mono_mul(self, a: ExpVec, b: ExpVec) -> Terms:
         """PBW normal form of a^a * a^b as a tuple of (ExpVec, payload)
-        pairs, memoised in ``product_cache``.
+        pairs, memoised in ``product_cache``.  a and b are tuples, as
+        they key the cache.
 
         The lead a^(a+b) comes first; the other terms follow in the order
         the product was built, not sorted (``from_terms`` makes a
@@ -660,8 +661,6 @@ class SolvableAlgebra:
         wall time by only 9 % and raised its peak memory by 1.1 MB
         (5.1 %), past the benchmark's 5 % bound.
         """
-        a = tuple(a)
-        b = tuple(b)
         out = self.product_cache.get((a, b))
         if out is not None:
             return out
@@ -1106,10 +1105,15 @@ def check_associative(A: SolvableAlgebra) -> None:
     ``a_k (a_j a_i)``: these are the nondegeneracy conditions under
     which the ordered monomials form a basis (Levandovskyy and
     Schoenemann, "Plural", ISSAC 2003).  Raises NonAssociative naming
-    the first triple that fails.
+    the first triple that fails.  A triple whose three relations have
+    no tail is skipped: both sides are then
+    ``lam_kj * lam_ki * lam_ji * a_i a_j a_k``.
     """
     gens = [A.gen(i) for i in range(A.n)]
+    rels = A.relations
     for i, j, k in itertools.combinations(range(A.n), 3):
+        if not (rels[(k, j)].tail or rels[(k, i)].tail or rels[(j, i)].tail):
+            continue
         xi, xj, xk = gens[i], gens[j], gens[k]
         diff = A.multiply(A.multiply(xk, xj), xi) - A.multiply(
             xk, A.multiply(xj, xi)

@@ -555,9 +555,14 @@ def cmd_gb(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
 
 
 def cmd_member(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
+    """Membership of options.element, decided during the completion
+    (:func:`solvpoly.groebner.member_by_completion`): a member stops it
+    as soon as its remainder is zero, often before any pair is
+    reduced; a non-member completes the basis and prints its normal
+    form."""
     xi = _element_from_options(pf)
-    G = _run_gb(pf, False, None)
-    member, nf = groebner.is_member(xi, G)
+    member, nf = groebner.member_by_completion(xi, pf.generators,
+                                               pf.mod_order)
     payload = {
         "member": member,
         "normal_form": _vect_out(nf),
@@ -707,7 +712,63 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# command -> (help, options), each option the arguments of one
+# add_argument call
+_SUBPARSERS: Dict[str, Tuple[str, list]] = {
+    "verify-presentation": (
+        "certify that the relations present a solvable type algebra",
+        [(("--max-steps",), dict(
+            type=int, default=None,
+            help="also attempt a bounded rewriting-system completion "
+                 "with this many new elements"))]),
+    "gb": (
+        "left Groebner basis of the generated submodule",
+        [(("--reduce",), dict(action="store_true",
+                              help="return the unique reduced basis")),
+         (("--truncate",), dict(type=int, default=None,
+                                help="stop the completion above this "
+                                     "degree"))]),
+    "member": ("membership test for options.element", []),
+    "syz": ("generators of the syzygy module", []),
+    "resolve": ("finite free resolution of the quotient module", []),
+    "pdim": ("projective dimension bound from a free resolution", []),
+    "graded-check": ("is the algebra graded by the declared degrees?", []),
+    "min-gens": ("minimal homogeneous generating subset", []),
+    "graded-resolve": (
+        "minimal graded free resolution",
+        [(("--betti",), dict(action="store_true",
+                             help="include the Betti table"))]),
+    "assoc-graded": ("presentation of the associated graded algebra", []),
+    "rees": ("presentation of the Rees algebra", []),
+    "filtered-resolve": (
+        "minimal filtered free resolution",
+        [(("--shifts",), dict(default=None,
+                              help="comma separated filtration shifts "
+                                   "overriding the module block"))]),
+    "transfer-check": (
+        "compare the Groebner property across A, its associated graded "
+        "algebra and its Rees algebra", []),
+    "oracle-staircase": (
+        "degree-bounded staircase computed without Buchberger",
+        [(("--oracle-degree",), dict(type=int, default=6,
+                                     help="exhaustive degree bound "
+                                          "(default 6)"))]),
+}
+
+
+def _named_command(argv: Sequence[str]) -> Optional[str]:
+    """The command ``argv`` names when only ``--json`` comes before it."""
+    for arg in argv:
+        if arg != "--json":
+            return arg if arg in _COMMANDS else None
+    return None
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with the subparser of the command it
+    names alone, or with every subparser when it names no known command
+    or has anything but ``--json`` before it (``-h``, say).  The usage
+    line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="solvpoly",
         description="Exact left Groebner basis computations over "
@@ -715,56 +776,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true",
                         help="print a canonical JSON document")
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = list(_COMMANDS)
+    wanted = _named_command(argv)
+    if wanted is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{%s}" % ",".join(names))
+        names = [wanted]
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="print a canonical JSON document")
     common.add_argument("problem", help="problem file (JSON)")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
-
-    p = add("verify-presentation",
-            "certify that the relations present a solvable type algebra")
-    p.add_argument("--max-steps", type=int, default=None,
-                   help="also attempt a bounded rewriting-system "
-                        "completion with this many new elements")
-
-    p = add("gb", "left Groebner basis of the generated submodule")
-    p.add_argument("--reduce", action="store_true",
-                   help="return the unique reduced basis")
-    p.add_argument("--truncate", type=int, default=None,
-                   help="stop the completion above this degree")
-
-    add("member", "membership test for options.element")
-    add("syz", "generators of the syzygy module")
-    add("resolve", "finite free resolution of the quotient module")
-    add("pdim", "projective dimension bound from a free resolution")
-    add("graded-check", "is the algebra graded by the declared degrees?")
-    add("min-gens", "minimal homogeneous generating subset")
-
-    p = add("graded-resolve", "minimal graded free resolution")
-    p.add_argument("--betti", action="store_true",
-                   help="include the Betti table")
-
-    add("assoc-graded", "presentation of the associated graded algebra")
-    add("rees", "presentation of the Rees algebra")
-
-    p = add("filtered-resolve", "minimal filtered free resolution")
-    p.add_argument("--shifts", default=None,
-                   help="comma separated filtration shifts overriding "
-                        "the module block")
-
-    add("transfer-check",
-        "compare the Groebner property across A, its associated graded "
-        "algebra and its Rees algebra")
-
-    p = add("oracle-staircase",
-            "degree-bounded staircase computed without Buchberger")
-    p.add_argument("--oracle-degree", type=int, default=6,
-                   help="exhaustive degree bound (default 6)")
-
+    for name in names:
+        help_text, options = _SUBPARSERS[name]
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -787,8 +816,8 @@ def _whole_integers():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     with _whole_integers():
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         handler = _COMMANDS[args.command]
         try:
             pf = parse_problem(args.problem)

@@ -28,6 +28,13 @@ criterion is not used: it rests on commuting leading terms, and in a
 solvable algebra the S-vector of two elements with coprime leading
 monomials need not reduce to zero.
 
+Membership (:func:`member_by_completion`) is decided while the same
+loop runs: the element's remainder is divided again only when a new
+element's lead divides one of its monomials, and the loop stops as soon
+as the remainder is zero.  A remainder left when the pairs run out is
+the unique normal form of the element, the one :func:`is_member` gives
+against the finished basis.
+
 A degree-driven variant of the same loop (used for truncated bases of
 graded submodules and for minimal homogeneous generating sets) is
 exposed through :func:`degree_driven_completion`.  Right Groebner
@@ -40,7 +47,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from typing import (
-    Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
@@ -83,6 +90,7 @@ __all__ = [
     "minimalize",
     "reduce_basis",
     "is_member",
+    "member_by_completion",
     "staircase_oracle",
     "echelon_leads",
     "degree_driven_completion",
@@ -428,10 +436,14 @@ class _Engine:
             eta, None, terms + _minus(quotients, range(len(quotients)))
         )
 
-    def run_pairs(self) -> None:
+    def run_pairs(self, stop: Optional[Callable[[int], bool]] = None) -> None:
+        """Process the pairs in heap order until none is left, or until
+        ``stop(t)`` holds for a new element t."""
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
-            self.step_pair(i, j)
+            t = self.step_pair(i, j)
+            if t is not None and stop is not None and stop(t):
+                return
 
 
 def _minus(quotients: Sequence[Poly], srcs: Sequence[int]) -> list:
@@ -447,18 +459,24 @@ def _common_module(inputs: Sequence[Vect]) -> FreeModule:
     return module
 
 
+def _seeded_engine(inputs: List[Vect], order: ModOrder) -> _Engine:
+    """An engine holding the nonzero ``inputs``, each traced as itself,
+    with their pairs pushed."""
+    eng = _Engine(_common_module(inputs), order, len(inputs))
+    for j, xi in enumerate(inputs):
+        if not xi.is_zero():
+            eng.append(xi, j, [])
+    return eng
+
+
 def buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
     """Left Groebner basis of the submodule generated by ``inputs``."""
     inputs = list(inputs)
     if not inputs:
         raise ValueError("buchberger needs at least one generator")
-    module = _common_module(inputs)
-    eng = _Engine(module, order, len(inputs))
-    for j, xi in enumerate(inputs):
-        if not xi.is_zero():
-            eng.append(xi, j, [])
+    eng = _seeded_engine(inputs, order)
     eng.run_pairs()
-    return GroebnerBasis(module, order, eng.basis, inputs, eng.lazy_V())
+    return GroebnerBasis(eng.module, order, eng.basis, inputs, eng.lazy_V())
 
 
 def degree_driven_completion(
@@ -603,6 +621,41 @@ def is_member(xi: Vect, G: GroebnerBasis) -> Tuple[bool, Vect]:
     if not G.elements:
         return False, xi
     _, rem = left_divide_module(xi, G.elements, G.order)
+    return rem.is_zero(), rem
+
+
+def member_by_completion(
+    xi: Vect, inputs: Sequence[Vect], order: ModOrder
+) -> Tuple[bool, Vect]:
+    """Membership of xi in the submodule generated by ``inputs``, decided
+    while the basis is completed: the answer and normal form of
+    ``is_member(xi, buchberger(inputs, order))``.
+
+    xi is divided by the nonzero inputs, then the completion runs and
+    the remainder is divided again by the whole basis only when a new
+    element's lead divides one of its monomials.  A zero remainder
+    ends the completion: xi is then a left combination of basis
+    elements, each in the submodule.  A remainder left when the pairs
+    run out has no monomial divisible by a lead of the finished basis,
+    so it is the unique normal form.
+    """
+    if xi.is_zero():
+        return True, xi
+    inputs = list(inputs)
+    if not inputs:
+        return False, xi
+    eng = _seeded_engine(inputs, order)
+    rem = eng.reduce(xi)[1]
+
+    def reduced_to_zero(t: int) -> bool:
+        nonlocal rem
+        lead = eng.basis.leads[t]
+        if any(mono_divides(lead, m) for m in rem.data):
+            rem = left_divide_module(rem, eng.basis, order)[1]
+        return rem.is_zero()
+
+    if not rem.is_zero():
+        eng.run_pairs(reduced_to_zero)
     return rem.is_zero(), rem
 
 

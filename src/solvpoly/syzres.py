@@ -365,7 +365,7 @@ def _ascending_exponent_sort(elements: List[Vect], order: ModOrder) -> List[Vect
     within each leading component (first generator most significant);
     this is what bounds the resolution length by the generator count.
     """
-    return sorted(elements, key=lambda g: (g.lm(order)[0], g.lm(order)[1]))
+    return sorted(elements, key=lambda g: g.lm(order))
 
 
 def free_resolution(

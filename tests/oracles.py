@@ -7,12 +7,14 @@ dimensions come from exact row reduction over the coefficient field,
 and products are rewritten word by word from the relation table.
 Tests pit library answers against these.  The reference divisions
 run term by term over whole immutable Vect, Poly and FreePoly
-values, and the reference overlap check pairs every two relations.
+values, the reference overlap check pairs every two relations, and
+the reference associativity check multiplies out every generator
+triple.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from solvpoly.algebra import Poly, SolvableAlgebra
@@ -376,6 +378,22 @@ def reference_overlap_check(relations: Sequence[FreePoly],
                 if not r.is_zero():
                     failures.append((leads[a], leads[b], o.shift, r))
     return checked, failures
+
+
+def reference_associativity(A: SolvableAlgebra) -> Optional[str]:
+    """The message ``check_associative`` raises for the first generator
+    triple i < j < k with ``(a_k a_j) a_i != a_k (a_j a_i)``, every
+    triple checked, or None when all associate."""
+    gens = [A.gen(i) for i in range(A.n)]
+    for i, j, k in combinations(range(A.n), 3):
+        xi, xj, xk = gens[i], gens[j], gens[k]
+        diff = A.multiply(A.multiply(xk, xj), xi) - A.multiply(
+            xk, A.multiply(xj, xi))
+        if not diff.is_zero():
+            a, b, c = A.names[k], A.names[j], A.names[i]
+            return "(%s*%s)*%s - %s*(%s*%s) = %s" % (
+                a, b, c, a, b, c, A.poly_str(diff))
+    return None
 
 
 # ---------------------------------------------------------------------------

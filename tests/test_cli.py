@@ -267,6 +267,28 @@ def test_missing_file_exits_two(capsys, tmp_path):
 # canonical JSON output
 
 
+with open(os.path.join(os.path.dirname(__file__), "golden",
+                       "cli.json")) as _fh:
+    USAGE = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", sorted(USAGE))
+def test_help_and_usage_match_golden(capsys, monkeypatch, case):
+    # golden/cli.json: exit code, stdout and stderr of every --help, of
+    # argv that names no command or an unknown one, and of a missing
+    # problem or an unknown option after each command; argparse wraps
+    # its text to the width in COLUMNS
+    want = USAGE[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        want["exit"], want["stdout"], want["stderr"])
+
+
 def test_json_output_is_byte_identical_across_runs(capsys):
     code1, out1, _ = run(capsys, "--json", "gb", "--reduce",
                          corpus.path("qheis"))

@@ -11,8 +11,10 @@ every table, which runs the bounded completion as well (the
 ``-member`` and ``-nonmember`` problems share their base problem's
 table).  ``golden/edge.json`` holds small problems whose generator
 lists are all zero or mix zeros in, with the exit code and stdout of
-each subcommand on them.  A refactor that keeps behaviour keeps every
-byte.
+each subcommand on them.  ``golden/member.json``, in the same form,
+holds ``member`` over Q on case #44 and on the GKZ system with the
+elements of the GF(32003) member and non-member problems.  A refactor
+that keeps behaviour keeps every byte.
 """
 
 import json
@@ -35,6 +37,7 @@ def _load(name):
 EXPECTED = _load("fixtures.json")
 EXPECTED_CORPUS = _load("corpus.json")
 EDGE = _load("edge.json")
+MEMBER = _load("member.json")
 
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))
@@ -54,11 +57,22 @@ def test_benchmark_corpus_output_matches_golden(capsys, case):
     assert capsys.readouterr().out == EXPECTED_CORPUS[case]["stdout"]
 
 
-@pytest.mark.parametrize("case", sorted(EDGE["cases"]))
-def test_edge_output_matches_golden(capsys, tmp_path, case):
+def _check_problem_case(capsys, tmp_path, golden, case):
+    """Run ``case`` on its problem document from ``golden``, written out
+    as a file, and compare its exit code and stdout."""
     name, *argv = case.split(" ")
     path = tmp_path / (name + ".json")
-    path.write_text(json.dumps(EDGE["problems"][name]))
+    path.write_text(json.dumps(golden["problems"][name]))
     code = main(["--json"] + argv + [str(path)])
-    assert code == EDGE["cases"][case]["exit"]
-    assert capsys.readouterr().out == EDGE["cases"][case]["stdout"]
+    assert code == golden["cases"][case]["exit"]
+    assert capsys.readouterr().out == golden["cases"][case]["stdout"]
+
+
+@pytest.mark.parametrize("case", sorted(EDGE["cases"]))
+def test_edge_output_matches_golden(capsys, tmp_path, case):
+    _check_problem_case(capsys, tmp_path, EDGE, case)
+
+
+@pytest.mark.parametrize("case", sorted(MEMBER["cases"]))
+def test_member_over_q_matches_golden(capsys, tmp_path, case):
+    _check_problem_case(capsys, tmp_path, MEMBER, case)

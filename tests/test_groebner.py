@@ -1,15 +1,19 @@
 import os
+import random
 
 import pytest
 
 import solvpoly.groebner as groebner
-from solvpoly.cli import parse_problem
+from solvpoly import fixtures
+from solvpoly.cli import _element_from_options, parse_problem
+from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, ModOrder, left_divide_module
 from solvpoly.groebner import (
     GroebnerBasis,
     NonGradedOrder,
     buchberger,
     is_member,
+    member_by_completion,
     minimalize,
     reduce_basis,
     right_buchberger,
@@ -19,7 +23,7 @@ from solvpoly.groebner import (
 from solvpoly.graded import truncated_gb
 
 import oracles
-from conftest import random_poly, random_scalar, random_vect
+from conftest import over, random_poly, random_scalar, random_vect
 
 BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
                             "perfbench", "corpus")
@@ -400,3 +404,83 @@ def test_criteria_keep_the_reduced_truncated_basis(name, kind, request, rng):
         got = reduce_basis(truncated_gb(gens, order, 4)).elements
         want = oracles.reference_buchberger(gens, order, truncate=4)
         assert got == _reduced_elements(want, order)
+
+
+# ---------------------------------------------------------------------------
+# membership decided during the completion
+# ---------------------------------------------------------------------------
+
+def _counting_steps(monkeypatch):
+    """Record what each popped pair gave: a new element index or None."""
+    steps = []
+    step = groebner._Engine.step_pair
+
+    def counting(eng, i, j):
+        steps.append(step(eng, i, j))
+        return steps[-1]
+
+    monkeypatch.setattr(groebner._Engine, "step_pair", counting)
+    return steps
+
+
+@pytest.mark.parametrize("field", [FieldSpec("Rationals"),
+                                   FieldSpec("PrimeField", 7)], ids=str)
+@pytest.mark.parametrize("name", fixtures.all_names())
+def test_membership_during_the_completion_matches_the_finished_basis(
+        name, field, monkeypatch):
+    # members sum_i f_i g_i with random f_i, random vectors and zero,
+    # at rank 1 and 2 under both module orders: the answer and the
+    # normal form are those of the finished basis
+    rnd = random.Random(19)
+    A = over(field, name)
+    steps = _counting_steps(monkeypatch)
+    late_members = 0
+    for rank in (1, 2):
+        L = FreeModule(A, rank)
+        for kind in ("top", "pot"):
+            order = ModOrder(kind, A.order, rank)
+            gens = [random_vect(L, rnd, max_degree=2, max_terms=2,
+                                nonzero=True)
+                    for _ in range(rnd.randint(2, 3))]
+            G = buchberger(gens, order)
+            xis = [L.zero()] + [random_vect(L, rnd) for _ in range(3)]
+            for _ in range(6):
+                combo = L.zero()
+                for g in gens:
+                    combo = combo + g.lmul(random_poly(A, rnd, max_degree=2))
+                xis.append(combo)
+            for xi in xis:
+                del steps[:]
+                got = member_by_completion(xi, gens, order)
+                assert got == is_member(xi, G)
+                if got[0] and steps:
+                    # the stop comes right after the element that
+                    # reduced the remainder to zero
+                    assert steps[-1] is not None
+                    late_members += 1
+    # members certified only after the completion added elements
+    assert late_members >= 5
+
+
+def test_membership_without_generators(qplane, rng):
+    L = FreeModule(qplane, 2)
+    order = top(qplane, 2)
+    xi = random_vect(L, rng, nonzero=True)
+    assert member_by_completion(xi, [], order) == (False, xi)
+    assert member_by_completion(xi, [L.zero(), L.zero()], order) == (
+        False, xi)
+    assert member_by_completion(L.zero(), [], order) == (True, L.zero())
+
+
+@pytest.mark.parametrize("name, member, popped", [
+    ("sl2-5-p-member", True, 0),       # certified by the inputs alone
+    ("c44-p-member", True, 1),         # by the first new element
+    ("sl2-5-p-nonmember", False, 153),  # every pair of the completion
+])
+def test_membership_stops_when_the_remainder_vanishes(name, member, popped,
+                                                      monkeypatch):
+    steps = _counting_steps(monkeypatch)
+    pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
+    xi = _element_from_options(pf)
+    assert member_by_completion(xi, pf.generators, pf.mod_order)[0] == member
+    assert len(steps) == popped

@@ -446,6 +446,47 @@ def test_check_associative_agrees_with_verify_presentation(tmp_path):
     assert min(seen.values()) >= 20
 
 
+def _tail_free_tables(rnd):
+    """Tables on 3 to 6 generators whose relations are all
+    ``b*a = lam*a*b``, lam a random nonzero rational."""
+    tables = []
+    for n in (3, 4, 5, 6):
+        names = ["x%d" % (k + 1) for k in range(n)]
+        for _ in range(5):
+            tables.append((names, ["%s*%s = %d/%d*%s*%s" % (
+                names[j], names[i], rnd.choice([-5, -3, -2, -1, 1, 2, 4]),
+                rnd.randint(1, 4), names[i], names[j])
+                for j in range(n) for i in range(j)]))
+    return tables
+
+
+def test_skipped_triples_match_the_all_triples_check():
+    """check_associative, which skips the triples whose three relations
+    have no tail, gives the verdict and message of the check over every
+    triple, on the seeded 3-generator tables, on skew and Weyl tables
+    with and without added tails, and on tail-free tables with random
+    lambda."""
+    rnd = random.Random(2)
+    tables = [(("x", "y", "z"), _random_table(rnd)) for _ in range(60)]
+    tables += _skew_and_weyl_tables(random.Random(3))
+    tables += _tail_free_tables(random.Random(4))
+    refused = 0
+    for names, eqs in tables:
+        A = parse_problem({
+            "field": {"kind": "Rationals"}, "generators": list(names),
+            "order": {"kind": "grlex"}, "module": {"rank": 1},
+            "relations": eqs, "submodule_generators": []}).algebra
+        want = oracles.reference_associativity(A)
+        try:
+            check_associative(A)
+            got = None
+        except NonAssociative as exc:
+            got = str(exc)
+        assert got == want, eqs
+        refused += want is not None
+    assert refused >= 20
+
+
 def _table_relations(names, eqs):
     pf = parse_problem({
         "field": {"kind": "Rationals"}, "generators": list(names),
