@@ -42,7 +42,6 @@ __all__ = [
     "SolvableAlgebra",
     "build_algebra",
     "check_associative",
-    "compare_monomials",
     "reversed_poly",
     "weighted_degree",
     "exp_add",
@@ -318,14 +317,6 @@ class MonomialOrder:
         )
 
 
-def compare_monomials(order: MonomialOrder, a: ExpVec, b: ExpVec) -> str:
-    """Compare two exponent vectors; returns 'Less', 'Equal' or 'Greater'."""
-    if len(a) != len(b):
-        raise LengthMismatch("exponent lengths %d and %d" % (len(a), len(b)))
-    c = order.compare(tuple(a), tuple(b))
-    return "Less" if c < 0 else ("Greater" if c > 0 else "Equal")
-
-
 # ---------------------------------------------------------------------------
 # relations and polynomials
 # ---------------------------------------------------------------------------
@@ -412,11 +403,6 @@ class Poly:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.terms[0][1]
-
-    def lt(self) -> "Poly":
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        return Poly(self.algebra, [self.terms[0]])
 
     def tail(self) -> "Poly":
         """Everything below the leading term."""

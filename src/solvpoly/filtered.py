@@ -35,13 +35,7 @@ from .modfree import (
     left_divide_module,
     mono_divides,
 )
-from .groebner import (
-    GroebnerBasis,
-    NonGradedOrder,
-    buchberger,
-    degree_driven_completion,
-    echelon_leads,
-)
+from .groebner import NonGradedOrder, buchberger
 from .graded import (
     QuotientMinimization,
     _graded_order,
@@ -56,7 +50,6 @@ __all__ = [
     "NotGradedOrder",
     "ZeroElement",
     "DegreeTooSmall",
-    "NotStandardBasis",
     "FiltrationContext",
     "AssociatedGraded",
     "ReesAlgebra",
@@ -71,10 +64,8 @@ __all__ = [
     "z_zero_image",
     "TransferReport",
     "transfer_check",
-    "standard_basis",
     "MinimalFBasis",
     "minimal_F_basis",
-    "minimal_standard_basis",
     "minimal_filtered_resolution",
     "sigma_resolution",
 ]
@@ -92,10 +83,6 @@ class ZeroElement(SolvpolyError):
 
 class DegreeTooSmall(SolvpolyError):
     """Homogenization target degree below the filtration degree."""
-
-
-class NotStandardBasis(SolvpolyError):
-    """An operation requiring a standard basis got an uncertified set."""
 
 
 # ---------------------------------------------------------------------------
@@ -543,70 +530,6 @@ def _normal_degrees(
     )
 
 
-def _standard_property_holds(
-    G: GroebnerBasis, order: ModOrder, cap: int = 20000
-) -> Optional[bool]:
-    """Check F_qN = sum_j F_(q - d_fil(g_j))A g_j on a sampled window
-    by comparing an exact span rank against the staircase count."""
-    module = G.module
-    weights = module.algebra.degree_function.weights
-    A = module.algebra
-    degrees = [order.degree_of(g.lm(order)) for g in G.elements]
-    qmax = max(degrees)
-    for q in (qmax, qmax + 1):
-        monos = _monomials_within(module, q, cap)
-        if monos is None:
-            return None
-        led = 0
-        lms = [g.lm(order) for g in G.elements]
-        for m in monos:
-            if any(mono_divides(lead, m) for lead in lms):
-                led += 1
-        rows = []
-        for g, qg in zip(G.elements, degrees):
-            budget = q - qg
-            if budget < 0:
-                continue
-            for alpha in exps_within(weights, budget):
-                rows.append(g.lmul(A.monomial(alpha)))
-            if len(rows) > cap:
-                return None
-        if len(echelon_leads(rows, order)) != led:
-            return False
-    return True
-
-
-def standard_basis(
-    ctx: FiltrationContext, gens: Sequence[Vect], certify: bool = True
-) -> GroebnerBasis:
-    """Complete a generating set into a standard basis.
-
-    Under a shifted-degree-first order every left Groebner basis is a
-    standard basis for the induced filtration; the returned basis is
-    tagged accordingly, and (when feasible) the filtration-level
-    generation property is certified on a sampled degree window by
-    exact linear algebra.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("standard_basis needs at least one nonzero element")
-    module = gens[0].module
-    _require_context_algebra(ctx, module)
-    order = _graded_order(module)
-    G = buchberger(gens, order)
-    G.flags["standard_basis"] = True
-    G.flags["standard_basis_certified"] = False
-    if certify:
-        verdict = _standard_property_holds(G, order)
-        if verdict is False:
-            raise SolvpolyError(
-                "internal: completed basis failed the filtration-level "
-                "generation check"
-            )
-        G.flags["standard_basis_certified"] = bool(verdict)
-    return G
-
-
 # ---------------------------------------------------------------------------
 # minimal F-bases
 # ---------------------------------------------------------------------------
@@ -619,12 +542,8 @@ class MinimalFBasis(QuotientMinimization):
     module, ``new_module``/``gens`` give the pruned presentation, and
     ``eliminations`` records, per dropped component, the relation (in
     original coordinates) used to remove it.  Iterating yields
-    ``(kept, gens)``.  ``certified`` reports the degree-window
-    dimension comparison: True when it ran and agreed, None when the
-    window was too large to enumerate.
+    ``(kept, gens)``.
     """
-
-    certified: Optional[bool] = None
 
     def __iter__(self):
         yield self.kept
@@ -632,11 +551,7 @@ class MinimalFBasis(QuotientMinimization):
 
 
 def minimal_F_basis(
-    ctx: FiltrationContext,
-    L: FreeModule,
-    U: Sequence[Vect],
-    certify: bool = True,
-    assume_standard: bool = False,
+    ctx: FiltrationContext, L: FreeModule, U: Sequence[Vect]
 ) -> MinimalFBasis:
     """Prune basis vectors reachable through unit pivots of a standard
     basis, keeping the quotient strictly filtered-isomorphic.
@@ -645,32 +560,14 @@ def minimal_F_basis(
     whose component shift equals the element's filtration degree; a
     unit sitting strictly below the filtration degree does not allow
     elimination.  ``U`` must be a standard basis of the submodule it
-    generates; this is certified through the Groebner property unless
-    ``assume_standard`` is set.
+    generates, for instance a left Groebner basis under the
+    shifted-degree-first order; it is not checked here, and
+    :func:`minimal_filtered_resolution` certifies the pruning by the
+    filtration dimensions (:func:`_certify_strict_iso`).
     """
     _require_context_algebra(ctx, L)
     gens = [v for v in U if not v.is_zero()]
-    order = _graded_order(L)
-    if gens and not assume_standard:
-        completed = buchberger(gens, order)
-        lms = [g.lm(order) for g in gens]
-        if not _covered(lms, completed.elements, order):
-            raise NotStandardBasis(
-                "completion found new leading monomials; the input does "
-                "not generate its submodule's leading terms"
-            )
-
-    result = MinimalFBasis(L, *prune_unit_pivots(L, gens))
-    if certify:
-        new_lms: List[ModMonomial] = []
-        if result.gens:
-            new_order = _graded_order(result.new_module)
-            completed = buchberger(result.gens, new_order)
-            new_lms = [g.lm(new_order) for g in completed.elements]
-        result.certified = _certify_strict_iso(
-            ctx, L, gens, result.new_module, new_lms
-        )
-    return result
+    return MinimalFBasis(L, *prune_unit_pivots(L, gens))
 
 
 def _certify_strict_iso(
@@ -707,38 +604,6 @@ def _certify_strict_iso(
 
 
 # ---------------------------------------------------------------------------
-# minimal standard bases
-# ---------------------------------------------------------------------------
-
-
-def minimal_standard_basis(
-    ctx: FiltrationContext, gens: Sequence[Vect]
-) -> List[Vect]:
-    """A minimal standard basis of the submodule generated by ``gens``.
-
-    Completes to a left Groebner basis under the shifted-degree-first
-    order, maps the basis to the associated graded module, keeps the
-    members surviving the degree-driven minimal-generator selection
-    there, and pulls the kept indices back.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    module = gens[0].module
-    _require_context_algebra(ctx, module)
-    order = _graded_order(module)
-    completed = buchberger(gens, order)
-    U = completed.elements
-    graded_U = [sigma(ctx, u) for u in U]
-    gorder = _graded_order(graded_U[0].module)
-    bound = max(
-        gorder.degree_of(m) for v in graded_U for m in v.data
-    )
-    _, _, kept = degree_driven_completion(graded_U, gorder, cap=bound)
-    return [U[j] for j in kept]
-
-
-# ---------------------------------------------------------------------------
 # minimal filtered free resolutions
 # ---------------------------------------------------------------------------
 
@@ -766,9 +631,7 @@ def minimal_filtered_resolution(
     if not gens:
         return Resolution([L0], [], "Filtered")
     completed = buchberger(gens, _graded_order(L0))
-    pruned = minimal_F_basis(
-        ctx, L0, completed.elements, certify=False, assume_standard=True
-    )
+    pruned = minimal_F_basis(ctx, L0, completed.elements)
     frame = _schreyer_frame(pruned)
     L = frame.modules[0]
     lms: List[ModMonomial] = []

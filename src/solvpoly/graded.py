@@ -185,32 +185,24 @@ def truncated_gb(
 
 
 def min_homogeneous_gens(
-    inputs: Sequence[Vect], order: ModOrder, early_stop: bool = True
+    inputs: Sequence[Vect], order: ModOrder
 ) -> Tuple[List[Vect], GroebnerBasis]:
     """Minimal homogeneous generating subset plus a Groebner basis.
 
     Inputs are consumed in nondecreasing degree, S-vectors of each
     degree first; an input is kept exactly when it fails to reduce to
-    zero at its turn.  With ``early_stop`` (default) the completion
-    stops after the maximal input degree, which still certifies
-    minimality and leaves a basis truncated at that degree, so its
-    ``U`` is None; without it the returned basis is a full Groebner
-    basis.
+    zero at its turn.  The completion stops after the maximal input
+    degree, which still certifies minimality and leaves a basis
+    truncated at that degree, so its ``U`` is None.
     """
     _require_graded_setup(inputs, order)
     n0 = max(
         (order.degree_of(m) for v in inputs for m in v.data), default=None
     )
-    basis, V, kept = degree_driven_completion(
-        inputs, order, cap=n0 if early_stop else None
-    )
+    basis, V, kept = degree_driven_completion(inputs, order, cap=n0)
     return [inputs[j] for j in kept], GroebnerBasis(
-        inputs[0].module,
-        order,
-        basis,
-        list(inputs),
-        V,
-        truncation_degree=n0 if early_stop else None,
+        inputs[0].module, order, basis, list(inputs), V,
+        truncation_degree=n0,
     )
 
 

@@ -37,9 +37,10 @@ against the finished basis.
 
 A degree-driven variant of the same loop (used for truncated bases of
 graded submodules and for minimal homogeneous generating sets) is
-exposed through :func:`degree_driven_completion`.  Right Groebner
-bases (:func:`right_buchberger`) are left bases over the opposite
-algebra ``A.opposite()``, mapped back by reversing exponent vectors.
+exposed through :func:`degree_driven_completion`.  Every basis here
+is a left basis: a right-sided question is a left one over the
+opposite algebra ``A.opposite()`` (see
+:func:`solvpoly.syzres.is_projective`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .algebra import (
     exp_max,
     exp_sub,
     exps_within,
-    reversed_poly,
     zero_exp,
 )
 from .modfree import (
@@ -75,9 +75,6 @@ from .modfree import (
     _row_to_ints,
     left_divide_module,
     mono_divides,
-    opposite_order,
-    reversed_vect,
-    right_divide_module,
 )
 
 __all__ = [
@@ -86,7 +83,6 @@ __all__ = [
     "GroebnerBasis",
     "s_polynomial",
     "buchberger",
-    "right_buchberger",
     "minimalize",
     "reduce_basis",
     "is_member",
@@ -199,11 +195,10 @@ class _Trace:
 
 
 class GroebnerBasis:
-    """A computed left (or right) Groebner basis with transition data.
+    """A computed left Groebner basis with transition data.
 
     ``elements[k] = sum_j V[k][j] * inputs[j]`` and
-    ``inputs[j] = sum_k U[j][k] * elements[k]`` for left bases; for
-    right bases the coefficients multiply from the right instead.
+    ``inputs[j] = sum_k U[j][k] * elements[k]``.
     Both are derived on first read: ``V`` from the trace of the
     completion (see :attr:`V` and :meth:`V_rows`), ``U`` from the
     elements (see :attr:`U`).
@@ -219,7 +214,6 @@ class GroebnerBasis:
         elements: List[Vect],
         inputs: List[Vect],
         V: Union[List[List[Poly]], Tuple[_Trace, List[int]]],
-        side: str = "left",
         is_minimal: bool = False,
         is_reduced: bool = False,
         truncation_degree: Optional[int] = None,
@@ -232,7 +226,6 @@ class GroebnerBasis:
             trace = _Trace(module.algebra, len(inputs))
             V = trace, trace.given(V)
         self._trace, self._steps = V
-        self.side = side
         self.flags = {
             "is_minimal": is_minimal,
             "is_reduced": is_reduced,
@@ -247,14 +240,8 @@ class GroebnerBasis:
         return self.V_rows(range(len(self.elements)))
 
     def V_rows(self, ks: Iterable[int]) -> List[List[Poly]]:
-        """Rows ``ks`` of V, evaluating only the trace steps they need.
-        A right basis is traced over ``A.opposite()`` and its rows are
-        mapped back."""
-        rows = self._trace.rows([self._steps[k] for k in ks])
-        A = self.module.algebra
-        if self._trace.A is not A:
-            rows = [[reversed_poly(f, A) for f in row] for row in rows]
-        return rows
+        """Rows ``ks`` of V, evaluating only the trace steps they need."""
+        return self._trace.rows([self._steps[k] for k in ks])
 
     @cached_property
     def U(self) -> Optional[List[List[Poly]]]:
@@ -266,15 +253,13 @@ class GroebnerBasis:
         """
         if self.flags["truncation_degree"] is not None:
             return None
-        right = self.side == "right"
-        divide = right_divide_module if right else left_divide_module
         A = self.module.algebra
         U: List[List[Poly]] = []
         for xi in self.inputs:
             if xi.is_zero():
                 U.append([A.zero() for _ in self.elements])
                 continue
-            quotients, rem = divide(xi, self.elements, self.order)
+            quotients, rem = left_divide_module(xi, self.elements, self.order)
             if not rem.is_zero():
                 raise NotAGroebnerBasis(
                     "input does not reduce to zero against the computed basis"
@@ -295,7 +280,7 @@ class GroebnerBasis:
         return Staircase(self.module.rank, by_comp)
 
     def __repr__(self):
-        return "GroebnerBasis(%d elements, %s)" % (len(self.elements), self.side)
+        return "GroebnerBasis(%d elements)" % len(self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +553,6 @@ def minimalize(G: GroebnerBasis) -> GroebnerBasis:
         _Divisors(G.order, [G.elements[i] for i in kept]),
         G.inputs,
         (G._trace, [G._steps[i] for i in kept]),
-        side=G.side,
         is_minimal=True,
         truncation_degree=G.flags["truncation_degree"],
     )
@@ -607,7 +591,6 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
         _Divisors(order, elements),
         G0.inputs,
         (trace, steps),
-        side=G0.side,
         is_minimal=True,
         is_reduced=True,
         truncation_degree=G0.flags["truncation_degree"],
@@ -615,7 +598,11 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
 
 
 def is_member(xi: Vect, G: GroebnerBasis) -> Tuple[bool, Vect]:
-    """Submodule membership along with the (unique) normal form."""
+    """Submodule membership along with the (unique) normal form.
+
+    The ``member`` command decides membership during the completion
+    (:func:`member_by_completion`); this stays as library API and as
+    the tests' normal-form reference against a finished basis."""
     if xi.is_zero():
         return True, xi
     if not G.elements:
@@ -657,38 +644,6 @@ def member_by_completion(
     if not rem.is_zero():
         eng.run_pairs(reduced_to_zero)
     return rem.is_zero(), rem
-
-
-# ---------------------------------------------------------------------------
-# right-sided bases through the opposite algebra
-# ---------------------------------------------------------------------------
-
-
-def right_buchberger(inputs: Sequence[Vect], order: ModOrder) -> GroebnerBasis:
-    """Right Groebner basis with right-sided transition tracking.
-
-    ``elements[k] = sum_j inputs[j] * V[k][j]`` and
-    ``inputs[j] = sum_k elements[k] * U[j][k]``.  Computed as the left
-    basis of the reversed inputs over ``A.opposite()``, mapped back;
-    ``U`` comes from right division on first read.
-    """
-    inputs = list(inputs)
-    if not inputs:
-        raise ValueError("right_buchberger needs at least one generator")
-    module = _common_module(inputs)
-    A = module.algebra
-    op = FreeModule(A.opposite(), module.rank, module.shifts)
-    G = buchberger(
-        [reversed_vect(v, op) for v in inputs], opposite_order(order)
-    )
-    return GroebnerBasis(
-        module,
-        order,
-        [reversed_vect(g, module) for g in G.elements],
-        inputs,
-        (G._trace, G._steps),
-        side="right",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ quotient and remainder term becomes a payload once.  Order keys are
 memoised per order object (:meth:`ModOrder.key`,
 :meth:`MonomialOrder.key`), so memory grows with the distinct monomials
 seen and is freed with the order.
-Right division runs over the opposite algebra ``A.opposite()``:
-reversing exponent vectors turns right multiples into left multiples
-there, and TOP/POT orders carry over.
+A right-sided question is a left one over the opposite algebra
+``A.opposite()``, under :func:`opposite_order` (see
+:func:`solvpoly.syzres.is_projective`).
 
 Left combinations of vectors whose payloads are not needed term by
 term (the rows of a transition matrix, the rows of a product of
@@ -52,7 +52,6 @@ from .algebra import (
     exp_add,
     exp_divides,
     exps_within,
-    reversed_poly,
     zero_exp,
 )
 
@@ -65,10 +64,7 @@ __all__ = [
     "ModMonomial",
     "Vect",
     "ModOrder",
-    "module_compare",
     "left_divide_module",
-    "right_divide_module",
-    "reversed_vect",
     "opposite_order",
     "normal_monomials",
 ]
@@ -247,10 +243,6 @@ class Vect:
     def lc(self, order: "ModOrder"):
         return self.data[self.lm(order)]
 
-    def lt(self, order: "ModOrder") -> "Vect":
-        m = self.lm(order)
-        return Vect(self.module, {m: self.data[m]})
-
     # -- arithmetic --------------------------------------------------------------
 
     def _check(self, other: "Vect") -> None:
@@ -295,7 +287,11 @@ class Vect:
         )
 
     def rmul(self, f: Poly) -> "Vect":
-        """Right multiplication by a ring element (right-module view)."""
+        """Right multiplication by a ring element (right-module view).
+
+        No caller in the package; kept because the benchmark's tracer
+        (``perfbench/tracer.py``, ``HOT_METHODS``) wraps it by name
+        from the class dictionary."""
         A = self.module.algebra
         return self.module.from_polys(
             [A.multiply(p, f) for p in self.to_polys()]
@@ -560,17 +556,6 @@ class ModOrder:
         return "ModOrder(%s, rank=%d)" % ("+".join(tags), self.rank)
 
 
-def module_compare(order: ModOrder, m1: ModMonomial, m2: ModMonomial) -> str:
-    """Compare two module monomials: 'Less', 'Equal' or 'Greater'."""
-    for exp, comp in (m1, m2):
-        if not 0 <= comp < order.rank:
-            raise IncompatibleModules("component %d out of range" % comp)
-    if len(m1[0]) != len(m2[0]):
-        raise IncompatibleModules("exponent lengths differ")
-    c = order.compare((tuple(m1[0]), m1[1]), (tuple(m2[0]), m2[1]))
-    return "Less" if c < 0 else ("Greater" if c > 0 else "Equal")
-
-
 def mono_divides(a: ModMonomial, b: ModMonomial) -> bool:
     """Left (equivalently right) divisibility of module monomials."""
     return a[1] == b[1] and exp_divides(a[0], b[0])
@@ -757,35 +742,6 @@ def left_divide_module(
         [Poly._of(A, quotients[i]) if i in quotients else zero
          for i in range(len(divisors))],
         Vect._of(module, remainder),
-    )
-
-
-def right_divide_module(
-    xi: Vect, divisors: Sequence[Vect], order: ModOrder
-) -> Tuple[List[Poly], Vect]:
-    """Right-sided counterpart of :func:`left_divide_module`.
-
-    Returns (quotients, remainder) with
-    ``xi = sum_i divisors[i] * quotients[i] + remainder`` where the
-    quotients multiply from the right.  Runs as left division of the
-    reversed elements over ``A.opposite()`` (see :func:`reversed_vect`).
-    """
-    module = xi.module
-    A = module.algebra
-    op = FreeModule(A.opposite(), module.rank, module.shifts)
-    quotients, rem = left_divide_module(
-        reversed_vect(xi, op),
-        [reversed_vect(d, op) for d in divisors],
-        opposite_order(order),
-    )
-    return [reversed_poly(q, A) for q in quotients], reversed_vect(rem, module)
-
-
-def reversed_vect(v: Vect, target: FreeModule) -> Vect:
-    """Every coordinate mapped by :func:`reversed_poly` into ``target``;
-    a right multiple v*f goes to the left multiple phi(f)*phi(v)."""
-    return Vect(
-        target, {(e[::-1], comp): c for (e, comp), c in v.data.items()}
     )
 
 

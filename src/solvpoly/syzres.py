@@ -160,7 +160,10 @@ class Resolution:
         return [list(m.shifts) for m in self.modules]
 
     def composition_is_zero(self) -> bool:
-        """Exactness witness: consecutive maps compose to zero."""
+        """Exactness witness: consecutive maps compose to zero.
+
+        No caller in the package; kept because the acceptance tests
+        assert every resolution with it."""
         for i in range(len(self.maps) - 1):
             if not self.maps[i + 1].compose_with(self.maps[i]).is_zero():
                 return False

@@ -5,7 +5,8 @@ import pytest
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import build_algebra
 from solvpoly.coeff import FieldSpec
-from solvpoly.modfree import FreeModule, Vect
+from solvpoly.groebner import buchberger
+from solvpoly.modfree import FreeModule, Vect, opposite_order
 
 
 @pytest.fixture
@@ -84,3 +85,21 @@ def random_vect(L: FreeModule, rnd: random.Random, max_degree=3,
     if nonzero and v.is_zero():
         return L.basis(rnd.randrange(L.rank))
     return v
+
+
+def reversed_vect(v: Vect, target: FreeModule) -> Vect:
+    """v with every exponent vector reversed, in ``target``: a right
+    multiple v*f over A goes to the left multiple phi(f)*phi(v) over
+    ``A.opposite()``, and back."""
+    return Vect(target, {(e[::-1], c): x for (e, c), x in v.data.items()})
+
+
+def opposite_basis(gens, order):
+    """A right Groebner basis of the submodule generated by ``gens``,
+    computed as ``is_projective`` does: the left basis of the reversed
+    generators over ``A.opposite()`` under ``opposite_order``.  Its
+    elements, V and U live over the opposite algebra."""
+    L = gens[0].module
+    op = FreeModule(L.algebra.opposite(), L.rank, L.shifts)
+    return buchberger([reversed_vect(v, op) for v in gens],
+                      opposite_order(order))

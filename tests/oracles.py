@@ -5,7 +5,11 @@ machinery: the rank-one Weyl algebra acts on honest polynomials in
 one variable, degree slices are enumerated by brute force, and kernel
 dimensions come from exact row reduction over the coefficient field,
 and products are rewritten word by word from the relation table.
-Tests pit library answers against these.  The reference divisions
+Tests pit library answers against these.  The per-stage resolution
+references (``reference_graded_betti``, ``reference_filtered_betti``
+and ``minimal_standard_basis``) are the exception: they reuse the
+library's completion, and avoid only the Schreyer frame and the
+cancellation of its scalar entries.  The reference divisions
 run term by term over whole immutable Vect, Poly and FreePoly
 values, the reference overlap check pairs every two relations, and
 the reference associativity check multiplies out every generator
@@ -604,10 +608,12 @@ def reference_graded_betti(L0: FreeModule,
     form of ``solvpoly.graded.betti_table``, by the per-stage route:
     after pruning the unit relations of the presentation, every stage
     keeps a minimal homogeneous generating set of the current kernel
-    (a full completion, ``early_stop=False``) and lifts the syzygies of
-    the kept elements (``syzygy_of_generators``).  Shares no code with
-    the cancellation of scalar entries in a Schreyer resolution."""
-    from solvpoly.graded import min_gens_quotient, min_homogeneous_gens
+    (the inputs kept by a full ``degree_driven_completion``) and lifts
+    the syzygies of the kept elements (``syzygy_of_generators``).
+    Shares no code with the cancellation of scalar entries in a
+    Schreyer resolution."""
+    from solvpoly.graded import min_gens_quotient
+    from solvpoly.groebner import degree_driven_completion
     from solvpoly.syzres import syzygy_of_generators
 
     qm = min_gens_quotient(L0, gens)
@@ -620,13 +626,42 @@ def reference_graded_betti(L0: FreeModule,
             break
         order = ModOrder("top", L0.algebra.order, module.rank, graded=True,
                          shifts=module.shifts)
-        kept, _ = min_homogeneous_gens(U, order, early_stop=False)
+        kept = [U[j] for j in degree_driven_completion(U, order)[2]]
         syz = syzygy_of_generators(kept, order)
         module, U = syz.module, syz.elements
         shift_lists.append(module.shifts)
     assert not U, "the reference resolution did not end"
     return {pos: dict(Counter(shifts))
             for pos, shifts in enumerate(shift_lists)}
+
+
+def minimal_standard_basis(ctx, gens: Sequence[Vect]) -> List[Vect]:
+    """A minimal standard basis of the submodule generated by ``gens``.
+
+    Completes to a left Groebner basis under the shifted-degree-first
+    order, maps the basis to the associated graded module, keeps the
+    members surviving the degree-driven minimal-generator selection
+    there, and pulls the kept indices back.
+    """
+    from solvpoly.filtered import _require_context_algebra, sigma
+    from solvpoly.graded import _graded_order
+    from solvpoly.groebner import buchberger, degree_driven_completion
+
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    module = gens[0].module
+    _require_context_algebra(ctx, module)
+    order = _graded_order(module)
+    completed = buchberger(gens, order)
+    U = completed.elements
+    graded_U = [sigma(ctx, u) for u in U]
+    gorder = _graded_order(graded_U[0].module)
+    bound = max(
+        gorder.degree_of(m) for v in graded_U for m in v.data
+    )
+    _, _, kept = degree_driven_completion(graded_U, gorder, cap=bound)
+    return [U[j] for j in kept]
 
 
 def reference_filtered_betti(ctx, L0: FreeModule,
@@ -638,7 +673,7 @@ def reference_filtered_betti(ctx, L0: FreeModule,
     of the current kernel (``minimal_standard_basis``) and the lift of
     its syzygies through V (``syzygy_of_generators``).  Shares no code
     with the Schreyer frame or the cancellation of its scalar entries."""
-    from solvpoly.filtered import minimal_F_basis, minimal_standard_basis
+    from solvpoly.filtered import minimal_F_basis
     from solvpoly.groebner import buchberger
     from solvpoly.syzres import syzygy_of_generators
 
@@ -649,8 +684,7 @@ def reference_filtered_betti(ctx, L0: FreeModule,
     U = [v for v in gens if not v.is_zero()]
     if not U:
         return {0: dict(Counter(L0.shifts))}
-    pruned = minimal_F_basis(ctx, L0, buchberger(U, graded_order(L0)).elements,
-                             assume_standard=True)
+    pruned = minimal_F_basis(ctx, L0, buchberger(U, graded_order(L0)).elements)
     if not pruned.kept:
         return {}
     module, U = pruned.new_module, pruned.gens
@@ -665,3 +699,4 @@ def reference_filtered_betti(ctx, L0: FreeModule,
     assert not U, "the reference resolution did not end"
     return {pos: dict(Counter(shifts))
             for pos, shifts in enumerate(shift_lists)}
+

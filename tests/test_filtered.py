@@ -23,7 +23,6 @@ from solvpoly.filtered import (
     DegreeTooSmall,
     FiltrationContext,
     NotGradedOrder,
-    NotStandardBasis,
     ZeroElement,
     associated_graded,
     dehomogenize,
@@ -31,11 +30,9 @@ from solvpoly.filtered import (
     homogenize_to,
     minimal_F_basis,
     minimal_filtered_resolution,
-    minimal_standard_basis,
     rees,
     sigma,
     sigma_resolution,
-    standard_basis,
     tilde,
     transfer_check,
     z_zero_image,
@@ -203,12 +200,11 @@ def test_module_symbols(wctx, weyl1):
 
 @pytest.mark.parametrize("entry", [
     lambda ctx, L, v: transfer_check(ctx, [v]),
-    lambda ctx, L, v: standard_basis(ctx, [v]),
-    lambda ctx, L, v: minimal_F_basis(ctx, L, [v], assume_standard=True),
-    lambda ctx, L, v: minimal_standard_basis(ctx, [v]),
+    lambda ctx, L, v: minimal_F_basis(ctx, L, [v]),
+    lambda ctx, L, v: oracles.minimal_standard_basis(ctx, [v]),
     lambda ctx, L, v: minimal_filtered_resolution(ctx, L, []),
-], ids=["transfer_check", "standard_basis", "minimal_F_basis",
-        "minimal_standard_basis", "minimal_filtered_resolution"])
+], ids=["transfer_check", "minimal_F_basis", "minimal_standard_basis",
+        "minimal_filtered_resolution"])
 def test_entry_points_refuse_a_module_over_another_algebra(entry, wctx,
                                                            comm2):
     L = FreeModule(comm2, 1)
@@ -244,20 +240,11 @@ def test_transfer_verdicts_always_coincide(name, request, rng):
 # standard bases and minimal F-bases
 # ---------------------------------------------------------------------------
 
-def test_standard_basis_flags(wctx, weyl1):
-    L = FreeModule(weyl1, 1)
-    G = standard_basis(wctx, [L.parse(["x"]), L.parse(["y"])])
-    assert G.flags["standard_basis"]
-    assert G.flags.get("standard_basis_certified") in (True, None)
-    # the unit ideal: 1 appears in the basis
-    assert any(g.lm(G.order) == ((0, 0), 0) for g in G.elements)
-
-
 def test_minimal_F_basis_eliminates_unit_pivot(wctx, weyl1):
     L = FreeModule(weyl1, 2, (1, 0))
     U = [L.parse(["1", "x"])]
-    G = standard_basis(wctx, U, certify=False)
-    res = minimal_F_basis(wctx, L, G.elements, assume_standard=True)
+    G = buchberger(U, _gtop(L))
+    res = minimal_F_basis(wctx, L, G.elements)
     assert res.kept == [1]
     assert res.new_module.rank == 1
     assert res.gens == [] or all(g.is_zero() for g in res.gens)
@@ -267,8 +254,8 @@ def test_minimal_F_basis_respects_fil_degrees(wctx, weyl1):
     # a unit sitting below the filtration degree must not be used
     L = FreeModule(weyl1, 2, (0, 0))
     U = [L.parse(["1", "x"])]  # fil degree 1, unit coordinate at degree 0
-    G = standard_basis(wctx, U, certify=False)
-    res = minimal_F_basis(wctx, L, G.elements, assume_standard=True)
+    G = buchberger(U, _gtop(L))
+    res = minimal_F_basis(wctx, L, G.elements)
     assert res.kept == [0, 1]
 
 
@@ -279,24 +266,17 @@ def test_unit_pivot_rules_agree_on_homogeneous_input(comm2):
     U = [L.parse(["1", "x", "0"]), L.parse(["x", "x^2", "1"]),
          L.parse(["y", "x*y", "0"])]
     graded = min_gens_quotient(L, U)
-    filtered = minimal_F_basis(FiltrationContext(comm2), L, U,
-                               certify=False, assume_standard=True)
+    filtered = minimal_F_basis(FiltrationContext(comm2), L, U)
     assert graded.kept == filtered.kept == [1]
     assert graded.gens == filtered.gens
     assert graded.eliminations == filtered.eliminations
-
-
-def test_minimal_F_basis_rejects_non_bases(wctx, weyl1):
-    L = FreeModule(weyl1, 1)
-    with pytest.raises(NotStandardBasis):
-        minimal_F_basis(wctx, L, [L.parse(["x*y"]), L.parse(["y^2"])])
 
 
 def test_minimal_standard_basis_drops_redundant(comm2):
     ctx = FiltrationContext(comm2)
     L = FreeModule(comm2, 1)
     gens = [L.parse(["x"]), L.parse(["y"]), L.parse(["x^2 + y"])]
-    W = minimal_standard_basis(ctx, gens)
+    W = oracles.minimal_standard_basis(ctx, gens)
     assert len(W) == 2
     # still generates the same submodule
     order = ModOrder("top", comm2.order, 1, graded=True, shifts=(0,))
@@ -308,7 +288,7 @@ def test_minimal_standard_basis_drops_redundant(comm2):
 def test_minimal_standard_basis_of_a_unit_ideal(wctx, weyl1):
     # x and y already generate everything in the Weyl algebra
     L = FreeModule(weyl1, 1)
-    W = minimal_standard_basis(wctx, [L.parse(["x"]), L.parse(["y"])])
+    W = oracles.minimal_standard_basis(wctx, [L.parse(["x"]), L.parse(["y"])])
     assert len(W) == 1
 
 
@@ -447,9 +427,7 @@ def test_filtered_frame_matches_the_per_stage_resolution(name, seed, floor):
         for module, mat in zip(R.modules, R.maps):
             rows = [module.from_polys(row) for row in mat.entries]
             assert prune_unit_pivots(module, rows)[4] == []
-        pruned = minimal_F_basis(
-            ctx, L, buchberger(gens, _gtop(L)).elements,
-            certify=False, assume_standard=True)
+        pruned = minimal_F_basis(ctx, L, buchberger(gens, _gtop(L)).elements)
         if pruned.kept:
             L1 = pruned.new_module
             frame = free_resolution(L1, pruned.gens, _gtop(L1))
@@ -463,8 +441,7 @@ def test_filtered_resolution_runs_no_stage_completion(monkeypatch):
     the graded one, from the Schreyer frame alone: no minimal standard
     basis, degree-driven completion or syzygy lift per stage.  On this
     input the per-stage lift through V swells."""
-    calls = {"syzygy_of_generators": 0, "minimal_standard_basis": 0,
-             "degree_driven_completion": 0}
+    calls = {"syzygy_of_generators": 0, "degree_driven_completion": 0}
     for name in calls:
         for module in (groebner, syzres, graded, filtered):
             original = getattr(module, name, None)

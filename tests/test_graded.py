@@ -144,9 +144,6 @@ def test_min_homogeneous_gens_basis_is_truncated_without_U(qplane):
     kept, G = min_homogeneous_gens(gens, order)
     assert G.flags["truncation_degree"] == 2
     assert G.U is None
-    _, full = min_homogeneous_gens(gens, order, early_stop=False)
-    assert full.flags["truncation_degree"] is None
-    assert len(full.U) == len(gens)
 
 
 def test_min_homogeneous_gens_of_zero_vectors_is_empty(qplane):

@@ -5,6 +5,7 @@ import pytest
 
 import solvpoly.groebner as groebner
 from solvpoly import fixtures
+from solvpoly.algebra import reversed_poly
 from solvpoly.cli import _element_from_options, parse_problem
 from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, ModOrder, left_divide_module
@@ -16,14 +17,20 @@ from solvpoly.groebner import (
     member_by_completion,
     minimalize,
     reduce_basis,
-    right_buchberger,
     s_polynomial,
     staircase_oracle,
 )
 from solvpoly.graded import truncated_gb
 
 import oracles
-from conftest import over, random_poly, random_scalar, random_vect
+from conftest import (
+    opposite_basis,
+    over,
+    random_poly,
+    random_scalar,
+    random_vect,
+    reversed_vect,
+)
 
 BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
                             "perfbench", "corpus")
@@ -246,35 +253,38 @@ def test_staircase_oracle_needs_grading(weyl1):
 
 
 # ---------------------------------------------------------------------------
-# the right-sided mirror
+# right bases: left bases over the opposite algebra
 # ---------------------------------------------------------------------------
 
 def test_right_basis_of_the_weyl_pair(weyl1):
-    from solvpoly.modfree import right_divide_module
     L = FreeModule(weyl1, 1)
     order = top(weyl1)
-    G = right_buchberger([L.parse(["x"]), L.parse(["y"])], order)
+    G = opposite_basis([L.parse(["x"]), L.parse(["y"])], order)
     # 1 = y.x - x.y lies in the right ideal
-    _, rem = right_divide_module(L.parse(["1"]), G.elements, order)
+    _, rem = left_divide_module(G.module.basis(0), G.elements, G.order)
     assert rem.is_zero()
-    assert G.side == "right"
+    assert G.module.algebra is weyl1.opposite()
 
 
 def test_right_certificates(qplane, rng):
+    """V and U of the opposite basis, read back by reversing exponents,
+    write the right basis and the inputs as right combinations."""
     L = FreeModule(qplane, 1)
     order = top(qplane)
     gens = [random_vect(L, rng, max_degree=2, nonzero=True)
             for _ in range(2)]
-    G = right_buchberger(gens, order)
-    for k, g in enumerate(G.elements):
+    G = opposite_basis(gens, order)
+    elements = [reversed_vect(g, L) for g in G.elements]
+    back = [[reversed_poly(f, qplane) for f in row] for row in G.V]
+    for k, g in enumerate(elements):
         acc = L.zero()
-        for j, f in enumerate(G.V[k]):
+        for j, f in enumerate(back[k]):
             acc = acc + gens[j].rmul(f)
         assert acc == g
     for j, u in enumerate(gens):
         acc = L.zero()
         for k, f in enumerate(G.U[j]):
-            acc = acc + G.elements[k].rmul(f)
+            acc = acc + elements[k].rmul(reversed_poly(f, qplane))
         assert acc == u
 
 
@@ -323,9 +333,9 @@ def test_inputs_with_equal_constant_leads(weyl1, side):
     L = FreeModule(weyl1, 2)
     order = top(weyl1, 2)
     gens = [L.parse(["1", "1"]), L.parse(["0", "1"])]
-    complete = buchberger if side == "left" else right_buchberger
+    complete = buchberger if side == "left" else opposite_basis
     G = complete(gens, order)
-    assert L.basis(0) in G.elements
+    assert G.module.basis(0) in G.elements
     if side == "left":
         assert_certificates(G, gens)
 

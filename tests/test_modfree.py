@@ -99,6 +99,22 @@ def test_top_versus_pot(weyl1):
     assert pot.compare(big_low, small_high) == -1
 
 
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("kind", ["top", "pot"])
+def test_opposite_order_compares_reversed_monomials(kind, graded, ex12,
+                                                    rng):
+    """``opposite_order`` ranks reversed module monomials as the order
+    ranks the monomials: the order ``is_projective`` completes under
+    over ``A.opposite()``."""
+    order = ModOrder(kind, ex12.order, 3, component_priority=(2, 0, 1),
+                     graded=graded, shifts=(0, 2, 1) if graded else None)
+    op = modfree.opposite_order(order)
+    for _ in range(200):
+        a, b = random_mono(rng, ex12.n, 3), random_mono(rng, ex12.n, 3)
+        assert order.compare(a, b) == op.compare((a[0][::-1], a[1]),
+                                                 (b[0][::-1], b[1]))
+
+
 def test_graded_order_uses_shifts(weyl1):
     L = FreeModule(weyl1, 2, (0, 3))
     g = ModOrder("top", weyl1.order, 2, graded=True, shifts=L.shifts)

@@ -8,10 +8,14 @@ multiples (``Vect.lmul``) are the only places that construct one.
 The two-sided divisor list, ``presentation._FreeDivisors``, is prepared
 only through its ``of`` path: by ``free_divide``, and once up front by
 the presentation check and the bounded completion, which hand it on.
+Every name the benchmark's tracer wraps exists where it looks for it.
 """
 
 import ast
 import glob
+import importlib
+import importlib.util
+import inspect
 import os
 
 import solvpoly
@@ -67,3 +71,28 @@ def test_the_free_divisor_list_is_prepared_only_through_of():
         ("presentation", "free_divide"),
         ("presentation", "verify_presentation"),
     ]
+
+
+def test_the_tracer_finds_every_name_it_wraps():
+    """``perfbench/tracer.py`` wraps hot methods through the class
+    dictionary (``cls.__dict__[name]``), hot helpers by their module
+    names and the CLI's command table: a name deleted from the package
+    would fail a traced benchmark run."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def module(layer):
+        return importlib.import_module("solvpoly." + layer)
+
+    for (layer, cls_name), methods in tracer.HOT_METHODS.items():
+        cls = getattr(module(layer), cls_name)
+        for meth in methods:
+            assert meth in cls.__dict__, (cls_name, meth)
+    for layer, names in tracer.HOT_FUNCTIONS.items():
+        for name in names:
+            assert inspect.isfunction(getattr(module(layer), name, None)), (
+                layer, name)
+    assert isinstance(module("cli")._COMMANDS, dict)

@@ -26,38 +26,35 @@ from solvpoly.groebner import (
     buchberger,
     minimalize,
     reduce_basis,
-    right_buchberger,
 )
 from solvpoly.graded import truncated_gb
 from solvpoly.modfree import FreeModule, ModOrder
 from solvpoly.syzres import PresentationMatrix, is_projective
 
 import oracles
-from conftest import over, random_poly, random_vect
+from conftest import opposite_basis, over, random_poly, random_vect
 
 BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
                             "perfbench", "corpus")
 FIXTURES = ["comm2", "weyl1", "qplane", "ex12", "ex14", "qheis"]
 
 
-def combination(G, right=False):
-    """sum_j V[k][j] * inputs[j] (inputs[j] * V[k][j] for right bases)
-    for every k, by the reference product."""
+def combination(G):
+    """sum_j V[k][j] * inputs[j] for every k, by the reference product."""
     out = []
     for row in G.V:
         polys = [G.module.algebra.zero() for _ in range(G.module.rank)]
         for f, xi in zip(row, G.inputs):
             for c, g in enumerate(xi.to_polys()):
-                pair = (g, f) if right else (f, g)
-                polys[c] = polys[c] + oracles.reference_product(*pair)
+                polys[c] = polys[c] + oracles.reference_product(f, g)
         out.append(G.module.from_polys(polys))
     return out
 
 
-def assert_V(G, right=False):
+def assert_V(G):
     assert len(G.V) == len(G.elements)
     assert all(len(row) == len(G.inputs) for row in G.V)
-    assert combination(G, right) == G.elements
+    assert combination(G) == G.elements
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -75,7 +72,8 @@ def test_products_agree_with_word_rewriting(name):
 def test_V_writes_every_basis_in_the_inputs(name, kind):
     """Seeded random rank-2 submodules: V of buchberger, minimalize and
     reduce_basis, with the basis's own V read before or after the
-    derived ones, and right_buchberger with right-sided products."""
+    derived ones, and the right basis as ``is_projective`` computes it,
+    a left basis of the reversed inputs over ``A.opposite()``."""
     A = fixtures.load(name).algebra
     L = FreeModule(A, 2)
     order = ModOrder(kind, A.order, 2)
@@ -92,9 +90,9 @@ def test_V_writes_every_basis_in_the_inputs(name, kind):
             assert_V(D)
         assert_V(G)
         if trial == 0:
-            R = right_buchberger(gens, order)
-            assert_V(R, right=True)
-            assert_V(minimalize(R), right=True)
+            R = opposite_basis(gens, order)
+            assert_V(R)
+            assert_V(minimalize(R))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -131,7 +129,7 @@ def test_V_over_prime_fields(name, p):
         assert_V(reduce_basis(G))
         assert_V(G)
         if trial == 0:
-            assert_V(right_buchberger(gens, order), right=True)
+            assert_V(opposite_basis(gens, order))
 
 
 @pytest.mark.parametrize("p", [0, 7])
