@@ -12,9 +12,17 @@ quotients that made it, and its normalising inverse), and
 combination of the inputs, is built from those traces on first read,
 each row summed on plain ints (integer numerators over one denominator
 over Q, one reduction per row over GF(p)).
-:meth:`GroebnerBasis.V_rows` builds only some rows.
+:meth:`GroebnerBasis.V_ints` builds only some rows, in integer form.
 :attr:`GroebnerBasis.U`, which writes every input in the basis,
 divides the inputs by the basis on first read.
+
+Inside the loop every vector is an integer row (integer numerators
+over one positive denominator; the residues over GF(p)): each S-vector
+is summed from the rows the basis keeps prepared for division, the
+division hands its remainder and quotients back on ints, and a nonzero
+remainder joins the basis as its primitive row with a positive lead.
+Payloads are built only at the edge: an element's ``data`` on first
+read, V, U and the printer.
 
 A popped pair (i, j) is skipped by Buchberger's chain criterion when
 some other element k leads in the same component, lm(k) divides
@@ -47,11 +55,12 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from math import lcm
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
+from .coeff import SolvpolyError, _add_scaled, _from_ints
 from .algebra import (
     ExpVec,
     Poly,
@@ -70,9 +79,13 @@ from .modfree import (
     NotAGroebnerBasis,
     Vect,
     _Divisors,
+    _IntRow,
     _IntSum,
+    _IntVect,
+    _monic_row,
     _row_from_ints,
     _row_to_ints,
+    _terms_to_ints,
     left_divide_module,
     mono_divides,
 )
@@ -143,13 +156,16 @@ class _Trace:
     Step k stands for the row ``inv * (e_unit + sum sign * f * row(src))``
     over ``m`` inputs: ``unit`` is an input index or None, each term
     pairs a sign and a left multiplier f with an earlier step src, and
-    ``inv`` is the normalising inverse (None for one).  :meth:`rows`
-    evaluates the steps asked for and those they depend on, in
-    ascending order, each row summed on plain ints (integer numerators
-    over one denominator, see :class:`solvpoly.modfree._IntSum`) and
-    scaled by its inverse once at the end; an evaluated step is dropped
-    and its row kept in that form for the steps that use it.  Only the
-    rows returned become payloads.
+    ``inv`` is the normalising inverse (None for one).  f is kept as
+    the division and the S-vector give it, ``{exponent: (n, d)}`` with
+    each term n/d (see :func:`solvpoly.modfree._terms_to_ints`), so a
+    completion whose V is never read builds no payload for it.
+    :meth:`rows` evaluates the steps asked for and those they depend
+    on, in ascending order, each row summed on plain ints (integer
+    numerators over one denominator, see
+    :class:`solvpoly.modfree._IntSum`) and scaled by its inverse once at
+    the end; an evaluated step is dropped and its row kept in that form
+    for the steps that use it.
     """
 
     def __init__(self, A: SolvableAlgebra, m: int):
@@ -171,8 +187,10 @@ class _Trace:
             self.done[ids[-1]] = _row_to_ints(row)
         return ids
 
-    def rows(self, ids: Sequence[int]) -> List[List[Poly]]:
-        """The rows of the steps ``ids``, evaluating what they need."""
+    def rows(self, ids: Sequence[int]) -> List[Tuple[dict, int]]:
+        """The rows of the steps ``ids`` in the ``(nums, den)`` form of
+        :class:`solvpoly.modfree._IntSum`, entry j on component j,
+        evaluating what they need."""
         A, done = self.A, self.done
         need: Set[int] = set()
         stack = list(ids)
@@ -188,10 +206,10 @@ class _Trace:
             unit, terms, inv = self.steps[k]
             acc.start(None if unit is None else {(unit_exp, unit): 1})
             for sign, f, src in terms:
-                acc.add_lmul(sign, f, done[src])
+                acc.add_lmul(sign, _terms_to_ints(f), done[src])
             done[k] = acc.finish(1 if inv is None else inv)
             self.steps[k] = None
-        return [_row_from_ints(A, *done[k], self.m) for k in ids]
+        return [done[k] for k in ids]
 
 
 class GroebnerBasis:
@@ -200,7 +218,7 @@ class GroebnerBasis:
     ``elements[k] = sum_j V[k][j] * inputs[j]`` and
     ``inputs[j] = sum_k U[j][k] * elements[k]``.
     Both are derived on first read: ``V`` from the trace of the
-    completion (see :attr:`V` and :meth:`V_rows`), ``U`` from the
+    completion (see :attr:`V` and :meth:`V_ints`), ``U`` from the
     elements (see :attr:`U`).
     V is held only as a ``(trace, steps)`` pair, step ``steps[k]`` of
     the trace deriving row k; the ``V`` argument is such a pair or the
@@ -237,10 +255,13 @@ class GroebnerBasis:
         """Row k writes ``elements[k]`` in the inputs, built on first
         read from the steps of the trace that row k and the rows it
         derives from need."""
-        return self.V_rows(range(len(self.elements)))
+        A, m = self.module.algebra, len(self.inputs)
+        return [_row_from_ints(A, *row, m)
+                for row in self.V_ints(range(len(self.elements)))]
 
-    def V_rows(self, ks: Iterable[int]) -> List[List[Poly]]:
-        """Rows ``ks`` of V, evaluating only the trace steps they need."""
+    def V_ints(self, ks: Iterable[int]) -> List[Tuple[dict, int]]:
+        """Rows ``ks`` of V in integer form (:meth:`_Trace.rows`),
+        evaluating only the trace steps they need."""
         return self._trace.rows([self._steps[k] for k in ks])
 
     @cached_property
@@ -288,39 +309,58 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 
-def _spair_data(xi: Vect, zeta: Vect, order: ModOrder):
-    """(S, c_i, gamma-alpha, c_j, gamma-beta, gamma, comp) or None.
+def _spair_data(divisors: _Divisors, i: int, j: int):
+    """(S, f_i, gamma-alpha, f_j, gamma-beta) or None, for elements i
+    and j of a prepared list.
 
-    S = c_i * a^(gamma-alpha) xi  -  c_j * a^(gamma-beta) zeta, the
+    S = c_i * a^(gamma-alpha) g_i  -  c_j * a^(gamma-beta) g_j, the
     scalars normalizing both products to leading coefficient one,
-    summed in one :class:`solvpoly.modfree._IntSum` on the integer form
-    of both vectors.  a^alpha * xi leads with lc(xi) times the lead
-    coefficient of ``mono_mul(alpha, lm(xi))``, since the order
-    restricts to the algebra's order on each component.
+    summed in one :class:`solvpoly.modfree._IntSum` on the rows of
+    ``divisors`` and returned as its ``finish`` gives it.  f_i is the
+    multiplier ``{gamma-alpha: (n, d)}`` with c_i = n/d, as the trace
+    keeps it.  a^alpha * g leads with the lead of g times the lead
+    coefficient of ``mono_mul(alpha, lm(g))``, since the order restricts
+    to the algebra's order on each component.
     """
-    A = xi.module.algebra
-    mi, mj = xi.lm(order), zeta.lm(order)
+    mi, mj = divisors.leads[i], divisors.leads[j]
     if mi[1] != mj[1]:
         return None
+    A = divisors[i].module.algebra
+    p = A.field.characteristic
     gamma = exp_max(mi[0], mj[0])
-    ai, aj = exp_sub(gamma, mi[0]), exp_sub(gamma, mj[0])
-    ci = A.field.inverse(xi.data[mi] * A.mono_mul(ai, mi[0])[0][1])
-    cj = A.field.inverse(zeta.data[mj] * A.mono_mul(aj, mj[0])[0][1])
     acc = _IntSum(A)
-    acc.add_lmul(1, A.monomial(ai, ci), _to_ints(xi.data.items()))
-    acc.add_lmul(-1, A.monomial(aj, cj), _to_ints(zeta.data.items()))
-    S = _from_ints(*acc.finish(), A.field.characteristic)
-    return Vect._of(xi.module, S), ci, ai, cj, aj, gamma, mi[1]
+    mults = []
+    for sign, k in ((1, i), (-1, j)):
+        _, lexp, lead, row, den, content = divisors.entries[k]
+        alpha = exp_sub(gamma, lexp)
+        mu = A.mono_mul(alpha, lexp)[0][1]
+        t = lead * mu.numerator
+        if p:
+            # c = 1 / (lead * mu), and den = content = 1
+            c = pow(t, -1, p)
+            acc.add_lmul(sign, ({alpha: c}, 1), (row, 1))
+            mults.append(({alpha: (c, 1)}, alpha))
+            continue
+        # c * g = u / t * row, with c = den * u / (content * t)
+        u = mu.denominator
+        if t < 0:
+            t, u = -t, -u
+        acc.add_lmul(sign, ({alpha: u}, t), (row, 1))
+        mults.append(({alpha: (den * u, content * t)}, alpha))
+    (fi, ai), (fj, aj) = mults
+    return acc.finish(), fi, ai, fj, aj
 
 
 def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
     """The left S-vector; zero when the leading components differ."""
     if xi.is_zero() or zeta.is_zero():
         raise ZeroPolynomial("S-vector of a zero element")
-    data = _spair_data(xi, zeta, order)
+    data = _spair_data(_Divisors(order, [xi, zeta]), 0, 1)
     if data is None:
         return xi.module.zero()
-    return data[0]
+    return Vect._of(
+        xi.module, _from_ints(*data[0], xi.module.algebra.field.characteristic)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +369,13 @@ def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
 
 
 class _Engine:
-    """Shared state of the Buchberger-style completion loops."""
+    """Shared state of the Buchberger-style completion loops.
+
+    Every vector inside the loop is an integer row: the S-vector as
+    :func:`_spair_data` sums it, the remainder as the division leaves it
+    (:class:`solvpoly.modfree._IntRow`), and each basis element as the
+    primitive row its :class:`solvpoly.modfree._Divisors` entry holds.
+    """
 
     def __init__(self, module: FreeModule, order: ModOrder, n_inputs: int):
         self.module = module
@@ -342,16 +388,12 @@ class _Engine:
         self._pair_counter = 0
         self.pair_cap: Optional[int] = None
 
-    def append(self, v: Vect, unit: Optional[int], terms: list) -> int:
+    def append(self, v: _IntRow, unit: Optional[int], terms: list) -> int:
         """Add v monic, traced as ``unit`` plus ``terms`` (see
         :class:`_Trace`, whose step t is element t); pairs it with the
         earlier elements."""
-        lc = v.lc(self.order)
-        inv = None
-        if lc != 1:
-            inv = self.A.field.inverse(lc)
-            v = v.scale(inv)
-        self.basis.append(v)
+        g, inv = _monic_row(v, self.order)
+        self.basis.append(g)
         t = self.trace.add(unit, terms, inv)
         self.make_pairs(t)
         return t
@@ -372,9 +414,12 @@ class _Engine:
             heapq.heappush(self.heap, (deg, self._pair_counter, i, t))
             self._pair_counter += 1
 
-    def reduce(self, v: Vect) -> Tuple[List[Poly], Vect]:
+    def reduce(self, v: _IntRow) -> Tuple[dict, _IntRow]:
+        """Quotients and remainder of v by the basis (quotients as
+        :func:`solvpoly.modfree.left_divide_module` gives them for an
+        integer row)."""
         if not self.basis:
-            return [], v
+            return {}, v
         return left_divide_module(v, self.basis, self.order)
 
     def chain_prunes(self, i: int, j: int) -> bool:
@@ -404,21 +449,18 @@ class _Engine:
         self.handled.add((i, j))
         if pruned:
             return None
-        data = _spair_data(self.basis[i], self.basis[j], self.order)
+        data = _spair_data(self.basis, i, j)
         if data is None:
             return None
-        S, ci, expi, cj, expj, _, _ = data
-        if S.is_zero():
+        (nums, den), fi, _, fj, _ = data
+        if not nums:
             return None
-        quotients, eta = self.reduce(S)
+        quotients, eta = self.reduce(_IntRow(self.module, nums, den))
         if eta.is_zero():
             return None
-        terms = [
-            (1, self.A.monomial(expi, ci), i),
-            (-1, self.A.monomial(expj, cj), j),
-        ]
+        terms = [(1, fi, i), (-1, fj, j)]
         return self.append(
-            eta, None, terms + _minus(quotients, range(len(quotients)))
+            eta, None, terms + _minus(quotients, range(len(self.basis)))
         )
 
     def run_pairs(self, stop: Optional[Callable[[int], bool]] = None) -> None:
@@ -431,9 +473,10 @@ class _Engine:
                 return
 
 
-def _minus(quotients: Sequence[Poly], srcs: Sequence[int]) -> list:
-    """Trace terms subtracting ``quotients[k]`` times step ``srcs[k]``."""
-    return [(-1, q, srcs[k]) for k, q in enumerate(quotients) if q]
+def _minus(quotients: Dict[int, dict], srcs: Sequence[int]) -> list:
+    """Trace terms subtracting each quotient ``quotients[k]`` (as the
+    division of an integer row gives them) times step ``srcs[k]``."""
+    return [(-1, quotients[k], srcs[k]) for k in sorted(quotients)]
 
 
 def _common_module(inputs: Sequence[Vect]) -> FreeModule:
@@ -450,7 +493,7 @@ def _seeded_engine(inputs: List[Vect], order: ModOrder) -> _Engine:
     eng = _Engine(_common_module(inputs), order, len(inputs))
     for j, xi in enumerate(inputs):
         if not xi.is_zero():
-            eng.append(xi, j, [])
+            eng.append(_IntRow.of(xi), j, [])
     return eng
 
 
@@ -514,11 +557,11 @@ def degree_driven_completion(
         while w_pos < len(W) and W[w_pos][0] == n:
             _, j, xi = W[w_pos]
             w_pos += 1
-            quotients, eta = eng.reduce(xi)
+            quotients, eta = eng.reduce(_IntRow.of(xi))
             if eta.is_zero():
                 continue
             kept.append(j)
-            eng.append(eta, j, _minus(quotients, range(len(quotients))))
+            eng.append(eta, j, _minus(quotients, range(len(eng.basis))))
     return eng.basis, eng.lazy_V(), kept
 
 
@@ -544,13 +587,15 @@ def minimalize(G: GroebnerBasis) -> GroebnerBasis:
     """Keep only elements whose leading monomials form an antichain.
 
     The result is sorted ascending by leading monomial, which makes
-    the element order canonical for a given submodule.
+    the element order canonical for a given submodule.  It reuses the
+    prepared rows of ``G.elements``.
     """
-    kept = _minimal_indices(G.leading_monomials(), G.order)
+    basis = _Divisors.of(G.elements, G.order)
+    kept = _minimal_indices(basis.leads, G.order)
     return GroebnerBasis(
         G.module,
         G.order,
-        _Divisors(G.order, [G.elements[i] for i in kept]),
+        basis.picked(kept),
         G.inputs,
         (G._trace, [G._steps[i] for i in kept]),
         is_minimal=True,
@@ -559,36 +604,44 @@ def minimalize(G: GroebnerBasis) -> GroebnerBasis:
 
 
 def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
-    """Tail-reduce a minimal basis; the result is the unique reduced one."""
+    """Tail-reduce a minimal basis; the result is the unique reduced one.
+
+    One prepared list holds every element, each as it stands now: the
+    tail of element i (all but its lead term) is divided by the whole
+    list, which its own lead cannot divide, as it divides no smaller
+    monomial; the element then takes the place of its old row
+    (:meth:`solvpoly.modfree._Divisors.replace`).
+    """
     if not G0.flags["is_minimal"]:
         G0 = minimalize(G0)
     order = G0.order
     module = G0.module
-    elements = list(G0.elements)
+    basis = _Divisors.of(G0.elements, order).picked(range(len(G0.elements)))
     trace, steps = G0._trace, list(G0._steps)
-    A = module.algebra
-    for i in range(len(elements)):
-        others = elements[:i] + elements[i + 1 :]
-        if not others:
-            continue
-        quotients, rem = left_divide_module(elements[i], others, order)
-        if rem == elements[i]:
-            continue
-        # row i - sum q_k * row k, over the rows as they stand now
-        terms = [(1, A.one(), steps[i])] + _minus(
-            quotients, steps[:i] + steps[i + 1 :]
+    one = {zero_exp(module.algebra.n): (1, 1)}
+    # a lone element has no other element to reduce its tail by
+    for i in range(len(basis) if len(basis) > 1 else 0):
+        _, _, lead, row, den, content = basis.entries[i]
+        lm = basis.leads[i]
+        tail = {m: n * content for m, n in row.items() if m != lm}
+        quotients, rem = left_divide_module(
+            _IntRow(module, tail, den), basis, order
         )
-        lc = rem.lc(order)
-        inv = None
-        if lc != 1:
-            inv = A.field.inverse(lc)
-            rem = rem.scale(inv)
-        elements[i] = rem
+        if not quotients:
+            continue
+        # the lead term content * lead / den plus the remainder
+        d = lcm(den, rem.den)
+        nums = {m: n * (d // rem.den) for m, n in rem.nums.items()}
+        nums[lm] = content * lead * (d // den)
+        g, inv = _monic_row(_IntRow(module, nums, d), order)
+        # row i - sum q_k * row k, over the rows as they stand now
+        terms = [(1, one, steps[i])] + _minus(quotients, steps)
+        basis.replace(i, g)
         steps[i] = trace.add(None, terms, inv)
     return GroebnerBasis(
         module,
         order,
-        _Divisors(order, elements),
+        basis,
         G0.inputs,
         (trace, steps),
         is_minimal=True,
@@ -632,18 +685,18 @@ def member_by_completion(
     if not inputs:
         return False, xi
     eng = _seeded_engine(inputs, order)
-    rem = eng.reduce(xi)[1]
+    rem = eng.reduce(_IntRow.of(xi))[1]
 
     def reduced_to_zero(t: int) -> bool:
         nonlocal rem
         lead = eng.basis.leads[t]
-        if any(mono_divides(lead, m) for m in rem.data):
+        if any(mono_divides(lead, m) for m in rem.nums):
             rem = left_divide_module(rem, eng.basis, order)[1]
         return rem.is_zero()
 
     if not rem.is_zero():
         eng.run_pairs(reduced_to_zero)
-    return rem.is_zero(), rem
+    return rem.is_zero(), _IntVect(xi.module, rem.nums, rem.den)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,17 @@ divisor list (:class:`_Divisors`, which the completion grows with its
 basis).  Over Q a step multiplies what is left by the least integer
 that lets it subtract an integer multiple of the divisor's row, and
 divides the content out only once the denominator has doubled in size;
-over GF(p) nothing is reduced mod p until a term is popped.  Each
-quotient and remainder term becomes a payload once.  Order keys are
-memoised per order object (:meth:`ModOrder.key`,
-:meth:`MonomialOrder.key`), so memory grows with the distinct monomials
-seen and is freed with the order.
+over GF(p) nothing is reduced mod p until a term is popped.  The
+remainder stays in that dict, so one rescaling covers it too, and each
+quotient term is kept as an integer pair.  Inside the completion the
+dividend and the remainder are :class:`_IntRow` s and the quotients
+stay integer pairs; only a :class:`Vect` dividend gets payloads back,
+one per quotient and remainder term.  A vector the completion makes
+(a basis element, a Schreyer row, a normal form) is an
+:class:`_IntVect`, whose payloads are built on the first read of its
+``data``.  Order keys are memoised per order object
+(:meth:`ModOrder.key`, :meth:`MonomialOrder.key`), so memory grows with
+the distinct monomials seen and is freed with the order.
 A right-sided question is a left one over the opposite algebra
 ``A.opposite()``, under :func:`opposite_order` (see
 :func:`solvpoly.syzres.is_projective`).
@@ -29,9 +35,9 @@ A right-sided question is a left one over the opposite algebra
 Left combinations of vectors whose payloads are not needed term by
 term (the rows of a transition matrix, the rows of a product of
 matrices over the algebra, S-vectors and left multiples) are summed by
-:class:`_IntSum` on plain ints; :func:`_row_to_ints` and
-:func:`_row_from_ints` convert a row of ring elements to that form and
-back.
+:class:`_IntSum` on plain ints; :func:`_row_to_ints`,
+:func:`_row_from_ints`, :func:`_int_form` and :func:`_terms_to_ints`
+convert to that form and back.
 """
 
 from __future__ import annotations
@@ -281,7 +287,7 @@ class Vect:
         :class:`_IntSum`."""
         A = self.module.algebra
         acc = _IntSum(A)
-        acc.add_lmul(1, f, _to_ints(self.data.items()))
+        acc.add_lmul(1, _to_ints(f.terms), _int_form(self))
         return Vect._of(
             self.module, _from_ints(*acc.finish(), A.field.characteristic)
         )
@@ -314,13 +320,117 @@ class Vect:
         return "Vect(%s)" % (self,)
 
 
+class _IntVect(Vect):
+    """A vector held as integer numerators ``nums`` over one positive
+    denominator ``den`` (over GF(p) the nonzero residues over 1), no
+    zero kept; its payloads are built on the first read of ``data``.
+    The completion's basis elements, Schreyer rows and normal forms are
+    of this kind, so an element that is never printed or compared never
+    becomes payloads."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, module: FreeModule, nums: Dict[ModMonomial, int],
+                 den: int):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __getattr__(self, name):
+        # called only while the ``data`` slot is unset
+        if name != "data":
+            raise AttributeError(name)
+        data = _from_ints(self.nums, self.den,
+                          self.module.algebra.field.characteristic)
+        object.__setattr__(self, "data", data)
+        return data
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self):
+        return bool(self.nums)
+
+    def lm(self, order: "ModOrder") -> ModMonomial:
+        if not self.nums:
+            raise ZeroPolynomial("zero vector has no leading monomial")
+        return max(self.nums, key=order.key)
+
+
+class _IntRow:
+    """An element of ``module`` inside the completion, in the form of
+    :class:`_IntVect` but not a :class:`Vect`: :func:`left_divide_module`
+    divides it on ints and returns its quotients as integer pairs and
+    its remainder as another one."""
+
+    __slots__ = ("module", "nums", "den")
+
+    def __init__(self, module: FreeModule, nums: Dict[ModMonomial, int],
+                 den: int):
+        self.module = module
+        self.nums = nums
+        self.den = den
+
+    @classmethod
+    def of(cls, v: Vect) -> "_IntRow":
+        return cls(v.module, *_int_form(v))
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+
+def _int_form(v: Vect) -> Tuple[Dict[ModMonomial, int], int]:
+    """``(nums, den)`` of a vector: an :class:`_IntVect`'s own, shared
+    (not to be changed), or a fresh conversion of the payloads."""
+    if isinstance(v, _IntVect):
+        return v.nums, v.den
+    return _to_ints(v.data.items())
+
+
+def _terms_to_ints(terms: Dict[object, Tuple[int, int]]) -> Tuple[dict, int]:
+    """A sum of terms given as ``key -> (n, d)``, d > 0, as numerators
+    over the least common denominator of the values n/d.  Over GF(p)
+    every d is 1 and the numerators are the residues."""
+    den = 1
+    for _, d in terms.values():
+        if den % d:
+            den = lcm(den, d)
+    nums = {m: n * (den // d) for m, (n, d) in terms.items()}
+    if den == 1:
+        return nums, 1
+    return nums, _remove_content(nums, den)
+
+
+def _monic_row(v: _IntRow, order: "ModOrder") -> Tuple[_IntVect, object]:
+    """``v`` made monic and the payload inv with ``monic = inv * v``
+    (None for one).  Over Q the monic vector is the primitive row with a
+    positive lead L over L; over GF(p) its residues over 1."""
+    nums, den = v.nums, v.den
+    lm = max(nums, key=order.key)
+    lead = nums[lm]
+    p = v.module.algebra.field.characteristic
+    if p:
+        if lead == 1:
+            return _IntVect(v.module, nums, 1), None
+        inv = pow(lead, -1, p)
+        row = {m: n * inv % p for m, n in nums.items()}
+        return _IntVect(v.module, row, 1), inv
+    g = gcd(*nums.values())
+    if lead < 0:
+        g = -g
+    row = {m: n // g for m, n in nums.items()} if g != 1 else nums
+    inv = None if lead == den else Fraction(den, lead)
+    return _IntVect(v.module, row, lead // g), inv
+
+
 class _IntSum:
     """A left combination ``sum sign * f * v`` of module vectors, summed
     on plain ints.
 
     The sum is held as integer numerators over one positive denominator,
-    and so is each vector ``v``, given as ``(nums, den)`` (see
-    :func:`solvpoly.coeff._to_ints`).  A term is added over the least
+    and so is each vector ``v`` and each ring element ``f``, given as
+    ``(nums, den)`` (see :func:`solvpoly.coeff._to_ints`).  A term is
+    added over the least
     common multiple of the running denominator and its own (f's times
     v's, times that of a monomial product's coefficient where it has
     one, as lambda = 1/2 gives); the numerators are rescaled only when
@@ -344,9 +454,10 @@ class _IntSum:
         _scale(self.nums, new // self.den)
         self.den = new
 
-    def add_lmul(self, sign: int, f: Poly, v: Tuple[dict, int]) -> None:
+    def add_lmul(self, sign: int, f: Tuple[dict, int],
+                 v: Tuple[dict, int]) -> None:
         """Add ``sign * f * v``; ``sign`` is 1 or -1."""
-        fnums, fden = _to_ints(f.terms)
+        fnums, fden = f
         vnums, vden = v
         fv = fden * vden
         if self.den % fv:
@@ -571,16 +682,19 @@ class _Divisors(list):
 
     A list of nonzero vectors that also keeps, for the order it was
     made for, each element's lead and its terms in the integer form the
-    division works on, grouped by the component the element leads in,
-    least index first: ``(index, lead exponent, lead numerator, row,
-    den, content)``, the element being ``content / den`` times the row.
-    Over Q the row is primitive; over GF(p) it holds the residues and
-    den and content are 1.  :meth:`append` extends both; the list is
-    not to be changed otherwise.  :meth:`find` remembers, per module
-    monomial, the entry that divides it, or how many entries of its
-    component it has checked in vain; it remembers at most as many
-    monomials as the algebra's ``cache_limit`` (SOLVPOLY_CACHE_LIMIT)
-    and looks up the others afresh.
+    division works on: ``entries[i]`` is ``[i, lead exponent, lead
+    numerator, row, den, content]``, the element being ``content / den``
+    times the row (a dict of ints), and ``by_comp`` groups the entries
+    by the component their element leads in, least index first.  Over Q
+    the row is primitive (a monic element's is ``[i, lexp, L, row, L,
+    1]``, L > 0); over GF(p) it holds the residues and den and content
+    are 1.  :meth:`append` extends the list and :meth:`replace` swaps an
+    element for one with the same lead; it is not to be changed
+    otherwise.  :meth:`find` remembers, per module monomial, the entry
+    that divides it, or how many entries of its component it has
+    checked in vain; it remembers at most as many monomials as the
+    algebra's ``cache_limit`` (SOLVPOLY_CACHE_LIMIT) and looks up the
+    others afresh.
     """
 
     @classmethod
@@ -594,6 +708,7 @@ class _Divisors(list):
         super().__init__()
         self.order = order
         self.leads: List[ModMonomial] = []
+        self.entries: List[list] = []
         self.by_comp: List[list] = [[] for _ in range(order.rank)]
         # module monomial -> the entry that divides it, or the number of
         # entries of its component checked in vain
@@ -602,7 +717,7 @@ class _Divisors(list):
         for d in divisors:
             self.append(d)
 
-    def find(self, m: ModMonomial) -> Optional[tuple]:
+    def find(self, m: ModMonomial) -> Optional[list]:
         """The entry of the least-index element whose lead divides ``m``,
         or None.  An entry found stays the answer, as :meth:`append`
         adds only greater indices; after a miss a later call checks only
@@ -626,26 +741,50 @@ class _Divisors(list):
             memo[m] = len(entries) if entry is None else entry
         return entry
 
-    def append(self, d: Vect) -> None:
-        if d.is_zero():
+    def _prepare(self, d: Vect) -> Tuple[ModMonomial, list]:
+        """d's lead and the tail ``[lead numerator, row, den, content]``
+        of its entry."""
+        nums, den = _int_form(d)
+        if not nums:
             raise ZeroPolynomial("zero divisor in division")
-        lexp, lcomp = lm = d.lm(self.order)
-        nums, den = _to_ints(d.data.items())
-        p = d.module.algebra.field.characteristic
-        g = 1 if p else gcd(*nums.values())
+        lm = max(nums, key=self.order.key)
+        g = 1 if d.module.algebra.field.characteristic else gcd(
+            *nums.values())
         if g != 1:
             nums = {m: n // g for m, n in nums.items()}
-        self.by_comp[lcomp].append(
-            (len(self), lexp, nums[lm], list(nums.items()), den, g)
-        )
+        return lm, [nums[lm], nums, den, g]
+
+    def _add(self, d: Vect, lm: ModMonomial, prepared: list) -> None:
+        entry = [len(self), lm[0]] + prepared
+        self.entries.append(entry)
+        self.by_comp[lm[1]].append(entry)
         self.leads.append(lm)
         self._found_limit = d.module.algebra.cache_limit
         super().append(d)
 
+    def append(self, d: Vect) -> None:
+        self._add(d, *self._prepare(d))
 
-def left_divide_module(
-    xi: Vect, divisors: Sequence[Vect], order: ModOrder
-) -> Tuple[List[Poly], Vect]:
+    def picked(self, idxs: Iterable[int]) -> "_Divisors":
+        """A new list of the elements ``idxs``, in that order, on the
+        rows already prepared."""
+        out = _Divisors(self.order)
+        for i in idxs:
+            out._add(self[i], self.leads[i], self.entries[i][2:])
+        return out
+
+    def replace(self, i: int, d: Vect) -> None:
+        """Put d, whose lead is element i's, in place of element i.  The
+        entry is changed in place, so :meth:`find` hands back the new
+        row wherever it remembers the old one."""
+        lm, prepared = self._prepare(d)
+        if lm != self.leads[i]:
+            raise ValueError("a replacement must keep the lead")
+        self.entries[i][2:] = prepared
+        list.__setitem__(self, i, d)
+
+
+def left_divide_module(xi, divisors: Sequence[Vect], order: ModOrder):
     """Left division of xi by an ordered divisor list.
 
     Returns (quotients, remainder) with
@@ -654,24 +793,59 @@ def left_divide_module(
     monomial.  Ties go to the least divisor index.  ``divisors`` is
     prepared (:class:`_Divisors`) unless it already is, for ``order``.
 
-    What is left of xi is held as integer numerators over one positive
-    denominator (module docstring).  ``pending`` holds the (key,
-    monomial) pairs of ``work`` in ascending order, one per monomial.
-    ``order`` must restrict to the algebra's order on each component,
-    so that a^alpha * g leads with a^alpha times the lead of g.
+    For a :class:`Vect` xi the quotients are a list of one
+    :class:`Poly` per divisor and the remainder a Vect.  For an
+    :class:`_IntRow` xi, as the completion passes, nothing becomes a
+    payload: the quotients are a dict from divisor index to the nonzero
+    quotient, ``{exponent: (n, d)}`` with each term n/d, d > 0, and the
+    remainder is an _IntRow.  The division itself is :func:`_divide`.
     """
     if not divisors:
         raise EmptyDivisorList("no divisors given")
     divisors = _Divisors.of(divisors, order)
     module = xi.module
+    if isinstance(xi, (_IntRow, _IntVect)):
+        work, den = dict(xi.nums), xi.den
+    else:
+        work, den = _to_ints(xi.data.items())
+    quotients, den = _divide(work, den, divisors, order)
+    if isinstance(xi, _IntRow):
+        return quotients, _IntRow(module, work, den)
     A = module.algebra
+    p = A.field.characteristic
+    zero = A.zero()
+    # the remainder's terms in the order they were popped, greatest first
+    rem = {m: work[m] for m in sorted(work, key=order.key, reverse=True)}
+    return (
+        [Poly._of(A, {e: n if p else Fraction(n, d)
+                      for e, (n, d) in quotients[i].items()})
+         if i in quotients else zero
+         for i in range(len(divisors))],
+        Vect._of(module, _from_ints(rem, den, p)),
+    )
+
+
+def _divide(work: Dict[ModMonomial, int], den: int, divisors: _Divisors,
+            order: ModOrder) -> Tuple[Dict[int, Dict[ExpVec, tuple]], int]:
+    """The division loop of :func:`left_divide_module` on ``work`` over
+    ``den`` (module docstring), in place: ``work`` ends as the
+    remainder's numerators, over the denominator returned with the
+    quotients (as :func:`left_divide_module` gives them for an
+    :class:`_IntRow`).
+
+    ``pending`` holds the (key, monomial) pairs of the terms of
+    ``work`` not yet popped, in ascending order, one per monomial; a
+    popped term no divisor divides stays in ``work`` as a remainder
+    term.  ``order`` must restrict to the algebra's order on each
+    component, so that a^alpha * g leads with a^alpha times the lead of
+    g.
+    """
+    A = divisors[0].module.algebra
     p = A.field.characteristic
     mono_mul = A.mono_mul
     key = order.key
     find = divisors.find
-    quotients: Dict[int, Dict[ExpVec, object]] = {}
-    remainder: Dict[ModMonomial, object] = {}
-    work, den = _to_ints(xi.data.items())
+    quotients: Dict[int, Dict[ExpVec, tuple]] = {}
     get = work.get
     pending = sorted((key(m), m) for m in work)
     cap = 2 * den.bit_length() + _CONTENT_BITS
@@ -685,8 +859,8 @@ def left_divide_module(
             continue
         entry = find(wm)
         if entry is None:
-            del work[wm]
-            remainder[wm] = a if p else Fraction(a, den)
+            if p:
+                work[wm] = a
             continue
         i, lexp, lead, row, row_den, content = entry
         alpha = tuple(y - x for x, y in zip(lexp, wm[0]))
@@ -698,7 +872,7 @@ def left_divide_module(
         # subtract c * a^alpha * row, c = a / (den * t / mu.denominator)
         if p:
             s = a * pow(t, -1, p) % p
-            q[alpha] = s
+            q[alpha] = (s, 1)
         else:
             # work * b over den * b, minus s * a^alpha * row: b is the
             # least multiplier that keeps the numerators integral
@@ -707,12 +881,12 @@ def left_divide_module(
             s, b = a // g, t // g
             if b < 0:
                 s, b = -s, -b
-            q[alpha] = Fraction(s * row_den, den * b * content)
             if b != 1:
                 _scale(work, b)
                 den *= b
+            q[alpha] = (s * row_den, den * content)
         s = -s
-        for (e, comp), ce in row:
+        for (e, comp), ce in row.items():
             sc = s * ce
             for e2, x in mono_mul(alpha, e):
                 xd = x.denominator
@@ -737,12 +911,7 @@ def left_divide_module(
         if den.bit_length() > cap:
             den = _remove_content(work, den)
             cap = 2 * den.bit_length() + _CONTENT_BITS
-    zero = A.zero()
-    return (
-        [Poly._of(A, quotients[i]) if i in quotients else zero
-         for i in range(len(divisors))],
-        Vect._of(module, remainder),
-    )
+    return quotients, den
 
 
 def opposite_order(order: ModOrder) -> ModOrder:

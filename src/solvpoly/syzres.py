@@ -31,9 +31,12 @@ that a resolution's maps compose to zero.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub, reversed_poly
+from .algebra import (
+    Poly, SolvableAlgebra, exp_max, exp_sub, reversed_poly, zero_exp,
+)
 from .modfree import (
     FreeModule,
     ModMonomial,
@@ -41,9 +44,13 @@ from .modfree import (
     NotAGroebnerBasis,
     Vect,
     _Divisors,
+    _IntRow,
     _IntSum,
+    _IntVect,
+    _int_form,
     _row_from_ints,
     _row_to_ints,
+    _terms_to_ints,
     left_divide_module,
     opposite_order,
 )
@@ -75,7 +82,8 @@ class PresentationMatrix:
     basis vector of the source; the map sends a coordinate row
     ``(f_1..f_t)`` to ``(f)Q`` with coefficients kept on the left.
     The column count ``cols`` is read off the rows; a matrix with no
-    rows must be given it.
+    rows must be given it.  A matrix made by :meth:`of_ints` holds its
+    rows in integer form and builds ``entries`` on first read.
     """
 
     def __init__(
@@ -97,6 +105,30 @@ class PresentationMatrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
+    def of_ints(
+        cls, algebra: SolvableAlgebra, rows: Sequence[Tuple[dict, int]],
+        cols: int,
+    ) -> "PresentationMatrix":
+        """The matrix whose row i is ``rows[i]`` in the ``(nums, den)``
+        form of :class:`solvpoly.modfree._IntSum`, entry j on component
+        j, as a vector's integer form is (:func:`_int_form`)."""
+        M = cls.__new__(cls)
+        M.algebra, M.rows, M.cols = algebra, len(rows), cols
+        M._ints = list(rows)
+        return M
+
+    @cached_property
+    def entries(self) -> List[List[Poly]]:
+        return [_row_from_ints(self.algebra, *row, self.cols)
+                for row in self._ints]
+
+    def int_rows(self) -> List[Tuple[dict, int]]:
+        """The rows in integer form, converted from ``entries`` once."""
+        if "_ints" not in self.__dict__:
+            self._ints = [_row_to_ints(row) for row in self.entries]
+        return self._ints
+
+    @classmethod
     def from_vects(cls, vects: Sequence[Vect], module: FreeModule):
         return cls(module.algebra, [v.to_polys() for v in vects], module.rank)
 
@@ -106,29 +138,39 @@ class PresentationMatrix:
     def compose_with(self, nxt: "PresentationMatrix") -> "PresentationMatrix":
         """Matrix of (self then nxt): the ordinary product self * nxt.
 
-        Each row of ``nxt`` is converted to integer form once, and each
-        output row is summed in one :class:`solvpoly.modfree._IntSum`
-        and converted back once.
+        Both work on their rows in integer form (:meth:`int_rows`), and
+        each output row is summed in one :class:`solvpoly.modfree._IntSum`
+        and kept in that form (:meth:`of_ints`).
         """
         if self.cols != nxt.rows:
             raise ValueError("dimension mismatch in composition")
         A = self.algebra
-        rows = [_row_to_ints(row) for row in nxt.entries]
+        rows = nxt.int_rows()
         acc = _IntSum(A)
         out = []
-        for row in self.entries:
+        for nums, den in self.int_rows():
             acc.start()
-            for f, v in zip(row, rows):
-                if f:
-                    acc.add_lmul(1, f, v)
-            out.append(_row_from_ints(A, *acc.finish(), nxt.cols))
-        return PresentationMatrix(A, out, nxt.cols)
+            for j, f in _by_column(nums).items():
+                acc.add_lmul(1, (f, den), rows[j])
+            out.append(acc.finish())
+        return PresentationMatrix.of_ints(A, out, nxt.cols)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not any(nums for nums, _ in self.int_rows())
 
     def __repr__(self):
         return "PresentationMatrix(%dx%d)" % (self.rows, self.cols)
+
+
+def _by_column(nums: Dict[ModMonomial, int]) -> Dict[int, Dict[tuple, int]]:
+    """The numerators of an integer row split into its entries."""
+    cols: Dict[int, Dict[tuple, int]] = {}
+    for (e, j), n in nums.items():
+        col = cols.get(j)
+        if col is None:
+            col = cols[j] = {}
+        col[e] = n
+    return cols
 
 
 class Resolution:
@@ -200,12 +242,13 @@ class SyzygyGenerators:
         """Every generator evaluates to exactly zero on the targets: the
         product S T is zero, S the generators and T the targets as rows.
         """
-        S = PresentationMatrix(
-            self.module.algebra,
-            [s.to_polys() for s in self.elements],
-            len(self.targets),
+        A = self.module.algebra
+        S = PresentationMatrix.of_ints(
+            A, [_int_form(s) for s in self.elements], len(self.targets)
         )
-        T = PresentationMatrix.from_vects(self.targets, self.target_module)
+        T = PresentationMatrix.of_ints(
+            A, [_int_form(v) for v in self.targets], self.target_module.rank
+        )
         return S.compose_with(T).is_zero()
 
     def __len__(self):
@@ -261,9 +304,11 @@ def _schreyer_rows(
     division (:func:`_schreyer_lead`); only the pairs whose leads form
     the minimal antichain are divided, in the order
     :func:`solvpoly.groebner._minimal_indices` gives.  No row is zero,
-    as its lead cannot cancel.
+    as its lead cannot cancel.  Each row is summed on ints from the
+    quotients and the pair's multipliers, whose monomials are distinct:
+    every quotient term maps below gamma.
     """
-    A = syz_module.algebra
+    p = syz_module.algebra.field.characteristic
     t = len(elements)
     divisors = _Divisors.of(elements, order)
     lms = divisors.leads
@@ -277,22 +322,24 @@ def _schreyer_rows(
     rows: List[Vect] = []
     for k in _minimal_indices(leads, syz_order):
         i, j = pairs[k]
-        S, ci, expi, cj, expj, _, _ = _spair_data(
-            elements[i], elements[j], order
-        )
-        if S.is_zero():
-            quotients: List[Poly] = [A.zero()] * t
-        else:
-            quotients, rem = left_divide_module(S, divisors, order)
+        (nums, den), fi, expi, fj, expj = _spair_data(divisors, i, j)
+        terms = {}
+        if nums:
+            quotients, rem = left_divide_module(
+                _IntRow(elements[i].module, nums, den), divisors, order
+            )
             if not rem.is_zero():
                 raise NotAGroebnerBasis(
                     "an S-vector does not reduce to zero; the input "
                     "is not a left Groebner basis"
                 )
-        coords = list(quotients)
-        coords[i] = coords[i] - A.monomial(expi, ci)
-        coords[j] = coords[j] + A.monomial(expj, cj)
-        rows.append(syz_module.from_polys(coords))
+            for g, q in quotients.items():
+                for e, c in q.items():
+                    terms[(e, g)] = c
+        n, d = fi[expi]
+        terms[(expi, i)] = (p - n if p else -n, d)
+        terms[(expj, j)] = fj[expj]
+        rows.append(_IntVect(syz_module, *_terms_to_ints(terms)))
     return rows
 
 
@@ -321,15 +368,24 @@ def _lift_syzygies(G: GroebnerBasis, out_module: FreeModule) -> List[Vect]:
     and zero rows are dropped.  An empty basis gives UV - E = -E.
     """
     A = out_module.algebra
+    p = A.field.characteristic
     m, t = len(G.inputs), len(G.elements)
-    S = [s.to_polys() for s in syzygy_of_gb(G).elements]
-    rows = PresentationMatrix(A, S + G.U, t).compose_with(
-        PresentationMatrix(A, G.V, m)
-    ).entries
-    for i, row in enumerate(rows[len(rows) - m:]):
-        row[i] = row[i] - A.one()
-    lifted = [out_module.from_polys(coords) for coords in rows]
-    return [v for v in lifted if not v.is_zero()]
+    S = [_int_form(s) for s in syzygy_of_gb(G).elements]
+    U = [_row_to_ints(row) for row in G.U]
+    rows = PresentationMatrix.of_ints(A, S + U, t).compose_with(
+        PresentationMatrix.of_ints(A, G.V_ints(range(t)), m)
+    ).int_rows()
+    unit = zero_exp(A.n)
+    for i, (nums, den) in enumerate(rows[len(rows) - m:]):
+        e = (unit, i)
+        n = nums.get(e, 0) - den
+        if p:
+            n %= p
+        if n:
+            nums[e] = n
+        else:
+            del nums[e]
+    return [_IntVect(out_module, nums, den) for nums, den in rows if nums]
 
 
 def syzygy_of_generators(U_in: Sequence[Vect], order: ModOrder) -> SyzygyGenerators:
@@ -483,16 +539,24 @@ def is_projective(
     if not columns:
         return False, None
     G = buchberger(columns, order)
+    unit = zero_exp(op.n)
     quotients = []
     for k in range(t):
-        qs, rem = left_divide_module(module.basis(k), G.elements, order)
+        qs, rem = left_divide_module(
+            _IntRow(module, {(unit, k): 1}, 1), G.elements, order
+        )
         if not rem.is_zero():
             return False, None
         quotients.append(qs)
-    used = sorted({g for qs in quotients for g, q in enumerate(qs) if q})
-    W = PresentationMatrix(
-        op, [[qs[g] for g in used] for qs in quotients], len(used)
-    ).compose_with(PresentationMatrix(op, G.V_rows(used), len(columns)))
+    used = sorted({g for qs in quotients for g in qs})
+    pos = {g: c for c, g in enumerate(used)}
+    W = PresentationMatrix.of_ints(op, [
+        _terms_to_ints({(e, pos[g]): c for g, q in qs.items()
+                        for e, c in q.items()})
+        for qs in quotients
+    ], len(used)).compose_with(
+        PresentationMatrix.of_ints(op, G.V_ints(used), len(columns))
+    )
     V = [[A.zero() for _ in range(t)] for _ in range(s)]
     for k, row in enumerate(W.entries):
         for f, j in zip(row, col_index):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from solvpoly.modfree import (
     ModOrder,
     Vect,
     _Divisors,
+    _IntRow,
     left_divide_module,
     mono_divides,
     normal_monomials,
@@ -473,6 +475,93 @@ def test_left_divide_zero_input(qheis):
     quots, rem = left_divide_module(L.zero(), [L.parse(["x", "y"])], order)
     assert [q.is_zero() for q in quots] == [True]
     assert rem.is_zero()
+
+
+def _int_remainders(A, rnd, count):
+    """Integer rows as a division leaves them: the remainders of seeded
+    random _IntRow dividends, plus over Q one row with a negative lead
+    and content 6 over 9."""
+    L = FreeModule(A, 2)
+    order = ModOrder("top", A.order, 2)
+    rows = []
+    while len(rows) < count:
+        xi = random_vect(L, rnd, max_degree=4, max_terms=4)
+        divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
+                    for _ in range(2)]
+        rem = left_divide_module(_IntRow.of(xi), divisors, order)[1]
+        if not rem.is_zero():
+            rows.append(rem)
+    if not A.field.characteristic:
+        lead = max(rows[0].nums, key=order.key)
+        nums = {m: 6 * (i + 1) for i, m in enumerate(rows[0].nums)}
+        nums[lead] = -12
+        rows.append(_IntRow(L, nums, 9))
+    return L, order, rows
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", ["weyl1", "qplane", "qheis"])
+def test_entry_of_an_integer_remainder_equals_the_monic_vects(name, p):
+    """The completion joins a remainder to its basis from its ints
+    (``_monic_row``): the vector equals the monic payload vector, the
+    inverse is that of the lead coefficient, and the prepared entry is
+    the one the monic Vect gets, ``[i, lexp, L, row, L, 1]`` with a
+    primitive row and L > 0 over Q.  qheis (lambda = 1/2) gives
+    remainders with denominators."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    L, order, rows = _int_remainders(A, random.Random(len(name) + p), 6)
+    signs = set()
+    for rem in rows:
+        payload = Vect(L, modfree._from_ints(rem.nums, rem.den, p))
+        monic = payload.monic(order)
+        g, inv = modfree._monic_row(rem, order)
+        assert g == monic
+        lc = payload.lc(order)
+        assert inv == (None if lc == 1 else A.field.inverse(lc))
+        got = _Divisors(order, [g]).entries
+        want = _Divisors(order, [monic]).entries
+        assert got == want
+        i, lexp, lead, row, den, content = got[0]
+        assert (i, lexp, den, content) == (0, g.lm(order)[0], lead, 1)
+        assert lead > 0
+        if not p:
+            assert math.gcd(*row.values()) == 1
+        signs.add(rem.nums[g.lm(order)] < 0)
+    if not p:
+        assert signs == {True, False}
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_integer_division_matches_reference(name, p):
+    """An _IntRow dividend, as the completion passes it: the quotients
+    come back as ``{index: {exponent: (n, d)}}`` holding exactly the
+    nonzero quotients, the remainder as an _IntRow, and their values
+    are the reference division's."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    rnd = random.Random(len(name) * 13 + p)
+    L = FreeModule(A, 2)
+    for kind, order in _division_orders(A, 2, rnd).items():
+        for _ in range(5):
+            xi = random_vect(L, rnd, max_degree=4, max_terms=4)
+            divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
+                        for _ in range(rnd.randint(1, 3))]
+            row = _IntRow.of(xi)
+            before = dict(row.nums)
+            quotients, rem = left_divide_module(row, divisors, order)
+            assert row.nums == before
+            want_q, want_rem = reference_left_divide(xi, divisors, order)
+            assert isinstance(rem, _IntRow) and rem.den > 0
+            assert all(rem.nums.values())
+            got_rem = modfree._from_ints(rem.nums, rem.den, p)
+            assert got_rem == want_rem.data
+            assert sorted(quotients) == [
+                i for i, q in enumerate(want_q) if q]
+            for i, q in quotients.items():
+                assert all(d > 0 for _, d in q.values())
+                terms = {e: n % p if p else Fraction(n, d)
+                         for e, (n, d) in q.items()}
+                assert A.from_terms(terms.items()) == want_q[i]
 
 
 def _key_orders(A, seed):

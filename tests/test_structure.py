@@ -9,6 +9,8 @@ The two-sided divisor list, ``presentation._FreeDivisors``, is prepared
 only through its ``of`` path: by ``free_divide``, and once up front by
 the presentation check and the bounded completion, which hand it on.
 Every name the benchmark's tracer wraps exists where it looks for it.
+Inside the completion no payload is built (the pair step, the join of
+a new element, the S-vector and the division loop).
 """
 
 import ast
@@ -96,3 +98,35 @@ def test_the_tracer_finds_every_name_it_wraps():
             assert inspect.isfunction(getattr(module(layer), name, None)), (
                 layer, name)
     assert isinstance(module("cli")._COMMANDS, dict)
+
+
+def test_no_payloads_inside_the_completion():
+    """The pair step, the join of a new element, the S-vector and the
+    division loop work on integer rows only: none of them builds a
+    Fraction, converts payloads to or from ints, or scales a Vect."""
+    inside = {
+        ("groebner", "_Engine.step_pair"),
+        ("groebner", "_Engine.append"),
+        ("groebner", "_spair_data"),
+        ("modfree", "_divide"),
+    }
+    assert inside <= set(_functions())
+    for name in ("Fraction", "_from_ints", "_to_ints", "scale"):
+        assert not inside & set(_constructions(name)), name
+
+
+def _functions():
+    """(module, Class.method or function) of every function defined."""
+    found = []
+    for path in SOURCES:
+        module = os.path.basename(path)[:-3]
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    found.append((module, ".".join(scope + [child.name])))
+                    walk(child, scope + [child.name])
+
+        with open(path) as fh:
+            walk(ast.parse(fh.read(), path), [])
+    return found
