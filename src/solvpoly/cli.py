@@ -28,14 +28,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .coeff import FieldSpec, SolvpolyError
 from .algebra import (
     DegreeFunction,
-    ExprSyntaxError,
     MalformedRelation,
     MonomialOrder,
     NonAssociative,
     Poly,
     SolvableAlgebra,
     TailOrderViolation,
-    UnknownGenerator,
     ZeroLambda,
     build_algebra,
     check_associative,
@@ -75,14 +73,6 @@ class ParseError(SolvpolyError):
         self.line = line
         self.column = column
 
-
-_INPUT_ERRORS = (
-    SchemaError,
-    ParseError,
-    UnknownGenerator,
-    MalformedRelation,
-    ExprSyntaxError,
-)
 
 # Presentations that fail solvability conditions are a mathematical
 # "no", not a malformed input.
@@ -826,16 +816,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 # meaningless unless its products associate
                 check_associative(pf.algebra)
             code, payload = handler(pf, args)
-        except _INPUT_ERRORS as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_INPUT
         except _NEGATIVE_ERRORS as exc:
             print("not solvable type: %s" % exc, file=sys.stderr)
             return EXIT_NEGATIVE
-        except (graded_ops.NotGraded, graded_ops.InhomogeneousInput,
-                groebner.NonGradedOrder) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_INPUT
         except SolvpolyError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_INPUT

@@ -127,9 +127,6 @@ class FiltrationContext:
     def rees_module(self, module: FreeModule) -> FreeModule:
         return FreeModule(self.rees().algebra, module.rank, module.shifts)
 
-    def fil_degree(self, xi: Element) -> int:
-        return fil_degree(self, xi)
-
     def __repr__(self):
         return "FiltrationContext(%r)" % (list(self.degree.weights),)
 

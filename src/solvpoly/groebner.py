@@ -13,8 +13,9 @@ combination of the inputs, is built from those traces on first read,
 each row summed on plain ints (integer numerators over one denominator
 over Q, one reduction per row over GF(p)).
 :meth:`GroebnerBasis.V_ints` builds only some rows, in integer form.
-:attr:`GroebnerBasis.U`, which writes every input in the basis,
-divides the inputs by the basis on first read.
+:attr:`GroebnerBasis.U`, which writes every input in the basis, is
+built the same way from :attr:`GroebnerBasis.U_ints`, the division
+quotients of the inputs by the basis, computed on first read.
 
 Inside the loop every vector is an integer row (integer numerators
 over one positive denominator; the residues over GF(p)): each S-vector
@@ -79,10 +80,10 @@ from .modfree import (
     NotAGroebnerBasis,
     Vect,
     _Divisors,
-    _IntRow,
     _IntSum,
     _IntVect,
     _monic_row,
+    _quotient_row,
     _row_from_ints,
     _row_to_ints,
     _terms_to_ints,
@@ -130,13 +131,6 @@ class Staircase:
             mins.append(keep)
         self.rank = rank
         self.by_component = mins
-
-    def monomials(self) -> List[Tuple[ExpVec, int]]:
-        return [
-            (e, comp)
-            for comp, exps in enumerate(self.by_component)
-            for e in exps
-        ]
 
     def __eq__(self, other):
         return (
@@ -218,8 +212,8 @@ class GroebnerBasis:
     ``elements[k] = sum_j V[k][j] * inputs[j]`` and
     ``inputs[j] = sum_k U[j][k] * elements[k]``.
     Both are derived on first read: ``V`` from the trace of the
-    completion (see :attr:`V` and :meth:`V_ints`), ``U`` from the
-    elements (see :attr:`U`).
+    completion (see :attr:`V` and :meth:`V_ints`), ``U`` by dividing
+    the inputs by the elements (see :attr:`U_ints`).
     V is held only as a ``(trace, steps)`` pair, step ``steps[k]`` of
     the trace deriving row k; the ``V`` argument is such a pair or the
     rows themselves, which become given steps of a fresh trace.
@@ -265,28 +259,38 @@ class GroebnerBasis:
         return self._trace.rows([self._steps[k] for k in ks])
 
     @cached_property
-    def U(self) -> Optional[List[List[Poly]]]:
+    def U_ints(self) -> Optional[List[Tuple[dict, int]]]:
         """Row j holds the quotients of ``inputs[j]`` divided by the
-        elements (a zero row for a zero input), computed on first read.
-        None for truncated bases: inputs of degree beyond the cap need
-        not reduce to zero.  Raises NotAGroebnerBasis when an input
-        leaves a nonzero remainder.
+        elements in integer form (a zero row for a zero input), computed
+        on first read.  None for truncated bases: inputs of degree
+        beyond the cap need not reduce to zero.  Raises
+        NotAGroebnerBasis when an input leaves a nonzero remainder.
         """
         if self.flags["truncation_degree"] is not None:
             return None
-        A = self.module.algebra
-        U: List[List[Poly]] = []
+        basis = _Divisors.of(self.elements, self.order)
+        pos = range(len(basis))
+        rows = []
         for xi in self.inputs:
             if xi.is_zero():
-                U.append([A.zero() for _ in self.elements])
+                rows.append(({}, 1))
                 continue
-            quotients, rem = left_divide_module(xi, self.elements, self.order)
+            quotients, rem = left_divide_module(xi, basis, self.order)
             if not rem.is_zero():
                 raise NotAGroebnerBasis(
                     "input does not reduce to zero against the computed basis"
                 )
-            U.append(quotients)
-        return U
+            rows.append(_quotient_row(quotients, pos))
+        return rows
+
+    @cached_property
+    def U(self) -> Optional[List[List[Poly]]]:
+        """Row j writes ``inputs[j]`` in the elements, built from
+        :attr:`U_ints` on first read; None for truncated bases."""
+        if self.U_ints is None:
+            return None
+        A, t = self.module.algebra, len(self.elements)
+        return [_row_from_ints(A, *row, t) for row in self.U_ints]
 
     def __len__(self):
         return len(self.elements)
@@ -371,10 +375,11 @@ def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
 class _Engine:
     """Shared state of the Buchberger-style completion loops.
 
-    Every vector inside the loop is an integer row: the S-vector as
-    :func:`_spair_data` sums it, the remainder as the division leaves it
-    (:class:`solvpoly.modfree._IntRow`), and each basis element as the
-    primitive row its :class:`solvpoly.modfree._Divisors` entry holds.
+    Every vector inside the loop is an integer row
+    (:class:`solvpoly.modfree._IntVect`): the S-vector as
+    :func:`_spair_data` sums it, the remainder as the division leaves
+    it, and each basis element as the primitive row its
+    :class:`solvpoly.modfree._Divisors` entry holds.
     """
 
     def __init__(self, module: FreeModule, order: ModOrder, n_inputs: int):
@@ -388,7 +393,7 @@ class _Engine:
         self._pair_counter = 0
         self.pair_cap: Optional[int] = None
 
-    def append(self, v: _IntRow, unit: Optional[int], terms: list) -> int:
+    def append(self, v: Vect, unit: Optional[int], terms: list) -> int:
         """Add v monic, traced as ``unit`` plus ``terms`` (see
         :class:`_Trace`, whose step t is element t); pairs it with the
         earlier elements."""
@@ -413,14 +418,6 @@ class _Engine:
                 continue
             heapq.heappush(self.heap, (deg, self._pair_counter, i, t))
             self._pair_counter += 1
-
-    def reduce(self, v: _IntRow) -> Tuple[dict, _IntRow]:
-        """Quotients and remainder of v by the basis (quotients as
-        :func:`solvpoly.modfree.left_divide_module` gives them for an
-        integer row)."""
-        if not self.basis:
-            return {}, v
-        return left_divide_module(v, self.basis, self.order)
 
     def chain_prunes(self, i: int, j: int) -> bool:
         """Buchberger's chain criterion (module docstring) for the popped
@@ -455,7 +452,9 @@ class _Engine:
         (nums, den), fi, _, fj, _ = data
         if not nums:
             return None
-        quotients, eta = self.reduce(_IntRow(self.module, nums, den))
+        quotients, eta = left_divide_module(
+            _IntVect(self.module, nums, den), self.basis, self.order
+        )
         if eta.is_zero():
             return None
         terms = [(1, fi, i), (-1, fj, j)]
@@ -474,8 +473,9 @@ class _Engine:
 
 
 def _minus(quotients: Dict[int, dict], srcs: Sequence[int]) -> list:
-    """Trace terms subtracting each quotient ``quotients[k]`` (as the
-    division of an integer row gives them) times step ``srcs[k]``."""
+    """Trace terms subtracting each quotient ``quotients[k]`` (as
+    :func:`solvpoly.modfree.left_divide_module` gives them) times step
+    ``srcs[k]``."""
     return [(-1, quotients[k], srcs[k]) for k in sorted(quotients)]
 
 
@@ -493,7 +493,7 @@ def _seeded_engine(inputs: List[Vect], order: ModOrder) -> _Engine:
     eng = _Engine(_common_module(inputs), order, len(inputs))
     for j, xi in enumerate(inputs):
         if not xi.is_zero():
-            eng.append(_IntRow.of(xi), j, [])
+            eng.append(xi, j, [])
     return eng
 
 
@@ -557,7 +557,7 @@ def degree_driven_completion(
         while w_pos < len(W) and W[w_pos][0] == n:
             _, j, xi = W[w_pos]
             w_pos += 1
-            quotients, eta = eng.reduce(_IntRow.of(xi))
+            quotients, eta = left_divide_module(xi, eng.basis, order)
             if eta.is_zero():
                 continue
             kept.append(j)
@@ -625,7 +625,7 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
         lm = basis.leads[i]
         tail = {m: n * content for m, n in row.items() if m != lm}
         quotients, rem = left_divide_module(
-            _IntRow(module, tail, den), basis, order
+            _IntVect(module, tail, den), basis, order
         )
         if not quotients:
             continue
@@ -633,7 +633,7 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
         d = lcm(den, rem.den)
         nums = {m: n * (d // rem.den) for m, n in rem.nums.items()}
         nums[lm] = content * lead * (d // den)
-        g, inv = _monic_row(_IntRow(module, nums, d), order)
+        g, inv = _monic_row(_IntVect(module, nums, d), order)
         # row i - sum q_k * row k, over the rows as they stand now
         terms = [(1, one, steps[i])] + _minus(quotients, steps)
         basis.replace(i, g)
@@ -658,8 +658,6 @@ def is_member(xi: Vect, G: GroebnerBasis) -> Tuple[bool, Vect]:
     the tests' normal-form reference against a finished basis."""
     if xi.is_zero():
         return True, xi
-    if not G.elements:
-        return False, xi
     _, rem = left_divide_module(xi, G.elements, G.order)
     return rem.is_zero(), rem
 
@@ -685,7 +683,7 @@ def member_by_completion(
     if not inputs:
         return False, xi
     eng = _seeded_engine(inputs, order)
-    rem = eng.reduce(_IntRow.of(xi))[1]
+    rem = left_divide_module(xi, eng.basis, order)[1]
 
     def reduced_to_zero(t: int) -> bool:
         nonlocal rem
@@ -696,7 +694,7 @@ def member_by_completion(
 
     if not rem.is_zero():
         eng.run_pairs(reduced_to_zero)
-    return rem.is_zero(), _IntVect(xi.module, rem.nums, rem.den)
+    return rem.is_zero(), rem
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ that lets it subtract an integer multiple of the divisor's row, and
 divides the content out only once the denominator has doubled in size;
 over GF(p) nothing is reduced mod p until a term is popped.  The
 remainder stays in that dict, so one rescaling covers it too, and each
-quotient term is kept as an integer pair.  Inside the completion the
-dividend and the remainder are :class:`_IntRow` s and the quotients
-stay integer pairs; only a :class:`Vect` dividend gets payloads back,
-one per quotient and remainder term.  A vector the completion makes
-(a basis element, a Schreyer row, a normal form) is an
-:class:`_IntVect`, whose payloads are built on the first read of its
-``data``.  Order keys are memoised per order object
+quotient term is kept as an integer pair.  Every dividend gets the same
+result: the nonzero quotients as integer pairs and the remainder as an
+:class:`_IntVect`.  That is the one integer-backed vector: a vector the
+division or the completion makes (a remainder, a basis element, a
+Schreyer row, a normal form) builds its payloads only on the first
+read of its ``data``.  Order keys are memoised per order object
 (:meth:`ModOrder.key`, :meth:`MonomialOrder.key`), so memory grows with
 the distinct monomials seen and is freed with the order.
 A right-sided question is a left one over the opposite algebra
@@ -36,8 +35,8 @@ Left combinations of vectors whose payloads are not needed term by
 term (the rows of a transition matrix, the rows of a product of
 matrices over the algebra, S-vectors and left multiples) are summed by
 :class:`_IntSum` on plain ints; :func:`_row_to_ints`,
-:func:`_row_from_ints`, :func:`_int_form` and :func:`_terms_to_ints`
-convert to that form and back.
+:func:`_row_from_ints`, :func:`_int_form`, :func:`_terms_to_ints` and
+:func:`_quotient_row` convert to that form and back.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .algebra import (
 
 __all__ = [
     "IncompatibleModules",
-    "EmptyDivisorList",
     "NotAGroebnerBasis",
     "InfiniteMarker",
     "FreeModule",
@@ -80,10 +78,6 @@ ModMonomial = Tuple[ExpVec, int]
 
 class IncompatibleModules(SolvpolyError):
     """Elements of different free modules were combined."""
-
-
-class EmptyDivisorList(SolvpolyError):
-    """Division requested against an empty divisor list."""
 
 
 class NotAGroebnerBasis(SolvpolyError):
@@ -324,9 +318,9 @@ class _IntVect(Vect):
     """A vector held as integer numerators ``nums`` over one positive
     denominator ``den`` (over GF(p) the nonzero residues over 1), no
     zero kept; its payloads are built on the first read of ``data``.
-    The completion's basis elements, Schreyer rows and normal forms are
-    of this kind, so an element that is never printed or compared never
-    becomes payloads."""
+    Division remainders and the completion's basis elements, Schreyer
+    rows and normal forms are of this kind, so an element that is never
+    printed or compared never becomes payloads."""
 
     __slots__ = ("nums", "den")
 
@@ -357,28 +351,6 @@ class _IntVect(Vect):
         return max(self.nums, key=order.key)
 
 
-class _IntRow:
-    """An element of ``module`` inside the completion, in the form of
-    :class:`_IntVect` but not a :class:`Vect`: :func:`left_divide_module`
-    divides it on ints and returns its quotients as integer pairs and
-    its remainder as another one."""
-
-    __slots__ = ("module", "nums", "den")
-
-    def __init__(self, module: FreeModule, nums: Dict[ModMonomial, int],
-                 den: int):
-        self.module = module
-        self.nums = nums
-        self.den = den
-
-    @classmethod
-    def of(cls, v: Vect) -> "_IntRow":
-        return cls(v.module, *_int_form(v))
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-
 def _int_form(v: Vect) -> Tuple[Dict[ModMonomial, int], int]:
     """``(nums, den)`` of a vector: an :class:`_IntVect`'s own, shared
     (not to be changed), or a fresh conversion of the payloads."""
@@ -401,11 +373,19 @@ def _terms_to_ints(terms: Dict[object, Tuple[int, int]]) -> Tuple[dict, int]:
     return nums, _remove_content(nums, den)
 
 
-def _monic_row(v: _IntRow, order: "ModOrder") -> Tuple[_IntVect, object]:
+def _quotient_row(quotients: Dict[int, Dict[ExpVec, tuple]],
+                  pos: Sequence[int]) -> Tuple[dict, int]:
+    """The quotients of a division (:func:`left_divide_module`) as one
+    row in integer form, quotient i on component ``pos[i]``."""
+    return _terms_to_ints({(e, pos[i]): c for i, q in quotients.items()
+                           for e, c in q.items()})
+
+
+def _monic_row(v: Vect, order: "ModOrder") -> Tuple[_IntVect, object]:
     """``v`` made monic and the payload inv with ``monic = inv * v``
     (None for one).  Over Q the monic vector is the primitive row with a
     positive lead L over L; over GF(p) its residues over 1."""
-    nums, den = v.nums, v.den
+    nums, den = _int_form(v)
     lm = max(nums, key=order.key)
     lead = nums[lm]
     p = v.module.algebra.field.characteristic
@@ -784,45 +764,32 @@ class _Divisors(list):
         list.__setitem__(self, i, d)
 
 
-def left_divide_module(xi, divisors: Sequence[Vect], order: ModOrder):
+def left_divide_module(
+    xi: Vect, divisors: Sequence[Vect], order: ModOrder
+) -> Tuple[Dict[int, Dict[ExpVec, tuple]], Vect]:
     """Left division of xi by an ordered divisor list.
 
     Returns (quotients, remainder) with
-    ``xi = sum_i quotients[i] * divisors[i] + remainder``; no monomial
-    of the remainder is left-divisible by any divisor's leading
-    monomial.  Ties go to the least divisor index.  ``divisors`` is
-    prepared (:class:`_Divisors`) unless it already is, for ``order``.
+    ``xi = sum_i q_i * divisors[i] + remainder``; no monomial of the
+    remainder is left-divisible by any divisor's leading monomial.  Ties
+    go to the least divisor index.  ``divisors`` is prepared
+    (:class:`_Divisors`) unless it already is, for ``order``.
 
-    For a :class:`Vect` xi the quotients are a list of one
-    :class:`Poly` per divisor and the remainder a Vect.  For an
-    :class:`_IntRow` xi, as the completion passes, nothing becomes a
-    payload: the quotients are a dict from divisor index to the nonzero
-    quotient, ``{exponent: (n, d)}`` with each term n/d, d > 0, and the
-    remainder is an _IntRow.  The division itself is :func:`_divide`.
+    Nothing becomes a payload: the quotients are a dict from divisor
+    index i to the nonzero quotient q_i, ``{exponent: (n, d)}`` with
+    each term n/d, d > 0, and the remainder is an :class:`_IntVect`
+    whose terms come greatest first.  An empty list leaves xi as the
+    remainder.  The division itself is :func:`_divide`.
     """
     if not divisors:
-        raise EmptyDivisorList("no divisors given")
+        return {}, xi
     divisors = _Divisors.of(divisors, order)
-    module = xi.module
-    if isinstance(xi, (_IntRow, _IntVect)):
-        work, den = dict(xi.nums), xi.den
-    else:
-        work, den = _to_ints(xi.data.items())
+    nums, den = _int_form(xi)
+    work = dict(nums)
     quotients, den = _divide(work, den, divisors, order)
-    if isinstance(xi, _IntRow):
-        return quotients, _IntRow(module, work, den)
-    A = module.algebra
-    p = A.field.characteristic
-    zero = A.zero()
     # the remainder's terms in the order they were popped, greatest first
     rem = {m: work[m] for m in sorted(work, key=order.key, reverse=True)}
-    return (
-        [Poly._of(A, {e: n if p else Fraction(n, d)
-                      for e, (n, d) in quotients[i].items()})
-         if i in quotients else zero
-         for i in range(len(divisors))],
-        Vect._of(module, _from_ints(rem, den, p)),
-    )
+    return quotients, _IntVect(xi.module, rem, den)
 
 
 def _divide(work: Dict[ModMonomial, int], den: int, divisors: _Divisors,
@@ -830,8 +797,7 @@ def _divide(work: Dict[ModMonomial, int], den: int, divisors: _Divisors,
     """The division loop of :func:`left_divide_module` on ``work`` over
     ``den`` (module docstring), in place: ``work`` ends as the
     remainder's numerators, over the denominator returned with the
-    quotients (as :func:`left_divide_module` gives them for an
-    :class:`_IntRow`).
+    quotients (as :func:`left_divide_module` gives them).
 
     ``pending`` holds the (key, monomial) pairs of the terms of
     ``work`` not yet popped, in ascending order, one per monomial; a

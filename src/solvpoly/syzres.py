@@ -44,10 +44,10 @@ from .modfree import (
     NotAGroebnerBasis,
     Vect,
     _Divisors,
-    _IntRow,
     _IntSum,
     _IntVect,
     _int_form,
+    _quotient_row,
     _row_from_ints,
     _row_to_ints,
     _terms_to_ints,
@@ -129,8 +129,13 @@ class PresentationMatrix:
         return self._ints
 
     @classmethod
-    def from_vects(cls, vects: Sequence[Vect], module: FreeModule):
-        return cls(module.algebra, [v.to_polys() for v in vects], module.rank)
+    def from_vects(
+        cls, vects: Sequence[Vect], module: FreeModule
+    ) -> "PresentationMatrix":
+        """The matrix whose rows are ``vects``, kept in integer form."""
+        return cls.of_ints(
+            module.algebra, [_int_form(v) for v in vects], module.rank
+        )
 
     def row_vect(self, i: int, target: FreeModule) -> Vect:
         return target.from_polys(self.entries[i])
@@ -326,7 +331,7 @@ def _schreyer_rows(
         terms = {}
         if nums:
             quotients, rem = left_divide_module(
-                _IntRow(elements[i].module, nums, den), divisors, order
+                _IntVect(elements[i].module, nums, den), divisors, order
             )
             if not rem.is_zero():
                 raise NotAGroebnerBasis(
@@ -371,8 +376,7 @@ def _lift_syzygies(G: GroebnerBasis, out_module: FreeModule) -> List[Vect]:
     p = A.field.characteristic
     m, t = len(G.inputs), len(G.elements)
     S = [_int_form(s) for s in syzygy_of_gb(G).elements]
-    U = [_row_to_ints(row) for row in G.U]
-    rows = PresentationMatrix.of_ints(A, S + U, t).compose_with(
+    rows = PresentationMatrix.of_ints(A, S + G.U_ints, t).compose_with(
         PresentationMatrix.of_ints(A, G.V_ints(range(t)), m)
     ).int_rows()
     unit = zero_exp(A.n)
@@ -543,18 +547,16 @@ def is_projective(
     quotients = []
     for k in range(t):
         qs, rem = left_divide_module(
-            _IntRow(module, {(unit, k): 1}, 1), G.elements, order
+            _IntVect(module, {(unit, k): 1}, 1), G.elements, order
         )
         if not rem.is_zero():
             return False, None
         quotients.append(qs)
     used = sorted({g for qs in quotients for g in qs})
     pos = {g: c for c, g in enumerate(used)}
-    W = PresentationMatrix.of_ints(op, [
-        _terms_to_ints({(e, pos[g]): c for g, q in qs.items()
-                        for e, c in q.items()})
-        for qs in quotients
-    ], len(used)).compose_with(
+    W = PresentationMatrix.of_ints(
+        op, [_quotient_row(qs, pos) for qs in quotients], len(used)
+    ).compose_with(
         PresentationMatrix.of_ints(op, G.V_ints(used), len(columns))
     )
     V = [[A.zero() for _ in range(t)] for _ in range(s)]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +86,16 @@ def random_vect(L: FreeModule, rnd: random.Random, max_degree=3,
     if nonzero and v.is_zero():
         return L.basis(rnd.randrange(L.rank))
     return v
+
+
+def quotient_polys(A, quotients, count):
+    """The quotients of a left division, ``{index: {exponent: (n, d)}}``
+    as :func:`solvpoly.modfree.left_divide_module` gives them, as a list
+    of ``count`` ring elements, zero where none is given."""
+    p = A.field.characteristic
+    return [A.from_terms((e, n % p if p else Fraction(n, d))
+                         for e, (n, d) in quotients.get(i, {}).items())
+            for i in range(count)]
 
 
 def reversed_vect(v: Vect, target: FreeModule) -> Vect:

@@ -17,13 +17,13 @@ from solvpoly.modfree import (
     ModOrder,
     Vect,
     _Divisors,
-    _IntRow,
+    _IntVect,
     left_divide_module,
     mono_divides,
     normal_monomials,
 )
 
-from conftest import over, random_poly, random_vect
+from conftest import over, quotient_polys, random_poly, random_vect
 from oracles import reference_left_divide
 
 BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -154,7 +154,7 @@ def test_left_divide_module_reconstructs(weyl1, rng):
         divisors = [random_vect(L, rng, nonzero=True) for _ in range(2)]
         quots, rem = left_divide_module(xi, divisors, order)
         rebuilt = rem
-        for q, d in zip(quots, divisors):
+        for q, d in zip(quotient_polys(weyl1, quots, 2), divisors):
             rebuilt = rebuilt + d.lmul(q)
         assert rebuilt == xi
         # remainder terms are normal modulo the divisor leading monomials
@@ -184,6 +184,7 @@ def _division_orders(A, rank, rng):
 def _same_division(got, want):
     """Identical quotients and remainder, down to term order."""
     (gq, grem), (wq, wrem) = got, want
+    gq = quotient_polys(wrem.module.algebra, gq, len(wq))
     assert [q.terms for q in gq] == [q.terms for q in wq]
     assert list(grem.data.items()) == list(wrem.data.items())
 
@@ -227,8 +228,7 @@ def test_left_divide_least_index_wins_on_equal_leads(qplane, rng):
         xi = random_vect(L, rng, max_degree=4, max_terms=4) + L.parse(
             ["x^2*y^3", "0"])
         got = left_divide_module(xi, divisors, order)
-        assert not got[0][0].is_zero()
-        assert got[0][1].is_zero() and got[0][2].is_zero()
+        assert list(got[0]) == [0]
         _same_division(got, reference_left_divide(xi, divisors, order))
 
 
@@ -330,8 +330,9 @@ def test_left_divide_mod_p_cancelled_term_reappears(monkeypatch):
     xy = ((1, 1), 0)
     assert [xy in left for left in steps] == [
         True, True, False, False, False, True, False]
+    _same_division(left_divide_module(xi, divisors, order), want)
     seen = []
-    to_ints = modfree._to_ints
+    divide = modfree._divide
 
     class Watched(dict):
         def __setitem__(self, m, n):
@@ -339,9 +340,9 @@ def test_left_divide_mod_p_cancelled_term_reappears(monkeypatch):
                 seen.append(n)
             dict.__setitem__(self, m, n)
 
-    monkeypatch.setattr(modfree, "_to_ints",
-                        lambda items: (Watched(to_ints(items)[0]), 1))
-    _same_division(left_divide_module(xi, divisors, order), want)
+    monkeypatch.setattr(modfree, "_divide",
+                        lambda work, *rest: divide(Watched(work), *rest))
+    left_divide_module(xi, divisors, order)
     assert any(n and n % 7 == 0 for n in seen)
 
 
@@ -440,7 +441,8 @@ def test_divisor_lookup_after_a_miss_and_after_a_hit(comm2):
 def test_division_runs_no_payload_arithmetic(monkeypatch):
     """Over Q, once the monomial products are cached, dividing an
     S-vector of sl2-4-q by its basis adds, subtracts and multiplies no
-    Fraction, and makes one Fraction per quotient and remainder term."""
+    Fraction and makes none: the quotients come back as integer pairs
+    and the remainder's payloads are built only when it is read."""
     pf = parse_problem(os.path.join(BENCH_CORPUS, "sl2-4-q.json"))
     order = pf.mod_order
     G = buchberger(pf.generators, order)
@@ -464,22 +466,21 @@ def test_division_runs_no_payload_arithmetic(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(creating))
     quotients, rem = left_divide_module(S, basis, order)
     monkeypatch.undo()
-    assert ops == []
-    terms = sum(len(q.terms) for q in quotients) + len(rem.data)
-    assert terms and len(made) == terms
+    assert ops == [] and made == []
+    assert quotients and rem.is_zero()
 
 
 def test_left_divide_zero_input(qheis):
     L = FreeModule(qheis, 2)
     order = ModOrder("top", qheis.order, 2)
     quots, rem = left_divide_module(L.zero(), [L.parse(["x", "y"])], order)
-    assert [q.is_zero() for q in quots] == [True]
+    assert quots == {}
     assert rem.is_zero()
 
 
 def _int_remainders(A, rnd, count):
     """Integer rows as a division leaves them: the remainders of seeded
-    random _IntRow dividends, plus over Q one row with a negative lead
+    random _IntVect dividends, plus over Q one row with a negative lead
     and content 6 over 9."""
     L = FreeModule(A, 2)
     order = ModOrder("top", A.order, 2)
@@ -488,14 +489,15 @@ def _int_remainders(A, rnd, count):
         xi = random_vect(L, rnd, max_degree=4, max_terms=4)
         divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
                     for _ in range(2)]
-        rem = left_divide_module(_IntRow.of(xi), divisors, order)[1]
+        rem = left_divide_module(_IntVect(L, *modfree._int_form(xi)),
+                                 divisors, order)[1]
         if not rem.is_zero():
             rows.append(rem)
     if not A.field.characteristic:
         lead = max(rows[0].nums, key=order.key)
         nums = {m: 6 * (i + 1) for i, m in enumerate(rows[0].nums)}
         nums[lead] = -12
-        rows.append(_IntRow(L, nums, 9))
+        rows.append(_IntVect(L, nums, 9))
     return L, order, rows
 
 
@@ -534,9 +536,9 @@ def test_entry_of_an_integer_remainder_equals_the_monic_vects(name, p):
 @pytest.mark.parametrize("p", [0, 7])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_integer_division_matches_reference(name, p):
-    """An _IntRow dividend, as the completion passes it: the quotients
+    """An _IntVect dividend, as the completion passes it: the quotients
     come back as ``{index: {exponent: (n, d)}}`` holding exactly the
-    nonzero quotients, the remainder as an _IntRow, and their values
+    nonzero quotients, the remainder as an _IntVect, and their values
     are the reference division's."""
     A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
     rnd = random.Random(len(name) * 13 + p)
@@ -546,12 +548,12 @@ def test_integer_division_matches_reference(name, p):
             xi = random_vect(L, rnd, max_degree=4, max_terms=4)
             divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
                         for _ in range(rnd.randint(1, 3))]
-            row = _IntRow.of(xi)
+            row = _IntVect(L, *modfree._int_form(xi))
             before = dict(row.nums)
             quotients, rem = left_divide_module(row, divisors, order)
             assert row.nums == before
             want_q, want_rem = reference_left_divide(xi, divisors, order)
-            assert isinstance(rem, _IntRow) and rem.den > 0
+            assert isinstance(rem, _IntVect) and rem.den > 0
             assert all(rem.nums.values())
             got_rem = modfree._from_ints(rem.nums, rem.den, p)
             assert got_rem == want_rem.data
@@ -562,6 +564,40 @@ def test_integer_division_matches_reference(name, p):
                 terms = {e: n % p if p else Fraction(n, d)
                          for e, (n, d) in q.items()}
                 assert A.from_terms(terms.items()) == want_q[i]
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_payload_and_integer_dividends_divide_alike(name, p):
+    """A payload Vect dividend and the _IntVect of the same vector get
+    one result: equal quotient dicts of integer pairs, and remainders
+    that are both _IntVects with the same items in the same order."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    rnd = random.Random(len(name) * 17 + p)
+    L = FreeModule(A, 2)
+    for kind, order in _division_orders(A, 2, rnd).items():
+        for _ in range(4):
+            xi = random_vect(L, rnd, max_degree=4, max_terms=4)
+            divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
+                        for _ in range(rnd.randint(1, 3))]
+            q, rem = left_divide_module(xi, divisors, order)
+            iq, irem = left_divide_module(
+                _IntVect(L, *modfree._int_form(xi)), divisors, order)
+            assert isinstance(q, dict) and q == iq
+            assert all(q.values())
+            assert type(rem) is _IntVect and type(irem) is _IntVect
+            assert list(rem.nums.items()) == list(irem.nums.items())
+            assert rem.den == irem.den
+            assert list(rem.data.items()) == list(irem.data.items())
+
+
+def test_division_by_an_empty_list_leaves_the_dividend(qheis):
+    L = FreeModule(qheis, 2)
+    order = ModOrder("top", qheis.order, 2)
+    xi = L.parse(["x*z + 1/2", "y"])
+    for v in (xi, _IntVect(L, *modfree._int_form(xi)), L.zero()):
+        quotients, rem = left_divide_module(v, [], order)
+        assert quotients == {} and rem is v
 
 
 def _key_orders(A, seed):

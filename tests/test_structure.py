@@ -10,7 +10,8 @@ only through its ``of`` path: by ``free_divide``, and once up front by
 the presentation check and the bounded completion, which hand it on.
 Every name the benchmark's tracer wraps exists where it looks for it.
 Inside the completion no payload is built (the pair step, the join of
-a new element, the S-vector and the division loop).
+a new element, the S-vector, the division and U's rows), and a payload
+row is converted to integer form only where it enters from a caller.
 """
 
 import ast
@@ -101,18 +102,32 @@ def test_the_tracer_finds_every_name_it_wraps():
 
 
 def test_no_payloads_inside_the_completion():
-    """The pair step, the join of a new element, the S-vector and the
-    division loop work on integer rows only: none of them builds a
-    Fraction, converts payloads to or from ints, or scales a Vect."""
+    """The pair step, the join of a new element, the S-vector, the
+    division and the rows of U work on integer rows only: none of them
+    builds a Fraction, converts payloads to or from ints, or scales a
+    Vect."""
     inside = {
         ("groebner", "_Engine.step_pair"),
         ("groebner", "_Engine.append"),
         ("groebner", "_spair_data"),
+        ("groebner", "GroebnerBasis.U_ints"),
         ("modfree", "_divide"),
+        ("modfree", "left_divide_module"),
     }
     assert inside <= set(_functions())
     for name in ("Fraction", "_from_ints", "_to_ints", "scale"):
         assert not inside & set(_constructions(name)), name
+
+
+def test_payload_rows_become_integer_rows_only_where_they_enter():
+    """A row of ring elements is converted to integer form only where a
+    caller hands one in: the given rows of a trace and the entries of a
+    matrix built from them.  Everything the package makes stays in
+    integer form until it is read."""
+    assert sorted(_constructions("_row_to_ints")) == [
+        ("groebner", "_Trace.given"),
+        ("syzres", "PresentationMatrix.int_rows"),
+    ]
 
 
 def _functions():
