@@ -10,7 +10,8 @@ Under these conditions the ordered monomials a_1^k1 ... a_n^kn form a
 K-basis and every product normalizes onto that basis.
 :class:`SolvableAlgebra` performs that normalization with a memoized
 monomial-product cache: by closed forms on tables whose tails are
-scalars, by a rewriting walk on the others.
+scalars, by a rewriting walk on the others.  Over Q the kernel holds
+integral relation constants, and so integral products, as plain ints.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import operator
 import os
 import re
+from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BadScalarLiteral, FieldSpec, SolvpolyError, _add_scaled
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 ExpVec = Tuple[int, ...]
-# (ExpVec, payload) pairs of a monomial product, lead first (see
+# (ExpVec, coefficient) pairs of a monomial product, lead first (see
 # SolvableAlgebra.mono_mul)
 Terms = Tuple[Tuple[ExpVec, object], ...]
 
@@ -483,10 +485,16 @@ class SolvableAlgebra:
     directly with ``(j, i, lam, tail_terms)`` records, ``lam`` and the
     tail's (ExpVec, payload) pairs holding field payloads.  The product
     cache, ``product_cache``, maps a pair of exponent vectors (a, b) to
-    the PBW normal form of a^a * a^b as a tuple of (ExpVec, payload)
+    the PBW normal form of a^a * a^b as a tuple of (ExpVec, coefficient)
     pairs: the lead a^(a+b) first, the other terms unsorted.  It holds
     no :class:`Poly`; its size is capped by ``cache_limit``, read from
     the SOLVPOLY_CACHE_LIMIT environment variable.
+
+    The kernel (:meth:`mono_mul` and the methods it calls) reads only
+    ``_table``, a copy of ``relations`` as ``{(j, i): (lam, tail)}``
+    whose integral constants are ints; over Q a constant with a
+    denominator stays a Fraction.  :meth:`multiply` makes Fractions of
+    the ints in its product.
 
     The relation table alone picks how :meth:`mono_mul` forms a
     monomial product: closed forms when every relation is tail-free or
@@ -519,7 +527,6 @@ class SolvableAlgebra:
         )
         self.n = len(names)
         self._units = tuple(unit_exp(self.n, k) for k in range(self.n))
-        self._one = field.one.value
         self.relations = {}
         self.product_cache = {}
         self._opposite: Optional[SolvableAlgebra] = None
@@ -536,6 +543,11 @@ class SolvableAlgebra:
                 if (j, i) not in self.relations:
                     self.relations[(j, i)] = Relation(j, i, one, self.zero())
         self._validate_relations()
+        self._table = {
+            ji: (_integral(rel.lam),
+                 tuple((e, _integral(c)) for e, c in rel.tail.terms))
+            for ji, rel in self.relations.items()
+        }
 
     def _install_relation(self, j: int, i: int, lam, tail) -> None:
         if not (0 <= i < j < self.n):
@@ -623,12 +635,14 @@ class SolvableAlgebra:
     # -- the product --------------------------------------------------------
 
     def mono_mul(self, a: ExpVec, b: ExpVec) -> Terms:
-        """PBW normal form of a^a * a^b as a tuple of (ExpVec, payload)
+        """PBW normal form of a^a * a^b as a tuple of (ExpVec, coefficient)
         pairs, memoised in ``product_cache``.  a and b are tuples, as
-        they key the cache.
+        they key the cache.  Over Q an integral coefficient may be an
+        ``int`` (on an integral table, always): read it through
+        ``numerator`` and ``denominator``.
 
         The lead a^(a+b) comes first; the other terms follow in the order
-        the product was built, not sorted (``from_terms`` makes a
+        the product was built, not sorted (:meth:`multiply` makes a
         :class:`Poly` of them).  The exponent sum is checked against 2^32
         first.  When no generator of a comes after the least generator of
         b, the product is that monomial alone.  On a table of scalar tails
@@ -654,7 +668,7 @@ class SolvableAlgebra:
         least = next((k for k, v in enumerate(b) if v), self.n)
         if not any(a[least + 1:]):
             # a^a a^b is already ordered
-            out = ((ab, self._one),)
+            out = ((ab, 1),)
         elif self._scalar_table is not None:
             out = self._closed_product(a, b, ab)
         else:
@@ -674,12 +688,11 @@ class SolvableAlgebra:
         lam != 1 and ``weyls`` the (j, i, c).
         """
         skews, weyls, paired = [], [], set()
-        for (j, i), rel in self.relations.items():
-            tail = rel.tail.terms
+        for (j, i), (lam, tail) in self._table.items():
             if not tail:
-                if rel.lam != 1:
-                    skews.append((j, i, rel.lam))
-            elif (rel.lam == 1 and len(tail) == 1 and not any(tail[0][0])
+                if lam != 1:
+                    skews.append((j, i, lam))
+            elif (lam == 1 and len(tail) == 1 and not any(tail[0][0])
                   and i not in paired and j not in paired):
                 paired.update((i, j))
                 weyls.append((j, i, tail[0][1]))
@@ -700,7 +713,7 @@ class SolvableAlgebra:
         """
         skews, weyls = self._scalar_table
         p = self.field.characteristic
-        lead = self._one
+        lead = 1
         for j, i, lam in skews:
             e = a[j] * b[i]
             if e:
@@ -712,7 +725,7 @@ class SolvableAlgebra:
                 continue
             factors = []
             t = 1  # k! C(a_j, k) C(b_i, k)
-            ck = self._one  # c^k
+            ck = 1  # c^k
             for k in range(top + 1):
                 f = t * ck % p if p else t * ck
                 if f:
@@ -741,7 +754,7 @@ class SolvableAlgebra:
             s = exp_sub(s, self._units[l])
             out = self.product_cache.get((s, b))
         if out is None:
-            out = ((b, self._one),)
+            out = ((b, 1),)
         for l, s in reversed(chain):
             out = tuple(self._add_gen_times({}, l, out, 1).items())
             self._remember(s, b, out)
@@ -806,23 +819,25 @@ class SolvableAlgebra:
         while out is None:
             i = next((idx for idx, v in enumerate(s) if v), self.n)
             if k <= i:
-                out = ((exp_add(ek, s), self._one),)
+                out = ((exp_add(ek, s), 1),)
                 break
             rest = exp_sub(s, self._units[i])
             chain.append((i, s, rest))
             s = rest
             out = self.product_cache.get((ek, s))
         for i, s, rest in reversed(chain):
-            rel = self.relations[(k, i)]
-            acc = self._add_gen_times({}, i, out, rel.lam)
-            for te, tc in rel.tail.terms:
+            lam, tail = self._table[(k, i)]
+            acc = self._add_gen_times({}, i, out, lam)
+            for te, tc in tail:
                 _add_scaled(acc, self.mono_mul(te, rest), tc, p)
             out = tuple(acc.items())
             self._remember(ek, s, out)
         return out
 
     def multiply(self, f: Poly, g: Poly) -> Poly:
-        """Product of two elements, normalized onto the PBW basis."""
+        """Product of two elements, normalized onto the PBW basis: the one
+        place a kernel product becomes a :class:`Poly`, its int
+        coefficients made Fractions over Q."""
         if f.algebra is not self or g.algebra is not self:
             raise SolvpolyError("operands built over a different algebra")
         p = self.field.characteristic
@@ -830,6 +845,10 @@ class SolvableAlgebra:
         for ea, ca in f.terms:
             for eb, cb in g.terms:
                 _add_scaled(acc, self.mono_mul(ea, eb), ca * cb, p)
+        if not p:
+            for m, c in acc.items():
+                if type(c) is int:
+                    acc[m] = Fraction(c)
         return Poly._of(self, acc)
 
     # -- parsing and printing -------------------------------------------------------
@@ -1093,8 +1112,13 @@ def check_associative(A: SolvableAlgebra) -> None:
     Schoenemann, "Plural", ISSAC 2003).  Raises NonAssociative naming
     the first triple that fails.  A triple whose three relations have
     no tail is skipped: both sides are then
-    ``lam_kj * lam_ki * lam_ji * a_i a_j a_k``.
+    ``lam_kj * lam_ki * lam_ji * a_i a_j a_k``.  A table of closed-form
+    products (:attr:`SolvableAlgebra._scalar_table`) is skipped whole:
+    it presents a quantum affine space tensored with Weyl algebras,
+    which is associative by construction.
     """
+    if A._scalar_table is not None:
+        return
     gens = [A.gen(i) for i in range(A.n)]
     rels = A.relations
     for i, j, k in itertools.combinations(range(A.n), 3):
@@ -1110,6 +1134,11 @@ def check_associative(A: SolvableAlgebra) -> None:
                 "(%s*%s)*%s - %s*(%s*%s) = %s"
                 % (a, b, c, a, b, c, A.poly_str(diff))
             )
+
+
+def _integral(c):
+    """The payload c as the product kernel holds it: an int if integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def reversed_poly(f: Poly, target: SolvableAlgebra) -> Poly:

@@ -280,20 +280,16 @@ def schreyer_order_for(G: Sequence[Vect], order: ModOrder) -> ModOrder:
     )
 
 
-def _schreyer_lead(
-    lms: Sequence[ModMonomial], i: int, j: int, syz_order: ModOrder
-) -> ModMonomial:
-    """Leading monomial of the Schreyer row of pair (i, j), known before
-    any division: the larger of (gamma - alpha_i, i) and
-    (gamma - alpha_j, j).  Both map to gamma; every quotient term maps
-    below it.
+def _schreyer_lead(lms: Sequence[ModMonomial], i: int, j: int) -> ModMonomial:
+    """Leading monomial of the Schreyer row of a same-component pair
+    i < j, known before any division: (gamma - alpha_j, j).  Both
+    (gamma - alpha_i, i) and (gamma - alpha_j, j) map to a^gamma on the
+    same target component, so the Schreyer order
+    (:func:`schreyer_order_for`) breaks their tie by the larger index;
+    every quotient term maps below a^gamma.
     """
-    gamma = exp_max(lms[i][0], lms[j][0])
-    return max(
-        (exp_sub(gamma, lms[i][0]), i),
-        (exp_sub(gamma, lms[j][0]), j),
-        key=syz_order.key,
-    )
+    alpha = lms[j][0]
+    return exp_sub(exp_max(lms[i][0], alpha), alpha), j
 
 
 def _schreyer_rows(
@@ -323,7 +319,7 @@ def _schreyer_rows(
         for j in range(i + 1, t)
         if lms[i][1] == lms[j][1]
     ]
-    leads = [_schreyer_lead(lms, i, j, syz_order) for i, j in pairs]
+    leads = [_schreyer_lead(lms, i, j) for i, j in pairs]
     rows: List[Vect] = []
     for k in _minimal_indices(leads, syz_order):
         i, j = pairs[k]

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import math
 import os
 import random
@@ -6,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from solvpoly import cli
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import (
     DegreeFunction,
@@ -490,3 +494,109 @@ def test_every_cached_product_leads_with_the_exponent_sum(name, field):
             assert isinstance(got, tuple)
             assert got[0] == B.from_terms(got).terms[0]
             assert got[0][0] == exp_add(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's copy of the table: integral constants as ints over Q
+# ---------------------------------------------------------------------------
+
+def problem_files():
+    """The bundled fixtures and every problem file of the corpus."""
+    return [corpus.path(name) for name in corpus.all_names()] + sorted(
+        os.path.join(BENCH_CORPUS, f) for f in os.listdir(BENCH_CORPUS)
+        if f.endswith(".json") and f != "manifest.json")
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(BENCH_CORPUS, name + ".json")
+    for name in ("sl2-5-q", "gkz-q", "c44-q")] + [corpus.path("weyl1")],
+    ids=os.path.basename)
+def test_integral_tables_cache_int_products(path, monkeypatch):
+    """Over Q, ``gb --reduce`` on a table whose constants are all
+    integral leaves only ints in the product cache."""
+    seen = []
+
+    def recording(source):
+        pf = parse_problem(source)
+        seen.append(pf.algebra)
+        return pf
+
+    monkeypatch.setattr(cli, "parse_problem", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--json", "gb", "--reduce", path]) == 0
+    (A,) = seen
+    assert A.field == Q and A.product_cache
+    assert all(type(c) is int
+               for terms in A.product_cache.values() for _, c in terms)
+
+
+def test_fractional_lambda_enters_only_its_own_products():
+    """On qheis over Q (z*x = 1/2*x*z, the other constants integral)
+    every product equals the word rewriting term for term, and it holds
+    only ints unless a z passes an x: one of a^a, or the tail z of y*x
+    with an x of a^b left to pass."""
+    A = fresh("qheis", Q)
+    box = list(itertools.product(range(3), repeat=3))
+    fractional = 0
+    for a in box:
+        for b in box:
+            got = A.mono_mul(a, b)
+            want = oracles.reference_product(A.monomial(a), A.monomial(b))
+            assert dict(got) == dict(want.terms), (a, b)
+            if not b[0] or (not a[2] and b[0] == 1):
+                assert all(type(c) is int for _, c in got), (a, b)
+            fractional += any(c.denominator != 1 for _, c in got)
+    assert fractional
+
+
+@pytest.mark.parametrize("name", ["sl2-4-q", "gkz-q"])
+def test_integral_products_make_no_fraction(name, monkeypatch):
+    """With a cold cache, products on an integral table over Q (the walk
+    on U(sl2), the closed forms on GKZ) add, multiply and make no
+    Fraction."""
+    A = fresh(name, Q)
+    rnd = random.Random(23)
+    pairs = [(sparse_exp(rnd, A.n, 3), sparse_exp(rnd, A.n, 3))
+             for _ in range(40)]
+    ops, made = [], []
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__pow__"):
+        def counted(*args, _fn=getattr(Fraction, op), _op=op):
+            ops.append(_op)
+            return _fn(*args)
+        monkeypatch.setattr(Fraction, op, counted)
+    new = Fraction.__new__
+
+    def creating(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(creating))
+    got = [A.mono_mul(a, b) for a, b in pairs]
+    monkeypatch.undo()
+    assert ops == [] and made == []
+    assert len(A.product_cache) > len(pairs) // 2
+    for (a, b), terms in zip(pairs, got):
+        want = oracles.reference_product(A.monomial(a), A.monomial(b))
+        assert dict(terms) == dict(want.terms), (a, b)
+
+
+def test_closed_form_tables_skip_the_associativity_triples(monkeypatch):
+    """A table of closed-form products, on every fixture, every corpus
+    file and each one's opposite, associates by the check over every
+    triple, and ``check_associative`` accepts it without a product."""
+    closed = []
+    for path in problem_files():
+        A = parse_problem(path).algebra
+        for B in (A, A.opposite()):
+            if B._scalar_table is not None:
+                assert oracles.reference_associativity(B) is None, path
+                closed.append(B)
+
+    def refuse(*args):
+        raise AssertionError("check_associative made a product")
+
+    monkeypatch.setattr(SolvableAlgebra, "multiply", refuse)
+    for B in closed:
+        check_associative(B)
+    assert len(closed) == 34

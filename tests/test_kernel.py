@@ -53,6 +53,15 @@ def test_containers_store_canonical_nonzero_payloads(name, field):
         for h in (f + g, f - g, g - g, -f, f.scale(c), g.monic(),
                   A.multiply(f, g), A.multiply(g, f)):
             assert_poly(h)
+    # products of generators against the order, whose coefficients over
+    # Q the kernel holds as ints where they are integral
+    for j in range(A.n):
+        for i in range(j):
+            xj, xi = A.names[j], A.names[i]
+            for h in (A.multiply(A.gen(j, 2), A.gen(i, 3)),
+                      A.parse("%s^2*%s*%s^2 - %s" % (xj, xi, xj, xi)),
+                      A.parse("%s*%s" % (xj, xi)) + A.gen(i)):
+                assert_poly(h)
     L = FreeModule(A, 2)
     order = ModOrder("top", A.order, 2)
     for _ in range(3):

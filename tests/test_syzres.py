@@ -5,6 +5,7 @@ import random
 import pytest
 
 import solvpoly.syzres as syzres
+from solvpoly.algebra import exp_max, exp_sub
 from solvpoly.cli import main, parse_problem
 from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, ModOrder, Vect, left_divide_module
@@ -175,7 +176,8 @@ def test_resolution_of_the_full_module_is_zero(weyl1, monkeypatch):
                                   "qheis"])
 def test_schreyer_leads_are_known_before_division(name, request, rng):
     """The lead of each Schreyer row, computed without dividing, is the
-    lead of the divided row."""
+    lead of the divided row, and the greater of the pair's two
+    candidate terms in the Schreyer order."""
     A = request.getfixturevalue(name)
     rows = 0
     for trial in range(4):
@@ -186,9 +188,14 @@ def test_schreyer_leads_are_known_before_division(name, request, rng):
         G = buchberger(gens, order)
         syz = syzygy_of_gb(G)
         lms = G.leading_monomials()
-        leads = [syzres._schreyer_lead(lms, i, j, syz.order)
-                 for j in range(len(lms)) for i in range(j)
+        pairs = [(i, j) for j in range(len(lms)) for i in range(j)
                  if lms[i][1] == lms[j][1]]
+        leads = [syzres._schreyer_lead(lms, i, j) for i, j in pairs]
+        for (i, j), lead in zip(pairs, leads):
+            gamma = exp_max(lms[i][0], lms[j][0])
+            assert lead == max(
+                ((exp_sub(gamma, lms[k][0]), k) for k in (i, j)),
+                key=syz.order.key)
         assert [s.lm(syz.order) for s in syz.elements] == [
             leads[k] for k in _minimal_indices(leads, syz.order)]
         rows += len(syz.elements)
