@@ -22,6 +22,7 @@ import operator
 import os
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import BadScalarLiteral, FieldSpec, SolvpolyError, _add_scaled
@@ -135,6 +136,34 @@ def exp_divides(a: ExpVec, b: ExpVec) -> bool:
     if len(a) != len(b):
         raise LengthMismatch("exponent lengths %d and %d" % (len(a), len(b)))
     return all(x <= y for x, y in zip(a, b))
+
+
+# Divisibility masks, the short exponent vectors of Bachmann and
+# Schoenemann (ISSAC 1998): each of the n variables owns
+# max(1, _MASK_BITS // n) bits, and its bit t is set when its exponent
+# is greater than t.  So mask(a) & ~mask(b) != 0 proves that a does not
+# divide b, and mask(lcm(a, b)) == mask(a) | mask(b).  An exponent at or
+# above the width sets all of its variable's bits: the test stays sound
+# but can no longer tell that exponent from a greater one.
+_MASK_BITS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_bits(n: int) -> tuple:
+    """Per variable k of a length-n vector, the mask bits of its
+    exponents 0, 1, ..., w: entry t holds bits k*w to k*w + t - 1."""
+    w = max(1, _MASK_BITS // max(1, n))
+    return tuple(tuple(((1 << t) - 1) << (k * w) for t in range(w + 1))
+                 for k in range(n))
+
+
+def _exp_mask(e: ExpVec) -> int:
+    """The divisibility mask of e (see ``_MASK_BITS``)."""
+    mask = 0
+    for bits, x in zip(_mask_bits(len(e)), e):
+        if x:
+            mask |= bits[x] if x < len(bits) else bits[-1]
+    return mask
 
 
 def exps_within(weights: Sequence[int], budget: int) -> List[ExpVec]:
@@ -548,6 +577,12 @@ class SolvableAlgebra:
                  tuple((e, _integral(c)) for e, c in rel.tail.terms))
             for ji, rel in self.relations.items()
         }
+        # a constant with a denominator can leave a product coefficient
+        # that is a Fraction of integral value (see _terms)
+        self._fractional = any(
+            type(c) is Fraction for lam, tail in self._table.values()
+            for c in (lam, *(tc for _, tc in tail)))
+        self._indices = range(self.n)
 
     def _install_relation(self, j: int, i: int, lam, tail) -> None:
         if not (0 <= i < j < self.n):
@@ -647,8 +682,17 @@ class SolvableAlgebra:
         first.  When no generator of a comes after the least generator of
         b, the product is that monomial alone.  On a table of scalar tails
         (:attr:`_scalar_table`) the product is one pass of closed forms
-        (:meth:`_closed_product`); on any other table the suffix walk
-        below builds it.
+        (:meth:`_closed_product`), a single term when no Weyl pair meets;
+        on any other table the suffix walk below builds it.  On a table
+        with a fractional constant, an integral coefficient is an int.
+
+        Core and shift: with u the least and v the greatest generator,
+        a^a = u^k a^a' and a^b = a^b' v^m, so a^a a^b = u^k (a^a' a^b')
+        v^m, and the outer powers only raise the exponents of u and v in
+        every term of the core product a^a' a^b'.  On a walked table a
+        product with k or m nonzero is the core's, asked for (and so
+        cached) under its own key, then shifted: the walk never steps
+        through those powers.
 
         The walk: with l the least generator of a, a^a = a_l a^s, so the
         product is a_l times a^s a^b.  The suffixes s are walked down to
@@ -661,20 +705,36 @@ class SolvableAlgebra:
         wall time by only 9 % and raised its peak memory by 1.1 MB
         (5.1 %), past the benchmark's 5 % bound.
         """
-        out = self.product_cache.get((a, b))
+        cache = self.product_cache
+        key = (a, b)
+        out = cache.get(key)
         if out is not None:
             return out
-        ab = exp_add(a, b)
-        least = next((k for k, v in enumerate(b) if v), self.n)
-        if not any(a[least + 1:]):
+        if len(a) != len(b):
+            raise LengthMismatch(
+                "exponent lengths %d and %d" % (len(a), len(b)))
+        ab = tuple(map(operator.add, a, b))
+        if ab and max(ab) >= EXP_LIMIT:
+            raise ExponentOverflow("exponent exceeds 2^32")
+        if not any(a[next(compress(self._indices, b), self.n) + 1:]):
             # a^a a^b is already ordered
             out = ((ab, 1),)
         elif self._scalar_table is not None:
             out = self._closed_product(a, b, ab)
+        elif a[0] or b[-1]:
+            out = self._shifted(a, b)
         else:
             return self._walk(a, b)
-        self._remember(a, b, out)
+        if len(cache) < self.cache_limit:
+            cache[key] = out
         return out
+
+    def _shifted(self, a: ExpVec, b: ExpVec) -> Terms:
+        """a^a * a^b as its core product, shifted (see :meth:`mono_mul`)."""
+        n = self.n
+        core = self.mono_mul((0,) + a[1:], b[:-1] + (0,))
+        shift = (a[0],) + (0,) * (n - 2) + (b[-1],)
+        return tuple((tuple(map(operator.add, e, shift)), c) for e, c in core)
 
     @functools.cached_property
     def _scalar_table(self):
@@ -718,11 +778,13 @@ class SolvableAlgebra:
             e = a[j] * b[i]
             if e:
                 lead = lead * pow(lam, e, p) % p if p else lead * lam ** e
-        terms = {ab: lead}
+        terms = None
         for j, i, c in weyls:
-            top = min(a[j], b[i], p - 1) if p else min(a[j], b[i])
-            if not top:
+            if not (a[j] and b[i]):
                 continue
+            top = min(a[j], b[i], p - 1) if p else min(a[j], b[i])
+            if terms is None:
+                terms = {ab: lead}
             factors = []
             t = 1  # k! C(a_j, k) C(b_i, k)
             ck = 1  # c^k
@@ -740,7 +802,10 @@ class SolvableAlgebra:
                     lowered[j] -= k
                     expanded[tuple(lowered)] = v * f % p if p else v * f
             terms = expanded
-        return tuple(terms.items())
+        if terms is None:
+            # no Weyl pair meets: the lead alone
+            return ((ab, _integral(lead) if self._fractional else lead),)
+        return self._terms(terms)
 
     def _walk(self, a: ExpVec, b: ExpVec) -> Terms:
         """a^a * a^b by the suffix walk of :meth:`mono_mul`, remembering
@@ -749,16 +814,23 @@ class SolvableAlgebra:
         s = a
         out = None
         while out is None and any(s):
-            l = next(idx for idx, v in enumerate(s) if v)
+            l = next(compress(self._indices, s))
             chain.append((l, s))
             s = exp_sub(s, self._units[l])
             out = self.product_cache.get((s, b))
         if out is None:
             out = ((b, 1),)
         for l, s in reversed(chain):
-            out = tuple(self._add_gen_times({}, l, out, 1).items())
+            out = self._terms(self._add_gen_times({}, l, out, 1))
             self._remember(s, b, out)
         return out
+
+    def _terms(self, acc: dict) -> Terms:
+        """The product summed in ``acc`` as a tuple; on a table with a
+        fractional constant, its integral coefficients made ints."""
+        if self._fractional:
+            return tuple((e, _integral(c)) for e, c in acc.items())
+        return tuple(acc.items())
 
     def _remember(self, a: ExpVec, b: ExpVec, out: Terms) -> None:
         if len(self.product_cache) < self.cache_limit:
@@ -804,7 +876,7 @@ class SolvableAlgebra:
             if t is None:
                 t = self._gen_times_mono(k, low)
                 self._remember(ek, low, t)
-            m = next(idx for idx, v in enumerate(high) if v)
+            m = next(compress(self._indices, high))
             acc = {}
             for e, c in t:
                 if not any(e[m + 1:]):
@@ -812,12 +884,12 @@ class SolvableAlgebra:
                     _add_scaled(acc, ((exp_add(e, high), c),), 1, p)
                 else:
                     _add_scaled(acc, self.mono_mul(e, high), c, p)
-            return tuple(acc.items())
+            return self._terms(acc)
         chain = []
         s = b
         out = None
         while out is None:
-            i = next((idx for idx, v in enumerate(s) if v), self.n)
+            i = next(compress(self._indices, s), self.n)
             if k <= i:
                 out = ((exp_add(ek, s), 1),)
                 break
@@ -830,7 +902,7 @@ class SolvableAlgebra:
             acc = self._add_gen_times({}, i, out, lam)
             for te, tc in tail:
                 _add_scaled(acc, self.mono_mul(te, rest), tc, p)
-            out = tuple(acc.items())
+            out = self._terms(acc)
             self._remember(ek, s, out)
         return out
 

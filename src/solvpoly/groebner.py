@@ -57,6 +57,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from math import lcm
+from operator import le
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
@@ -67,6 +68,7 @@ from .algebra import (
     Poly,
     SolvableAlgebra,
     ZeroPolynomial,
+    _exp_mask,
     exp_max,
     exp_sub,
     exps_within,
@@ -421,21 +423,31 @@ class _Engine:
 
     def chain_prunes(self, i: int, j: int) -> bool:
         """Buchberger's chain criterion (module docstring) for the popped
-        pair (i, j), i < j.  The set lookups come before the divisibility
-        test, which costs more."""
-        lms = self.basis.leads
-        (ei, comp), (ej, _) = lms[i], lms[j]
-        lcm = (exp_max(ei, ej), comp)
+        pair (i, j), i < j.  Only the elements that lead in the pair's
+        component are scanned.  An element whose divisibility mask
+        (:func:`solvpoly.algebra._exp_mask`) rules out that its lead
+        divides the lcm, whose mask is that of lead i or'ed with that of
+        lead j, is passed over before the set lookups; the lcm itself is
+        built only for an element that passes both."""
+        basis = self.basis
+        (ei, comp), (ej, _) = basis.leads[i], basis.leads[j]
+        miss = ~(basis.masks[i] | basis.masks[j])
         handled = self.handled
-        for k, mk in enumerate(lms):
+        lcm = None
+        for mask, entry in zip(basis.comp_masks[comp], basis.by_comp[comp]):
+            if mask & miss:
+                continue
+            k = entry[0]
             if (
                 k != i
                 and k != j
                 and ((i, k) if i < k else (k, i)) in handled
                 and ((j, k) if j < k else (k, j)) in handled
-                and mono_divides(mk, lcm)
             ):
-                return True
+                if lcm is None:
+                    lcm = exp_max(ei, ej)
+                if all(map(le, entry[1], lcm)):
+                    return True
         return False
 
     def step_pair(self, i: int, j: int) -> Optional[int]:
@@ -577,9 +589,18 @@ def _minimal_indices(lms: Sequence[ModMonomial], order: ModOrder) -> List[int]:
     """
     idxs = sorted(range(len(lms)), key=lambda i: (order.key(lms[i]), i))
     kept: List[int] = []
+    # (mask, lead) of each kept monomial, the mask tested first
+    found: List[Tuple[int, ModMonomial]] = []
     for i in idxs:
-        if not any(mono_divides(lms[k], lms[i]) for k in kept):
+        exp, comp = lms[i]
+        mask = _exp_mask(exp)
+        miss = ~mask
+        for kmask, (kexp, kcomp) in found:
+            if not kmask & miss and kcomp == comp and all(map(le, kexp, exp)):
+                break
+        else:
             kept.append(i)
+            found.append((mask, lms[i]))
     return kept
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from operator import le
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
@@ -54,6 +55,7 @@ from .algebra import (
     Poly,
     SolvableAlgebra,
     ZeroPolynomial,
+    _exp_mask,
     exp_add,
     exp_divides,
     exps_within,
@@ -668,13 +670,15 @@ class _Divisors(list):
     by the component their element leads in, least index first.  Over Q
     the row is primitive (a monic element's is ``[i, lexp, L, row, L,
     1]``, L > 0); over GF(p) it holds the residues and den and content
-    are 1.  :meth:`append` extends the list and :meth:`replace` swaps an
-    element for one with the same lead; it is not to be changed
-    otherwise.  :meth:`find` remembers, per module monomial, the entry
-    that divides it, or how many entries of its component it has
-    checked in vain; it remembers at most as many monomials as the
-    algebra's ``cache_limit`` (SOLVPOLY_CACHE_LIMIT) and looks up the
-    others afresh.
+    are 1.  Beside each lead it keeps the lead exponent's divisibility
+    mask (:func:`solvpoly.algebra._exp_mask`): ``masks`` by element
+    index and ``comp_masks`` aligned with ``by_comp``.  :meth:`append`
+    extends the list and :meth:`replace` swaps an element for one with
+    the same lead; it is not to be changed otherwise.  :meth:`find`
+    remembers, per module monomial, the entry that divides it, or how
+    many entries of its component it has checked in vain; it remembers
+    at most as many monomials as the algebra's ``cache_limit``
+    (SOLVPOLY_CACHE_LIMIT) and looks up the others afresh.
     """
 
     @classmethod
@@ -688,8 +692,10 @@ class _Divisors(list):
         super().__init__()
         self.order = order
         self.leads: List[ModMonomial] = []
+        self.masks: List[int] = []
         self.entries: List[list] = []
         self.by_comp: List[list] = [[] for _ in range(order.rank)]
+        self.comp_masks: List[List[int]] = [[] for _ in range(order.rank)]
         # module monomial -> the entry that divides it, or the number of
         # entries of its component checked in vain
         self._found: Dict[ModMonomial, object] = {}
@@ -701,7 +707,9 @@ class _Divisors(list):
         """The entry of the least-index element whose lead divides ``m``,
         or None.  An entry found stays the answer, as :meth:`append`
         adds only greater indices; after a miss a later call checks only
-        the entries appended since."""
+        the entries appended since.  An entry whose mask rules out that
+        its lead divides ``m`` is passed over before the exact test, and
+        the mask of ``m`` is made only when there is an entry to check."""
         memo = self._found
         found = memo.get(m)
         if found is None:
@@ -712,11 +720,14 @@ class _Divisors(list):
             return found
         wexp, wcomp = m
         entries = self.by_comp[wcomp]
-        for entry in entries[start:]:
-            if all(x <= y for x, y in zip(entry[1], wexp)):
-                break
-        else:
-            entry = None
+        entry = None
+        if start < len(entries):
+            miss = ~_exp_mask(wexp)
+            for mask, e in zip(self.comp_masks[wcomp][start:],
+                               entries[start:]):
+                if not mask & miss and all(map(le, e[1], wexp)):
+                    entry = e
+                    break
         if len(memo) < self._found_limit or found is not None:
             memo[m] = len(entries) if entry is None else entry
         return entry
@@ -736,9 +747,12 @@ class _Divisors(list):
 
     def _add(self, d: Vect, lm: ModMonomial, prepared: list) -> None:
         entry = [len(self), lm[0]] + prepared
+        mask = _exp_mask(lm[0])
         self.entries.append(entry)
         self.by_comp[lm[1]].append(entry)
+        self.comp_masks[lm[1]].append(mask)
         self.leads.append(lm)
+        self.masks.append(mask)
         self._found_limit = d.module.algebra.cache_limit
         super().append(d)
 

@@ -630,15 +630,24 @@ def bounded_completion(
     for g in basis:
         if not g.lm(order).letters:
             return [g], True
+    leads = basis.leads
+
+    def overlaps(a: int, b: int) -> List[Tuple[int, int, int, FreePoly]]:
+        """The queue items of the ordered pair (a, b).  An overlap at
+        shift k needs lead a's letter k to start lead b, with k at least
+        max(0, p - q) for leads of lengths p and q: a pair whose second
+        lead's first letter is not among those letters of the first
+        lead has none, and is not handed to ``overlap_elements``."""
+        w1, w2 = leads[a], leads[b]
+        if w2[0] not in w1[max(0, len(w1) - len(w2)):]:
+            return []
+        return [(a, b, o.shift, o.value)
+                for o in overlap_elements(basis[a], basis[b], order)]
+
     queue: List[Tuple[int, int, int, FreePoly]] = []
-
-    def enqueue(a: int, b: int) -> None:
-        for o in overlap_elements(basis[a], basis[b], order):
-            queue.append((a, b, o.shift, o.value))
-
     for a in range(len(basis)):
         for b in range(len(basis)):
-            enqueue(a, b)
+            queue.extend(overlaps(a, b))
     queue.sort(key=lambda t: t[:3])
     added = 0
     while queue:
@@ -656,11 +665,9 @@ def bounded_completion(
         t = len(basis) - 1
         fresh: List[Tuple[int, int, int, FreePoly]] = []
         for a in range(len(basis)):
-            for o in overlap_elements(basis[a], basis[t], order):
-                fresh.append((a, t, o.shift, o.value))
+            fresh.extend(overlaps(a, t))
             if a != t:
-                for o in overlap_elements(basis[t], basis[a], order):
-                    fresh.append((t, a, o.shift, o.value))
+                fresh.extend(overlaps(t, a))
         fresh.sort(key=lambda x: x[:3])
         queue.extend(fresh)
     return list(basis), True

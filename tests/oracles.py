@@ -11,7 +11,8 @@ and ``minimal_standard_basis``) are the exception: they reuse the
 library's completion, and avoid only the Schreyer frame and the
 cancellation of its scalar entries.  The reference divisions
 run term by term over whole immutable Vect, Poly and FreePoly
-values, the reference overlap check pairs every two relations, and
+values, the reference overlap check and the reference bounded completion pair
+every two relations, and
 the reference associativity check multiplies out every generator
 triple.
 """
@@ -27,6 +28,7 @@ from solvpoly.presentation import (
     FreePoly,
     Word,
     WordOrder,
+    _lm_reduce,
     free_divide,
     overlap_elements,
 )
@@ -382,6 +384,48 @@ def reference_overlap_check(relations: Sequence[FreePoly],
                 if not r.is_zero():
                     failures.append((leads[a], leads[b], o.shift, r))
     return checked, failures
+
+
+def reference_bounded_completion(G: Sequence[FreePoly], order: WordOrder,
+                                 max_new: int = 256):
+    """``bounded_completion`` as it stood before it filtered its pairs:
+    every ordered pair of elements goes through ``overlap_elements``,
+    and every overlap element through ``free_divide`` on a plain
+    list."""
+    basis = [g.monic(order) for g in _lm_reduce(list(G), order)]
+    if not basis:
+        return [], True
+    for g in basis:
+        if not g.lm(order).letters:
+            return [g], True
+
+    def items(a, b):
+        return [(a, b, o.shift, o.value)
+                for o in overlap_elements(basis[a], basis[b], order)]
+
+    queue = sorted((item for a in range(len(basis))
+                    for b in range(len(basis)) for item in items(a, b)),
+                   key=lambda t: t[:3])
+    added = 0
+    while queue:
+        _, r = free_divide(queue.pop(0)[3], list(basis), order)
+        if r.is_zero():
+            continue
+        if added >= max_new:
+            return basis, False
+        r = r.monic(order)
+        if not r.lm(order).letters:
+            return [r], True
+        basis.append(r)
+        added += 1
+        t = len(basis) - 1
+        fresh = []
+        for a in range(len(basis)):
+            fresh += items(a, t)
+            if a != t:
+                fresh += items(t, a)
+        queue.extend(sorted(fresh, key=lambda x: x[:3]))
+    return basis, True
 
 
 def reference_associativity(A: SolvableAlgebra) -> Optional[str]:

@@ -1,0 +1,94 @@
+"""Top-level product-cache misses per operation of a benchmark workload.
+
+    python3 tests/product_misses.py TREE WORKLOAD
+
+TREE is the root of a solvpoly checkout; its ``src`` is imported.  The
+operations are those of WORKLOAD in TREE's
+``perfbench/corpus/manifest.json``, each a ``cli.main(["--json", ...])``
+call with stdout captured, as ``perfbench/run.py`` makes it, so each
+starts with a cold product cache.  ``SolvableAlgebra.mono_mul`` is
+wrapped: a call that is not nested in another ``mono_mul`` call and
+whose key is not in ``product_cache`` is a top-level miss, and the
+wrapper times it, the products it asks for on the way included.
+
+Prints, per operation, the number of top-level misses, the median
+seconds of the operation and of its misses over ROUNDS runs (5), and
+the misses' share of the operation's time; then the same for the whole
+round.  The wrapper costs a little on every call, so the operation
+times are a little above those of an unwrapped run.  Times are raw
+seconds on one machine.  Pytest does not collect this file.
+"""
+
+import contextlib
+import gc
+import io
+import json
+import os
+import statistics
+import sys
+import time
+
+ROUNDS = 5
+
+
+def wrap_mono_mul(cls, tally):
+    """Wrap ``cls.mono_mul`` to add each top-level miss to ``tally``,
+    ``[misses, seconds]``."""
+    inner = cls.mono_mul
+    depth = [0]
+
+    def mono_mul(alg, a, b):
+        if depth[0] or (a, b) in alg.product_cache:
+            return inner(alg, a, b)
+        depth[0] += 1
+        t0 = time.perf_counter()
+        try:
+            return inner(alg, a, b)
+        finally:
+            tally[1] += time.perf_counter() - t0
+            tally[0] += 1
+            depth[0] -= 1
+
+    cls.mono_mul = mono_mul
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit("usage: product_misses.py TREE WORKLOAD")
+    tree, workload = os.path.abspath(argv[0]), argv[1]
+    sys.path.insert(0, os.path.join(tree, "src"))
+    from solvpoly import cli
+    from solvpoly.algebra import SolvableAlgebra
+
+    cdir = os.path.join(tree, "perfbench", "corpus")
+    with open(os.path.join(cdir, "manifest.json")) as fh:
+        ops = json.load(fh)["workloads"][workload]
+    tally = [0, 0.0]
+    wrap_mono_mul(SolvableAlgebra, tally)
+    rows = []
+    for op in ops:
+        argv = ["--json"] + op["args"] + [
+            os.path.join(cdir, op["problem"] + ".json")]
+        runs = []
+        for _ in range(ROUNDS):
+            tally[:] = [0, 0.0]
+            gc.collect()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+            runs.append((time.perf_counter() - t0, tally[0], tally[1]))
+        rows.append((" ".join(op["args"] + [op["problem"]]),
+                     runs[0][1],
+                     statistics.median(r[0] for r in runs),
+                     statistics.median(r[2] for r in runs)))
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows),
+                 sum(r[3] for r in rows)))
+    print("%-36s %8s %10s %10s %7s" % (workload, "misses", "op s",
+                                       "misses s", "share"))
+    for label, misses, op_s, miss_s in rows:
+        print("%-36s %8d %10.5f %10.5f %6.1f%%" % (
+            label, misses, op_s, miss_s, 100 * miss_s / op_s))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

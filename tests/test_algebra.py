@@ -24,8 +24,12 @@ from solvpoly.algebra import (
     UnknownGenerator,
     ZeroLambda,
     build_algebra,
+    _MASK_BITS,
+    _exp_mask,
     check_associative,
     exp_add,
+    exp_divides,
+    exp_max,
     reversed_poly,
 )
 from solvpoly.cli import parse_problem
@@ -600,3 +604,153 @@ def test_closed_form_tables_skip_the_associativity_triples(monkeypatch):
     for B in closed:
         check_associative(B)
     assert len(closed) == 34
+
+
+# ---------------------------------------------------------------------------
+# core and shift, single-term closed forms, integral coefficients as ints
+# ---------------------------------------------------------------------------
+
+CORE_TABLES = ["sl2-3-q", "qheis", "ex14", "weyl1", "qplane", "gkz-q"]
+
+
+def outer_powers(rnd, n):
+    """a with a power of the least generator, b with one of the greatest."""
+    a = list(sparse_exp(rnd, n, 3))
+    b = list(sparse_exp(rnd, n, 3))
+    a[0] = rnd.randint(1, 3)
+    b[-1] = rnd.randint(1, 3)
+    return tuple(a), tuple(b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", CORE_TABLES)
+def test_outer_powers_match_word_rewriting(name, field):
+    A = fresh(name, field)
+    rnd = random.Random(24)
+    for _ in range(20):
+        a, b = outer_powers(rnd, A.n)
+        want = oracles.reference_product(A.monomial(a), A.monomial(b))
+        got = A.mono_mul(a, b)
+        assert A.from_terms(got) == want, (a, b)
+        assert got[0] == want.terms[0]
+
+
+@pytest.mark.parametrize("name", ["sl2-3-q", "qheis", "ex14"])
+def test_a_walked_miss_walks_only_the_core(name):
+    """On a cold cache, a product with outer powers caches what its core
+    product caches, and itself."""
+    rnd = random.Random(5)
+    checked = 0
+    for _ in range(10):
+        a, b = outer_powers(rnd, 3)
+        core = ((0,) + a[1:], b[:-1] + (0,))
+        A, B = fresh(name, Q), fresh(name, Q)
+        A.mono_mul(*core)
+        B.mono_mul(a, b)
+        least = min((k for k, v in enumerate(b) if v), default=3)
+        if any(a[least + 1:]):  # not already ordered
+            assert set(B.product_cache) == set(A.product_cache) | {(a, b)}
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["weyl1", "gkz-q", "weyl-pairs"])
+def test_weyl_pairs_that_do_not_meet_give_one_term(name, field):
+    A = fresh(name, field)
+    _, weyls = A._scalar_table
+    assert weyls
+    rnd = random.Random(9)
+    for _ in range(30):
+        a = list(sparse_exp(rnd, A.n, 4))
+        b = list(sparse_exp(rnd, A.n, 4))
+        for j, i, _ in weyls:
+            if rnd.random() < 0.5:
+                a[j] = 0
+            else:
+                b[i] = 0
+        a, b = tuple(a), tuple(b)
+        want = oracles.reference_product(A.monomial(a), A.monomial(b))
+        got = A.mono_mul(a, b)
+        assert len(got) == 1 and A.from_terms(got) == want, (a, b)
+
+
+@pytest.mark.parametrize("name", CORE_TABLES)
+def test_core_products_respect_the_cache_limit(name, monkeypatch):
+    monkeypatch.setenv("SOLVPOLY_CACHE_LIMIT", "3")
+    A = fresh(name, Q)
+    assert A.cache_limit == 3
+    rnd = random.Random(31)
+    for _ in range(15):
+        a, b = outer_powers(rnd, A.n)
+        want = oracles.reference_product(A.monomial(a), A.monomial(b))
+        assert A.from_terms(A.mono_mul(a, b)) == want, (a, b)
+        assert len(A.product_cache) <= 3
+
+
+@pytest.mark.parametrize("path", [
+    corpus.path("qheis"), os.path.join(BENCH_CORPUS, "skew-4-2.json")],
+    ids=os.path.basename)
+def test_fractional_tables_cache_integral_coefficients_as_ints(
+        path, monkeypatch):
+    """Over Q, on a table that mixes integral and fractional constants,
+    ``gb --reduce`` leaves no Fraction of denominator 1 in the product
+    cache, and prints what it printed when they were Fractions."""
+    seen = []
+
+    def recording(source):
+        pf = parse_problem(source)
+        seen.append(pf.algebra)
+        return pf
+
+    monkeypatch.setattr(cli, "parse_problem", recording)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--json", "gb", "--reduce", path]) == 0
+    (A,) = seen
+    coefficients = [c for terms in A.product_cache.values() for _, c in terms]
+    assert any(type(c) is Fraction for c in coefficients)
+    assert not any(type(c) is Fraction and c.denominator == 1
+                   for c in coefficients)
+    init = SolvableAlgebra.__init__
+
+    def keeping_fractions(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._fractional = False
+
+    monkeypatch.setattr(SolvableAlgebra, "__init__", keeping_fractions)
+    again = io.StringIO()
+    with contextlib.redirect_stdout(again):
+        assert cli.main(["--json", "gb", "--reduce", path]) == 0
+    assert again.getvalue() == out.getvalue()
+    # the run that kept them did hold integral Fractions
+    assert any(type(c) is Fraction and c.denominator == 1
+               for terms in seen[1].product_cache.values() for _, c in terms)
+
+
+# ---------------------------------------------------------------------------
+# divisibility masks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 70])
+def test_exp_mask_against_exp_divides(n):
+    """mask(a) & ~mask(b) != 0 only when a does not divide b, exactly so
+    below the mask width; the mask of an lcm is the or of the masks."""
+    width = max(1, _MASK_BITS // n)
+    rnd = random.Random(n)
+    values = [0, 1, width - 1, width, width + 1, 2 * width + 3]
+    vecs = [(0,) * n] + [
+        tuple(rnd.choice(values) if rnd.random() < 0.6 else 0
+              for _ in range(n))
+        for _ in range(40)]
+    vecs += [tuple(min(v, width - 1) for v in e) for e in vecs[:10]]
+    assert _exp_mask((0,) * n) == 0
+    for a in vecs:
+        for b in vecs:
+            ma, mb = _exp_mask(a), _exp_mask(b)
+            passes = not ma & ~mb
+            if exp_divides(a, b):
+                assert passes, (a, b)
+            elif max(a + b) < width:
+                assert not passes, (a, b)
+            assert _exp_mask(exp_max(a, b)) == ma | mb, (a, b)

@@ -8,7 +8,10 @@ from solvpoly import fixtures
 from solvpoly.algebra import reversed_poly
 from solvpoly.cli import _element_from_options, parse_problem
 from solvpoly.coeff import FieldSpec
-from solvpoly.modfree import FreeModule, ModOrder, left_divide_module
+from solvpoly.algebra import exp_max
+from solvpoly.modfree import (
+    FreeModule, ModOrder, _Divisors, left_divide_module, mono_divides,
+)
 from solvpoly.groebner import (
     GroebnerBasis,
     NonGradedOrder,
@@ -362,6 +365,159 @@ def test_chain_criterion_prunes_pairs(name, most, monkeypatch):
     G = buchberger(pf.generators, pf.mod_order)
     assert len(calls) <= most
     assert_self_certified(G)
+
+
+# Brute-force references for the masked lead scans: every lead, in
+# index order, through mono_divides.
+
+def _brute_find(divisors, m):
+    return next((entry for entry, lead in zip(divisors.entries,
+                                              divisors.leads)
+                 if mono_divides(lead, m)), None)
+
+
+def _brute_chain_prunes(eng, i, j):
+    lms = eng.basis.leads
+    (ei, comp), (ej, _) = lms[i], lms[j]
+    lcm = (exp_max(ei, ej), comp)
+    return any(
+        k not in (i, j)
+        and (min(i, k), max(i, k)) in eng.handled
+        and (min(j, k), max(j, k)) in eng.handled
+        and mono_divides(mk, lcm)
+        for k, mk in enumerate(lms))
+
+
+def _brute_minimal_indices(lms, order):
+    kept = []
+    for i in sorted(range(len(lms)), key=lambda i: (order.key(lms[i]), i)):
+        if not any(mono_divides(lms[k], lms[i]) for k in kept):
+            kept.append(i)
+    return kept
+
+
+def _checked_lead_scans(monkeypatch):
+    """Patch find, chain_prunes and _minimal_indices to check every
+    answer against its brute-force reference; returns the tally of
+    checked calls and of S-pair divisions in ``step_pair``."""
+    tally = {"find": 0, "chain": 0, "pruned": 0, "minimal": 0,
+             "divisions": 0}
+    find = _Divisors.find
+    chain = groebner._Engine.chain_prunes
+    minimal = groebner._minimal_indices
+    step_pair = groebner._Engine.step_pair
+    divide = groebner.left_divide_module
+    in_step = []
+
+    def checked_find(self, m):
+        got = find(self, m)
+        assert got is _brute_find(self, m), m
+        tally["find"] += 1
+        return got
+
+    def checked_chain(self, i, j):
+        got = chain(self, i, j)
+        assert got == _brute_chain_prunes(self, i, j), (i, j)
+        tally["chain"] += 1
+        tally["pruned"] += got
+        return got
+
+    def checked_minimal(lms, order):
+        got = minimal(lms, order)
+        assert got == _brute_minimal_indices(lms, order)
+        tally["minimal"] += 1
+        return got
+
+    def counted_step(self, i, j):
+        in_step.append(1)
+        try:
+            return step_pair(self, i, j)
+        finally:
+            in_step.pop()
+
+    def counted_divide(*args):
+        tally["divisions"] += bool(in_step)
+        return divide(*args)
+
+    monkeypatch.setattr(_Divisors, "find", checked_find)
+    monkeypatch.setattr(groebner._Engine, "chain_prunes", checked_chain)
+    monkeypatch.setattr(groebner, "_minimal_indices", checked_minimal)
+    monkeypatch.setattr(groebner._Engine, "step_pair", counted_step)
+    monkeypatch.setattr(groebner, "left_divide_module", counted_divide)
+    return tally
+
+
+@pytest.mark.parametrize("name, divisions", [
+    ("c44-p", 34), ("sl2-5-p", 37), ("gkz-p", 52)])
+def test_masked_lead_scans_match_brute_force_on_the_corpus(
+        name, divisions, monkeypatch):
+    """find, chain_prunes and _minimal_indices give the brute-force
+    answers in ``gb --reduce``, and the completion divides as many
+    S-pairs as before the masks."""
+    tally = _checked_lead_scans(monkeypatch)
+    pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
+    G = reduce_basis(buchberger(pf.generators, pf.mod_order))
+    assert tally["divisions"] == divisions
+    assert tally["find"] and tally["pruned"] and tally["minimal"]
+    assert_self_certified(G)
+
+
+@pytest.mark.parametrize("name", fixtures.all_names())
+def test_masked_lead_scans_match_brute_force_on_the_fixtures(
+        name, monkeypatch):
+    tally = _checked_lead_scans(monkeypatch)
+    A = over(FieldSpec("PrimeField", 32003), name)
+    rng = random.Random(12)
+    for kind in ("top", "pot"):
+        L = FreeModule(A, 2)
+        order = ModOrder(kind, A.order, 2)
+        gens = [random_vect(L, rng, max_degree=2, max_terms=2, nonzero=True)
+                for _ in range(3)]
+        reduce_basis(buchberger(gens, order))
+    assert tally["find"] and tally["chain"] and tally["minimal"]
+
+
+def test_chain_criterion_past_the_mask_width(comm2):
+    """Every pair of monomial elements whose exponents reach past the 32
+    mask bits a variable of comm2 gets, all pairs handled: chain_prunes
+    against the brute-force scan."""
+    rnd = random.Random(8)
+    values = (0, 1, 31, 32, 33, 40, 64)
+    L = FreeModule(comm2, 2)
+    order = ModOrder("pot", comm2.order, 2)
+    eng = groebner._Engine(L, order, 0)
+    for _ in range(14):
+        exp = tuple(rnd.choice(values) for _ in range(2))
+        comp = rnd.randrange(2)
+        eng.basis.append(L.from_polys(
+            [comm2.monomial(exp) if k == comp else comm2.zero()
+             for k in range(2)]))
+    t = len(eng.basis)
+    eng.handled = {(i, j) for j in range(t) for i in range(j)}
+    pruned = 0
+    for j in range(t):
+        for i in range(j):
+            got = eng.chain_prunes(i, j)
+            assert got == _brute_chain_prunes(eng, i, j), (i, j)
+            pruned += got
+    assert 0 < pruned < t * (t - 1) // 2
+
+
+def test_minimal_indices_match_brute_force_past_the_mask_width():
+    """Random lead lists whose exponents reach past the mask width (32
+    bits a variable for two generators, 21 for three)."""
+    rnd = random.Random(4)
+    values = (0, 1, 2, 20, 21, 22, 31, 32, 33, 64, 70)
+    for name in ("comm2", "ex12"):
+        A = over(FieldSpec("Rationals"), name)
+        for _ in range(40):
+            rank = rnd.randint(1, 2)
+            order = ModOrder("top", A.order, rank)
+            lms = [(tuple(rnd.choice(values) for _ in range(A.n)),
+                    rnd.randrange(rank))
+                   for _ in range(rnd.randint(1, 12))]
+            assert (groebner._minimal_indices(lms, order)
+                    == _brute_minimal_indices(lms, order)), lms
 
 
 def _reduced_elements(basis, order):

@@ -406,6 +406,29 @@ def test_divisor_lookup_matches_a_linear_scan(comm2, seed):
     _check_lookups(_Divisors(order), L, rnd, 12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_divisor_lookup_past_the_mask_width(comm2, seed):
+    """Leads and monomials whose exponents reach past the 32 mask bits a
+    variable of comm2 gets: the masks of x^33 and x^40 are equal, and
+    find must still tell that the one does not divide the other."""
+    rnd = random.Random(seed)
+    L = FreeModule(comm2, 2)
+    order = ModOrder("top", comm2.order, 2)
+    values = (0, 1, 31, 32, 33, 40, 64)
+    prepared = _Divisors(order)
+    pool = [(tuple(rnd.choice(values) for _ in range(2)), rnd.randrange(2))
+            for _ in range(40)]
+    for _ in range(8):
+        exp, comp = rnd.choice(pool)
+        prepared.append(L.from_polys(
+            [comm2.monomial(exp) if k == comp else comm2.zero()
+             for k in range(2)]))
+        for m in rnd.sample(pool, 20):
+            entry = prepared.find(m)
+            want = _least_divisor(prepared.leads, m)
+            assert (entry and entry[0]) == want, m
+
+
 def test_divisor_memo_stays_within_the_cache_limit(monkeypatch):
     """find remembers at most SOLVPOLY_CACHE_LIMIT monomials, in a
     completion as on a list built by hand, and the lookups it does not

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from solvpoly.algebra import (
     build_algebra,
     check_associative,
 )
+import solvpoly.presentation as presentation
+from solvpoly import fixtures
 from solvpoly.cli import _free_relations, _word_order, main, parse_problem
 from solvpoly.coeff import FieldSpec, MixedFields
 from solvpoly.presentation import (
@@ -35,6 +38,8 @@ import oracles
 from conftest import random_poly
 
 Q = FieldSpec("Rationals")
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
 
 
 def wo(n, weights=None, priority=None):
@@ -603,6 +608,63 @@ def test_completion_respects_budget():
             for o in overlap_elements(f, g, order):
                 _, rem = free_divide(o.value, checked, order)
                 assert rem.is_zero()
+
+
+PRESENTATIONS = [fixtures.path(name) for name in fixtures.all_names()] + [
+    os.path.join(BENCH_CORPUS, name + ".json")
+    for name in ("skew-4-2", "skew-5-2", "sl2-3-q", "weyl-3", "weyl-4",
+                 "weyl-5", "nonassoc")]
+
+
+@pytest.mark.parametrize("path", PRESENTATIONS, ids=os.path.basename)
+def test_bounded_completion_matches_the_all_pairs_reference(path):
+    pf = parse_problem(path)
+    rels, order = _free_relations(pf), _word_order(pf)
+    for max_new in (0, 1, 4):
+        assert (bounded_completion(rels, order, max_new)
+                == oracles.reference_bounded_completion(rels, order,
+                                                        max_new))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bounded_completion_matches_the_reference_while_it_grows(seed):
+    """Random systems of two or three words-and-scalars in three letters,
+    whose completions add elements and pair them."""
+    rnd = random.Random(seed)
+    order = wo(3)
+    rels = [random_free_poly(rnd, 3, max_terms=3, max_len=3)
+            for _ in range(rnd.randint(2, 3))]
+    got = bounded_completion(rels, order, max_new=3)
+    assert got == oracles.reference_bounded_completion(rels, order, 3)
+
+
+def test_bounded_completion_skips_pairs_without_a_shared_letter(
+        monkeypatch):
+    """On weyl-5 (45 relations) the completion hands 405 of the 2025
+    ordered pairs to ``overlap_elements`` before its queue, each a pair
+    whose second lead starts with a letter of the first lead's tail."""
+    pf = parse_problem(os.path.join(BENCH_CORPUS, "weyl-5.json"))
+    rels, order = _free_relations(pf), _word_order(pf)
+    calls, before_queue = [], []
+    overlaps, divide = presentation.overlap_elements, presentation.free_divide
+
+    def counting(f, g, order):
+        calls.append((f, g))
+        return overlaps(f, g, order)
+
+    def dividing(*args):
+        if not before_queue:
+            before_queue.append(len(calls))
+        return divide(*args)
+
+    monkeypatch.setattr(presentation, "overlap_elements", counting)
+    monkeypatch.setattr(presentation, "free_divide", dividing)
+    basis, complete = bounded_completion(rels, order, max_new=4)
+    assert complete and len(basis) == 45
+    assert before_queue == [405] and len(calls) == 405
+    for f, g in calls:
+        w1, w2 = f.lm(order).letters, g.lm(order).letters
+        assert w2[0] in w1[max(0, len(w1) - len(w2)):]
 
 
 # ---------------------------------------------------------------------------
