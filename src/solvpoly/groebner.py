@@ -22,8 +22,12 @@ over one positive denominator; the residues over GF(p)): each S-vector
 is summed from the rows the basis keeps prepared for division, the
 division hands its remainder and quotients back on ints, and a nonzero
 remainder joins the basis as its primitive row with a positive lead.
-Payloads are built only at the edge: an element's ``data`` on first
-read, V, U and the printer.
+The S-vectors and the prepared rows are keyed by the order's int codes
+(:meth:`solvpoly.modfree.ModOrder.key`), so the S-vector sum and the
+division multiply monomials by adding ints; exponent tuples stay at
+the edges (leads, masks, the chain criterion, the trace's multipliers
+and quotients, and the remainders).  Payloads are built only at the
+edge: an element's ``data`` on first read, V, U and the printer.
 
 A popped pair (i, j) is skipped by Buchberger's chain criterion when
 some other element k leads in the same component, lm(k) divides
@@ -55,14 +59,15 @@ opposite algebra ``A.opposite()`` (see
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from functools import cached_property
 from math import lcm
-from operator import le
+from operator import le, sub
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .coeff import SolvpolyError, _add_scaled, _from_ints
+from .coeff import SolvpolyError, _add_scaled
 from .algebra import (
     ExpVec,
     Poly,
@@ -70,7 +75,6 @@ from .algebra import (
     ZeroPolynomial,
     _exp_mask,
     exp_max,
-    exp_sub,
     exps_within,
     zero_exp,
 )
@@ -81,6 +85,7 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
+    _CodedVect,
     _Divisors,
     _IntSum,
     _IntVect,
@@ -160,8 +165,10 @@ class _Trace:
     on, in ascending order, each row summed on plain ints (integer
     numerators over one denominator, see
     :class:`solvpoly.modfree._IntSum`) and scaled by its inverse once at
-    the end; an evaluated step is dropped and its row kept in that form
-    for the steps that use it.
+    the end.  ``done`` holds the rows in that form: the given ones, the
+    ones asked for, and an evaluated one only until the last step of
+    the same call that reads it.  Every step keeps its recipe, so a
+    later call can evaluate a dropped row again.
     """
 
     def __init__(self, A: SolvableAlgebra, m: int):
@@ -187,7 +194,7 @@ class _Trace:
         """The rows of the steps ``ids`` in the ``(nums, den)`` form of
         :class:`solvpoly.modfree._IntSum`, entry j on component j,
         evaluating what they need."""
-        A, done = self.A, self.done
+        A, done, steps = self.A, self.done, self.steps
         need: Set[int] = set()
         stack = list(ids)
         while stack:
@@ -195,16 +202,22 @@ class _Trace:
             if k in done or k in need:
                 continue
             need.add(k)
-            stack.extend(src for _, _, src in self.steps[k][1])
+            stack.extend(src for _, _, src in steps[k][1])
+        # how many of the steps evaluated here read each row
+        readers = Counter(src for k in need for _, _, src in steps[k][1])
+        kept = set(ids)
         unit_exp = zero_exp(A.n)
         acc = _IntSum(A)
         for k in sorted(need):
-            unit, terms, inv = self.steps[k]
+            unit, terms, inv = steps[k]
             acc.start(None if unit is None else {(unit_exp, unit): 1})
             for sign, f, src in terms:
                 acc.add_lmul(sign, _terms_to_ints(f), done[src])
             done[k] = acc.finish(1 if inv is None else inv)
-            self.steps[k] = None
+            for _, _, src in terms:
+                readers[src] -= 1
+                if not readers[src] and src in need and src not in kept:
+                    del done[src]
         return [done[k] for k in ids]
 
 
@@ -322,36 +335,45 @@ def _spair_data(divisors: _Divisors, i: int, j: int):
     S = c_i * a^(gamma-alpha) g_i  -  c_j * a^(gamma-beta) g_j, the
     scalars normalizing both products to leading coefficient one,
     summed in one :class:`solvpoly.modfree._IntSum` on the rows of
-    ``divisors`` and returned as its ``finish`` gives it.  f_i is the
-    multiplier ``{gamma-alpha: (n, d)}`` with c_i = n/d, as the trace
-    keeps it.  a^alpha * g leads with the lead of g times the lead
-    coefficient of ``mono_mul(alpha, lm(g))``, since the order restricts
-    to the algebra's order on each component.
+    ``divisors``, on the codes of their order, and returned as its
+    ``finish`` gives it.  f_i is the multiplier ``{gamma-alpha: (n, d)}``
+    with c_i = n/d, as the trace keeps it.  a^alpha * g leads with the
+    lead of g times the lead coefficient of ``mono_mul(alpha, lm(g))``,
+    since the order restricts to the algebra's order on each component.
     """
     mi, mj = divisors.leads[i], divisors.leads[j]
     if mi[1] != mj[1]:
         return None
     A = divisors[i].module.algebra
     p = A.field.characteristic
+    codec = divisors.order._codec
+    products = divisors.order._products(A)
+    fill = products.fill
     gamma = exp_max(mi[0], mj[0])
+    # the code of the lcm monomial, less a lead's code, is the step of
+    # the lead's multiplier
+    top = codec.bases[mi[1]] + codec.step(gamma)
     acc = _IntSum(A)
     mults = []
     for sign, k in ((1, i), (-1, j)):
         _, lexp, lead, row, den, content = divisors.entries[k]
-        alpha = exp_sub(gamma, lexp)
-        mu = A.mono_mul(alpha, lexp)[0][1]
+        alpha = tuple(map(sub, gamma, lexp))
+        lc = divisors.codes[k]
+        astep = top - lc
+        known = products.row(astep, alpha)[1]
+        mu = (known.get(lc) or fill(known, alpha, astep, lc))[0][1]
         t = lead * mu.numerator
         if p:
             # c = 1 / (lead * mu), and den = content = 1
             c = pow(t, -1, p)
-            acc.add_lmul(sign, ({alpha: c}, 1), (row, 1))
+            acc.add_shifted(sign, c, 1, fill, alpha, known, astep, row)
             mults.append(({alpha: (c, 1)}, alpha))
             continue
         # c * g = u / t * row, with c = den * u / (content * t)
         u = mu.denominator
         if t < 0:
             t, u = -t, -u
-        acc.add_lmul(sign, ({alpha: u}, t), (row, 1))
+        acc.add_shifted(sign, u, t, fill, alpha, known, astep, row)
         mults.append(({alpha: (den * u, content * t)}, alpha))
     (fi, ai), (fj, aj) = mults
     return acc.finish(), fi, ai, fj, aj
@@ -364,9 +386,7 @@ def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
     data = _spair_data(_Divisors(order, [xi, zeta]), 0, 1)
     if data is None:
         return xi.module.zero()
-    return Vect._of(
-        xi.module, _from_ints(*data[0], xi.module.algebra.field.characteristic)
-    )
+    return _CodedVect(xi.module, order, *data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +397,11 @@ def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
 class _Engine:
     """Shared state of the Buchberger-style completion loops.
 
-    Every vector inside the loop is an integer row
-    (:class:`solvpoly.modfree._IntVect`): the S-vector as
-    :func:`_spair_data` sums it, the remainder as the division leaves
-    it, and each basis element as the primitive row its
+    Every vector inside the loop is an integer row: the S-vector on the
+    codes of the order (:class:`solvpoly.modfree._CodedVect`) as
+    :func:`_spair_data` sums it, the remainder
+    (:class:`solvpoly.modfree._IntVect`) as the division leaves it, and
+    each basis element as the primitive row on codes its
     :class:`solvpoly.modfree._Divisors` entry holds.
     """
 
@@ -461,11 +482,12 @@ class _Engine:
         data = _spair_data(self.basis, i, j)
         if data is None:
             return None
-        (nums, den), fi, _, fj, _ = data
-        if not nums:
+        (codes, den), fi, _, fj, _ = data
+        if not codes:
             return None
         quotients, eta = left_divide_module(
-            _IntVect(self.module, nums, den), self.basis, self.order
+            _CodedVect(self.module, self.order, codes, den), self.basis,
+            self.order
         )
         if eta.is_zero():
             return None
@@ -643,17 +665,17 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
     # a lone element has no other element to reduce its tail by
     for i in range(len(basis) if len(basis) > 1 else 0):
         _, _, lead, row, den, content = basis.entries[i]
-        lm = basis.leads[i]
-        tail = {m: n * content for m, n in row.items() if m != lm}
+        lc = basis.codes[i]
+        tail = {c: n * content for c, n in row.items() if c != lc}
         quotients, rem = left_divide_module(
-            _IntVect(module, tail, den), basis, order
+            _CodedVect(module, order, tail, den), basis, order
         )
         if not quotients:
             continue
         # the lead term content * lead / den plus the remainder
         d = lcm(den, rem.den)
         nums = {m: n * (d // rem.den) for m, n in rem.nums.items()}
-        nums[lm] = content * lead * (d // den)
+        nums[basis.leads[i]] = content * lead * (d // den)
         g, inv = _monic_row(_IntVect(module, nums, d), order)
         # row i - sum q_k * row k, over the rows as they stand now
         terms = [(1, one, steps[i])] + _minus(quotients, steps)

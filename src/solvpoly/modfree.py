@@ -8,25 +8,35 @@ orders on L come in TOP ("term over position"), POT ("position over
 term"), graded variants of both, and Schreyer orders induced by a
 list of module elements.
 
+Each order gives every module monomial one int code
+(:meth:`ModOrder.key`, packed by :class:`solvpoly.codes._Codec` from
+the order's tuple key): codes sort in the order, and multiplying a
+monomial by a^alpha adds ``step(alpha)`` to its code.  The division
+works on codes only.
+
 Division is left-sided and reduces in place on plain ints, as
 fraction-free elimination does (Bareiss, Math. Comp. 22, 1968).  What
-is left of the dividend is one dict of integer numerators over one
-positive denominator, with a sorted list of the order keys of its
-monomials; each divisor is a primitive integer row, converted once per
+is left of the dividend is one dict from codes to integer numerators
+over one positive denominator, with a sorted list of its codes; each
+divisor is a primitive integer row on codes, converted once per
 divisor list (:class:`_Divisors`, which the completion grows with its
-basis).  Over Q a step multiplies what is left by the least integer
-that lets it subtract an integer multiple of the divisor's row, and
-divides the content out only once the denominator has doubled in size;
-over GF(p) nothing is reduced mod p until a term is popped.  The
-remainder stays in that dict, so one rescaling covers it too, and each
-quotient term is kept as an integer pair.  Every dividend gets the same
-result: the nonzero quotients as integer pairs and the remainder as an
-:class:`_IntVect`.  That is the one integer-backed vector: a vector the
-division or the completion makes (a remainder, a basis element, a
-Schreyer row, a normal form) builds its payloads only on the first
-read of its ``data``.  Order keys are memoised per order object
-(:meth:`ModOrder.key`, :meth:`MonomialOrder.key`), so memory grows with
-the distinct monomials seen and is freed with the order.
+basis).  A step's product a^alpha * m comes from the order's table of
+products on codes (:class:`solvpoly.codes._Products`), filled from the
+algebra's monomial product.  Over Q a step multiplies what is left by
+the least integer that lets it subtract an integer multiple of the
+divisor's row, and divides the content out only once the denominator
+has doubled in size; over GF(p) nothing is reduced mod p until a term
+is popped.  The remainder stays in that dict, so one rescaling covers it
+too, and each quotient term is kept as an integer pair.  Every
+dividend gets the same result: the nonzero quotients as integer pairs
+keyed by exponent and the remainder as an :class:`_IntVect`, decoded
+once.  That is the integer-backed vector: a vector the division or the
+completion makes (a remainder, a basis element, a Schreyer row, a
+normal form) builds its payloads only on the first read of its
+``data``; an S-vector or a tail the completion hands to the division
+is a :class:`_CodedVect`, still on codes.  Codes are memoised per
+order object, so memory grows with the distinct monomials seen and is
+freed with the order.
 A right-sided question is a left one over the opposite algebra
 ``A.opposite()``, under :func:`opposite_order` (see
 :func:`solvpoly.syzres.is_projective`).
@@ -43,8 +53,9 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from operator import le
+from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
@@ -56,11 +67,11 @@ from .algebra import (
     SolvableAlgebra,
     ZeroPolynomial,
     _exp_mask,
-    exp_add,
     exp_divides,
     exps_within,
     zero_exp,
 )
+from .codes import ModMonomial, _Codec, _Products
 
 __all__ = [
     "IncompatibleModules",
@@ -74,9 +85,6 @@ __all__ = [
     "opposite_order",
     "normal_monomials",
 ]
-
-ModMonomial = Tuple[ExpVec, int]
-
 
 class IncompatibleModules(SolvpolyError):
     """Elements of different free modules were combined."""
@@ -353,6 +361,38 @@ class _IntVect(Vect):
         return max(self.nums, key=order.key)
 
 
+class _CodedVect(_IntVect):
+    """An integer vector held on the codes of ``order``
+    (:meth:`ModOrder.key`): ``codes`` maps each code to its numerator
+    over ``den``.  The completion hands its S-vectors and the tails it
+    reduces to the division in this form, which divides them with no
+    conversion; ``nums`` is decoded only on its first read."""
+
+    __slots__ = ("order", "codes")
+
+    def __init__(self, module: FreeModule, order: "ModOrder",
+                 codes: Dict[int, int], den: int):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "den", den)
+
+    def __getattr__(self, name):
+        # called only while the ``nums`` or ``data`` slot is unset
+        if name != "nums":
+            return _IntVect.__getattr__(self, name)
+        monos = self.order._codec.monos
+        nums = {monos[c]: n for c, n in self.codes.items()}
+        object.__setattr__(self, "nums", nums)
+        return nums
+
+    def is_zero(self) -> bool:
+        return not self.codes
+
+    def __bool__(self):
+        return bool(self.codes)
+
+
 def _int_form(v: Vect) -> Tuple[Dict[ModMonomial, int], int]:
     """``(nums, den)`` of a vector: an :class:`_IntVect`'s own, shared
     (not to be changed), or a fresh conversion of the payloads."""
@@ -448,6 +488,16 @@ class _IntSum:
         get = acc.get
         mono_mul = self.A.mono_mul
         scale = sign * (self.den // fv)
+        if self.p or not self.A._fractional:
+            # every product coefficient is an int
+            for ea, fa in fnums.items():
+                fs = fa * scale
+                for (exp, comp), c in vnums.items():
+                    s = fs * c
+                    for e, x in mono_mul(ea, exp):
+                        m = (e, comp)
+                        acc[m] = get(m, 0) + s * x
+            return
         for ea, fa in fnums.items():
             fs = fa * scale
             for (exp, comp), c in vnums.items():
@@ -465,6 +515,48 @@ class _IntSum:
                         n = s // xd * x.numerator
                     m = (e, comp)
                     acc[m] = get(m, 0) + n
+
+    def add_shifted(self, sign: int, c: int, d: int, fill, alpha: ExpVec,
+                    known: Dict[int, tuple], step: int,
+                    row: Dict[int, int]) -> None:
+        """Add ``sign * (c / d) * a^alpha * row`` for a row on codes over
+        1: :meth:`add_lmul` on codes, for a ring element of one term.
+        ``known`` and ``step`` are those of a^alpha in a table of
+        products (:meth:`solvpoly.codes._Products.row`), and ``fill``
+        its :meth:`~solvpoly.codes._Products.fill`."""
+        if self.den % d:
+            self._rescale(d)
+        acc = self.nums
+        get = acc.get
+        scale = sign * (self.den // d)
+        fs = c * scale
+        if self.p or not self.A._fractional:
+            # every product coefficient is an int
+            for code, cv in row.items():
+                s = fs * cv
+                terms = known.get(code)
+                if terms is None:
+                    terms = fill(known, alpha, step, code)
+                for m, x in terms:
+                    acc[m] = get(m, 0) + s * x
+            return
+        for code, cv in row.items():
+            s = fs * cv
+            terms = known.get(code)
+            if terms is None:
+                terms = fill(known, alpha, step, code)
+            for m, x in terms:
+                xd = x.denominator
+                if xd == 1:
+                    n = s * x.numerator
+                else:
+                    if self.den % (d * xd):
+                        self._rescale(d * xd)
+                        scale = sign * (self.den // d)
+                        fs = c * scale
+                        s = fs * cv
+                    n = s // xd * x.numerator
+                acc[m] = get(m, 0) + n
 
     def finish(self, s=1) -> Tuple[Dict[ModMonomial, int], int]:
         """The sum times the payload ``s`` as ``(nums, den)``, zeros
@@ -536,8 +628,11 @@ class ModOrder:
     With ``graded=True`` (top/pot only) the shifted weighted degree
     d(a^alpha) + b_i is compared before everything else.
 
-    Immutable once built, so the memoised keys (see :meth:`key`) stay
-    valid; subclasses define their order in :meth:`_key`.
+    Subclasses define their order in :meth:`_key`, a flat int tuple
+    whose every coordinate is affine in the exponent with nonnegative
+    coefficients, the same on every component.  :meth:`key` packs it
+    into one int code (:class:`solvpoly.codes._Codec`).  Immutable once
+    built, so the memoised codes stay valid.
     """
 
     KINDS = ("top", "pot", "schreyer")
@@ -590,14 +685,19 @@ class ModOrder:
                 g if isinstance(g, tuple) else g.lm(schreyer_target)
                 for g in schreyer_images
             ]
-        # one memo per component, keyed by exponent vector
-        self._keys: List[Dict[ExpVec, tuple]] = [{} for _ in range(rank)]
+        # the products on codes, one table per algebra (see _products)
+        self._tables: Dict[SolvableAlgebra, _Products] = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
         if getattr(self, "_frozen", False):
             raise AttributeError("ModOrder is immutable")
         object.__setattr__(self, name, value)
+
+    @cached_property
+    def _codec(self) -> _Codec:
+        """The codes of this order, packed on first use."""
+        return _Codec(self._key, self.base.n, self.rank)
 
     def degree_of(self, mono: ModMonomial) -> int:
         """Shifted weighted degree of a module monomial."""
@@ -609,20 +709,27 @@ class ModOrder:
             return self.base.degree(exp) + self.shifts[comp]
         return sum(exp) + self.shifts[comp]
 
-    def key(self, mono: ModMonomial):
-        """A flat int tuple, memoised like :meth:`MonomialOrder.key`."""
+    def key(self, mono: ModMonomial) -> int:
+        """The int code of a module monomial: ``key(m1) < key(m2)``
+        exactly when m1 is below m2, and ``key((a + e, c))`` is
+        ``key((e, c))`` plus the step of a
+        (:class:`solvpoly.codes._Codec`).  Memoised per order object,
+        like :meth:`MonomialOrder.key`; exponents must stay below
+        ``EXP_LIMIT``."""
         exp, comp = mono
-        memo = self._keys[comp]
-        k = memo.get(exp)
+        codec = self._codec
+        k = codec.codes[comp].get(exp)
         if k is None:
-            k = memo[exp] = self._key(mono)
+            k = codec.encode(exp, comp)
         return k
 
-    def _key(self, mono: ModMonomial):
+    def _key(self, mono: ModMonomial) -> tuple:
         exp, comp = mono
         if self.kind == "schreyer":
+            # the code of the image monomial, which the target checks
             delta, target_comp = self.schreyer_lms[comp]
-            body = self.schreyer_target.key((exp_add(exp, delta), target_comp))
+            body = (self.schreyer_target.key(
+                (tuple(map(add, exp, delta)), target_comp)),)
             rank_last = True
         else:
             body = self.base.key(exp)
@@ -633,6 +740,13 @@ class ModOrder:
         if self.graded:
             return (self.degree_of(mono),) + body
         return body
+
+    def _products(self, A: SolvableAlgebra) -> "_Products":
+        """The table of products on this order's codes for algebra A."""
+        table = self._tables.get(A)
+        if table is None:
+            table = self._tables[A] = _Products(A, self._codec)
+        return table
 
     def compare(self, m1: ModMonomial, m2: ModMonomial) -> int:
         k1, k2 = self.key(m1), self.key(m2)
@@ -666,19 +780,21 @@ class _Divisors(list):
     made for, each element's lead and its terms in the integer form the
     division works on: ``entries[i]`` is ``[i, lead exponent, lead
     numerator, row, den, content]``, the element being ``content / den``
-    times the row (a dict of ints), and ``by_comp`` groups the entries
-    by the component their element leads in, least index first.  Over Q
-    the row is primitive (a monic element's is ``[i, lexp, L, row, L,
-    1]``, L > 0); over GF(p) it holds the residues and den and content
-    are 1.  Beside each lead it keeps the lead exponent's divisibility
-    mask (:func:`solvpoly.algebra._exp_mask`): ``masks`` by element
-    index and ``comp_masks`` aligned with ``by_comp``.  :meth:`append`
-    extends the list and :meth:`replace` swaps an element for one with
-    the same lead; it is not to be changed otherwise.  :meth:`find`
-    remembers, per module monomial, the entry that divides it, or how
-    many entries of its component it has checked in vain; it remembers
-    at most as many monomials as the algebra's ``cache_limit``
-    (SOLVPOLY_CACHE_LIMIT) and looks up the others afresh.
+    times the row (a dict from codes, :meth:`ModOrder.key`, to ints),
+    and ``by_comp`` groups the entries by the component their element
+    leads in, least index first.  Over Q the row is primitive (a monic
+    element's is ``[i, lexp, L, row, L, 1]``, L > 0); over GF(p) it
+    holds the residues and den and content are 1.  ``leads`` holds the
+    lead monomials and ``codes`` their codes.  Beside each lead it keeps
+    the lead exponent's divisibility mask
+    (:func:`solvpoly.algebra._exp_mask`): ``masks`` by element index
+    and ``comp_masks`` aligned with ``by_comp``.  :meth:`append` extends
+    the list and :meth:`replace` swaps an element for one with the same
+    lead; it is not to be changed otherwise.  :meth:`find` remembers,
+    per code, the entry that divides its monomial, or how many entries
+    of its component it has checked in vain; it remembers at most as
+    many codes as the algebra's ``cache_limit`` (SOLVPOLY_CACHE_LIMIT)
+    and looks up the others afresh.
     """
 
     @classmethod
@@ -692,33 +808,36 @@ class _Divisors(list):
         super().__init__()
         self.order = order
         self.leads: List[ModMonomial] = []
+        self.codes: List[int] = []
         self.masks: List[int] = []
         self.entries: List[list] = []
         self.by_comp: List[list] = [[] for _ in range(order.rank)]
         self.comp_masks: List[List[int]] = [[] for _ in range(order.rank)]
-        # module monomial -> the entry that divides it, or the number of
+        # code -> the entry that divides its monomial, or the number of
         # entries of its component checked in vain
-        self._found: Dict[ModMonomial, object] = {}
+        self._found: Dict[int, object] = {}
         self._found_limit = 0
+        self._monos = order._codec.monos
         for d in divisors:
             self.append(d)
 
-    def find(self, m: ModMonomial) -> Optional[list]:
-        """The entry of the least-index element whose lead divides ``m``,
-        or None.  An entry found stays the answer, as :meth:`append`
-        adds only greater indices; after a miss a later call checks only
-        the entries appended since.  An entry whose mask rules out that
-        its lead divides ``m`` is passed over before the exact test, and
-        the mask of ``m`` is made only when there is an entry to check."""
+    def find(self, code: int) -> Optional[list]:
+        """The entry of the least-index element whose lead divides the
+        monomial of ``code``, or None.  An entry found stays the answer,
+        as :meth:`append` adds only greater indices; after a miss a
+        later call checks only the entries appended since.  An entry
+        whose mask rules out that its lead divides the monomial is
+        passed over before the exact test, and the mask is made only
+        when there is an entry to check."""
         memo = self._found
-        found = memo.get(m)
+        found = memo.get(code)
         if found is None:
             start = 0
         elif found.__class__ is int:
             start = found
         else:
             return found
-        wexp, wcomp = m
+        wexp, wcomp = self._monos[code]
         entries = self.by_comp[wcomp]
         entry = None
         if start < len(entries):
@@ -729,7 +848,7 @@ class _Divisors(list):
                     entry = e
                     break
         if len(memo) < self._found_limit or found is not None:
-            memo[m] = len(entries) if entry is None else entry
+            memo[code] = len(entries) if entry is None else entry
         return entry
 
     def _prepare(self, d: Vect) -> Tuple[ModMonomial, list]:
@@ -738,12 +857,13 @@ class _Divisors(list):
         nums, den = _int_form(d)
         if not nums:
             raise ZeroPolynomial("zero divisor in division")
-        lm = max(nums, key=self.order.key)
         g = 1 if d.module.algebra.field.characteristic else gcd(
             *nums.values())
+        row = _encoded(nums, self.order)
         if g != 1:
-            nums = {m: n // g for m, n in nums.items()}
-        return lm, [nums[lm], nums, den, g]
+            row = {k: n // g for k, n in row.items()}
+        lead = max(row)
+        return self._monos[lead], [row[lead], row, den, g]
 
     def _add(self, d: Vect, lm: ModMonomial, prepared: list) -> None:
         entry = [len(self), lm[0]] + prepared
@@ -752,6 +872,7 @@ class _Divisors(list):
         self.by_comp[lm[1]].append(entry)
         self.comp_masks[lm[1]].append(mask)
         self.leads.append(lm)
+        self.codes.append(self.order.key(lm))
         self.masks.append(mask)
         self._found_limit = d.module.algebra.cache_limit
         super().append(d)
@@ -793,61 +914,95 @@ def left_divide_module(
     index i to the nonzero quotient q_i, ``{exponent: (n, d)}`` with
     each term n/d, d > 0, and the remainder is an :class:`_IntVect`
     whose terms come greatest first.  An empty list leaves xi as the
-    remainder.  The division itself is :func:`_divide`.
+    remainder.  The division itself is :func:`_divide`, on the codes of
+    ``order``: a :class:`_CodedVect` under ``order`` enters as it is,
+    any other dividend is encoded, and the remainder is decoded.
     """
     if not divisors:
         return {}, xi
     divisors = _Divisors.of(divisors, order)
-    nums, den = _int_form(xi)
-    work = dict(nums)
-    quotients, den = _divide(work, den, divisors, order)
-    # the remainder's terms in the order they were popped, greatest first
-    rem = {m: work[m] for m in sorted(work, key=order.key, reverse=True)}
-    return quotients, _IntVect(xi.module, rem, den)
+    if xi.__class__ is _CodedVect and xi.order is order:
+        work, den = dict(xi.codes), xi.den
+    else:
+        nums, den = _int_form(xi)
+        work = _encoded(nums, order)
+    quotients, rem, den = _divide(work, den, divisors, order)
+    monos = order._codec.monos
+    return quotients, _IntVect(xi.module, {monos[c]: n for c, n in rem}, den)
 
 
-def _divide(work: Dict[ModMonomial, int], den: int, divisors: _Divisors,
-            order: ModOrder) -> Tuple[Dict[int, Dict[ExpVec, tuple]], int]:
-    """The division loop of :func:`left_divide_module` on ``work`` over
-    ``den`` (module docstring), in place: ``work`` ends as the
-    remainder's numerators, over the denominator returned with the
-    quotients (as :func:`left_divide_module` gives them).
+def _encoded(nums: Dict[ModMonomial, int], order: ModOrder) -> Dict[int, int]:
+    """``nums`` keyed by the codes of ``order`` (:meth:`ModOrder.key`)."""
+    codec = order._codec
+    codes, encode = codec.codes, codec.encode
+    out = {}
+    for (e, c), n in nums.items():
+        k = codes[c].get(e)
+        out[encode(e, c) if k is None else k] = n
+    return out
 
-    ``pending`` holds the (key, monomial) pairs of the terms of
-    ``work`` not yet popped, in ascending order, one per monomial; a
-    popped term no divisor divides stays in ``work`` as a remainder
-    term.  ``order`` must restrict to the algebra's order on each
-    component, so that a^alpha * g leads with a^alpha times the lead of
-    g.
+
+def _divide(work: Dict[int, int], den: int, divisors: _Divisors,
+            order: ModOrder) -> Tuple[Dict[int, Dict[ExpVec, tuple]],
+                                      List[Tuple[int, int]], int]:
+    """The division loop of :func:`left_divide_module` on ``work``, a
+    dict from codes (:meth:`ModOrder.key`) to numerators over ``den``
+    (module docstring), in place.  Returns the quotients (as
+    :func:`left_divide_module` gives them), the remainder's terms as
+    ``(code, numerator)`` pairs in the order they were popped, greatest
+    first, and the denominator they are over.
+
+    ``pending`` holds the codes of the terms of ``work`` not yet
+    popped, ascending; a popped term no divisor divides stays in
+    ``work`` as a remainder term.  A step for the term at code w with
+    the divisor that leads at code l multiplies the divisor's row by
+    a^alpha, whose step is ``w - l``; each product a^alpha * m comes
+    from the order's table (:class:`solvpoly.codes._Products`).
+    ``order`` must restrict to the algebra's order on each component, so
+    that a^alpha * g leads with a^alpha times the lead of g.
     """
     A = divisors[0].module.algebra
     p = A.field.characteristic
-    mono_mul = A.mono_mul
-    key = order.key
+    # every product coefficient is an int (see SolvableAlgebra._fractional)
+    integral = p or not A._fractional
+    products = order._products(A)
+    table, row_of, fill = products.table, products.row, products.fill
+    monos = order._codec.monos
     find = divisors.find
+    codes = divisors.codes
     quotients: Dict[int, Dict[ExpVec, tuple]] = {}
     get = work.get
-    pending = sorted((key(m), m) for m in work)
+    pending = sorted(work)
+    rem = []
     cap = 2 * den.bit_length() + _CONTENT_BITS
     while pending:
-        wm = pending.pop()[1]
-        a = work[wm]
+        wc = pending.pop()
+        a = work[wc]
         if p:
             a %= p
         if not a:
-            del work[wm]
+            del work[wc]
             continue
-        entry = find(wm)
+        entry = find(wc)
         if entry is None:
             if p:
-                work[wm] = a
+                work[wc] = a
+            rem.append(wc)
             continue
         i, lexp, lead, row, row_den, content = entry
-        alpha = tuple(y - x for x, y in zip(lexp, wm[0]))
+        lc = codes[i]
+        step = wc - lc
+        got = table.get(step)
+        if got is None:
+            got = row_of(step, tuple(map(sub, monos[wc][0], lexp)))
+        alpha, known = got
         q = quotients.get(i)
         if q is None:
             q = quotients[i] = {}
-        mu = mono_mul(alpha, lexp)[0][1]
+        terms = known.get(lc)
+        if terms is None:
+            terms = fill(known, alpha, step, lc)
+        mu = terms[0][1]
         t = lead * mu.numerator
         # subtract c * a^alpha * row, c = a / (den * t / mu.denominator)
         if p:
@@ -866,32 +1021,48 @@ def _divide(work: Dict[ModMonomial, int], den: int, divisors: _Divisors,
                 den *= b
             q[alpha] = (s * row_den, den * content)
         s = -s
-        for (e, comp), ce in row.items():
-            sc = s * ce
-            for e2, x in mono_mul(alpha, e):
-                xd = x.denominator
-                if xd == 1:
-                    n = sc * x.numerator
-                else:
-                    if sc % xd:
-                        r = xd // gcd(sc, xd)
-                        _scale(work, r)
-                        den *= r
-                        s *= r
-                        sc *= r
-                    n = sc // xd * x.numerator
-                m = (e2, comp)
-                cur = get(m)
-                if cur is None:
-                    work[m] = n
-                    insort(pending, (key(m), m))
-                else:
-                    work[m] = cur + n
-        del work[wm]
+        if integral:
+            for c, ce in row.items():
+                sc = s * ce
+                terms = known.get(c)
+                if terms is None:
+                    terms = fill(known, alpha, step, c)
+                for m, x in terms:
+                    cur = get(m)
+                    if cur is None:
+                        work[m] = sc * x
+                        insort(pending, m)
+                    else:
+                        work[m] = cur + sc * x
+        else:
+            for c, ce in row.items():
+                sc = s * ce
+                terms = known.get(c)
+                if terms is None:
+                    terms = fill(known, alpha, step, c)
+                for m, x in terms:
+                    xd = x.denominator
+                    if xd == 1:
+                        n = sc * x.numerator
+                    else:
+                        if sc % xd:
+                            r = xd // gcd(sc, xd)
+                            _scale(work, r)
+                            den *= r
+                            s *= r
+                            sc *= r
+                        n = sc // xd * x.numerator
+                    cur = get(m)
+                    if cur is None:
+                        work[m] = n
+                        insort(pending, m)
+                    else:
+                        work[m] = cur + n
+        del work[wc]
         if den.bit_length() > cap:
             den = _remove_content(work, den)
             cap = 2 * den.bit_length() + _CONTENT_BITS
-    return quotients, den
+    return quotients, [(c, work[c]) for c in rem], den
 
 
 def opposite_order(order: ModOrder) -> ModOrder:

@@ -43,6 +43,7 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
+    _CodedVect,
     _Divisors,
     _IntSum,
     _IntVect,
@@ -327,7 +328,8 @@ def _schreyer_rows(
         terms = {}
         if nums:
             quotients, rem = left_divide_module(
-                _IntVect(elements[i].module, nums, den), divisors, order
+                _CodedVect(elements[i].module, order, nums, den), divisors,
+                order
             )
             if not rem.is_zero():
                 raise NotAGroebnerBasis(

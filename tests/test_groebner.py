@@ -370,7 +370,8 @@ def test_chain_criterion_prunes_pairs(name, most, monkeypatch):
 # Brute-force references for the masked lead scans: every lead, in
 # index order, through mono_divides.
 
-def _brute_find(divisors, m):
+def _brute_find(divisors, code):
+    m = divisors.order._codec.monos[code]
     return next((entry for entry, lead in zip(divisors.entries,
                                               divisors.leads)
                  if mono_divides(lead, m)), None)

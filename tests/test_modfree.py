@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import solvpoly.modfree as modfree
-from solvpoly.algebra import exp_add
+from solvpoly.algebra import EXP_LIMIT, exp_add
 from solvpoly.cli import parse_problem
 from solvpoly.coeff import FieldSpec
 from solvpoly.filtered import FiltrationContext, ReesModOrder
@@ -336,7 +336,7 @@ def test_left_divide_mod_p_cancelled_term_reappears(monkeypatch):
 
     class Watched(dict):
         def __setitem__(self, m, n):
-            if m == xy:
+            if m == order.key(xy):
                 seen.append(n)
             dict.__setitem__(self, m, n)
 
@@ -387,7 +387,7 @@ def _check_lookups(prepared, L, rnd, rounds):
     for _ in range(rounds):
         prepared.append(random_vect(L, rnd, max_degree=4, nonzero=True))
         for m in rnd.sample(pool, 15):
-            entry = prepared.find(m)
+            entry = prepared.find(prepared.order.key(m))
             want = _least_divisor(prepared.leads, m)
             if want is None:
                 assert entry is None
@@ -424,7 +424,7 @@ def test_divisor_lookup_past_the_mask_width(comm2, seed):
             [comm2.monomial(exp) if k == comp else comm2.zero()
              for k in range(2)]))
         for m in rnd.sample(pool, 20):
-            entry = prepared.find(m)
+            entry = prepared.find(order.key(m))
             want = _least_divisor(prepared.leads, m)
             assert (entry and entry[0]) == want, m
 
@@ -447,7 +447,7 @@ def test_divisor_lookup_after_a_miss_and_after_a_hit(comm2):
     L = FreeModule(comm2, 2)
     order = ModOrder("top", comm2.order, 2)
     prepared = _Divisors(order, [L.parse(["x^2", "0"])])
-    m = ((1, 3), 0)
+    m = order.key(((1, 3), 0))
     assert prepared.find(m) is None
     # a miss: the divisor appended next is found
     prepared.append(L.parse(["0", "y"]))  # another component
@@ -457,8 +457,8 @@ def test_divisor_lookup_after_a_miss_and_after_a_hit(comm2):
     # a hit keeps its least index when a later divisor also divides
     prepared.append(L.parse(["y", "0"]))
     assert prepared.find(m)[0] == 2
-    assert prepared.find(((0, 1), 0))[0] == 3
-    assert prepared.find(((3, 3), 0))[0] == 0
+    assert prepared.find(order.key(((0, 1), 0)))[0] == 3
+    assert prepared.find(order.key(((3, 3), 0)))[0] == 0
 
 
 def test_division_runs_no_payload_arithmetic(monkeypatch):
@@ -639,7 +639,93 @@ def test_memoised_module_keys_match_fresh_ones(weyl1, rng):
         keys = [order.key(m) for m in monos]
         for m, k in zip(monos, keys):
             assert order.key(m) is k
-            assert k == fresh[kind]._key(m) == fresh[kind].key(m)
+            assert k == fresh[kind].key(m)
+        # the codes compare as the fresh tuple keys do
+        for (m, k), (m2, k2) in zip(zip(monos, keys),
+                                    zip(monos[1:], keys[1:])):
+            assert (k < k2) == (fresh[kind]._key(m) < fresh[kind]._key(m2))
+
+
+def _codec_orders(A, seed):
+    """The orders of :func:`_key_orders` on A, a graded POT order with a
+    negative shift and a Schreyer order over the Schreyer order."""
+    orders = _key_orders(A, seed)
+    rnd = random.Random(seed + 1)
+    orders["graded-negative"] = ModOrder("pot", A.order, 2, graded=True,
+                                         shifts=(-3, 1))
+    images = [random_vect(FreeModule(A, 2), rnd, nonzero=True)
+              for _ in range(2)]
+    orders["schreyer2"] = ModOrder("schreyer", A.order, 2,
+                                   schreyer_images=images,
+                                   schreyer_target=orders["schreyer"])
+    return orders
+
+
+def _codec_algebras():
+    """The six fixtures and their opposite algebras."""
+    for name in FIXTURES:
+        A = over(FieldSpec(), name)
+        yield name, A
+        yield name + "-op", A.opposite()
+
+
+def _huge_mono(rnd, n, top):
+    """A module monomial of rank 2 whose exponents run up to ``top``."""
+    pick = (0, 1, 2, 3, top - 1, top, rnd.randrange(top + 1))
+    return tuple(rnd.choice(pick) for _ in range(n)), rnd.randrange(2)
+
+
+@pytest.mark.parametrize("name, A", list(_codec_algebras()))
+def test_codes_sort_as_keys_shift_by_steps_and_decode(name, A):
+    """Each order's int codes sort as its tuple keys do, on exponents up
+    to EXP_LIMIT - 1 (a Schreyer order's key is its target's code at
+    the image monomial, so its exponents stay a little below), adding
+    the step of a^a to a code multiplies its monomial by a^a, and the
+    codec gives every code back as its monomial."""
+    rnd = random.Random(len(name))
+    for kind, order in _codec_orders(A, len(name)).items():
+        n, codec = order.base.n, order._codec
+        top = EXP_LIMIT - 1 - (16 if kind.startswith("schreyer") else 0)
+        monos = [_huge_mono(rnd, n, top) for _ in range(60)]
+        monos += [random_mono(rnd, n, 2) for _ in range(40)]
+        assert (sorted(monos, key=order.key)
+                == sorted(monos, key=order._key)), kind
+        assert len({order.key(m) for m in monos}) == len(set(monos))
+        for e, c in monos:
+            assert codec.monos[order.key((e, c))] == (e, c)
+            a = tuple(rnd.randint(0, 3) for _ in range(n))
+            e = tuple(min(x, top - 3) for x in e)
+            assert (order.key((exp_add(a, e), c))
+                    == order.key((e, c)) + codec.step(a)), kind
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_division_on_codes_with_a_small_product_table(name, monkeypatch):
+    """With SOLVPOLY_CACHE_LIMIT=5 the table of products on codes keeps
+    five products and makes the others afresh; the division still
+    equals the reference under every order, on the algebra and on its
+    opposite."""
+    monkeypatch.setenv("SOLVPOLY_CACHE_LIMIT", "5")
+    base = over(FieldSpec("PrimeField", 7), name)
+    rnd = random.Random(len(name) * 5)
+    full = 0
+    for A in (base, base.opposite()):
+        assert A.cache_limit == 5
+        for kind, order in _codec_orders(A, len(name)).items():
+            R = FiltrationContext(A).rees().algebra if kind == "rees" else A
+            L = FreeModule(R, 2)
+            for _ in range(3):
+                xi = random_vect(L, rnd, max_degree=4, max_terms=4)
+                divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
+                            for _ in range(rnd.randint(1, 3))]
+                _same_division(left_divide_module(xi, divisors, order),
+                               reference_left_divide(xi, divisors, order))
+            products = order._tables.get(R)
+            if products is not None:
+                assert sum(len(known) for _, known
+                           in products.table.values()) <= 5
+                full += not products.room
+    assert full
 
 
 def test_module_order_is_immutable(weyl1):

@@ -12,6 +12,8 @@ Every name the benchmark's tracer wraps exists where it looks for it.
 Inside the completion no payload is built (the pair step, the join of
 a new element, the S-vector, the division and U's rows), and a payload
 row is converted to integer form only where it enters from a caller.
+The division loop and the S-vector sum run on the order's int codes:
+they key no monomial and build no tuple per row term.
 """
 
 import ast
@@ -145,3 +147,58 @@ def _functions():
         with open(path) as fh:
             walk(ast.parse(fh.read(), path), [])
     return found
+
+
+def _function_node(module, qualname):
+    """The syntax tree of ``module``'s function ``qualname``."""
+    path = os.path.join(os.path.dirname(solvpoly.__file__), module + ".py")
+    with open(path) as fh:
+        node = ast.parse(fh.read(), path)
+    for name in qualname.split("."):
+        node = next(child for child in ast.iter_child_nodes(node)
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                    and child.name == name)
+    return node
+
+
+def _row_term_loops(fn):
+    """The ``for`` loops of ``fn`` over a row's terms (``row.items()``)
+    or over a product's terms (``terms``)."""
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.For):
+            continue
+        it = node.iter
+        if isinstance(it, ast.Name) and it.id == "terms":
+            yield node
+        elif (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+              and it.func.attr == "items"
+              and isinstance(it.func.value, ast.Name)
+              and it.func.value.id == "row"):
+            yield node
+
+
+def test_the_division_kernel_runs_on_order_codes():
+    """Inside the division loop and the S-vector sum themselves no
+    monomial is keyed by the order or shifted as an exponent tuple, and
+    no tuple is built for a term of a row: each product a^alpha * m is
+    the code of m plus the step of a^alpha, read from the order's table
+    of products (``codes._Products``)."""
+    kernel = [("modfree", "_divide"), ("groebner", "_spair_data")]
+    banned = {"key", "_key", "exp_add", "exp_sub"}
+    for module, qualname in kernel:
+        fn = _function_node(module, qualname)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                assert called not in banned, (qualname, called)
+        for loop in _row_term_loops(fn):
+            for stmt in loop.body:
+                for node in ast.walk(stmt):
+                    assert not (isinstance(node, ast.Tuple)
+                                and isinstance(node.ctx, ast.Load)), qualname
+                    assert not (isinstance(node, ast.Call)
+                                and isinstance(node.func, ast.Name)
+                                and node.func.id == "tuple"), qualname
+    assert list(_row_term_loops(_function_node("modfree", "_divide")))

@@ -191,18 +191,62 @@ def test_is_projective_builds_only_the_rows_it_reads(monkeypatch):
                                                       "y")]])
     bases = []
     complete = syzres.buchberger
+    evaluated = []
+
+    class Counting(groebner._IntSum):
+        def finish(self, s=1):
+            evaluated.append(1)
+            return super().finish(s)
 
     def recording(*args, **kwargs):
         bases.append(complete(*args, **kwargs))
+        evaluated.clear()
         return bases[-1]
 
+    monkeypatch.setattr(groebner, "_IntSum", Counting)
     monkeypatch.setattr(syzres, "buchberger", recording)
     flag, V = is_projective(Q)
     assert flag
     assert oracles.reference_matrix_product(A, Q.entries, V, 1) == [[A.one()]]
-    # an evaluated trace step is dropped from the trace
-    steps = sum(step is None for step in bases[0]._trace.steps)
-    assert 0 < steps < len(bases[0].elements)
+    # the trace evaluates fewer steps than the basis has elements, and
+    # keeps only the rows read
+    assert 0 < len(evaluated) < len(bases[0].elements)
+    assert 0 < len(bases[0]._trace.done) <= len(evaluated)
+
+
+def _V_strings(G):
+    A = G.module.algebra
+    return [[A.poly_str(f) for f in row] for row in G.V]
+
+
+@pytest.mark.parametrize("name", ["c44-p", "sl2-4-q"])
+def test_V_keeps_only_the_rows_asked_for_and_given(name):
+    """After ``G.V`` the trace holds only the rows it was asked for and
+    the given ones; an evaluated row that only others read is dropped,
+    and its recipe stays, so the reduced basis read afterwards on the
+    same trace gets the same V as one read on a fresh completion."""
+    path = os.path.join(BENCH_CORPUS, name + ".json")
+    pf = parse_problem(path)
+    G = buchberger(pf.generators, pf.mod_order)
+    R = reduce_basis(G)
+    want = _V_strings(R)
+    assert set(R._trace.done) == set(R._steps)
+    assert all(step is not None for step in R._trace.steps)
+
+    pf = parse_problem(path)
+    G = buchberger(pf.generators, pf.mod_order)
+    _V_strings(G)
+    assert set(G._trace.done) == set(G._steps)
+    R = reduce_basis(G)
+    assert _V_strings(R) == want
+    assert set(G._trace.done) == set(G._steps) | set(R._steps)
+
+    # a basis whose V rows are given keeps them through a later read
+    G2 = GroebnerBasis(G.module, G.order, list(G.elements), G.inputs, G.V)
+    given = set(G2._steps)
+    R2 = reduce_basis(G2)
+    assert _V_strings(R2) == want
+    assert set(G2._trace.done) == given | set(R2._steps)
 
 
 def _random_homogeneous(L, rnd, degree):
