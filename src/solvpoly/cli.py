@@ -14,8 +14,11 @@ and for a standard output closed before the whole report was written
 (say, by ``| head``).
 
 The environment variable ``SOLVPOLY_CACHE_LIMIT`` caps the number of
-cached monomial products per algebra, and of the monomials whose
-divisor each divisor list remembers.
+cached monomial products per algebra, of the monomials whose divisor
+each divisor list remembers, and of the products in each module
+order's table of products on codes.  Every such table has the limit as
+its own cap, so one command that builds several orders (a resolution
+builds one per stage) can hold several times the limit in all.
 """
 
 import argparse

@@ -211,13 +211,13 @@ def _to_ints(items) -> tuple:
     return {m: c.numerator * (den // c.denominator) for m, c in items}, den
 
 
-def _from_ints(nums: dict, den: int, p: int) -> dict:
-    """The canonical payloads of the numerators ``nums`` over ``den``,
-    zeros dropped: one Fraction per term over Q, the residues mod p over
-    GF(p) (where den is 1)."""
+def _from_ints(items, den: int, p: int) -> dict:
+    """The canonical payloads of the (monomial, numerator) pairs
+    ``items`` over ``den``, zeros dropped: one Fraction per term over Q,
+    the residues mod p over GF(p) (where den is 1)."""
     if p:
-        return {m: n % p for m, n in nums.items() if n % p}
-    return {m: Fraction(n, den) for m, n in nums.items() if n}
+        return {m: n % p for m, n in items if n % p}
+    return {m: Fraction(n, den) for m, n in items if n}
 
 
 class Scalar:

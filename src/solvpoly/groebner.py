@@ -17,17 +17,19 @@ over Q, one reduction per row over GF(p)).
 built the same way from :attr:`GroebnerBasis.U_ints`, the division
 quotients of the inputs by the basis, computed on first read.
 
-Inside the loop every vector is an integer row (integer numerators
-over one positive denominator; the residues over GF(p)): each S-vector
-is summed from the rows the basis keeps prepared for division, the
-division hands its remainder and quotients back on ints, and a nonzero
-remainder joins the basis as its primitive row with a positive lead.
-The S-vectors and the prepared rows are keyed by the order's int codes
-(:meth:`solvpoly.modfree.ModOrder.key`), so the S-vector sum and the
-division multiply monomials by adding ints; exponent tuples stay at
-the edges (leads, masks, the chain criterion, the trace's multipliers
-and quotients, and the remainders).  Payloads are built only at the
-edge: an element's ``data`` on first read, V, U and the printer.
+Every vector inside the loop is an integer row on the order's int
+codes (:class:`solvpoly.modfree._IntVect`, integer numerators over one
+positive denominator; the residues over GF(p)): each S-vector is summed
+from the rows the basis keeps prepared for division, the division hands
+its remainder back on the same codes and its quotients on ints, and a
+nonzero remainder joins the basis as its primitive row with a positive
+lead.  The S-vector sum and the division multiply monomials by adding
+ints; exponent tuples stay at the edges (leads, masks, the chain
+criterion, and the trace's multipliers and quotients).  The rows of V
+and U are integer rows too, on the TOP order of a free module of their
+own, summed by the same :class:`solvpoly.modfree._IntSum`.  Payloads
+are built only at the edge: an element's ``data`` on first read, V, U
+and the printer.
 
 A popped pair (i, j) is skipped by Buchberger's chain criterion when
 some other element k leads in the same component, lm(k) divides
@@ -85,13 +87,11 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
-    _CodedVect,
     _Divisors,
     _IntSum,
     _IntVect,
     _monic_row,
     _quotient_row,
-    _row_from_ints,
     _row_to_ints,
     _terms_to_ints,
     left_divide_module,
@@ -162,20 +162,20 @@ class _Trace:
     each term n/d (see :func:`solvpoly.modfree._terms_to_ints`), so a
     completion whose V is never read builds no payload for it.
     :meth:`rows` evaluates the steps asked for and those they depend
-    on, in ascending order, each row summed on plain ints (integer
-    numerators over one denominator, see
-    :class:`solvpoly.modfree._IntSum`) and scaled by its inverse once at
-    the end.  ``done`` holds the rows in that form: the given ones, the
-    ones asked for, and an evaluated one only until the last step of
-    the same call that reads it.  Every step keeps its recipe, so a
-    later call can evaluate a dropped row again.
+    on, in ascending order, each row summed on plain ints in one
+    :class:`solvpoly.modfree._IntSum` on the TOP order of the trace's
+    module of rank m, and scaled by its inverse once at the end.
+    ``done`` holds the rows as integer rows
+    (:class:`solvpoly.modfree._IntVect`): the given ones, the ones asked
+    for, and an evaluated one only until the last step of the same call
+    that reads it.  Every step keeps its recipe, so a later call can
+    evaluate a dropped row again.
     """
 
     def __init__(self, A: SolvableAlgebra, m: int):
-        self.A = A
-        self.m = m
+        self.module = FreeModule(A, m)
         self.steps: List[Optional[tuple]] = []
-        self.done: Dict[int, Tuple[Dict[ModMonomial, int], int]] = {}
+        self.done: Dict[int, _IntVect] = {}
 
     def add(self, unit: Optional[int], terms: list, inv=None) -> int:
         self.steps.append((unit, terms, inv))
@@ -187,14 +187,13 @@ class _Trace:
         for row in rows:
             ids.append(len(self.steps))
             self.steps.append(None)
-            self.done[ids[-1]] = _row_to_ints(row)
+            self.done[ids[-1]] = _row_to_ints(self.module, row)
         return ids
 
-    def rows(self, ids: Sequence[int]) -> List[Tuple[dict, int]]:
-        """The rows of the steps ``ids`` in the ``(nums, den)`` form of
-        :class:`solvpoly.modfree._IntSum`, entry j on component j,
+    def rows(self, ids: Sequence[int]) -> List[_IntVect]:
+        """The rows of the steps ``ids``, entry j on component j,
         evaluating what they need."""
-        A, done, steps = self.A, self.done, self.steps
+        L, done, steps = self.module, self.done, self.steps
         need: Set[int] = set()
         stack = list(ids)
         while stack:
@@ -206,14 +205,18 @@ class _Trace:
         # how many of the steps evaluated here read each row
         readers = Counter(src for k in need for _, _, src in steps[k][1])
         kept = set(ids)
-        unit_exp = zero_exp(A.n)
-        acc = _IntSum(A)
+        unit_exp = zero_exp(L.algebra.n)
+        order = L.top
+        acc = _IntSum(L.algebra, order)
         for k in sorted(need):
             unit, terms, inv = steps[k]
-            acc.start(None if unit is None else {(unit_exp, unit): 1})
+            acc.start(None if unit is None else
+                      {order.key((unit_exp, unit)): 1})
             for sign, f, src in terms:
-                acc.add_lmul(sign, _terms_to_ints(f), done[src])
-            done[k] = acc.finish(1 if inv is None else inv)
+                row = done[src]
+                acc.add(sign, *_terms_to_ints(f), row.codes, row.den)
+            done[k] = _IntVect(L, order,
+                               *acc.finish(1 if inv is None else inv))
             for _, _, src in terms:
                 readers[src] -= 1
                 if not readers[src] and src in need and src not in kept:
@@ -264,19 +267,19 @@ class GroebnerBasis:
         """Row k writes ``elements[k]`` in the inputs, built on first
         read from the steps of the trace that row k and the rows it
         derives from need."""
-        A, m = self.module.algebra, len(self.inputs)
-        return [_row_from_ints(A, *row, m)
+        return [row.to_polys()
                 for row in self.V_ints(range(len(self.elements)))]
 
-    def V_ints(self, ks: Iterable[int]) -> List[Tuple[dict, int]]:
+    def V_ints(self, ks: Iterable[int]) -> List[_IntVect]:
         """Rows ``ks`` of V in integer form (:meth:`_Trace.rows`),
         evaluating only the trace steps they need."""
         return self._trace.rows([self._steps[k] for k in ks])
 
     @cached_property
-    def U_ints(self) -> Optional[List[Tuple[dict, int]]]:
+    def U_ints(self) -> Optional[List[_IntVect]]:
         """Row j holds the quotients of ``inputs[j]`` divided by the
-        elements in integer form (a zero row for a zero input), computed
+        elements as an integer row on the TOP order of a free module of
+        rank ``len(elements)`` (a zero row for a zero input), computed
         on first read.  None for truncated bases: inputs of degree
         beyond the cap need not reduce to zero.  Raises
         NotAGroebnerBasis when an input leaves a nonzero remainder.
@@ -285,17 +288,18 @@ class GroebnerBasis:
             return None
         basis = _Divisors.of(self.elements, self.order)
         pos = range(len(basis))
+        L = FreeModule(self.module.algebra, len(basis))
         rows = []
         for xi in self.inputs:
             if xi.is_zero():
-                rows.append(({}, 1))
+                rows.append(_IntVect(L, L.top, {}, 1))
                 continue
             quotients, rem = left_divide_module(xi, basis, self.order)
             if not rem.is_zero():
                 raise NotAGroebnerBasis(
                     "input does not reduce to zero against the computed basis"
                 )
-            rows.append(_quotient_row(quotients, pos))
+            rows.append(_quotient_row(L, quotients, pos))
         return rows
 
     @cached_property
@@ -304,8 +308,7 @@ class GroebnerBasis:
         :attr:`U_ints` on first read; None for truncated bases."""
         if self.U_ints is None:
             return None
-        A, t = self.module.algebra, len(self.elements)
-        return [_row_from_ints(A, *row, t) for row in self.U_ints]
+        return [row.to_polys() for row in self.U_ints]
 
     def __len__(self):
         return len(self.elements)
@@ -346,34 +349,25 @@ def _spair_data(divisors: _Divisors, i: int, j: int):
         return None
     A = divisors[i].module.algebra
     p = A.field.characteristic
-    codec = divisors.order._codec
-    products = divisors.order._products(A)
-    fill = products.fill
     gamma = exp_max(mi[0], mj[0])
-    # the code of the lcm monomial, less a lead's code, is the step of
-    # the lead's multiplier
-    top = codec.bases[mi[1]] + codec.step(gamma)
-    acc = _IntSum(A)
+    acc = _IntSum(A, divisors.order)
     mults = []
     for sign, k in ((1, i), (-1, j)):
         _, lexp, lead, row, den, content = divisors.entries[k]
         alpha = tuple(map(sub, gamma, lexp))
-        lc = divisors.codes[k]
-        astep = top - lc
-        known = products.row(astep, alpha)[1]
-        mu = (known.get(lc) or fill(known, alpha, astep, lc))[0][1]
+        mu = A.mono_mul(alpha, lexp)[0][1]
         t = lead * mu.numerator
         if p:
             # c = 1 / (lead * mu), and den = content = 1
             c = pow(t, -1, p)
-            acc.add_shifted(sign, c, 1, fill, alpha, known, astep, row)
+            acc.add(sign, {alpha: c}, 1, row, 1)
             mults.append(({alpha: (c, 1)}, alpha))
             continue
         # c * g = u / t * row, with c = den * u / (content * t)
         u = mu.denominator
         if t < 0:
             t, u = -t, -u
-        acc.add_shifted(sign, u, t, fill, alpha, known, astep, row)
+        acc.add(sign, {alpha: u}, t, row, 1)
         mults.append(({alpha: (den * u, content * t)}, alpha))
     (fi, ai), (fj, aj) = mults
     return acc.finish(), fi, ai, fj, aj
@@ -386,7 +380,7 @@ def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
     data = _spair_data(_Divisors(order, [xi, zeta]), 0, 1)
     if data is None:
         return xi.module.zero()
-    return _CodedVect(xi.module, order, *data[0])
+    return _IntVect(xi.module, order, *data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +391,10 @@ def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
 class _Engine:
     """Shared state of the Buchberger-style completion loops.
 
-    Every vector inside the loop is an integer row: the S-vector on the
-    codes of the order (:class:`solvpoly.modfree._CodedVect`) as
-    :func:`_spair_data` sums it, the remainder
-    (:class:`solvpoly.modfree._IntVect`) as the division leaves it, and
-    each basis element as the primitive row on codes its
+    Every vector inside the loop is an integer row on the codes of the
+    order (:class:`solvpoly.modfree._IntVect`): the S-vector as
+    :func:`_spair_data` sums it, the remainder as the division leaves
+    it, and each basis element as the primitive row its
     :class:`solvpoly.modfree._Divisors` entry holds.
     """
 
@@ -486,7 +479,7 @@ class _Engine:
         if not codes:
             return None
         quotients, eta = left_divide_module(
-            _CodedVect(self.module, self.order, codes, den), self.basis,
+            _IntVect(self.module, self.order, codes, den), self.basis,
             self.order
         )
         if eta.is_zero():
@@ -668,15 +661,15 @@ def reduce_basis(G0: GroebnerBasis) -> GroebnerBasis:
         lc = basis.codes[i]
         tail = {c: n * content for c, n in row.items() if c != lc}
         quotients, rem = left_divide_module(
-            _CodedVect(module, order, tail, den), basis, order
+            _IntVect(module, order, tail, den), basis, order
         )
         if not quotients:
             continue
         # the lead term content * lead / den plus the remainder
         d = lcm(den, rem.den)
-        nums = {m: n * (d // rem.den) for m, n in rem.nums.items()}
-        nums[basis.leads[i]] = content * lead * (d // den)
-        g, inv = _monic_row(_IntVect(module, nums, d), order)
+        codes = {c: n * (d // rem.den) for c, n in rem.codes.items()}
+        codes[lc] = content * lead * (d // den)
+        g, inv = _monic_row(_IntVect(module, order, codes, d), order)
         # row i - sum q_k * row k, over the rows as they stand now
         terms = [(1, one, steps[i])] + _minus(quotients, steps)
         basis.replace(i, g)
@@ -727,11 +720,12 @@ def member_by_completion(
         return False, xi
     eng = _seeded_engine(inputs, order)
     rem = left_divide_module(xi, eng.basis, order)[1]
+    monos = order._codec.monos
 
     def reduced_to_zero(t: int) -> bool:
         nonlocal rem
         lead = eng.basis.leads[t]
-        if any(mono_divides(lead, m) for m in rem.nums):
+        if any(mono_divides(lead, monos[c]) for c in rem.codes):
             rem = left_divide_module(rem, eng.basis, order)[1]
         return rem.is_zero()
 

@@ -29,24 +29,25 @@ has doubled in size; over GF(p) nothing is reduced mod p until a term
 is popped.  The remainder stays in that dict, so one rescaling covers it
 too, and each quotient term is kept as an integer pair.  Every
 dividend gets the same result: the nonzero quotients as integer pairs
-keyed by exponent and the remainder as an :class:`_IntVect`, decoded
-once.  That is the integer-backed vector: a vector the division or the
-completion makes (a remainder, a basis element, a Schreyer row, a
-normal form) builds its payloads only on the first read of its
-``data``; an S-vector or a tail the completion hands to the division
-is a :class:`_CodedVect`, still on codes.  Codes are memoised per
-order object, so memory grows with the distinct monomials seen and is
-freed with the order.
+keyed by exponent and the remainder on the division's codes.
+
+Every integer row in the package is one type, :class:`_IntVect`:
+numerators on the codes of one order over one positive denominator,
+whose payloads are built only on the first read of its ``data``.
+Rows with no order of their own (the rows of V, U and of matrix
+products) are on the TOP order of their free module
+(:attr:`FreeModule.top`).  :func:`_coded` puts a vector on the codes
+of an order, and is the one conversion.  Codes are memoised per order
+object, so memory grows with the distinct monomials seen and is freed
+with the order.
 A right-sided question is a left one over the opposite algebra
 ``A.opposite()``, under :func:`opposite_order` (see
 :func:`solvpoly.syzres.is_projective`).
 
-Left combinations of vectors whose payloads are not needed term by
-term (the rows of a transition matrix, the rows of a product of
-matrices over the algebra, S-vectors and left multiples) are summed by
-:class:`_IntSum` on plain ints; :func:`_row_to_ints`,
-:func:`_row_from_ints`, :func:`_int_form`, :func:`_terms_to_ints` and
-:func:`_quotient_row` convert to that form and back.
+Left combinations of integer rows (the rows of a transition matrix and
+of a product of matrices over the algebra, S-vectors and left
+multiples) are summed by :class:`_IntSum` on the codes of one order, on
+plain ints.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ class FreeModule:
         """Parse a JSON-style array of polynomial strings, one per slot."""
         return self.from_polys([self.algebra.parse(s) for s in strings])
 
+    @cached_property
+    def top(self) -> "ModOrder":
+        """The TOP order on this module that integer rows with no order
+        of their own are coded on (:class:`_IntVect`)."""
+        return ModOrder("top", self.algebra.order, self.rank)
+
     def mono_degree(self, m: ModMonomial) -> int:
         """Shifted weighted degree d(exp) + b_comp of a module monomial."""
         d = self.algebra.degree_function
@@ -288,13 +295,13 @@ class Vect:
 
     def lmul(self, f: Poly) -> "Vect":
         """Left multiplication by a ring element, summed in one
-        :class:`_IntSum`."""
-        A = self.module.algebra
-        acc = _IntSum(A)
-        acc.add_lmul(1, _to_ints(f.terms), _int_form(self))
-        return Vect._of(
-            self.module, _from_ints(*acc.finish(), A.field.characteristic)
-        )
+        :class:`_IntSum` on the codes of the vector's order (an
+        :class:`_IntVect`'s own, else its module's TOP order)."""
+        order = self.order if isinstance(self, _IntVect) else self.module.top
+        v = _coded(self, order)
+        acc = _IntSum(self.module.algebra, order)
+        acc.add(1, *_to_ints(f.terms), v.codes, v.den)
+        return _IntVect(self.module, order, *acc.finish())
 
     def rmul(self, f: Poly) -> "Vect":
         """Right multiplication by a ring element (right-module view).
@@ -325,50 +332,16 @@ class Vect:
 
 
 class _IntVect(Vect):
-    """A vector held as integer numerators ``nums`` over one positive
+    """A vector held on the codes of ``order`` (:meth:`ModOrder.key`):
+    ``codes`` maps each code to an integer numerator over one positive
     denominator ``den`` (over GF(p) the nonzero residues over 1), no
     zero kept; its payloads are built on the first read of ``data``.
-    Division remainders and the completion's basis elements, Schreyer
-    rows and normal forms are of this kind, so an element that is never
-    printed or compared never becomes payloads."""
+    Every integer row in the package is of this kind: remainders, the
+    completion's S-vectors, basis elements and normal forms, Schreyer
+    rows, the rows of V and U and of matrix products, so a row that is
+    never printed or compared never becomes payloads."""
 
-    __slots__ = ("nums", "den")
-
-    def __init__(self, module: FreeModule, nums: Dict[ModMonomial, int],
-                 den: int):
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
-    def __getattr__(self, name):
-        # called only while the ``data`` slot is unset
-        if name != "data":
-            raise AttributeError(name)
-        data = _from_ints(self.nums, self.den,
-                          self.module.algebra.field.characteristic)
-        object.__setattr__(self, "data", data)
-        return data
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self):
-        return bool(self.nums)
-
-    def lm(self, order: "ModOrder") -> ModMonomial:
-        if not self.nums:
-            raise ZeroPolynomial("zero vector has no leading monomial")
-        return max(self.nums, key=order.key)
-
-
-class _CodedVect(_IntVect):
-    """An integer vector held on the codes of ``order``
-    (:meth:`ModOrder.key`): ``codes`` maps each code to its numerator
-    over ``den``.  The completion hands its S-vectors and the tails it
-    reduces to the division in this form, which divides them with no
-    conversion; ``nums`` is decoded only on its first read."""
-
-    __slots__ = ("order", "codes")
+    __slots__ = ("order", "codes", "den")
 
     def __init__(self, module: FreeModule, order: "ModOrder",
                  codes: Dict[int, int], den: int):
@@ -378,13 +351,15 @@ class _CodedVect(_IntVect):
         object.__setattr__(self, "den", den)
 
     def __getattr__(self, name):
-        # called only while the ``nums`` or ``data`` slot is unset
-        if name != "nums":
-            return _IntVect.__getattr__(self, name)
+        # called only while the ``data`` slot is unset
+        if name != "data":
+            raise AttributeError(name)
         monos = self.order._codec.monos
-        nums = {monos[c]: n for c, n in self.codes.items()}
-        object.__setattr__(self, "nums", nums)
-        return nums
+        codes = self.codes
+        data = _from_ints(zip(map(monos.__getitem__, codes), codes.values()),
+                          self.den, self.module.algebra.field.characteristic)
+        object.__setattr__(self, "data", data)
+        return data
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -392,13 +367,35 @@ class _CodedVect(_IntVect):
     def __bool__(self):
         return bool(self.codes)
 
+    def lm(self, order: "ModOrder") -> ModMonomial:
+        if not self.codes:
+            raise ZeroPolynomial("zero vector has no leading monomial")
+        monos = self.order._codec.monos
+        if order is self.order:
+            return monos[max(self.codes)]
+        return max(map(monos.__getitem__, self.codes), key=order.key)
 
-def _int_form(v: Vect) -> Tuple[Dict[ModMonomial, int], int]:
-    """``(nums, den)`` of a vector: an :class:`_IntVect`'s own, shared
-    (not to be changed), or a fresh conversion of the payloads."""
+
+def _coded(v: Vect, order: "ModOrder") -> _IntVect:
+    """``v`` on the codes of ``order``: itself when it is an
+    :class:`_IntVect` on ``order`` (its dict shared, not to be changed),
+    else its terms encoded afresh."""
     if isinstance(v, _IntVect):
-        return v.nums, v.den
-    return _to_ints(v.data.items())
+        if v.order is order:
+            return v
+        monos, held = v.order._codec.monos, v.codes
+        items = zip(map(monos.__getitem__, held), held.values())
+        den = v.den
+    else:
+        nums, den = _to_ints(v.data.items())
+        items = nums.items()
+    codec = order._codec
+    known, encode = codec.codes, codec.encode
+    codes = {}
+    for (e, c), n in items:
+        k = known[c].get(e)
+        codes[encode(e, c) if k is None else k] = n
+    return _IntVect(v.module, order, codes, den)
 
 
 def _terms_to_ints(terms: Dict[object, Tuple[int, int]]) -> Tuple[dict, int]:
@@ -415,94 +412,109 @@ def _terms_to_ints(terms: Dict[object, Tuple[int, int]]) -> Tuple[dict, int]:
     return nums, _remove_content(nums, den)
 
 
-def _quotient_row(quotients: Dict[int, Dict[ExpVec, tuple]],
-                  pos: Sequence[int]) -> Tuple[dict, int]:
+def _quotient_row(L: FreeModule, quotients: Dict[int, Dict[ExpVec, tuple]],
+                  pos: Sequence[int]) -> _IntVect:
     """The quotients of a division (:func:`left_divide_module`) as one
-    row in integer form, quotient i on component ``pos[i]``."""
-    return _terms_to_ints({(e, pos[i]): c for i, q in quotients.items()
-                           for e, c in q.items()})
+    row of L on its TOP order, quotient i on component ``pos[i]``."""
+    key = L.top.key
+    return _IntVect(L, L.top, *_terms_to_ints(
+        {key((e, pos[i])): c for i, q in quotients.items()
+         for e, c in q.items()}))
 
 
 def _monic_row(v: Vect, order: "ModOrder") -> Tuple[_IntVect, object]:
-    """``v`` made monic and the payload inv with ``monic = inv * v``
-    (None for one).  Over Q the monic vector is the primitive row with a
-    positive lead L over L; over GF(p) its residues over 1."""
-    nums, den = _int_form(v)
-    lm = max(nums, key=order.key)
-    lead = nums[lm]
+    """``v`` made monic on the codes of ``order``, and the payload inv
+    with ``monic = inv * v`` (None for one).  Over Q the monic vector is
+    the primitive row with a positive lead L over L; over GF(p) its
+    residues over 1."""
+    w = _coded(v, order)
+    codes = w.codes
+    lead = codes[max(codes)]
     p = v.module.algebra.field.characteristic
     if p:
         if lead == 1:
-            return _IntVect(v.module, nums, 1), None
+            return _IntVect(v.module, order, codes, 1), None
         inv = pow(lead, -1, p)
-        row = {m: n * inv % p for m, n in nums.items()}
-        return _IntVect(v.module, row, 1), inv
-    g = gcd(*nums.values())
+        row = {c: n * inv % p for c, n in codes.items()}
+        return _IntVect(v.module, order, row, 1), inv
+    g = gcd(*codes.values())
     if lead < 0:
         g = -g
-    row = {m: n // g for m, n in nums.items()} if g != 1 else nums
-    inv = None if lead == den else Fraction(den, lead)
-    return _IntVect(v.module, row, lead // g), inv
+    row = {c: n // g for c, n in codes.items()} if g != 1 else codes
+    inv = None if lead == w.den else Fraction(w.den, lead)
+    return _IntVect(v.module, order, row, lead // g), inv
 
 
 class _IntSum:
-    """A left combination ``sum sign * f * v`` of module vectors, summed
-    on plain ints.
+    """A left combination ``sum sign * f * v`` of integer rows on the
+    codes of one order, summed on plain ints.
 
     The sum is held as integer numerators over one positive denominator,
-    and so is each vector ``v`` and each ring element ``f``, given as
-    ``(nums, den)`` (see :func:`solvpoly.coeff._to_ints`).  A term is
-    added over the least
+    and so is each row v and each ring element f (see
+    :func:`solvpoly.coeff._to_ints`).  A term is added over the least
     common multiple of the running denominator and its own (f's times
     v's, times that of a monomial product's coefficient where it has
     one, as lambda = 1/2 gives); the numerators are rescaled only when
     that multiple grows.  Over GF(p) the denominator stays 1 and nothing
-    is reduced mod p before :meth:`finish`.
+    is reduced mod p before :meth:`finish`.  Each product a^alpha * m
+    comes from the order's table (:class:`solvpoly.codes._Products`).
     """
 
-    def __init__(self, A: SolvableAlgebra):
-        self.A = A
+    def __init__(self, A: SolvableAlgebra, order: "ModOrder"):
         self.p = A.field.characteristic
+        # every product coefficient is an int (see SolvableAlgebra._fractional)
+        self.integral = self.p or not A._fractional
+        self.products = order._products(A)
+        self.step = order._codec.step
         self.start()
 
-    def start(self, nums: Optional[Dict[ModMonomial, int]] = None) -> None:
-        """Begin a new sum at ``nums`` over 1 (zero when None)."""
-        self.nums = {} if nums is None else nums
+    def start(self, codes: Optional[Dict[int, int]] = None) -> None:
+        """Begin a new sum at ``codes`` over 1 (zero when None)."""
+        self.codes = {} if codes is None else codes
         self.den = 1
 
     def _rescale(self, den: int) -> None:
         """Raise the denominator to a multiple of ``den``."""
         new = lcm(self.den, den)
-        _scale(self.nums, new // self.den)
+        _scale(self.codes, new // self.den)
         self.den = new
 
-    def add_lmul(self, sign: int, f: Tuple[dict, int],
-                 v: Tuple[dict, int]) -> None:
-        """Add ``sign * f * v``; ``sign`` is 1 or -1."""
-        fnums, fden = f
-        vnums, vden = v
-        fv = fden * vden
+    def add(self, sign: int, f: Dict[ExpVec, int], fden: int,
+            row: Dict[int, int], rden: int) -> None:
+        """Add ``sign * (f / fden) * (row / rden)``, ``sign`` 1 or -1,
+        for a ring element's numerators f keyed by exponent and a row's
+        keyed by code.  The outer loop runs over the terms a^alpha of f,
+        each reading its products from the table by its step."""
+        fv = fden * rden
         if self.den % fv:
             self._rescale(fv)
-        acc = self.nums
+        acc = self.codes
         get = acc.get
-        mono_mul = self.A.mono_mul
+        products = self.products
+        table, fill = products.table, products.fill
         scale = sign * (self.den // fv)
-        if self.p or not self.A._fractional:
-            # every product coefficient is an int
-            for ea, fa in fnums.items():
-                fs = fa * scale
-                for (exp, comp), c in vnums.items():
-                    s = fs * c
-                    for e, x in mono_mul(ea, exp):
-                        m = (e, comp)
-                        acc[m] = get(m, 0) + s * x
-            return
-        for ea, fa in fnums.items():
+        for alpha, fa in f.items():
+            step = self.step(alpha)
+            got = table.get(step)
+            if got is None:
+                got = products.row(step, alpha)
+            known = got[1]
             fs = fa * scale
-            for (exp, comp), c in vnums.items():
+            if self.integral:
+                for code, c in row.items():
+                    terms = known.get(code)
+                    if terms is None:
+                        terms = fill(known, alpha, step, code)
+                    s = fs * c
+                    for m, x in terms:
+                        acc[m] = get(m, 0) + s * x
+                continue
+            for code, c in row.items():
+                terms = known.get(code)
+                if terms is None:
+                    terms = fill(known, alpha, step, code)
                 s = fs * c
-                for e, x in mono_mul(ea, exp):
+                for m, x in terms:
                     xd = x.denominator
                     if xd == 1:
                         n = s * x.numerator
@@ -513,65 +525,22 @@ class _IntSum:
                             fs = fa * scale
                             s = fs * c
                         n = s // xd * x.numerator
-                    m = (e, comp)
                     acc[m] = get(m, 0) + n
 
-    def add_shifted(self, sign: int, c: int, d: int, fill, alpha: ExpVec,
-                    known: Dict[int, tuple], step: int,
-                    row: Dict[int, int]) -> None:
-        """Add ``sign * (c / d) * a^alpha * row`` for a row on codes over
-        1: :meth:`add_lmul` on codes, for a ring element of one term.
-        ``known`` and ``step`` are those of a^alpha in a table of
-        products (:meth:`solvpoly.codes._Products.row`), and ``fill``
-        its :meth:`~solvpoly.codes._Products.fill`."""
-        if self.den % d:
-            self._rescale(d)
-        acc = self.nums
-        get = acc.get
-        scale = sign * (self.den // d)
-        fs = c * scale
-        if self.p or not self.A._fractional:
-            # every product coefficient is an int
-            for code, cv in row.items():
-                s = fs * cv
-                terms = known.get(code)
-                if terms is None:
-                    terms = fill(known, alpha, step, code)
-                for m, x in terms:
-                    acc[m] = get(m, 0) + s * x
-            return
-        for code, cv in row.items():
-            s = fs * cv
-            terms = known.get(code)
-            if terms is None:
-                terms = fill(known, alpha, step, code)
-            for m, x in terms:
-                xd = x.denominator
-                if xd == 1:
-                    n = s * x.numerator
-                else:
-                    if self.den % (d * xd):
-                        self._rescale(d * xd)
-                        scale = sign * (self.den // d)
-                        fs = c * scale
-                        s = fs * cv
-                    n = s // xd * x.numerator
-                acc[m] = get(m, 0) + n
-
-    def finish(self, s=1) -> Tuple[Dict[ModMonomial, int], int]:
-        """The sum times the payload ``s`` as ``(nums, den)``, zeros
+    def finish(self, s=1) -> Tuple[Dict[int, int], int]:
+        """The sum times the payload ``s`` as ``(codes, den)``, zeros
         dropped: over GF(p) the residues over 1, over Q with the content
         (the gcd of the numerators and den) divided out."""
-        nums, p = self.nums, self.p
+        codes, p = self.codes, self.p
         if p:
             out = {}
-            for m, n in nums.items():
+            for m, n in codes.items():
                 n = n * s % p
                 if n:
                     out[m] = n
             return out, 1
         a = s.numerator
-        out = {m: n * a for m, n in nums.items() if n}
+        out = {m: n * a for m, n in codes.items() if n}
         return out, _remove_content(out, self.den * s.denominator)
 
 
@@ -581,13 +550,13 @@ class _IntSum:
 _CONTENT_BITS = 64
 
 
-def _scale(nums: Dict[ModMonomial, int], r: int) -> None:
+def _scale(nums: dict, r: int) -> None:
     """Multiply the numerators by ``r`` in place."""
     for m in nums:
         nums[m] *= r
 
 
-def _remove_content(nums: Dict[ModMonomial, int], den: int) -> int:
+def _remove_content(nums: dict, den: int) -> int:
     """Divide the gcd of ``den`` and the numerators out of the
     numerators in place; returns ``den`` divided by it."""
     g = gcd(den, *nums.values())
@@ -597,22 +566,12 @@ def _remove_content(nums: Dict[ModMonomial, int], den: int) -> int:
     return den // g
 
 
-def _row_to_ints(row: Sequence[Poly]) -> Tuple[Dict[ModMonomial, int], int]:
-    """A row of ring elements in the ``(nums, den)`` form of
-    :class:`_IntSum`, entry j on component j."""
-    return _to_ints(((e, j), c) for j, f in enumerate(row) for e, c in f.terms)
-
-
-def _row_from_ints(
-    A: SolvableAlgebra, nums: Dict[ModMonomial, int], den: int, width: int
-) -> List[Poly]:
-    """The row of ``width`` ring elements held as ``(nums, den)``, its
-    zero entries one shared zero."""
-    cols: List[Dict[ExpVec, object]] = [{} for _ in range(width)]
-    for (e, j), c in _from_ints(nums, den, A.field.characteristic).items():
-        cols[j][e] = c
-    zero = A.zero()
-    return [Poly._of(A, col) if col else zero for col in cols]
+def _row_to_ints(L: FreeModule, row: Sequence[Poly]) -> _IntVect:
+    """A row of ring elements as an integer row of L on its TOP order,
+    entry j on component j."""
+    key = L.top.key
+    return _IntVect(L, L.top, *_to_ints(
+        (key((e, j)), c) for j, f in enumerate(row) for e, c in f.terms))
 
 
 class ModOrder:
@@ -854,16 +813,16 @@ class _Divisors(list):
     def _prepare(self, d: Vect) -> Tuple[ModMonomial, list]:
         """d's lead and the tail ``[lead numerator, row, den, content]``
         of its entry."""
-        nums, den = _int_form(d)
-        if not nums:
+        v = _coded(d, self.order)
+        if not v.codes:
             raise ZeroPolynomial("zero divisor in division")
+        row = v.codes
         g = 1 if d.module.algebra.field.characteristic else gcd(
-            *nums.values())
-        row = _encoded(nums, self.order)
+            *row.values())
         if g != 1:
             row = {k: n // g for k, n in row.items()}
         lead = max(row)
-        return self._monos[lead], [row[lead], row, den, g]
+        return self._monos[lead], [row[lead], row, v.den, g]
 
     def _add(self, d: Vect, lm: ModMonomial, prepared: list) -> None:
         entry = [len(self), lm[0]] + prepared
@@ -915,42 +874,25 @@ def left_divide_module(
     each term n/d, d > 0, and the remainder is an :class:`_IntVect`
     whose terms come greatest first.  An empty list leaves xi as the
     remainder.  The division itself is :func:`_divide`, on the codes of
-    ``order``: a :class:`_CodedVect` under ``order`` enters as it is,
-    any other dividend is encoded, and the remainder is decoded.
+    ``order`` (:func:`_coded`), and the remainder stays on them.
     """
     if not divisors:
         return {}, xi
     divisors = _Divisors.of(divisors, order)
-    if xi.__class__ is _CodedVect and xi.order is order:
-        work, den = dict(xi.codes), xi.den
-    else:
-        nums, den = _int_form(xi)
-        work = _encoded(nums, order)
-    quotients, rem, den = _divide(work, den, divisors, order)
-    monos = order._codec.monos
-    return quotients, _IntVect(xi.module, {monos[c]: n for c, n in rem}, den)
-
-
-def _encoded(nums: Dict[ModMonomial, int], order: ModOrder) -> Dict[int, int]:
-    """``nums`` keyed by the codes of ``order`` (:meth:`ModOrder.key`)."""
-    codec = order._codec
-    codes, encode = codec.codes, codec.encode
-    out = {}
-    for (e, c), n in nums.items():
-        k = codes[c].get(e)
-        out[encode(e, c) if k is None else k] = n
-    return out
+    v = _coded(xi, order)
+    quotients, rem, den = _divide(dict(v.codes), v.den, divisors, order)
+    return quotients, _IntVect(xi.module, order, rem, den)
 
 
 def _divide(work: Dict[int, int], den: int, divisors: _Divisors,
             order: ModOrder) -> Tuple[Dict[int, Dict[ExpVec, tuple]],
-                                      List[Tuple[int, int]], int]:
+                                      Dict[int, int], int]:
     """The division loop of :func:`left_divide_module` on ``work``, a
     dict from codes (:meth:`ModOrder.key`) to numerators over ``den``
     (module docstring), in place.  Returns the quotients (as
-    :func:`left_divide_module` gives them), the remainder's terms as
-    ``(code, numerator)`` pairs in the order they were popped, greatest
-    first, and the denominator they are over.
+    :func:`left_divide_module` gives them), the remainder as a dict from
+    codes to numerators in the order they were popped, greatest first,
+    and the denominator they are over.
 
     ``pending`` holds the codes of the terms of ``work`` not yet
     popped, ascending; a popped term no divisor divides stays in
@@ -1062,7 +1004,7 @@ def _divide(work: Dict[int, int], den: int, divisors: _Divisors,
         if den.bit_length() > cap:
             den = _remove_content(work, den)
             cap = 2 * den.bit_length() + _CONTENT_BITS
-    return quotients, [(c, work[c]) for c in rem], den
+    return quotients, {c: work[c] for c in rem}, den
 
 
 def opposite_order(order: ModOrder) -> ModOrder:

@@ -26,7 +26,11 @@ and composition in application order is the ordinary matrix product.
 That product (:meth:`PresentationMatrix.compose_with`) is the one sum
 of ring products over rows here: it lifts syzygies through the
 transition matrices, checks that syzygies annihilate their targets and
-that a resolution's maps compose to zero.
+that a resolution's maps compose to zero.  Every row it reads or makes
+is an integer row on the codes of one module order
+(:class:`solvpoly.modfree._IntVect`): a Schreyer row on its Schreyer
+order, a basis element on the completion's order, a row of V, U or of
+a product on the TOP order of a free module of its own.
 """
 
 from __future__ import annotations
@@ -43,13 +47,11 @@ from .modfree import (
     ModOrder,
     NotAGroebnerBasis,
     Vect,
-    _CodedVect,
     _Divisors,
     _IntSum,
     _IntVect,
-    _int_form,
+    _coded,
     _quotient_row,
-    _row_from_ints,
     _row_to_ints,
     _terms_to_ints,
     left_divide_module,
@@ -84,7 +86,10 @@ class PresentationMatrix:
     ``(f_1..f_t)`` to ``(f)Q`` with coefficients kept on the left.
     The column count ``cols`` is read off the rows; a matrix with no
     rows must be given it.  A matrix made by :meth:`of_ints` holds its
-    rows in integer form and builds ``entries`` on first read.
+    rows as integer rows (:class:`solvpoly.modfree._IntVect`) and
+    builds ``entries`` on first read; one made from ``entries`` codes
+    them on the TOP order of its free module of rank ``cols`` when
+    :meth:`int_rows` is first called.
     """
 
     def __init__(
@@ -107,12 +112,10 @@ class PresentationMatrix:
 
     @classmethod
     def of_ints(
-        cls, algebra: SolvableAlgebra, rows: Sequence[Tuple[dict, int]],
-        cols: int,
+        cls, algebra: SolvableAlgebra, rows: Sequence[_IntVect], cols: int,
     ) -> "PresentationMatrix":
-        """The matrix whose row i is ``rows[i]`` in the ``(nums, den)``
-        form of :class:`solvpoly.modfree._IntSum`, entry j on component
-        j, as a vector's integer form is (:func:`_int_form`)."""
+        """The matrix whose row i is the integer row ``rows[i]``, entry j
+        on component j."""
         M = cls.__new__(cls)
         M.algebra, M.rows, M.cols = algebra, len(rows), cols
         M._ints = list(rows)
@@ -120,22 +123,39 @@ class PresentationMatrix:
 
     @cached_property
     def entries(self) -> List[List[Poly]]:
-        return [_row_from_ints(self.algebra, *row, self.cols)
-                for row in self._ints]
+        return [row.to_polys() for row in self._ints]
 
-    def int_rows(self) -> List[Tuple[dict, int]]:
-        """The rows in integer form, converted from ``entries`` once."""
+    @cached_property
+    def module(self) -> FreeModule:
+        """The free module of rank ``cols`` the rows lie in."""
+        return FreeModule(self.algebra, self.cols)
+
+    @cached_property
+    def order(self) -> ModOrder:
+        """The order whose codes the rows are summed on as the right
+        factor of a product: the first integer row's, else the TOP order
+        of :attr:`module`."""
+        rows = self.__dict__.get("_ints")
+        return rows[0].order if rows else self.module.top
+
+    def int_rows(self) -> List[_IntVect]:
+        """The integer rows, converted from ``entries`` once."""
         if "_ints" not in self.__dict__:
-            self._ints = [_row_to_ints(row) for row in self.entries]
+            self._ints = [_row_to_ints(self.module, row)
+                          for row in self.entries]
         return self._ints
 
     @classmethod
     def from_vects(
         cls, vects: Sequence[Vect], module: FreeModule
     ) -> "PresentationMatrix":
-        """The matrix whose rows are ``vects``, kept in integer form."""
+        """The matrix whose rows are ``vects``, kept as integer rows on
+        the order of the first one, or on the TOP order of ``module``
+        when it is not an integer row."""
+        order = (vects[0].order if vects and isinstance(vects[0], _IntVect)
+                 else module.top)
         return cls.of_ints(
-            module.algebra, [_int_form(v) for v in vects], module.rank
+            module.algebra, [_coded(v, order) for v in vects], module.rank
         )
 
     def row_vect(self, i: int, target: FreeModule) -> Vect:
@@ -144,34 +164,40 @@ class PresentationMatrix:
     def compose_with(self, nxt: "PresentationMatrix") -> "PresentationMatrix":
         """Matrix of (self then nxt): the ordinary product self * nxt.
 
-        Both work on their rows in integer form (:meth:`int_rows`), and
-        each output row is summed in one :class:`solvpoly.modfree._IntSum`
-        and kept in that form (:meth:`of_ints`).
+        Both work on their integer rows (:meth:`int_rows`): each output
+        row is summed in one :class:`solvpoly.modfree._IntSum` on the
+        codes of ``nxt.order``, onto which a row of nxt is put
+        (:func:`solvpoly.modfree._coded`) only if it is not there yet,
+        and kept as an integer row (:meth:`of_ints`).  The rows of self
+        may lie on any orders.
         """
         if self.cols != nxt.rows:
             raise ValueError("dimension mismatch in composition")
         A = self.algebra
-        rows = nxt.int_rows()
-        acc = _IntSum(A)
+        order = nxt.order
+        rows = [_coded(v, order) for v in nxt.int_rows()]
+        acc = _IntSum(A, order)
         out = []
-        for nums, den in self.int_rows():
+        for v in self.int_rows():
             acc.start()
-            for j, f in _by_column(nums).items():
-                acc.add_lmul(1, (f, den), rows[j])
-            out.append(acc.finish())
+            for j, f in _by_column(v).items():
+                acc.add(1, f, v.den, rows[j].codes, rows[j].den)
+            out.append(_IntVect(nxt.module, order, *acc.finish()))
         return PresentationMatrix.of_ints(A, out, nxt.cols)
 
     def is_zero(self) -> bool:
-        return not any(nums for nums, _ in self.int_rows())
+        return not any(self.int_rows())
 
     def __repr__(self):
         return "PresentationMatrix(%dx%d)" % (self.rows, self.cols)
 
 
-def _by_column(nums: Dict[ModMonomial, int]) -> Dict[int, Dict[tuple, int]]:
+def _by_column(v: _IntVect) -> Dict[int, Dict[tuple, int]]:
     """The numerators of an integer row split into its entries."""
+    monos = v.order._codec.monos
     cols: Dict[int, Dict[tuple, int]] = {}
-    for (e, j), n in nums.items():
+    for c, n in v.codes.items():
+        e, j = monos[c]
         col = cols.get(j)
         if col is None:
             col = cols[j] = {}
@@ -248,13 +274,8 @@ class SyzygyGenerators:
         """Every generator evaluates to exactly zero on the targets: the
         product S T is zero, S the generators and T the targets as rows.
         """
-        A = self.module.algebra
-        S = PresentationMatrix.of_ints(
-            A, [_int_form(s) for s in self.elements], len(self.targets)
-        )
-        T = PresentationMatrix.of_ints(
-            A, [_int_form(v) for v in self.targets], self.target_module.rank
-        )
+        S = PresentationMatrix.from_vects(self.elements, self.module)
+        T = PresentationMatrix.from_vects(self.targets, self.target_module)
         return S.compose_with(T).is_zero()
 
     def __len__(self):
@@ -307,8 +328,9 @@ def _schreyer_rows(
     the minimal antichain are divided, in the order
     :func:`solvpoly.groebner._minimal_indices` gives.  No row is zero,
     as its lead cannot cancel.  Each row is summed on ints from the
-    quotients and the pair's multipliers, whose monomials are distinct:
-    every quotient term maps below gamma.
+    quotients and the pair's multipliers, whose monomials are distinct
+    (every quotient term maps below gamma), and kept on the codes of
+    ``syz_order``, which the next stage of a resolution divides on.
     """
     p = syz_module.algebra.field.characteristic
     t = len(elements)
@@ -324,11 +346,11 @@ def _schreyer_rows(
     rows: List[Vect] = []
     for k in _minimal_indices(leads, syz_order):
         i, j = pairs[k]
-        (nums, den), fi, expi, fj, expj = _spair_data(divisors, i, j)
+        (codes, den), fi, expi, fj, expj = _spair_data(divisors, i, j)
         terms = {}
-        if nums:
+        if codes:
             quotients, rem = left_divide_module(
-                _CodedVect(elements[i].module, order, nums, den), divisors,
+                _IntVect(elements[i].module, order, codes, den), divisors,
                 order
             )
             if not rem.is_zero():
@@ -338,11 +360,11 @@ def _schreyer_rows(
                 )
             for g, q in quotients.items():
                 for e, c in q.items():
-                    terms[(e, g)] = c
+                    terms[syz_order.key((e, g))] = c
         n, d = fi[expi]
-        terms[(expi, i)] = (p - n if p else -n, d)
-        terms[(expj, j)] = fj[expj]
-        rows.append(_IntVect(syz_module, *_terms_to_ints(terms)))
+        terms[syz_order.key((expi, i))] = (p - n if p else -n, d)
+        terms[syz_order.key((expj, j))] = fj[expj]
+        rows.append(_IntVect(syz_module, syz_order, *_terms_to_ints(terms)))
     return rows
 
 
@@ -373,21 +395,22 @@ def _lift_syzygies(G: GroebnerBasis, out_module: FreeModule) -> List[Vect]:
     A = out_module.algebra
     p = A.field.characteristic
     m, t = len(G.inputs), len(G.elements)
-    S = [_int_form(s) for s in syzygy_of_gb(G).elements]
+    S = syzygy_of_gb(G).elements
     rows = PresentationMatrix.of_ints(A, S + G.U_ints, t).compose_with(
         PresentationMatrix.of_ints(A, G.V_ints(range(t)), m)
     ).int_rows()
     unit = zero_exp(A.n)
-    for i, (nums, den) in enumerate(rows[len(rows) - m:]):
-        e = (unit, i)
-        n = nums.get(e, 0) - den
+    for i, v in enumerate(rows[len(rows) - m:]):
+        e = v.order.key((unit, i))
+        n = v.codes.get(e, 0) - v.den
         if p:
             n %= p
         if n:
-            nums[e] = n
+            v.codes[e] = n
         else:
-            del nums[e]
-    return [_IntVect(out_module, nums, den) for nums, den in rows if nums]
+            del v.codes[e]
+    return [_IntVect(out_module, v.order, v.codes, v.den)
+            for v in rows if v]
 
 
 def syzygy_of_generators(U_in: Sequence[Vect], order: ModOrder) -> SyzygyGenerators:
@@ -545,15 +568,17 @@ def is_projective(
     quotients = []
     for k in range(t):
         qs, rem = left_divide_module(
-            _IntVect(module, {(unit, k): 1}, 1), G.elements, order
+            _IntVect(module, order, {order.key((unit, k)): 1}, 1),
+            G.elements, order
         )
         if not rem.is_zero():
             return False, None
         quotients.append(qs)
     used = sorted({g for qs in quotients for g in qs})
     pos = {g: c for c, g in enumerate(used)}
+    L = FreeModule(op, len(used))
     W = PresentationMatrix.of_ints(
-        op, [_quotient_row(qs, pos) for qs in quotients], len(used)
+        op, [_quotient_row(L, qs, pos) for qs in quotients], len(used)
     ).compose_with(
         PresentationMatrix.of_ints(op, G.V_ints(used), len(columns))
     )

@@ -1,6 +1,7 @@
 """Run every ``--json`` command variant on every problem file of a tree.
 
     python3 tests/output_sweep.py TREE OUT.json
+    python3 tests/output_sweep.py --diff A.json B.json
 
 TREE is the root of a solvpoly checkout.  The problem files are the six
 bundled fixtures (``src/solvpoly/fixtures``) and the benchmark corpus
@@ -11,7 +12,15 @@ plus ``gb --reduce``, ``gb --truncate 3``, ``verify-presentation
 ``PYTHONPATH=TREE/src`` and a 10 s timeout.  OUT.json maps ``"<file>
 <command>"`` (the file relative to TREE) to ``[exit code, sha256 of
 stdout, stderr]``, or to ``["timeout", null, null]``.  Two trees give
-byte-identical output where their maps are equal.  Pytest does not
+byte-identical output where their maps are equal.
+
+``--diff A.json B.json`` compares two such maps: it prints each
+invocation whose ``[exit, sha256, stderr]`` differs, or that only one
+map has, and exits 1 if there is any, else 0.  ``pdim`` on
+``perfbench/corpus/c44-q.json`` takes 10 to 11 s on 2 cores under
+Python 3.11, at the timeout, so it times out on most sweeps and not on
+all: a timeout against a result there is not a change of output, and
+``tests/slow_checks.py`` is what checks that case.  Pytest does not
 collect this file.
 """
 
@@ -77,9 +86,27 @@ def sweep(tree):
     return out
 
 
+def diff(path_a, path_b):
+    """``(invocation, result in A, result in B)`` for each invocation
+    whose results differ between two sweep maps (None where absent)."""
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    return [(key, a.get(key), b.get(key)) for key in sorted(set(a) | set(b))
+            if a.get(key) != b.get(key)]
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        changed = diff(argv[1], argv[2])
+        for key, got_a, got_b in changed:
+            print("%s\n  A: %s\n  B: %s" % (key, json.dumps(got_a),
+                                           json.dumps(got_b)))
+        sys.exit(1 if changed else 0)
     if len(argv) != 2:
-        sys.exit("usage: output_sweep.py TREE OUT.json")
+        sys.exit("usage: output_sweep.py TREE OUT.json | "
+                 "--diff A.json B.json")
     tree, out_path = argv
     results = sweep(tree)
     with open(out_path, "w") as fh:

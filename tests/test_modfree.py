@@ -501,6 +501,12 @@ def test_left_divide_zero_input(qheis):
     assert rem.is_zero()
 
 
+def _nums(v):
+    """The numerators of an integer row keyed by module monomial."""
+    monos = v.order._codec.monos
+    return {monos[c]: n for c, n in v.codes.items()}
+
+
 def _int_remainders(A, rnd, count):
     """Integer rows as a division leaves them: the remainders of seeded
     random _IntVect dividends, plus over Q one row with a negative lead
@@ -512,15 +518,15 @@ def _int_remainders(A, rnd, count):
         xi = random_vect(L, rnd, max_degree=4, max_terms=4)
         divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
                     for _ in range(2)]
-        rem = left_divide_module(_IntVect(L, *modfree._int_form(xi)),
+        rem = left_divide_module(modfree._coded(xi, order),
                                  divisors, order)[1]
         if not rem.is_zero():
             rows.append(rem)
     if not A.field.characteristic:
-        lead = max(rows[0].nums, key=order.key)
-        nums = {m: 6 * (i + 1) for i, m in enumerate(rows[0].nums)}
-        nums[lead] = -12
-        rows.append(_IntVect(L, nums, 9))
+        lead = max(rows[0].codes)
+        codes = {c: 6 * (i + 1) for i, c in enumerate(rows[0].codes)}
+        codes[lead] = -12
+        rows.append(_IntVect(L, order, codes, 9))
     return L, order, rows
 
 
@@ -537,7 +543,7 @@ def test_entry_of_an_integer_remainder_equals_the_monic_vects(name, p):
     L, order, rows = _int_remainders(A, random.Random(len(name) + p), 6)
     signs = set()
     for rem in rows:
-        payload = Vect(L, modfree._from_ints(rem.nums, rem.den, p))
+        payload = Vect(L, modfree._from_ints(_nums(rem).items(), rem.den, p))
         monic = payload.monic(order)
         g, inv = modfree._monic_row(rem, order)
         assert g == monic
@@ -551,7 +557,7 @@ def test_entry_of_an_integer_remainder_equals_the_monic_vects(name, p):
         assert lead > 0
         if not p:
             assert math.gcd(*row.values()) == 1
-        signs.add(rem.nums[g.lm(order)] < 0)
+        signs.add(_nums(rem)[g.lm(order)] < 0)
     if not p:
         assert signs == {True, False}
 
@@ -571,14 +577,14 @@ def test_integer_division_matches_reference(name, p):
             xi = random_vect(L, rnd, max_degree=4, max_terms=4)
             divisors = [random_vect(L, rnd, max_degree=2, nonzero=True)
                         for _ in range(rnd.randint(1, 3))]
-            row = _IntVect(L, *modfree._int_form(xi))
-            before = dict(row.nums)
+            row = modfree._coded(xi, order)
+            before = dict(row.codes)
             quotients, rem = left_divide_module(row, divisors, order)
-            assert row.nums == before
+            assert row.codes == before
             want_q, want_rem = reference_left_divide(xi, divisors, order)
             assert isinstance(rem, _IntVect) and rem.den > 0
-            assert all(rem.nums.values())
-            got_rem = modfree._from_ints(rem.nums, rem.den, p)
+            assert all(rem.codes.values())
+            got_rem = modfree._from_ints(_nums(rem).items(), rem.den, p)
             assert got_rem == want_rem.data
             assert sorted(quotients) == [
                 i for i, q in enumerate(want_q) if q]
@@ -605,11 +611,11 @@ def test_payload_and_integer_dividends_divide_alike(name, p):
                         for _ in range(rnd.randint(1, 3))]
             q, rem = left_divide_module(xi, divisors, order)
             iq, irem = left_divide_module(
-                _IntVect(L, *modfree._int_form(xi)), divisors, order)
+                modfree._coded(xi, order), divisors, order)
             assert isinstance(q, dict) and q == iq
             assert all(q.values())
             assert type(rem) is _IntVect and type(irem) is _IntVect
-            assert list(rem.nums.items()) == list(irem.nums.items())
+            assert list(rem.codes.items()) == list(irem.codes.items())
             assert rem.den == irem.den
             assert list(rem.data.items()) == list(irem.data.items())
 
@@ -618,7 +624,7 @@ def test_division_by_an_empty_list_leaves_the_dividend(qheis):
     L = FreeModule(qheis, 2)
     order = ModOrder("top", qheis.order, 2)
     xi = L.parse(["x*z + 1/2", "y"])
-    for v in (xi, _IntVect(L, *modfree._int_form(xi)), L.zero()):
+    for v in (xi, modfree._coded(xi, order), L.zero()):
         quotients, rem = left_divide_module(v, [], order)
         assert quotients == {} and rem is v
 
@@ -644,6 +650,38 @@ def test_memoised_module_keys_match_fresh_ones(weyl1, rng):
         for (m, k), (m2, k2) in zip(zip(monos, keys),
                                     zip(monos[1:], keys[1:])):
             assert (k < k2) == (fresh[kind]._key(m) < fresh[kind]._key(m2))
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_integer_rows_recoded_across_orders_decode_alike(p):
+    """An integer row put on the codes of each order in turn (TOP, POT,
+    graded, Schreyer and, on the Rees ring, the Rees order) keeps its
+    payloads, denominator and leads; a row already on an order is
+    itself on it.  qheis over Q has lambda = 1/2."""
+    base = over(FieldSpec("PrimeField", p) if p else FieldSpec(), "qheis")
+    rees = FiltrationContext(base).rees().algebra
+    rnd = random.Random(p + 11)
+    for A in (base, rees):
+        orders = _division_orders(A, 2, random.Random(p + 5))
+        if A is rees:
+            orders["rees"] = ReesModOrder(rees.order, 2, shifts=(0, 1))
+        L = FreeModule(A, 2)
+        for _ in range(4):
+            xi = random_vect(L, rnd, max_degree=3, max_terms=4,
+                             nonzero=True)
+            kinds = list(orders)
+            rnd.shuffle(kinds)
+            v = modfree._coded(xi, orders[kinds[-1]])
+            den = v.den
+            for kind in kinds + kinds[:1]:
+                order = orders[kind]
+                v = modfree._coded(v, order)
+                assert v.order is order and modfree._coded(v, order) is v
+                assert v.den == den
+                assert v.data == xi.data, kind
+                assert v.lm(order) == xi.lm(order), kind
+                for other in orders.values():
+                    assert v.lm(other) == xi.lm(other), kind
 
 
 def _codec_orders(A, seed):

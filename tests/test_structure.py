@@ -1,7 +1,8 @@
 """Structure of the package source, read from its syntax trees.
 
 Every sum of ring products over rows goes through one accumulator,
-``modfree._IntSum``: the product of matrices over the algebra
+``modfree._IntSum``, with one summation loop on one order's codes: the
+product of matrices over the algebra
 (``PresentationMatrix.compose_with``), the transition-matrix rows
 (``_Trace.rows``), the S-vectors (``groebner._spair_data``) and left
 multiples (``Vect.lmul``) are the only places that construct one.
@@ -12,8 +13,9 @@ Every name the benchmark's tracer wraps exists where it looks for it.
 Inside the completion no payload is built (the pair step, the join of
 a new element, the S-vector, the division and U's rows), and a payload
 row is converted to integer form only where it enters from a caller.
-The division loop and the S-vector sum run on the order's int codes:
-they key no monomial and build no tuple per row term.
+The division loop, the S-vector sum and the accumulator's summation
+loop run on the order's int codes: they key no monomial and build no
+tuple per row term or product term.
 """
 
 import ast
@@ -162,28 +164,25 @@ def _function_node(module, qualname):
 
 
 def _row_term_loops(fn):
-    """The ``for`` loops of ``fn`` over a row's terms (``row.items()``)
-    or over a product's terms (``terms``)."""
+    """The ``for`` loops of ``fn`` over a row's terms (``X.items()``) or
+    over a product's terms, whatever they are called: every loop over a
+    name or over the result of a call (such as ``mono_mul(a, e)``), so
+    all but the loops over a literal tuple or list."""
     for node in ast.walk(fn):
-        if not isinstance(node, ast.For):
-            continue
-        it = node.iter
-        if isinstance(it, ast.Name) and it.id == "terms":
-            yield node
-        elif (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
-              and it.func.attr == "items"
-              and isinstance(it.func.value, ast.Name)
-              and it.func.value.id == "row"):
+        if isinstance(node, ast.For) and not isinstance(
+                node.iter, (ast.Tuple, ast.List)):
             yield node
 
 
 def test_the_division_kernel_runs_on_order_codes():
-    """Inside the division loop and the S-vector sum themselves no
-    monomial is keyed by the order or shifted as an exponent tuple, and
-    no tuple is built for a term of a row: each product a^alpha * m is
-    the code of m plus the step of a^alpha, read from the order's table
-    of products (``codes._Products``)."""
-    kernel = [("modfree", "_divide"), ("groebner", "_spair_data")]
+    """Inside the division loop, the S-vector sum and the accumulator's
+    summation loop themselves no monomial is keyed by the order or
+    shifted as an exponent tuple, and no tuple is built for a term of a
+    row or of a product: each product a^alpha * m is the code of m plus
+    the step of a^alpha, read from the order's table of products
+    (``codes._Products``)."""
+    kernel = [("modfree", "_divide"), ("groebner", "_spair_data"),
+              ("modfree", "_IntSum.add")]
     banned = {"key", "_key", "exp_add", "exp_sub"}
     for module, qualname in kernel:
         fn = _function_node(module, qualname)
@@ -201,4 +200,17 @@ def test_the_division_kernel_runs_on_order_codes():
                     assert not (isinstance(node, ast.Call)
                                 and isinstance(node.func, ast.Name)
                                 and node.func.id == "tuple"), qualname
-    assert list(_row_term_loops(_function_node("modfree", "_divide")))
+    for module, qualname in (("modfree", "_divide"),
+                             ("modfree", "_IntSum.add")):
+        assert list(_row_term_loops(_function_node(module, qualname)))
+
+
+def test_one_summation_loop_in_the_accumulator():
+    """``_IntSum`` sums products over rows in one method: no other of
+    its methods holds a loop inside a loop."""
+    cls = _function_node("modfree", "_IntSum")
+    nested = [fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and any(isinstance(inner, ast.For) and inner is not loop
+                      for loop in ast.walk(fn) if isinstance(loop, ast.For)
+                      for inner in ast.walk(loop))]
+    assert nested == ["add"]

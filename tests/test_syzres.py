@@ -8,7 +8,9 @@ import solvpoly.syzres as syzres
 from solvpoly.algebra import exp_max, exp_sub
 from solvpoly.cli import main, parse_problem
 from solvpoly.coeff import FieldSpec
-from solvpoly.modfree import FreeModule, ModOrder, Vect, left_divide_module
+from solvpoly.modfree import (
+    FreeModule, ModOrder, Vect, _coded, left_divide_module,
+)
 from solvpoly.groebner import GroebnerBasis, _minimal_indices, buchberger
 from solvpoly.syzres import (
     PresentationMatrix,
@@ -383,3 +385,59 @@ def test_no_syzygies_annihilate(weyl1):
     assert syz.elements == [] and syz.annihilates()
     empty = syzygy_of_gb(GroebnerBasis(L, order, [], [], []))
     assert empty.elements == [] and empty.annihilates()
+
+
+def _payload_product(A, left, right, cols):
+    """left * right entry by entry, each entry a sum of ``A.multiply``
+    products of payload polynomials."""
+    out = []
+    for row in left:
+        entries = [A.zero() for _ in range(cols)]
+        for f, other in zip(row, right):
+            for j, g in enumerate(other):
+                entries[j] = entries[j] + A.multiply(f, g)
+        out.append(entries)
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_products_of_rows_on_different_orders(p):
+    """``compose_with`` equals the payload product when its factors'
+    rows lie on different orders: the Schreyer-ordered syzygies of a
+    basis times V (on its trace's TOP order), a left factor whose rows
+    lie on several orders, and a right factor whose rows do, which are
+    summed on the order of its first row.  qheis over Q has
+    lambda = 1/2, so products have denominators."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), "qheis")
+    rnd = random.Random(p + 9)
+    L = FreeModule(A, 2)
+    order = top(A, 2)
+    gens = [random_vect(L, rnd, max_degree=2, max_terms=3, nonzero=True)
+            for _ in range(3)]
+    G = buchberger(gens, order)
+    t, m = len(G.elements), len(gens)
+    S = syzygy_of_gb(G).elements
+    V = G.V_ints(range(t))
+    assert S and all(s.order is S[0].order for s in S)
+    assert S[0].order.kind == "schreyer" and V[0].order.kind == "top"
+    # V's rows spread over a POT, a Schreyer and a fresh TOP order
+    others = [ModOrder("pot", A.order, m, component_priority=[2, 0, 1]),
+              ModOrder("schreyer", A.order, m, schreyer_images=gens,
+                       schreyer_target=order),
+              top(A, m)]
+    V_mixed = [_coded(v, others[k % 3]) for k, v in enumerate(V)]
+    # the syzygies next to the U rows, on the basis' own TOP order
+    SU = S + G.U_ints
+    cases = [(S, V), (SU, V), (S, V_mixed), (SU, V_mixed)]
+    for left, right in cases:
+        M = PresentationMatrix.of_ints(A, left, t)
+        N = PresentationMatrix.of_ints(A, right, m)
+        got = M.compose_with(N)
+        assert all(row.order is right[0].order for row in got.int_rows())
+        want = _payload_product(A, M.entries, N.entries, m)
+        assert got.entries == want
+    # S V on the original generators is zero: S annihilates the basis
+    SV = PresentationMatrix.of_ints(A, S, t).compose_with(
+        PresentationMatrix.of_ints(A, V, m))
+    GV = PresentationMatrix.from_vects(gens, L)
+    assert SV.compose_with(GV).is_zero()
