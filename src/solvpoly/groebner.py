@@ -2,16 +2,34 @@
 
 The completion loop is the noncommutative Buchberger procedure for
 solvable algebras: only pairs whose leading monomials share a module
-component produce S-vectors, pair selection is by minimal shifted
-degree of the pair's join monomial (ties by creation index), and each
-nonzero remainder joins the basis monic.  Both transition matrices
-are derived on demand.  The loop records how each element arose (its
-trace: the input it copies, or the pair multipliers and division
-quotients that made it, and its normalising inverse), and
-:attr:`GroebnerBasis.V`, which writes every basis element as a left
-combination of the inputs, is built from those traces on first read,
-each row summed on plain ints (integer numerators over one denominator
-over Q, one reduction per row over GF(p)).
+component produce S-vectors, pair selection is by least sugar (ties by
+the shifted degree of the pair's join monomial, then by creation
+index), and each nonzero remainder joins the basis monic.
+
+Sugar (Giovini--Mora--Niesi--Robbiano--Traverso, ISSAC 1991): an
+input's sugar is its largest shifted degree; a pair's is deg(lcm) plus
+the larger ecart of its two elements, an element's ecart being its
+sugar less its lead's degree; a new element's sugar is the larger of
+its pair's and, over its quotient terms a^beta g_k, of
+deg(beta) + sugar_k.  On orders that compare a degree first (graded
+module orders, and TOP or rank-1 orders over a ``grlex`` base) every
+input leads in its top degree; there no ecart is kept and the key is
+deg(lcm), since the sugar key, which then parts from it only after a
+remainder's lead falls below its pair's degree, made ``member`` on the
+U(sl2) non-members of the benchmark 1.4--1.6 times as slow.  Elsewhere,
+on POT orders of rank > 1 above all, the lead's degree says little
+about an element: case #44 of the benchmark corpus leads one input
+with a constant at ecart 4, and by degree its completion kept 27
+elements with numerators of up to 1182 bits, by sugar 23 with up to
+701.
+
+Both transition matrices are derived on demand.  The loop records how
+each element arose (its trace: the input it copies, or the pair
+multipliers and division quotients that made it, and its normalising
+inverse), and :attr:`GroebnerBasis.V`, which writes every basis element
+as a left combination of the inputs, is built from those traces on
+first read, each row summed on plain ints (integer numerators over one
+denominator over Q, one reduction per row over GF(p)).
 :meth:`GroebnerBasis.V_ints` builds only some rows, in integer form.
 :attr:`GroebnerBasis.U`, which writes every input in the basis, is
 built the same way from :attr:`GroebnerBasis.U_ints`, the division
@@ -64,7 +82,7 @@ import heapq
 from collections import Counter
 from functools import cached_property
 from math import lcm
-from operator import le, sub
+from operator import add, le, sub
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
@@ -404,17 +422,30 @@ class _Engine:
         self.A = module.algebra
         self.basis = _Divisors(order)
         self.trace = _Trace(self.A, n_inputs)
-        self.heap: List[Tuple[int, int, int, int]] = []
+        # (sugar, deg(lcm), counter, i, j) per pushed pair
+        self.heap: List[Tuple[int, int, int, int, int]] = []
         self.handled: Set[Tuple[int, int]] = set()
         self._pair_counter = 0
         self.pair_cap: Optional[int] = None
+        # each element's ecart (its sugar less its lead's degree), kept
+        # only where the pair key is the sugar (_tracks_ecart)
+        self.ecart: Optional[List[int]] = [] if _tracks_ecart(order) else None
 
-    def append(self, v: Vect, unit: Optional[int], terms: list) -> int:
+    def append(self, v: Vect, unit: Optional[int], terms: list,
+               sugar: Optional[int] = None) -> int:
         """Add v monic, traced as ``unit`` plus ``terms`` (see
         :class:`_Trace`, whose step t is element t); pairs it with the
-        earlier elements."""
+        earlier elements.  ``sugar`` defaults to v's largest shifted
+        degree, an input's sugar."""
         g, inv = _monic_row(v, self.order)
         self.basis.append(g)
+        if self.ecart is not None:
+            deg = self.order.degree_of
+            if sugar is None:
+                # over the codes of the row the entry keeps
+                monos = self.order._codec.monos
+                sugar = max(deg(monos[c]) for c in self.basis.entries[-1][3])
+            self.ecart.append(sugar - deg(self.basis.leads[-1]))
         t = self.trace.add(unit, terms, inv)
         self.make_pairs(t)
         return t
@@ -425,6 +456,7 @@ class _Engine:
     def make_pairs(self, t: int) -> None:
         lms = self.basis.leads
         mt = lms[t]
+        ecart = self.ecart
         for i in range(t):
             mi = lms[i]
             if mi[1] != mt[1]:
@@ -432,8 +464,29 @@ class _Engine:
             deg = self.order.degree_of((exp_max(mi[0], mt[0]), mt[1]))
             if self.pair_cap is not None and deg > self.pair_cap:
                 continue
-            heapq.heappush(self.heap, (deg, self._pair_counter, i, t))
+            sugar = deg if ecart is None else deg + max(ecart[i], ecart[t])
+            heapq.heappush(self.heap,
+                           (sugar, deg, self._pair_counter, i, t))
             self._pair_counter += 1
+
+    def new_sugar(self, i: int, j: int,
+                  quotients: Dict[int, dict]) -> Optional[int]:
+        """The sugar of the remainder of pair (i, j): the pair's sugar
+        or, over the quotient terms a^beta g_k, the largest
+        deg(beta) + sugar_k, whichever is larger.  On an order whose
+        ecarts are not kept, None (the default of :meth:`append`)."""
+        ecart = self.ecart
+        if ecart is None:
+            return None
+        deg, lms = self.order.degree_of, self.basis.leads
+        (ei, comp), (ej, _) = lms[i], lms[j]
+        sugar = deg((exp_max(ei, ej), comp)) + max(ecart[i], ecart[j])
+        for k, q in quotients.items():
+            ek, ck = lms[k]
+            for beta in q:
+                sugar = max(sugar,
+                            deg((tuple(map(add, beta, ek)), ck)) + ecart[k])
+        return sugar
 
     def chain_prunes(self, i: int, j: int) -> bool:
         """Buchberger's chain criterion (module docstring) for the popped
@@ -486,17 +539,27 @@ class _Engine:
             return None
         terms = [(1, fi, i), (-1, fj, j)]
         return self.append(
-            eta, None, terms + _minus(quotients, range(len(self.basis)))
+            eta, None, terms + _minus(quotients, range(len(self.basis))),
+            self.new_sugar(i, j, quotients),
         )
 
     def run_pairs(self, stop: Optional[Callable[[int], bool]] = None) -> None:
         """Process the pairs in heap order until none is left, or until
         ``stop(t)`` holds for a new element t."""
         while self.heap:
-            _, _, i, j = heapq.heappop(self.heap)
+            i, j = heapq.heappop(self.heap)[3:]
             t = self.step_pair(i, j)
             if t is not None and stop is not None and stop(t):
                 return
+
+
+def _tracks_ecart(order: ModOrder) -> bool:
+    """Whether the completion keeps ecarts: not on a graded module
+    order, nor on a TOP, Schreyer or rank-1 order over a ``grlex`` base,
+    where the pair key is deg(lcm) (module docstring)."""
+    return not order.graded and (
+        order.base.kind != "grlex" or (order.kind == "pot" and order.rank > 1)
+    )
 
 
 def _minus(quotients: Dict[int, dict], srcs: Sequence[int]) -> list:
@@ -579,7 +642,7 @@ def degree_driven_completion(
             candidates.append(eng.heap[0][0])
         n = min(candidates)
         while eng.heap and eng.heap[0][0] == n:
-            _, _, i, j = heapq.heappop(eng.heap)
+            i, j = heapq.heappop(eng.heap)[3:]
             eng.step_pair(i, j)
         while w_pos < len(W) and W[w_pos][0] == n:
             _, j, xi = W[w_pos]

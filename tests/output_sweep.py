@@ -16,12 +16,12 @@ byte-identical output where their maps are equal.
 
 ``--diff A.json B.json`` compares two such maps: it prints each
 invocation whose ``[exit, sha256, stderr]`` differs, or that only one
-map has, and exits 1 if there is any, else 0.  ``pdim`` on
-``perfbench/corpus/c44-q.json`` takes 10 to 11 s on 2 cores under
-Python 3.11, at the timeout, so it times out on most sweeps and not on
-all: a timeout against a result there is not a change of output, and
-``tests/slow_checks.py`` is what checks that case.  Pytest does not
-collect this file.
+map has, and exits 1 if there is any, else 0.  The slowest
+invocation, ``pdim`` on ``perfbench/corpus/c44-q.json``, takes about
+1.3 s on 2 cores under Python 3.11 since the completion selects pairs
+by sugar (10 to 11 s before, at the timeout), and
+``tests/test_syzres.py`` checks its output.  Pytest does not collect
+this file.
 """
 
 import glob

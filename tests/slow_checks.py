@@ -1,46 +1,37 @@
 """Slow checks of the swell cases, kept out of the tier-1 run.
 
 The file name does not match ``test_*.py``, so ``python -m pytest``
-does not collect it; name it to run it (about 15, 20, 1, 3 and 3 s per
+does not collect it; name it to run it (about 19, 0.4, 3 and 1 s per
 check on a 2-core machine)::
 
     python -m pytest -q tests/slow_checks.py
 
-Two cases are coefficient swell over Q that the benchmark leaves out:
-``pdim`` on case #44 of the benchmark corpus and ``filtered-resolve``
-on a rank-2 ex14 module.  Their expected outputs were recorded before
-the completion ran on integer rows, and are unchanged since.  The third
-is ``gb --reduce`` on a rank-2 ex12 module over GF(32003), whose
-completion keeps 59 elements (the largest of the benchmark keeps 27)
-before it reduces to seven; its staircase was recorded before the lead
-scans tested divisibility masks.
+The first is coefficient swell over Q that the benchmark leaves out:
+``filtered-resolve`` on a rank-2 ex14 module.  Its expected output was
+recorded before the completion ran on integer rows, and is unchanged
+since.  The second is ``gb --reduce`` on a rank-2 ex12 module over
+GF(32003), whose completion keeps 59 elements (the largest of the
+benchmark keeps 23) before it reduces to seven; its staircase was
+recorded before the lead scans tested divisibility masks.  (``pdim``
+on case #44 of the benchmark corpus, once a check here, takes about
+1 s since the completion selects pairs by sugar, and is a tier-1 test
+in ``tests/test_syzres.py``.)
 
-Two more are over GF(32003).  A rank-2 ex14 module under POT keeps 230
-elements before it reduces to 17; it runs ``buchberger`` and
-``reduce_basis`` from the library, as the CLI would also build V, and
-its staircase was recorded before the division ran on order codes.
-``gb --reduce`` on weyl1 with ``y^30*x^30 + x^5`` and ``y^7*x^3 - 2*y``
-reduces to the unit element (over Q it does not finish in a minute).
+Two more are over GF(32003).  A rank-2 ex14 module under POT keeps 205
+elements (230 before sugar selection) before it reduces to 17; it runs
+``buchberger`` and ``reduce_basis`` from the library, as the CLI would
+also build V, and its staircase was recorded before the division ran
+on order codes.  ``gb --reduce`` on weyl1 with ``y^30*x^30 + x^5`` and
+``y^7*x^3 - 2*y`` reduces to the unit element (over Q it does not
+finish in a minute).
 """
 
 import json
-import os
 
 from solvpoly import fixtures
 from solvpoly.cli import main, parse_problem
 from solvpoly.groebner import buchberger, reduce_basis
 from solvpoly.modfree import FreeModule, ModOrder
-
-CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                      "corpus")
-
-
-def test_pdim_of_case_44_over_q(capsys):
-    path = os.path.join(CORPUS, "c44-q.json")
-    assert main(["--json", "pdim", path]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "pdim": 1, "ranks": [3, 7, 4], "resolution_length": 2}
-
 
 def test_filtered_resolution_of_a_rank_2_ex14_module(tmp_path, capsys):
     with open(fixtures.path("ex14")) as fh:
@@ -105,7 +96,7 @@ def test_reduced_basis_of_a_rank_2_ex14_module_under_pot(tmp_path):
     with open(path) as fh:
         gens = [L.parse(g) for g in json.load(fh)["submodule_generators"]]
     G = buchberger(gens, order)
-    assert len(G.elements) == 230
+    assert len(G.elements) == 205
     R = reduce_basis(G)
     assert len(R.elements) == 17
     assert R.staircase().by_component == [

@@ -8,7 +8,7 @@ from solvpoly import fixtures
 from solvpoly.algebra import reversed_poly
 from solvpoly.cli import _element_from_options, parse_problem
 from solvpoly.coeff import FieldSpec
-from solvpoly.algebra import exp_max
+from solvpoly.algebra import exp_max, exps_within
 from solvpoly.modfree import (
     FreeModule, ModOrder, _Divisors, left_divide_module, mono_divides,
 )
@@ -348,7 +348,7 @@ def test_inputs_with_equal_constant_leads(weyl1, side):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name, most", [
-    ("c44-p", 34),    # 144 pairs
+    ("c44-p", 30),    # 129 pairs
     ("sl2-5-p", 37),  # 153 pairs
     ("gkz-p", 52),    # 153 pairs
 ])
@@ -449,7 +449,7 @@ def _checked_lead_scans(monkeypatch):
 
 
 @pytest.mark.parametrize("name, divisions", [
-    ("c44-p", 34), ("sl2-5-p", 37), ("gkz-p", 52)])
+    ("c44-p", 30), ("sl2-5-p", 37), ("gkz-p", 52)])
 def test_masked_lead_scans_match_brute_force_on_the_corpus(
         name, divisions, monkeypatch):
     """find, chain_prunes and _minimal_indices give the brute-force
@@ -641,7 +641,7 @@ def test_membership_without_generators(qplane, rng):
 
 @pytest.mark.parametrize("name, member, popped", [
     ("sl2-5-p-member", True, 0),       # certified by the inputs alone
-    ("c44-p-member", True, 1),         # by the first new element
+    ("c44-p-member", True, 4),         # by the third new element
     ("sl2-5-p-nonmember", False, 153),  # every pair of the completion
 ])
 def test_membership_stops_when_the_remainder_vanishes(name, member, popped,
@@ -651,3 +651,90 @@ def test_membership_stops_when_the_remainder_vanishes(name, member, popped,
     xi = _element_from_options(pf)
     assert member_by_completion(xi, pf.generators, pf.mod_order)[0] == member
     assert len(steps) == popped
+
+
+# ---------------------------------------------------------------------------
+# sugar selection on orders that do not compare a degree first
+# ---------------------------------------------------------------------------
+
+def _popped_keys(monkeypatch):
+    """Record the key of every pair the completion pops."""
+    keys = []
+    heappop = groebner.heapq.heappop
+
+    def recording(heap):
+        keys.append(heappop(heap))
+        return keys[-1]
+
+    monkeypatch.setattr(groebner.heapq, "heappop", recording)
+    return keys
+
+
+def test_sugar_of_popped_pairs_never_decreases_on_case_44(monkeypatch):
+    # a new element's sugar is at least its pair's, and a pair's sugar
+    # at least that of both its elements, so no pushed pair undercuts
+    # the one just popped
+    keys = _popped_keys(monkeypatch)
+    pf = parse_problem(os.path.join(BENCH_CORPUS, "c44-p.json"))
+    G = buchberger(pf.generators, pf.mod_order)
+    assert len(G.elements) == 23
+    assert len(keys) == 129
+    sugars = [k[0] for k in keys]
+    assert sugars == sorted(sugars)
+    # the input that leads with the constant -2 has ecart 4
+    assert any(k[0] > k[1] for k in keys)
+
+
+def test_an_input_that_leads_with_a_constant_pairs_late(qplane,
+                                                        monkeypatch):
+    L = FreeModule(qplane, 2)
+    order = ModOrder("pot", qplane.order, 2)
+    # the first input leads with e_1, of degree 0, below its top degree 4
+    gens = [L.parse(["x^4 + y", "1"]), L.parse(["y", "x + 1"]),
+            L.parse(["x", "y"])]
+    keys = _popped_keys(monkeypatch)
+    eng = groebner._seeded_engine(gens, order)
+    assert eng.ecart == [4, 0, 0]
+    eng.run_pairs()
+    # (1, 2) has sugar 2 and lcm degree 2; (0, 1) and (0, 2) have sugar
+    # 5 on an lcm of degree 1, and pop after it
+    assert [k[:2] + k[3:] for k in keys[:3]] == [
+        (2, 2, 1, 2), (5, 1, 0, 1), (5, 1, 0, 2)]
+    # the S-vector of (1, 2) ends in y e_1, which y times the first
+    # input reduces, at sugar 5: no element's terms exceed its sugar
+    deg = order.degree_of
+    for t, g in enumerate(eng.basis):
+        top = max(deg(m) for m in g.data)
+        assert eng.ecart[t] + deg(eng.basis.leads[t]) >= top
+    assert eng.ecart[3] + deg(eng.basis.leads[3]) == 5
+
+
+@pytest.mark.parametrize("name", ["qplane", "weyl1"])
+def test_sugar_keeps_random_pot_bases_certified(name, request):
+    """Seeded random rank-2 POT modules: the basis is self-certified, and
+    the reduced staircase is that of the row echelon of the oracle's
+    rows (the inputs times every monomial up to a degree bound,
+    :func:`staircase_oracle`, which itself refuses a POT order).  With
+    the bound at the degree of the V rows, the reduced elements lie in
+    that span, so the two staircases are equal."""
+    A = request.getfixturevalue(name)
+    L = FreeModule(A, 2)
+    order = ModOrder("pot", A.order, 2)
+    assert groebner._tracks_ecart(order)
+    weights = A.degree_function.weights
+    for seed in range(12):
+        rnd = random.Random(seed)
+        gens = [random_vect(L, rnd, max_degree=3, max_terms=3,
+                            nonzero=True)
+                for _ in range(rnd.randint(2, 3))]
+        G = buchberger(gens, order)
+        assert_self_certified(G)
+        R = reduce_basis(G)
+        degs = [max(order.degree_of(m) for m in g.data) for g in gens]
+        bound = max(f.degree() + degs[j] for row in R.V
+                    for j, f in enumerate(row) if not f.is_zero())
+        rows = [g.lmul(A.monomial(e)) for g, d in zip(gens, degs)
+                for e in exps_within(weights, bound - d)]
+        leads = groebner.echelon_leads(rows, order)
+        assert R.staircase() == groebner.Staircase(
+            2, [[e for e, c in leads if c == comp] for comp in range(2)])

@@ -319,6 +319,14 @@ def test_stably_free_rank(comm2):
     assert stably_free_rank(R) == 1
 
 
+def test_pdim_of_case_44_over_q(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "corpus", "c44-q.json")
+    assert main(["--json", "pdim", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "pdim": 1, "ranks": [3, 7, 4], "resolution_length": 2}
+
+
 # ---------------------------------------------------------------------------
 # presentation matrices
 # ---------------------------------------------------------------------------
