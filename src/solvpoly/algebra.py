@@ -937,27 +937,23 @@ class SolvableAlgebra:
         return result
 
     def poly_str(self, f: Poly) -> str:
-        if f.is_zero():
+        return self.terms_str(f.terms)
+
+    def terms_str(self, terms) -> str:
+        """Descending (exponent, coefficient c) pairs as text, c as str(c)."""
+        if not terms:
             return "0"
-        chunks = []
-        for idx, (exp, c) in enumerate(f.terms):
-            body = "*".join(
-                self.names[i] + ("^%d" % e if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e
-            )
+        out, names = [], self.names
+        for exp, c in terms:
             cs = str(c)
-            neg = cs.startswith("-")
-            mag = cs[1:] if neg else cs
-            if body:
-                piece = body if mag == "1" else "%s*%s" % (mag, body)
-            else:
-                piece = mag
-            if idx == 0:
-                chunks.append("-" + piece if neg else piece)
-            else:
-                chunks.append((" - " if neg else " + ") + piece)
-        return "".join(chunks)
+            body = "*".join([names[i] if e == 1 else "%s^%d" % (names[i], e)
+                             for i, e in enumerate(exp) if e])
+            sign, mag = (" - ", cs[1:]) if cs[0] == "-" else (" + ", cs)
+            if body and mag != "1":
+                body = mag + "*" + body
+            out.append(sign + (body or mag))
+        text = "".join(out)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return "SolvableAlgebra(%s)" % (", ".join(self.names))

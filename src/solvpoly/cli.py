@@ -26,6 +26,7 @@ import contextlib
 import json
 import os
 import sys
+from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .coeff import FieldSpec, SolvpolyError
@@ -34,14 +35,13 @@ from .algebra import (
     MalformedRelation,
     MonomialOrder,
     NonAssociative,
-    Poly,
     SolvableAlgebra,
     TailOrderViolation,
     ZeroLambda,
     build_algebra,
     check_associative,
 )
-from .modfree import FreeModule, ModOrder, Vect
+from .modfree import FreeModule, ModOrder, Vect, _IntVect
 from . import filtered as filtered_ops
 from . import graded as graded_ops
 from . import groebner
@@ -344,15 +344,30 @@ def parse_problem(source: Any) -> ProblemFile:
 # rendering helpers
 # ---------------------------------------------------------------------------
 
-def _poly_out(A: SolvableAlgebra, f: Poly) -> str:
-    return A.poly_str(f)
-
-
 def _vect_out(v: Vect) -> Any:
     """Rank-1 vectors render as plain polynomial strings."""
     A = v.module.algebra
     polys = [A.poly_str(p) for p in v.to_polys()]
     return polys[0] if v.module.rank == 1 else polys
+
+
+def _int_row_out(row: _IntVect) -> List[str]:
+    """The entries of an integer row on a TOP order (a row of V or U, a
+    syzygy), printed from its codes in descending order, which on such
+    an order is the ring order inside each entry: a coefficient is
+    n/den reduced by one gcd over Q, the residue (over 1) over GF(p).
+    Prints as :meth:`SolvableAlgebra.poly_str` of its entries, through
+    the same :meth:`SolvableAlgebra.terms_str`."""
+    monos, codes, den = row.order._codec.monos, row.codes, row.den
+    cols: List[list] = [[] for _ in range(row.module.rank)]
+    for k in sorted(codes, reverse=True):
+        n = codes[k]
+        if den != 1:
+            g = gcd(n, den)
+            n = n // g if g == den else "%d/%d" % (n // g, den // g)
+        exp, comp = monos[k]
+        cols[comp].append((exp, n))
+    return list(map(row.module.algebra.terms_str, cols))
 
 
 def _matrix_out(mat: "syzres.PresentationMatrix") -> List[List[str]]:
@@ -536,9 +551,10 @@ def cmd_gb(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
     G = _run_gb(pf, args.reduce, args.truncate)
     payload = {
         "basis": [_vect_out(g) for g in G.elements],
-        "V": [[_poly_out(A, f) for f in row] for row in G.V],
-        "U": ([[_poly_out(A, f) for f in row] for row in G.U]
-              if G.U is not None else None),
+        "V": [_int_row_out(row)
+              for row in G.V_ints(range(len(G.elements)))],
+        "U": ([_int_row_out(row) for row in G.U_ints]
+              if G.U_ints is not None else None),
         "staircase": _staircase_out(A, G.staircase()),
         "minimal": G.flags["is_minimal"],
         "reduced": G.flags["is_reduced"],
@@ -572,7 +588,8 @@ def cmd_syz(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]:
     payload = {
         "rank": syz.module.rank,
         "shifts": list(syz.module.shifts),
-        "syzygies": [_vect_out(s) for s in syz.elements],
+        "syzygies": [row if len(row) > 1 else row[0] for row in map(
+            _int_row_out, syz.elements)],
         "annihilates": syz.annihilates(),
     }
     return EXIT_OK, payload

@@ -29,11 +29,15 @@ multipliers and division quotients that made it, and its normalising
 inverse), and :attr:`GroebnerBasis.V`, which writes every basis element
 as a left combination of the inputs, is built from those traces on
 first read, each row summed on plain ints (integer numerators over one
-denominator over Q, one reduction per row over GF(p)).
-:meth:`GroebnerBasis.V_ints` builds only some rows, in integer form.
-:attr:`GroebnerBasis.U`, which writes every input in the basis, is
-built the same way from :attr:`GroebnerBasis.U_ints`, the division
-quotients of the inputs by the basis, computed on first read.
+denominator over Q, one reduction per row over GF(p)).  Each step
+starts its sum over the lcm of its terms' denominators, so on an
+integral table no step rescales, and a multiplier's a^0 term adds its
+row with no product.  :meth:`GroebnerBasis.V_ints` builds only some
+rows, in integer form.  :attr:`GroebnerBasis.U`, which writes every
+input in the basis, is built the same way from
+:attr:`GroebnerBasis.U_ints`, the division quotients of the inputs by
+the basis, computed on first read.  The CLI prints V and U from these
+integer rows (``cli._int_row_out``), with no payload on the way.
 
 Every vector inside the loop is an integer row on the order's int
 codes (:class:`solvpoly.modfree._IntVect`, integer numerators over one
@@ -46,8 +50,8 @@ ints; exponent tuples stay at the edges (leads, masks, the chain
 criterion, and the trace's multipliers and quotients).  The rows of V
 and U are integer rows too, on the TOP order of a free module of their
 own, summed by the same :class:`solvpoly.modfree._IntSum`.  Payloads
-are built only at the edge: an element's ``data`` on first read, V, U
-and the printer.
+are built only at the edge: an element's ``data`` on first read and
+the library's :attr:`GroebnerBasis.V` and :attr:`GroebnerBasis.U`.
 
 A popped pair (i, j) is skipped by Buchberger's chain criterion when
 some other element k leads in the same component, lm(k) divides
@@ -182,7 +186,9 @@ class _Trace:
     :meth:`rows` evaluates the steps asked for and those they depend
     on, in ascending order, each row summed on plain ints in one
     :class:`solvpoly.modfree._IntSum` on the TOP order of the trace's
-    module of rank m, and scaled by its inverse once at the end.
+    module of rank m, started over the lcm of its terms' denominators
+    (so never rescaled on an integral table), and scaled by its inverse
+    once at the end.
     ``done`` holds the rows as integer rows
     (:class:`solvpoly.modfree._IntVect`): the given ones, the ones asked
     for, and an evaluated one only until the last step of the same call
@@ -228,11 +234,13 @@ class _Trace:
         acc = _IntSum(L.algebra, order)
         for k in sorted(need):
             unit, terms, inv = steps[k]
+            ints = [(sign, *_terms_to_ints(f), done[src])
+                    for sign, f, src in terms]
+            den = lcm(*(fden * row.den for _, _, fden, row in ints))
             acc.start(None if unit is None else
-                      {order.key((unit_exp, unit)): 1})
-            for sign, f, src in terms:
-                row = done[src]
-                acc.add(sign, *_terms_to_ints(f), row.codes, row.den)
+                      {order.key((unit_exp, unit)): den}, den)
+            for sign, f, fden, row in ints:
+                acc.add(sign, f, fden, row.codes, row.den)
             done[k] = _IntVect(L, order,
                                *acc.finish(1 if inv is None else inv))
             for _, _, src in terms:

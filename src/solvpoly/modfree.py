@@ -455,9 +455,12 @@ class _IntSum:
     common multiple of the running denominator and its own (f's times
     v's, times that of a monomial product's coefficient where it has
     one, as lambda = 1/2 gives); the numerators are rescaled only when
-    that multiple grows.  Over GF(p) the denominator stays 1 and nothing
+    that multiple grows, so a caller that starts the sum over a multiple
+    of every term's denominator (:meth:`start`) has it never rescaled on
+    an integral table.  Over GF(p) the denominator stays 1 and nothing
     is reduced mod p before :meth:`finish`.  Each product a^alpha * m
-    comes from the order's table (:class:`solvpoly.codes._Products`).
+    with alpha nonzero comes from the order's table
+    (:class:`solvpoly.codes._Products`); a^0 * m is m.
     """
 
     def __init__(self, A: SolvableAlgebra, order: "ModOrder"):
@@ -468,10 +471,11 @@ class _IntSum:
         self.step = order._codec.step
         self.start()
 
-    def start(self, codes: Optional[Dict[int, int]] = None) -> None:
-        """Begin a new sum at ``codes`` over 1 (zero when None)."""
+    def start(self, codes: Optional[Dict[int, int]] = None,
+              den: int = 1) -> None:
+        """Begin a new sum at ``codes`` over ``den`` (zero when None)."""
         self.codes = {} if codes is None else codes
-        self.den = 1
+        self.den = den
 
     def _rescale(self, den: int) -> None:
         """Raise the denominator to a multiple of ``den``."""
@@ -495,6 +499,11 @@ class _IntSum:
         scale = sign * (self.den // fv)
         for alpha, fa in f.items():
             step = self.step(alpha)
+            if not step:
+                fs = fa * scale
+                for code, c in row.items():
+                    acc[code] = get(code, 0) + fs * c
+                continue
             got = table.get(step)
             if got is None:
                 got = products.row(step, alpha)

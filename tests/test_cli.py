@@ -17,14 +17,17 @@ import pytest
 
 import solvpoly
 from solvpoly import fixtures as corpus
-from solvpoly.algebra import UnknownGenerator
+from solvpoly.algebra import MonomialOrder, UnknownGenerator, build_algebra
 from solvpoly.cli import (
     _COMMANDS,
     ParseError,
     SchemaError,
+    _int_row_out,
     main,
     parse_problem,
 )
+from solvpoly.coeff import FieldSpec
+from solvpoly.modfree import FreeModule, _IntVect
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -803,3 +806,48 @@ def test_big_literals_keep_the_contract(capsys, tmp_path):
     abandoned = _fuzz(capsys, tmp_path, random.Random(6), _big_literal,
                       trials)
     assert abandoned <= trials // 20
+
+
+def _random_int_row(L, rnd):
+    """An integer row of L on its TOP order: some entries zero, the
+    others a few terms (the constant term among them now and then) with
+    numerators of either sign, 1 and -1 among them; over Q over a
+    denominator that need not be coprime to them, over GF(p) residues,
+    p - 1 among them."""
+    A = L.algebra
+    p = A.field.characteristic
+    codes = {}
+    for comp in range(L.rank):
+        for _ in range(rnd.choice([0, 1, 3])):
+            exp = tuple(rnd.randint(0, 2) for _ in range(A.n))
+            if rnd.random() < 0.3:
+                exp = (0,) * A.n
+            if p:
+                n = rnd.choice([1, p - 1, rnd.randrange(1, p)])
+            else:
+                n = rnd.choice([1, -1, rnd.randint(-12, 12) or 5])
+            codes[L.top.key((exp, comp))] = n
+    den = 1 if p else rnd.choice([1, 2, 3, 6, 12])
+    return _IntVect(L, L.top, codes, den)
+
+
+@pytest.mark.parametrize("name,p,kind", [
+    ("weyl1", 0, None), ("ex12", 0, None), ("qheis", 0, None),
+    ("weyl1", 0, "lex"), ("ex14", 32003, None), ("qplane", 32003, "lex"),
+])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_integer_rows_print_as_their_payloads(name, p, kind, rank):
+    """``gb`` prints V and U and ``syz`` its syzygies from their integer
+    rows; each entry reads as ``poly_str`` of its payload polynomial,
+    under the fixture's ``grlex`` order and under ``lex``.  qheis has
+    the relation constant lambda = 1/2."""
+    pf = corpus.load(name)
+    A = build_algebra(
+        FieldSpec("PrimeField", p) if p else FieldSpec(), pf.names,
+        MonomialOrder(kind, len(pf.names)) if kind else pf.order,
+        pf.relations, degree_function=pf.degree_function)
+    L = FreeModule(A, rank)
+    rnd = random.Random(rank * 101 + len(name) + p)
+    for _ in range(40):
+        row = _random_int_row(L, rnd)
+        assert _int_row_out(row) == [A.poly_str(f) for f in row.to_polys()]

@@ -9,11 +9,13 @@ ints, so reading V runs no payload arithmetic.
 
 import contextlib
 import io
+import json
 import os
 import random
 
 import pytest
 
+import solvpoly.cli as cli
 import solvpoly.coeff as coeff
 import solvpoly.groebner as groebner
 import solvpoly.modfree as modfree
@@ -358,3 +360,74 @@ def test_reading_commands_do_build_V(monkeypatch):
         ["--json", "pdim", c44],
     ], [])
     assert all(n > 0 for n in built.values())
+
+
+def test_gb_prints_V_and_U_without_payloads(monkeypatch):
+    """``gb --reduce`` on case #44 over Q prints every row of V and U from
+    its integer form: no such row ever gets its payload ``data``."""
+    rows = []
+    printer = cli._int_row_out
+
+    def recording(row):
+        rows.append(row)
+        return printer(row)
+
+    monkeypatch.setattr(cli, "_int_row_out", recording)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["--json", "gb", "--reduce",
+                     os.path.join(BENCH_CORPUS, "c44-q.json")]) == 0
+    payload = json.loads(out.getvalue())
+    assert len(rows) == len(payload["V"]) + len(payload["U"]) > 0
+    for row in rows:
+        with pytest.raises(AttributeError):
+            modfree.Vect.data.__get__(row)
+
+
+def test_V_steps_are_summed_over_one_denominator(monkeypatch):
+    """On an integral table each step of V starts over the lcm of its
+    terms' denominators, so reading V never rescales a sum; the
+    completion's own S-vector sums still do."""
+    pf = parse_problem(os.path.join(BENCH_CORPUS, "c44-q.json"))
+    calls = []
+    rescale = modfree._IntSum._rescale
+
+    def counted(self, den):
+        calls.append(den)
+        return rescale(self, den)
+
+    monkeypatch.setattr(modfree._IntSum, "_rescale", counted)
+    G = reduce_basis(buchberger(pf.generators, pf.mod_order))
+    assert calls
+    del calls[:]
+    assert G.V_ints(range(len(G.elements)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,p", [("ex12", 0), ("qheis", 0),
+                                     ("ex14", 32003)])
+def test_unit_multipliers_add_rows_without_products(name, p):
+    """``_IntSum.add`` with a multiplier whose terms include a^0 sums as
+    payload arithmetic does, over Q on an integral table (ex12) and a
+    fractional one (qheis, lambda = 1/2), and over GF(p); a^0 * m is m,
+    so the order's table of products gets no row for step 0."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    L = FreeModule(A, 2)
+    order = L.top
+    rnd = random.Random(len(name) + p)
+    unit = (0,) * A.n
+    for _ in range(12):
+        acc = modfree._IntSum(A, order)
+        want = [A.zero(), A.zero()]
+        for sign in (1, -1, 1):
+            f = random_poly(A, rnd, max_degree=2, max_terms=2) + \
+                A.from_terms([(unit, A.field.scalar(
+                    rnd.choice([1, -1, 3]), rnd.choice([1, 2])).value)])
+            v = random_vect(L, rnd, max_degree=2, max_terms=3)
+            row = modfree._row_to_ints(L, v.to_polys())
+            acc.add(sign, *coeff._to_ints(f.terms), row.codes, row.den)
+            for j, g in enumerate(v.to_polys()):
+                term = oracles.reference_product(f, g)
+                want[j] = want[j] + term if sign > 0 else want[j] - term
+        got = modfree._IntVect(L, order, *acc.finish())
+        assert got.to_polys() == want
+    assert 0 not in order._products(A).table
