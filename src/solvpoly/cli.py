@@ -352,12 +352,16 @@ def _vect_out(v: Vect) -> Any:
 
 
 def _int_row_out(row: _IntVect) -> List[str]:
-    """The entries of an integer row on a TOP order (a row of V or U, a
-    syzygy), printed from its codes in descending order, which on such
-    an order is the ring order inside each entry: a coefficient is
-    n/den reduced by one gcd over Q, the residue (over 1) over GF(p).
-    Prints as :meth:`SolvableAlgebra.poly_str` of its entries, through
-    the same :meth:`SolvableAlgebra.terms_str`."""
+    """The entries of an integer row (of V, U, a syzygy or a resolution
+    map) printed from its codes in descending order, a coefficient as
+    n/den reduced by one gcd over Q, the residue over GF(p), through the
+    :meth:`SolvableAlgebra.terms_str` of ``poly_str``.  On every order a
+    problem file can build, descending codes give the ring order inside
+    each entry: an ungraded TOP or POT order restricts to it on each
+    component; a graded one compares the shifted degree first, the
+    degree of its ``grlex`` base (no other base carries one); a Schreyer
+    order compares the images a^alpha * lm(g_i) under its target, and
+    monomial orders are translation-invariant."""
     monos, codes, den = row.order._codec.monos, row.codes, row.den
     cols: List[list] = [[] for _ in range(row.module.rank)]
     for k in sorted(codes, reverse=True):
@@ -371,8 +375,7 @@ def _int_row_out(row: _IntVect) -> List[str]:
 
 
 def _matrix_out(mat: "syzres.PresentationMatrix") -> List[List[str]]:
-    A = mat.algebra
-    return [[A.poly_str(f) for f in row] for row in mat.entries]
+    return [_int_row_out(v) for v in mat.int_rows()]
 
 
 def _staircase_out(A: SolvableAlgebra, st: "groebner.Staircase") -> List[List[str]]:

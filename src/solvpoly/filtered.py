@@ -634,7 +634,7 @@ def minimal_filtered_resolution(
     lms: List[ModMonomial] = []
     if frame.maps:
         order = _graded_order(L)
-        lms = [L.from_polys(row).lm(order) for row in frame.maps[0].entries]
+        lms = [v.lm(order) for v in frame.maps[0].int_rows()]
     _certify_strict_iso(ctx, L0, completed.elements, L, lms)
     return _minimal_resolution(frame, "Filtered")
 

@@ -13,7 +13,11 @@ processed before it).
 A minimal graded resolution (no scalar entry in any boundary matrix)
 is the Schreyer resolution under the graded order with its scalar
 entries cancelled from the top map down (La Scala--Stillman, JSC 26,
-1998; Erocal--Motsak--Schreyer--Steenpass, JSC 74, 2016).
+1998; Erocal--Motsak--Schreyer--Steenpass, JSC 74, 2016).  The maps
+stay integer rows (:class:`solvpoly.modfree._IntVect`) from the frame
+to the printed output: scalar entries are found on the rows' codes,
+eliminated by integer sums, and a map with none is passed on as it is,
+so minimalisation costs only where a unit entry exists.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coeff import SolvpolyError
-from .algebra import DegreeFunction, Poly, SolvableAlgebra, zero_exp
-from .modfree import FreeModule, ModOrder, Vect
+from .algebra import DegreeFunction, Poly, SolvableAlgebra
+from .modfree import (
+    FreeModule, ModOrder, Vect, _coded, _IntSum, _IntVect, _remove_content,
+)
 from .groebner import GroebnerBasis, degree_driven_completion
 from .syzres import PresentationMatrix, Resolution, free_resolution
 
@@ -256,6 +262,41 @@ def min_gens_quotient(
     return QuotientMinimization(L, *prune_unit_pivots(L, inputs))
 
 
+def _scalar_columns(v: _IntVect) -> List[int]:
+    """The columns whose entry in the integer row ``v`` is a nonzero
+    scalar, ascending: each a zero-exponent code, which is the base code
+    of its column (:class:`solvpoly.codes._Codec`), alone in its
+    column."""
+    codec, codes = v.order._codec, v.codes
+    cols = [c for c, base in enumerate(codec.bases) if base in codes]
+    if cols:
+        count = Counter(codec.monos[k][1] for k in codes)
+        cols = [c for c in cols if count[c] == 1]
+    return cols
+
+
+def _renumbered(rows: Sequence[_IntVect], module: FreeModule,
+                alive: Sequence[int]) -> List[_IntVect]:
+    """The rows with only their entries in the columns ``alive``, column
+    ``alive[j]`` as column j of ``module``, on its TOP order."""
+    order = module.top
+    codec = order._codec
+    known, encode = codec.codes, codec.encode
+    reindex = {c: j for j, c in enumerate(alive)}
+    out = []
+    for v in rows:
+        monos = v.order._codec.monos
+        codes = {}
+        for k, n in v.codes.items():
+            e, c = monos[k]
+            c = reindex.get(c)
+            if c is not None:
+                k = known[c].get(e)
+                codes[encode(e, c) if k is None else k] = n
+        out.append(_IntVect(module, order, codes, v.den))
+    return out
+
+
 def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
     List[int], FreeModule, List[Vect], List[Tuple[int, Vect]], List[int],
 ]:
@@ -267,63 +308,81 @@ def prune_unit_pivots(L: FreeModule, gens: Sequence[Vect]) -> Tuple[
     in generator order, then component order, eliminates its basis
     vector from every other generator, and both are dropped.  Returns
     ``(kept, new_module, gens, eliminations, pivots)``: the surviving
-    components of L, the pruned free module (of rank 0 when nothing
-    survives: the quotient is zero), the transformed generators inside
-    it (zero ones dropped), per dropped component the pivot generator in
-    original coordinates, and the index in ``gens`` of each pivot
-    generator.
+    components of L, the pruned free module (L itself when no pivot
+    exists, of rank 0 when nothing survives: the quotient is zero), the
+    transformed generators inside it (zero ones dropped), per dropped
+    component the pivot generator in original coordinates, and the
+    index in ``gens`` of each pivot generator.
 
-    The rows stay vectors of L: eliminating with the pivot at component
-    i subtracts ``(f * c^-1) * pivot`` from each other row, f its entry
-    and c the pivot's at i, which cancels component i exactly.  At the
-    end the rows move onto the pruned module by renumbering components.
+    The rows are integer rows on the first one's order (the TOP order of
+    L for payload rows), coded once (:func:`solvpoly.modfree._coded`),
+    and pivots are found on their codes (:func:`_scalar_columns`).  The
+    pivot c at component i eliminates it from each other row by
+    subtracting ``(f * c^-1) * pivot``, f the row's entry there, in one
+    :class:`solvpoly.modfree._IntSum`.  The rows move onto the pruned
+    module (:func:`_renumbered`) only when a component was dropped.
     """
     A = L.algebra
-    unit = zero_exp(A.n)
-    work = [(k, v) for k, v in enumerate(gens) if v]
+    p = A.field.characteristic
+    first = next((v for v in gens if v), None)
+    order = first.order if isinstance(first, _IntVect) else L.top
+    monos = order._codec.monos
+    acc = _IntSum(A, order)
     alive = list(range(L.rank))
     eliminations: List[Tuple[int, Vect]] = []
     pivots: List[int] = []
 
-    def find_pivot() -> Optional[Tuple[int, int]]:
-        for j, (_, v) in enumerate(work):
-            qj = max(L.mono_degree(m) for m in v.data)
-            count = Counter(c for _, c in v.data)
-            for i in sorted(count):
-                if (
-                    count[i] == 1
-                    and (unit, i) in v.data
-                    and L.shifts[i] == qj
-                ):
-                    return i, j
+    def pivot_of(v: _IntVect) -> Optional[int]:
+        cols = _scalar_columns(v)
+        if cols:
+            top = max(L.mono_degree(monos[k]) for k in v.codes)
+            for i in cols:
+                if L.shifts[i] == top:
+                    return i
         return None
 
+    work = []
+    for k, v in enumerate(gens):
+        if v:
+            v = _coded(v, order)
+            work.append((k, v, pivot_of(v)))
     while True:
-        hit = find_pivot()
-        if hit is None:
+        j = next((j for j, w in enumerate(work) if w[2] is not None), None)
+        if j is None:
             break
-        i, j = hit
-        k, pivot = work.pop(j)
-        inv = A.field.inverse(pivot.data[(unit, i)])
+        k, pivot, i = work.pop(j)
         eliminations.append((i, pivot))
         pivots.append(k)
-        work = [
-            (k, v - pivot.lmul(v.component(i).scale(inv))) for k, v in work
-        ]
-        work = [(k, v) for k, v in work if v]
         alive.remove(i)
-
+        # c^-1 * pivot as numerators over a positive denominator
+        c = pivot.codes[order._codec.bases[i]]
+        if p:
+            inv = pow(c, -1, p)
+            row, den = {m: n * inv % p for m, n in pivot.codes.items()}, 1
+        else:
+            row = pivot.codes if c > 0 else {
+                m: -n for m, n in pivot.codes.items()}
+            den = abs(c)
+        for j, (k, v, _) in enumerate(work):
+            f = {e: n for (e, col), n in zip(
+                map(monos.__getitem__, v.codes), v.codes.values())
+                if col == i}
+            if f:
+                # f over its own least denominator, so that the sum is
+                # not taken over v.den * |c| when f needs less
+                acc.start(dict(v.codes), v.den)
+                acc.add(-1, f, _remove_content(f, v.den), row, den)
+                v = _IntVect(L, order, *acc.finish())
+                work[j] = (k, v, pivot_of(v))
+        work = [w for w in work if w[1]]
+    rows = [v for _, v, _ in work]
+    if not pivots:
+        return alive, L, rows, eliminations, pivots
     new_module = FreeModule(
         A, len(alive), shifts=[L.shifts[c] for c in alive]
     )
-    reindex = {c: pos for pos, c in enumerate(alive)}
-    new_gens = [
-        Vect._of(
-            new_module, {(e, reindex[c]): x for (e, c), x in v.data.items()}
-        )
-        for _, v in work
-    ]
-    return alive, new_module, new_gens, eliminations, pivots
+    return (alive, new_module, _renumbered(rows, new_module, alive),
+            eliminations, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +414,9 @@ def _cancel_scalar_entries(
     and drops row r and column c; column r of map i+1 and row c of map
     i-1 go too.  Map i+1 is free of pivots by then, so no row of map i
     becomes zero.  A top module left with no basis vector is trimmed;
-    the bottom one stays, of rank 0 when the quotient is zero.
+    the bottom one stays, of rank 0 when the quotient is zero.  The
+    maps are read and made as integer rows; one with no pivot, no
+    dropped row and no dropped column is kept as it is.
 
     The chain is a Schreyer frame under the shifted-degree-first order,
     so on filtered (inhomogeneous) input every leading monomial lies in
@@ -368,26 +429,29 @@ def _cancel_scalar_entries(
     units below the top filtration degree are not pivots and stay.
     """
     A = modules[0].algebra
-    modules, rows = list(modules), [m.entries for m in maps]
-    for i in reversed(range(len(rows))):
-        vects = [modules[i].from_polys(row) for row in rows[i]]
-        alive, modules[i], left, _, pivots = prune_unit_pivots(
-            modules[i], vects
-        )
-        stay = [r for r in range(len(vects)) if r not in pivots]
-        shifts = [modules[i + 1].shifts[r] for r in stay]
-        modules[i + 1] = FreeModule(A, len(stay), shifts)
-        rows[i] = [v.to_polys() for v in left]
-        if i + 1 < len(rows):
-            rows[i + 1] = [[row[r] for r in stay] for row in rows[i + 1]]
+    modules, maps = list(modules), list(maps)
+    for i in reversed(range(len(maps))):
+        rows = maps[i].int_rows()
+        alive, L, left, _, pivots = prune_unit_pivots(modules[i], rows)
+        if not pivots:
+            continue
+        dropped = set(pivots)
+        stay = [r for r in range(len(rows)) if r not in dropped]
+        modules[i] = L
+        maps[i] = PresentationMatrix.of_ints(A, left, L.rank)
+        up = modules[i + 1] = FreeModule(
+            A, len(stay), [modules[i + 1].shifts[r] for r in stay])
+        if i + 1 < len(maps):
+            maps[i + 1] = PresentationMatrix.of_ints(
+                A, _renumbered(maps[i + 1].int_rows(), up, stay), up.rank)
         if i:
-            rows[i - 1] = [rows[i - 1][c] for c in alive]
+            below = maps[i - 1].int_rows()
+            maps[i - 1] = PresentationMatrix.of_ints(
+                A, [below[c] for c in alive], maps[i - 1].cols)
     while len(modules) > 1 and not modules[-1].rank:
         modules.pop()
-        rows.pop()
-    return modules, [
-        PresentationMatrix(A, r, modules[i].rank) for i, r in enumerate(rows)
-    ]
+        maps.pop()
+    return modules, maps
 
 
 def _schreyer_frame(qm: QuotientMinimization) -> Resolution:
@@ -439,12 +503,5 @@ def scalar_entry_positions(R: Resolution) -> List[Tuple[int, int, int]]:
     A minimal chain has none: a scalar entry means a basis vector maps
     onto another one and both could be cancelled.
     """
-    hits: List[Tuple[int, int, int]] = []
-    for k, mat in enumerate(R.maps):
-        for i, row in enumerate(mat.entries):
-            for j, f in enumerate(row):
-                if f.is_zero():
-                    continue
-                if len(f.terms) == 1 and all(x == 0 for x in f.terms[0][0]):
-                    hits.append((k, i, j))
-    return hits
+    return [(k, i, j) for k, mat in enumerate(R.maps)
+            for i, v in enumerate(mat.int_rows()) for j in _scalar_columns(v)]

@@ -89,7 +89,10 @@ class PresentationMatrix:
     rows as integer rows (:class:`solvpoly.modfree._IntVect`) and
     builds ``entries`` on first read; one made from ``entries`` codes
     them on the TOP order of its free module of rank ``cols`` when
-    :meth:`int_rows` is first called.
+    :meth:`int_rows` is first called.  The maps of a resolution are
+    made by :meth:`of_ints`, from the Schreyer frame to the printed
+    output; only :func:`projective_dimension` and
+    :func:`solvpoly.filtered.sigma_resolution` read their ``entries``.
     """
 
     def __init__(
@@ -498,11 +501,9 @@ def free_resolution(
             else:
                 prev = maps.pop()
                 modules.pop()
-                maps.append(
-                    PresentationMatrix(
-                        A, [prev.entries[c] for c in nonpivot], prev.cols
-                    )
-                )
+                rows = prev.int_rows()
+                maps.append(PresentationMatrix.of_ints(
+                    A, [rows[c] for c in nonpivot], prev.cols))
                 modules.append(F)
             break
         t = len(elements)

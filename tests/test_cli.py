@@ -5,6 +5,8 @@ tests exercise exactly what a shell user gets: parsing, exit codes and
 the canonical JSON output mode.
 """
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -18,6 +20,7 @@ import pytest
 import solvpoly
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import MonomialOrder, UnknownGenerator, build_algebra
+import solvpoly.cli as cli
 from solvpoly.cli import (
     _COMMANDS,
     ParseError,
@@ -27,9 +30,11 @@ from solvpoly.cli import (
     parse_problem,
 )
 from solvpoly.coeff import FieldSpec
-from solvpoly.modfree import FreeModule, _IntVect
+from solvpoly.modfree import FreeModule, ModOrder, Vect, _IntVect
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
 
 
 def run(capsys, *argv):
@@ -808,13 +813,14 @@ def test_big_literals_keep_the_contract(capsys, tmp_path):
     assert abandoned <= trials // 20
 
 
-def _random_int_row(L, rnd):
-    """An integer row of L on its TOP order: some entries zero, the
-    others a few terms (the constant term among them now and then) with
-    numerators of either sign, 1 and -1 among them; over Q over a
-    denominator that need not be coprime to them, over GF(p) residues,
-    p - 1 among them."""
+def _random_int_row(L, rnd, order=None):
+    """An integer row of L on ``order`` (its TOP order when None): some
+    entries zero, the others a few terms (the constant term among them
+    now and then) with numerators of either sign, 1 and -1 among them;
+    over Q over a denominator that need not be coprime to them, over
+    GF(p) residues, p - 1 among them."""
     A = L.algebra
+    order = order or L.top
     p = A.field.characteristic
     codes = {}
     for comp in range(L.rank):
@@ -826,9 +832,9 @@ def _random_int_row(L, rnd):
                 n = rnd.choice([1, p - 1, rnd.randrange(1, p)])
             else:
                 n = rnd.choice([1, -1, rnd.randint(-12, 12) or 5])
-            codes[L.top.key((exp, comp))] = n
+            codes[order.key((exp, comp))] = n
     den = 1 if p else rnd.choice([1, 2, 3, 6, 12])
-    return _IntVect(L, L.top, codes, den)
+    return _IntVect(L, order, codes, den)
 
 
 @pytest.mark.parametrize("name,p,kind", [
@@ -851,3 +857,83 @@ def test_integer_rows_print_as_their_payloads(name, p, kind, rank):
     for _ in range(40):
         row = _random_int_row(L, rnd)
         assert _int_row_out(row) == [A.poly_str(f) for f in row.to_polys()]
+
+
+def _printed_order(L, how, rnd):
+    """An order on L that a resolution map's rows can lie on: the graded
+    TOP order of L (``"graded"``), or a Schreyer order whose images are
+    random monomials of a rank-2 target under a TOP, POT or graded TOP
+    order (``"schreyer-top"``, ``"schreyer-pot"``, ``"schreyer-graded"``),
+    as on the frames of ``resolve``, ``graded-resolve`` and
+    ``filtered-resolve``."""
+    A = L.algebra
+    if how == "graded":
+        return ModOrder("top", A.order, L.rank, graded=True, shifts=L.shifts)
+    kind = how.split("-")[1]
+    target = ModOrder("top" if kind == "graded" else kind, A.order, 2,
+                      component_priority=[1, 0], graded=kind == "graded",
+                      shifts=[1, 0])
+    images = [(tuple(rnd.randint(0, 2) for _ in range(A.n)),
+               rnd.randrange(2)) for _ in range(L.rank)]
+    return ModOrder("schreyer", A.order, L.rank, schreyer_images=images,
+                    schreyer_target=target)
+
+
+@pytest.mark.parametrize("name,p,kind,how", [
+    (name, p, None, how)
+    for name, p in [("ex14", 0), ("qheis", 0), ("ex14", 32003)]
+    for how in ["graded", "schreyer-top", "schreyer-pot", "schreyer-graded"]
+] + [
+    (name, p, "lex", how)
+    for name, p in [("weyl1", 0), ("qplane", 32003)]
+    for how in ["schreyer-top", "schreyer-pot"]
+])
+def test_rows_on_map_orders_print_as_their_payloads(name, p, kind, how):
+    """A resolution map prints its rows from their codes in descending
+    order, on graded TOP and Schreyer orders too; each entry, mixing
+    degrees, reads as ``poly_str`` of its payload polynomial.  ex14 has
+    the weights 2, 1, 4 on a ``grlex`` base with a priority; a graded
+    order needs a base that carries the degree, so ``lex`` gets only the
+    Schreyer orders over TOP and POT targets."""
+    pf = corpus.load(name)
+    A = build_algebra(
+        FieldSpec("PrimeField", p) if p else FieldSpec(), pf.names,
+        MonomialOrder(kind, len(pf.names)) if kind else pf.order,
+        pf.relations, degree_function=pf.degree_function)
+    rnd = random.Random(len(name) * 7 + len(how) + p)
+    for rank in (1, 3):
+        L = FreeModule(A, rank, [rnd.randint(0, 2) for _ in range(rank)])
+        order = _printed_order(L, how, rnd)
+        for _ in range(25):
+            row = _random_int_row(L, rnd, order)
+            assert _int_row_out(row) == [
+                A.poly_str(f) for f in row.to_polys()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["graded-resolve", "--betti", "skew-5-2.json"],
+    ["resolve", "sl2-4-q.json"],
+    ["filtered-resolve", "sl2-3-q.json"],
+    ["filtered-resolve", "gkz-q.json"],
+])
+def test_resolution_maps_print_without_payloads(monkeypatch, argv):
+    """Every printed row of a resolution map goes from the Schreyer frame
+    to stdout as an integer row: it is printed from its codes and never
+    gets its payload ``data``.  gkz-q cancels 95 scalar entries on the
+    way."""
+    rows = []
+    printer = cli._int_row_out
+
+    def recording(row):
+        rows.append(row)
+        return printer(row)
+
+    monkeypatch.setattr(cli, "_int_row_out", recording)
+    path = os.path.join(BENCH_CORPUS, argv[-1])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["--json"] + argv[:-1] + [path]) == 0
+    payload = json.loads(out.getvalue())
+    assert len(rows) == sum(len(m) for m in payload["maps"]) > 0
+    for row in rows:
+        with pytest.raises(AttributeError):
+            Vect.data.__get__(row)

@@ -1,11 +1,15 @@
+import os
 import random
 
 import pytest
 
+import solvpoly.filtered as filtered
 import solvpoly.graded as graded
 import solvpoly.groebner as groebner
 import solvpoly.syzres as syzres
 from solvpoly import fixtures as corpus
+from solvpoly.coeff import FieldSpec
+from solvpoly.cli import parse_problem
 from solvpoly.filtered import FiltrationContext, minimal_filtered_resolution
 from solvpoly.modfree import FreeModule, ModOrder
 from solvpoly.groebner import buchberger, is_member
@@ -26,7 +30,11 @@ from solvpoly.graded import (
 )
 
 import oracles
-from conftest import random_scalar, random_vect
+from conftest import over, random_scalar, random_vect
+
+
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
 
 
 def gtop(A, rank=1, shifts=None):
@@ -188,12 +196,16 @@ def _homogeneous_with_units(L, rnd, degree):
     return L.from_polys(polys)
 
 
-@pytest.mark.parametrize("name", ["comm2", "qplane", "ex12", "ex14"])
-def test_unit_pivot_pruning_matches_the_reference(name, request):
+@pytest.mark.parametrize("name,p", [
+    pytest.param(name, p, id=name + ("-%d" % p if p else ""))
+    for p in (0, 32003) for name in ("comm2", "qplane", "ex12", "ex14")
+])
+def test_unit_pivot_pruning_matches_the_reference(name, p):
     """prune_unit_pivots against the pruning that kept its rows as
-    component dicts, on seeded homogeneous presentations with shifts."""
-    A = request.getfixturevalue(name)
-    rnd = random.Random(len(name) * 17)
+    component dicts, on seeded homogeneous presentations with shifts,
+    over Q and over GF(32003)."""
+    A = over(FieldSpec("PrimeField", p) if p else FieldSpec(), name)
+    rnd = random.Random(len(name) * 17 + p)
     eliminated = 0
     for _ in range(20):
         shifts = [rnd.randint(0, 2) for _ in range(rnd.randint(2, 4))]
@@ -217,6 +229,36 @@ def test_unit_pivot_pruning_matches_the_reference(name, request):
 # ---------------------------------------------------------------------------
 # minimal graded resolutions
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["gkz-q", "gkz-p"])
+def test_filtered_gkz_cancels_its_units_to_the_same_chain(name,
+                                                           monkeypatch):
+    """The filtered resolution of the GKZ system eliminates no unit
+    from its presentation, then 3, 16, 33, 31, 12 and 0 from the six
+    maps of its frame, top map first; the chain keeps the ranks and
+    shifts it had when the elimination ran on payload rows, its maps
+    compose to zero and no scalar entry is left."""
+    counts = []
+    prune = graded.prune_unit_pivots
+
+    def counted(L, gens):
+        out = prune(L, gens)
+        counts.append(len(out[4]))
+        return out
+
+    monkeypatch.setattr(graded, "prune_unit_pivots", counted)
+    monkeypatch.setattr(filtered, "prune_unit_pivots", counted)
+    pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
+    R = minimal_filtered_resolution(
+        FiltrationContext(pf.algebra), pf.module, pf.generators)
+    assert R.ranks() == [1, 5, 9, 7, 2]
+    assert R.shift_lists() == [[0], [2, 2, 2, 2, 2],
+                               [3, 4, 4, 4, 4, 4, 3, 4, 4],
+                               [5, 5, 6, 6, 5, 6, 5], [7, 7]]
+    assert counts == [0, 3, 16, 33, 31, 12, 0]
+    assert R.composition_is_zero()
+    assert scalar_entry_positions(R) == []
+
 
 def test_minimal_koszul_resolution(comm2):
     L = FreeModule(comm2, 1)

@@ -4,8 +4,9 @@ Every sum of ring products over rows goes through one accumulator,
 ``modfree._IntSum``, with one summation loop on one order's codes: the
 product of matrices over the algebra
 (``PresentationMatrix.compose_with``), the transition-matrix rows
-(``_Trace.rows``), the S-vectors (``groebner._spair_data``) and left
-multiples (``Vect.lmul``) are the only places that construct one.
+(``_Trace.rows``), the S-vectors (``groebner._spair_data``), left
+multiples (``Vect.lmul``) and the unit-pivot elimination
+(``graded.prune_unit_pivots``) are the only places that construct one.
 The two-sided divisor list, ``presentation._FreeDivisors``, is prepared
 only through its ``of`` path: by ``free_divide``, and once up front by
 the presentation check and the bounded completion, which hand it on.
@@ -13,6 +14,8 @@ Every name the benchmark's tracer wraps exists where it looks for it.
 Inside the completion no payload is built (the pair step, the join of
 a new element, the S-vector, the division and U's rows), and a payload
 row is converted to integer form only where it enters from a caller.
+The maps of a resolution stay integer rows from the Schreyer frame
+through the cancellation of scalar entries to the printed JSON.
 The division loop, the S-vector sum and the accumulator's summation
 loop run on the order's int codes: they key no monomial and build no
 tuple per row term or product term.
@@ -64,6 +67,7 @@ def _constructions(name):
 
 def test_one_accumulator_for_sums_of_products_over_rows():
     assert sorted(_constructions("_IntSum")) == [
+        ("graded", "prune_unit_pivots"),
         ("groebner", "_Trace.rows"),
         ("groebner", "_spair_data"),
         ("modfree", "Vect.lmul"),
@@ -132,6 +136,29 @@ def test_payload_rows_become_integer_rows_only_where_they_enter():
         ("groebner", "_Trace.given"),
         ("syzres", "PresentationMatrix.int_rows"),
     ]
+
+
+def test_resolution_maps_stay_integer_rows():
+    """The unit-pivot elimination, the cancellation of scalar entries,
+    their search and the printer of a resolution map work on integer
+    rows from the Schreyer frame to stdout: none of them converts rows
+    to or from payload polynomials, reads a matrix's ``entries`` or
+    builds a Fraction."""
+    inside = [("graded", "prune_unit_pivots"),
+              ("graded", "_cancel_scalar_entries"),
+              ("graded", "_scalar_columns"),
+              ("graded", "_renumbered"),
+              ("graded", "scalar_entry_positions"),
+              ("cli", "_matrix_out")]
+    assert set(inside) <= set(_functions())
+    for name in ("to_polys", "from_polys", "Fraction", "_to_ints",
+                 "_from_ints", "_row_to_ints"):
+        assert not [(m, f) for m, f in _constructions(name)
+                    if (m, f.split(".")[0]) in inside], name
+    for module, qualname in inside:
+        for node in ast.walk(_function_node(module, qualname)):
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("entries", "data")), qualname
 
 
 def _functions():
