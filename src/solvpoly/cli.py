@@ -41,7 +41,7 @@ from .algebra import (
     build_algebra,
     check_associative,
 )
-from .modfree import FreeModule, ModOrder, Vect, _IntVect
+from .modfree import FreeModule, ModOrder, Vect, _IntVect, _coded
 from . import filtered as filtered_ops
 from . import graded as graded_ops
 from . import groebner
@@ -345,10 +345,12 @@ def parse_problem(source: Any) -> ProblemFile:
 # ---------------------------------------------------------------------------
 
 def _vect_out(v: Vect) -> Any:
-    """Rank-1 vectors render as plain polynomial strings."""
-    A = v.module.algebra
-    polys = [A.poly_str(p) for p in v.to_polys()]
-    return polys[0] if v.module.rank == 1 else polys
+    """A vector printed by :func:`_int_row_out`, an integer row on its
+    own order, a payload one coded once on its module's TOP order; a
+    rank-1 vector renders as a plain polynomial string."""
+    row = _int_row_out(v if isinstance(v, _IntVect)
+                       else _coded(v, v.module.top))
+    return row[0] if v.module.rank == 1 else row
 
 
 def _int_row_out(row: _IntVect) -> List[str]:

@@ -32,6 +32,7 @@ from .modfree import (
     ModOrder,
     Vect,
     _Divisors,
+    _IntVect,
     left_divide_module,
     mono_divides,
 )
@@ -568,7 +569,6 @@ def minimal_F_basis(
 
 
 def _certify_strict_iso(
-    ctx: FiltrationContext,
     L: FreeModule,
     gens: List[Vect],
     new_module: FreeModule,
@@ -580,12 +580,10 @@ def _certify_strict_iso(
     submodule whose leading monomials under the graded order are
     generated by ``new_lms``.
     """
-    top = max(list(L.shifts) + [0])
-    if gens:
-        top = max(top, max(fil_degree(ctx, v) for v in gens))
-    top += 1
     order = _graded_order(L)
     lms = [g.lm(order) for g in gens]
+    # under the shifted-degree-first order a lead has the top degree
+    top = max(list(L.shifts) + [L.mono_degree(m) for m in lms] + [0]) + 1
     left = _normal_degrees(L, lms, top)
     if left is None:
         return None
@@ -635,7 +633,7 @@ def minimal_filtered_resolution(
     if frame.maps:
         order = _graded_order(L)
         lms = [v.lm(order) for v in frame.maps[0].int_rows()]
-    _certify_strict_iso(ctx, L0, completed.elements, L, lms)
+    _certify_strict_iso(L0, completed.elements, L, lms)
     return _minimal_resolution(frame, "Filtered")
 
 
@@ -646,9 +644,8 @@ def sigma_resolution(ctx: FiltrationContext, R: Resolution) -> Resolution:
     graded_maps = []
     for i, mat in enumerate(R.maps):
         target = R.modules[i]
-        rows = [
-            sigma(ctx, mat.row_vect(k, target)) for k in range(mat.rows)
-        ]
+        rows = [sigma(ctx, _IntVect(target, v.order, v.codes, v.den))
+                for v in mat.int_rows()]
         graded_maps.append(
             PresentationMatrix.from_vects(rows, graded_modules[i])
         )

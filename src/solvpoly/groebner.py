@@ -113,9 +113,9 @@ from .modfree import (
     _IntSum,
     _IntVect,
     _monic_row,
-    _quotient_row,
     _row_to_ints,
     _terms_to_ints,
+    _top_row,
     left_divide_module,
     mono_divides,
 )
@@ -313,7 +313,6 @@ class GroebnerBasis:
         if self.flags["truncation_degree"] is not None:
             return None
         basis = _Divisors.of(self.elements, self.order)
-        pos = range(len(basis))
         L = FreeModule(self.module.algebra, len(basis))
         rows = []
         for xi in self.inputs:
@@ -325,7 +324,8 @@ class GroebnerBasis:
                 raise NotAGroebnerBasis(
                     "input does not reduce to zero against the computed basis"
                 )
-            rows.append(_quotient_row(L, quotients, pos))
+            rows.append(_top_row(L, {(e, i): c for i, q in quotients.items()
+                                     for e, c in q.items()}))
         return rows
 
     @cached_property

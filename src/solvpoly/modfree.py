@@ -412,14 +412,13 @@ def _terms_to_ints(terms: Dict[object, Tuple[int, int]]) -> Tuple[dict, int]:
     return nums, _remove_content(nums, den)
 
 
-def _quotient_row(L: FreeModule, quotients: Dict[int, Dict[ExpVec, tuple]],
-                  pos: Sequence[int]) -> _IntVect:
-    """The quotients of a division (:func:`left_divide_module`) as one
-    row of L on its TOP order, quotient i on component ``pos[i]``."""
+def _top_row(L: FreeModule, terms: Dict[ModMonomial, Tuple[int, int]]
+             ) -> _IntVect:
+    """The row of L on its TOP order with the terms ``(exponent,
+    component) -> (n, d)``, over their least common denominator."""
     key = L.top.key
     return _IntVect(L, L.top, *_terms_to_ints(
-        {key((e, pos[i])): c for i, q in quotients.items()
-         for e, c in q.items()}))
+        {key(m): c for m, c in terms.items()}))
 
 
 def _monic_row(v: Vect, order: "ModOrder") -> Tuple[_IntVect, object]:

@@ -30,7 +30,9 @@ that a resolution's maps compose to zero.  Every row it reads or makes
 is an integer row on the codes of one module order
 (:class:`solvpoly.modfree._IntVect`): a Schreyer row on its Schreyer
 order, a basis element on the completion's order, a row of V, U or of
-a product on the TOP order of a free module of its own.
+a product on the TOP order of a free module of its own.  A matrix
+holds integer rows only, and so do the right inverse of
+:func:`is_projective` and the splice of :func:`projective_dimension`.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (
-    Poly, SolvableAlgebra, exp_max, exp_sub, reversed_poly, zero_exp,
-)
+from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub, zero_exp
 from .modfree import (
     FreeModule,
     ModMonomial,
@@ -51,11 +51,10 @@ from .modfree import (
     _IntSum,
     _IntVect,
     _coded,
-    _quotient_row,
     _row_to_ints,
     _terms_to_ints,
+    _top_row,
     left_divide_module,
-    opposite_order,
 )
 from .groebner import (
     GroebnerBasis,
@@ -81,18 +80,17 @@ __all__ = [
 class PresentationMatrix:
     """A matrix over the algebra presenting a module map.
 
-    ``entries[i][j]`` is the e_j-coordinate of the image of the i-th
-    basis vector of the source; the map sends a coordinate row
-    ``(f_1..f_t)`` to ``(f)Q`` with coefficients kept on the left.
-    The column count ``cols`` is read off the rows; a matrix with no
-    rows must be given it.  A matrix made by :meth:`of_ints` holds its
-    rows as integer rows (:class:`solvpoly.modfree._IntVect`) and
-    builds ``entries`` on first read; one made from ``entries`` codes
-    them on the TOP order of its free module of rank ``cols`` when
-    :meth:`int_rows` is first called.  The maps of a resolution are
-    made by :meth:`of_ints`, from the Schreyer frame to the printed
-    output; only :func:`projective_dimension` and
-    :func:`solvpoly.filtered.sigma_resolution` read their ``entries``.
+    Row i is the coordinate vector of the image of the i-th basis
+    vector of the source, held as one integer row
+    (:class:`solvpoly.modfree._IntVect`) with entry j on component j;
+    the map sends a coordinate row ``(f_1..f_t)`` to ``(f)Q`` with
+    coefficients kept on the left.  The constructor takes rows of ring
+    elements and codes them once, on the TOP order of its free module
+    of rank ``cols``: the one place rows of ring elements enter.  Every other
+    matrix is made from integer rows by :meth:`of_ints`, the maps of a
+    resolution from the Schreyer frame to the printed output.  The
+    column count ``cols`` is read off the rows; a matrix with no rows
+    must be given it.  ``entries`` decodes the rows on each read.
     """
 
     def __init__(
@@ -101,17 +99,14 @@ class PresentationMatrix:
         entries: Sequence[Sequence[Poly]],
         cols: Optional[int] = None,
     ):
-        self.algebra = algebra
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
         if cols is None:
-            if not self.rows:
+            if not entries:
                 raise ValueError("a matrix with no rows needs its width")
-            cols = len(self.entries[0])
-        self.cols = cols
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+            cols = len(entries[0])
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged matrix")
+        self.algebra, self.rows, self.cols = algebra, len(entries), cols
+        self._ints = [_row_to_ints(self.module, row) for row in entries]
 
     @classmethod
     def of_ints(
@@ -124,8 +119,9 @@ class PresentationMatrix:
         M._ints = list(rows)
         return M
 
-    @cached_property
+    @property
     def entries(self) -> List[List[Poly]]:
+        """The rows as ring elements, decoded on read."""
         return [row.to_polys() for row in self._ints]
 
     @cached_property
@@ -136,16 +132,12 @@ class PresentationMatrix:
     @cached_property
     def order(self) -> ModOrder:
         """The order whose codes the rows are summed on as the right
-        factor of a product: the first integer row's, else the TOP order
-        of :attr:`module`."""
-        rows = self.__dict__.get("_ints")
-        return rows[0].order if rows else self.module.top
+        factor of a product: the first row's, else the TOP order of
+        :attr:`module`."""
+        return self._ints[0].order if self._ints else self.module.top
 
     def int_rows(self) -> List[_IntVect]:
-        """The integer rows, converted from ``entries`` once."""
-        if "_ints" not in self.__dict__:
-            self._ints = [_row_to_ints(self.module, row)
-                          for row in self.entries]
+        """The integer rows."""
         return self._ints
 
     @classmethod
@@ -160,9 +152,6 @@ class PresentationMatrix:
         return cls.of_ints(
             module.algebra, [_coded(v, order) for v in vects], module.rank
         )
-
-    def row_vect(self, i: int, target: FreeModule) -> Vect:
-        return target.from_polys(self.entries[i])
 
     def compose_with(self, nxt: "PresentationMatrix") -> "PresentationMatrix":
         """Matrix of (self then nxt): the ordinary product self * nxt.
@@ -534,37 +523,35 @@ def free_resolution(
 
 def is_projective(
     Q: PresentationMatrix,
-) -> Tuple[bool, Optional[List[List[Poly]]]]:
+) -> Tuple[bool, Optional[PresentationMatrix]]:
     """Right-invertibility test of a presentation matrix.
 
     ``Q`` (t x s) presents M as the cokernel of an injective map.  M
     is projective exactly when the right submodule generated by the
     columns of Q contains every basis vector; in that case a right
     inverse V (s x t) with Q V = E is assembled from the right
-    division quotients and returned.
+    division quotients and returned as a matrix.
 
     It all runs over ``A.opposite()``, where right multiples are left
-    ones: the reversed columns are completed once, each e_k is divided
-    by that basis, and phi(V) = quotients * V_op is one product over
-    the rows of V_op that a nonzero quotient reads.
+    ones, on integer rows: the columns of Q with their exponents
+    reversed (:func:`_reversed_transpose`) are completed once under the
+    TOP order there (the opposite of TOP), each e_k is divided by that
+    basis, and W = quotients * V_op is one product over the rows of V_op
+    that a nonzero quotient reads; V is W transposed back the same way.
     """
     A = Q.algebra
     t, s = Q.rows, Q.cols
     if t == 0:
-        return True, []
+        return True, PresentationMatrix.of_ints(
+            A, _reversed_transpose([], FreeModule(A, 0), s, ()), 0)
     op = A.opposite()
     module = FreeModule(op, t)
-    order = opposite_order(ModOrder("top", A.order, t))
-    columns: List[Vect] = []
-    col_index: List[int] = []
-    for j in range(s):
-        v = module.from_polys([reversed_poly(row[j], op) for row in Q.entries])
-        if not v.is_zero():
-            columns.append(v)
-            col_index.append(j)
-    if not columns:
+    order = module.top
+    reversed_cols = _reversed_transpose(Q.int_rows(), module, s, range(s))
+    col_index = [j for j, v in enumerate(reversed_cols) if v]
+    if not col_index:
         return False, None
-    G = buchberger(columns, order)
+    G = buchberger([reversed_cols[j] for j in col_index], order)
     unit = zero_exp(op.n)
     quotients = []
     for k in range(t):
@@ -578,25 +565,41 @@ def is_projective(
     used = sorted({g for qs in quotients for g in qs})
     pos = {g: c for c, g in enumerate(used)}
     L = FreeModule(op, len(used))
-    W = PresentationMatrix.of_ints(
-        op, [_quotient_row(L, qs, pos) for qs in quotients], len(used)
-    ).compose_with(
-        PresentationMatrix.of_ints(op, G.V_ints(used), len(columns))
-    )
-    V = [[A.zero() for _ in range(t)] for _ in range(s)]
-    for k, row in enumerate(W.entries):
-        for f, j in zip(row, col_index):
-            V[j][k] = reversed_poly(f, A)
-    return True, V
+    rows = [_top_row(L, {(e, pos[g]): c for g, q in qs.items()
+                         for e, c in q.items()}) for qs in quotients]
+    W = PresentationMatrix.of_ints(op, rows, len(used)).compose_with(
+        PresentationMatrix.of_ints(op, G.V_ints(used), len(col_index)))
+    V = _reversed_transpose(W.int_rows(), FreeModule(A, t), s, col_index)
+    return True, PresentationMatrix.of_ints(A, V, t)
+
+
+def _reversed_transpose(
+    rows: Sequence[_IntVect], L: FreeModule, width: int, place: Sequence[int]
+) -> List[_IntVect]:
+    """The transpose of the matrix with integer rows ``rows``, every
+    exponent reversed (phi, over ``A.opposite()`` and back): ``width``
+    rows of L on its TOP order, row ``place[j]`` holding column j (the
+    entry of row k on component k) over the lcm of the row
+    denominators, the other rows zero."""
+    terms: List[dict] = [{} for _ in range(width)]
+    for k, v in enumerate(rows):
+        for j, col in _by_column(v).items():
+            out = terms[place[j]]
+            for e, n in col.items():
+                out[(e[::-1], k)] = (n, v.den)
+    return [_top_row(L, row) for row in terms]
 
 
 def projective_dimension(R: Resolution) -> int:
     """Least resolution length over the shortening procedure.
 
     Walks from the tail: while the last matrix is right invertible,
-    splice the last module into the one two steps down (the spliced
-    map pairs the right inverse with the previous boundary) and
-    retry; the first non-invertible tail fixes the dimension.
+    splice the last module into the one two steps down and retry; the
+    first non-invertible tail fixes the dimension.  The spliced map
+    psi pairs the right inverse V with the previous boundary: its row
+    r is V's row r followed by the previous map's row r, its columns
+    shifted by t, the rank of the last module; the map below gets t
+    zero rows first.  All of it is spliced on integer rows.
     """
     A = R.modules[0].algebra
     ms: List[PresentationMatrix] = list(R.maps)
@@ -607,21 +610,19 @@ def projective_dimension(R: Resolution) -> int:
             return len(ms)
         if len(ms) == 1:
             return 0
-        prev = ms[-2]
-        psi_entries = [
-            V[r] + prev.entries[r]
-            for r in range(prev.rows)
-        ]
-        psi = PresentationMatrix(A, psi_entries, last.rows + prev.cols)
+        prev, t = ms[-2], last.rows
+        L = FreeModule(A, t + prev.cols)
+        psi = [_top_row(L, {(e, j + shift): (n, row.den)
+                            for row, shift in ((v, 0), (w, t))
+                            for j, col in _by_column(row).items()
+                            for e, n in col.items()})
+               for v, w in zip(V.int_rows(), prev.int_rows())]
         if len(ms) >= 3:
             below = ms[-3]
-            zero_rows = [
-                [A.zero() for _ in range(below.cols)] for _ in range(last.rows)
-            ]
-            ms[-3] = PresentationMatrix(
-                A, zero_rows + below.entries, below.cols
-            )
-        ms = ms[:-2] + [psi]
+            ms[-3] = PresentationMatrix.of_ints(
+                A, [_top_row(below.module, {}) for _ in range(t)]
+                + below.int_rows(), below.cols)
+        ms = ms[:-2] + [PresentationMatrix.of_ints(A, psi, L.rank)]
     return 0
 
 

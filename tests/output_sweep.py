@@ -26,7 +26,11 @@ stay integer rows, are ``filtered-resolve`` on the four GKZ files of
 the corpus (``gkz-q``, ``gkz-p``, ``gkz-p-member``,
 ``gkz-p-nonmember``): 3, 16, 33, 31 and 12 pivots on the frame's maps
 from the top down.  No other invocation has a pivot, weyl1's
-``filtered-resolve`` included.  Pytest does not collect this file.
+``filtered-resolve`` included.  The only invocations that splice in
+``pdim``, on integer rows, are those on the three c44 files of the
+corpus (once: the 4 x 7 map is right invertible) and on the four GKZ
+files (twice: the 3 x 19 and 19 x 54 maps).  Pytest does not collect
+this file.
 """
 
 import glob

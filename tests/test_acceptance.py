@@ -340,7 +340,7 @@ def test_c09_projectivity_certificates():
         ])
         flag, V = is_projective(E)
         assert flag
-        prod = E.compose_with(PresentationMatrix(A, V))
+        prod = E.compose_with(V)
         for i in range(2):
             for j in range(2):
                 if i == j:
@@ -352,7 +352,7 @@ def test_c09_projectivity_certificates():
         row = PresentationMatrix(W, [[W.parse("x"), W.parse("y")]])
         flag, V = is_projective(row)
         assert flag
-        prod = row.compose_with(PresentationMatrix(W, V))
+        prod = row.compose_with(V)
         assert prod.rows == prod.cols == 1
         assert prod.entries[0][0] == W.one()
 

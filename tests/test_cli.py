@@ -21,6 +21,8 @@ import solvpoly
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import MonomialOrder, UnknownGenerator, build_algebra
 import solvpoly.cli as cli
+import solvpoly.modfree as modfree
+import solvpoly.syzres as syzres
 from solvpoly.cli import (
     _COMMANDS,
     ParseError,
@@ -937,3 +939,40 @@ def test_resolution_maps_print_without_payloads(monkeypatch, argv):
     for row in rows:
         with pytest.raises(AttributeError):
             Vect.data.__get__(row)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["gb", "--reduce", "sl2-3-q.json"], 0),
+    (["member", "sl2-4-p-nonmember.json"], 1),
+    (["syz", "skew-4-2.json"], 0),
+    (["resolve", "skew-4-2.json"], 0),
+    (["graded-resolve", "--betti", "skew-4-3.json"], 0),
+    (["filtered-resolve", "sl2-3-q.json"], 0),
+    (["pdim", "gkz-p.json"], 0),
+])
+def test_benchmark_commands_decode_no_integer_row(monkeypatch, argv, code):
+    """One small file per command of the benchmark: no integer row gets
+    its payload ``data``, from the completion to the printed JSON.  pdim
+    on gkz-p splices twice (its 3 x 19 and 19 x 54 maps are right
+    invertible, the 54 x 90 one is not), all on integer rows."""
+    decoded, tested = [], []
+    getattr_ = modfree._IntVect.__getattr__
+    is_projective = syzres.is_projective
+
+    def recording(row, name):
+        if name == "data":
+            decoded.append(row)
+        return getattr_(row, name)
+
+    def shapes(Q):
+        tested.append((Q.rows, Q.cols))
+        return is_projective(Q)
+
+    monkeypatch.setattr(modfree._IntVect, "__getattr__", recording)
+    monkeypatch.setattr(syzres, "is_projective", shapes)
+    path = os.path.join(BENCH_CORPUS, argv[-1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--json"] + argv[:-1] + [path]) == code
+    assert decoded == []
+    if argv[0] == "pdim":
+        assert tested == [(3, 19), (19, 54), (54, 90)]

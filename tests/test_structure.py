@@ -15,7 +15,9 @@ Inside the completion no payload is built (the pair step, the join of
 a new element, the S-vector, the division and U's rows), and a payload
 row is converted to integer form only where it enters from a caller.
 The maps of a resolution stay integer rows from the Schreyer frame
-through the cancellation of scalar entries to the printed JSON.
+through the cancellation of scalar entries, the right inverse and the
+splice of ``pdim`` to the printed JSON, and so does every printed
+vector.
 The division loop, the S-vector sum and the accumulator's summation
 loop run on the order's int codes: they key no monomial and build no
 tuple per row term or product term.
@@ -129,30 +131,38 @@ def test_no_payloads_inside_the_completion():
 
 def test_payload_rows_become_integer_rows_only_where_they_enter():
     """A row of ring elements is converted to integer form only where a
-    caller hands one in: the given rows of a trace and the entries of a
-    matrix built from them.  Everything the package makes stays in
-    integer form until it is read."""
+    caller hands one in: the given rows of a trace and the rows a matrix
+    is constructed from.  Everything the package makes stays in integer
+    form until it is read."""
     assert sorted(_constructions("_row_to_ints")) == [
         ("groebner", "_Trace.given"),
-        ("syzres", "PresentationMatrix.int_rows"),
+        ("syzres", "PresentationMatrix.__init__"),
     ]
 
 
 def test_resolution_maps_stay_integer_rows():
     """The unit-pivot elimination, the cancellation of scalar entries,
-    their search and the printer of a resolution map work on integer
-    rows from the Schreyer frame to stdout: none of them converts rows
-    to or from payload polynomials, reads a matrix's ``entries`` or
-    builds a Fraction."""
+    their search, the right inverse, the splice of ``pdim`` and the
+    printers of a resolution map and of a vector work on integer rows
+    from the Schreyer frame to stdout: none of them converts rows to or
+    from payload polynomials, reverses a payload polynomial, reads a
+    matrix's ``entries`` or a vector's ``data``, or builds a
+    Fraction."""
     inside = [("graded", "prune_unit_pivots"),
               ("graded", "_cancel_scalar_entries"),
               ("graded", "_scalar_columns"),
               ("graded", "_renumbered"),
               ("graded", "scalar_entry_positions"),
-              ("cli", "_matrix_out")]
+              ("syzres", "is_projective"),
+              ("syzres", "_reversed_transpose"),
+              ("syzres", "_by_column"),
+              ("syzres", "projective_dimension"),
+              ("modfree", "_top_row"),
+              ("cli", "_matrix_out"),
+              ("cli", "_vect_out")]
     assert set(inside) <= set(_functions())
-    for name in ("to_polys", "from_polys", "Fraction", "_to_ints",
-                 "_from_ints", "_row_to_ints"):
+    for name in ("to_polys", "from_polys", "reversed_poly", "Fraction",
+                 "_to_ints", "_from_ints", "_row_to_ints"):
         assert not [(m, f) for m, f in _constructions(name)
                     if (m, f.split(".")[0]) in inside], name
     for module, qualname in inside:

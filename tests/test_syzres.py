@@ -268,7 +268,7 @@ def test_resolution_first_map_presents_the_generators(qplane):
     L = FreeModule(qplane, 1)
     gens = [L.parse(["x^2"]), L.parse(["x*y"])]
     R = free_resolution(L, gens)
-    rows = [R.maps[0].row_vect(i, L) for i in range(R.maps[0].rows)]
+    rows = R.maps[0].int_rows()
     # the first stage presents exactly the chosen generators' submodule
     G1 = buchberger(rows, top(qplane))
     G2 = buchberger(gens, top(qplane))
@@ -295,8 +295,8 @@ def test_identity_is_projective(comm2):
         [comm2.zero(), comm2.one()],
     ])
     flag, V = is_projective(E)
-    assert flag
-    prod = E.compose_with(PresentationMatrix(comm2, V))
+    assert flag and (V.rows, V.cols) == (2, 2)
+    prod = E.compose_with(V)
     assert prod.entries[0][0] == comm2.one()
     assert prod.entries[0][1].is_zero()
     assert prod.entries[1][0].is_zero()
@@ -308,7 +308,8 @@ def test_unimodular_row_is_projective(weyl1):
     Q = PresentationMatrix(weyl1, [[weyl1.parse("x"), weyl1.parse("y")]])
     flag, V = is_projective(Q)
     assert flag
-    prod = Q.compose_with(PresentationMatrix(weyl1, V))
+    assert (V.rows, V.cols) == (2, 1)
+    prod = Q.compose_with(V)
     assert prod.rows == 1 and prod.cols == 1
     assert prod.entries[0][0] == weyl1.one()
 
@@ -327,6 +328,35 @@ def test_pdim_of_case_44_over_q(capsys):
         "pdim": 1, "ranks": [3, 7, 4], "resolution_length": 2}
 
 
+def test_spliced_maps_of_gkz_q_have_right_inverses(monkeypatch):
+    """pdim on gkz-q over Q splices twice: each right-invertible map Q
+    times its right inverse V is the identity.  The rows of each such Q
+    have different denominators, so their transpose goes over the lcm of
+    theirs."""
+    pairs = []
+    is_projective = syzres.is_projective
+
+    def recording(Q):
+        ok, V = is_projective(Q)
+        if ok:
+            pairs.append((Q, V))
+        return ok, V
+
+    monkeypatch.setattr(syzres, "is_projective", recording)
+    pf = parse_problem(os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "perfbench", "corpus", "gkz-q.json"))
+    R = free_resolution(pf.module, pf.generators, order=pf.mod_order)
+    assert projective_dimension(R) == 4
+    assert [(Q.rows, Q.cols) for Q, _ in pairs] == [(3, 19), (19, 54)]
+    A = pf.algebra
+    for Q, V in pairs:
+        assert len({v.den for v in Q.int_rows()}) > 1
+        assert (V.rows, V.cols) == (Q.cols, Q.rows)
+        E = Q.compose_with(V).entries
+        assert E == [[A.one() if i == j else A.zero() for j in range(Q.rows)]
+                     for i in range(Q.rows)]
+
+
 # ---------------------------------------------------------------------------
 # presentation matrices
 # ---------------------------------------------------------------------------
@@ -336,8 +366,8 @@ def test_matrix_round_trip_and_composition(weyl1, rng):
     vects = [random_vect(L2, rng) for _ in range(3)]
     M = PresentationMatrix.from_vects(vects, L2)
     assert (M.rows, M.cols) == (3, 2)
-    for i, v in enumerate(vects):
-        assert M.row_vect(i, L2) == v
+    assert M.int_rows() == vects
+    assert M.entries == [v.to_polys() for v in vects]
     N = PresentationMatrix(weyl1, [[weyl1.parse("x")], [weyl1.parse("y")]])
     C = M.compose_with(N)
     assert (C.rows, C.cols) == (3, 1)

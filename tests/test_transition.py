@@ -209,7 +209,8 @@ def test_is_projective_builds_only_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(syzres, "buchberger", recording)
     flag, V = is_projective(Q)
     assert flag
-    assert oracles.reference_matrix_product(A, Q.entries, V, 1) == [[A.one()]]
+    assert oracles.reference_matrix_product(A, Q.entries, V.entries,
+                                            1) == [[A.one()]]
     # the trace evaluates fewer steps than the basis has elements, and
     # keeps only the rows read
     assert 0 < len(evaluated) < len(bases[0].elements)
@@ -363,8 +364,9 @@ def test_reading_commands_do_build_V(monkeypatch):
 
 
 def test_gb_prints_V_and_U_without_payloads(monkeypatch):
-    """``gb --reduce`` on case #44 over Q prints every row of V and U from
-    its integer form: no such row ever gets its payload ``data``."""
+    """``gb --reduce`` on case #44 over Q prints every basis element and
+    every row of V and U from its integer form: no such row ever gets
+    its payload ``data``."""
     rows = []
     printer = cli._int_row_out
 
@@ -377,7 +379,8 @@ def test_gb_prints_V_and_U_without_payloads(monkeypatch):
         assert main(["--json", "gb", "--reduce",
                      os.path.join(BENCH_CORPUS, "c44-q.json")]) == 0
     payload = json.loads(out.getvalue())
-    assert len(rows) == len(payload["V"]) + len(payload["U"]) > 0
+    assert len(rows) == len(payload["basis"]) + len(payload["V"]) + len(
+        payload["U"]) > len(payload["basis"]) > 0
     for row in rows:
         with pytest.raises(AttributeError):
             modfree.Vect.data.__get__(row)
