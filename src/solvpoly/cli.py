@@ -31,13 +31,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .coeff import FieldSpec, SolvpolyError
 from .algebra import (
+    EXP_LIMIT,
     DegreeFunction,
+    ExponentOverflow,
     MalformedRelation,
     MonomialOrder,
     NonAssociative,
     SolvableAlgebra,
     TailOrderViolation,
     ZeroLambda,
+    _parse_expression,
     build_algebra,
     check_associative,
 )
@@ -432,24 +435,17 @@ def _emit(payload: Dict[str, Any], as_json: bool) -> None:
 # the free-algebra view of a presentation
 # ---------------------------------------------------------------------------
 
-def _exp_to_word(exp: Sequence[int]) -> free_ops.Word:
-    """Standard basis word of an exponent vector: letters ascending by
-    generator index, the product convention the algebra layer uses."""
-    letters: List[int] = []
-    for i, e in enumerate(exp):
-        letters.extend([i] * e)
-    return free_ops.Word(letters)
-
-
 def _free_relations(pf: ProblemFile) -> List[free_ops.FreePoly]:
     """Relations of the problem file as free-algebra elements.
 
     Each equation ``b*a = rhs`` becomes the two-sided rewriting rule
-    ``ba - rhs`` with the right side read off the standard basis.
+    ``ba - rhs`` with the right side read off the standard basis: a term
+    is the word of its summed exponents, letters ascending by generator
+    index, and refused, as a product would be, at an exponent of 2^32.
     """
     n = len(pf.names)
-    shell = SolvableAlgebra(pf.field, pf.names, pf.order, ())
     name_index = {nm: i for i, nm in enumerate(pf.names)}
+    one = pf.field.one.value
     out = []
     for eq in pf.relations:
         if "=" not in eq:
@@ -460,11 +456,19 @@ def _free_relations(pf: ProblemFile) -> List[free_ops.FreePoly]:
             raise MalformedRelation(
                 "left side of %r must be a product of two generators"
                 % (eq,))
-        j, i = name_index[parts[0]], name_index[parts[1]]
-        lead = free_ops.FreePoly(pf.field, n, {(j, i): pf.field.one.value})
-        rhs = shell.parse(rhs_text)
-        out.append(lead - free_ops.FreePoly(
-            pf.field, n, [(_exp_to_word(exp), c) for exp, c in rhs.terms]))
+        terms = [((name_index[parts[0]], name_index[parts[1]]), one)]
+        for coeff, factors in _parse_expression(rhs_text, pf.names,
+                                                pf.field):
+            if not coeff.value:
+                continue
+            exp = [0] * n
+            for gi, power in factors:
+                exp[gi] += power
+            if max(exp) >= EXP_LIMIT:
+                raise ExponentOverflow("exponent exceeds 2^32")
+            terms.append((tuple(gi for gi, e in enumerate(exp)
+                                for _ in range(e)), (-coeff).value))
+        out.append(free_ops.FreePoly(pf.field, n, terms))
     return out
 
 

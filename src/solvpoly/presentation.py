@@ -17,9 +17,12 @@ mathematically meaningful and multiplication is associative.
 from __future__ import annotations
 
 from bisect import insort
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeff import FieldSpec, MixedFields, SolvpolyError, _add_scaled
+from .coeff import FieldSpec, MixedFields, SolvpolyError
+from .coeff import _add_scaled, _from_ints, _to_ints
 from .algebra import DegreeFunction
 
 __all__ = [
@@ -291,46 +294,120 @@ class FreePoly:
 # ---------------------------------------------------------------------------
 
 
-class _FreeDivisors(list):
-    """A divisor list for :func:`free_divide`, prepared once.
-
-    A list of nonzero free polynomials that also keeps, for the order
-    it was made for, each element's leading word (``leads``) and the
-    inverse of its leading coefficient (``inverses``), the least index
-    with each leading word (``first``) and the lengths the leading
-    words take (``lengths``), so that a division step finds its divisor
-    by looking up the factors of a word.  The empty word divides
-    nothing here, as in :func:`occurrences`.  :meth:`append` extends
-    all of them; the list is not to be changed otherwise.
+class _FreeDivisors:
+    """The divisors of the division kernel, :func:`_reduce`, for one
+    order.  Entry b is ``(lead, row, den)`` (see :func:`_monic`).
+    ``first`` (the least index per leading word) and ``lengths`` (of the
+    leading words) let a step look up the factors of a word; the empty
+    word divides nothing, as in :func:`occurrences`.  Made only by
+    :meth:`of` and :meth:`of_entries`.
     """
+
+    def __init__(self, order: WordOrder, p: int, entries: list):
+        self.order, self.p = order, p
+        self.entries, self.first, self.lengths = [], {}, []
+        for entry in entries:
+            self.append(entry)
 
     @classmethod
     def of(cls, G: Sequence[FreePoly], order: WordOrder) -> "_FreeDivisors":
-        """``G`` prepared for ``order``: itself if it already is."""
-        if isinstance(G, cls) and G.order is order:
-            return G
-        return cls(order, G)
-
-    def __init__(self, order: WordOrder, G: Sequence[FreePoly]):
-        super().__init__()
-        self.order = order
-        self.leads: List[Letters] = []
-        self.inverses: List[object] = []
-        self.first: Dict[Letters, int] = {}
-        self.lengths: List[int] = []
-        for g in G:
-            self.append(g)
-
-    def append(self, g: FreePoly) -> None:
-        if g.is_zero():
+        """The free polynomials ``G``, each made a monic row once."""
+        p = G[0].field.characteristic if G else 0
+        if any(g.is_zero() for g in G):
             raise SolvpolyError("division by a zero element")
-        w = g.lm(self.order).letters
-        self.first.setdefault(w, len(self))
-        if w and len(w) not in self.lengths:
-            insort(self.lengths, len(w))
-        self.leads.append(w)
-        self.inverses.append(g.field.inverse(g.data[w]))
-        super().append(g)
+        return cls(order, p, [_monic(_to_ints(g.data.items())[0], order, p)
+                              for g in G])
+
+    @classmethod
+    def of_entries(cls, entries: list, order: WordOrder,
+                   p: int) -> "_FreeDivisors":
+        """The entries ``entries``, already monic rows."""
+        return cls(order, p, entries)
+
+    def append(self, entry: tuple) -> None:
+        lead = entry[0]
+        self.first.setdefault(lead, len(self.entries))
+        if lead and len(lead) not in self.lengths:
+            insort(self.lengths, len(lead))
+        self.entries.append(entry)
+
+
+def _monic(row: Dict[Letters, int], order: WordOrder, p: int) -> tuple:
+    """The nonzero integer row ``row``, of any scale, as an entry
+    ``(lead, monic row, den)`` with ``row[lead] == den > 0``: over Q
+    divided by its content, the lead's sign kept; over GF(p) residues
+    over 1."""
+    lead = max(row, key=order.key)
+    c = row[lead]
+    if p:
+        inv = pow(c, -1, p)
+        return lead, {w: v * inv % p for w, v in row.items()}, 1
+    g = gcd(*row.values()) if c > 0 else -gcd(*row.values())
+    return lead, {w: v // g for w, v in row.items()}, c // g
+
+
+def _reduce(D: _FreeDivisors, work: Dict[Letters, int], den: int,
+            steps: Optional[list] = None) -> Tuple[Dict[Letters, int], int]:
+    """The division kernel: two-sided division of the integer row
+    ``work`` over ``den`` (residues over 1 over GF(p)) by D, in place;
+    the remainder as an integer row over its denominator.  The greatest
+    word w left, with entry c, is cancelled by the least divisor j with
+    a leading word in w, at its leftmost occurrence: the work and den
+    are scaled by ``den_j / gcd(c, den_j)`` and a multiple of row j
+    subtracted.  ``steps`` receives ``(c, den, j, w, k)`` per step,
+    before the scaling, with k the place of the leading word in w.
+    """
+    first, lengths, entries = D.first, D.lengths, D.entries
+    p, key = D.p, D.order.key
+    rem = []  # (word, entry, den when it moved)
+    # the (key, word) pairs of ``work`` ascending; a cancelled one is skipped
+    pending = sorted((key(w), w) for w in work)
+    while pending:
+        w = pending.pop()[1]
+        c = work.get(w)
+        if c is None:
+            continue
+        j = k = None
+        size = len(w)
+        for pos in range(size):
+            for length in lengths:
+                if pos + length > size:
+                    break
+                i = first.get(w[pos : pos + length])
+                if i is not None and (j is None or i < j):
+                    j, k = i, pos
+        if j is None:
+            rem.append((w, work.pop(w), den))
+            continue
+        if steps is not None:
+            steps.append((c, den, j, w, k))
+        lead, row, d = entries[j]
+        g = gcd(c, d)
+        c, s = c // g, d // g
+        if s != 1:
+            den *= s
+            for m in work:
+                work[m] *= s
+        U, V = w[:k], w[k + len(lead) :]
+        for gw, gc in row.items():
+            m = U + gw + V
+            cur = work.get(m)
+            if cur is None:
+                cur = 0
+                insort(pending, (key(m), m))
+            cur = (cur - c * gc) % p if p else cur - c * gc
+            if cur:
+                work[m] = cur
+            else:
+                del work[m]
+    return {w: n * (den // d) for w, n, d in rem}, den
+
+
+def _free_poly(field: FieldSpec, n: int, row: Dict[Letters, int],
+               den: int) -> FreePoly:
+    """The free polynomial of the integer row ``row`` over ``den``."""
+    return FreePoly._of(field, n,
+                        _from_ints(row.items(), den, field.characteristic))
 
 
 def free_divide(
@@ -343,50 +420,21 @@ def free_divide(
     plus the remainder, every rewritten word is bounded by the leading
     word of f, and no remainder word contains any leading word of G as
     a factor.  Divisor ties go to the least index, position ties to
-    the leftmost occurrence.  ``G`` is prepared
-    (:class:`_FreeDivisors`) unless it already is, for ``order``.
+    the leftmost occurrence.  The kernel (:func:`_reduce`) divides f
+    and G as integer rows; the trace and remainder become payloads at
+    the end.
     """
-    G = _FreeDivisors.of(G, order)
-    first, lengths, leads, inverses = G.first, G.lengths, G.leads, G.inverses
-    field = f.field
-    p = field.characteristic
-    key = order.key
+    D = _FreeDivisors.of(G, order)
+    p = f.field.characteristic
+    steps: list = []
+    rem, den = _reduce(D, *_to_ints(f.data.items()), steps)
     trace: List[Tuple[object, Word, int, Word]] = []
-    rem: Dict[Letters, object] = {}
-    # reduced in place; ``pending`` holds the (key, word) pairs of
-    # ``work`` ascending, a pair whose term has cancelled is skipped
-    work = dict(f.data)
-    pending = sorted((key(w), w) for w in work)
-    while pending:
-        w = pending.pop()[1]
-        c = work.get(w)
-        if c is None:
-            continue
-        # the least divisor index with a leading word in w, at its
-        # leftmost occurrence
-        j = k = None
-        size = len(w)
-        for pos in range(size):
-            for length in lengths:
-                if pos + length > size:
-                    break
-                i = first.get(w[pos : pos + length])
-                if i is not None and (j is None or i < j):
-                    j, k = i, pos
-        if j is None:
-            rem[w] = work.pop(w)
-            continue
-        lam = c * inverses[j]
-        if p:
-            lam %= p
-        U, V = w[:k], w[k + len(leads[j]) :]
-        trace.append((lam, Word(U), j, Word(V)))
-        terms = [(U + gw + V, gc) for gw, gc in G[j].data.items()]
-        for m, _ in terms:
-            if m not in work:
-                insort(pending, (key(m), m))
-        _add_scaled(work, terms, -lam, p)
-    return trace, FreePoly._of(field, f.n, rem)
+    for c, d, j, w, k in steps:
+        lead = D.entries[j][0]
+        lc = G[j].data[lead]
+        lam = c * pow(lc, -1, p) % p if p else Fraction(c, d) / lc
+        trace.append((lam, Word(w[:k]), j, Word(w[k + len(lead) :])))
+    return trace, _free_poly(f.field, f.n, rem, den)
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +479,49 @@ def overlap_elements(
 
     Enumerates the ways LM(f)*u = v*LM(g) with neither leading word
     dividing the opposite cofactor; for f = g the trivial coincidence
-    u = v = 1 is skipped.
+    u = v = 1 is skipped.  The values are built on integer rows
+    (:func:`_overlaps`).
     """
     if f.is_zero() or g.is_zero():
         raise SolvpolyError("overlap elements need nonzero inputs")
-    w1 = f.lm(order).letters
-    w2 = g.lm(order).letters
-    p, q = len(w1), len(w2)
-    inv_f = f.field.inverse(f.lc(order))
-    inv_g = g.field.inverse(g.lc(order))
-    out: List[OverlapElement] = []
-    for k in range(max(0, p - q), p):
-        if k == 0 and p == q and f == g:
+    if f.field != g.field or f.n != g.n:
+        raise MixedFields("overlap elements need one field and letter count")
+    p = f.field.characteristic
+    entries = [_monic(_to_ints(h.data.items())[0], order, p)
+               for h in ([f] if f == g else [f, g])]
+    last = len(entries) - 1
+    w1, w2 = entries[0][0], entries[last][0]
+    return [OverlapElement(f, g, Word(w2[len(w1) - k :]), Word(w1[:k]),
+                           _free_poly(f.field, f.n, row, den), k)
+            for _, _, k, row, den in _overlaps(entries, 0, last, p)]
+
+
+def _overlaps(entries: list, a: int, b: int, p: int) -> List[tuple]:
+    """The overlap elements f*u - v*g of the monic rows f and g of
+    entries a and b (see :func:`_monic`), as :func:`overlap_elements`
+    finds them (whose cofactor test never holds: each cofactor is
+    shorter than its lead), as items ``(a, b, shift, row, den)``.  Lead
+    b must start with a letter of lead a from max(0, p - q) on, for
+    leads of lengths p, q."""
+    (w1, f, df), (w2, g, dg) = entries[a], entries[b]
+    lp, low = len(w1), max(0, len(w1) - len(w2))
+    if not w2 or w2[0] not in w1[low:]:
+        return []
+    den = lcm(df, dg)
+    out = []
+    for k in range(low, lp):
+        if (k == 0 and a == b) or w1[k:] != w2[: lp - k]:
             continue
-        if w1[k:] != w2[: p - k]:
-            continue
-        v = Word(w1[:k])
-        u = Word(w2[p - k :])
-        if word_divides(w1, v.letters) or word_divides(w2, u.letters):
-            continue
-        value = f.sandwich(Word(), u).scale(inv_f) - g.sandwich(
-            v, Word()
-        ).scale(inv_g)
-        out.append(OverlapElement(f, g, u, v, value, k))
+        v, u = w1[:k], w2[lp - k :]
+        row = {w + u: c * (den // df) for w, c in f.items()}
+        for w, c in g.items():
+            cur = row.get(v + w, 0) - c * (den // dg)
+            cur = cur % p if p else cur
+            if cur:
+                row[v + w] = cur
+            else:
+                del row[v + w]
+        out.append((a, b, k, row, den))
     return out
 
 
@@ -520,6 +588,9 @@ def verify_presentation(
     verdict is certified exactly when every overlap element of the
     relation set reduces to zero, which makes the set confluent and
     gives the quotient algebra the ordered monomials as a basis.
+    The relations become monic integer rows once, and each overlap
+    element an integer row for the kernel (:func:`_reduce`): payloads
+    are made only for the lambdas and a failure's residual.
     """
     if not relations:
         raise ShapeViolation("no relations given")
@@ -530,13 +601,12 @@ def verify_presentation(
             "%d relations for %d generators, expected %d"
             % (len(relations), n, expected)
         )
-    monic: Dict[Tuple[int, int], FreePoly] = {}
-    lambdas: Dict[Tuple[int, int], object] = {}
+    by_lead: Dict[Letters, FreePoly] = {}
     seen_pairs = set()
     for g in relations:
         if g.is_zero():
             raise ShapeViolation("zero relation")
-        w = g.lm(order).letters
+        w = max(g.data, key=order.key)
         if len(w) != 2 or w[0] == w[1]:
             raise ShapeViolation(
                 "leading word %r is not a product of two distinct "
@@ -549,18 +619,18 @@ def verify_presentation(
                 "duplicate relation for pair (%d, %d)" % (j, i)
             )
         seen_pairs.add(unordered)
-        gm = g.monic(order)
-        lam = (-gm).coeff((i, j))
-        if not lam:
+        if (i, j) not in g.data:
             raise ShapeViolation(
                 "relation with leading word X_%d*X_%d has zero "
                 "coefficient on the swapped word" % (j + 1, i + 1)
             )
-        monic[(j, i)] = gm
-        lambdas[(j, i)] = lam
-    keys = sorted(monic)
-    basis = _FreeDivisors.of([monic[k] for k in keys], order)
-    # X_j X_i can overlap only a leading word that starts with X_i:
+        by_lead[w] = g
+    keys = sorted(by_lead)
+    basis = _FreeDivisors.of([by_lead[w] for w in keys], order)
+    field, p = relations[0].field, basis.p
+    lambdas = {(j, i): _from_ints([(0, -row[(i, j)])], den, p)[0]
+               for (j, i), row, den in basis.entries}
+    # X_j X_i overlaps only a leading word X_i X_h, once, at shift 1:
     # the relations indexed by their first letter, ascending
     starting: Dict[int, List[int]] = {}
     for b, kb in enumerate(keys):
@@ -569,12 +639,12 @@ def verify_presentation(
     checked = 0
     for a, ka in enumerate(keys):
         for b in starting.get(ka[1], ()):
-            kb = keys[b]
-            for o in overlap_elements(basis[a], basis[b], order):
+            for _, _, k, row, den in _overlaps(basis.entries, a, b, p):
                 checked += 1
-                _, r = free_divide(o.value, basis, order)
-                if not r.is_zero():
-                    failures.append((ka, kb, o.shift, r))
+                r, den = _reduce(basis, row, den)
+                if r:
+                    failures.append((ka, keys[b], k,
+                                     _free_poly(field, n, r, den)))
     verdict = "SolvableTypeCertified" if not failures else "NotCertified"
     return CertReport(verdict, checked, failures, lambdas)
 
@@ -582,31 +652,6 @@ def verify_presentation(
 # ---------------------------------------------------------------------------
 # bounded completion
 # ---------------------------------------------------------------------------
-
-
-def _lm_reduce(G: List[FreePoly], order: WordOrder) -> List[FreePoly]:
-    """Inter-reduce until no leading word divides another's."""
-    basis = [g for g in G if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            others = basis[:idx] + basis[idx + 1 :]
-            if not others:
-                continue
-            lw = basis[idx].lm(order).letters
-            if not any(
-                word_divides(o.lm(order).letters, lw) for o in others
-            ):
-                continue
-            _, r = free_divide(basis[idx], others, order)
-            if r.is_zero():
-                basis.pop(idx)
-            else:
-                basis[idx] = r
-            changed = True
-            break
-    return basis
 
 
 def bounded_completion(
@@ -620,57 +665,54 @@ def bounded_completion(
     residual survives, or (partial basis, False) once more than
     ``max_new`` elements would be needed.  A nonzero constant, in the
     input or as a residual, generates the whole algebra: the basis is
-    then ``[1]``, complete.
+    then ``[1]``, complete.  The elements stay monic integer rows (see
+    :func:`_reduce`) until the basis is returned.
     """
-    basis = _FreeDivisors.of(
-        [g.monic(order) for g in _lm_reduce(list(G), order)], order
-    )
-    if not basis:
+    G = [g for g in G if not g.is_zero()]
+    if not G:
         return [], True
-    for g in basis:
-        if not g.lm(order).letters:
-            return [g], True
-    leads = basis.leads
-
-    def overlaps(a: int, b: int) -> List[Tuple[int, int, int, FreePoly]]:
-        """The queue items of the ordered pair (a, b).  An overlap at
-        shift k needs lead a's letter k to start lead b, with k at least
-        max(0, p - q) for leads of lengths p and q: a pair whose second
-        lead's first letter is not among those letters of the first
-        lead has none, and is not handed to ``overlap_elements``."""
-        w1, w2 = leads[a], leads[b]
-        if w2[0] not in w1[max(0, len(w1) - len(w2)):]:
-            return []
-        return [(a, b, o.shift, o.value)
-                for o in overlap_elements(basis[a], basis[b], order)]
-
-    queue: List[Tuple[int, int, int, FreePoly]] = []
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            queue.extend(overlaps(a, b))
-    queue.sort(key=lambda t: t[:3])
-    added = 0
+    field, n = G[0].field, G[0].n
+    p, entries = field.characteristic, _FreeDivisors.of(G, order).entries
+    unit = [_free_poly(field, n, {(): 1}, 1)], True
+    # inter-reduction: the first element with another's leading word in
+    # its own is replaced, in its place, by its remainder by all the
+    # others, or left out when that is zero; until there is none
+    while True:
+        leads = [entry[0] for entry in entries]
+        if () in leads:
+            return unit
+        have = set(leads)
+        idx = next((a for a, w in enumerate(leads) if leads.count(w) > 1
+                    or any(w[k : k + m] in have for m in range(1, len(w))
+                           for k in range(len(w) - m + 1))), None)
+        if idx is None:
+            break
+        _, row, den = entries.pop(idx)
+        r, _ = _reduce(_FreeDivisors.of_entries(entries, order, p), row, den)
+        if r:
+            entries.insert(idx, _monic(r, order, p))
+    basis = _FreeDivisors.of_entries(entries, order, p)
+    entries = basis.entries
+    # the queue in (left index, right index, shift) order, as made
+    queue = [item for a in range(len(entries)) for b in range(len(entries))
+             for item in _overlaps(entries, a, b, p)]
+    start, complete = len(entries), True
     while queue:
-        _a, _b, _k, value = queue.pop(0)
-        _, r = free_divide(value, basis, order)
-        if r.is_zero():
+        r, _ = _reduce(basis, *queue.pop(0)[3:])
+        if not r:
             continue
-        if added >= max_new:
-            return list(basis), False
-        r = r.monic(order)
-        if not r.lm(order).letters:
-            return [r], True
-        basis.append(r)
-        added += 1
-        t = len(basis) - 1
-        fresh: List[Tuple[int, int, int, FreePoly]] = []
-        for a in range(len(basis)):
-            fresh.extend(overlaps(a, t))
-            if a != t:
-                fresh.extend(overlaps(t, a))
-        fresh.sort(key=lambda x: x[:3])
-        queue.extend(fresh)
-    return list(basis), True
+        if len(entries) - start >= max_new:
+            complete = False
+            break
+        basis.append(_monic(r, order, p))
+        if not entries[-1][0]:
+            return unit
+        t = len(entries) - 1
+        pairs = [(a, t) for a in range(t)] + [(t, b) for b in range(t + 1)]
+        queue.extend(item for a, b in pairs
+                     for item in _overlaps(entries, a, b, p))
+    return [_free_poly(field, n, row, den)
+            for _, row, den in entries], complete
 
 
 # ---------------------------------------------------------------------------

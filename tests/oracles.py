@@ -11,8 +11,10 @@ and ``minimal_standard_basis``) are the exception: they reuse the
 library's completion, and avoid only the Schreyer frame and the
 cancellation of its scalar entries.  The reference divisions
 run term by term over whole immutable Vect, Poly and FreePoly
-values, the reference overlap check and the reference bounded completion pair
-every two relations, and
+values, the reference overlaps are made from whole FreePoly values
+too, the reference overlap check and the reference bounded completion
+pair every two relations with neither the package's two-sided division
+nor its overlaps, and
 the reference associativity check multiplies out every generator
 triple.
 """
@@ -24,14 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from solvpoly.algebra import Poly, SolvableAlgebra
 from solvpoly.modfree import FreeModule, ModOrder, Vect, mono_divides
-from solvpoly.presentation import (
-    FreePoly,
-    Word,
-    WordOrder,
-    _lm_reduce,
-    free_divide,
-    overlap_elements,
-)
+from solvpoly.presentation import FreePoly, Word, WordOrder
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +358,34 @@ def reference_free_divide(f: FreePoly, G: Sequence[FreePoly],
     return trace, remainder
 
 
+def reference_overlaps(f: FreePoly, g: FreePoly, order: WordOrder):
+    """``(shift, u, v, value)`` for every overlap LM(f)*u = v*LM(g) with
+    neither leading word a factor of the opposite cofactor, the trivial
+    u = v = 1 skipped for f = g, shifts ascending: the value
+    f*u/lc(f) - v*g/lc(g) made on whole FreePoly values."""
+    w1, w2 = f.lm(order).letters, g.lm(order).letters
+    p, q = len(w1), len(w2)
+    out = []
+    for k in range(max(0, p - q), p):
+        v, u = w1[:k], w2[p - k:]
+        if (k == 0 and p == q and f == g) or w1 + u != v + w2 or any(
+                x[i:i + len(y)] == y for x, y in ((v, w1), (u, w2))
+                for i in range(len(x) - len(y) + 1)):
+            continue
+        value = (f.sandwich(Word(), Word(u)).scale(f.field.inverse(
+            f.lc(order))) - g.sandwich(Word(v), Word()).scale(
+            g.field.inverse(g.lc(order))))
+        out.append((k, Word(u), Word(v), value))
+    return out
+
+
 def reference_overlap_check(relations: Sequence[FreePoly],
                             order: WordOrder):
     """The diamond-lemma check over all ordered pairs of relations.
 
     The relations are made monic and sorted by leading word; every
-    ordered pair goes through ``overlap_elements`` and every overlap
-    element through ``free_divide`` on a plain list.  Returns (overlaps
+    ordered pair goes through ``reference_overlaps`` and every overlap
+    element through ``reference_free_divide``.  Returns (overlaps
     checked, failures), a failure being (left leading word, right
     leading word, shift, residual)."""
     basis = sorted((g.monic(order) for g in relations),
@@ -378,21 +394,42 @@ def reference_overlap_check(relations: Sequence[FreePoly],
     checked, failures = 0, []
     for a, f in enumerate(basis):
         for b, g in enumerate(basis):
-            for o in overlap_elements(f, g, order):
+            for k, _, _, value in reference_overlaps(f, g, order):
                 checked += 1
-                _, r = free_divide(o.value, list(basis), order)
+                _, r = reference_free_divide(value, basis, order)
                 if not r.is_zero():
-                    failures.append((leads[a], leads[b], o.shift, r))
+                    failures.append((leads[a], leads[b], k, r))
     return checked, failures
+
+
+def reference_lm_reduce(G: Sequence[FreePoly],
+                        order: WordOrder) -> List[FreePoly]:
+    """Inter-reduction, pass by pass: the first element that holds
+    another element's leading word as a factor of its own is replaced,
+    in its place, by its ``reference_free_divide`` remainder by all the
+    others, or dropped when that is zero; until no element has one."""
+    basis = [g for g in G if not g.is_zero()]
+    while True:
+        leads = [g.lm(order).letters for g in basis]
+        idx = next((a for a, w in enumerate(leads)
+                    if any(u and b != a and any(
+                        w[k:k + len(u)] == u
+                        for k in range(len(w) - len(u) + 1))
+                        for b, u in enumerate(leads))), None)
+        if idx is None:
+            return basis
+        _, r = reference_free_divide(basis[idx],
+                                     basis[:idx] + basis[idx + 1:], order)
+        basis[idx:idx + 1] = [r] if not r.is_zero() else []
 
 
 def reference_bounded_completion(G: Sequence[FreePoly], order: WordOrder,
                                  max_new: int = 256):
     """``bounded_completion`` as it stood before it filtered its pairs:
-    every ordered pair of elements goes through ``overlap_elements``,
-    and every overlap element through ``free_divide`` on a plain
-    list."""
-    basis = [g.monic(order) for g in _lm_reduce(list(G), order)]
+    every ordered pair of elements goes through ``reference_overlaps``,
+    and every overlap element through ``reference_free_divide``, after
+    the inter-reduction of ``reference_lm_reduce``."""
+    basis = [g.monic(order) for g in reference_lm_reduce(G, order)]
     if not basis:
         return [], True
     for g in basis:
@@ -400,15 +437,15 @@ def reference_bounded_completion(G: Sequence[FreePoly], order: WordOrder,
             return [g], True
 
     def items(a, b):
-        return [(a, b, o.shift, o.value)
-                for o in overlap_elements(basis[a], basis[b], order)]
+        return [(a, b, k, value) for k, _, _, value
+                in reference_overlaps(basis[a], basis[b], order)]
 
     queue = sorted((item for a in range(len(basis))
                     for b in range(len(basis)) for item in items(a, b)),
                    key=lambda t: t[:3])
     added = 0
     while queue:
-        _, r = free_divide(queue.pop(0)[3], list(basis), order)
+        _, r = reference_free_divide(queue.pop(0)[3], basis, order)
         if r.is_zero():
             continue
         if added >= max_new:

@@ -402,6 +402,58 @@ def test_verify_presentation_refuses_a_negative_max_steps(capsys, tmp_path,
     assert err == "error: --max-steps: must be a natural number\n"
 
 
+# Right-hand sides of ``y*x = ...`` read without an algebra, each with
+# the exit code and stderr (or the verdict and lambda) of the reading by
+# an algebra's ``multiply``, factor by factor: an exponent sum of 2^32
+# is refused, also when split over two factors, but not on a term whose
+# coefficient is zero, which no product reached; ``y*x`` on the right
+# is x*y, so ``y*x = x*y + y*x`` certifies with lambda 2.
+RHS_PARITY = [
+    ("x*y + x^4294967296", 2, "error: exponent exceeds 2^32\n"),
+    ("x*y + x^2147483648*x^2147483648", 2,
+     "error: exponent exceeds 2^32\n"),
+    ("x*y + w", 2, "error: unknown generator 'w' (declared: x, y)\n"),
+    ("x*y + 1/0", 2, "error: unexpected character '/'\n"),
+    ("x*y + x^", 2, "error: expected a natural number after '^'\n"),
+    ("x*y + y*x", 0, "2"),
+    ("x*y + 0*x^4294967296", 0, "1"),
+]
+
+
+@pytest.mark.parametrize("rhs,code,expect", RHS_PARITY,
+                         ids=[r for r, _, _ in RHS_PARITY])
+def test_verify_presentation_reads_right_sides_as_an_algebra_does(
+        capsys, tmp_path, rhs, code, expect):
+    doc = base_doc(relations=["y*x = " + rhs])
+    got, out, err = run(capsys, "--json", "verify-presentation",
+                        problem_file(tmp_path, doc))
+    assert got == code
+    if code:
+        assert (out, err) == ("", expect)
+    else:
+        assert err == ""
+        assert json.loads(out) == {
+            "lambdas": {"y*x": expect}, "overlaps_checked": 0,
+            "verdict": "SolvableTypeCertified", "violations": []}
+
+
+def test_free_relations_hold_residues_over_a_prime_field(tmp_path):
+    """Over GF(32003) each relation ``ba - rhs`` holds the residues in
+    [0, p) that the reading through an algebra gave (captured from it),
+    the negated right side's included."""
+    path = problem_file(tmp_path, base_doc(
+        field={"kind": "PrimeField", "characteristic": 32003},
+        generators=["x", "y", "z"], submodule_generators=[],
+        relations=["y*x = 1/2*x*y + 2/3*z", "z*x = 3/4*x*z + 1/5*y + 2",
+                   "z*y = -2/7*y*z + 5/3*x"]))
+    got = [r.data for r in cli._free_relations(cli.parse_problem(path))]
+    assert got == [
+        {(0, 1): 16001, (1, 0): 1, (2,): 10667},
+        {(): 32001, (0, 2): 8000, (1,): 12801, (2, 0): 1},
+        {(0,): 10666, (1, 2): 9144, (2, 1): 1},
+    ]
+
+
 def test_gb_reduced_payload_for_ex12(capsys):
     code, payload = run_json(capsys, "gb", "--reduce", corpus.path("ex12"))
     assert code == 0

@@ -203,9 +203,10 @@ def test_free_divide_mixes_leading_words_of_different_lengths():
 
 @pytest.mark.parametrize("field", [Q, FieldSpec("PrimeField", 7)])
 def test_free_divide_prepared_plain_and_reference_agree(rng, field):
-    """The same trace and remainder on a plain divisor list, on the
-    list prepared once, and from the term-by-term reference; divisors
-    of lengths 1 to 3, some sharing a leading word."""
+    """The same trace and remainder as the term-by-term reference, and
+    the prepared list holds each divisor as its monic integer row under
+    its leading word; divisors of lengths 1 to 3, some sharing a
+    leading word."""
     order = wo(3, weights=(2, 1, 1), priority=(2, 0, 1))
     for _ in range(60):
         G = [random_free_poly(rng, 3, max_terms=3, max_len=3)
@@ -223,9 +224,10 @@ def test_free_divide_prepared_plain_and_reference_agree(rng, field):
         if f.is_zero():
             continue
         prepared = _FreeDivisors.of(G, order)
-        assert _FreeDivisors.of(prepared, order) is prepared
+        assert [(lead, presentation._free_poly(field, 3, row, den))
+                for lead, row, den in prepared.entries] == [
+            (g.lm(order).letters, g.monic(order)) for g in G]
         plain = free_divide(f, G, order)
-        assert free_divide(f, prepared, order) == plain
         assert oracles.reference_free_divide(f, G, order) == plain
 
 
@@ -273,6 +275,27 @@ def test_overlap_values_cancel_leading_words(rng):
         for o in overlap_elements(f, g, order):
             if not o.value.is_zero():
                 assert cmp_words(order, o.value.lm(order), top) == -1
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec("PrimeField", 7)])
+def test_overlap_values_match_the_payload_reference(rng, field):
+    """Shifts, cofactors and values of ``overlap_elements``, made on
+    integer rows, against the reference made on whole FreePoly values;
+    constants and pairs with equal leading words included."""
+    order = wo(3, weights=(2, 1, 1), priority=(2, 0, 1))
+    for _ in range(80):
+        f, g = [FreePoly(field, 3, [
+            (w, c.numerator * pow(c.denominator, -1, 7) % 7
+             if field is not Q else c) for w, c in h.data.items()])
+            for h in (random_free_poly(rng, 3, max_terms=3, max_len=4)
+                      for _ in range(2))]
+        if f.is_zero() or g.is_zero():
+            continue
+        if rng.random() < 0.2:
+            g = f if rng.random() < 0.5 else f.scale(2)
+        got = [(o.shift, o.u, o.v, o.value)
+               for o in overlap_elements(f, g, order)]
+        assert got == oracles.reference_overlaps(f, g, order)
 
 
 def test_self_overlaps_of_a_power():
@@ -626,45 +649,61 @@ def test_bounded_completion_matches_the_all_pairs_reference(path):
                                                         max_new))
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(40))
 def test_bounded_completion_matches_the_reference_while_it_grows(seed):
     """Random systems of two or three words-and-scalars in three letters,
-    whose completions add elements and pair them."""
+    whose completions add elements and pair them: up to six, so that
+    the pairs of a new element queue in (left, right, shift) order."""
     rnd = random.Random(seed)
     order = wo(3)
     rels = [random_free_poly(rnd, 3, max_terms=3, max_len=3)
             for _ in range(rnd.randint(2, 3))]
-    got = bounded_completion(rels, order, max_new=3)
-    assert got == oracles.reference_bounded_completion(rels, order, 3)
+    for max_new in (3, 6):
+        got = bounded_completion(rels, order, max_new)
+        assert got == oracles.reference_bounded_completion(rels, order,
+                                                           max_new)
 
 
 def test_bounded_completion_skips_pairs_without_a_shared_letter(
         monkeypatch):
-    """On weyl-5 (45 relations) the completion hands 405 of the 2025
-    ordered pairs to ``overlap_elements`` before its queue, each a pair
-    whose second lead starts with a letter of the first lead's tail."""
+    """On weyl-5 (45 relations, C(10, 3) = 120 overlaps) the completion
+    builds the 120 overlap elements before its queue, each of a pair
+    whose second lead starts with the first lead's letter at the shift,
+    and reduces each once.  It reads every lead from the prepared
+    divisor list: it never asks a free polynomial for its leading word
+    and never calls ``overlap_elements``."""
     pf = parse_problem(os.path.join(BENCH_CORPUS, "weyl-5.json"))
     rels, order = _free_relations(pf), _word_order(pf)
-    calls, before_queue = [], []
-    overlaps, divide = presentation.overlap_elements, presentation.free_divide
+    calls, before_queue, payload_calls = [], [], []
+    overlaps, reduce = presentation._overlaps, presentation._reduce
 
-    def counting(f, g, order):
-        calls.append((f, g))
-        return overlaps(f, g, order)
+    def counting(entries, a, b, p):
+        items = overlaps(entries, a, b, p)
+        calls.extend((entries[a][0], entries[b][0], k)
+                     for _, _, k, _, _ in items)
+        return items
 
-    def dividing(*args):
+    def reducing(*args):
         if not before_queue:
             before_queue.append(len(calls))
-        return divide(*args)
+        return reduce(*args)
 
-    monkeypatch.setattr(presentation, "overlap_elements", counting)
-    monkeypatch.setattr(presentation, "free_divide", dividing)
+    def refused(name):
+        def call(*args):
+            payload_calls.append(name)
+        return call
+
+    monkeypatch.setattr(presentation, "_overlaps", counting)
+    monkeypatch.setattr(presentation, "_reduce", reducing)
+    monkeypatch.setattr(presentation, "overlap_elements",
+                        refused("overlap_elements"))
+    monkeypatch.setattr(FreePoly, "lm", refused("lm"))
     basis, complete = bounded_completion(rels, order, max_new=4)
     assert complete and len(basis) == 45
-    assert before_queue == [405] and len(calls) == 405
-    for f, g in calls:
-        w1, w2 = f.lm(order).letters, g.lm(order).letters
-        assert w2[0] in w1[max(0, len(w1) - len(w2)):]
+    assert before_queue == [120] and len(calls) == 120
+    assert payload_calls == []
+    for w1, w2, k in calls:
+        assert k == 1 and w1[1] == w2[0]
 
 
 # ---------------------------------------------------------------------------

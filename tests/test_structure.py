@@ -8,8 +8,12 @@ product of matrices over the algebra
 multiples (``Vect.lmul``) and the unit-pivot elimination
 (``graded.prune_unit_pivots``) are the only places that construct one.
 The two-sided divisor list, ``presentation._FreeDivisors``, is prepared
-only through its ``of`` path: by ``free_divide``, and once up front by
-the presentation check and the bounded completion, which hand it on.
+from free polynomials only through its ``of`` path: by ``free_divide``,
+and once up front by the presentation check and the bounded completion,
+which hand it on; the inter-reduction of the completion makes its
+lists from the monic rows it holds, through ``of_entries``.  The
+presentation check and the bounded completion divide
+integer rows: payloads are made only at their edges.
 Every name the benchmark's tracer wraps exists where it looks for it.
 Inside the completion no payload is built (the pair step, the join of
 a new element, the S-vector, the division and U's rows), and a payload
@@ -78,12 +82,17 @@ def test_one_accumulator_for_sums_of_products_over_rows():
 
 
 def test_the_free_divisor_list_is_prepared_only_through_of():
+    """Free polynomials become divisor rows only through ``of``; the
+    inter-reduction of the bounded completion makes its lists from the
+    monic rows it already holds, through ``of_entries``."""
     assert _constructions("_FreeDivisors") == []
     assert sorted(_constructions("_FreeDivisors.of")) == [
         ("presentation", "bounded_completion"),
         ("presentation", "free_divide"),
         ("presentation", "verify_presentation"),
     ]
+    assert sorted(set(_constructions("_FreeDivisors.of_entries"))) == [
+        ("presentation", "bounded_completion")]
 
 
 def test_the_tracer_finds_every_name_it_wraps():
@@ -127,6 +136,40 @@ def test_no_payloads_inside_the_completion():
     assert inside <= set(_functions())
     for name in ("Fraction", "_from_ints", "_to_ints", "scale"):
         assert not inside & set(_constructions(name)), name
+
+
+def test_no_payloads_inside_the_presentation_check():
+    """The division kernel, the overlap rows, the divisor list, the
+    presentation check and the bounded completion work on integer rows:
+    none of them builds a Fraction, a Word or a free polynomial, reads
+    leading data off a free polynomial or calls the payload edges
+    ``free_divide`` and ``overlap_elements``.  Payloads are made from
+    rows only by ``_free_poly`` (the results of ``free_divide`` and
+    ``overlap_elements``, a failure's residual and the completed
+    basis), besides the lambdas the check reads off its rows and the
+    trace of ``free_divide``.  The relations of a problem file are
+    parsed without an algebra."""
+    inside = {"_reduce", "_overlaps", "_monic", "_FreeDivisors",
+              "verify_presentation", "bounded_completion"}
+    assert {("presentation", f) for f in inside} <= set(_functions())
+
+    def callers(name):
+        return {f for m, f in _constructions(name) if m == "presentation"}
+
+    for name in ("Fraction", "Word", "FreePoly", "FreePoly._of",
+                 "_add_scaled", "inverse", "lm", "lc", "monic", "scale",
+                 "sandwich", "free_divide", "overlap_elements"):
+        assert not [f for f in callers(name)
+                    if f.split(".")[0] in inside], name
+    assert callers("Fraction") == {"free_divide"}
+    assert callers("FreePoly._of") == {"FreePoly.scale",
+                                       "FreePoly._combined", "_free_poly"}
+    assert callers("_from_ints") == {"_free_poly", "verify_presentation"}
+    assert callers("_free_poly") == {"free_divide", "overlap_elements",
+                                     "verify_presentation",
+                                     "bounded_completion"}
+    for name in ("SolvableAlgebra", "multiply", "parse", "Word"):
+        assert ("cli", "_free_relations") not in _constructions(name), name
 
 
 def test_payload_rows_become_integer_rows_only_where_they_enter():
