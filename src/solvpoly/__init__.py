@@ -16,7 +16,7 @@ Everything is computed with exact arithmetic; no floating point is used
 anywhere.
 """
 
-from .coeff import FieldSpec, field_arithmetic
+from .coeff import FieldSpec
 from .algebra import (
     DegreeFunction,
     MonomialOrder,
@@ -27,7 +27,6 @@ from .algebra import (
 
 __all__ = [
     "FieldSpec",
-    "field_arithmetic",
     "DegreeFunction",
     "MonomialOrder",
     "Poly",

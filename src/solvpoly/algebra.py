@@ -46,7 +46,6 @@ __all__ = [
     "build_algebra",
     "check_associative",
     "reversed_poly",
-    "weighted_degree",
     "exp_add",
     "exp_sub",
     "exp_max",
@@ -435,10 +434,6 @@ class Poly:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    def tail(self) -> "Poly":
-        """Everything below the leading term."""
-        return Poly(self.algebra, self.terms[1:])
-
     def monic(self) -> "Poly":
         if not self.terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
@@ -446,13 +441,6 @@ class Poly:
         if c == 1:
             return self
         return self.scale(self.algebra.field.inverse(c))
-
-    def degree(self) -> int:
-        """Weighted degree under the algebra's degree function."""
-        d = self.algebra.degree_function
-        if d is None:
-            raise SolvpolyError("algebra has no degree function attached")
-        return weighted_degree(d, self)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -1213,9 +1201,3 @@ def reversed_poly(f: Poly, target: SolvableAlgebra) -> Poly:
     """phi(f): the terms of f with reversed exponent vectors, in
     ``target`` -- ``A.opposite()`` to go over, ``A`` to come back."""
     return Poly(target, [(e[::-1], c) for e, c in f.terms])
-
-
-def weighted_degree(d: DegreeFunction, f: Poly) -> int:
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial has no degree")
-    return max(d(exp) for exp, _ in f.terms)

@@ -32,7 +32,6 @@ __all__ = [
     "BadScalarLiteral",
     "FieldSpec",
     "Scalar",
-    "field_arithmetic",
 ]
 
 
@@ -122,6 +121,9 @@ class FieldSpec:
         if self.kind == "Rationals":
             return Scalar(self, Fraction(numerator, denominator))
         p = self.characteristic
+        if isinstance(numerator, Fraction):
+            q = Fraction(numerator, denominator)
+            numerator, denominator = q.numerator, q.denominator
         den = int(denominator) % p
         if den == 0:
             raise DivisionByZero("denominator vanishes mod %d" % p)
@@ -312,18 +314,3 @@ class Scalar:
     def __repr__(self):
         return "Scalar(%s)" % (self,)
 
-
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def field_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Combine two scalars of the same field with Add/Sub/Mul/Div."""
-    key = op.lower()
-    if key not in _OPS:
-        raise ValueError("unknown operation %r" % (op,))
-    return _OPS[key](a, b)

@@ -65,7 +65,6 @@ __all__ = [
     "z_zero_image",
     "TransferReport",
     "transfer_check",
-    "MinimalFBasis",
     "minimal_F_basis",
     "minimal_filtered_resolution",
     "sigma_resolution",
@@ -533,24 +532,9 @@ def _normal_degrees(
 # ---------------------------------------------------------------------------
 
 
-class MinimalFBasis(QuotientMinimization):
-    """Result of eliminating unit pivots from a filtered presentation.
-
-    ``kept`` lists the surviving components of the original free
-    module, ``new_module``/``gens`` give the pruned presentation, and
-    ``eliminations`` records, per dropped component, the relation (in
-    original coordinates) used to remove it.  Iterating yields
-    ``(kept, gens)``.
-    """
-
-    def __iter__(self):
-        yield self.kept
-        yield self.gens
-
-
 def minimal_F_basis(
     ctx: FiltrationContext, L: FreeModule, U: Sequence[Vect]
-) -> MinimalFBasis:
+) -> QuotientMinimization:
     """Prune basis vectors reachable through unit pivots of a standard
     basis, keeping the quotient strictly filtered-isomorphic.
 
@@ -565,7 +549,7 @@ def minimal_F_basis(
     """
     _require_context_algebra(ctx, L)
     gens = [v for v in U if not v.is_zero()]
-    return MinimalFBasis(L, *prune_unit_pivots(L, gens))
+    return QuotientMinimization(L, *prune_unit_pivots(L, gens))
 
 
 def _certify_strict_iso(

@@ -23,10 +23,10 @@ so minimalisation costs only where a unit entry exists.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import SolvpolyError
-from .algebra import DegreeFunction, Poly, SolvableAlgebra
+from .algebra import DegreeFunction, SolvableAlgebra
 from .modfree import (
     FreeModule, ModOrder, Vect, _coded, _IntSum, _IntVect, _remove_content,
 )
@@ -37,9 +37,7 @@ __all__ = [
     "NotGraded",
     "InhomogeneousInput",
     "GradedContext",
-    "GradedElementView",
     "check_graded",
-    "graded_view",
     "truncated_gb",
     "min_homogeneous_gens",
     "min_gens_quotient",
@@ -108,50 +106,11 @@ class GradedContext:
             raise NotGraded("the module order carries no degree function")
 
 
-class GradedElementView:
-    """A homogeneous element together with its degree."""
-
-    def __init__(self, element: Union[Poly, Vect], gr_degree: int):
-        self.element = element
-        self.gr_degree = gr_degree
-
-    def __repr__(self):
-        return "GradedElementView(deg=%d, %s)" % (
-            self.gr_degree,
-            self.element,
-        )
-
-
-def poly_degree_if_homogeneous(f: Poly, d: DegreeFunction) -> Optional[int]:
-    degs = {d(exp) for exp, _ in f.terms}
-    if len(degs) != 1:
-        return None
-    return degs.pop()
-
-
 def vect_degree_if_homogeneous(v: Vect) -> Optional[int]:
     degs = {v.module.mono_degree(m) for m in v.data}
     if len(degs) != 1:
         return None
     return degs.pop()
-
-
-def graded_view(x: Union[Poly, Vect]) -> GradedElementView:
-    """Wrap a homogeneous element; reject inhomogeneous ones."""
-    if isinstance(x, Vect):
-        if x.is_zero():
-            raise InhomogeneousInput("the zero element has no degree")
-        deg = vect_degree_if_homogeneous(x)
-    else:
-        if x.is_zero():
-            raise InhomogeneousInput("the zero element has no degree")
-        d = x.algebra.degree_function
-        if d is None:
-            raise NotGraded("no degree function attached to the algebra")
-        deg = poly_degree_if_homogeneous(x, d)
-    if deg is None:
-        raise InhomogeneousInput("element is not homogeneous: %s" % (x,))
-    return GradedElementView(x, deg)
 
 
 def _require_homogeneous(inputs: Sequence[Vect]) -> None:

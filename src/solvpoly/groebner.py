@@ -526,17 +526,16 @@ class _Engine:
         return False
 
     def step_pair(self, i: int, j: int) -> Optional[int]:
-        """Process the popped pair (i, j), i < j; returns the new element
-        index, if any.  The pair is handled from here on, pruned or not.
+        """Process the popped pair (i, j), i < j, whose leads share a
+        component (:meth:`make_pairs` pushes no other pair); returns the
+        new element index, if any.  The pair is handled from here on,
+        pruned or not.
         """
         pruned = self.chain_prunes(i, j)
         self.handled.add((i, j))
         if pruned:
             return None
-        data = _spair_data(self.basis, i, j)
-        if data is None:
-            return None
-        (codes, den), fi, _, fj, _ = data
+        (codes, den), fi, _, fj, _ = _spair_data(self.basis, i, j)
         if not codes:
             return None
         quotients, eta = left_divide_module(

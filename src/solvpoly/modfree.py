@@ -69,7 +69,6 @@ from .algebra import (
     ZeroPolynomial,
     _exp_mask,
     exp_divides,
-    exps_within,
     zero_exp,
 )
 from .codes import ModMonomial, _Codec, _Products
@@ -77,14 +76,12 @@ from .codes import ModMonomial, _Codec, _Products
 __all__ = [
     "IncompatibleModules",
     "NotAGroebnerBasis",
-    "InfiniteMarker",
     "FreeModule",
     "ModMonomial",
     "Vect",
     "ModOrder",
     "left_divide_module",
     "opposite_order",
-    "normal_monomials",
 ]
 
 class IncompatibleModules(SolvpolyError):
@@ -93,19 +90,6 @@ class IncompatibleModules(SolvpolyError):
 
 class NotAGroebnerBasis(SolvpolyError):
     """An operation requiring a certified Groebner basis got raw data."""
-
-
-class InfiniteMarker:
-    """Returned when the set of normal monomials is infinite."""
-
-    def __repr__(self):
-        return "InfiniteMarker()"
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteMarker)
-
-    def __hash__(self):
-        return hash("InfiniteMarker")
 
 
 class FreeModule:
@@ -231,10 +215,6 @@ class Vect:
 
     def __bool__(self):
         return bool(self.data)
-
-    def coeff(self, mono: ModMonomial):
-        """The payload at ``mono``; 0 when the monomial is absent."""
-        return self.data.get(mono, 0)
 
     def component(self, comp: int) -> Poly:
         return Poly._of(
@@ -1026,96 +1006,3 @@ def opposite_order(order: ModOrder) -> ModOrder:
         shifts=order.shifts,
     )
 
-
-# ---------------------------------------------------------------------------
-# normal monomials
-# ---------------------------------------------------------------------------
-
-
-def _component_staircase(lms: Iterable[ModMonomial], rank: int):
-    by_comp: List[List[ExpVec]] = [[] for _ in range(rank)]
-    for exp, comp in lms:
-        by_comp[comp].append(exp)
-    return by_comp
-
-
-def normal_monomials(G, bound: Optional[int] = None):
-    """Monomials of the free module not led by the submodule.
-
-    ``G`` must be a certified Groebner basis object (with ``elements``,
-    ``order`` and ``module`` attributes, as produced by the groebner
-    module).  When every component's staircase contains a pure power
-    of every generator the list is finite and returned in full
-    (ascending order); otherwise an :class:`InfiniteMarker` is
-    returned, or the list capped at shifted degree ``bound`` when a
-    bound is given.
-    """
-    elements = getattr(G, "elements", None)
-    order = getattr(G, "order", None)
-    module = getattr(G, "module", None)
-    if elements is None or order is None or module is None:
-        raise NotAGroebnerBasis(
-            "normal_monomials needs a GroebnerBasis object"
-        )
-    n = module.algebra.n
-    zero = zero_exp(n)
-    lms = [g.lm(order) for g in elements]
-    by_comp = _component_staircase(lms, module.rank)
-
-    # caps[comp] is None when the whole component lies in the
-    # submodule; caps[comp][j] is the least exponent m with a pure
-    # power a_j^m in the component's staircase, or None if there is
-    # none (which makes the set of normal monomials infinite).
-    finite = True
-    caps: List[Optional[List[Optional[int]]]] = []
-    for comp in range(module.rank):
-        if any(exp == zero for exp in by_comp[comp]):
-            caps.append(None)
-            continue
-        comp_caps: List[Optional[int]] = []
-        for j in range(n):
-            pures = [
-                exp[j]
-                for exp in by_comp[comp]
-                if exp[j] > 0
-                and all(v == 0 for k, v in enumerate(exp) if k != j)
-            ]
-            if pures:
-                comp_caps.append(min(pures))
-            else:
-                comp_caps.append(None)
-                finite = False
-        caps.append(comp_caps)
-
-    def is_normal(exp: ExpVec, comp: int) -> bool:
-        return not any(exp_divides(s, exp) for s in by_comp[comp])
-
-    out: List[ModMonomial] = []
-    if finite:
-        for comp in range(module.rank):
-            if caps[comp] is None:
-                continue
-            stack: List[tuple] = [()]
-            for j in range(n):
-                stack = [
-                    pre + (v,) for pre in stack for v in range(caps[comp][j])
-                ]
-            for exp in stack:
-                if is_normal(exp, comp):
-                    out.append((exp, comp))
-        out.sort(key=order.key)
-        return out
-    if bound is None:
-        return InfiniteMarker()
-    # capped enumeration by shifted degree
-    d = module.algebra.degree_function
-    weights = d.weights if d is not None else (1,) * n
-    for comp in range(module.rank):
-        budget = bound - module.shifts[comp]
-        if budget < 0:
-            continue
-        for exp in exps_within(weights, budget):
-            if is_normal(exp, comp):
-                out.append((exp, comp))
-    out.sort(key=order.key)
-    return out

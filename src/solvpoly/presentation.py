@@ -136,10 +136,6 @@ class WordOrder:
         self._rank = {letter: pos for pos, letter in enumerate(prio)}
         self._keys: Dict[Letters, tuple] = {}
 
-    @property
-    def n(self) -> int:
-        return len(self.letter_priority)
-
     def word_degree(self, letters: Letters) -> int:
         w = self.degree.weights
         return sum(w[l] for l in letters)

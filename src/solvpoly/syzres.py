@@ -456,9 +456,15 @@ def free_resolution(
     :func:`syzygy_of_gb` returns), sorted by
     :func:`_ascending_exponent_sort`; the chain stops when no relations
     remain.  The first basis is the minimal Groebner basis of the
-    relations.  When the submodule is all of L0, that basis has one
-    lead e_i per component, and the splice leaves the free module of
-    rank 0: the zero module.
+    relations.  When its leads are all pure basis vectors e_i, M is free
+    on the other components (of rank 0 when the submodule is all of
+    L0: the zero module), and that module is the whole resolution.  No
+    later stage can lead with pure vectors: a Schreyer row leads with
+    (gamma - alpha_j, j) (:func:`_schreyer_lead`), which is pure only
+    when alpha_i divides alpha_j in one component, and the leads of
+    every stage form a strict antichain (the first by
+    :func:`solvpoly.groebner.minimalize`, every later one by
+    :func:`solvpoly.groebner._minimal_indices`).
     """
     A = L0.algebra
     if order is None:
@@ -467,37 +473,20 @@ def free_resolution(
     if not gens:
         return Resolution([L0], [])
     G = minimalize(buchberger(gens, order))
+    elements = _ascending_exponent_sort(G.elements, order)
+    lms = [g.lm(order) for g in elements]
+    if not any(any(exp) for exp, _ in lms):
+        pivot = {comp for _, comp in lms}
+        nonpivot = [c for c in range(L0.rank) if c not in pivot]
+        shifts = [L0.shifts[c] for c in nonpivot]
+        return Resolution([FreeModule(A, len(nonpivot), shifts=shifts)], [])
     modules = [L0]
     maps: List[PresentationMatrix] = []
     cur_module = L0
     cur_order = order
-    elements = _ascending_exponent_sort(G.elements, cur_order)
-    n = A.n
-    for _ in range(n + 2):
-        lms = [g.lm(cur_order) for g in elements]
-        if all(all(x == 0 for x in exp) for exp, _ in lms):
-            # distinct pure basis-vector leads: the kernel one step up
-            # is free on the leftover components, so splice instead of
-            # appending another stage (this is what keeps length <= n)
-            pivot = {comp for _, comp in lms}
-            nonpivot = [c for c in range(cur_module.rank) if c not in pivot]
-            shifts = [cur_module.shifts[c] for c in nonpivot]
-            F = FreeModule(A, len(nonpivot), shifts=shifts)
-            if not maps:
-                # M itself is free on the leftover components (none when
-                # N = L0: the zero module)
-                modules = [F]
-            else:
-                prev = maps.pop()
-                modules.pop()
-                rows = prev.int_rows()
-                maps.append(PresentationMatrix.of_ints(
-                    A, [rows[c] for c in nonpivot], prev.cols))
-                modules.append(F)
-            break
-        t = len(elements)
+    for _ in range(A.n + 2):
         shifts = [cur_order.degree_of(m) for m in lms]
-        nxt_module = FreeModule(A, t, shifts=shifts)
+        nxt_module = FreeModule(A, len(elements), shifts=shifts)
         maps.append(PresentationMatrix.from_vects(elements, cur_module))
         modules.append(nxt_module)
         nxt_order = schreyer_order_for(elements, cur_order)
@@ -508,6 +497,7 @@ def free_resolution(
         if not elements:
             break
         cur_module, cur_order = nxt_module, nxt_order
+        lms = [g.lm(cur_order) for g in elements]
     else:
         raise RuntimeError(
             "resolution exceeded the generator-count bound; this "

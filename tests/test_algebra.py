@@ -354,11 +354,23 @@ def weyl_pairs(field):
     return build_algebra(field, names, _grlex(8), rels)
 
 
+def skew_weyl(field, lam):
+    """The Weyl pair y*x = x*y + 1 with z*x = 2*x*z and z*y = lam*y*z: the
+    skew pair (z, x) shares x with the Weyl pair, so no closed form
+    applies.  The table is associative exactly when lam = 1/2."""
+    return build_algebra(field, ("x", "y", "z"), _grlex(3),
+                         ["y*x = x*y + 1", "z*x = 2*x*z",
+                          "z*y = %s*y*z" % lam])
+
+
 def fresh(name, field):
     """A new algebra, with an empty product cache: a fixture by name, the
-    four Weyl pairs, or a file of the benchmark corpus."""
+    four Weyl pairs, the associative skew-Weyl table, or a file of the
+    benchmark corpus."""
     if name == "weyl-pairs":
         return weyl_pairs(field)
+    if name == "skew-weyl":
+        return skew_weyl(field, "1/2")
     if name in corpus.all_names():
         return over(field, name)
     pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
@@ -426,11 +438,24 @@ def test_tables_of_scalar_tails_never_enter_the_walk(name, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("name", ["qheis", "ex14", "sl2-3-q"])
+@pytest.mark.parametrize("name", ["qheis", "ex14", "sl2-3-q", "skew-weyl"])
 def test_walked_tables_match_word_rewriting(name, field):
     A = fresh(name, field)
     assert A._scalar_table is None
     assert_products_match_the_oracle(A, random.Random(16), 25, 3)
+
+
+def test_a_skew_pair_on_a_weyl_generator_is_checked_for_associativity():
+    # z*y = y*z leaves the table non-associative: no closed form may
+    # vouch for it
+    A = skew_weyl(Q, "1")
+    assert A._scalar_table is None
+    x, y, z = (A.gen(i) for i in range(3))
+    assert A.multiply(A.multiply(z, y), x) == A.parse("2*x*y*z + 2*z")
+    assert A.multiply(z, A.multiply(y, x)) == A.parse("2*x*y*z + z")
+    with pytest.raises(NonAssociative,
+                       match=r"^\(z\*y\)\*x - z\*\(y\*x\) = z$"):
+        check_associative(A)
 
 
 def test_weyl_power_product_is_one_pass():

@@ -379,6 +379,17 @@ def test_computing_commands_refuse_a_non_associative_table(capsys, tmp_path,
     assert err == "not solvable type: (z*y)*x - z*(y*x) = 1\n"
 
 
+def test_gb_refuses_a_skew_pair_on_a_weyl_generator(capsys, tmp_path):
+    # z*x = 2*x*z shares x with the Weyl pair y*x = x*y + 1; only
+    # z*y = 1/2*y*z would make the table associative
+    doc = base_doc(generators=["x", "y", "z"],
+                   relations=["y*x = x*y + 1", "z*x = 2*x*z", "z*y = y*z"])
+    code, out, err = run(capsys, "--json", "gb", problem_file(tmp_path, doc))
+    assert code == 1
+    assert out == ""
+    assert err == "not solvable type: (z*y)*x - z*(y*x) = z\n"
+
+
 def test_verify_presentation_max_steps_block(capsys):
     code, payload = run_json(capsys, "verify-presentation", "--max-steps",
                              "10", corpus.path("ex14"))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +50,21 @@ def test_prime_field_reduces_canonically():
     assert gf7.scalar(9) == gf7.scalar(2)
     assert gf7.scalar(-1) == gf7.scalar(6)
     assert gf7.scalar(1, 3) * gf7.scalar(3) == gf7.one
+
+
+def test_prime_field_reads_a_fraction_numerator_whole():
+    gf7 = FieldSpec("PrimeField", characteristic=7)
+    assert gf7.scalar(Fraction(1, 2)).value == 4
+    assert gf7.scalar(Fraction(3, 2), 5).value == 1
+    assert gf7.scalar(Fraction(-5, 3), 2) == gf7.scalar(-5, 6)
+    assert gf7.scalar(Fraction(7, 2), 7) == gf7.scalar(1, 2)
+    with pytest.raises(DivisionByZero):
+        gf7.scalar(Fraction(1, 7))
+    with pytest.raises(DivisionByZero):
+        gf7.scalar(Fraction(2, 3), 14)
+    # the integer path keeps its unreduced denominator
+    with pytest.raises(DivisionByZero):
+        gf7.scalar(7, 7)
 
 
 def test_literals(field):

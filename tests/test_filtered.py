@@ -192,6 +192,9 @@ def test_module_symbols(wctx, weyl1):
     t = tilde(wctx, v)
     assert [str(p) for p in t.to_polys()] == ["x*Z^2", "1"]
     assert dehomogenize(wctx, t) == v
+    for entries in (["x", "1"], ["x*y + x + 3", "y^2 + 1"], ["y", "0"]):
+        v = L.parse(entries)
+        assert z_zero_image(wctx, tilde(wctx, v)) == sigma(wctx, v)
 
 
 # ---------------------------------------------------------------------------

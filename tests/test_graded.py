@@ -18,11 +18,9 @@ from solvpoly.graded import (
     InhomogeneousInput,
     betti_table,
     check_graded,
-    graded_view,
     min_gens_quotient,
     min_homogeneous_gens,
     minimal_graded_resolution,
-    poly_degree_if_homogeneous,
     prune_unit_pivots,
     scalar_entry_positions,
     truncated_gb,
@@ -58,16 +56,9 @@ def test_check_graded_verdicts(comm2, qplane, ex12, ex14, weyl1, qheis):
 
 
 def test_homogeneity_helpers(qplane):
-    d = qplane.degree_function
-    assert poly_degree_if_homogeneous(qplane.parse("x^2 + x*y"), d) == 2
-    assert poly_degree_if_homogeneous(qplane.parse("x^2 + y"), d) is None
     L = FreeModule(qplane, 2, (0, 1))
-    v = L.parse(["x*y", "x"])
-    assert vect_degree_if_homogeneous(v) == 2
-    view = graded_view(v)
-    assert view.gr_degree == 2
-    with pytest.raises(InhomogeneousInput):
-        graded_view(L.parse(["x + 1", "0"]))
+    assert vect_degree_if_homogeneous(L.parse(["x*y", "x"])) == 2
+    assert vect_degree_if_homogeneous(L.parse(["x + 1", "0"])) is None
 
 
 # ---------------------------------------------------------------------------

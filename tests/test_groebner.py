@@ -731,7 +731,8 @@ def test_sugar_keeps_random_pot_bases_certified(name, request):
         assert_self_certified(G)
         R = reduce_basis(G)
         degs = [max(order.degree_of(m) for m in g.data) for g in gens]
-        bound = max(f.degree() + degs[j] for row in R.V
+        bound = max(max(A.degree_function(e) for e, _ in f.terms) + degs[j]
+                    for row in R.V
                     for j, f in enumerate(row) if not f.is_zero())
         rows = [g.lmul(A.monomial(e)) for g, d in zip(gens, degs)
                 for e in exps_within(weights, bound - d)]

@@ -20,7 +20,6 @@ from solvpoly.modfree import (
     _IntVect,
     left_divide_module,
     mono_divides,
-    normal_monomials,
 )
 
 from conftest import over, quotient_polys, random_poly, random_vect
@@ -777,32 +776,3 @@ def test_module_order_is_immutable(weyl1):
         order.extra = 1
     assert order.kind == "top"
 
-
-class _BasisView:
-    """The duck shape normal_monomials expects."""
-
-    def __init__(self, module, order, elements):
-        self.module = module
-        self.order = order
-        self.elements = elements
-
-
-def test_normal_monomials_counts(comm2):
-    L = FreeModule(comm2, 1)
-    order = ModOrder("top", comm2.order, 1)
-    # staircase {x^2, y}: normal monomials are 1, x
-    G = _BasisView(L, order, [L.parse(["x^2"]), L.parse(["y"])])
-    normal = normal_monomials(G)
-    assert sorted(normal) == [((0, 0), 0), ((1, 0), 0)]
-
-
-def test_normal_monomials_infinite_marker(comm2):
-    from solvpoly.modfree import InfiniteMarker
-    L = FreeModule(comm2, 1)
-    order = ModOrder("top", comm2.order, 1)
-    G = _BasisView(L, order, [L.parse(["x^2"])])
-    assert normal_monomials(G) == InfiniteMarker()
-    capped = normal_monomials(G, bound=2)
-    # 1, x, y, x*y, y^2 escape x^2 up to total degree 2
-    assert sorted(capped) == [
-        ((0, 0), 0), ((0, 1), 0), ((0, 2), 0), ((1, 0), 0), ((1, 1), 0)]
