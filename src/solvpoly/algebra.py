@@ -127,7 +127,7 @@ def exp_sub(a: ExpVec, b: ExpVec) -> ExpVec:
 def exp_max(a: ExpVec, b: ExpVec) -> ExpVec:
     if len(a) != len(b):
         raise LengthMismatch("exponent lengths %d and %d" % (len(a), len(b)))
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_divides(a: ExpVec, b: ExpVec) -> bool:
@@ -519,6 +519,11 @@ class SolvableAlgebra:
     GKZ systems), else the suffix walk.  The walk stays for polynomial
     tails such as those of U(sl2), where pairwise power tables in its
     place saved only 9 % of ``gb-modp`` time for 5.1 % more peak memory.
+    On a closed-form table with a Weyl pair the engine's products on
+    module codes (:class:`solvpoly.codes._Products`) do not call
+    :meth:`mono_mul`: they form the same closed form on codes, from
+    the same factor lists (:func:`_weyl_factors`) and lead
+    (:meth:`_skew_lead`).
     """
 
     def __init__(
@@ -687,11 +692,8 @@ class SolvableAlgebra:
         one whose product is cached (or to 1), then back up, each product
         built from the one below it: the depth of the call stack does
         not grow with the exponents.  It stays for tables whose tails are
-        not scalars (U(sl2), the quantum Heisenberg algebra, ex14).
-        Plural-style tables of x_j^a x_i^b per generator pair in place of
-        the walk on every table gave the same output, but cut ``gb-modp``
-        wall time by only 9 % and raised its peak memory by 1.1 MB
-        (5.1 %), past the benchmark's 5 % bound.
+        not scalars (U(sl2), the quantum Heisenberg algebra, ex14); see
+        the class docstring for the power tables tried in its place.
         """
         cache = self.product_cache
         key = (a, b)
@@ -750,38 +752,31 @@ class SolvableAlgebra:
             return None
         return skews, weyls
 
-    def _closed_product(self, a: ExpVec, b: ExpVec, ab: ExpVec) -> Terms:
-        """a^a * a^b on a table of scalar tails, in one pass, lead first.
-
-        The coefficient of a^(a+b) is the product of lam_ji^(a_j b_i)
-        over the skew pairs.  Each Weyl pair (j, i, c) then multiplies in
-        the sum over k of k! C(a_j, k) C(b_i, k) c^k, term k lowering both
-        exponents by k (Levandovskyy and Schoenemann, "Plural", ISSAC
-        2003).  Over GF(p) the terms from k = p on vanish with k!.
-        """
-        skews, weyls = self._scalar_table
+    def _skew_lead(self, a: ExpVec, b: ExpVec):
+        """The coefficient of a^(a+b) in a^a * a^b on a table of scalar
+        tails: the product of lam_ji^(a_j b_i) over its skew pairs."""
         p = self.field.characteristic
         lead = 1
-        for j, i, lam in skews:
+        for j, i, lam in self._scalar_table[0]:
             e = a[j] * b[i]
             if e:
                 lead = lead * pow(lam, e, p) % p if p else lead * lam ** e
+        return lead
+
+    def _closed_product(self, a: ExpVec, b: ExpVec, ab: ExpVec) -> Terms:
+        """a^a * a^b on a table of scalar tails, in one pass, lead first:
+        the lead a^(a+b) with its skew factor (:meth:`_skew_lead`), then
+        the factors of each Weyl pair that meets (:func:`_weyl_factors`),
+        term k lowering both exponents of the pair by k."""
+        p = self.field.characteristic
+        lead = self._skew_lead(a, b)
         terms = None
-        for j, i, c in weyls:
+        for j, i, c in self._scalar_table[1]:
             if not (a[j] and b[i]):
                 continue
-            top = min(a[j], b[i], p - 1) if p else min(a[j], b[i])
             if terms is None:
                 terms = {ab: lead}
-            factors = []
-            t = 1  # k! C(a_j, k) C(b_i, k)
-            ck = 1  # c^k
-            for k in range(top + 1):
-                f = t * ck % p if p else t * ck
-                if f:
-                    factors.append((k, f))
-                t = t * (a[j] - k) * (b[i] - k) // (k + 1)
-                ck = ck * c % p if p else ck * c
+            factors = _weyl_factors(c, a[j], b[i], p)
             expanded = {}
             for e, v in terms.items():
                 for k, f in factors:
@@ -1190,6 +1185,25 @@ def check_associative(A: SolvableAlgebra) -> None:
                 "(%s*%s)*%s - %s*(%s*%s) = %s"
                 % (a, b, c, a, b, c, A.poly_str(diff))
             )
+
+
+@functools.lru_cache(maxsize=4096)
+def _weyl_factors(c, aj: int, bi: int, p: int) -> tuple:
+    """The nonzero (k, k! C(aj, k) C(bi, k) c^k), k ascending, over
+    GF(p) for p > 0: the terms of a_j^aj a_i^bi for a Weyl pair
+    a_j a_i = a_i a_j + c, term k lowering both exponents by k
+    (Levandovskyy and Schoenemann, "Plural", ISSAC 2003).  From k = p
+    on they vanish with k!."""
+    out = []
+    t = ck = 1  # k! C(aj, k) C(bi, k) and c^k
+    top = min(aj, bi, p - 1) if p else min(aj, bi)
+    for k in range(top + 1):
+        f = t * ck % p if p else t * ck
+        if f:
+            out.append((k, f))
+        t = t * (aj - k) * (bi - k) // (k + 1)
+        ck = ck * c % p if p else ck * c
+    return tuple(out)
 
 
 def _integral(c):

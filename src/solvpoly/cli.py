@@ -529,7 +529,7 @@ def cmd_verify_presentation(pf: ProblemFile, args) -> Tuple[int, Dict[str, Any]]
     }
     if args.max_steps is not None:
         basis, complete = free_ops.bounded_completion(
-            rels, worder, max_new=args.max_steps)
+            rels, worder, max_new=args.max_steps, rows=rep.rows)
         payload["completion"] = {
             "complete": complete,
             "basis_size": len(basis),

@@ -367,7 +367,8 @@ def _spair_data(divisors: _Divisors, i: int, j: int):
     ``divisors``, on the codes of their order, and returned as its
     ``finish`` gives it.  f_i is the multiplier ``{gamma-alpha: (n, d)}``
     with c_i = n/d, as the trace keeps it.  a^alpha * g leads with the
-    lead of g times the lead coefficient of ``mono_mul(alpha, lm(g))``,
+    lead of g times the lead coefficient of a^alpha * lm(g), read from
+    the order's table of products (:class:`solvpoly.codes._Products`),
     since the order restricts to the algebra's order on each component.
     """
     mi, mj = divisors.leads[i], divisors.leads[j]
@@ -377,11 +378,18 @@ def _spair_data(divisors: _Divisors, i: int, j: int):
     p = A.field.characteristic
     gamma = exp_max(mi[0], mj[0])
     acc = _IntSum(A, divisors.order)
+    products = acc.products
     mults = []
     for sign, k in ((1, i), (-1, j)):
         _, lexp, lead, row, den, content = divisors.entries[k]
         alpha = tuple(map(sub, gamma, lexp))
-        mu = A.mono_mul(alpha, lexp)[0][1]
+        step = acc.step(alpha)
+        mu = 1
+        if step:
+            known = products.row(step, alpha)[1]
+            lc = divisors.codes[k]
+            terms = known.get(lc) or products.fill(known, alpha, step, lc)
+            mu = terms[0][1]
         t = lead * mu.numerator
         if p:
             # c = 1 / (lead * mu), and den = content = 1

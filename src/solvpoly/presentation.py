@@ -136,17 +136,13 @@ class WordOrder:
         self._rank = {letter: pos for pos, letter in enumerate(prio)}
         self._keys: Dict[Letters, tuple] = {}
 
-    def word_degree(self, letters: Letters) -> int:
-        w = self.degree.weights
-        return sum(w[l] for l in letters)
-
     def key(self, word: Letters):
         """Memoised per order object, as ``MonomialOrder.key`` is."""
         k = self._keys.get(word)
         if k is None:
-            rank = self._rank
             k = self._keys[word] = (
-                self.word_degree(word), tuple(rank[l] for l in word)
+                sum(map(self.degree.weights.__getitem__, word)),
+                tuple(map(self._rank.__getitem__, word)),
             )
         return k
 
@@ -533,7 +529,9 @@ class CertReport:
     reduces to zero, else "NotCertified" with the surviving residuals
     listed in ``failures`` as (left pair, right pair, shift,
     residual).  ``lambdas`` maps each generator pair (j, i) to the
-    coefficient the presentation swaps X_i X_j with.
+    coefficient the presentation swaps X_i X_j with.  ``rows`` holds the
+    relations as monic integer rows (see :func:`_monic`), in the order
+    given, for :func:`bounded_completion`.
     """
 
     def __init__(
@@ -542,11 +540,13 @@ class CertReport:
         overlaps_checked: int,
         failures: List[tuple],
         lambdas: Dict[Tuple[int, int], object],
+        rows: List[tuple],
     ):
         self.verdict = verdict
         self.overlaps_checked = overlaps_checked
         self.failures = failures
         self.lambdas = lambdas
+        self.rows = rows
 
     @property
     def certified(self) -> bool:
@@ -584,9 +584,10 @@ def verify_presentation(
     verdict is certified exactly when every overlap element of the
     relation set reduces to zero, which makes the set confluent and
     gives the quotient algebra the ordered monomials as a basis.
-    The relations become monic integer rows once, and each overlap
-    element an integer row for the kernel (:func:`_reduce`): payloads
-    are made only for the lambdas and a failure's residual.
+    The relations become monic integer rows once (kept as the report's
+    ``rows``), and each overlap element an integer row for the kernel
+    (:func:`_reduce`): payloads are made only for the lambdas and a
+    failure's residual.
     """
     if not relations:
         raise ShapeViolation("no relations given")
@@ -624,6 +625,9 @@ def verify_presentation(
     keys = sorted(by_lead)
     basis = _FreeDivisors.of([by_lead[w] for w in keys], order)
     field, p = relations[0].field, basis.p
+    # the rows in the order given (by_lead's), each lead once
+    place = {w: b for b, w in enumerate(keys)}
+    rows = [basis.entries[place[w]] for w in by_lead]
     lambdas = {(j, i): _from_ints([(0, -row[(i, j)])], den, p)[0]
                for (j, i), row, den in basis.entries}
     # X_j X_i overlaps only a leading word X_i X_h, once, at shift 1:
@@ -642,7 +646,7 @@ def verify_presentation(
                     failures.append((ka, keys[b], k,
                                      _free_poly(field, n, r, den)))
     verdict = "SolvableTypeCertified" if not failures else "NotCertified"
-    return CertReport(verdict, checked, failures, lambdas)
+    return CertReport(verdict, checked, failures, lambdas, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +655,8 @@ def verify_presentation(
 
 
 def bounded_completion(
-    G: Sequence[FreePoly], order: WordOrder, max_new: int = 256
+    G: Sequence[FreePoly], order: WordOrder, max_new: int = 256,
+    rows: Optional[Sequence[tuple]] = None,
 ) -> Tuple[List[FreePoly], bool]:
     """Diamond-lemma completion with a budget on added elements.
 
@@ -662,13 +667,17 @@ def bounded_completion(
     ``max_new`` elements would be needed.  A nonzero constant, in the
     input or as a residual, generates the whole algebra: the basis is
     then ``[1]``, complete.  The elements stay monic integer rows (see
-    :func:`_reduce`) until the basis is returned.
+    :func:`_reduce`) until the basis is returned.  ``rows``, when given,
+    are those of the nonzero elements of G, in order, as
+    :attr:`CertReport.rows` holds them, and are not made again.
     """
     G = [g for g in G if not g.is_zero()]
     if not G:
         return [], True
     field, n = G[0].field, G[0].n
-    p, entries = field.characteristic, _FreeDivisors.of(G, order).entries
+    p = field.characteristic
+    entries = (list(rows) if rows is not None
+               else _FreeDivisors.of(G, order).entries)
     unit = [_free_poly(field, n, {(): 1}, 1)], True
     # inter-reduction: the first element with another's leading word in
     # its own is replaced, in its place, by its remainder by all the
@@ -684,7 +693,8 @@ def bounded_completion(
         if idx is None:
             break
         _, row, den = entries.pop(idx)
-        r, _ = _reduce(_FreeDivisors.of_entries(entries, order, p), row, den)
+        r, _ = _reduce(_FreeDivisors.of_entries(entries, order, p),
+                       dict(row), den)
         if r:
             entries.insert(idx, _monic(r, order, p))
     basis = _FreeDivisors.of_entries(entries, order, p)

@@ -38,9 +38,10 @@ holds integer rows only, and so do the right inverse of
 from __future__ import annotations
 
 from functools import cached_property
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Poly, SolvableAlgebra, exp_max, exp_sub, zero_exp
+from .algebra import Poly, SolvableAlgebra, zero_exp
 from .modfree import (
     FreeModule,
     ModMonomial,
@@ -303,7 +304,7 @@ def _schreyer_lead(lms: Sequence[ModMonomial], i: int, j: int) -> ModMonomial:
     every quotient term maps below a^gamma.
     """
     alpha = lms[j][0]
-    return exp_sub(exp_max(lms[i][0], alpha), alpha), j
+    return tuple(map(sub, map(max, lms[i][0], alpha), alpha)), j
 
 
 def _schreyer_rows(

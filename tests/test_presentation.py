@@ -649,6 +649,35 @@ def test_bounded_completion_matches_the_all_pairs_reference(path):
                                                         max_new))
 
 
+@pytest.mark.parametrize("path", PRESENTATIONS, ids=os.path.basename)
+def test_bounded_completion_takes_the_rows_the_check_made(path,
+                                                          monkeypatch):
+    """Given the report's rows, the completion makes no monic row of
+    its input again, leaves the report's rows as they were, and returns
+    what it returns without them."""
+    pf = parse_problem(path)
+    rels, order = _free_relations(pf), _word_order(pf)
+    rep = verify_presentation(rels, order)
+    assert [row[0] for row in rep.rows] == [
+        max(g.data, key=order.key) for g in rels]
+    before = [(lead, dict(row), den) for lead, row, den in rep.rows]
+    made = []
+    monic = presentation._monic
+
+    def counted(*args):
+        made.append(args)
+        return monic(*args)
+
+    monkeypatch.setattr(presentation, "_monic", counted)
+    for max_new in (0, 1, 4):
+        del made[:]
+        got = bounded_completion(rels, order, max_new, rows=rep.rows)
+        shared = len(made)
+        assert got == bounded_completion(rels, order, max_new)
+        assert len(made) - shared == shared + len(rels)
+    assert [(lead, dict(row), den) for lead, row, den in rep.rows] == before
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_bounded_completion_matches_the_reference_while_it_grows(seed):
     """Random systems of two or three words-and-scalars in three letters,
