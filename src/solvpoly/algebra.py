@@ -502,28 +502,23 @@ class SolvableAlgebra:
     directly with ``(j, i, lam, tail_terms)`` records, ``lam`` and the
     tail's (ExpVec, payload) pairs holding field payloads.  The product
     cache, ``product_cache``, maps a pair of exponent vectors (a, b) to
-    the PBW normal form of a^a * a^b as a tuple of (ExpVec, coefficient)
-    pairs: the lead a^(a+b) first, the other terms unsorted.  It holds
-    no :class:`Poly`; its size is capped by ``cache_limit``, read from
-    the SOLVPOLY_CACHE_LIMIT environment variable.
+    :meth:`mono_mul` of them; its size is capped by ``cache_limit``, read
+    from the SOLVPOLY_CACHE_LIMIT environment variable.
 
     The kernel (:meth:`mono_mul` and the methods it calls) reads only
     ``_table``, a copy of ``relations`` as ``{(j, i): (lam, tail)}``
     whose integral constants are ints; over Q a constant with a
-    denominator stays a Fraction.  :meth:`multiply` makes Fractions of
-    the ints in its product.
+    denominator stays a Fraction.  :meth:`_poly` makes Fractions of the
+    ints in a product.
 
     The relation table alone picks how :meth:`mono_mul` forms a
     monomial product: closed forms when every relation is tail-free or
     a Weyl pair (skew polynomial rings, quantum planes, Weyl algebras,
-    GKZ systems), else the suffix walk.  The walk stays for polynomial
-    tails such as those of U(sl2), where pairwise power tables in its
-    place saved only 9 % of ``gb-modp`` time for 5.1 % more peak memory.
-    On a closed-form table with a Weyl pair the engine's products on
-    module codes (:class:`solvpoly.codes._Products`) do not call
-    :meth:`mono_mul`: they form the same closed form on codes, from
-    the same factor lists (:func:`_weyl_factors`) and lead
-    (:meth:`_skew_lead`).
+    GKZ systems), else the suffix walk.  On a closed-form table with a
+    Weyl pair the engine's products on module codes
+    (:class:`solvpoly.codes._Products`) do not call :meth:`mono_mul`:
+    they form the same closed form on codes, from the same factor lists
+    (:func:`_weyl_factors`) and lead (:meth:`_skew_lead`).
     """
 
     def __init__(
@@ -551,6 +546,7 @@ class SolvableAlgebra:
         self._units = tuple(unit_exp(self.n, k) for k in range(self.n))
         self.relations = {}
         self.product_cache = {}
+        self._mono_text = {}  # exponent -> text, of monomials printed
         self._opposite: Optional[SolvableAlgebra] = None
         try:
             self.cache_limit = int(os.environ.get(_CACHE_ENV, "1000000"))
@@ -615,7 +611,7 @@ class SolvableAlgebra:
         return Poly(self, [])
 
     def one(self) -> Poly:
-        return self.scalar_poly(self.field.one.value)
+        return self.monomial(zero_exp(self.n))
 
     def monomial(self, exp: ExpVec, coeff=None) -> Poly:
         """coeff * a^exp, the payload ``coeff`` defaulting to one."""
@@ -625,9 +621,6 @@ class SolvableAlgebra:
 
     def gen(self, i: int, power: int = 1) -> Poly:
         return self.monomial(unit_exp(self.n, i, power))
-
-    def scalar_poly(self, c) -> Poly:
-        return Poly(self, [(zero_exp(self.n), c)])
 
     def from_terms(self, terms) -> Poly:
         return Poly(self, terms)
@@ -669,15 +662,12 @@ class SolvableAlgebra:
         ``int`` (on an integral table, always): read it through
         ``numerator`` and ``denominator``.
 
-        The lead a^(a+b) comes first; the other terms follow in the order
-        the product was built, not sorted (:meth:`multiply` makes a
-        :class:`Poly` of them).  The exponent sum is checked against 2^32
-        first.  When no generator of a comes after the least generator of
-        b, the product is that monomial alone.  On a table of scalar tails
-        (:attr:`_scalar_table`) the product is one pass of closed forms
-        (:meth:`_closed_product`), a single term when no Weyl pair meets;
-        on any other table the suffix walk below builds it.  On a table
-        with a fractional constant, an integral coefficient is an int.
+        The lead a^(a+b) comes first, the other terms unsorted.  The
+        exponent sum is checked against 2^32 first.  When no generator of
+        a comes after the least generator of b, the product is that
+        monomial alone.  On a table of scalar tails (:attr:`_scalar_table`)
+        it is one pass of closed forms (:meth:`_closed_product`); on any
+        other table the suffix walk below builds it.
 
         Core and shift: with u the least and v the greatest generator,
         a^a = u^k a^a' and a^b = a^b' v^m, so a^a a^b = u^k (a^a' a^b')
@@ -691,9 +681,7 @@ class SolvableAlgebra:
         product is a_l times a^s a^b.  The suffixes s are walked down to
         one whose product is cached (or to 1), then back up, each product
         built from the one below it: the depth of the call stack does
-        not grow with the exponents.  It stays for tables whose tails are
-        not scalars (U(sl2), the quantum Heisenberg algebra, ex14); see
-        the class docstring for the power tables tried in its place.
+        not grow with the exponents.
         """
         cache = self.product_cache
         key = (a, b)
@@ -890,9 +878,7 @@ class SolvableAlgebra:
         return out
 
     def multiply(self, f: Poly, g: Poly) -> Poly:
-        """Product of two elements, normalized onto the PBW basis: the one
-        place a kernel product becomes a :class:`Poly`, its int
-        coefficients made Fractions over Q."""
+        """Product of two elements, normalized onto the PBW basis."""
         if f.algebra is not self or g.algebra is not self:
             raise SolvpolyError("operands built over a different algebra")
         p = self.field.characteristic
@@ -900,7 +886,12 @@ class SolvableAlgebra:
         for ea, ca in f.terms:
             for eb, cb in g.terms:
                 _add_scaled(acc, self.mono_mul(ea, eb), ca * cb, p)
-        if not p:
+        return self._poly(acc)
+
+    def _poly(self, acc: dict) -> Poly:
+        """The :class:`Poly` of a sum of kernel products, its int
+        coefficients made Fractions over Q; it takes ``acc``."""
+        if not self.field.characteristic:
             for m, c in acc.items():
                 if type(c) is int:
                     acc[m] = Fraction(c)
@@ -909,37 +900,51 @@ class SolvableAlgebra:
     # -- parsing and printing -------------------------------------------------------
 
     def parse(self, text: str) -> Poly:
-        """Parse an expression; factors multiply in written order."""
-        terms = _parse_expression(text, self.names, self.field)
-        result = self.zero()
-        for coeff, factors in terms:
-            part = self.scalar_poly(coeff.value)
+        """Parse an expression into PBW normal form.  Each term's factors
+        multiply in written order on exponent vectors, by :meth:`mono_mul`
+        (so an exponent at 2^32 raises ExponentOverflow); a term with a
+        zero coefficient is dropped unmultiplied."""
+        p, n = self.field.characteristic, self.n
+        acc = {}
+        for coeff, factors in _parse_expression(text, self.names, self.field):
+            part = {zero_exp(n): coeff.value} if coeff.value else {}
             for gi, power in factors:
-                part = self.multiply(part, self.gen(gi, power))
-            result = result + part
-        return result
+                g, prev = unit_exp(n, gi, power), part
+                part = {}
+                for e, c in prev.items():
+                    _add_scaled(part, self.mono_mul(e, g), c, p)
+            _add_scaled(acc, part.items(), 1, p)
+        return self._poly(acc)
 
     def poly_str(self, f: Poly) -> str:
-        return self.terms_str(f.terms)
+        """f as text, its terms descending, a coefficient c as str(c)."""
+        return _joined([self._term(e, str(c)) for e, c in f.terms])
 
-    def terms_str(self, terms) -> str:
-        """Descending (exponent, coefficient c) pairs as text, c as str(c)."""
-        if not terms:
-            return "0"
-        out, names = [], self.names
-        for exp, c in terms:
-            cs = str(c)
-            body = "*".join([names[i] if e == 1 else "%s^%d" % (names[i], e)
-                             for i, e in enumerate(exp) if e])
-            sign, mag = (" - ", cs[1:]) if cs[0] == "-" else (" + ", cs)
-            if body and mag != "1":
-                body = mag + "*" + body
-            out.append(sign + (body or mag))
-        text = "".join(out)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+    def _term(self, exp: ExpVec, cs: str) -> str:
+        """The sign, spaced, and the term of a^exp with coefficient text
+        cs; the monomial's text is built once (``_mono_text``)."""
+        body = self._mono_text.get(exp)
+        if body is None:
+            body = self._mono_text[exp] = "*".join([
+                nm if e == 1 else "%s^%d" % (nm, e)
+                for nm, e in zip(self.names, exp) if e])
+        sign = " + "
+        if cs[0] == "-":
+            sign, cs = " - ", cs[1:]
+        if not body:
+            return sign + cs
+        return sign + body if cs == "1" else sign + cs + "*" + body
 
     def __repr__(self):
         return "SolvableAlgebra(%s)" % (", ".join(self.names))
+
+
+def _joined(parts: List[str]) -> str:
+    """A sum of :meth:`SolvableAlgebra._term` texts; "0" for no term."""
+    if not parts:
+        return "0"
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -1158,32 +1163,33 @@ def check_associative(A: SolvableAlgebra) -> None:
     """Refuse a relation table whose products do not associate.
 
     For every generator triple i < j < k, ``(a_k a_j) a_i`` must equal
-    ``a_k (a_j a_i)``: these are the nondegeneracy conditions under
-    which the ordered monomials form a basis (Levandovskyy and
-    Schoenemann, "Plural", ISSAC 2003).  Raises NonAssociative naming
-    the first triple that fails.  A triple whose three relations have
-    no tail is skipped: both sides are then
-    ``lam_kj * lam_ki * lam_ji * a_i a_j a_k``.  A table of closed-form
-    products (:attr:`SolvableAlgebra._scalar_table`) is skipped whole:
-    it presents a quantum affine space tensored with Weyl algebras,
-    which is associative by construction.
+    ``a_k (a_j a_i)``, both summed on exponent vectors: these are the
+    nondegeneracy conditions under which the ordered monomials form a
+    basis (Levandovskyy and Schoenemann, "Plural", ISSAC 2003).  Raises
+    NonAssociative naming the first triple that fails.  A triple whose
+    three relations have no tail is skipped: both sides are then
+    ``lam_kj * lam_ki * lam_ji * a_i a_j a_k``.  So is a table of
+    closed-form products (:attr:`SolvableAlgebra._scalar_table`), a
+    quantum affine space tensored with Weyl algebras.
     """
     if A._scalar_table is not None:
         return
-    gens = [A.gen(i) for i in range(A.n)]
+    p, mul, units = A.field.characteristic, A.mono_mul, A._units
     rels = A.relations
     for i, j, k in itertools.combinations(range(A.n), 3):
         if not (rels[(k, j)].tail or rels[(k, i)].tail or rels[(j, i)].tail):
             continue
-        xi, xj, xk = gens[i], gens[j], gens[k]
-        diff = A.multiply(A.multiply(xk, xj), xi) - A.multiply(
-            xk, A.multiply(xj, xi)
-        )
-        if not diff.is_zero():
+        ei, ej, ek = units[i], units[j], units[k]
+        diff = {}
+        for e, c in mul(ek, ej):
+            _add_scaled(diff, mul(e, ei), c, p)
+        for e, c in mul(ej, ei):
+            _add_scaled(diff, mul(ek, e), -c, p)
+        if diff:
             a, b, c = A.names[k], A.names[j], A.names[i]
             raise NonAssociative(
                 "(%s*%s)*%s - %s*(%s*%s) = %s"
-                % (a, b, c, a, b, c, A.poly_str(diff))
+                % (a, b, c, a, b, c, A.poly_str(A._poly(diff)))
             )
 
 

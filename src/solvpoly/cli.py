@@ -23,6 +23,7 @@ builds one per stage) can hold several times the limit in all.
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ from .algebra import (
     SolvableAlgebra,
     TailOrderViolation,
     ZeroLambda,
+    _joined,
     _parse_expression,
     build_algebra,
     check_associative,
@@ -359,8 +361,9 @@ def _vect_out(v: Vect) -> Any:
 def _int_row_out(row: _IntVect) -> List[str]:
     """The entries of an integer row (of V, U, a syzygy or a resolution
     map) printed from its codes in descending order, a coefficient as
-    n/den reduced by one gcd over Q, the residue over GF(p), through the
-    :meth:`SolvableAlgebra.terms_str` of ``poly_str``.  On every order a
+    n/den reduced by one gcd over Q, the residue over GF(p), each term
+    by the ``SolvableAlgebra._term`` that ``poly_str`` prints with, so
+    each monomial's text is built once per algebra.  On every order a
     problem file can build, descending codes give the ring order inside
     each entry: an ungraded TOP or POT order restricts to it on each
     component; a graded one compares the shifted degree first, the
@@ -368,15 +371,18 @@ def _int_row_out(row: _IntVect) -> List[str]:
     order compares the images a^alpha * lm(g_i) under its target, and
     monomial orders are translation-invariant."""
     monos, codes, den = row.order._codec.monos, row.codes, row.den
-    cols: List[list] = [[] for _ in range(row.module.rank)]
+    term = row.module.algebra._term
+    cols: List[List[str]] = [[] for _ in range(row.module.rank)]
     for k in sorted(codes, reverse=True):
         n = codes[k]
-        if den != 1:
+        if den == 1:
+            cs = str(n)
+        else:
             g = gcd(n, den)
-            n = n // g if g == den else "%d/%d" % (n // g, den // g)
+            cs = str(n // g) if g == den else "%d/%d" % (n // g, den // g)
         exp, comp = monos[k]
-        cols[comp].append((exp, n))
-    return list(map(row.module.algebra.terms_str, cols))
+        cols[comp].append(term(exp, cs))
+    return list(map(_joined, cols))
 
 
 def _matrix_out(mat: "syzres.PresentationMatrix") -> List[List[str]]:
@@ -803,14 +809,13 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         sub = parser.add_subparsers(dest="command", required=True,
                                     metavar="{%s}" % ",".join(names))
         names = [wanted]
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="print a canonical JSON document")
-    common.add_argument("problem", help="problem file (JSON)")
     for name in names:
         help_text, options = _SUBPARSERS[name]
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="print a canonical JSON document")
+        p.add_argument("problem", help="problem file (JSON)")
         for flags, kwargs in options:
             p.add_argument(*flags, **kwargs)
     return parser
@@ -834,6 +839,25 @@ def _whole_integers():
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the call and switched
+    back on last, on every exit path, only if it was on at entry: the
+    pass that is then due runs at the caller's next allocation, not
+    inside the call.  What a command leaves in cycles (its algebra,
+    which each relation tail refers back to, and its argument parser)
+    outlives the call with or without the pause, so a pass inside it
+    frees little."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     with _whole_integers():
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _build_parser(argv).parse_args(argv)

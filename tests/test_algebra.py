@@ -754,6 +754,74 @@ def test_fractional_tables_cache_integral_coefficients_as_ints(
 
 
 # ---------------------------------------------------------------------------
+# parsing multiplies factors in written order
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["comm2", "ex12", "ex14", "qheis", "qplane",
+                                  "weyl1", "sl2-3-q", "gkz-q"])
+def test_parse_multiplies_factors_in_written_order(name, field):
+    """``b*a`` with b after a parses to the product of its factors, the
+    normal form of an out-of-order word; over Q every payload is a
+    Fraction, as ``multiply`` makes them."""
+    A = fresh(name, field)
+    for i, j in itertools.combinations(range(A.n), 2):
+        a, b = A.names[i], A.names[j]
+        assert A.parse(b) == A.gen(j) and A.parse(a) == A.gen(i)
+        got = A.parse("%s*%s" % (b, a))
+        assert got == A.multiply(A.parse(b), A.parse(a)), (b, a)
+        assert got == oracles.reference_product(A.gen(j), A.gen(i))
+        if field.characteristic:
+            assert all(0 < c < field.characteristic for _, c in got.terms)
+        else:
+            assert all(type(c) is Fraction for _, c in got.terms)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("text", ["f^2*e^3*h", "h^2*f*e^2", "e*h*f*e",
+                                  "3*h*f^2*e - 1/2*e*h + 2", "f^3*e^3 + h"])
+def test_parse_multiplies_powers_in_written_order(text, field):
+    """Mixed products with powers on U(sl2): each term is its factors
+    multiplied left to right, the terms summed."""
+    A = fresh("sl2-3-q", field)
+    want = A.zero()
+    for term in text.replace(" - ", " + -").split(" + "):
+        part = A.one()
+        for factor in term.split("*"):
+            part = A.multiply(part, A.parse(factor))
+        want = want + part
+    assert A.parse(text) == want
+
+
+def test_parse_sums_cancel_and_reduce_mod_p():
+    """f*e - e*f + h cancels to zero on U(sl2); over GF(p) the literals
+    and the relation constants are residues: over GF(2), h*e = e*h."""
+    for field in FIELDS:
+        A = fresh("sl2-3-q", field)
+        zero = A.parse("f*e - e*f + h")
+        assert zero.is_zero() and A.poly_str(zero) == "0"
+    A = fresh("sl2-3-q", FieldSpec("PrimeField", 7))
+    assert A.parse("7*e + 8*f*e") == A.parse("e*f - h")
+    assert A.poly_str(A.parse("3/2*f*e")) == "5*e*f + 2*h"
+    B = fresh("sl2-3-q", FieldSpec("PrimeField", 2))
+    assert B.parse("h*e") == B.parse("e*h")
+    assert B.parse("h*e + e*h").is_zero()
+
+
+@pytest.mark.parametrize("name", ["weyl1", "sl2-3-q"])
+def test_parse_refuses_an_exponent_of_2_to_the_32(name):
+    A = fresh(name, Q)
+    x, y = A.names[0], A.names[1]
+    for text in ["%s^4294967296" % x, "%s^4294967295*%s" % (x, x),
+                 "%s*%s^4294967296" % (y, x), "1 + 2*%s^4294967296" % y]:
+        with pytest.raises(ExponentOverflow):
+            A.parse(text)
+    assert A.parse("%s^4294967295" % x).lm()[0] == 2 ** 32 - 1
+    # a term with a zero coefficient is dropped before any product
+    assert A.parse("0*%s^4294967296" % x).is_zero()
+
+
+# ---------------------------------------------------------------------------
 # divisibility masks
 # ---------------------------------------------------------------------------
 

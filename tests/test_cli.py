@@ -6,6 +6,7 @@ the canonical JSON output mode.
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -693,6 +694,55 @@ def test_main_restores_the_digit_limit(capsys):
         sys.set_int_max_str_digits(before)
 
 
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("how", ["exit-0", "exit-1", "exit-2",
+                                 "argparse-exit", "handler-raises"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path,
+                                                  monkeypatch, collecting,
+                                                  how):
+    """A command runs with the cyclic collector paused, and every exit
+    path, argparse's SystemExit and an exception included, leaves it on
+    or off as it was at entry."""
+    inside = []
+    handlers = dict(cli._COMMANDS)
+
+    def watching(name):
+        def handler(pf, args):
+            inside.append(gc.isenabled())
+            if how == "handler-raises":
+                raise RuntimeError("handler failed")
+            return handlers[name](pf, args)
+        return handler
+
+    for name in ("gb", "member"):
+        monkeypatch.setitem(cli._COMMANDS, name, watching(name))
+    nonmember = json.loads(open(corpus.path("ex12")).read())
+    nonmember["options"] = {"element": "a1"}
+    argv = {
+        "exit-0": ["gb", corpus.path("ex12")],
+        "exit-1": ["member", problem_file(tmp_path, nonmember, "a1.json")],
+        "exit-2": ["gb", problem_file(tmp_path, base_doc(surprise=1))],
+        "argparse-exit": ["gb", "--no-such-option", corpus.path("ex12")],
+        "handler-raises": ["gb", corpus.path("ex12")],
+    }[how]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if how == "argparse-exit":
+            with pytest.raises(SystemExit):
+                main(argv)
+        elif how == "handler-raises":
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == int(how[-1])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert inside == ([] if how in ("exit-2", "argparse-exit") else [False])
+
+
 def test_transfer_check_with_large_degrees(capsys, tmp_path):
     # the Rees homogeniser of degree-1000 generators gets exponent 2000
     doc = json.loads(open(corpus.path("ex12")).read())
@@ -919,9 +969,39 @@ def test_integer_rows_print_as_their_payloads(name, p, kind, rank):
         pf.relations, degree_function=pf.degree_function)
     L = FreeModule(A, rank)
     rnd = random.Random(rank * 101 + len(name) + p)
-    for _ in range(40):
-        row = _random_int_row(L, rnd)
-        assert _int_row_out(row) == [A.poly_str(f) for f in row.to_polys()]
+    rows = [_random_int_row(L, rnd) for _ in range(40)]
+    printed = [_int_row_out(row) for row in rows]
+    assert A._mono_text
+    # a second pass through the same algebra reads every monomial's text
+    # from its memo
+    for row, first in zip(rows, printed):
+        assert _int_row_out(row) == first == [
+            A.poly_str(f) for f in row.to_polys()]
+
+
+def test_rows_print_shared_monomials_and_every_coefficient_form():
+    """A rank-3 row over Q with denominator 6: its entries share
+    monomials, one entry is zero, and its coefficients reduce to
+    fractions, negative numbers, 1, -1 and integers.  It prints the same
+    before and after the algebra's monomial texts are memoised, in one
+    entry and across entries."""
+    A = corpus.load("ex12").algebra
+    L = FreeModule(A, 3)
+    key = L.top.key
+    terms = {0: [((2, 1, 0), -3), ((0, 1, 0), 6), ((0, 0, 0), -6)],
+             2: [((2, 1, 0), 4), ((1, 0, 0), 9), ((0, 1, 0), -6),
+                 ((0, 0, 1), 12), ((0, 0, 0), 3)]}
+    row = _IntVect(L, L.top, {key((exp, comp)): n
+                              for comp, ts in terms.items()
+                              for exp, n in ts}, 6)
+    want = ["-1/2*a1^2*a2 + a2 - 1", "0",
+            "2/3*a1^2*a2 + 2*a3 - a2 + 3/2*a1 + 1/2"]
+    assert not A._mono_text
+    assert _int_row_out(row) == want
+    assert set(A._mono_text) == {e for ts in terms.values() for e, _ in ts}
+    assert _int_row_out(row) == want
+    assert [A.poly_str(f) for f in row.to_polys()] == want
+    assert A.poly_str(A.parse(want[2])) == want[2]
 
 
 def _printed_order(L, how, rnd):

@@ -24,7 +24,8 @@ splice of ``pdim`` to the printed JSON, and so does every printed
 vector.
 The division loop, the S-vector sum and the accumulator's summation
 loop run on the order's int codes: they key no monomial and build no
-tuple per row term or product term.
+tuple per row term or product term.  No source module is larger than
+45 300 bytes.
 """
 
 import ast
@@ -294,3 +295,14 @@ def test_one_summation_loop_in_the_accumulator():
                       for loop in ast.walk(fn) if isinstance(loop, ast.For)
                       for inner in ast.walk(loop))]
     assert nested == ["add"]
+
+
+# The benchmark compiles the package from source, and compiling the
+# largest module sets its peak memory (ROADMAP item 2).
+MAX_MODULE_BYTES = 45300
+
+
+def test_no_module_is_larger_than_the_bound():
+    sizes = {os.path.basename(path): os.path.getsize(path)
+             for path in SOURCES}
+    assert max(sizes.values()) <= MAX_MODULE_BYTES, sizes
