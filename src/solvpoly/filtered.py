@@ -36,7 +36,7 @@ from .modfree import (
     left_divide_module,
     mono_divides,
 )
-from .groebner import NonGradedOrder, buchberger
+from .groebner import NonGradedOrder, buchberger, minimalize
 from .graded import (
     QuotientMinimization,
     _graded_order,
@@ -45,7 +45,7 @@ from .graded import (
     check_graded,
     prune_unit_pivots,
 )
-from .syzres import PresentationMatrix, Resolution
+from .syzres import PresentationMatrix, Resolution, _schreyer_resolution
 
 __all__ = [
     "NotGradedOrder",
@@ -596,14 +596,15 @@ def minimal_filtered_resolution(
     the presentation through its unit pivots (:func:`minimal_F_basis`).
     The rest is the graded engine: the Schreyer frame of the pruned
     presentation under the shifted-degree-first order
-    (:func:`solvpoly.graded._schreyer_frame`), each basis vector
-    shifted by the filtration degree of the row it maps to, with the
-    units at the top filtration degree cancelled from the top map down
-    (:func:`solvpoly.graded._minimal_resolution`).  The pruning is
-    certified by the filtration dimensions read off the leading
-    monomials of the frame's first map, a Groebner basis of the pruned
-    relations under that order; a frame that split off a free module
-    has no relations left.
+    (:func:`solvpoly.graded._schreyer_frame`; with no pivot, of the
+    standard basis itself, :func:`solvpoly.syzres._schreyer_resolution`),
+    each basis vector shifted by the filtration degree of the row it
+    maps to, with the units at the top filtration degree cancelled from
+    the top map down (:func:`solvpoly.graded._minimal_resolution`).
+    The pruning is certified by the filtration dimensions read off the
+    leading monomials of the frame's first map, a Groebner basis of the
+    pruned relations under that order; a frame that split off a free
+    module has no relations left.
     """
     _require_context_algebra(ctx, L0)
     gens = [v for v in N_gens if not v.is_zero()]
@@ -611,7 +612,10 @@ def minimal_filtered_resolution(
         return Resolution([L0], [], "Filtered")
     completed = buchberger(gens, _graded_order(L0))
     pruned = minimal_F_basis(ctx, L0, completed.elements)
-    frame = _schreyer_frame(pruned)
+    if pruned.new_module is L0:
+        frame = _schreyer_resolution(L0, minimalize(completed))
+    else:
+        frame = _schreyer_frame(pruned)
     L = frame.modules[0]
     lms: List[ModMonomial] = []
     if frame.maps:

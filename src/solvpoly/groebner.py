@@ -376,12 +376,15 @@ def _spair_data(divisors: _Divisors, i: int, j: int):
         return None
     A = divisors[i].module.algebra
     p = A.field.characteristic
+    entries = divisors.entries
+    # two terms whose products are terms: S is zero
+    zero = _term_products(A) and len(entries[i][3]) == 1 == len(entries[j][3])
     gamma = exp_max(mi[0], mj[0])
     acc = _IntSum(A, divisors.order)
     products = acc.products
     mults = []
     for sign, k in ((1, i), (-1, j)):
-        _, lexp, lead, row, den, content = divisors.entries[k]
+        _, lexp, lead, row, den, content = entries[k]
         alpha = tuple(map(sub, gamma, lexp))
         step = acc.step(alpha)
         mu = 1
@@ -394,17 +397,27 @@ def _spair_data(divisors: _Divisors, i: int, j: int):
         if p:
             # c = 1 / (lead * mu), and den = content = 1
             c = pow(t, -1, p)
-            acc.add(sign, {alpha: c}, 1, row, 1)
-            mults.append(({alpha: (c, 1)}, alpha))
-            continue
-        # c * g = u / t * row, with c = den * u / (content * t)
-        u = mu.denominator
-        if t < 0:
-            t, u = -t, -u
-        acc.add(sign, {alpha: u}, t, row, 1)
-        mults.append(({alpha: (den * u, content * t)}, alpha))
+            f, fden, mult = {alpha: c}, 1, (c, 1)
+        else:
+            # c * g = u / t * row, with c = den * u / (content * t)
+            u = mu.denominator
+            if t < 0:
+                t, u = -t, -u
+            f, fden, mult = {alpha: u}, t, (den * u, content * t)
+        if not zero:
+            acc.add(sign, f, fden, row, 1)
+        mults.append(({alpha: mult}, alpha))
     (fi, ai), (fj, aj) = mults
-    return acc.finish(), fi, ai, fj, aj
+    return ({}, 1) if zero else acc.finish(), fi, ai, fj, aj
+
+
+def _term_products(A: SolvableAlgebra) -> bool:
+    """Whether every product of two monomials is a term: on a table of
+    scalar tails with no Weyl pair (skew polynomial rings, quantum
+    planes, commutative rings), where the S-vector of two terms is zero
+    (Levandovskyy--Schoenemann, ISSAC 2003)."""
+    table = A._scalar_table
+    return table is not None and not table[1]
 
 
 def s_polynomial(xi: Vect, zeta: Vect, order: ModOrder) -> Vect:
@@ -450,9 +463,9 @@ class _Engine:
     def append(self, v: Vect, unit: Optional[int], terms: list,
                sugar: Optional[int] = None) -> int:
         """Add v monic, traced as ``unit`` plus ``terms`` (see
-        :class:`_Trace`, whose step t is element t); pairs it with the
-        earlier elements.  ``sugar`` defaults to v's largest shifted
-        degree, an input's sugar."""
+        :class:`_Trace`, whose step t is element t); the caller pushes
+        its pairs (:meth:`make_pairs`).  ``sugar`` defaults to v's
+        largest shifted degree, an input's sugar."""
         g, inv = _monic_row(v, self.order)
         self.basis.append(g)
         if self.ecart is not None:
@@ -462,9 +475,7 @@ class _Engine:
                 monos = self.order._codec.monos
                 sugar = max(deg(monos[c]) for c in self.basis.entries[-1][3])
             self.ecart.append(sugar - deg(self.basis.leads[-1]))
-        t = self.trace.add(unit, terms, inv)
-        self.make_pairs(t)
-        return t
+        return self.trace.add(unit, terms, inv)
 
     def lazy_V(self) -> Tuple[_Trace, List[int]]:
         return self.trace, list(range(len(self.basis)))
@@ -553,10 +564,12 @@ class _Engine:
         if eta.is_zero():
             return None
         terms = [(1, fi, i), (-1, fj, j)]
-        return self.append(
+        t = self.append(
             eta, None, terms + _minus(quotients, range(len(self.basis))),
             self.new_sugar(i, j, quotients),
         )
+        self.make_pairs(t)
+        return t
 
     def run_pairs(self, stop: Optional[Callable[[int], bool]] = None) -> None:
         """Process the pairs in heap order until none is left, or until
@@ -594,11 +607,17 @@ def _common_module(inputs: Sequence[Vect]) -> FreeModule:
 
 def _seeded_engine(inputs: List[Vect], order: ModOrder) -> _Engine:
     """An engine holding the nonzero ``inputs``, each traced as itself,
-    with their pairs pushed."""
+    with their pairs pushed; none when all are terms on a table whose
+    products are terms (:func:`_term_products`), a list that is its own
+    Groebner basis, as the pair loop would add nothing."""
     eng = _Engine(_common_module(inputs), order, len(inputs))
     for j, xi in enumerate(inputs):
         if not xi.is_zero():
             eng.append(xi, j, [])
+    if not (_term_products(eng.A)
+            and all(len(e[3]) == 1 for e in eng.basis.entries)):
+        for t in range(len(eng.basis)):
+            eng.make_pairs(t)
     return eng
 
 
@@ -666,7 +685,8 @@ def degree_driven_completion(
             if eta.is_zero():
                 continue
             kept.append(j)
-            eng.append(eta, j, _minus(quotients, range(len(eng.basis))))
+            eng.make_pairs(
+                eng.append(eta, j, _minus(quotients, range(len(eng.basis)))))
     return eng.basis, eng.lazy_V(), kept
 
 
@@ -677,10 +697,12 @@ def degree_driven_completion(
 
 def _minimal_indices(lms: Sequence[ModMonomial], order: ModOrder) -> List[int]:
     """Indices of the leading monomials that form the minimal antichain,
-    ascending by monomial (ties by index): a monomial is kept unless one
-    kept before it divides it.
+    ascending by monomial (ties by index): a monomial is kept unless
+    another divides it strictly or an equal one has a smaller index.
+    The scan runs by total degree, ties by index, so each strict divisor
+    comes first; the order's keys are read for the kept ones alone.
     """
-    idxs = sorted(range(len(lms)), key=lambda i: (order.key(lms[i]), i))
+    idxs = sorted(range(len(lms)), key=lambda i: sum(lms[i][0]))
     kept: List[int] = []
     # (mask, lead) of each kept monomial, the mask tested first
     found: List[Tuple[int, ModMonomial]] = []
@@ -694,7 +716,7 @@ def _minimal_indices(lms: Sequence[ModMonomial], order: ModOrder) -> List[int]:
         else:
             kept.append(i)
             found.append((mask, lms[i]))
-    return kept
+    return sorted(kept, key=lambda i: (order.key(lms[i]), i))
 
 
 def minimalize(G: GroebnerBasis) -> GroebnerBasis:

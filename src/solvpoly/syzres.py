@@ -38,6 +38,7 @@ holds integer rows only, and so do the right inverse of
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -450,17 +451,30 @@ def free_resolution(
     N_gens: Sequence[Vect],
     order: Optional[ModOrder] = None,
 ) -> Resolution:
-    """Finite free resolution of M = L0 / <N_gens>.
+    """Finite free resolution of M = L0 / <N_gens>: the Schreyer
+    resolution (:func:`_schreyer_resolution`) of the minimal Groebner
+    basis of the relations, under ``order`` (TOP by default)."""
+    A = L0.algebra
+    if order is None:
+        order = ModOrder("top", A.order, L0.rank, shifts=L0.shifts)
+    gens = [v for v in N_gens if not v.is_zero()]
+    if not gens:
+        return Resolution([L0], [])
+    return _schreyer_resolution(L0, minimalize(buchberger(gens, order)))
+
+
+def _schreyer_resolution(L0: FreeModule, G: GroebnerBasis) -> Resolution:
+    """The free resolution of L0 / N from a minimal Groebner basis G of
+    N, under its order.
 
     Each stage appends the matrix of the current basis and replaces
     the basis by its Schreyer rows (:func:`_schreyer_rows`, the rows
     :func:`syzygy_of_gb` returns), sorted by
     :func:`_ascending_exponent_sort`; the chain stops when no relations
-    remain.  The first basis is the minimal Groebner basis of the
-    relations.  When its leads are all pure basis vectors e_i, M is free
-    on the other components (of rank 0 when the submodule is all of
-    L0: the zero module), and that module is the whole resolution.  No
-    later stage can lead with pure vectors: a Schreyer row leads with
+    remain.  When the leads of G are all pure basis vectors e_i, M is
+    free on the other components (of rank 0 when the submodule is all
+    of L0: the zero module), and that module is the whole resolution.
+    No later stage can lead with pure vectors: a Schreyer row leads with
     (gamma - alpha_j, j) (:func:`_schreyer_lead`), which is pure only
     when alpha_i divides alpha_j in one component, and the leads of
     every stage form a strict antichain (the first by
@@ -468,12 +482,7 @@ def free_resolution(
     :func:`solvpoly.groebner._minimal_indices`).
     """
     A = L0.algebra
-    if order is None:
-        order = ModOrder("top", A.order, L0.rank, shifts=L0.shifts)
-    gens = [v for v in N_gens if not v.is_zero()]
-    if not gens:
-        return Resolution([L0], [])
-    G = minimalize(buchberger(gens, order))
+    order = G.order
     elements = _ascending_exponent_sort(G.elements, order)
     lms = [g.lm(order) for g in elements]
     if not any(any(exp) for exp, _ in lms):
@@ -523,8 +532,13 @@ def is_projective(
     inverse V (s x t) with Q V = E is assembled from the right
     division quotients and returned as a matrix.
 
-    It all runs over ``A.opposite()``, where right multiples are left
-    ones, on integer rows: the columns of Q with their exponents
+    A "no" is first asked of the augmentation epsilon, every generator
+    sent to 0: where no relation tail has a constant term, epsilon is a
+    ring homomorphism, and Q V = E gives epsilon(Q) epsilon(V) = E, so
+    a rank of epsilon(Q) below t (:func:`_augmentation_rank`) proves
+    that there is no V.  Otherwise, and for every "yes", it all runs
+    over ``A.opposite()``, where right multiples are left ones, on
+    integer rows: the columns of Q with their exponents
     reversed (:func:`_reversed_transpose`) are completed once under the
     TOP order there (the opposite of TOP), each e_k is divided by that
     basis, and W = quotients * V_op is one product over the rows of V_op
@@ -535,6 +549,9 @@ def is_projective(
     if t == 0:
         return True, PresentationMatrix.of_ints(
             A, _reversed_transpose([], FreeModule(A, 0), s, ()), 0)
+    if (all(any(e) for _, tail in A._table.values() for e, _ in tail)
+            and _augmentation_rank(Q) < t):
+        return False, None
     op = A.opposite()
     module = FreeModule(op, t)
     order = module.top
@@ -562,6 +579,29 @@ def is_projective(
         PresentationMatrix.of_ints(op, G.V_ints(used), len(col_index)))
     V = _reversed_transpose(W.int_rows(), FreeModule(A, t), s, col_index)
     return True, PresentationMatrix.of_ints(A, V, t)
+
+
+def _augmentation_rank(Q: PresentationMatrix) -> int:
+    """The rank of epsilon(Q), the constant terms of the entries, read at
+    the base codes of the row's codec (as
+    :func:`solvpoly.graded._scalar_columns` reads them) and taken
+    exactly: on the numerators, mod p over GF(p)."""
+    p = Q.algebra.field.characteristic
+    rows = [[v.codes.get(b, 0) for b in v.order._codec.bases]
+            for v in Q.int_rows()]
+    rank = 0
+    for c in range(Q.cols):
+        k = next((k for k, r in enumerate(rows) if r[c]), None)
+        if k is None:
+            continue
+        rank += 1
+        pivot = rows.pop(k)
+        a = pivot[c]
+        rows = [[(x * a - y * r[c]) % p if p else x * a - y * r[c]
+                 for x, y in zip(r, pivot)] for r in rows]
+        if not p:
+            rows = [[x // (gcd(*r) or 1) for x in r] for r in rows]
+    return rank
 
 
 def _reversed_transpose(

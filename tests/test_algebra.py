@@ -713,14 +713,18 @@ def test_core_products_respect_the_cache_limit(name, monkeypatch):
         assert len(A.product_cache) <= 3
 
 
-@pytest.mark.parametrize("path", [
-    corpus.path("qheis"), os.path.join(BENCH_CORPUS, "skew-4-2.json")],
-    ids=os.path.basename)
+@pytest.mark.parametrize("path, command", [
+    pytest.param(corpus.path("qheis"), ["gb", "--reduce"], id="qheis.json"),
+    # gb --reduce forms no product on the monomials of skew-4-2, which
+    # are their own basis; their syzygies still multiply
+    pytest.param(os.path.join(BENCH_CORPUS, "skew-4-2.json"), ["syz"],
+                 id="skew-4-2.json")])
 def test_fractional_tables_cache_integral_coefficients_as_ints(
-        path, monkeypatch):
+        path, command, monkeypatch):
     """Over Q, on a table that mixes integral and fractional constants,
-    ``gb --reduce`` leaves no Fraction of denominator 1 in the product
-    cache, and prints what it printed when they were Fractions."""
+    a command that multiplies (``gb --reduce``, ``syz``) leaves no
+    Fraction of denominator 1 in the product cache, and prints what it
+    printed when they were Fractions."""
     seen = []
 
     def recording(source):
@@ -731,7 +735,7 @@ def test_fractional_tables_cache_integral_coefficients_as_ints(
     monkeypatch.setattr(cli, "parse_problem", recording)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["--json", "gb", "--reduce", path]) == 0
+        assert cli.main(["--json", *command, path]) == 0
     (A,) = seen
     coefficients = [c for terms in A.product_cache.values() for _, c in terms]
     assert any(type(c) is Fraction for c in coefficients)
@@ -746,7 +750,7 @@ def test_fractional_tables_cache_integral_coefficients_as_ints(
     monkeypatch.setattr(SolvableAlgebra, "__init__", keeping_fractions)
     again = io.StringIO()
     with contextlib.redirect_stdout(again):
-        assert cli.main(["--json", "gb", "--reduce", path]) == 0
+        assert cli.main(["--json", *command, path]) == 0
     assert again.getvalue() == out.getvalue()
     # the run that kept them did hold integral Fractions
     assert any(type(c) is Fraction and c.denominator == 1

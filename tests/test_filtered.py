@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import solvpoly.groebner as groebner
 import solvpoly.syzres as syzres
 from solvpoly import fixtures as corpus
 from solvpoly.algebra import MonomialOrder, build_algebra
+from solvpoly.cli import parse_problem
 from solvpoly.coeff import FieldSpec
 from solvpoly.modfree import FreeModule, IncompatibleModules, ModOrder
 from solvpoly.groebner import buchberger, is_member
@@ -42,6 +44,8 @@ import oracles
 from conftest import random_poly, random_vect
 
 Q = FieldSpec("Rationals")
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
 
 
 @pytest.fixture
@@ -467,10 +471,7 @@ def test_filtered_resolution_runs_no_stage_completion(monkeypatch):
     assert calls == {name: 0 for name in calls}
 
 
-def test_filtered_resolution_completes_each_presentation_once(monkeypatch):
-    """The certificate of the pruning reads the leads of the frame's
-    first map, so the generators are completed once and the pruned
-    presentation once (for the frame), not a third time."""
+def _counting_completions(monkeypatch):
     calls = []
     original = groebner.buchberger
 
@@ -480,8 +481,36 @@ def test_filtered_resolution_completes_each_presentation_once(monkeypatch):
 
     for module in (groebner, syzres, filtered):
         monkeypatch.setattr(module, "buchberger", counting)
+    return calls
+
+
+def test_filtered_resolution_completes_each_presentation_once(monkeypatch):
+    """The certificate of the pruning reads the leads of the frame's
+    first map, and a presentation with no unit pivot is its own pruned
+    presentation: the generators are completed once, and the frame is
+    built from that standard basis."""
+    calls = _counting_completions(monkeypatch)
     pf = corpus.load("qheis")
     R = minimal_filtered_resolution(
         FiltrationContext(pf.algebra), pf.module, pf.generators)
     assert R.ranks() == [1, 3, 3, 1]
+    assert len(calls) == 1
+
+
+def test_filtered_resolution_completes_a_pruned_presentation_again(
+        monkeypatch):
+    """With a unit pivot, the pruned presentation is completed for the
+    frame: twice in all.  The GKZ system of the benchmark corpus, over a
+    rank-2 module with e_0 + d1 e_1 as a further relation (a pivot at
+    e_0, whose shift is 1), resolves as the GKZ file does."""
+    pf = parse_problem(os.path.join(BENCH_CORPUS, "gkz-p.json"))
+    A, ctx = pf.algebra, FiltrationContext(pf.algebra)
+    want = minimal_filtered_resolution(ctx, pf.module, pf.generators)
+    calls = _counting_completions(monkeypatch)
+    L = FreeModule(A, 2, shifts=(1, 0))
+    gens = [L.parse(["1", "d1"])] + [
+        L.from_polys([A.zero(), g.to_polys()[0]]) for g in pf.generators]
+    R = minimal_filtered_resolution(ctx, L, gens)
     assert len(calls) == 2
+    assert R.ranks() == want.ranks() == [1, 5, 9, 7, 2]
+    assert R.shift_lists() == want.shift_lists()

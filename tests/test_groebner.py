@@ -5,7 +5,7 @@ import pytest
 
 import solvpoly.groebner as groebner
 from solvpoly import fixtures
-from solvpoly.algebra import reversed_poly
+from solvpoly.algebra import build_algebra, reversed_poly
 from solvpoly.cli import _element_from_options, parse_problem
 from solvpoly.coeff import FieldSpec
 from solvpoly.algebra import exp_max, exps_within
@@ -651,6 +651,145 @@ def test_membership_stops_when_the_remainder_vanishes(name, member, popped,
     xi = _element_from_options(pf)
     assert member_by_completion(xi, pf.generators, pf.mod_order)[0] == member
     assert len(steps) == popped
+
+
+# ---------------------------------------------------------------------------
+# lists of terms, their own bases where monomial products are terms
+# ---------------------------------------------------------------------------
+
+TERM_FIELDS = [FieldSpec("Rationals"), FieldSpec("PrimeField", 32003),
+               FieldSpec("PrimeField", 7)]
+
+
+def _term_algebra(name, field):
+    """A fixture, or a skew table of the benchmark corpus, over field."""
+    if name in fixtures.all_names():
+        return over(field, name)
+    pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
+    return build_algebra(field, pf.names, pf.order, pf.relations,
+                         degree_function=pf.degree_function)
+
+
+def _random_terms(L, rnd):
+    """Terms over L, some zero, some repeated with another coefficient,
+    some multiples of an earlier term in its component."""
+    A = L.algebra
+    terms = []
+    for _ in range(rnd.randint(1, 9)):
+        roll = rnd.random()
+        c = random_scalar(A.field, rnd, nonzero=True)
+        if roll < 0.1:
+            terms.append(L.zero())
+            continue
+        if roll < 0.4 and terms:
+            base = rnd.choice(terms)
+            if not base.is_zero():
+                (exp, comp), = base.data
+                if roll >= 0.25:
+                    exp = tuple(e + rnd.randint(0, 2) for e in exp)
+                polys = [A.zero()] * L.rank
+                polys[comp] = A.monomial(exp, c)
+                terms.append(L.from_polys(polys))
+                continue
+        exp = [0] * A.n
+        for _ in range(rnd.randint(0, 3)):
+            exp[rnd.randrange(A.n)] += 1
+        polys = [A.zero()] * L.rank
+        polys[rnd.randrange(L.rank)] = A.monomial(tuple(exp), c)
+        terms.append(L.from_polys(polys))
+    return terms
+
+
+def _oracle_s_vector(g, h, order):
+    """The S-vector of g and h with the word-rewriting products of
+    ``oracles``; zero when their leads lie in different components."""
+    (ei, comp), (ej, cj) = g.lm(order), h.lm(order)
+    L, A = g.module, g.module.algebra
+    if comp != cj:
+        return L.zero()
+    gamma = exp_max(ei, ej)
+    s = A.zero()
+    for sign, v, e in ((1, g, ei), (-1, h, ej)):
+        alpha = tuple(a - b for a, b in zip(gamma, e))
+        m = oracles.reference_product(A.monomial(alpha),
+                                      v.to_polys()[comp]).monic()
+        s = s + m if sign > 0 else s - m
+    polys = [A.zero()] * L.rank
+    polys[comp] = s
+    return L.from_polys(polys)
+
+
+@pytest.mark.parametrize("field", TERM_FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["comm2", "qplane", "skew-4-2", "skew-4-3",
+                                  "skew-5-2"])
+def test_a_list_of_terms_is_its_own_basis(name, field, monkeypatch):
+    """On a table whose monomial products are terms, the completion of a
+    list of terms pops no pair and keeps the terms made monic, in input
+    order; every S-vector of the result, formed by word rewriting,
+    reduces to zero by it.  One binomial among them brings the pairs
+    back."""
+    steps = _counting_steps(monkeypatch)
+    A = _term_algebra(name, field)
+    rnd = random.Random(36)
+    for rank in (1, 2, 3):
+        L = FreeModule(A, rank)
+        for kind in ("top", "pot"):
+            order = ModOrder(kind, A.order, rank)
+            for _ in range(4):
+                terms = _random_terms(L, rnd)
+                if all(v.is_zero() for v in terms):
+                    continue
+                del steps[:]
+                G = buchberger(terms, order)
+                assert steps == []
+                assert [g.data for g in G.elements] == [
+                    v.monic(order).data for v in terms if not v.is_zero()]
+                assert_certificates(G, terms)
+                for g in G.elements:
+                    for h in G.elements:
+                        s = _oracle_s_vector(g, h, order)
+                        _, rem = left_divide_module(s, G.elements, order)
+                        assert rem.is_zero()
+    L = FreeModule(A, 1)
+    order = top(A)
+    binomial = L.from_polys([A.monomial((1,) + (0,) * (A.n - 1))
+                             + A.monomial((0,) * (A.n - 1) + (1,))])
+    terms = [L.from_polys([A.monomial((0,) * k + (2,) + (0,) * (A.n - k - 1))])
+             for k in range(A.n)]
+    del steps[:]
+    G = buchberger(terms + [binomial], order)
+    assert len(steps) >= A.n
+    assert_self_certified(G)
+
+
+def test_minimal_indices_match_the_key_sorted_definition():
+    """Random lead lists, repeats included, under TOP, POT, graded and
+    shifted orders and the Schreyer orders of random bases."""
+    from solvpoly.syzres import schreyer_order_for
+    rnd = random.Random(36)
+    for name in ("comm2", "ex12", "qheis"):
+        A = over(FieldSpec("Rationals"), name)
+        orders = []
+        for rank in (1, 2, 3):
+            shifts = tuple(rnd.randint(0, 2) for _ in range(rank))
+            orders += [ModOrder("top", A.order, rank),
+                       ModOrder("pot", A.order, rank),
+                       ModOrder("top", A.order, rank, graded=True,
+                                shifts=shifts)]
+            L = FreeModule(A, rank)
+            gens = [random_vect(L, rnd, max_degree=2, nonzero=True)
+                    for _ in range(3)]
+            G = buchberger(gens, top(A, rank))
+            orders.append(schreyer_order_for(G.elements, G.order))
+        for order in orders:
+            for _ in range(25):
+                lms = [(tuple(rnd.randint(0, 3) for _ in range(A.n)),
+                        rnd.randrange(order.rank))
+                       for _ in range(rnd.randint(1, 12))]
+                lms += rnd.sample(lms, rnd.randint(0, len(lms)))
+                rnd.shuffle(lms)
+                assert (groebner._minimal_indices(lms, order)
+                        == _brute_minimal_indices(lms, order)), lms
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import solvpoly.syzres as syzres
+from solvpoly import fixtures
 from solvpoly.algebra import exp_max, exp_sub
 from solvpoly.cli import main, parse_problem
 from solvpoly.coeff import FieldSpec
@@ -355,6 +356,127 @@ def test_spliced_maps_of_gkz_q_have_right_inverses(monkeypatch):
         E = Q.compose_with(V).entries
         assert E == [[A.one() if i == j else A.zero() for j in range(Q.rows)]
                      for i in range(Q.rows)]
+
+
+# ---------------------------------------------------------------------------
+# the augmentation certificate of "not projective"
+# ---------------------------------------------------------------------------
+
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "corpus")
+# the corpus files with generators, one per list of generators and field
+RESOLVED = ["c44-q", "c44-p", "gkz-q", "gkz-p", "skew-4-2", "skew-4-3",
+            "skew-5-2", "sl2-3-q", "sl2-3-p", "sl2-4-q", "sl2-4-p",
+            "sl2-5-q", "sl2-5-p"]
+
+
+def _asked(R, monkeypatch):
+    """``projective_dimension(R)`` and, per ``is_projective`` call it
+    makes, ``(Q, answer, completions inside the call)``."""
+    asked, completions = [], []
+    inner, complete = syzres.is_projective, syzres.buchberger
+
+    def counting(*args):
+        completions[-1] += 1
+        return complete(*args)
+
+    def recording(Q):
+        completions.append(0)
+        ok, V = inner(Q)
+        asked.append((Q, ok, completions[-1]))
+        return ok, V
+
+    with monkeypatch.context() as m:
+        m.setattr(syzres, "buchberger", counting)
+        m.setattr(syzres, "is_projective", recording)
+        return projective_dimension(R), asked
+
+
+def _augmentation_noes(R, monkeypatch):
+    """The matrices whose "no" the augmentation gave, with no
+    completion, while ``projective_dimension(R)`` ran; each is checked to
+    be a "no" of the completion route too, called with the rank of
+    epsilon taken as full."""
+    _, asked = _asked(R, monkeypatch)
+    noes = [Q for Q, ok, completions in asked if not ok and not completions]
+    with monkeypatch.context() as m:
+        m.setattr(syzres, "_augmentation_rank", lambda Q: Q.rows)
+        for Q in noes:
+            assert is_projective(Q) == (False, None)
+    return noes
+
+
+@pytest.mark.parametrize("name", RESOLVED)
+def test_each_no_of_the_augmentation_is_one_of_the_completion_on_the_corpus(
+        name, monkeypatch):
+    """epsilon decides the skew operations and c44's splice; the U(sl2)
+    maps have an epsilon of full rank, and GKZ has constant tails."""
+    pf = parse_problem(os.path.join(BENCH_CORPUS, name + ".json"))
+    R = free_resolution(pf.module, pf.generators, order=pf.mod_order)
+    noes = _augmentation_noes(R, monkeypatch)
+    assert bool(noes) == name.startswith(("c44", "skew"))
+
+
+def test_each_no_of_the_augmentation_is_one_of_the_completion_on_the_gate(
+        monkeypatch):
+    """The resolutions of the acceptance gate's C07, drawn as there:
+    each fixture's own and a random one of rank 2 per fixture."""
+    rnd = random.Random(407)
+    noes = 0
+    for name in fixtures.all_names():
+        pf = fixtures.load(name)
+        A = pf.algebra
+        if pf.generator_rows:
+            R = free_resolution(pf.module, pf.generators, order=pf.mod_order)
+            noes += len(_augmentation_noes(R, monkeypatch))
+        L = FreeModule(A, 2)
+        gens = [random_vect(L, rnd, max_degree=2, max_terms=2, nonzero=True)
+                for _ in range(2)]
+        R = free_resolution(L, gens, order=top(A, 2))
+        noes += len(_augmentation_noes(R, monkeypatch))
+    assert noes
+
+
+GKZ_PDIM = '{"pdim":4,"ranks":[1,17,52,71,51,19,3],"resolution_length":6}'
+
+
+@pytest.mark.parametrize("path, out", [
+    pytest.param(fixtures.path("weyl1"),
+                 '{"pdim":0,"ranks":[0],"resolution_length":0}', id="weyl1"),
+    pytest.param(os.path.join(BENCH_CORPUS, "gkz-q.json"), GKZ_PDIM,
+                 id="gkz-q"),
+    pytest.param(os.path.join(BENCH_CORPUS, "gkz-p.json"), GKZ_PDIM,
+                 id="gkz-p")])
+def test_a_table_with_a_constant_tail_never_asks_the_augmentation(
+        path, out, monkeypatch, capsys):
+    """On weyl1 and GKZ epsilon is no ring homomorphism: the rank is never
+    taken, and ``pdim`` prints what it printed before epsilon was asked
+    anywhere."""
+    def refused(Q):
+        raise AssertionError("epsilon asked on a table with a constant tail")
+
+    monkeypatch.setattr(syzres, "_augmentation_rank", refused)
+    assert main(["--json", "pdim", path]) == 0
+    assert capsys.readouterr().out == out + "\n"
+    if "weyl1" in path:
+        W = fixtures.load("weyl1").algebra
+        row = PresentationMatrix(W, [[W.parse("x"), W.parse("y")]])
+        assert is_projective(row)[0]
+        assert is_projective(PresentationMatrix(W, [[W.parse("x")]])) == (
+            False, None)
+
+
+def test_c44_asks_the_completion_for_its_right_invertible_map(monkeypatch):
+    """c44's 4 x 7 map is right invertible, so epsilon has full rank and
+    the completion answers; the spliced 7 x 7 map has an epsilon of rank
+    6 < 7, which answers "no" with no completion."""
+    pf = parse_problem(os.path.join(BENCH_CORPUS, "c44-q.json"))
+    R = free_resolution(pf.module, pf.generators, order=pf.mod_order)
+    pdim, asked = _asked(R, monkeypatch)
+    assert pdim == 1
+    assert [(Q.rows, Q.cols, ok, n) for Q, ok, n in asked] == [
+        (4, 7, True, 1), (7, 7, False, 0)]
+    assert [syzres._augmentation_rank(Q) for Q, _, _ in asked] == [4, 6]
 
 
 # ---------------------------------------------------------------------------
