@@ -25,7 +25,8 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .coeff import BadScalarLiteral, FieldSpec, SolvpolyError, _add_scaled
+from .coeff import (BadScalarLiteral, FieldSpec, SolvpolyError, _add_scaled,
+                    _Terms)
 
 __all__ = [
     "ExpVec",
@@ -373,7 +374,7 @@ class Relation:
         raise AttributeError("Relation is immutable")
 
 
-class Poly:
+class Poly(_Terms):
     """An immutable element of a solvable polynomial algebra.
 
     Terms are (ExpVec, payload) pairs, the payloads raw field values
@@ -381,7 +382,8 @@ class Poly:
     algebra's order, so the leading term is ``terms[0]``.
     """
 
-    __slots__ = ("algebra", "terms", "_data")
+    __slots__ = ("algebra", "terms")
+    _Mixed = SolvpolyError
 
     def __init__(self, algebra: "SolvableAlgebra", terms):
         # terms: iterable of (ExpVec, payload); merged, zeros dropped,
@@ -407,22 +409,17 @@ class Poly:
             )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", ordered)
-        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "data", data)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    def _like(self, data: dict) -> "Poly":
+        return Poly._of(self.algebra, data)
 
-    # -- basic queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    parent = property(lambda self: self.algebra)
+    field = property(lambda self: self.algebra.field)
 
     def coeff(self, exp: ExpVec):
         """The payload at ``exp``; 0 when the monomial is absent."""
-        return self._data.get(exp, 0)
+        return self.data.get(exp, 0)
 
     def lm(self) -> ExpVec:
         if not self.terms:
@@ -430,56 +427,15 @@ class Poly:
         return self.terms[0][0]
 
     def lc(self):
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return self.data[self.lm()]
 
-    def monic(self) -> "Poly":
-        if not self.terms:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        c = self.lc()
-        if c == 1:
-            return self
-        return self.scale(self.algebra.field.inverse(c))
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self._combined(other, -1)
-
-    def _combined(self, other: "Poly", s) -> "Poly":
-        """self + s * other."""
-        A = self.algebra
-        if other.algebra is not A:
-            raise SolvpolyError("polynomials from different algebras")
-        acc = _add_scaled(dict(self._data), other.terms, s,
-                          A.field.characteristic)
-        return Poly._of(A, acc)
-
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Poly":
-        """c * self for a payload c (or -1)."""
-        A = self.algebra
-        return Poly._of(A, _add_scaled({}, self.terms, c,
-                                       A.field.characteristic))
+    # named here: the benchmark's tracer wraps them from the class dict
+    __add__, __sub__, __neg__, scale, monic = (
+        _Terms.__add__, _Terms.__sub__, _Terms.__neg__, _Terms.scale,
+        _Terms.monic)
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self.algebra.multiply(self, other)
-
-    # -- comparison -------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.algebra is other.algebra and self._data == other._data
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __str__(self):
         return self.algebra.poly_str(self)

@@ -27,6 +27,7 @@ import gc
 import json
 import os
 import sys
+from functools import cached_property
 from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -143,42 +144,30 @@ class ProblemFile:
         self.morder_spec = morder_spec
         self.generator_rows = generator_rows
         self.options = options
-        self._built: Dict[str, Any] = {}
 
-    @property
+    @cached_property
     def algebra(self) -> SolvableAlgebra:
-        if "algebra" not in self._built:
-            self._built["algebra"] = build_algebra(
-                self.field, self.names, self.order, self.relations,
-                degree_function=self.degree_function)
-        return self._built["algebra"]
+        return build_algebra(self.field, self.names, self.order,
+                             self.relations,
+                             degree_function=self.degree_function)
 
-    @property
+    @cached_property
     def module(self) -> FreeModule:
-        if "module" not in self._built:
-            self._built["module"] = FreeModule(self.algebra, self.rank,
-                                               self.shifts)
-        return self._built["module"]
+        return FreeModule(self.algebra, self.rank, self.shifts)
 
-    @property
+    @cached_property
     def mod_order(self) -> ModOrder:
-        if "mod_order" not in self._built:
-            mkind, mgraded, comp_pri = self.morder_spec
-            try:
-                self._built["mod_order"] = ModOrder(
-                    mkind, self.order, self.rank,
-                    component_priority=comp_pri, graded=mgraded,
-                    shifts=self.module.shifts if mgraded else None)
-            except (ValueError, SolvpolyError) as exc:
-                raise SchemaError("bad module order: %s" % exc)
-        return self._built["mod_order"]
+        mkind, mgraded, comp_pri = self.morder_spec
+        try:
+            return ModOrder(mkind, self.order, self.rank,
+                            component_priority=comp_pri, graded=mgraded,
+                            shifts=self.module.shifts if mgraded else None)
+        except (ValueError, SolvpolyError) as exc:
+            raise SchemaError("bad module order: %s" % exc)
 
-    @property
+    @cached_property
     def generators(self) -> List[Vect]:
-        if "generators" not in self._built:
-            self._built["generators"] = [
-                self.module.parse(row) for row in self.generator_rows]
-        return self._built["generators"]
+        return [self.module.parse(row) for row in self.generator_rows]
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -448,11 +437,13 @@ def _free_relations(pf: ProblemFile) -> List[free_ops.FreePoly]:
     ``ba - rhs`` with the right side read off the standard basis: a term
     is the word of its summed exponents, letters ascending by generator
     index, and refused, as a product would be, at an exponent of 2^32.
+    A pair listed in neither orientation commutes, as in
+    ``build_algebra``: it gets the rule ``x_j x_i - x_i x_j``.
     """
     n = len(pf.names)
     name_index = {nm: i for i, nm in enumerate(pf.names)}
     one = pf.field.one.value
-    out = []
+    out, listed = [], set()
     for eq in pf.relations:
         if "=" not in eq:
             raise MalformedRelation("relation %r lacks '='" % (eq,))
@@ -462,7 +453,9 @@ def _free_relations(pf: ProblemFile) -> List[free_ops.FreePoly]:
             raise MalformedRelation(
                 "left side of %r must be a product of two generators"
                 % (eq,))
-        terms = [((name_index[parts[0]], name_index[parts[1]]), one)]
+        j, i = name_index[parts[0]], name_index[parts[1]]
+        listed.add((min(i, j), max(i, j)))
+        terms = [((j, i), one)]
         for coeff, factors in _parse_expression(rhs_text, pf.names,
                                                 pf.field):
             if not coeff.value:
@@ -475,6 +468,9 @@ def _free_relations(pf: ProblemFile) -> List[free_ops.FreePoly]:
             terms.append((tuple(gi for gi, e in enumerate(exp)
                                 for _ in range(e)), (-coeff).value))
         out.append(free_ops.FreePoly(pf.field, n, terms))
+    neg = (-pf.field.one).value
+    out += [free_ops.FreePoly(pf.field, n, [((j, i), one), ((i, j), neg)])
+            for j in range(n) for i in range(j) if (i, j) not in listed]
     return out
 
 

@@ -5,7 +5,10 @@ Q, or a canonical residue ``int`` in ``[0, p)`` over GF(p).  Inside
 polynomials, module vectors and free-algebra elements every merge,
 cancel and scale step runs through one sparse-term kernel,
 :func:`_add_scaled`; :meth:`FieldSpec.inverse` gives the one payload
-operation it cannot write with operators.  Beside the kernel,
+operation it cannot write with operators.  The three containers share
+one base, :class:`_Terms`: immutability, the zero test, sums,
+differences, negation, multiples, ``monic``, equality and hashing are
+written once on the kernel.  Beside the kernel,
 :func:`_to_ints` and :func:`_from_ints` convert payloads to integer
 numerators over one positive denominator and back: sums of many
 products (the rows of a transition matrix, a syzygy's evaluation) run
@@ -220,6 +223,63 @@ def _from_ints(items, den: int, p: int) -> dict:
     if p:
         return {m: n % p for m, n in items if n % p}
     return {m: Fraction(n, den) for m, n in items if n}
+
+
+class _Terms:
+    """The immutable term map ``data`` (monomial -> nonzero payload) of
+    polynomials, module vectors and free-algebra elements.  A subclass
+    gives its ``parent`` (elements combine and are equal only on equal
+    parents), its ``field``, the error ``_Mixed`` for mixed parents,
+    ``_like`` (the element of a cleaned dict on its parent) and ``lc``
+    (given an order when the element has none of its own)."""
+
+    __slots__ = ("data",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def __bool__(self):
+        return bool(self.data)
+
+    def _combined(self, other: "_Terms", s) -> "_Terms":
+        """self + s * other."""
+        if other.parent != self.parent:
+            raise self._Mixed("cannot combine %s over %r with one over %r"
+                              % (type(self).__name__, self.parent,
+                                 other.parent))
+        return self._like(_add_scaled(dict(self.data), other.data.items(),
+                                      s, self.field.characteristic))
+
+    def __add__(self, other: "_Terms") -> "_Terms":
+        return self._combined(other, 1)
+
+    def __sub__(self, other: "_Terms") -> "_Terms":
+        return self._combined(other, -1)
+
+    def __neg__(self) -> "_Terms":
+        return self.scale(-1)
+
+    def scale(self, c) -> "_Terms":
+        """c * self for a payload c (or -1)."""
+        return self._like(_add_scaled({}, self.data.items(), c,
+                                      self.field.characteristic))
+
+    def monic(self, *order) -> "_Terms":
+        """self over its leading coefficient (``lc(*order)``, which
+        refuses the zero element)."""
+        c = self.lc(*order)
+        return self if c == 1 else self.scale(self.field.inverse(c))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Terms):
+            return NotImplemented
+        return self.parent == other.parent and self.data == other.data
+
+    def __hash__(self):
+        return hash(frozenset(self.data.items()))
 
 
 class Scalar:

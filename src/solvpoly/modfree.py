@@ -59,7 +59,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coeff import SolvpolyError, _add_scaled, _from_ints, _to_ints
+from .coeff import SolvpolyError, _Terms, _add_scaled, _from_ints, _to_ints
 from .algebra import (
     ExpVec,
     LengthMismatch,
@@ -179,10 +179,11 @@ class FreeModule:
         return max(self.mono_degree(m) for m in v.data)
 
 
-class Vect:
-    """A sparse element of a free module; immutable by convention."""
+class Vect(_Terms):
+    """An immutable sparse element of a free module."""
 
-    __slots__ = ("module", "data")
+    __slots__ = ("module",)
+    _Mixed = IncompatibleModules
 
     def __init__(self, module: FreeModule, data):
         # data: a dict or pairs (module monomial, payload); merged, zeros
@@ -205,16 +206,14 @@ class Vect:
         object.__setattr__(v, "data", data)
         return v
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Vect is immutable")
+    def _like(self, data: Dict[ModMonomial, object]) -> "Vect":
+        # a payload vector, also for an _IntVect
+        return Vect._of(self.module, data)
+
+    parent = property(lambda self: self.module)
+    field = property(lambda self: self.module.algebra.field)
 
     # -- queries ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def __bool__(self):
-        return bool(self.data)
 
     def component(self, comp: int) -> Poly:
         return Poly._of(
@@ -242,36 +241,10 @@ class Vect:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _check(self, other: "Vect") -> None:
-        if other.module != self.module:
-            raise IncompatibleModules("vectors from different modules")
-
-    def __add__(self, other: "Vect") -> "Vect":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "Vect") -> "Vect":
-        return self._combined(other, -1)
-
-    def _combined(self, other: "Vect", s) -> "Vect":
-        """self + s * other."""
-        self._check(other)
-        p = self.module.algebra.field.characteristic
-        acc = _add_scaled(dict(self.data), other.data.items(), s, p)
-        return Vect._of(self.module, acc)
-
-    def __neg__(self) -> "Vect":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Vect":
-        """c * self for a payload c (or -1)."""
-        p = self.module.algebra.field.characteristic
-        return Vect._of(self.module, _add_scaled({}, self.data.items(), c, p))
-
-    def monic(self, order: "ModOrder") -> "Vect":
-        c = self.lc(order)
-        if c == 1:
-            return self
-        return self.scale(self.module.algebra.field.inverse(c))
+    # named here: the benchmark's tracer wraps them from the class dict
+    __add__, __sub__, __neg__, scale, monic = (
+        _Terms.__add__, _Terms.__sub__, _Terms.__neg__, _Terms.scale,
+        _Terms.monic)
 
     def lmul(self, f: Poly) -> "Vect":
         """Left multiplication by a ring element, summed in one
@@ -294,15 +267,7 @@ class Vect:
             [A.multiply(p, f) for p in self.to_polys()]
         )
 
-    # -- comparison / display -------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Vect):
-            return NotImplemented
-        return self.module == other.module and self.data == other.data
-
-    def __hash__(self):
-        return hash(frozenset(self.data.items()))
+    # -- display -------------------------------------------------------------------
 
     def __str__(self):
         return "[" + ", ".join(str(p) for p in self.to_polys()) + "]"
@@ -319,7 +284,8 @@ class _IntVect(Vect):
     Every integer row in the package is of this kind: remainders, the
     completion's S-vectors, basis elements and normal forms, Schreyer
     rows, the rows of V and U and of matrix products, so a row that is
-    never printed or compared never becomes payloads."""
+    never printed or compared never becomes payloads.  Its sums and
+    multiples are payload :class:`Vect` objects."""
 
     __slots__ = ("order", "codes", "den")
 

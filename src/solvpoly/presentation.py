@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeff import FieldSpec, MixedFields, SolvpolyError
+from .coeff import FieldSpec, MixedFields, SolvpolyError, _Terms
 from .coeff import _add_scaled, _from_ints, _to_ints
 from .algebra import DegreeFunction
 
@@ -162,7 +162,7 @@ class WordOrder:
         )
 
 
-class FreePoly:
+class FreePoly(_Terms):
     """An element of the free algebra on n generators.
 
     Carries its field and letter count; terms map letter tuples to
@@ -171,7 +171,8 @@ class FreePoly:
     data is order-parameterized.
     """
 
-    __slots__ = ("field", "n", "data")
+    __slots__ = ("field", "n")
+    _Mixed = MixedFields
 
     def __init__(self, field: FieldSpec, n: int, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -196,14 +197,10 @@ class FreePoly:
         object.__setattr__(f, "data", data)
         return f
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FreePoly is immutable")
+    def _like(self, data: dict) -> "FreePoly":
+        return FreePoly._of(self.field, self.n, data)
 
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def __bool__(self):
-        return bool(self.data)
+    parent = property(lambda self: (self.field, self.n))
 
     @property
     def terms(self) -> List[Tuple[Letters, object]]:
@@ -222,40 +219,8 @@ class FreePoly:
     def lc(self, order: WordOrder):
         return self.data[self.lm(order).letters]
 
-    def monic(self, order: WordOrder) -> "FreePoly":
-        if not self.data:
-            return self
-        return self.scale(self.field.inverse(self.lc(order)))
-
-    def scale(self, c) -> "FreePoly":
-        """c * self for a payload c (or -1)."""
-        return FreePoly._of(
-            self.field,
-            self.n,
-            _add_scaled({}, self.data.items(), c, self.field.characteristic),
-        )
-
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self._combined(other, -1)
-
-    def _combined(self, other: "FreePoly", s) -> "FreePoly":
-        """self + s * other; both must share the field and letter count."""
-        if other.field != self.field or other.n != self.n:
-            raise MixedFields(
-                "cannot combine free polynomials over %r on %d letters "
-                "with ones over %r on %d"
-                % (self.field, self.n, other.field, other.n)
-            )
-        out = _add_scaled(
-            dict(self.data), other.data.items(), s, self.field.characteristic
-        )
-        return FreePoly._of(self.field, self.n, out)
-
-    def __neg__(self) -> "FreePoly":
-        return self.scale(-1)
+    # named here: the benchmark's tracer wraps them from the class dict
+    __add__, __sub__, scale = _Terms.__add__, _Terms.__sub__, _Terms.scale
 
     def sandwich(self, u: Word, v: Word) -> "FreePoly":
         """The product u * self * v for words u, v."""
@@ -265,17 +230,6 @@ class FreePoly:
             self.n,
             [(lu + w + lv, c) for w, c in self.data.items()],
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreePoly)
-            and self.field == other.field
-            and self.n == other.n
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n, tuple(self.terms)))
 
     def __repr__(self):
         return "FreePoly(%d terms over %d letters)" % (len(self.data), self.n)
@@ -575,23 +529,21 @@ def verify_presentation(
 ) -> CertReport:
     """Certify that quadratic relations present a solvable-type algebra.
 
-    Expects exactly one relation per generator pair.  Each leading
-    word must be a product X_j X_i of two distinct generators carrying
-    a nonzero coefficient on the swapped word X_i X_j; violations of
-    that shape raise ShapeViolation.  (Which of the two orientations
-    leads is decided by the word order's letter priority, so any
-    relabeling of the intended basis sequence is accepted.)  The
-    verdict is certified exactly when every overlap element of the
-    relation set reduces to zero, which makes the set confluent and
-    gives the quotient algebra the ordered monomials as a basis.
-    The relations become monic integer rows once (kept as the report's
+    Expects exactly one relation per pair of the order's generators
+    (none for one generator).  Each leading word must be a product
+    X_j X_i of two distinct generators carrying a nonzero coefficient
+    on the swapped word X_i X_j; violations of that shape raise
+    ShapeViolation.  (Which of the two orientations leads is decided by
+    the word order's letter priority, so any relabeling of the intended
+    basis sequence is accepted.)  The verdict is certified exactly when
+    every overlap element of the relation set reduces to zero, which
+    makes the set confluent and gives the quotient algebra the ordered
+    monomials as a basis.  The relations become monic integer rows once (kept as the report's
     ``rows``), and each overlap element an integer row for the kernel
     (:func:`_reduce`): payloads are made only for the lambdas and a
     failure's residual.
     """
-    if not relations:
-        raise ShapeViolation("no relations given")
-    n = relations[0].n
+    n = len(order.degree.weights)
     expected = n * (n - 1) // 2
     if len(relations) != expected:
         raise ShapeViolation(
@@ -624,7 +576,7 @@ def verify_presentation(
         by_lead[w] = g
     keys = sorted(by_lead)
     basis = _FreeDivisors.of([by_lead[w] for w in keys], order)
-    field, p = relations[0].field, basis.p
+    p = basis.p
     # the rows in the order given (by_lead's), each lead once
     place = {w: b for b, w in enumerate(keys)}
     rows = [basis.entries[place[w]] for w in by_lead]
@@ -643,8 +595,8 @@ def verify_presentation(
                 checked += 1
                 r, den = _reduce(basis, row, den)
                 if r:
-                    failures.append((ka, keys[b], k,
-                                     _free_poly(field, n, r, den)))
+                    failures.append((ka, keys[b], k, _free_poly(
+                        relations[0].field, n, r, den)))
     verdict = "SolvableTypeCertified" if not failures else "NotCertified"
     return CertReport(verdict, checked, failures, lambdas, rows)
 

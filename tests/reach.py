@@ -8,15 +8,17 @@ variant) runs in this one process, through ``solvpoly.cli.main`` with
 its output discarded, under ``sys.setprofile``.  The script then prints,
 per module of ``TREE/src/solvpoly``, each function or method whose code
 never ran, with its first line and its length in lines (decorators
-included), and the totals.  A name that ``TREE/perfbench/tracer.py``
+included), and the totals.  A function that ``TREE/perfbench/tracer.py``
 wraps (``HOT_METHODS``, ``HOT_FUNCTIONS``) is marked ``[traced]``: the
 benchmark reads it from its class or module, so it cannot go with the
-rest.  Pytest does not collect this file.
+rest.  A hot method is marked where it is defined, which may be a base
+class of the class the tracer names.  Pytest does not collect this file.
 """
 
 import ast
 import contextlib
 import glob
+import importlib
 import io
 import os
 import sys
@@ -48,7 +50,10 @@ def functions(path):
 
 
 def traced_names(tree):
-    """``{module: names}`` that the benchmark's tracer wraps."""
+    """``{module: qualified names}`` of the functions that the
+    benchmark's tracer wraps: a hot method by the function its class
+    dictionary holds, named where it is defined.  Run after the sweep,
+    which imports the package of TREE."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     try:
         import tracer
@@ -56,8 +61,11 @@ def traced_names(tree):
         sys.path.pop(0)
     names = {}
     for (module, cls), methods in tracer.HOT_METHODS.items():
-        names.setdefault(module, set()).update(
-            "%s.%s" % (cls, m) for m in methods)
+        held = vars(importlib.import_module("solvpoly." + module))[cls]
+        for m in methods:
+            fn = held.__dict__[m]
+            names.setdefault(fn.__module__.rsplit(".", 1)[-1], set()).add(
+                fn.__qualname__)
     for module, funcs in tracer.HOT_FUNCTIONS.items():
         names.setdefault(module, set()).update(funcs)
     return names
@@ -94,8 +102,8 @@ def main(argv):
     if len(argv) != 1:
         sys.exit("usage: reach.py TREE")
     tree = os.path.abspath(argv[0])
-    traced = traced_names(tree)
     seen = run_sweep(tree)
+    traced = traced_names(tree)
     total_funcs = total_lines = 0
     for path in sorted(glob.glob(os.path.join(tree, "src", "solvpoly",
                                               "*.py"))):

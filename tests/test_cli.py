@@ -354,6 +354,37 @@ def test_verify_presentation_lambdas_are_residues_mod_p(capsys, tmp_path):
     assert payload["lambdas"] == {"y*x": "4"}
 
 
+def test_verify_presentation_lets_unlisted_pairs_commute(capsys, tmp_path):
+    """A pair listed in neither orientation commutes, as it does in the
+    algebra every other command builds; one generator needs no
+    relation."""
+    code, payload = run_json(capsys, "verify-presentation", problem_file(
+        tmp_path, base_doc(relations=[])))
+    assert code == 0
+    assert payload == {"lambdas": {"y*x": "1"}, "overlaps_checked": 0,
+                       "verdict": "SolvableTypeCertified", "violations": []}
+    code, payload = run_json(capsys, "verify-presentation", "--max-steps",
+                             "3", problem_file(tmp_path, base_doc(
+                                 generators=["x"], relations=[],
+                                 submodule_generators=["x"])))
+    assert code == 0
+    assert payload == {"completion": {"basis_size": 0, "complete": True},
+                       "lambdas": {}, "overlaps_checked": 0,
+                       "verdict": "SolvableTypeCertified", "violations": []}
+
+
+def test_free_relations_add_no_rule_for_a_pair_written_either_way(
+        tmp_path):
+    """``x*z = ...`` lists the pair (x, z): only (x, y) and (y, z) get a
+    commutation rule ``x_j x_i - x_i x_j``."""
+    path = problem_file(tmp_path, base_doc(
+        generators=["x", "y", "z"], submodule_generators=[],
+        relations=["x*z = 3*x*z + y"]))
+    got = [r.data for r in cli._free_relations(cli.parse_problem(path))]
+    assert got == [{(0, 2): -2, (1,): -1}, {(1, 0): 1, (0, 1): -1},
+                   {(2, 1): 1, (1, 2): -1}]
+
+
 def test_verify_presentation_rejects_a_non_associative_table(capsys,
                                                             tmp_path):
     # (z*y)*x - z*(y*x) = 1, so the overlap of z*y and y*x survives.

@@ -2,7 +2,9 @@
 
 Containers store a ``Fraction`` over Q and a residue in ``[0, p)`` over
 GF(p), never a zero and never a ``Scalar``.  The differential test runs
-the same submodules through both payload paths of the kernel.
+the same submodules through both payload paths of the kernel.  The
+containers share their arithmetic, which one parity test checks on all
+of them against a dict reference.
 """
 
 import random
@@ -11,9 +13,12 @@ from fractions import Fraction
 import pytest
 
 from solvpoly import fixtures as corpus
-from solvpoly.coeff import DivisionByZero, FieldSpec
+from solvpoly.algebra import DegreeFunction, Poly
+from solvpoly.coeff import DivisionByZero, FieldSpec, MixedFields, SolvpolyError
 from solvpoly.groebner import buchberger, reduce_basis
-from solvpoly.modfree import FreeModule, ModOrder, Vect, left_divide_module
+from solvpoly.modfree import (FreeModule, IncompatibleModules, ModOrder, Vect,
+                              _coded, left_divide_module)
+from solvpoly.presentation import FreePoly, WordOrder
 
 from conftest import over, random_poly, random_scalar, random_vect
 
@@ -80,6 +85,97 @@ def test_containers_store_canonical_nonzero_payloads(name, field):
     for row in G.V + G.U:
         for q in row:
             assert_poly(q)
+
+
+def _ref_sum(a, b, s, p):
+    """``a + s * b`` term by term, zeros dropped: the dict reference."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + s * c
+        if p:
+            out[m] %= p
+    return {m: c for m, c in out.items() if c}
+
+
+def _containers(kind, field, rnd):
+    """For one container kind over ``field``: a maker of random elements,
+    the element of a given dict, the lead's order arguments and key,
+    an element over another parent and the error mixing them raises."""
+    if kind == "FreePoly":
+        order = WordOrder(DegreeFunction((1, 2)))
+
+        def make():
+            words = [tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 3)))
+                     for _ in range(rnd.randint(0, 4))]
+            return FreePoly(field, 2, [
+                (w, random_scalar(field, rnd, nonzero=True)) for w in words])
+
+        foreign = [FreePoly(field, 3, {(2,): 1}),
+                   FreePoly(FieldSpec("PrimeField", 5), 2)]
+        return (make, lambda data: FreePoly(field, 2, data), (order,),
+                order.key, foreign, MixedFields)
+    A = over(field, "weyl1")
+    if kind == "Poly":
+        return (lambda: random_poly(A, rnd), lambda data: Poly(A, data.items()),
+                (), A.order.key, [random_poly(over(field, "weyl1"), rnd)],
+                SolvpolyError)
+    L, L3 = FreeModule(A, 2), FreeModule(A, 3)
+    order = ModOrder("pot", A.order, 2)
+    if kind == "Vect":
+        return (lambda: random_vect(L, rnd), lambda data: Vect(L, data),
+                (order,), order.key, [random_vect(L3, rnd)],
+                IncompatibleModules)
+    return (lambda: _coded(random_vect(L, rnd), order),
+            lambda data: _coded(Vect(L, data), order), (order,), order.key,
+            [_coded(random_vect(L3, rnd), L3.top)], IncompatibleModules)
+
+
+@pytest.mark.parametrize("field", [FieldSpec("Rationals"), GF,
+                                   FieldSpec("PrimeField", 7)],
+                         ids=["Q", "GFp", "GF7"])
+@pytest.mark.parametrize("kind", ["Poly", "Vect", "_IntVect", "FreePoly"])
+def test_the_containers_share_one_arithmetic(kind, field):
+    """Sums, differences, negation, multiples, ``monic``, equality and
+    hashing of every term container against a term-by-term dict
+    reference; mixed parents raise the container's own error, no
+    attribute is assigned, and an integer row equals, hashes like and
+    combines into the payload vector of its data."""
+    rnd = random.Random(17)
+    make, build, order, key, foreign, error = _containers(kind, field, rnd)
+    p = field.characteristic
+    result = Vect if kind == "_IntVect" else type(build({}))
+    for _ in range(10):
+        x, y = make(), make()
+        c = random_scalar(field, rnd, nonzero=True)
+        got = [x + y, x - y, x - x, -x, x.scale(c)]
+        want = [_ref_sum(x.data, y.data, 1, p), _ref_sum(x.data, y.data, -1, p),
+                {}, _ref_sum({}, x.data, -1, p), _ref_sum({}, x.data, c, p)]
+        if x:
+            got.append(x.monic(*order))
+            lead = max(x.data, key=key)
+            want.append(_ref_sum({}, x.data, field.inverse(x.data[lead]), p))
+        else:
+            with pytest.raises(SolvpolyError):
+                x.monic(*order)
+        for g, w in zip(got, want):
+            assert type(g) is result or g is x, kind
+            assert g.data == w and bool(g) == bool(w) == (not g.is_zero())
+            twin = build(w)
+            assert g == twin and twin == g and hash(g) == hash(twin)
+        assert (x == y) == (x.data == y.data)
+        for other in foreign:
+            assert x != other
+            for combine in (x.__add__, x.__sub__):
+                with pytest.raises(error) as exc:
+                    combine(other)
+                assert type(exc.value) is error
+        for name in ("data", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, {})
+        if kind == "_IntVect":
+            v = Vect(x.module, dict(x.data))
+            assert x == v and v == x and hash(x) == hash(v)
+            assert type(v + x) is Vect and type(x.scale(c)) is Vect
 
 
 @pytest.mark.parametrize("field", [FieldSpec("Rationals"), GF],

@@ -15,6 +15,8 @@ lists from the monic rows it holds, through ``of_entries``.  The
 presentation check and the bounded completion divide
 integer rows: payloads are made only at their edges.
 Every name the benchmark's tracer wraps exists where it looks for it.
+Polynomials, module vectors and free-algebra elements share one term
+container, ``coeff._Terms``, and none writes its members again.
 Inside the completion no payload is built (the pair step, the join of
 a new element, the S-vector, the division and U's rows), and a payload
 row is converted to integer form only where it enters from a caller.
@@ -121,6 +123,24 @@ def test_the_tracer_finds_every_name_it_wraps():
     assert isinstance(module("cli")._COMMANDS, dict)
 
 
+def test_the_term_containers_share_one_base():
+    """``Poly``, ``Vect`` and ``FreePoly`` take immutability, the zero
+    test, sums, equality and hashing from ``coeff._Terms`` and write
+    none of them again; only ``_IntVect`` tests for zero itself, on its
+    codes."""
+    shared = {"_combined", "__eq__", "__hash__", "__setattr__", "is_zero",
+              "__bool__"}
+    terms = importlib.import_module("solvpoly.coeff")._Terms
+    assert shared <= set(terms.__dict__)
+    for layer, cls_name in (("algebra", "Poly"), ("modfree", "Vect"),
+                            ("presentation", "FreePoly")):
+        cls = getattr(importlib.import_module("solvpoly." + layer), cls_name)
+        assert issubclass(cls, terms), cls_name
+        assert not shared & set(cls.__dict__), cls_name
+    int_vect = importlib.import_module("solvpoly.modfree")._IntVect
+    assert shared & set(int_vect.__dict__) == {"is_zero", "__bool__"}
+
+
 def test_no_payloads_inside_the_completion():
     """The pair step, the join of a new element, the S-vector, the
     division and the rows of U work on integer rows only: none of them
@@ -163,8 +183,7 @@ def test_no_payloads_inside_the_presentation_check():
         assert not [f for f in callers(name)
                     if f.split(".")[0] in inside], name
     assert callers("Fraction") == {"free_divide"}
-    assert callers("FreePoly._of") == {"FreePoly.scale",
-                                       "FreePoly._combined", "_free_poly"}
+    assert callers("FreePoly._of") == {"FreePoly._like", "_free_poly"}
     assert callers("_from_ints") == {"_free_poly", "verify_presentation"}
     assert callers("_free_poly") == {"free_divide", "overlap_elements",
                                      "verify_presentation",
